@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build lint test race race-hot fuzz-smoke bench bench-smoke bench-wire bench-record obs-smoke crash-smoke cluster-smoke
+.PHONY: ci fmt-check vet build lint test race race-hot fuzz-smoke bench bench-smoke bench-module bench-wire bench-record obs-smoke crash-smoke cluster-smoke
 
-ci: fmt-check vet build lint race-hot race fuzz-smoke bench-smoke obs-smoke crash-smoke cluster-smoke
+ci: fmt-check vet build lint race-hot race fuzz-smoke bench-smoke bench-module obs-smoke crash-smoke cluster-smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -84,6 +84,13 @@ bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
 	$(GO) test -run NONE -bench 'Table2GridJoin|AblationGridTiles|AblationGridVsSubtree' -benchtime 2x -count 1 .
 	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin' -benchmem -benchtime 2x -count 1 .
+
+# The repository benchmark (BENCHMARK.json, benchmark/) is a module of
+# its own, so the root `./...` patterns above neither vet nor test it:
+# this lane does, and with it proves every workload still builds against
+# the packages it drives, runs at tiny scale, and verifies its answers.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # End-to-end observability check: boot spatialserverd with -metrics-addr,
 # run a join over the wire, scrape /metrics and assert the core series

@@ -60,7 +60,7 @@ func BenchmarkWireJoinStream(b *testing.B) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "rows/s")
 }
 
-func drainJoin(b *testing.B, cli *wire.Client, sql string) int {
+func drainJoin(b testing.TB, cli *wire.Client, sql string) int {
 	b.Helper()
 	res, err := cli.Query(sql)
 	if err != nil {

@@ -47,16 +47,18 @@ var hotSeeds = map[string][]string{
 		"JoinFunction.emitLeafPair", "JoinFunction.secondaryFilter", "JoinFunction.fetchGeom",
 		"GridJoinFunction.Fetch", "gridState.sweepTile", "assignGrid",
 	},
-	"internal/tablefunc": {"pipelineCursor.Next", "parallelCursor.Next"},
+	"internal/tablefunc": {"pipelineCursor.NextBatch", "parallelCursor.NextBatch"},
+	// The batch render of a streamed join: pairs to rid text to rows.
+	"internal/sqlmini": {"joinCursorAdapter.NextBatch"},
 	"internal/rtree": {
 		"Tree.Search", "Tree.SearchCounted", "Tree.SearchWithinDist", "Tree.SearchWithinDistCounted",
 	},
 	"internal/pager": {"Mem.Pin", "Store.pin", "appendWALRecord"},
 	// The coordinator's merge loop; the remote fetch itself is excluded
 	// because wire decoding allocates its row batches by design.
-	"internal/cluster":                        {"gatherCursor.Next"},
+	"internal/cluster":                        {"gatherCursor.NextBatch"},
 	"internal/storage":                        {"Heap.fetchLocked", "Table.FetchColumn"},
-	"internal/wire":                           {"WriteFrame", "AppendBatch"},
+	"internal/wire":                           {"WriteFrame", "AppendBatch", "ParseBatch"},
 	"internal/analysis/testdata/src/hotalloc": {"SeededScan"},
 }
 

@@ -58,31 +58,30 @@ func (r *remoteTF) Start() error { return nil }
 // failure is recorded and the instance ends cleanly (the merged stream
 // stays alive on the surviving shards); server-reported errors always
 // propagate — a shard that answered with an error is not "lost".
-func (r *remoteTF) Fetch(max int) ([]storage.Row, error) {
+func (r *remoteTF) Fetch(b *storage.Batch, max int) error {
 	if r.cur == nil {
-		return nil, nil
+		return nil
 	}
 	for {
 		rows, done, err := r.cur.Fetch(max)
 		if err != nil {
 			se := &ShardError{Shard: r.shard, Addr: r.addr, Err: err}
 			if _, remote := err.(*wire.RemoteError); remote {
-				return nil, se
+				return se
 			}
 			// Transport failure: this connection is unusable for anyone.
 			r.co.dropClient(r.shard)
 			r.cur = nil
 			if r.tracker != nil {
 				r.tracker.record(se)
-				return nil, nil
+				return nil
 			}
-			return nil, se
+			return se
 		}
-		if len(rows) > 0 {
-			return rows, nil
-		}
-		if done {
-			return nil, nil
+		// The client decoded the rows into storage of their own.
+		b.Rows = append(b.Rows, rows...)
+		if len(rows) > 0 || done {
+			return nil
 		}
 	}
 }
@@ -106,7 +105,8 @@ type emptyCursor struct{}
 func (emptyCursor) Next() (storage.RowID, storage.Row, bool, error) {
 	return storage.InvalidRowID, nil, false, nil
 }
-func (emptyCursor) Close() error { return nil }
+func (emptyCursor) NextBatch(*storage.Batch, int) error { return nil }
+func (emptyCursor) Close() error                        { return nil }
 
 // gather merges the scatter instances into one client-facing cursor
 // via tablefunc.Parallel, layering the loss policy and merge-stage
@@ -124,64 +124,49 @@ func gather(co *Coordinator, tfs []*remoteTF, tracker *lossTracker, trace *telem
 }
 
 // gatherCursor finishes a scatter-gather stream: it accounts merge
-// time (one StageMerge span per produced batch-worth of rows) and, in
-// partial mode, converts recorded shard losses into a *PartialError at
-// end of stream — the caller always learns the result was incomplete,
-// never sees a silently short row set.
+// time (one StageMerge span per gathered batch) and, in partial mode,
+// converts recorded shard losses into a *PartialError at end of stream
+// — the caller always learns the result was incomplete, never sees a
+// silently short row set.
 type gatherCursor struct {
 	in      storage.Cursor
 	tracker *lossTracker
 	trace   *telemetry.Trace
+	it      storage.RowIter
 
-	rows    int64
-	pending time.Duration
-	done    bool
-	failed  error
+	done   bool
+	failed error
 }
 
 func (c *gatherCursor) Next() (storage.RowID, storage.Row, bool, error) {
-	if c.failed != nil {
-		return storage.InvalidRowID, nil, false, c.failed
+	return c.it.Next(c)
+}
+
+// NextBatch implements storage.Cursor: a shard's fetch batch passes
+// through whole.
+func (c *gatherCursor) NextBatch(b *storage.Batch, max int) error {
+	if c.failed != nil || c.done {
+		return c.failed
 	}
-	if c.done {
-		return storage.InvalidRowID, nil, false, nil
-	}
+	n := len(b.Rows)
 	t0 := time.Now()
-	id, row, ok, err := c.in.Next()
-	c.pending += time.Since(t0)
-	if err != nil {
+	err := c.in.NextBatch(b, max)
+	c.trace.Add(telemetry.StageMerge, time.Since(t0), 1)
+	switch {
+	case err != nil:
 		c.failed = err
-		c.flushMerge()
-		return storage.InvalidRowID, nil, false, err
-	}
-	if !ok {
+	case len(b.Rows) == n:
 		c.done = true
-		c.flushMerge()
 		if c.tracker != nil {
 			if pe := c.tracker.partial(); pe != nil {
 				c.failed = pe
-				return storage.InvalidRowID, nil, false, pe
 			}
 		}
-		return storage.InvalidRowID, nil, false, nil
 	}
-	c.rows++
-	if c.rows%tablefunc.DefaultBatch == 0 {
-		c.flushMerge()
-	}
-	return id, row, true, nil
-}
-
-// flushMerge records the accumulated gather time as one merge span.
-func (c *gatherCursor) flushMerge() {
-	if c.pending > 0 {
-		c.trace.Add(telemetry.StageMerge, c.pending, 1)
-		c.pending = 0
-	}
+	return c.failed
 }
 
 func (c *gatherCursor) Close() error {
-	c.flushMerge()
 	c.trace.Finish()
 	return c.in.Close()
 }

@@ -1,6 +1,7 @@
 package extidx
 
 import (
+	"errors"
 	"fmt"
 
 	"spatialtf/internal/geom"
@@ -31,15 +32,31 @@ func Relate(idx SpatialIndex, tab *storage.Table, column string, q geom.Geometry
 	}
 	var out []storage.RowID
 	for _, id := range idx.WindowCandidates(geom.MBROf(q)) {
-		v, err := tab.FetchColumn(id, col)
+		g, ok, err := candidateGeom(tab, id, col)
 		if err != nil {
-			return nil, fmt.Errorf("extidx: secondary filter fetch %v: %w", id, err)
+			return nil, err
 		}
-		if geom.Relate(v.G, q, mask) {
+		if ok && geom.Relate(g, q, mask) {
 			out = append(out, id)
 		}
 	}
 	return out, nil
+}
+
+// candidateGeom fetches the geometry of a row the index surfaced, for
+// the secondary filter. The index is read without a snapshot, so the
+// row may have been deleted since: ok is then false and the row is
+// simply not in the result — read committed per fetch, like a heap
+// scan — instead of failing the statement.
+func candidateGeom(tab *storage.Table, id storage.RowID, col int) (g geom.Geometry, ok bool, err error) {
+	v, err := tab.FetchColumn(id, col)
+	if errors.Is(err, storage.ErrRowDeleted) {
+		return geom.Geometry{}, false, nil
+	}
+	if err != nil {
+		return geom.Geometry{}, false, fmt.Errorf("extidx: secondary filter fetch %v: %w", id, err)
+	}
+	return v.G, true, nil
 }
 
 // Neighbor is one ranked result of Nearest.
@@ -89,12 +106,15 @@ func Nearest(idx SpatialIndex, tab *storage.Table, column string, q geom.Geometr
 				return false
 			}
 		}
-		v, err := tab.FetchColumn(it.ID, col)
+		g, ok, err := candidateGeom(tab, it.ID, col)
 		if err != nil {
-			iterErr = fmt.Errorf("extidx: nearest fetch %v: %w", it.ID, err)
+			iterErr = err
 			return false
 		}
-		d := geom.Distance(v.G, q)
+		if !ok {
+			return true
+		}
+		d := geom.Distance(g, q)
 		// Insert into pending, keeping it sorted by exact distance.
 		pos := len(pending)
 		for pos > 0 && pending[pos-1].Dist > d {
@@ -130,11 +150,11 @@ func WithinDistance(idx SpatialIndex, tab *storage.Table, column string, q geom.
 	}
 	var out []storage.RowID
 	for _, id := range idx.DistCandidates(geom.MBROf(q), d) {
-		v, err := tab.FetchColumn(id, col)
+		g, ok, err := candidateGeom(tab, id, col)
 		if err != nil {
-			return nil, fmt.Errorf("extidx: secondary filter fetch %v: %w", id, err)
+			return nil, err
 		}
-		if geom.WithinDistance(v.G, q, d) {
+		if ok && geom.WithinDistance(g, q, d) {
 			out = append(out, id)
 		}
 	}

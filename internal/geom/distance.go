@@ -10,8 +10,10 @@ func Distance(g, h Geometry) float64 {
 		return 0
 	}
 	best := math.Inf(1)
-	for _, a := range g.primitives(nil) {
-		for _, b := range h.primitives(nil) {
+	var gb, hb [1]Geometry
+	hs := h.primitives(&hb)
+	for _, a := range g.primitives(&gb) {
+		for _, b := range hs {
 			if d := primDistance(a, b); d < best {
 				best = d
 			}

@@ -257,13 +257,16 @@ func (g Geometry) IsMulti() bool {
 	return false
 }
 
-// primitives appends the primitive members of g to dst and returns it.
-// For primitive kinds the result is g itself.
-func (g Geometry) primitives(dst []Geometry) []Geometry {
+// primitives returns the primitive members of g, read-only: the element
+// list of a multi kind, or g itself stored in the caller's one-slot
+// buffer — a stack array at every call site, so the exact predicates
+// allocate nothing to iterate their operands.
+func (g Geometry) primitives(buf *[1]Geometry) []Geometry {
 	if g.IsMulti() {
-		return append(dst, g.Elems...)
+		return g.Elems
 	}
-	return append(dst, g)
+	buf[0] = g
+	return buf[:]
 }
 
 // NumVertices returns the total vertex count across all parts of g. It

@@ -11,8 +11,9 @@ func Intersects(g, h Geometry) bool {
 	if !MBROf(g).Intersects(MBROf(h)) {
 		return false
 	}
-	gs := g.primitives(nil)
-	hs := h.primitives(nil)
+	var gb, hb [1]Geometry
+	gs := g.primitives(&gb)
+	hs := h.primitives(&hb)
 	for _, a := range gs {
 		for _, b := range hs {
 			if primIntersects(a, b) {
@@ -157,8 +158,9 @@ func polyPolyIntersects(p, q Geometry) bool {
 // point. For points the boundary is the point itself; for lines the
 // polyline; for polygons all rings.
 func boundariesIntersect(g, h Geometry) bool {
-	gs := g.primitives(nil)
-	hs := h.primitives(nil)
+	var gb, hb [1]Geometry
+	gs := g.primitives(&gb)
+	hs := h.primitives(&hb)
 	for _, a := range gs {
 		for _, b := range hs {
 			if primBoundariesIntersect(a, b) {
@@ -205,8 +207,9 @@ func primBoundariesIntersect(a, b Geometry) bool {
 // point. For a point the interior is the point; for a line the polyline
 // minus its two endpoints; for a polygon the open region.
 func interiorsIntersect(g, h Geometry) bool {
-	gs := g.primitives(nil)
-	hs := h.primitives(nil)
+	var gb, hb [1]Geometry
+	gs := g.primitives(&gb)
+	hs := h.primitives(&hb)
 	for _, a := range gs {
 		for _, b := range hs {
 			if primInteriorsIntersect(a, b) {
@@ -395,8 +398,9 @@ func coveredBy(g, h Geometry) bool {
 	if !MBROf(h).Contains(MBROf(g)) {
 		return false
 	}
-	hs := h.primitives(nil)
-	for _, a := range g.primitives(nil) {
+	var gb, hb [1]Geometry
+	hs := h.primitives(&hb)
+	for _, a := range g.primitives(&gb) {
 		if !primCoveredByAny(a, hs) {
 			return false
 		}

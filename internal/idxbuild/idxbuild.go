@@ -59,34 +59,30 @@ type tessellateFn struct {
 
 func (f *tessellateFn) Start() error { return nil }
 
-func (f *tessellateFn) Fetch(max int) ([]storage.Row, error) {
-	out := make([]storage.Row, 0, max)
-	for len(out) < max {
-		if len(f.pending) > 0 {
-			n := max - len(out)
-			if n > len(f.pending) {
-				n = len(f.pending)
-			}
-			out = append(out, f.pending[:n]...)
-			f.pending = f.pending[n:]
+func (f *tessellateFn) Fetch(b *storage.Batch, max int) error {
+	for n := 0; n < max; {
+		if k := min(len(f.pending), max-n); k > 0 {
+			b.Rows = append(b.Rows, f.pending[:k]...)
+			f.pending = f.pending[k:]
+			n += k
 			continue
 		}
 		id, row, ok, err := f.input.Next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
 			break
 		}
 		tiles, err := quadtree.Tessellate(f.grid, row[f.geomCol].G)
 		if err != nil {
-			return nil, fmt.Errorf("idxbuild: tessellate row %v: %w", id, err)
+			return fmt.Errorf("idxbuild: tessellate row %v: %w", id, err)
 		}
 		for _, t := range tiles {
 			f.pending = append(f.pending, tileRow(t, id))
 		}
 	}
-	return out, nil
+	return nil
 }
 
 func (f *tessellateFn) Close() error { return f.input.Close() }
@@ -176,12 +172,11 @@ type mbrLoadFn struct {
 
 func (f *mbrLoadFn) Start() error { return nil }
 
-func (f *mbrLoadFn) Fetch(max int) ([]storage.Row, error) {
-	out := make([]storage.Row, 0, max)
-	for len(out) < max {
+func (f *mbrLoadFn) Fetch(b *storage.Batch, max int) error {
+	for n := 0; n < max; n++ {
 		id, row, ok, err := f.input.Next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
 			break
@@ -189,7 +184,7 @@ func (f *mbrLoadFn) Fetch(max int) ([]storage.Row, error) {
 		g := row[f.geomCol].G
 		m := geom.MBROf(g)
 		if !m.Valid() {
-			return nil, fmt.Errorf("idxbuild: row %v has invalid MBR", id)
+			return fmt.Errorf("idxbuild: row %v has invalid MBR", id)
 		}
 		interior := geom.MBR{}
 		if f.interiorEffort > 0 {
@@ -197,9 +192,9 @@ func (f *mbrLoadFn) Fetch(max int) ([]storage.Row, error) {
 				interior = r
 			}
 		}
-		out = append(out, mbrRow(m, interior, id))
+		b.Rows = append(b.Rows, mbrRow(m, interior, id))
 	}
-	return out, nil
+	return nil
 }
 
 func (f *mbrLoadFn) Close() error { return f.input.Close() }

@@ -48,16 +48,17 @@ func CreateQuadtreeSim(tab *storage.Table, column string, grid quadtree.Grid, wo
 		if err := fn.Start(); err != nil {
 			return nil, SimStats{}, err
 		}
+		var batch storage.Batch
 		for {
-			rows, err := fn.Fetch(tablefunc.DefaultBatch)
-			if err != nil {
+			batch.Reset()
+			if err := fn.Fetch(&batch, tablefunc.DefaultBatch); err != nil {
 				fn.Close()
 				return nil, SimStats{}, err
 			}
-			if len(rows) == 0 {
+			if len(batch.Rows) == 0 {
 				break
 			}
-			for _, row := range rows {
+			for _, row := range batch.Rows {
 				key, err := tileRowKey(row)
 				if err != nil {
 					fn.Close()

@@ -233,6 +233,12 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
+	// A Shutdown that ran before ln was registered found no listener to
+	// close; it set inShutdown first, so it is visible here.
+	if s.inShutdown.Load() {
+		ln.Close()
+		return ErrServerClosed
+	}
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -365,6 +371,9 @@ type serverCursor struct {
 	// trace spans the cursor's lifetime — query to final fetch — and
 	// feeds the slow log when it outlives the threshold.
 	trace *telemetry.Trace
+	// batch is the fetch batch the cursor fills and the frame encoder
+	// drains, reused from fetch to fetch and dropped with the cursor.
+	batch storage.Batch
 }
 
 // conn handles one client connection. The protocol is strict
@@ -524,26 +533,9 @@ func (c *conn) runQuery(bw *bufio.Writer, sql string, exec func() (*sqlmini.Stre
 	}
 }
 
-// batchBuf is the reusable per-fetch scratch: the staged row slice and
-// the encoded batch payload. Pooling both means a steady fetch stream
-// allocates neither the row buffer nor the (large) frame image.
-type batchBuf struct {
-	rows []storage.Row
-	img  []byte
-}
-
-var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
-
-// release clears row references (so pooled buffers don't pin decoded
-// geometries) and returns the buffer to the pool.
-func (bb *batchBuf) release() {
-	for i := range bb.rows {
-		bb.rows[i] = nil
-	}
-	bb.rows = bb.rows[:0]
-	bb.img = bb.img[:0]
-	batchPool.Put(bb)
-}
+// framePool recycles encoded batch payloads, so a steady fetch stream
+// does not allocate the (large) frame image per batch.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 func (c *conn) handleFetch(bw *bufio.Writer, payload []byte) func() error {
 	id, maxRows, err := wire.ParseFetch(payload)
@@ -571,28 +563,32 @@ func (c *conn) handleFetch(bw *bufio.Writer, payload []byte) func() error {
 		return c.sendError(bw, err.Error())
 	}
 	start := time.Now()
-	bb := batchPool.Get().(*batchBuf)
+	// One NextBatch usually fills the frame. A short batch (the tail of
+	// a parallel instance, what a scope filter left) is topped up, so
+	// the client pays a round trip per `batch` rows, not per upstream
+	// batch.
+	b := &sc.batch
+	b.Reset()
 	done := false
-	for len(bb.rows) < batch {
-		_, row, ok, err := sc.cur.Next()
+	for len(b.Rows) < batch {
+		n := len(b.Rows)
+		err := sc.cur.NextBatch(b, batch-n)
 		if err != nil {
-			if len(bb.rows) == 0 {
-				bb.release()
+			if len(b.Rows) == 0 {
 				c.dropCursor(sc)
 				return c.sendError(bw, err.Error())
 			}
 			sc.pendingErr = err
 			break
 		}
-		if !ok {
+		if len(b.Rows) == n {
 			done = true
 			break
 		}
-		bb.rows = append(bb.rows, row)
 	}
-	sc.streamed += int64(len(bb.rows))
+	rows := b.Rows
+	sc.streamed += int64(len(rows))
 	if limit := c.srv.cfg.MaxRowsPerQuery; limit > 0 && sc.streamed > limit {
-		bb.release()
 		c.dropCursor(sc)
 		return c.sendError(bw, fmt.Sprintf("query row limit exceeded (%d rows)", limit))
 	}
@@ -600,22 +596,25 @@ func (c *conn) handleFetch(bw *bufio.Writer, payload []byte) func() error {
 	c.srv.stats.Fetches.Add(1)
 	c.srv.stats.FetchNanos.Add(elapsed.Nanoseconds())
 	c.srv.stats.FetchSeconds.Observe(elapsed.Seconds())
-	c.srv.stats.BatchRows.Observe(float64(len(bb.rows)))
-	c.srv.stats.RowsStreamed.Add(int64(len(bb.rows)))
+	c.srv.stats.BatchRows.Observe(float64(len(rows)))
+	c.srv.stats.RowsStreamed.Add(int64(len(rows)))
 	sc.trace.Add(telemetry.StageFetch, elapsed, 1)
-	img, err := wire.AppendBatch(bb.img[:0], sc.id, done, sc.schema, bb.rows)
+	// The one copy of the batch: its rows are encoded straight into the
+	// pooled frame image, after which the cursor's batch is free for the
+	// next fetch.
+	img := framePool.Get().(*[]byte)
+	*img, err = wire.AppendBatch((*img)[:0], sc.id, done, sc.schema, rows)
 	if err != nil {
-		bb.release()
+		framePool.Put(img)
 		c.dropCursor(sc)
 		return c.sendError(bw, err.Error())
 	}
-	bb.img = img
 	if done {
 		c.dropCursor(sc)
 	}
 	return func() error {
-		err := wire.WriteFrame(bw, wire.FrameBatch, bb.img)
-		bb.release()
+		err := wire.WriteFrame(bw, wire.FrameBatch, *img)
+		framePool.Put(img)
 		return err
 	}
 }

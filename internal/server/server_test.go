@@ -652,6 +652,10 @@ func (c *errAfterCursor) Next() (storage.RowID, storage.Row, bool, error) {
 	return storage.InvalidRowID, storage.Row{storage.Int(int64(c.emitted))}, true, nil
 }
 
+func (c *errAfterCursor) NextBatch(b *storage.Batch, max int) error {
+	return storage.BatchFromNext(c.Next, b, max)
+}
+
 func (c *errAfterCursor) Close() error { return nil }
 
 type errAfterBackend struct{ n int }
@@ -714,4 +718,129 @@ func TestServerDeliversRowsBeforeCursorError(t *testing.T) {
 	if n := srv.Stats().CursorsOpen.Value(); n != 0 {
 		t.Fatalf("%d cursors still open after deferred error", n)
 	}
+}
+
+// TestServeAfterShutdown pins the listener hand-off: a Shutdown that
+// runs before Serve has registered its listener finds nothing to close,
+// so Serve itself must notice and return — it used to block in Accept
+// forever.
+func TestServeAfterShutdown(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	srv := New(spatialtf.Open(), Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown of a server that never served: %v", err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		if err != ErrServerClosed {
+			t.Fatalf("Serve after Shutdown returned %v, want ErrServerClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Serve after Shutdown is still accepting after 1s")
+	}
+	if _, err := net.DialTimeout("tcp", ln.Addr().String(), 200*time.Millisecond); err == nil {
+		t.Error("the listener is still open after Serve returned")
+	}
+}
+
+// TestWindowSelectSkipsConcurrentlyDeletedRows pins read-committed-per-
+// fetch on the predicate path: a window SELECT resolves its rowids when
+// the statement starts and fetches the rows batch by batch, so a DELETE
+// on another connection in between must shorten the result, not fail it
+// with "storage: row deleted". The second half runs reader and deleter
+// concurrently for the race detector.
+func TestWindowSelectSkipsConcurrentlyDeletedRows(t *testing.T) {
+	db := spatialtf.Open()
+	_, addr := startTestServer(t, db, Config{})
+	dial := func() *wire.Client {
+		cli, err := wire.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cli.Close() })
+		return cli
+	}
+	reader, writer := dial(), dial()
+	exec := func(cli *wire.Client, sql string) {
+		t.Helper()
+		if _, err := cli.Query(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	const n = 400
+	insert := func(cli *wire.Client, id int) {
+		exec(cli, fmt.Sprintf("INSERT INTO pts VALUES (%d, 'POINT (%d %d)')", id, id%20, id/20))
+	}
+	exec(writer, "CREATE TABLE pts (id INT, geom GEOMETRY)")
+	exec(writer, "CREATE INDEX pts_idx ON pts(geom) INDEXTYPE IS RTREE")
+	for id := 0; id < n; id++ {
+		insert(writer, id)
+	}
+	const window = "SELECT id FROM pts WHERE sdo_relate(geom, 'POLYGON ((-1 -1, 30 -1, 30 30, -1 30, -1 -1))', 'mask=anyinteract') = 'TRUE'"
+	drain := func(cur *wire.Cursor) (int, error) {
+		rows := 0
+		for {
+			batch, done, err := cur.Fetch(16)
+			if err != nil {
+				return rows, err
+			}
+			rows += len(batch)
+			if done {
+				return rows, nil
+			}
+		}
+	}
+
+	// The rowids are resolved; now delete a quarter of the rows behind
+	// the open cursor.
+	res, err := reader.Query(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec(writer, "DELETE FROM pts WHERE sdo_relate(geom, 'POLYGON ((-1 -1, 30 -1, 30 4.5, -1 4.5, -1 -1))', 'mask=anyinteract') = 'TRUE'")
+	rows, err := drain(res.Cursor)
+	if err != nil {
+		t.Fatalf("window SELECT over rows deleted after it started: %v", err)
+	}
+	if want := n - 100; rows != want {
+		t.Fatalf("window SELECT returned %d rows, want the %d that were not deleted", rows, want)
+	}
+
+	// Reader and deleter at full tilt.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for id := n; ; id++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			insert(writer, id%100) // rows 0..99 are the deleted quarter
+			if id%10 == 9 {
+				exec(writer, "DELETE FROM pts WHERE sdo_relate(geom, 'POLYGON ((-1 -1, 30 -1, 30 4.5, -1 4.5, -1 -1))', 'mask=anyinteract') = 'TRUE'")
+			}
+		}
+	}()
+	for i := 0; i < 150; i++ {
+		res, err := reader.Query(window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := drain(res.Cursor); err != nil || rows < n-100 {
+			t.Fatalf("window SELECT %d under a concurrent deleter: %d rows, %v", i, rows, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -380,18 +380,14 @@ func (g *GridJoinFunction) Start() error { return nil }
 // Fetch implements TableFunction: drain verified results, then claim
 // and sweep tiles until the candidate array has a batch worth of work,
 // then drain it through the secondary filter.
-func (g *GridJoinFunction) Fetch(max int) ([]storage.Row, error) {
+func (g *GridJoinFunction) Fetch(b *storage.Batch, max int) error {
 	j := g.j
-	//spatiallint:ignore hotalloc per-batch output buffer, amortised over max rows
-	out := make([]storage.Row, 0, max)
-	var ar pairArena
-	//spatiallint:ignore hotalloc per-batch row slabs, two allocations amortised over max rows
-	ar.init(max)
-	for len(out) < max {
-		if len(j.ready) > 0 {
-			p := j.ready[0]
-			j.ready = j.ready[1:]
-			out = append(out, ar.row(p))
+	for n := 0; n < max; {
+		if k := min(len(j.ready), max-n); k > 0 {
+			//spatiallint:ignore hotalloc grows a fresh batch to the fetch size; a reused one has the room
+			appendPairRows(b, j.ready[:k])
+			j.ready = j.ready[k:]
+			n += k
 			continue
 		}
 		for len(j.cands) < j.cfg.CandidateCap {
@@ -414,11 +410,11 @@ func (g *GridJoinFunction) Fetch(max int) ([]storage.Row, error) {
 			break // queue exhausted and nothing pending: done
 		}
 		if err := j.secondaryFilter(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	j.flushStats()
-	return out, nil
+	return nil
 }
 
 // Close implements TableFunction.

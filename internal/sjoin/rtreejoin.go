@@ -162,19 +162,15 @@ func (j *JoinFunction) Start() error {
 }
 
 // Fetch implements TableFunction: resume the join from the stack and
-// return up to max result pairs.
-func (j *JoinFunction) Fetch(max int) ([]storage.Row, error) {
-	//spatiallint:ignore hotalloc per-batch output buffer, amortised over max rows
-	out := make([]storage.Row, 0, max)
-	var ar pairArena
-	//spatiallint:ignore hotalloc per-batch row slabs, two allocations amortised over max rows
-	ar.init(max)
-	for len(out) < max {
+// append up to max result pairs to b.
+func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
+	for n := 0; n < max; {
 		// Drain verified results first.
-		if len(j.ready) > 0 {
-			p := j.ready[0]
-			j.ready = j.ready[1:]
-			out = append(out, ar.row(p))
+		if k := min(len(j.ready), max-n); k > 0 {
+			//spatiallint:ignore hotalloc grows a fresh batch to the fetch size; a reused one has the room
+			appendPairRows(b, j.ready[:k])
+			j.ready = j.ready[k:]
+			n += k
 			continue
 		}
 		// Refill the candidate array by resuming the index traversal.
@@ -188,11 +184,11 @@ func (j *JoinFunction) Fetch(max int) ([]storage.Row, error) {
 			break // stack empty and no candidates: join complete
 		}
 		if err := j.secondaryFilter(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	j.flushStats()
-	return out, nil
+	return nil
 }
 
 // flushGeomSpans moves the pending sampled geometry-fetch spans to the
@@ -519,15 +515,16 @@ func RunJoinFunction(fn *JoinFunction, batch int) (int, JoinStats, error) {
 	}
 	defer fn.Close()
 	count := 0
+	var b storage.Batch
 	for {
-		rows, err := fn.Fetch(batch)
-		if err != nil {
+		b.Reset()
+		if err := fn.Fetch(&b, batch); err != nil {
 			return count, fn.Stats(), err
 		}
-		if len(rows) == 0 {
+		if len(b.Rows) == 0 {
 			return count, fn.Stats(), nil
 		}
-		count += len(rows)
+		count += len(b.Rows)
 	}
 }
 

@@ -36,7 +36,8 @@ func PairRefPoint(a, b geom.MBR, d float64) (x, y float64) {
 // secondary filter has typically just decoded them, so this is mostly
 // cache hits).
 type scopedPairCursor struct {
-	in         storage.Cursor
+	src        storage.Cursor
+	it         storage.RowIter
 	a, b       *storage.Table
 	colA, colB int
 	d          float64
@@ -57,34 +58,38 @@ func ScopedPairFilter(cur storage.Cursor, a, b Source, d float64, cache *GeomCac
 		return nil, err
 	}
 	return &scopedPairCursor{
-		in: cur, a: a.Table, b: b.Table, colA: colA, colB: colB,
+		src: cur, a: a.Table, b: b.Table, colA: colA, colB: colB,
 		d: d, cache: cache, own: own,
 	}, nil
 }
 
 func (c *scopedPairCursor) Next() (storage.RowID, storage.Row, bool, error) {
-	for {
-		id, row, ok, err := c.in.Next()
-		if err != nil || !ok {
-			return id, nil, ok, err
-		}
-		p, err := PairFromRow(row)
-		if err != nil {
-			return storage.InvalidRowID, nil, false, err
-		}
-		ga, _, err := cachedFetch(c.cache, c.a, c.colA, p.A)
-		if err != nil {
-			return storage.InvalidRowID, nil, false, err
-		}
-		gb, _, err := cachedFetch(c.cache, c.b, c.colB, p.B)
-		if err != nil {
-			return storage.InvalidRowID, nil, false, err
-		}
-		x, y := PairRefPoint(geom.MBROf(ga), geom.MBROf(gb), c.d)
-		if c.own(x, y) {
-			return id, row, true, nil
-		}
-	}
+	return c.it.Next(c)
 }
 
-func (c *scopedPairCursor) Close() error { return c.in.Close() }
+// NextBatch implements storage.Cursor: the join fills the consumer's
+// batch and the pairs this shard does not own are dropped from it in
+// place.
+func (c *scopedPairCursor) NextBatch(b *storage.Batch, max int) error {
+	return storage.FilterBatch(c.src, b, max, c.owns)
+}
+
+// owns reports whether this shard reports the pair in row.
+func (c *scopedPairCursor) owns(row storage.Row) (bool, error) {
+	p, err := PairFromRow(row)
+	if err != nil {
+		return false, err
+	}
+	ga, _, err := cachedFetch(c.cache, c.a, c.colA, p.A)
+	if err != nil {
+		return false, err
+	}
+	gb, _, err := cachedFetch(c.cache, c.b, c.colB, p.B)
+	if err != nil {
+		return false, err
+	}
+	x, y := PairRefPoint(geom.MBROf(ga), geom.MBROf(gb), c.d)
+	return c.own(x, y), nil
+}
+
+func (c *scopedPairCursor) Close() error { return c.src.Close() }

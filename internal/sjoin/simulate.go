@@ -2,6 +2,8 @@ package sjoin
 
 import (
 	"time"
+
+	"spatialtf/internal/storage"
 )
 
 // This file provides a deterministic multi-processor simulator for the
@@ -59,22 +61,19 @@ func SimulateParallelIndexJoin(a, b Source, cfg Config, workers int) (SimResult,
 			fn.Close()
 			return SimResult{}, err
 		}
+		var batch storage.Batch
 		for {
-			rows, err := fn.Fetch(1024)
+			batch.Reset()
+			err := fn.Fetch(&batch, 1024)
+			if err == nil {
+				res.Pairs, err = AppendPairs(res.Pairs, batch.Rows)
+			}
 			if err != nil {
 				fn.Close()
 				return SimResult{}, err
 			}
-			if len(rows) == 0 {
+			if len(batch.Rows) == 0 {
 				break
-			}
-			for _, row := range rows {
-				p, err := PairFromRow(row)
-				if err != nil {
-					fn.Close()
-					return SimResult{}, err
-				}
-				res.Pairs = append(res.Pairs, p)
 			}
 		}
 		fn.Close()

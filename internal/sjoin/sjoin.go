@@ -176,80 +176,63 @@ func (c Config) secondaryAccepts(a, b geom.Geometry) bool {
 	return geom.Relate(a, b, c.Mask)
 }
 
-// pairRow encodes a result pair as a table-function output row
-// (rid1, rid2).
-func pairRow(p Pair) storage.Row {
-	return storage.Row{
-		storage.Bytes(p.A.AppendTo(nil)),
-		storage.Bytes(p.B.AppendTo(nil)),
+// appendPairRows appends result pairs to b as table-function output
+// rows (rid1, rid2), each rowid packed into an integer so a row lives
+// entirely in the batch's slab.
+func appendPairRows(b *storage.Batch, pairs []Pair) {
+	for i, row := range b.Extend(len(pairs), 2) {
+		row[0] = storage.Int(pairs[i].A.Int64())
+		row[1] = storage.Int(pairs[i].B.Int64())
 	}
-}
-
-// rowIDImageLen is the size of one storage.RowID binary image
-// (RowID.AppendTo writes 4 bytes of page + 2 of slot).
-const rowIDImageLen = 6
-
-// pairArena batches the backing storage for one Fetch batch of output
-// rows: a single Value slab and a single rowid-byte slab serve every
-// pair in the batch, replacing pairRow's three heap allocations per row
-// with two per batch. Slabs are sized exactly for max rows, and every
-// row is handed out as a full-capacity slice so an appending caller
-// cannot clobber its neighbour.
-type pairArena struct {
-	vals []storage.Value
-	ids  []byte
-}
-
-func (a *pairArena) init(max int) {
-	a.vals = make([]storage.Value, 0, 2*max)
-	a.ids = make([]byte, 0, 2*rowIDImageLen*max)
-}
-
-// row encodes p like pairRow, carving the result out of the batch slabs.
-func (a *pairArena) row(p Pair) storage.Row {
-	i := len(a.ids)
-	a.ids = p.A.AppendTo(a.ids)
-	j := len(a.ids)
-	a.ids = p.B.AppendTo(a.ids)
-	k := len(a.ids)
-	v := len(a.vals)
-	a.vals = append(a.vals, storage.Bytes(a.ids[i:j:j]), storage.Bytes(a.ids[j:k:k]))
-	return storage.Row(a.vals[v : v+2 : v+2])
 }
 
 // PairFromRow decodes a spatial_join output row.
 func PairFromRow(row storage.Row) (Pair, error) {
-	if len(row) != 2 {
-		return Pair{}, fmt.Errorf("sjoin: pair row has %d columns", len(row))
+	if len(row) != 2 || row[0].Type != storage.TInt64 || row[1].Type != storage.TInt64 {
+		return Pair{}, fmt.Errorf("sjoin: not a (rid1, rid2) row: %d columns", len(row))
 	}
-	a, err := storage.RowIDFromBytes(row[0].B)
+	a, err := storage.RowIDFromInt64(row[0].I)
 	if err != nil {
 		return Pair{}, err
 	}
-	b, err := storage.RowIDFromBytes(row[1].B)
+	b, err := storage.RowIDFromInt64(row[1].I)
 	if err != nil {
 		return Pair{}, err
 	}
 	return Pair{A: a, B: b}, nil
 }
 
-// CollectPairs drains a join cursor into a pair slice.
+// AppendPairs decodes a batch of spatial_join output rows onto dst.
+func AppendPairs(dst []Pair, rows []storage.Row) ([]Pair, error) {
+	for _, row := range rows {
+		p, err := PairFromRow(row)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, p)
+	}
+	return dst, nil
+}
+
+// CollectPairs drains a join cursor into a pair slice, a fetch batch
+// at a time.
 func CollectPairs(c storage.Cursor) ([]Pair, error) {
 	defer c.Close()
 	var out []Pair
+	var b storage.Batch
 	for {
-		_, row, ok, err := c.Next()
+		b.Reset()
+		err := c.NextBatch(&b, 0)
+		var perr error
+		if out, perr = AppendPairs(out, b.Rows); perr != nil {
+			return nil, perr
+		}
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if len(b.Rows) == 0 {
 			return out, nil
 		}
-		p, err := PairFromRow(row)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
 	}
 }
 
@@ -257,11 +240,9 @@ func CollectPairs(c storage.Cursor) ([]Pair, error) {
 // (rows encoded like the table function's), for paths that compute
 // eagerly — the facade's nested-loop algorithm choice.
 func PairsCursor(pairs []Pair) storage.Cursor {
-	rows := make([]storage.Row, len(pairs))
-	for i, p := range pairs {
-		rows[i] = pairRow(p)
-	}
-	return storage.NewSliceCursor(nil, rows)
+	var b storage.Batch
+	appendPairRows(&b, pairs)
+	return storage.NewSliceCursor(nil, b.Rows)
 }
 
 // SortPairs orders pairs by (A, B) for deterministic comparison.

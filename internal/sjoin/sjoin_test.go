@@ -319,19 +319,9 @@ func TestSortedFetchReducesGeomFetches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fn.Start(); err != nil {
+		if _, _, err := RunJoinFunction(fn, 4096); err != nil {
 			t.Fatal(err)
 		}
-		for {
-			rows, err := fn.Fetch(4096)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rows) == 0 {
-				break
-			}
-		}
-		fn.Close()
 		return fn.Stats()
 	}
 	s := run(true)
@@ -398,7 +388,9 @@ func TestSubtreePairsFigure1(t *testing.T) {
 
 func TestPairEncodingRoundTrip(t *testing.T) {
 	p := Pair{A: storage.RowID{Page: 3, Slot: 9}, B: storage.RowID{Page: 8, Slot: 1}}
-	got, err := PairFromRow(pairRow(p))
+	var b storage.Batch
+	appendPairRows(&b, []Pair{p})
+	got, err := PairFromRow(b.Rows[0])
 	if err != nil || got != p {
 		t.Fatalf("round trip: %v, %v", got, err)
 	}
@@ -406,6 +398,9 @@ func TestPairEncodingRoundTrip(t *testing.T) {
 		t.Errorf("bad arity: want error")
 	}
 	if _, err := PairFromRow(storage.Row{storage.Bytes([]byte{1}), storage.Bytes([]byte{2})}); err == nil {
+		t.Errorf("bad column type: want error")
+	}
+	if _, err := PairFromRow(storage.Row{storage.Int(-1), storage.Int(1)}); err == nil {
 		t.Errorf("bad payload: want error")
 	}
 }

@@ -142,20 +142,17 @@ func TestGeomCacheOnOffIdentical(t *testing.T) {
 		}
 		defer fn.Close()
 		var pairs []Pair
+		var batch storage.Batch
 		for {
-			rows, err := fn.Fetch(512)
-			if err != nil {
+			batch.Reset()
+			if err := fn.Fetch(&batch, 512); err != nil {
 				t.Fatal(err)
 			}
-			if len(rows) == 0 {
+			if len(batch.Rows) == 0 {
 				break
 			}
-			for _, row := range rows {
-				p, err := PairFromRow(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pairs = append(pairs, p)
+			if pairs, err = AppendPairs(pairs, batch.Rows); err != nil {
+				t.Fatal(err)
 			}
 		}
 		SortPairs(pairs)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"spatialtf"
+	"spatialtf/internal/storage"
 )
 
 // Engine executes parsed statements against a spatialtf database.
@@ -375,77 +376,43 @@ func (e *Engine) execTableSelect(s Select) (*Result, error) {
 	return res, nil
 }
 
+// execJoinSelect materialises a spatial_join SELECT by draining the
+// cursor ExecuteStream serves, a fetch batch at a time.
 func (e *Engine) execJoinSelect(s Select) (*Result, error) {
-	call := s.From.Join
-	if s.Where != nil {
-		return nil, fmt.Errorf("sqlmini: WHERE on a spatial_join row source is not supported")
-	}
-	idxA, err := e.indexFor(call.TableA, call.ColumnA, spatialtf.RTree)
-	if err != nil {
-		return nil, err
-	}
-	idxB, err := e.indexFor(call.TableB, call.ColumnB, spatialtf.RTree)
-	if err != nil {
-		return nil, err
-	}
-	cur, err := e.db.SpatialJoin(call.TableA, idxA, call.TableB, idxB, spatialtf.JoinOptions{
-		Mask:     call.Mask,
-		Distance: call.Distance,
-		Parallel: call.Parallel,
-		Algo:     call.Algo,
-	})
-	if err != nil {
-		return nil, err
-	}
 	if s.Count {
-		// Drain without materialising: counting needs the full stream
-		// but never the pairs themselves.
-		n := 0
-		for {
-			_, ok, err := cur.Next()
-			if err != nil {
-				cur.Close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			n++
-		}
-		if err := cur.Close(); err != nil {
+		st, err := e.joinCount(s, nil)
+		if err != nil {
 			return nil, err
 		}
-		return &Result{Count: n, Columns: []string{"COUNT(*)"},
-			Rows: [][]string{{fmt.Sprintf("%d", n)}}}, nil
+		return st.Result, nil
 	}
-	pairs, err := cur.Collect()
+	st, err := e.streamJoinSelect(s)
 	if err != nil {
 		return nil, err
 	}
-	// Validate projection: only rid1/rid2 (or key1/key2 under a 'keys='
-	// hint, or *) exist on the join source.
-	wantCols, keys, err := e.joinProjection(s, call)
-	if err != nil {
-		return nil, err
+	defer st.Cursor.Close()
+	res := &Result{Columns: make([]string, len(st.Schema))}
+	for i, c := range st.Schema {
+		res.Columns[i] = c.Name
 	}
-	res := &Result{Columns: wantCols}
-	for _, p := range pairs {
-		row := make([]string, len(wantCols))
-		for i, c := range wantCols {
-			switch {
-			case keys != nil:
-				if row[i], err = keys.render(p, c); err != nil {
-					return nil, err
-				}
-			case c == "rid1":
-				row[i] = p.A.String()
-			default:
-				row[i] = p.B.String()
+	var b storage.Batch
+	for {
+		b.Reset()
+		err := st.Cursor.NextBatch(&b, 0)
+		for _, row := range b.Rows {
+			cells := make([]string, len(row))
+			for i, v := range row {
+				cells[i] = v.S
 			}
+			res.Rows = append(res.Rows, cells)
 		}
-		res.Rows = append(res.Rows, row)
+		if err != nil {
+			return nil, err
+		}
+		if len(b.Rows) == 0 {
+			return res, st.Cursor.Close()
+		}
 	}
-	return res, nil
 }
 
 // Format renders a result as an aligned text table for the REPL.

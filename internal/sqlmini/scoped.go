@@ -34,27 +34,12 @@ func (e *Engine) ExecuteStreamScoped(sql string, scope *spatialtf.ClusterScope) 
 	}
 	if s.From.Join != nil {
 		if s.Count {
-			return e.scopedJoinCount(s, scope)
+			// The shard-local count; the coordinator sums the shards.
+			return e.joinCount(s, scope)
 		}
 		return e.streamJoinSelectScoped(s, scope)
 	}
 	return e.scopedTableSelect(s, scope)
-}
-
-// scopedJoinCount drains a scoped join and returns the shard-local
-// count; the coordinator sums the shards.
-func (e *Engine) scopedJoinCount(s Select, scope *spatialtf.ClusterScope) (*Stream, error) {
-	sc := s
-	sc.Count = false
-	st, err := e.streamJoinSelectScoped(sc, scope)
-	if err != nil {
-		return nil, err
-	}
-	n, err := drainCount(st.Cursor)
-	if err != nil {
-		return nil, err
-	}
-	return countStream(n), nil
 }
 
 // scopedTableSelect evaluates a base-table SELECT under a scope: rows
@@ -100,7 +85,7 @@ func (e *Engine) scopedTableSelect(s Select, scope *spatialtf.ClusterScope) (*St
 		// corner. The scope filter sees the full row (pre-projection) so
 		// the geometry column is always available.
 		cur := &scopeScanCursor{
-			in:      storage.NewCursor(tab.Inner()),
+			src:     storage.NewCursor(tab.Inner()),
 			geomIdx: geomIdx,
 			scope:   scope,
 		}
@@ -113,7 +98,7 @@ func (e *Engine) scopedTableSelect(s Select, scope *spatialtf.ClusterScope) (*St
 		}
 		return &Stream{
 			Schema: outSchema,
-			Cursor: &projectCursor{in: cur, cols: colIdx},
+			Cursor: &projectCursor{src: cur, cols: colIdx},
 		}, nil
 	}
 
@@ -158,40 +143,42 @@ func (e *Engine) scopedTableSelect(s Select, scope *spatialtf.ClusterScope) (*St
 // scopeScanCursor keeps the scanned rows whose MBR bottom-left corner
 // the scope owns.
 type scopeScanCursor struct {
-	in      storage.Cursor
+	src     storage.Cursor
 	geomIdx int
 	scope   *spatialtf.ClusterScope
+	it      storage.RowIter
 }
 
 func (c *scopeScanCursor) Next() (storage.RowID, storage.Row, bool, error) {
-	for {
-		id, row, ok, err := c.in.Next()
-		if err != nil || !ok {
-			return id, nil, ok, err
-		}
-		if c.scope.OwnsMBR(geom.MBROf(row[c.geomIdx].G)) {
-			return id, row, true, nil
-		}
-	}
+	return c.it.Next(c)
 }
 
-func (c *scopeScanCursor) Close() error { return c.in.Close() }
+// NextBatch drops the rows the scope does not own from each scanned
+// batch in place.
+func (c *scopeScanCursor) NextBatch(b *storage.Batch, max int) error {
+	return storage.FilterBatch(c.src, b, max, func(row storage.Row) (bool, error) {
+		return c.scope.OwnsMBR(geom.MBROf(row[c.geomIdx].G)), nil
+	})
+}
 
-// drainCount counts and closes a cursor.
+func (c *scopeScanCursor) Close() error { return c.src.Close() }
+
+// drainCount counts and closes a cursor, a fetch batch at a time.
 func drainCount(cur storage.Cursor) (int, error) {
 	n := 0
+	var b storage.Batch
 	for {
-		_, _, ok, err := cur.Next()
+		b.Reset()
+		err := cur.NextBatch(&b, 0)
 		if err != nil {
 			cur.Close()
 			return 0, err
 		}
-		if !ok {
-			break
+		if len(b.Rows) == 0 {
+			return n, cur.Close()
 		}
-		n++
+		n += len(b.Rows)
 	}
-	return n, cur.Close()
 }
 
 // countStream wraps a COUNT(*) outcome as an immediate result stream.

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"errors"
 	"fmt"
 
 	"spatialtf"
@@ -74,7 +75,7 @@ func (e *Engine) streamTableSelect(s Select) (*Stream, error) {
 	if s.Where == nil {
 		return &Stream{
 			Schema: outSchema,
-			Cursor: &projectCursor{in: storage.NewCursor(tab.Inner()), cols: colIdx},
+			Cursor: &projectCursor{src: storage.NewCursor(tab.Inner()), cols: colIdx},
 		}, nil
 	}
 	ids, err := e.whereIDs(s.From.Table, tab, s.Where)
@@ -98,27 +99,13 @@ func (e *Engine) streamJoinSelect(s Select) (*Stream, error) {
 func (e *Engine) streamJoinSelectScoped(s Select, scope *spatialtf.ClusterScope) (*Stream, error) {
 	call := s.From.Join
 	if s.Where != nil {
-		return nil, fmt.Errorf("sqlmini: WHERE on a spatial_join row source is not supported")
+		return nil, errJoinWhere
 	}
 	wantCols, keys, err := e.joinProjection(s, call)
 	if err != nil {
 		return nil, err
 	}
-	idxA, err := e.indexFor(call.TableA, call.ColumnA, spatialtf.RTree)
-	if err != nil {
-		return nil, err
-	}
-	idxB, err := e.indexFor(call.TableB, call.ColumnB, spatialtf.RTree)
-	if err != nil {
-		return nil, err
-	}
-	cur, err := e.db.SpatialJoin(call.TableA, idxA, call.TableB, idxB, spatialtf.JoinOptions{
-		Mask:     call.Mask,
-		Distance: call.Distance,
-		Parallel: call.Parallel,
-		Algo:     call.Algo,
-		Scope:    scope,
-	})
+	cur, err := e.openJoin(call, scope)
 	if err != nil {
 		return nil, err
 	}
@@ -132,6 +119,52 @@ func (e *Engine) streamJoinSelectScoped(s Select, scope *spatialtf.ClusterScope)
 	}, nil
 }
 
+var errJoinWhere = errors.New("sqlmini: WHERE on a spatial_join row source is not supported")
+
+// openJoin starts the spatial_join a FROM clause calls, restricted to
+// scope when that is not nil.
+func (e *Engine) openJoin(call *SpatialJoinCall, scope *spatialtf.ClusterScope) (*spatialtf.JoinCursor, error) {
+	idxA, err := e.indexFor(call.TableA, call.ColumnA, spatialtf.RTree)
+	if err != nil {
+		return nil, err
+	}
+	idxB, err := e.indexFor(call.TableB, call.ColumnB, spatialtf.RTree)
+	if err != nil {
+		return nil, err
+	}
+	return e.db.SpatialJoin(call.TableA, idxA, call.TableB, idxB, spatialtf.JoinOptions{
+		Mask:     call.Mask,
+		Distance: call.Distance,
+		Parallel: call.Parallel,
+		Algo:     call.Algo,
+		Scope:    scope,
+	})
+}
+
+// joinCount is COUNT(*) over a spatial_join: it drains the join's pair
+// batches, which needs the full stream but never the rendered rows.
+func (e *Engine) joinCount(s Select, scope *spatialtf.ClusterScope) (*Stream, error) {
+	if s.Where != nil {
+		return nil, errJoinWhere
+	}
+	jc, err := e.openJoin(s.From.Join, scope)
+	if err != nil {
+		return nil, err
+	}
+	defer jc.Close()
+	n := 0
+	var pairs []spatialtf.Pair
+	for {
+		if pairs, err = jc.NextBatch(pairs[:0], 0); err != nil {
+			return nil, err
+		}
+		if len(pairs) == 0 {
+			return countStream(n), jc.Close()
+		}
+		n += len(pairs)
+	}
+}
+
 // joinKeys resolves a 'keys=colA:colB' hint: the user-key columns the
 // key1/key2 projection fetches through.
 type joinKeys struct {
@@ -139,8 +172,9 @@ type joinKeys struct {
 	colA, colB int
 }
 
-// render fetches the key value of one pair side as its display string.
-func (k *joinKeys) render(p spatialtf.Pair, col string) (string, error) {
+// appendKey fetches the key value of one pair side and appends its
+// display string to dst.
+func (k *joinKeys) appendKey(dst []byte, p spatialtf.Pair, col string) ([]byte, error) {
 	var v spatialtf.Value
 	var err error
 	if col == "key1" {
@@ -149,9 +183,9 @@ func (k *joinKeys) render(p spatialtf.Pair, col string) (string, error) {
 		v, err = k.tabB.Inner().FetchColumn(p.B, k.colB)
 	}
 	if err != nil {
-		return "", err
+		return dst, err
 	}
-	return v.String(), nil
+	return v.AppendString(dst), nil
 }
 
 // joinProjection validates the projected columns of a spatial_join
@@ -192,50 +226,74 @@ func (e *Engine) joinProjection(s Select, call *SpatialJoinCall) ([]string, *joi
 	return wantCols, keys, nil
 }
 
-// projectCursor narrows a row cursor to the projected columns.
+// projectCursor narrows a row cursor to the projected columns, a fetch
+// batch at a time.
 type projectCursor struct {
-	in   storage.Cursor
+	src  storage.Cursor
 	cols []int
+	in   storage.Batch // the upstream batch being projected, reused
+	it   storage.RowIter
 }
 
 func (c *projectCursor) Next() (storage.RowID, storage.Row, bool, error) {
-	id, row, ok, err := c.in.Next()
-	if err != nil || !ok {
-		return id, nil, ok, err
-	}
-	out := make(storage.Row, len(c.cols))
-	for k, i := range c.cols {
-		out[k] = row[i]
-	}
-	return id, out, true, nil
+	return c.it.Next(c)
 }
 
-func (c *projectCursor) Close() error { return c.in.Close() }
+func (c *projectCursor) NextBatch(b *storage.Batch, max int) error {
+	c.in.Reset()
+	err := c.src.NextBatch(&c.in, max)
+	for r, out := range b.Extend(len(c.in.Rows), len(c.cols)) {
+		for k, i := range c.cols {
+			out[k] = c.in.Rows[r][i]
+		}
+	}
+	return err
+}
+
+func (c *projectCursor) Close() error { return c.src.Close() }
 
 // fetchCursor lazily fetches and projects the rows of a resolved rowid
-// list (the output of a spatial WHERE predicate).
+// list (the output of a spatial WHERE predicate). The list was resolved
+// when the statement started and each fetch reads the table as it is
+// now, so a row deleted in between is skipped, not an error: read
+// committed per fetch, like a heap scan.
 type fetchCursor struct {
 	tab  *spatialtf.Table
 	ids  []spatialtf.RowID
 	cols []int
 	pos  int
+	it   storage.RowIter
 }
 
 func (c *fetchCursor) Next() (storage.RowID, storage.Row, bool, error) {
-	if c.pos >= len(c.ids) {
-		return storage.InvalidRowID, nil, false, nil
+	return c.it.Next(c)
+}
+
+func (c *fetchCursor) NextBatch(b *storage.Batch, max int) error {
+	if max <= 0 {
+		max = storage.DefaultBatch
 	}
-	id := c.ids[c.pos]
-	c.pos++
-	row, err := c.tab.Fetch(id)
-	if err != nil {
-		return storage.InvalidRowID, nil, false, err
+	first := len(b.Rows)
+	out := b.Extend(min(max, len(c.ids)-c.pos), len(c.cols))
+	n := 0
+	// Rows deleted since the ids were resolved (or an error) leave
+	// reserved rows unfilled.
+	defer func() { b.Rows = b.Rows[:first+n] }()
+	for n < len(out) && c.pos < len(c.ids) {
+		row, err := c.tab.Fetch(c.ids[c.pos])
+		c.pos++
+		if errors.Is(err, storage.ErrRowDeleted) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		for k, i := range c.cols {
+			out[n][k] = row[i]
+		}
+		n++
 	}
-	out := make(storage.Row, len(c.cols))
-	for k, i := range c.cols {
-		out[k] = row[i]
-	}
-	return id, out, true, nil
+	return nil
 }
 
 func (c *fetchCursor) Close() error {
@@ -244,34 +302,66 @@ func (c *fetchCursor) Close() error {
 }
 
 // joinCursorAdapter renders a spatial-join pair stream as rows of the
-// projected rid (or, with a 'keys=' hint, user-key) columns.
+// projected rid (or, with a 'keys=' hint, user-key) columns, a fetch
+// batch at a time.
 type joinCursorAdapter struct {
 	jc   *spatialtf.JoinCursor
 	cols []string
 	keys *joinKeys // nil when projecting rowids
+	it   storage.RowIter
+
+	// Per-batch scratch, reused: the pairs being rendered, the text of
+	// every cell of the batch back to back, and where each cell ends.
+	pairs []spatialtf.Pair
+	text  []byte
+	ends  []int
 }
 
 func (c *joinCursorAdapter) Next() (storage.RowID, storage.Row, bool, error) {
-	p, ok, err := c.jc.Next()
-	if err != nil || !ok {
-		return storage.InvalidRowID, nil, false, err
+	return c.it.Next(c)
+}
+
+// NextBatch renders one fetch batch of pairs. The cells' text is built
+// in one byte slab and becomes one string per batch that every cell is
+// cut from, so a batch costs one allocation here however many rows it
+// has (the rows themselves are carved from b).
+func (c *joinCursorAdapter) NextBatch(b *storage.Batch, max int) error {
+	pairs, err := c.jc.NextBatch(c.pairs[:0], max)
+	c.pairs = pairs
+	if len(pairs) == 0 {
+		return err
 	}
-	out := make(storage.Row, len(c.cols))
-	for i, col := range c.cols {
-		switch {
-		case c.keys != nil:
-			s, err := c.keys.render(p, col)
-			if err != nil {
-				return storage.InvalidRowID, nil, false, err
+	text, ends := c.text[:0], c.ends[:0]
+	for _, p := range pairs {
+		for _, col := range c.cols {
+			switch {
+			case c.keys != nil:
+				var kerr error
+				//spatiallint:ignore hotalloc a keyed projection fetches and decodes a user column per cell
+				if text, kerr = c.keys.appendKey(text, p, col); kerr != nil {
+					return kerr
+				}
+			case col == "rid1":
+				text = p.A.AppendString(text)
+			default:
+				text = p.B.AppendString(text)
 			}
-			out[i] = storage.Str(s)
-		case col == "rid1":
-			out[i] = storage.Str(p.A.String())
-		default:
-			out[i] = storage.Str(p.B.String())
+			ends = append(ends, len(text))
 		}
 	}
-	return storage.InvalidRowID, out, true, nil
+	c.text, c.ends = text, ends
+	//spatiallint:ignore hotalloc the batch's one string, which every cell is cut from
+	cells := string(text)
+	start, cell := 0, 0
+	//spatiallint:ignore hotalloc grows a fresh batch to the fetch size; a reused one has the room
+	for _, out := range b.Extend(len(pairs), len(c.cols)) {
+		for k := range out {
+			out[k] = storage.Str(cells[start:ends[cell]])
+			start = ends[cell]
+			cell++
+		}
+	}
+	return err
 }
 
 func (c *joinCursorAdapter) Close() error { return c.jc.Close() }

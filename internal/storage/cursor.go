@@ -10,10 +10,20 @@ import (
 // Go rendering of the ref-cursor arguments in the paper's SQL examples.
 // Implementations are not safe for concurrent use; parallel table
 // functions give each instance its own cursor over a disjoint partition.
+//
+// A cursor is read either a row at a time (Next) or a fetch batch at a
+// time (NextBatch), not both: the paper's fetch returns a collection of
+// rows, and NextBatch is that call; Next is the convenience over it.
 type Cursor interface {
 	// Next returns the next row. ok is false when the stream is
 	// exhausted (in which case the other results are zero values).
 	Next() (id RowID, row Row, ok bool, err error)
+	// NextBatch appends up to max more rows to b (max <= 0 selects the
+	// cursor's own batch size) and never more. Appending nothing and
+	// returning nil means the stream is exhausted; a short batch does
+	// not. On an error b holds the rows produced before it, and they
+	// are part of the result. See Batch for who owns the rows.
+	NextBatch(b *Batch, max int) error
 	// Close releases the cursor's resources. Close is idempotent.
 	Close() error
 }
@@ -115,12 +125,17 @@ func (c *tableCursor) Next() (RowID, Row, bool, error) {
 			c.slot = 0
 			continue
 		}
-		row, err := decodeRow(c.t.schema, img)
+		row, err := DecodeRow(c.t.schema, img)
 		if err != nil {
 			return InvalidRowID, nil, false, fmt.Errorf("cursor on %q: %w", c.t.name, err)
 		}
 		return id, row, true, nil
 	}
+}
+
+// NextBatch implements Cursor: a heap scan decodes one row per step.
+func (c *tableCursor) NextBatch(b *Batch, max int) error {
+	return BatchFromNext(c.Next, b, max)
 }
 
 // Close marks the cursor unusable.
@@ -156,6 +171,17 @@ func (c *SliceCursor) Next() (RowID, Row, bool, error) {
 		id = c.IDs[i]
 	}
 	return id, c.Rows[i], true, nil
+}
+
+// NextBatch implements Cursor.
+func (c *SliceCursor) NextBatch(b *Batch, max int) error {
+	n := len(c.Rows) - c.pos
+	if max > 0 && max < n {
+		n = max
+	}
+	b.Rows = append(b.Rows, c.Rows[c.pos:c.pos+n]...)
+	c.pos += n
+	return nil
 }
 
 // Close implements Cursor.

@@ -317,3 +317,40 @@ func TestRowIDOrderingAndEncoding(t *testing.T) {
 		t.Errorf("zero RowID should be invalid")
 	}
 }
+
+// TestRowIDStringGolden pins the page.slot text form: it is what SQL
+// clients see as rid1/rid2, so the strconv rendering must stay byte for
+// byte what fmt's "%d.%d" produced, at the edges of both fields.
+func TestRowIDStringGolden(t *testing.T) {
+	for _, c := range []struct {
+		id   RowID
+		want string
+	}{
+		{RowID{Page: 1, Slot: 0}, "1.0"},
+		{RowID{Page: 1, Slot: 65535}, "1.65535"},
+		{RowID{Page: 1<<32 - 1, Slot: 0}, "4294967295.0"},
+		{RowID{Page: 1<<32 - 1, Slot: 65535}, "4294967295.65535"},
+		{RowID{Page: 17, Slot: 4}, "17.4"},
+		{InvalidRowID, "0.0"},
+	} {
+		if got := c.id.String(); got != c.want {
+			t.Errorf("RowID%+v.String() = %q, want %q", c.id, got, c.want)
+		}
+		if got := fmt.Sprintf("%d.%d", c.id.Page, c.id.Slot); got != c.want {
+			t.Errorf("golden %q is not the fmt form %q", c.want, got)
+		}
+		if got := string(c.id.AppendString([]byte("rid="))); got != "rid="+c.want {
+			t.Errorf("AppendString = %q", got)
+		}
+		back, err := RowIDFromInt64(c.id.Int64())
+		if err != nil || back != c.id {
+			t.Errorf("Int64 round trip of %v: %v, %v", c.id, back, err)
+		}
+	}
+	if _, err := RowIDFromInt64(-1); err == nil {
+		t.Error("RowIDFromInt64(-1) accepted")
+	}
+	if _, err := RowIDFromInt64(1 << 48); err == nil {
+		t.Error("RowIDFromInt64(2^48) accepted")
+	}
+}

@@ -9,6 +9,8 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"strconv"
 )
 
 // RowID addresses a row as (page, slot), matching the physical rowid
@@ -48,8 +50,19 @@ func (r RowID) Compare(o RowID) int {
 	}
 }
 
-// String renders the rowid in AAAA.BB page.slot form for logs.
-func (r RowID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
+// String renders the rowid in page.slot form — the text the SQL layer
+// projects rid1/rid2 as, and what logs print.
+func (r RowID) String() string {
+	var buf [16]byte // "4294967295.65535"
+	return string(r.AppendString(buf[:0]))
+}
+
+// AppendString appends the String form of r to dst.
+func (r RowID) AppendString(dst []byte) []byte {
+	dst = strconv.AppendUint(dst, uint64(r.Page), 10)
+	dst = append(dst, '.')
+	return strconv.AppendUint(dst, uint64(r.Slot), 10)
+}
 
 // AppendTo appends the 6-byte big-endian encoding of r to dst. Big
 // endian keeps byte order consistent with Less, so encoded rowids can be
@@ -59,6 +72,19 @@ func (r RowID) AppendTo(dst []byte) []byte {
 	binary.BigEndian.PutUint32(buf[0:], r.Page)
 	binary.BigEndian.PutUint16(buf[4:], r.Slot)
 	return append(dst, buf[:]...)
+}
+
+// Int64 packs r into an integer (page in the high bits, slot in the low
+// 16) that orders like Less — the form a rowid takes as a column of a
+// synthesized row, where a Value has to be self-contained.
+func (r RowID) Int64() int64 { return int64(r.Page)<<16 | int64(r.Slot) }
+
+// RowIDFromInt64 inverts Int64.
+func RowIDFromInt64(v int64) (RowID, error) {
+	if v < 0 || v>>16 > math.MaxUint32 {
+		return InvalidRowID, fmt.Errorf("storage: %d is not a packed rowid", v)
+	}
+	return RowID{Page: uint32(v >> 16), Slot: uint16(v)}, nil
 }
 
 // RowIDFromBytes decodes a rowid previously written by AppendTo.

@@ -126,7 +126,7 @@ func (t *Table) AddHook(h DMLHook) {
 
 // Insert stores row and returns its rowid, then notifies hooks.
 func (t *Table) Insert(row Row) (RowID, error) {
-	img, err := encodeRow(nil, t.schema, row)
+	img, err := AppendRow(nil, t.schema, row)
 	if err != nil {
 		return InvalidRowID, fmt.Errorf("insert into %q: %w", t.name, err)
 	}
@@ -151,7 +151,7 @@ func (t *Table) Fetch(id RowID) (Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fetch from %q: %w", t.name, err)
 	}
-	row, err := decodeRow(t.schema, img)
+	row, err := DecodeRow(t.schema, img)
 	if err != nil {
 		return nil, fmt.Errorf("fetch from %q at %v: %w", t.name, id, err)
 	}
@@ -186,7 +186,7 @@ func (t *Table) FetchColumn(id RowID, col int) (Value, error) {
 // insert (exactly how index maintenance must see it).
 func (t *Table) Update(id RowID, row Row) (RowID, error) {
 	// Validate the new row before destroying the old one.
-	if _, err := encodeRow(nil, t.schema, row); err != nil {
+	if _, err := AppendRow(nil, t.schema, row); err != nil {
 		return InvalidRowID, fmt.Errorf("update %q at %v: %w", t.name, id, err)
 	}
 	if err := t.Delete(id); err != nil {
@@ -220,7 +220,7 @@ func (t *Table) Delete(id RowID) error {
 func (t *Table) Scan(fn func(id RowID, row Row) bool) error {
 	var decodeErr error
 	t.heap.Scan(func(id RowID, img []byte) bool {
-		row, err := decodeRow(t.schema, img)
+		row, err := DecodeRow(t.schema, img)
 		if err != nil {
 			decodeErr = fmt.Errorf("scan of %q at %v: %w", t.name, id, err)
 			return false
@@ -267,7 +267,7 @@ func (t *Table) PageRanges(n int) [][2]uint32 {
 func (t *Table) ScanRange(fromPage, toPage uint32, fn func(id RowID, row Row) bool) error {
 	var decodeErr error
 	t.heap.ScanRange(fromPage, toPage, func(id RowID, img []byte) bool {
-		row, err := decodeRow(t.schema, img)
+		row, err := DecodeRow(t.schema, img)
 		if err != nil {
 			decodeErr = fmt.Errorf("scan of %q at %v: %w", t.name, id, err)
 			return false

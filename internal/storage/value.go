@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 
 	"spatialtf/internal/geom"
 )
@@ -71,19 +72,27 @@ func Geom(g geom.Geometry) Value { return Value{Type: TGeometry, G: g} }
 
 // String renders the value for logs and the CLI tools.
 func (v Value) String() string {
+	if v.Type == TString {
+		return v.S
+	}
+	return string(v.AppendString(nil))
+}
+
+// AppendString appends the String form of v to dst.
+func (v Value) AppendString(dst []byte) []byte {
 	switch v.Type {
 	case TInt64:
-		return fmt.Sprintf("%d", v.I)
+		return strconv.AppendInt(dst, v.I, 10)
 	case TFloat64:
-		return fmt.Sprintf("%g", v.F)
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	case TString:
-		return v.S
+		return append(dst, v.S...)
 	case TBytes:
-		return fmt.Sprintf("0x%x", v.B)
+		return fmt.Appendf(dst, "0x%x", v.B)
 	case TGeometry:
-		return geom.MarshalWKT(v.G)
+		return append(dst, geom.MarshalWKT(v.G)...)
 	default:
-		return "NULL"
+		return append(dst, "NULL"...)
 	}
 }
 
@@ -93,28 +102,33 @@ type Row []Value
 // EncodeRow returns the binary image of row under schema — the same
 // encoding heap pages store, exposed for snapshots and tools.
 func EncodeRow(schema []Column, row Row) ([]byte, error) {
-	return encodeRow(nil, schema, row)
+	return AppendRow(nil, schema, row)
 }
 
 // DecodeRow inverts EncodeRow.
 func DecodeRow(schema []Column, b []byte) (Row, error) {
-	return decodeRow(schema, b)
+	row := make(Row, len(schema))
+	if err := DecodeRowInto(row, schema, b, ""); err != nil {
+		return nil, err
+	}
+	return row, nil
 }
 
-// encodeRow appends the binary image of row to dst. Layout per column:
-// the schema fixes the type, so only payloads are stored:
+// AppendRow appends the binary image of row to dst (the wire codec
+// encodes batch rows straight into the frame image with it). Layout per
+// column: the schema fixes the type, so only payloads are stored:
 //
 //	TInt64:    8-byte little-endian two's complement
 //	TFloat64:  8-byte IEEE bits
 //	TString:   uvarint length + bytes
 //	TBytes:    uvarint length + bytes
 //	TGeometry: uvarint length + geom binary image
-func encodeRow(dst []byte, schema []Column, row Row) ([]byte, error) {
+func AppendRow(dst []byte, schema []Column, row Row) ([]byte, error) {
 	if len(row) != len(schema) {
 		return nil, fmt.Errorf("storage: row has %d values, schema %d columns", len(row), len(schema))
 	}
 	for i, col := range schema {
-		v := row[i]
+		v := &row[i]
 		if v.Type != col.Type {
 			return nil, fmt.Errorf("storage: column %q expects %v, got %v", col.Name, col.Type, v.Type)
 		}
@@ -139,58 +153,73 @@ func encodeRow(dst []byte, schema []Column, row Row) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRow parses a row image against schema.
-func decodeRow(schema []Column, b []byte) (Row, error) {
-	row := make(Row, len(schema))
+// DecodeRowInto parses a row image against schema into dst, which must
+// have one slot per column (a row carved from a Batch slab). text, when
+// not empty, is the same bytes as b held as a string: string columns
+// are then cut from it instead of copied, so a whole batch of decoded
+// rows shares one backing string. Every slot is overwritten.
+func DecodeRowInto(dst Row, schema []Column, b []byte, text string) error {
+	if len(dst) != len(schema) {
+		return fmt.Errorf("storage: row has %d slots, schema %d columns", len(dst), len(schema))
+	}
+	if text != "" && len(text) != len(b) {
+		return fmt.Errorf("storage: row image is %d bytes, its text %d", len(b), len(text))
+	}
+	size := len(b)
 	for i, col := range schema {
 		switch col.Type {
 		case TInt64:
 			if len(b) < 8 {
-				return nil, fmt.Errorf("storage: truncated int column %q", col.Name)
+				return fmt.Errorf("storage: truncated int column %q", col.Name)
 			}
-			row[i] = Int(int64(binary.LittleEndian.Uint64(b)))
+			dst[i] = Int(int64(binary.LittleEndian.Uint64(b)))
 			b = b[8:]
 		case TFloat64:
 			if len(b) < 8 {
-				return nil, fmt.Errorf("storage: truncated float column %q", col.Name)
+				return fmt.Errorf("storage: truncated float column %q", col.Name)
 			}
-			row[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			dst[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(b)))
 			b = b[8:]
 		case TString:
 			s, rest, err := decodeBlob(b, col.Name)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			row[i] = Str(string(s))
+			if text != "" {
+				end := size - len(rest)
+				dst[i] = Str(text[end-len(s) : end])
+			} else {
+				dst[i] = Str(string(s))
+			}
 			b = rest
 		case TBytes:
 			s, rest, err := decodeBlob(b, col.Name)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			out := make([]byte, len(s))
 			copy(out, s)
-			row[i] = Bytes(out)
+			dst[i] = Bytes(out)
 			b = rest
 		case TGeometry:
 			s, rest, err := decodeBlob(b, col.Name)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			g, err := geom.UnmarshalBinary(s)
 			if err != nil {
-				return nil, fmt.Errorf("storage: column %q: %w", col.Name, err)
+				return fmt.Errorf("storage: column %q: %w", col.Name, err)
 			}
-			row[i] = Geom(g)
+			dst[i] = Geom(g)
 			b = rest
 		default:
-			return nil, fmt.Errorf("storage: column %q has bad type %v", col.Name, col.Type)
+			return fmt.Errorf("storage: column %q has bad type %v", col.Name, col.Type)
 		}
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("storage: %d trailing bytes after row", len(b))
+		return fmt.Errorf("storage: %d trailing bytes after row", len(b))
 	}
-	return row, nil
+	return nil
 }
 
 // decodeColumn parses only column col of a row image, skipping every

@@ -77,19 +77,18 @@ func (f *FuncCursor) Start() error {
 }
 
 // Fetch implements TableFunction.
-func (f *FuncCursor) Fetch(max int) ([]storage.Row, error) {
-	var out []storage.Row
-	for len(out) < max {
+func (f *FuncCursor) Fetch(b *storage.Batch, max int) error {
+	for n := 0; n < max; n++ {
 		row, err := f.NextFn()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if row == nil {
 			break
 		}
-		out = append(out, row)
+		b.Rows = append(b.Rows, row)
 	}
-	return out, nil
+	return nil
 }
 
 // Close implements TableFunction.

@@ -27,7 +27,7 @@ import (
 )
 
 // DefaultBatch is the default number of rows per fetch call.
-const DefaultBatch = 256
+const DefaultBatch = storage.DefaultBatch
 
 // TableFunction is the ODCITable-style start-fetch-close contract.
 // Implementations are driven by a single goroutine: Start once, Fetch
@@ -35,9 +35,10 @@ const DefaultBatch = 256
 type TableFunction interface {
 	// Start acquires resources and prepares iteration.
 	Start() error
-	// Fetch returns up to max result rows. An empty (or nil) slice
-	// signals exhaustion.
-	Fetch(max int) ([]storage.Row, error)
+	// Fetch appends up to max result rows to b — the collection of rows
+	// one fetch call returns — under the ownership rules of
+	// storage.Batch. Appending none signals exhaustion.
+	Fetch(b *storage.Batch, max int) error
 	// Close releases resources. It is called even after errors.
 	Close() error
 }
@@ -50,15 +51,16 @@ type Factory func(instance int, input storage.Cursor) (TableFunction, error)
 // --- pipelined (serial) execution ---
 
 // pipelineCursor adapts a TableFunction to storage.Cursor, fetching
-// batches lazily.
+// batches lazily: one NextBatch is one fetch call, straight into the
+// consumer's batch.
 type pipelineCursor struct {
 	fn      TableFunction
 	batch   int
-	buf     []storage.Row
-	pos     int
 	started bool
 	done    bool
 	closed  bool
+	failed  error
+	it      storage.RowIter
 }
 
 // Pipeline returns a cursor that lazily drives fn. batch <= 0 selects
@@ -71,39 +73,48 @@ func Pipeline(fn TableFunction, batch int) storage.Cursor {
 	return &pipelineCursor{fn: fn, batch: batch}
 }
 
+var errClosed = errors.New("tablefunc: cursor used after Close")
+
 func (c *pipelineCursor) Next() (storage.RowID, storage.Row, bool, error) {
 	if c.closed {
-		return storage.InvalidRowID, nil, false, errors.New("tablefunc: cursor used after Close")
+		return storage.InvalidRowID, nil, false, errClosed
+	}
+	return c.it.Next(c)
+}
+
+// NextBatch implements storage.Cursor with one fetch call of max rows
+// (the pipeline's own batch size when max <= 0).
+func (c *pipelineCursor) NextBatch(b *storage.Batch, max int) error {
+	if c.closed {
+		return errClosed
+	}
+	if c.done {
+		return c.failed
 	}
 	if !c.started {
 		c.started = true
 		if err := c.fn.Start(); err != nil {
 			c.done = true
 			c.fn.Close()
-			return storage.InvalidRowID, nil, false, fmt.Errorf("tablefunc: start: %w", err)
+			c.failed = fmt.Errorf("tablefunc: start: %w", err)
+			return c.failed
 		}
 	}
-	for c.pos >= len(c.buf) {
-		if c.done {
-			return storage.InvalidRowID, nil, false, nil
-		}
-		rows, err := c.fn.Fetch(c.batch)
-		if err != nil {
-			c.done = true
-			c.fn.Close()
-			return storage.InvalidRowID, nil, false, fmt.Errorf("tablefunc: fetch: %w", err)
-		}
-		if len(rows) == 0 {
-			c.done = true
-			c.fn.Close()
-			return storage.InvalidRowID, nil, false, nil
-		}
-		c.buf = rows
-		c.pos = 0
+	if max <= 0 {
+		max = c.batch
 	}
-	row := c.buf[c.pos]
-	c.pos++
-	return storage.InvalidRowID, row, true, nil
+	n := len(b.Rows)
+	if err := c.fn.Fetch(b, max); err != nil {
+		c.done = true
+		c.fn.Close()
+		c.failed = fmt.Errorf("tablefunc: fetch: %w", err)
+		return c.failed
+	}
+	if len(b.Rows) == n {
+		c.done = true
+		c.fn.Close()
+	}
+	return nil
 }
 
 func (c *pipelineCursor) Close() error {
@@ -120,29 +131,39 @@ func (c *pipelineCursor) Close() error {
 // --- parallel execution ---
 
 // parallelCursor merges the output of N instances running concurrently.
+// Batches circulate: an instance fetches into a batch and sends it, the
+// consumer takes the rows and sends the emptied batch back, so a steady
+// stream reuses the same few batches' storage.
 type parallelCursor struct {
-	out    chan []storage.Row
+	out    chan *storage.Batch
+	free   chan *storage.Batch // emptied batches on their way back to the instances
 	errs   chan error
 	stop   chan struct{}
 	once   sync.Once
 	wg     *sync.WaitGroup
-	buf    []storage.Row
-	pos    int
+	cur    *storage.Batch // received batch not yet fully handed over
+	pos    int            // first row of cur still to hand over
 	failed error
 	done   bool
+	it     storage.RowIter
 }
 
 // Parallel runs one table-function instance per partition, each on its
 // own goroutine, pipelining fetch batches into the returned cursor. The
 // inter-instance row order is unspecified (a SQL row source is a set).
 // The first instance error aborts the whole function and surfaces from
-// Next. batch <= 0 selects DefaultBatch.
+// Next/NextBatch. batch <= 0 selects DefaultBatch.
 func Parallel(partitions []storage.Cursor, factory Factory, batch int) storage.Cursor {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
 	c := &parallelCursor{
-		out:  make(chan []storage.Row, len(partitions)),
+		out: make(chan *storage.Batch, len(partitions)),
+		// Sized for every batch in circulation — an instance makes a
+		// new one only when free is empty, so there are never more than
+		// one being filled per instance, len(out) queued and one with
+		// the consumer.
+		free: make(chan *storage.Batch, 2*len(partitions)+1),
 		errs: make(chan error, len(partitions)),
 		stop: make(chan struct{}),
 		wg:   &sync.WaitGroup{},
@@ -178,15 +199,20 @@ func (c *parallelCursor) runInstance(i int, part storage.Cursor, factory Factory
 		return fmt.Errorf("tablefunc: instance %d start: %w", i, err)
 	}
 	for {
-		rows, err := fn.Fetch(batch)
-		if err != nil {
+		var b *storage.Batch
+		select {
+		case b = <-c.free:
+		default:
+			b = new(storage.Batch)
+		}
+		if err := fn.Fetch(b, batch); err != nil {
 			return fmt.Errorf("tablefunc: instance %d fetch: %w", i, err)
 		}
-		if len(rows) == 0 {
+		if len(b.Rows) == 0 {
 			return nil
 		}
 		select {
-		case c.out <- rows:
+		case c.out <- b:
 		case <-c.stop:
 			return nil
 		}
@@ -194,37 +220,60 @@ func (c *parallelCursor) runInstance(i int, part storage.Cursor, factory Factory
 }
 
 func (c *parallelCursor) Next() (storage.RowID, storage.Row, bool, error) {
+	return c.it.Next(c)
+}
+
+// NextBatch implements storage.Cursor. An instance's fetch batch that
+// fits what the consumer asked for changes hands whole, by exchanging
+// storage with the consumer's (empty) batch; otherwise — the consumer
+// is topping up a batch, or asked for fewer rows than the instances
+// fetch — the rows it wants are copied over.
+func (c *parallelCursor) NextBatch(b *storage.Batch, max int) error {
 	if c.failed != nil {
-		return storage.InvalidRowID, nil, false, c.failed
+		return c.failed
 	}
-	if c.done {
-		return storage.InvalidRowID, nil, false, nil
-	}
-	for c.pos >= len(c.buf) {
+	if c.cur == nil {
+		if c.done {
+			return nil
+		}
 		select {
 		case err := <-c.errs:
 			c.failed = err
 			c.shutdown()
-			return storage.InvalidRowID, nil, false, err
-		case rows, ok := <-c.out:
+			return err
+		case src, ok := <-c.out:
 			if !ok {
 				// Producers finished; surface a late error if any.
 				select {
 				case err := <-c.errs:
 					c.failed = err
-					return storage.InvalidRowID, nil, false, err
+					return err
 				default:
 				}
 				c.done = true
-				return storage.InvalidRowID, nil, false, nil
+				return nil
 			}
-			c.buf = rows
-			c.pos = 0
+			c.cur, c.pos = src, 0
 		}
 	}
-	row := c.buf[c.pos]
-	c.pos++
-	return storage.InvalidRowID, row, true, nil
+	src := c.cur
+	n := len(src.Rows) - c.pos
+	if max > 0 && max < n {
+		n = max
+	}
+	if n == len(src.Rows) && len(b.Rows) == 0 {
+		*b, *src = *src, *b
+	} else {
+		//spatiallint:ignore hotalloc grows a fresh batch to the fetch size; a reused one has the room
+		b.AppendCopy(src.Rows[c.pos : c.pos+n])
+		if c.pos += n; c.pos < len(src.Rows) {
+			return nil
+		}
+	}
+	c.cur = nil
+	src.Reset()
+	c.free <- src // never blocks: free holds every batch in circulation
+	return nil
 }
 
 func (c *parallelCursor) shutdown() {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"spatialtf/internal/storage"
+	"spatialtf/internal/storage/storagetest"
 )
 
 // counterFn emits rows base, base+1, ... base+count-1, recording its
@@ -26,16 +27,15 @@ func (c *counterFn) Start() error {
 	return c.startErr
 }
 
-func (c *counterFn) Fetch(max int) ([]storage.Row, error) {
-	var out []storage.Row
-	for len(out) < max && c.emitted < c.count {
+func (c *counterFn) Fetch(b *storage.Batch, max int) error {
+	for n := 0; n < max && c.emitted < c.count; n++ {
 		if c.fetchErrAt > 0 && c.emitted >= c.fetchErrAt {
-			return nil, errors.New("synthetic fetch failure")
+			return errors.New("synthetic fetch failure")
 		}
-		out = append(out, storage.Row{storage.Int(int64(c.base + c.emitted))})
+		b.Extend(1, 1)[0][0] = storage.Int(int64(c.base + c.emitted))
 		c.emitted++
 	}
-	return out, nil
+	return nil
 }
 
 func (c *counterFn) Close() error {
@@ -361,4 +361,54 @@ func TestFuncCursorLifecycle(t *testing.T) {
 	if !started || !closed {
 		t.Errorf("lifecycle: started=%v closed=%v", started, closed)
 	}
+}
+
+// TestBatchDrainEqualsRowDrain is the tablefunc leg of the repository's
+// batch ≡ row differential: Pipeline and Parallel must deliver the same
+// rows, and the same error after the same rows, whether they are read
+// with NextBatch at any size or with Next.
+func TestBatchDrainEqualsRowDrain(t *testing.T) {
+	t.Run("pipeline", func(t *testing.T) {
+		storagetest.CheckBatchEqualsNext(t, true, func() (storage.Cursor, error) {
+			return Pipeline(&counterFn{count: 1000}, 0), nil
+		})
+	})
+	t.Run("pipeline fetch error", func(t *testing.T) {
+		storagetest.CheckBatchEqualsNext(t, true, func() (storage.Cursor, error) {
+			return Pipeline(&counterFn{count: 1000, fetchErrAt: 300}, 64), nil
+		})
+	})
+	parallel := func(errAt int) func() (storage.Cursor, error) {
+		return func() (storage.Cursor, error) {
+			parts := make([]storage.Cursor, 3)
+			for i := range parts {
+				parts[i] = storage.NewSliceCursor(nil, nil)
+			}
+			factory := func(instance int, _ storage.Cursor) (TableFunction, error) {
+				fn := &counterFn{base: instance * 1000, count: 700}
+				if instance == 2 {
+					fn.fetchErrAt = errAt
+				}
+				return fn, nil
+			}
+			return Parallel(parts, factory, 100), nil
+		}
+	}
+	t.Run("parallel", func(t *testing.T) {
+		storagetest.CheckBatchEqualsNext(t, false, parallel(0))
+	})
+	// An instance error aborts the merge while the other instances are
+	// still producing, so which rows got out first is a race; the error
+	// itself is not.
+	t.Run("parallel instance error", func(t *testing.T) {
+		for _, size := range storagetest.BatchSizes {
+			cur, _ := parallel(250)()
+			_, wantErr := storagetest.DrainNext(cur)
+			cur, _ = parallel(250)()
+			_, gotErr := storagetest.DrainBatches(t, cur, size)
+			if wantErr == nil || !storagetest.SameError(gotErr, wantErr) {
+				t.Fatalf("batch size %d: batch drain ended with %v, row drain with %v", size, gotErr, wantErr)
+			}
+		}
+	})
 }

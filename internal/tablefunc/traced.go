@@ -26,9 +26,9 @@ func (t *tracedFn) Start() error {
 	return t.fn.Start()
 }
 
-func (t *tracedFn) Fetch(max int) ([]storage.Row, error) {
+func (t *tracedFn) Fetch(b *storage.Batch, max int) error {
 	defer t.tr.Span(telemetry.StageFetch)()
-	return t.fn.Fetch(max)
+	return t.fn.Fetch(b, max)
 }
 
 func (t *tracedFn) Close() error {

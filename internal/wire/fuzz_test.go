@@ -3,6 +3,8 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"spatialtf/internal/geom"
@@ -45,6 +47,18 @@ func FuzzWireDecode(f *testing.F) {
 	}}); err == nil {
 		f.Add(b)
 	}
+	// Seeds for the slab decoder: several rows sharing one value slab and
+	// one backing string (with a row past the one-byte length boundary),
+	// and a row count the payload cannot hold.
+	pt := storage.Geom(geom.Geometry{Kind: geom.KindPoint, Pts: []geom.Point{{X: 1, Y: 2}}})
+	if b, err := AppendBatch(nil, 8, false, fuzzSchema, []storage.Row{
+		{storage.Int(1), storage.Float(1), storage.Str("17.4"), storage.Bytes(nil), pt},
+		{storage.Int(2), storage.Float(2), storage.Str(strings.Repeat("long", 64)), storage.Bytes([]byte("raw")), pt},
+		{storage.Int(3), storage.Float(3), storage.Str(""), storage.Bytes(nil), pt},
+	}); err == nil {
+		f.Add(b)
+	}
+	f.Add(binary.AppendUvarint([]byte{8, 0}, 1<<62))
 	var frame bytes.Buffer
 	bw := bufio.NewWriter(&frame)
 	if err := WriteFrame(bw, FrameQuery, AppendQuery(nil, "SELECT * FROM rivers")); err == nil && bw.Flush() == nil {
@@ -62,7 +76,16 @@ func FuzzWireDecode(f *testing.F) {
 		ParseFetch(data)
 		ParseCloseCursor(data)
 		ParseDescribe(data)
-		ParseBatch(data, fuzzSchema)
+		if id, done, rows, err := ParseBatch(data, fuzzSchema); err == nil {
+			// What decoded must encode, and decode again to as many rows.
+			img, err := AppendBatch(nil, id, done, fuzzSchema, rows)
+			if err != nil {
+				t.Fatalf("re-encoding a decoded batch: %v", err)
+			}
+			if _, _, again, err := ParseBatch(img, fuzzSchema); err != nil || len(again) != len(rows) {
+				t.Fatalf("decoded %d rows, re-decoded %d (%v)", len(rows), len(again), err)
+			}
+		}
 		ParseResult(data)
 		ParseError(data)
 		ParseStats(data)

@@ -276,7 +276,9 @@ func ParseDescribe(b []byte) (cursorID uint64, schema []storage.Column, err erro
 // --- Batch ---
 
 // AppendBatch encodes a Batch payload: the rows travel in the storage
-// row codec under the cursor's schema.
+// row codec under the cursor's schema, each encoded straight into dst
+// behind its length (the server passes its pooled frame image, so this
+// is the one copy a row makes between the cursor and the socket).
 func AppendBatch(dst []byte, cursorID uint64, done bool, schema []storage.Column, rows []storage.Row) ([]byte, error) {
 	p := payload{b: dst}
 	p.u64(cursorID)
@@ -287,16 +289,39 @@ func AppendBatch(dst []byte, cursorID uint64, done bool, schema []storage.Column
 	p.byteV(d)
 	p.u64(uint64(len(rows)))
 	for _, row := range rows {
-		img, err := storage.EncodeRow(schema, row)
-		if err != nil {
+		// Leave one byte for the row's length, which is all a row under
+		// 128 bytes needs; a longer image is moved up to make room.
+		at := len(p.b)
+		p.b = append(p.b, 0)
+		var err error
+		if p.b, err = storage.AppendRow(p.b, schema, row); err != nil {
 			return nil, fmt.Errorf("wire: encode batch row: %w", err)
 		}
-		p.blob(img)
+		n := len(p.b) - at - 1
+		if n < 0x80 {
+			p.b[at] = byte(n)
+			continue
+		}
+		var pre [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(pre[:], uint64(n))
+		p.b = append(p.b, pre[:k-1]...)
+		copy(p.b[at+k:], p.b[at+1:at+1+n])
+		copy(p.b[at:], pre[:k])
 	}
 	return p.b, nil
 }
 
-// ParseBatch decodes a Batch payload against the cursor's schema.
+// slabValues bounds how many values ParseBatch reserves at a time: what
+// the server's largest batch of a few columns needs, so a forged row
+// count on a short payload cannot reserve more than one chunk before
+// decoding fails.
+const slabValues = 1 << 14
+
+// ParseBatch decodes a Batch payload against the cursor's schema. The
+// rows are carved from one value slab and their string columns cut from
+// one copy of the payload, so a batch costs a handful of allocations
+// however many rows it carries; geometry and raw columns still decode
+// per value. The rows are the caller's to keep.
 func ParseBatch(b []byte, schema []storage.Column) (cursorID uint64, done bool, rows []storage.Row, err error) {
 	p := pReader{b: b}
 	if cursorID, err = p.u64(); err != nil {
@@ -310,19 +335,42 @@ func ParseBatch(b []byte, schema []storage.Column) (cursorID uint64, done bool, 
 	if err != nil {
 		return 0, false, nil, err
 	}
-	rows = make([]storage.Row, 0, min(n, uint64(1<<16)))
-	for i := uint64(0); i < n; i++ {
-		img, err := p.blob()
-		if err != nil {
-			return 0, false, nil, err
-		}
-		row, err := storage.DecodeRow(schema, img)
-		if err != nil {
-			return 0, false, nil, fmt.Errorf("wire: decode batch row: %w", err)
-		}
-		rows = append(rows, row)
+	// Every row costs at least its length byte.
+	if n > uint64(len(p.b)) {
+		return 0, false, nil, fmt.Errorf("wire: batch of %d rows in %d bytes", n, len(p.b))
 	}
-	return cursorID, d != 0, rows, p.done()
+	var text string
+	for _, c := range schema {
+		if c.Type == storage.TString {
+			//spatiallint:ignore hotalloc the batch's one string, which every string column is cut from
+			text = string(p.b)
+			break
+		}
+	}
+	size := len(p.b)
+	chunk := max(1, slabValues/max(1, len(schema)))
+	var batch storage.Batch
+	for left := int(n); left > 0; {
+		//spatiallint:ignore hotalloc the batch's value slab, one allocation for up to slabValues values
+		slab := batch.Extend(min(left, chunk), len(schema))
+		left -= len(slab)
+		for _, row := range slab {
+			img, err := p.blob()
+			if err != nil {
+				return 0, false, nil, err
+			}
+			rowText := ""
+			if text != "" {
+				end := size - len(p.b)
+				rowText = text[end-len(img) : end]
+			}
+			//spatiallint:ignore hotalloc geometry and raw columns decode into storage of their own; strings are cut from text
+			if err := storage.DecodeRowInto(row, schema, img, rowText); err != nil {
+				return 0, false, nil, fmt.Errorf("wire: decode batch row: %w", err)
+			}
+		}
+	}
+	return cursorID, d != 0, batch.Rows, p.done()
 }
 
 // --- Result ---

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -195,5 +196,129 @@ func TestStatsCodec(t *testing.T) {
 	}
 	if _, err := ParseStats([]byte{0x01}); err == nil {
 		t.Errorf("truncated stats accepted")
+	}
+}
+
+// referenceAppendBatch is the FrameBatch encoder as first released:
+// every row encoded on its own with storage.EncodeRow and copied in
+// behind its length. It is the wire format's definition for the
+// compatibility tests below — a peer built from the old code sends and
+// expects exactly these bytes.
+func referenceAppendBatch(t *testing.T, cursorID uint64, done bool, schema []storage.Column, rows []storage.Row) []byte {
+	t.Helper()
+	out := binary.AppendUvarint(nil, cursorID)
+	if done {
+		out = append(out, 1)
+	} else {
+		out = append(out, 0)
+	}
+	out = binary.AppendUvarint(out, uint64(len(rows)))
+	for _, row := range rows {
+		img, err := storage.EncodeRow(schema, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = binary.AppendUvarint(out, uint64(len(img)))
+		out = append(out, img...)
+	}
+	return out
+}
+
+// TestBatchWireCompat pins FrameBatch's byte layout across the encoder
+// and decoder rewrite: the new encoder emits byte for byte what an old
+// server did (new server ↔ old client), and the new decoder reads an
+// old server's bytes (old server ↔ new client) — for rows on both
+// sides of the one-byte length boundary, every column type, and the
+// empty batch.
+func TestBatchWireCompat(t *testing.T) {
+	poly, err := geom.ParseWKT("POLYGON ((0 0, 40 0, 40 40, 20 55, 0 40, 0 0), (5 5, 10 5, 10 10, 5 5))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := []storage.Column{
+		{Name: "id", Type: storage.TInt64},
+		{Name: "w", Type: storage.TFloat64},
+		{Name: "name", Type: storage.TString},
+		{Name: "blob", Type: storage.TBytes},
+		{Name: "geom", Type: storage.TGeometry},
+	}
+	point := geom.NewPoint(1, 2)
+	row := func(name string, blob []byte, g geom.Geometry) storage.Row {
+		return storage.Row{storage.Int(-7), storage.Float(0.25), storage.Str(name), storage.Bytes(blob), storage.Geom(g)}
+	}
+	long := strings.Repeat("x", 20000) // a three-byte row length
+	for _, c := range []struct {
+		name string
+		rows []storage.Row
+	}{
+		{"empty", nil},
+		{"short rows", []storage.Row{row("a", nil, point), row("", []byte{1, 2}, point)}},
+		{"127 and 128 bytes", []storage.Row{row(strings.Repeat("n", 127-38), nil, point), row(strings.Repeat("n", 128-38), nil, point)}},
+		{"mixed lengths", []storage.Row{row("a", nil, point), row(long, []byte("raw"), poly), row("z", nil, point), row("p", nil, poly)}},
+	} {
+		want := referenceAppendBatch(t, 300, true, schema, c.rows)
+		// Encode behind a prefix, as the server does into a reused image.
+		got, err := AppendBatch([]byte("prefix"), 300, true, schema, c.rows)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(got[len("prefix"):], want) {
+			t.Fatalf("%s: the encoder's bytes differ from the released layout", c.name)
+		}
+		id, done, rows, err := ParseBatch(want, schema)
+		if err != nil || id != 300 || !done || len(rows) != len(c.rows) {
+			t.Fatalf("%s: decoding the released layout: id=%d done=%v rows=%d err=%v", c.name, id, done, len(rows), err)
+		}
+		for i, r := range rows {
+			w := c.rows[i]
+			if r[0].I != w[0].I || r[1].F != w[1].F || r[2].S != w[2].S || !bytes.Equal(r[3].B, w[3].B) || !r[4].G.Equal(w[4].G) {
+				t.Fatalf("%s: row %d decoded wrong", c.name, i)
+			}
+		}
+	}
+	// The length boundary rows really are 127 and 128 bytes.
+	for _, n := range []int{127, 128} {
+		img, err := storage.EncodeRow(schema, row(strings.Repeat("n", n-38), nil, point))
+		if err != nil || len(img) != n {
+			t.Fatalf("boundary row is %d bytes (%v), want %d", len(img), err, n)
+		}
+	}
+}
+
+// TestParseBatchRowsOutliveThePayload checks the decoded rows own their
+// memory: the client reuses its read buffer, so a row that pointed into
+// the payload would change under the caller.
+func TestParseBatchRowsOutliveThePayload(t *testing.T) {
+	schema := []storage.Column{{Name: "a", Type: storage.TString}, {Name: "b", Type: storage.TString}}
+	img, err := AppendBatch(nil, 1, true, schema, []storage.Row{
+		{storage.Str("rid-1.1"), storage.Str("rid-2.2")},
+		{storage.Str(""), storage.Str("rid-3.3")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, rows, err := ParseBatch(img, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range img {
+		img[i] = 0xFF
+	}
+	if rows[0][0].S != "rid-1.1" || rows[0][1].S != "rid-2.2" || rows[1][0].S != "" || rows[1][1].S != "rid-3.3" {
+		t.Fatalf("decoded rows changed with the payload: %v", rows)
+	}
+}
+
+// TestParseBatchForgedCount checks a row count the payload cannot hold
+// is refused before anything is reserved for it.
+func TestParseBatchForgedCount(t *testing.T) {
+	schema := []storage.Column{{Name: "a", Type: storage.TInt64}}
+	img := binary.AppendUvarint([]byte{1, 0}, 1<<40) // cursor 1, not done, 2^40 rows, no row bytes
+	if _, _, _, err := ParseBatch(img, schema); err == nil {
+		t.Fatal("a batch of 2^40 rows in 0 bytes was accepted")
+	}
+	allocs := testing.AllocsPerRun(10, func() { ParseBatch(img, schema) })
+	if allocs > 4 { // the error and its formatted arguments, not a slab
+		t.Fatalf("refusing a forged row count cost %.0f allocations", allocs)
 	}
 }

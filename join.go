@@ -168,18 +168,45 @@ type JoinCursor struct {
 	unpin  func()
 	trace  *telemetry.Trace // nil unless DB.SetTracer is active
 	closed sync.Once
+
+	rows storage.Batch // the fetch batch being decoded, reused
+
+	// Row-at-a-time state of Next: the current batch and the error
+	// that followed it.
+	pairs []Pair
+	pos   int
+	err   error
+}
+
+// NextBatch appends the next fetch batch of result pairs — at most max
+// of them, the join's own fetch size when max <= 0 — to dst and returns
+// the extended slice. Appending nothing with a nil error means end of
+// stream. Pairs that precede an error are returned with it. Read a
+// cursor with NextBatch or with Next, not both.
+func (jc *JoinCursor) NextBatch(dst []Pair, max int) ([]Pair, error) {
+	jc.rows.Reset()
+	err := jc.cur.NextBatch(&jc.rows, max)
+	dst, perr := sjoin.AppendPairs(dst, jc.rows.Rows)
+	if perr != nil {
+		return dst, perr
+	}
+	return dst, err
 }
 
 // Next returns the next result pair; ok is false at end of stream.
 func (jc *JoinCursor) Next() (p Pair, ok bool, err error) {
-	_, row, ok, err := jc.cur.Next()
-	if err != nil || !ok {
-		return Pair{}, false, err
+	for jc.pos >= len(jc.pairs) {
+		if jc.err != nil {
+			return Pair{}, false, jc.err
+		}
+		jc.pairs, jc.err = jc.NextBatch(jc.pairs[:0], 0)
+		jc.pos = 0
+		if jc.err == nil && len(jc.pairs) == 0 {
+			return Pair{}, false, nil
+		}
 	}
-	p, err = sjoin.PairFromRow(row)
-	if err != nil {
-		return Pair{}, false, err
-	}
+	p = jc.pairs[jc.pos]
+	jc.pos++
 	return p, true, nil
 }
 
@@ -199,7 +226,17 @@ func (jc *JoinCursor) Close() error {
 // Collect drains the cursor into a slice and closes it.
 func (jc *JoinCursor) Collect() ([]Pair, error) {
 	defer jc.Close()
-	return sjoin.CollectPairs(jc.cur)
+	var out []Pair
+	for {
+		n := len(out)
+		var err error
+		if out, err = jc.NextBatch(out, 0); err != nil {
+			return nil, err
+		}
+		if len(out) == n {
+			return out, nil
+		}
+	}
 }
 
 // SpatialJoin evaluates the index-based spatial join of two R-tree-

@@ -1,0 +1,91 @@
+package spatialtf_test
+
+import (
+	"context"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"spatialtf"
+	"spatialtf/internal/geom"
+	"spatialtf/internal/server"
+	"spatialtf/internal/wire"
+)
+
+// pointJoinSQL is a catalogue cross-match: a distance self-join of
+// points, whose exact predicate costs almost nothing, so the row
+// pipeline (tablefunc → sqlmini → server → wire) carries the statement.
+// Two workers pinned in the statement select the grid-partitioned
+// parallel join whatever GOMAXPROCS is.
+const pointJoinSQL = "SELECT rid1, rid2 FROM TABLE(spatial_join('stars','geom','stars','geom','distance=1.5','algo=auto', 2))"
+
+// servePointJoin loads n star centres, indexes them, and serves the
+// database on loopback with the default server configuration. The
+// returned client is connected; cleanup is registered on tb.
+func servePointJoin(tb testing.TB, n int) *wire.Client {
+	tb.Helper()
+	ds := spatialtf.Stars(n, 1)
+	for i, g := range ds.Geoms {
+		c := geom.MBROf(g).Center()
+		ds.Geoms[i] = geom.NewPoint(c.X, c.Y)
+	}
+	db := spatialtf.Open()
+	if _, err := db.LoadDataset("stars", ds); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := db.CreateIndex("stars_idx", "stars", spatialtf.RTree, spatialtf.IndexOptions{Parallel: 2}); err != nil {
+		tb.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := server.New(db, server.Config{})
+	go srv.Serve(ln)
+	tb.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	cli, err := wire.Dial(ln.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cli.Close() })
+	return cli
+}
+
+// TestWireJoinStreamAllocBudget pins the batch pipeline's allocation
+// cost end to end — join instances, sqlmini projection, server, frame
+// codec and client decode, all in this process — at half an allocation
+// per result row. A per-row allocation anywhere between the table
+// function's fetch and the client's decoded batch costs at least one.
+func TestWireJoinStreamAllocBudget(t *testing.T) {
+	cli := servePointJoin(t, 4000)
+	rows := drainJoin(t, cli, pointJoinSQL) // warm: geometry cache, pools
+	if rows < 2000 {
+		t.Fatalf("join returned %d rows; the budget needs a result large enough to amortise per-statement setup", rows)
+	}
+	perStmt := testing.AllocsPerRun(5, func() { drainJoin(t, cli, pointJoinSQL) })
+	perRow := perStmt / float64(rows)
+	t.Logf("%d rows, %.0f allocations per statement, %.3f per row", rows, perStmt, perRow)
+	if perRow > 0.5 {
+		t.Errorf("%.3f allocations per result row end to end, budget 0.5", perRow)
+	}
+}
+
+// BenchmarkWirePointJoinStream is the benchmark's join_stream statement
+// in miniature: the streamed point cross-match over loopback on one
+// processor.
+func BenchmarkWirePointJoinStream(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cli := servePointJoin(b, 16000)
+	rows := drainJoin(b, cli, pointJoinSQL)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drainJoin(b, cli, pointJoinSQL)
+	}
+	b.ReportMetric(float64(rows), "rows/op")
+}
