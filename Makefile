@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build lint test race race-hot fuzz-smoke bench bench-smoke bench-module bench-wire bench-record obs-smoke crash-smoke cluster-smoke
+.PHONY: ci fmt-check vet build lint test race race-hot fuzz-smoke bench bench-smoke bench-module bench-wire obs-smoke crash-smoke cluster-smoke
 
 ci: fmt-check vet build lint race-hot race fuzz-smoke bench-smoke bench-module obs-smoke crash-smoke cluster-smoke
 
@@ -72,17 +72,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Compile-and-run smoke over every benchmark: one iteration each, no
-# timing fidelity, just proof they still execute.
-# The trailing lane re-runs the grid-partitioned join benches at 2
-# iterations: tile claiming and the per-tile skew metrics only exercise
-# interesting paths once the fixtures are warm, so give them one warm
-# pass beyond what the full 1x sweep above provides.
+# timing fidelity, just proof they still execute. Timings that carry a
+# claim come from the repository benchmark (BENCHMARK.json, benchmark/).
 # The allocs/op lane re-runs the two headline join benchmarks with
-# -benchmem so an allocation regression on the fetch/sweep hot paths
-# shows up in CI output next to the hotalloc lint (see DESIGN.md §16).
+# -benchmem: allocation counts, unlike one-iteration timings, repeat
+# exactly, so a regression on the fetch/sweep hot paths shows up in CI
+# output next to the hotalloc lint (see DESIGN.md §16).
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
-	$(GO) test -run NONE -bench 'Table2GridJoin|AblationGridTiles|AblationGridVsSubtree' -benchtime 2x -count 1 .
 	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin' -benchmem -benchtime 2x -count 1 .
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a module of
@@ -114,9 +111,3 @@ cluster-smoke:
 # Wire-protocol streaming throughput (loopback server + client).
 bench-wire:
 	$(GO) test -run NONE -bench BenchmarkWireJoinStream -benchmem .
-
-# Full benchmark sweep recorded as NDJSON (one `go test -json` event
-# per line) for before/after comparison; writes BENCH_pr3.json unless an
-# output file is given: `make bench-record BENCH_OUT=BENCH_x.json`.
-bench-record:
-	./scripts/bench_record.sh $(BENCH_OUT)

@@ -48,8 +48,11 @@ var hotSeeds = map[string][]string{
 		"GridJoinFunction.Fetch", "gridState.sweepTile", "assignGrid",
 	},
 	"internal/tablefunc": {"pipelineCursor.NextBatch", "parallelCursor.NextBatch"},
-	// The batch render of a streamed join: pairs to rid text to rows.
-	"internal/sqlmini": {"joinCursorAdapter.NextBatch"},
+	// The batch render of a streamed join (pairs to rid text to rows)
+	// and the owner-filter and projection stages of a table SELECT. The
+	// fetch stage under them decodes a heap row per rowid, an allocation
+	// by contract; sqlmini's TestWindowSelectAllocFloor pins its count.
+	"internal/sqlmini": {"joinCursorAdapter.NextBatch", "filterCursor.NextBatch", "projectCursor.NextBatch"},
 	"internal/rtree": {
 		"Tree.Search", "Tree.SearchCounted", "Tree.SearchWithinDist", "Tree.SearchWithinDistCounted",
 	},

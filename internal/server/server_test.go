@@ -755,8 +755,12 @@ func TestServeAfterShutdown(t *testing.T) {
 // fetch on the predicate path: a window SELECT resolves its rowids when
 // the statement starts and fetches the rows batch by batch, so a DELETE
 // on another connection in between must shorten the result, not fail it
-// with "storage: row deleted". The second half runs reader and deleter
-// concurrently for the race detector.
+// with "storage: row deleted". The second half runs the readers — the
+// plain window SELECT, the same SELECT and its count(*) under a cluster
+// scope, and an embedded Engine.Execute — against a concurrent deleter,
+// for the race detector; an updater racing the deleter over the same
+// rows pins the DML side of the rule: a row that is already gone is
+// skipped, not an error that leaves the statement half applied.
 func TestWindowSelectSkipsConcurrentlyDeletedRows(t *testing.T) {
 	db := spatialtf.Open()
 	_, addr := startTestServer(t, db, Config{})
@@ -784,6 +788,8 @@ func TestWindowSelectSkipsConcurrentlyDeletedRows(t *testing.T) {
 	for id := 0; id < n; id++ {
 		insert(writer, id)
 	}
+	// The quarter of the rows the writers delete and update (ids 0..99).
+	const quarter = " WHERE sdo_relate(geom, 'POLYGON ((-1 -1, 30 -1, 30 4.5, -1 4.5, -1 -1))', 'mask=anyinteract') = 'TRUE'"
 	const window = "SELECT id FROM pts WHERE sdo_relate(geom, 'POLYGON ((-1 -1, 30 -1, 30 30, -1 30, -1 -1))', 'mask=anyinteract') = 'TRUE'"
 	drain := func(cur *wire.Cursor) (int, error) {
 		rows := 0
@@ -805,7 +811,7 @@ func TestWindowSelectSkipsConcurrentlyDeletedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec(writer, "DELETE FROM pts WHERE sdo_relate(geom, 'POLYGON ((-1 -1, 30 -1, 30 4.5, -1 4.5, -1 -1))', 'mask=anyinteract') = 'TRUE'")
+	exec(writer, "DELETE FROM pts"+quarter)
 	rows, err := drain(res.Cursor)
 	if err != nil {
 		t.Fatalf("window SELECT over rows deleted after it started: %v", err)
@@ -817,6 +823,8 @@ func TestWindowSelectSkipsConcurrentlyDeletedRows(t *testing.T) {
 	// Reader and deleter at full tilt.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -828,10 +836,29 @@ func TestWindowSelectSkipsConcurrentlyDeletedRows(t *testing.T) {
 			}
 			insert(writer, id%100) // rows 0..99 are the deleted quarter
 			if id%10 == 9 {
-				exec(writer, "DELETE FROM pts WHERE sdo_relate(geom, 'POLYGON ((-1 -1, 30 -1, 30 4.5, -1 4.5, -1 -1))', 'mask=anyinteract') = 'TRUE'")
+				exec(writer, "DELETE FROM pts"+quarter)
 			}
 		}
 	}()
+	updater := dial()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := updater.Query("UPDATE pts SET id = 0" + quarter); err != nil {
+				t.Errorf("UPDATE racing a DELETE of the same rows: %v", err)
+				return
+			}
+		}
+	}()
+	// One shard owns every tile, so the scoped answers are the plain ones.
+	scope := wire.Scope{MinX: -1, MinY: -1, MaxX: 30, MaxY: 30, Cols: 4, Rows: 4, NShards: 1}
+	embedded := sqlmini.NewEngineOn(db)
 	for i := 0; i < 150; i++ {
 		res, err := reader.Query(window)
 		if err != nil {
@@ -840,7 +867,18 @@ func TestWindowSelectSkipsConcurrentlyDeletedRows(t *testing.T) {
 		if rows, err := drain(res.Cursor); err != nil || rows < n-100 {
 			t.Fatalf("window SELECT %d under a concurrent deleter: %d rows, %v", i, rows, err)
 		}
+		if res, err = reader.QueryScoped(window, scope); err != nil {
+			t.Fatalf("scoped window SELECT %d under a concurrent deleter: %v", i, err)
+		}
+		if rows, err := drain(res.Cursor); err != nil || rows < n-100 {
+			t.Fatalf("scoped window SELECT %d under a concurrent deleter: %d rows, %v", i, rows, err)
+		}
+		res, err = reader.QueryScoped(strings.Replace(window, "SELECT id", "SELECT count(*)", 1), scope)
+		if err != nil || res.Count < n-100 {
+			t.Fatalf("scoped window count(*) %d under a concurrent deleter: %+v, %v", i, res, err)
+		}
+		if r, err := embedded.Execute(window); err != nil || len(r.Rows) < n-100 {
+			t.Fatalf("embedded window SELECT %d under a concurrent deleter: %v", i, err)
+		}
 	}
-	close(stop)
-	wg.Wait()
 }

@@ -1,7 +1,9 @@
 package sqlmini
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"spatialtf"
@@ -11,8 +13,6 @@ import (
 // Engine executes parsed statements against a spatialtf database.
 type Engine struct {
 	db *spatialtf.DB
-	// indexSeq numbers auto-created index names.
-	indexSeq int
 }
 
 // NewEngine returns an engine over a fresh database.
@@ -36,16 +36,42 @@ type Result struct {
 	Message string
 }
 
-// Execute parses and runs one statement.
+// Execute parses and runs one statement, materialising a SELECT: it
+// drains the cursor ExecuteStream serves, a fetch batch at a time, and
+// renders every cell as text.
 func (e *Engine) Execute(sql string) (*Result, error) {
-	stmt, err := Parse(sql)
+	st, err := e.ExecuteStream(sql)
 	if err != nil {
 		return nil, err
 	}
-	return e.execStatement(stmt)
+	if st.Result != nil {
+		return st.Result, nil
+	}
+	defer st.Cursor.Close()
+	res := &Result{Columns: make([]string, len(st.Schema))}
+	for i, c := range st.Schema {
+		res.Columns[i] = c.Name
+	}
+	var b storage.Batch
+	for {
+		b.Reset()
+		if err := st.Cursor.NextBatch(&b, 0); err != nil {
+			return nil, err
+		}
+		if len(b.Rows) == 0 {
+			return res, st.Cursor.Close()
+		}
+		for _, row := range b.Rows {
+			cells := make([]string, len(row))
+			for i, v := range row {
+				cells[i] = v.String()
+			}
+			res.Rows = append(res.Rows, cells)
+		}
+	}
 }
 
-// execStatement runs one parsed statement, materialising the result.
+// execStatement runs one parsed DDL or DML statement.
 func (e *Engine) execStatement(stmt Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case CreateTable:
@@ -54,8 +80,6 @@ func (e *Engine) execStatement(stmt Statement) (*Result, error) {
 		return e.execInsert(s)
 	case CreateIndex:
 		return e.execCreateIndex(s)
-	case Select:
-		return e.execSelect(s)
 	case Delete:
 		return e.execDelete(s)
 	case Update:
@@ -118,12 +142,18 @@ func (e *Engine) execDelete(s Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := 0
 	for _, id := range ids {
-		if err := tab.Delete(id); err != nil {
+		err := tab.Delete(id)
+		if errors.Is(err, storage.ErrRowDeleted) {
+			continue // gone since the ids were resolved: read committed per row
+		}
+		if err != nil {
 			return nil, err
 		}
+		n++
 	}
-	return &Result{Message: fmt.Sprintf("%d rows deleted", len(ids))}, nil
+	return &Result{Message: fmt.Sprintf("%d rows deleted", n)}, nil
 }
 
 func (e *Engine) execUpdate(s Update) (*Result, error) {
@@ -132,10 +162,10 @@ func (e *Engine) execUpdate(s Update) (*Result, error) {
 		return nil, err
 	}
 	schema := tab.Inner().Schema()
-	// Resolve SET targets once.
+	// Resolve SET targets and convert their literals once.
 	type setTarget struct {
 		col int
-		val Literal
+		val spatialtf.Value
 	}
 	var targets []setTarget
 	for _, sc := range s.Sets {
@@ -143,29 +173,34 @@ func (e *Engine) execUpdate(s Update) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		targets = append(targets, setTarget{col: i, val: sc.Value})
+		v, err := literalValue(schema[i], sc.Value)
+		if err != nil {
+			return nil, err
+		}
+		targets = append(targets, setTarget{col: i, val: v})
 	}
 	ids, err := e.whereIDs(s.Table, tab, s.Where)
 	if err != nil {
 		return nil, err
 	}
+	n := 0
 	for _, id := range ids {
 		row, err := tab.Fetch(id)
+		if err == nil {
+			for _, t := range targets {
+				row[t.col] = t.val
+			}
+			_, err = tab.Update(id, row...)
+		}
+		if errors.Is(err, storage.ErrRowDeleted) {
+			continue // gone since the ids were resolved: read committed per row
+		}
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range targets {
-			v, err := literalValue(schema[t.col], t.val)
-			if err != nil {
-				return nil, err
-			}
-			row[t.col] = v
-		}
-		if _, err := tab.Update(id, row...); err != nil {
-			return nil, err
-		}
+		n++
 	}
-	return &Result{Message: fmt.Sprintf("%d rows updated", len(ids))}, nil
+	return &Result{Message: fmt.Sprintf("%d rows updated", n)}, nil
 }
 
 // literalValue converts a parsed literal to a typed column value.
@@ -267,13 +302,14 @@ func (e *Engine) execCreateIndex(s CreateIndex) (*Result, error) {
 		return nil, fmt.Errorf("sqlmini: unsupported indextype %q", s.Kind)
 	}
 	opt := spatialtf.IndexOptions{Parallel: s.Parallel}
+	var err error
 	if v, ok := s.Params["fanout"]; ok {
-		if _, err := fmt.Sscanf(v, "%d", &opt.Fanout); err != nil {
+		if opt.Fanout, err = strconv.Atoi(v); err != nil {
 			return nil, fmt.Errorf("sqlmini: bad fanout %q", v)
 		}
 	}
 	if v, ok := s.Params["level"]; ok {
-		if _, err := fmt.Sscanf(v, "%d", &opt.TilingLevel); err != nil {
+		if opt.TilingLevel, err = strconv.Atoi(v); err != nil {
 			return nil, fmt.Errorf("sqlmini: bad level %q", v)
 		}
 	}
@@ -317,102 +353,6 @@ func (e *Engine) indexFor(table, column string, kind spatialtf.IndexKind) (strin
 		return "", fmt.Errorf("sqlmini: no spatial index on %s(%s); CREATE INDEX first", table, column)
 	}
 	return best, nil
-}
-
-func (e *Engine) execSelect(s Select) (*Result, error) {
-	if s.From.Join != nil {
-		return e.execJoinSelect(s)
-	}
-	return e.execTableSelect(s)
-}
-
-func (e *Engine) execTableSelect(s Select) (*Result, error) {
-	tab, err := e.db.Table(s.From.Table)
-	if err != nil {
-		return nil, err
-	}
-	schema := tab.Inner().Schema()
-
-	// Resolve projected column positions.
-	var colIdx []int
-	var colNames []string
-	if s.Star || s.Count {
-		for i, c := range schema {
-			colIdx = append(colIdx, i)
-			colNames = append(colNames, c.Name)
-		}
-	} else {
-		for _, want := range s.Columns {
-			i, err := tab.Inner().ColumnIndex(want)
-			if err != nil {
-				return nil, err
-			}
-			colIdx = append(colIdx, i)
-			colNames = append(colNames, want)
-		}
-	}
-
-	ids, err := e.whereIDs(s.From.Table, tab, s.Where)
-	if err != nil {
-		return nil, err
-	}
-
-	if s.Count {
-		return &Result{Count: len(ids), Columns: []string{"COUNT(*)"},
-			Rows: [][]string{{fmt.Sprintf("%d", len(ids))}}}, nil
-	}
-	res := &Result{Columns: colNames}
-	for _, id := range ids {
-		row, err := tab.Fetch(id)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]string, len(colIdx))
-		for k, i := range colIdx {
-			out[k] = row[i].String()
-		}
-		res.Rows = append(res.Rows, out)
-	}
-	return res, nil
-}
-
-// execJoinSelect materialises a spatial_join SELECT by draining the
-// cursor ExecuteStream serves, a fetch batch at a time.
-func (e *Engine) execJoinSelect(s Select) (*Result, error) {
-	if s.Count {
-		st, err := e.joinCount(s, nil)
-		if err != nil {
-			return nil, err
-		}
-		return st.Result, nil
-	}
-	st, err := e.streamJoinSelect(s)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Cursor.Close()
-	res := &Result{Columns: make([]string, len(st.Schema))}
-	for i, c := range st.Schema {
-		res.Columns[i] = c.Name
-	}
-	var b storage.Batch
-	for {
-		b.Reset()
-		err := st.Cursor.NextBatch(&b, 0)
-		for _, row := range b.Rows {
-			cells := make([]string, len(row))
-			for i, v := range row {
-				cells[i] = v.S
-			}
-			res.Rows = append(res.Rows, cells)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(b.Rows) == 0 {
-			return res, st.Cursor.Close()
-		}
-	}
 }
 
 // Format renders a result as an aligned text table for the REPL.

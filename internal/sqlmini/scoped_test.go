@@ -2,13 +2,16 @@ package sqlmini
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"spatialtf"
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/geom"
+	"spatialtf/internal/storage"
+	"spatialtf/internal/storage/storagetest"
 )
 
 // --- keys= hint ---
@@ -72,96 +75,152 @@ func scopedEngine(t *testing.T, n int) *Engine {
 	return e
 }
 
-// drainScoped collects a scoped statement's rows as sorted lines.
-func drainScoped(t *testing.T, e *Engine, sql string, scope *spatialtf.ClusterScope) []string {
+// drainStream runs sql under scope (nil = unscoped) and returns the
+// result's column names and its rows rendered cell|cell, in stream
+// order. An immediate result (COUNT) comes back as its one row, after
+// checking that Count and the row agree.
+func drainStream(t *testing.T, e *Engine, sql string, scope *spatialtf.ClusterScope) (cols, rows []string) {
 	t.Helper()
 	st, err := e.ExecuteStreamScoped(sql, scope)
 	if err != nil {
 		t.Fatalf("scoped %q: %v", sql, err)
 	}
 	if st.Result != nil {
-		var out []string
-		for _, row := range st.Result.Rows {
-			out = append(out, strings.Join(row, "|"))
-		}
-		sort.Strings(out)
-		return out
+		return resultLines(t, st.Result)
 	}
-	var out []string
-	for {
-		_, row, ok, err := st.Cursor.Next()
-		if err != nil {
-			t.Fatalf("scoped %q next: %v", sql, err)
-		}
-		if !ok {
-			break
-		}
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
-		}
-		out = append(out, strings.Join(cells, "|"))
+	for _, c := range st.Schema {
+		cols = append(cols, c.Name)
 	}
-	if err := st.Cursor.Close(); err != nil {
-		t.Fatalf("scoped %q close: %v", sql, err)
+	rows, err = storagetest.DrainNext(st.Cursor)
+	if err != nil {
+		t.Fatalf("scoped %q next: %v", sql, err)
 	}
-	sort.Strings(out)
-	return out
+	return cols, rows
 }
 
-// TestScopedPartition is the shard-side half of the cluster's
-// exactly-once guarantee, without the network: for every query form,
-// the union of all shards' scoped results equals the unscoped result
-// and the per-shard results are disjoint. (The in-process engine holds
-// every row, which over-approximates what a shard replica holds — the
-// ownership filter must still yield each result exactly once.)
+// resultLines renders a materialised result the way drainStream renders
+// a streamed one.
+func resultLines(t *testing.T, r *Result) (cols, rows []string) {
+	t.Helper()
+	for _, row := range r.Rows {
+		rows = append(rows, strings.Join(row, "|"))
+	}
+	if len(r.Columns) == 1 && r.Columns[0] == "COUNT(*)" {
+		if len(rows) != 1 || rows[0] != strconv.Itoa(r.Count) {
+			t.Fatalf("COUNT(*) result shape: Count=%d Rows=%v", r.Count, r.Rows)
+		}
+	}
+	return r.Columns, rows
+}
+
+// TestScopedPartition is the differential over every SELECT shape
+// (row source × projection) and every way of running it: the
+// materialised Execute, the row drain and the batch drain of
+// ExecuteStream must agree row for row, column names included, and the
+// scoped runs are the shard-side half of the cluster's exactly-once
+// guarantee without the network — the union of all shards' scoped
+// results equals the unscoped result and the per-shard results are
+// disjoint. (The in-process engine holds every row, which
+// over-approximates what a shard replica holds — the ownership filter
+// must still yield each result exactly once.)
 func TestScopedPartition(t *testing.T) {
 	e := scopedEngine(t, 80)
 	world := spatialtf.MBR{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
-	const nShards = 3
-	queries := []string{
-		"SELECT id FROM sc",
-		"SELECT count(*) FROM sc",
-		"SELECT id, name FROM sc WHERE sdo_relate(geom, 'POLYGON ((100 100, 700 100, 700 600, 100 600, 100 100))', 'mask=anyinteract') = 'TRUE'",
-		"SELECT id FROM sc WHERE sdo_within_distance(geom, 'POINT (500 500)', 'distance=80') = 'TRUE'",
-		"SELECT count(*) FROM sc WHERE sdo_within_distance(geom, 'POINT (500 500)', 'distance=80')",
-		"SELECT key1, key2 FROM TABLE(spatial_join('sc','geom','sc','geom','distance=4','keys=id:id'))",
-		"SELECT count(*) FROM TABLE(spatial_join('sc','geom','sc','geom','anyinteract'))",
+	tableCols := []string{"id", "name", "geom"}
+	sources := []struct {
+		name, from  string
+		star, named []string
+		nearest     bool
+	}{
+		{name: "scan", from: "sc", star: tableCols, named: []string{"name", "id"}},
+		{name: "relate", from: "sc WHERE sdo_relate(geom, 'POLYGON ((100 100, 700 100, 700 600, 100 600, 100 100))', 'mask=anyinteract') = 'TRUE'",
+			star: tableCols, named: []string{"name", "id"}},
+		{name: "within_distance", from: "sc WHERE sdo_within_distance(geom, 'POINT (500 500)', 'distance=80') = 'TRUE'",
+			star: tableCols, named: []string{"geom", "id"}},
+		{name: "nn", from: "sc WHERE sdo_nn(geom, 'POINT (500 500)', 'k=7') = 'TRUE'",
+			star: tableCols, named: []string{"name"}, nearest: true},
+		{name: "join rids", from: "TABLE(spatial_join('sc','geom','sc','geom','distance=4'))",
+			star: []string{"rid1", "rid2"}, named: []string{"rid2", "rid1"}},
+		{name: "join keys", from: "TABLE(spatial_join('sc','geom','sc','geom','distance=4','keys=id:name'))",
+			star: []string{"key1", "key2"}, named: []string{"key2", "key1"}},
 	}
-	for _, q := range queries {
-		want := drainScoped(t, e, q, nil) // nil scope = unscoped
-		isCount := strings.Contains(q, "count(*)")
-		var union []string
-		total := 0
-		for shard := 0; shard < nShards; shard++ {
-			scope := spatialtf.NewClusterScope(world, 4, 4, nShards, shard)
-			part := drainScoped(t, e, q, scope)
-			if isCount {
-				var n int
-				fmt.Sscanf(part[0], "%d", &n)
-				total += n
-				continue
-			}
-			union = append(union, part...)
-		}
-		if isCount {
-			var wantN int
-			fmt.Sscanf(want[0], "%d", &wantN)
-			if total != wantN {
-				t.Errorf("%q: scoped counts sum to %d, unscoped %d", q, total, wantN)
-			}
-			continue
-		}
-		sort.Strings(union)
-		if len(union) != len(want) {
-			t.Errorf("%q: union of %d scoped rows, unscoped %d (duplicate or lost results)", q, len(union), len(want))
-			continue
-		}
-		for i := range want {
-			if union[i] != want[i] {
-				t.Errorf("%q: row %d differs: scoped union %q, unscoped %q", q, i, union[i], want[i])
-				break
-			}
+	for _, src := range sources {
+		for _, proj := range []struct {
+			sel  string
+			cols []string
+		}{
+			{"*", src.star},
+			{strings.Join(src.named, ", "), src.named},
+			{"count(*)", []string{"COUNT(*)"}},
+		} {
+			sql := "SELECT " + proj.sel + " FROM " + src.from
+			isCount := proj.sel == "count(*)"
+			t.Run(src.name+"/"+proj.sel, func(t *testing.T) {
+				// Execute ≡ row drain of ExecuteStream, in order.
+				cols, want := resultLines(t, exec(t, e, sql))
+				if !slices.Equal(cols, proj.cols) {
+					t.Fatalf("Execute columns %v, want %v", cols, proj.cols)
+				}
+				if len(want) == 0 || (!isCount && len(want) < 5) {
+					t.Fatalf("only %d rows: the case tests nothing", len(want))
+				}
+				cols, got := drainStream(t, e, sql, nil)
+				if !slices.Equal(cols, proj.cols) {
+					t.Errorf("ExecuteStream columns %v, want %v", cols, proj.cols)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("ExecuteStream row drain differs from Execute:\n got %v\nwant %v", got, want)
+				}
+				// ≡ batch drain.
+				if !isCount {
+					storagetest.CheckBatchEqualsNext(t, true, func() (storage.Cursor, error) {
+						st, err := e.ExecuteStream(sql)
+						if err != nil {
+							return nil, err
+						}
+						return st.Cursor, nil
+					})
+				}
+				// ≡ sorted union of the shards' scoped results.
+				slices.Sort(want)
+				if dup := slices.Compact(slices.Clone(want)); len(dup) != len(want) {
+					t.Fatalf("unscoped result has duplicate rows: the union check could not see a duplicate")
+				}
+				for _, nShards := range []int{1, 3, 4} {
+					var union []string
+					total := 0
+					for shard := 0; shard < nShards; shard++ {
+						scope := spatialtf.NewClusterScope(world, 4, 4, nShards, shard)
+						if src.nearest {
+							if _, err := e.ExecuteStreamScoped(sql, scope); err == nil {
+								t.Errorf("sdo_nn accepted under a scope (%d shards)", nShards)
+							}
+							continue
+						}
+						cols, part := drainStream(t, e, sql, scope)
+						if !slices.Equal(cols, proj.cols) {
+							t.Errorf("shard %d/%d columns %v, want %v", shard, nShards, cols, proj.cols)
+						}
+						if isCount {
+							n, _ := strconv.Atoi(part[0])
+							total += n
+						}
+						union = append(union, part...)
+					}
+					switch {
+					case src.nearest:
+					case isCount:
+						if want[0] != strconv.Itoa(total) {
+							t.Errorf("%d shards: scoped counts sum to %d, unscoped %s", nShards, total, want[0])
+						}
+					default:
+						slices.Sort(union)
+						if !slices.Equal(union, want) {
+							t.Errorf("%d shards: union of %d scoped rows, unscoped %d (duplicate, lost or different results)", nShards, len(union), len(want))
+						}
+					}
+				}
+			})
 		}
 	}
 }

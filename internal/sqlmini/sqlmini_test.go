@@ -148,6 +148,10 @@ func TestErrors(t *testing.T) {
 	// Query without an index.
 	execErr(t, e, "SELECT count(*) FROM t WHERE sdo_relate(g, 'POINT (1 1)', 'mask=anyinteract')")
 	execErr(t, e, "CREATE INDEX i ON t(g) INDEXTYPE IS HASHMAP")
+	execErr(t, e, "CREATE INDEX i ON t(g) INDEXTYPE IS RTREE PARAMETERS('fanout=12abc')") // trailing garbage
+	execErr(t, e, "CREATE INDEX i ON t(g) INDEXTYPE IS RTREE PARAMETERS('fanout=')")
+	execErr(t, e, "CREATE INDEX i ON t(g) INDEXTYPE IS QUADTREE PARAMETERS('level=7x bounds=0,0,100,100')")
+	execErr(t, e, "CREATE INDEX i ON t(g) INDEXTYPE IS QUADTREE PARAMETERS('level=0.5 bounds=0,0,100,100')")
 	execErr(t, e, "SELECT count(*) FROM TABLE(nosuch_fn('a','b','c','d','e'))")
 	execErr(t, e, "SELECT count(*) FROM TABLE(spatial_join('a','b','c'))") // arity
 	execErr(t, e, "SELECT count(*) FROM t WHERE sdo_relate(g, 'POINT (1 1)', 'mask=anyinteract') = 'FALSE'")

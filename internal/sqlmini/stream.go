@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"spatialtf"
 	"spatialtf/internal/storage"
@@ -28,15 +29,27 @@ type Stream struct {
 // ExecuteStream parses and runs one statement, streaming SELECT row
 // sources instead of materialising them.
 func (e *Engine) ExecuteStream(sql string) (*Stream, error) {
+	return e.ExecuteStreamScoped(sql, nil)
+}
+
+// ExecuteStreamScoped is ExecuteStream restricted to the results a
+// cluster scope owns; a nil scope restricts nothing. It is the
+// shard-side half of a scatter-gather query: the coordinator sends
+// every shard the same SELECT plus its scope, and concatenating the
+// shard streams yields every result exactly once (see
+// spatialtf.ClusterScope for the reference-point rules). Only SELECT
+// statements can be scoped; DDL/DML and sdo_nn are routed differently
+// by the coordinator and are rejected under a scope.
+func (e *Engine) ExecuteStreamScoped(sql string, scope *spatialtf.ClusterScope) (*Stream, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	if s, ok := stmt.(Select); ok && !s.Count {
-		if s.From.Join != nil {
-			return e.streamJoinSelect(s)
-		}
-		return e.streamTableSelect(s)
+	if s, ok := stmt.(Select); ok {
+		return e.selectStream(s, scope)
+	}
+	if scope != nil {
+		return nil, fmt.Errorf("sqlmini: scoped execution supports SELECT only, got %T", stmt)
 	}
 	res, err := e.execStatement(stmt)
 	if err != nil {
@@ -45,85 +58,97 @@ func (e *Engine) ExecuteStream(sql string) (*Stream, error) {
 	return &Stream{Result: res}, nil
 }
 
-// streamTableSelect builds a cursor over a base-table SELECT. A plain
-// scan streams straight off the heap; a spatial predicate resolves the
-// matching rowids through the index first (bounded by the result's id
-// count, not its row payload) and fetches rows lazily.
-func (e *Engine) streamTableSelect(s Select) (*Stream, error) {
+// selectStream builds every SELECT, scoped (scope != nil) or not, as
+// source → owner filter → projection | count. The source is a heap
+// scan, or — behind a spatial predicate — a lazy fetch of the rowids
+// the index resolved (bounded by the result's id count, not its row
+// payload), or a spatial_join's pair cursor (joinSelect). The owner
+// filter is there only under a scope and sees the full row, so the
+// geometry that decides ownership is fetched with the row, once. COUNT
+// drains the filtered source without projecting or rendering it.
+func (e *Engine) selectStream(s Select, scope *spatialtf.ClusterScope) (*Stream, error) {
+	if s.From.Join != nil {
+		return e.joinSelect(s, scope)
+	}
 	tab, err := e.db.Table(s.From.Table)
 	if err != nil {
 		return nil, err
 	}
 	schema := tab.Inner().Schema()
-	var colIdx []int
-	var outSchema []storage.Column
+	n := len(s.Columns)
 	if s.Star {
-		for i, c := range schema {
-			colIdx = append(colIdx, i)
-			outSchema = append(outSchema, c)
-		}
-	} else {
-		for _, want := range s.Columns {
-			i, err := tab.Inner().ColumnIndex(want)
-			if err != nil {
+		n = len(schema)
+	}
+	cols := make([]int, n)
+	outSchema := make([]storage.Column, n)
+	reorders := false
+	for k := range cols {
+		i := k
+		if !s.Star {
+			if i, err = tab.Inner().ColumnIndex(s.Columns[k]); err != nil {
 				return nil, err
 			}
-			colIdx = append(colIdx, i)
-			outSchema = append(outSchema, schema[i])
+		}
+		cols[k], outSchema[k] = i, schema[i]
+		reorders = reorders || i < k
+	}
+
+	var owns func(storage.Row) (bool, error)
+	if scope != nil {
+		if owns, err = ownerFilter(s, schema, scope); err != nil {
+			return nil, err
 		}
 	}
+	// An unfiltered COUNT needs no rows: the table and the rowid list
+	// know their sizes.
+	sizeOnly := s.Count && owns == nil
+	var src storage.Cursor
 	if s.Where == nil {
-		return &Stream{
-			Schema: outSchema,
-			Cursor: &projectCursor{src: storage.NewCursor(tab.Inner()), cols: colIdx},
-		}, nil
+		if sizeOnly {
+			return countStream(tab.Len()), nil
+		}
+		src = storage.NewCursor(tab.Inner())
+	} else {
+		ids, err := e.whereIDs(s.From.Table, tab, s.Where)
+		if err != nil {
+			return nil, err
+		}
+		if sizeOnly {
+			return countStream(len(ids)), nil
+		}
+		src = &fetchCursor{tab: tab, ids: ids}
 	}
-	ids, err := e.whereIDs(s.From.Table, tab, s.Where)
-	if err != nil {
-		return nil, err
+	if owns != nil {
+		src = &filterCursor{src: src, keep: owns}
+	}
+	if s.Count {
+		return drainCount(src)
 	}
 	return &Stream{
 		Schema: outSchema,
-		Cursor: &fetchCursor{tab: tab, ids: ids, cols: colIdx},
+		Cursor: &projectCursor{src: src, cols: cols, reorders: reorders},
 	}, nil
 }
 
-// streamJoinSelect builds a cursor over TABLE(spatial_join(...)). The
-// rid1/rid2 rowids are projected as their page.slot text form, matching
-// the local REPL rendering; with a 'keys=' hint the key1/key2 user-key
-// columns are projected instead.
-func (e *Engine) streamJoinSelect(s Select) (*Stream, error) {
-	return e.streamJoinSelectScoped(s, nil)
-}
-
-func (e *Engine) streamJoinSelectScoped(s Select, scope *spatialtf.ClusterScope) (*Stream, error) {
+// joinSelect is selectStream over TABLE(spatial_join(...)): the source
+// is the join's pair cursor, which applies the owner filter itself
+// (JoinOptions.Scope). The rid1/rid2 rowids are projected as their
+// page.slot text form, matching the local REPL rendering; with a
+// 'keys=' hint the key1/key2 user-key columns are projected instead.
+// COUNT drains the pair batches and never renders a row.
+func (e *Engine) joinSelect(s Select, scope *spatialtf.ClusterScope) (*Stream, error) {
 	call := s.From.Join
 	if s.Where != nil {
-		return nil, errJoinWhere
+		return nil, errors.New("sqlmini: WHERE on a spatial_join row source is not supported")
 	}
-	wantCols, keys, err := e.joinProjection(s, call)
-	if err != nil {
-		return nil, err
+	var wantCols []string
+	var keys *joinKeys
+	if !s.Count {
+		var err error
+		if wantCols, keys, err = e.joinProjection(s, call); err != nil {
+			return nil, err
+		}
 	}
-	cur, err := e.openJoin(call, scope)
-	if err != nil {
-		return nil, err
-	}
-	outSchema := make([]storage.Column, len(wantCols))
-	for i, c := range wantCols {
-		outSchema[i] = storage.Column{Name: c, Type: storage.TString}
-	}
-	return &Stream{
-		Schema: outSchema,
-		Cursor: &joinCursorAdapter{jc: cur, cols: wantCols, keys: keys},
-	}, nil
-}
-
-var errJoinWhere = errors.New("sqlmini: WHERE on a spatial_join row source is not supported")
-
-// openJoin starts the spatial_join a FROM clause calls, restricted to
-// scope when that is not nil.
-func (e *Engine) openJoin(call *SpatialJoinCall, scope *spatialtf.ClusterScope) (*spatialtf.JoinCursor, error) {
 	idxA, err := e.indexFor(call.TableA, call.ColumnA, spatialtf.RTree)
 	if err != nil {
 		return nil, err
@@ -132,37 +157,62 @@ func (e *Engine) openJoin(call *SpatialJoinCall, scope *spatialtf.ClusterScope) 
 	if err != nil {
 		return nil, err
 	}
-	return e.db.SpatialJoin(call.TableA, idxA, call.TableB, idxB, spatialtf.JoinOptions{
+	jc, err := e.db.SpatialJoin(call.TableA, idxA, call.TableB, idxB, spatialtf.JoinOptions{
 		Mask:     call.Mask,
 		Distance: call.Distance,
 		Parallel: call.Parallel,
 		Algo:     call.Algo,
 		Scope:    scope,
 	})
-}
-
-// joinCount is COUNT(*) over a spatial_join: it drains the join's pair
-// batches, which needs the full stream but never the rendered rows.
-func (e *Engine) joinCount(s Select, scope *spatialtf.ClusterScope) (*Stream, error) {
-	if s.Where != nil {
-		return nil, errJoinWhere
-	}
-	jc, err := e.openJoin(s.From.Join, scope)
 	if err != nil {
 		return nil, err
 	}
-	defer jc.Close()
+	if s.Count {
+		defer jc.Close()
+		n := 0
+		var pairs []spatialtf.Pair
+		for {
+			if pairs, err = jc.NextBatch(pairs[:0], 0); err != nil {
+				return nil, err
+			}
+			if len(pairs) == 0 {
+				return countStream(n), jc.Close()
+			}
+			n += len(pairs)
+		}
+	}
+	outSchema := make([]storage.Column, len(wantCols))
+	for i, c := range wantCols {
+		outSchema[i] = storage.Column{Name: c, Type: storage.TString}
+	}
+	return &Stream{
+		Schema: outSchema,
+		Cursor: &joinCursorAdapter{jc: jc, cols: wantCols, keys: keys},
+	}, nil
+}
+
+// drainCount is COUNT(*) over a row cursor: it counts and closes it, a
+// fetch batch at a time.
+func drainCount(cur storage.Cursor) (*Stream, error) {
+	defer cur.Close()
 	n := 0
-	var pairs []spatialtf.Pair
+	var b storage.Batch
 	for {
-		if pairs, err = jc.NextBatch(pairs[:0], 0); err != nil {
+		b.Reset()
+		if err := cur.NextBatch(&b, 0); err != nil {
 			return nil, err
 		}
-		if len(pairs) == 0 {
-			return countStream(n), jc.Close()
+		if len(b.Rows) == 0 {
+			return countStream(n), cur.Close()
 		}
-		n += len(pairs)
+		n += len(b.Rows)
 	}
+}
+
+// countStream wraps a COUNT(*) outcome as an immediate result stream.
+func countStream(n int) *Stream {
+	return &Stream{Result: &Result{Count: n, Columns: []string{"COUNT(*)"},
+		Rows: [][]string{{fmt.Sprintf("%d", n)}}}}
 }
 
 // joinKeys resolves a 'keys=colA:colB' hint: the user-key columns the
@@ -226,13 +276,20 @@ func (e *Engine) joinProjection(s Select, call *SpatialJoinCall) ([]string, *joi
 	return wantCols, keys, nil
 }
 
-// projectCursor narrows a row cursor to the projected columns, a fetch
-// batch at a time.
+// projectCursor narrows the rows of a table source to the projected
+// columns, a fetch batch at a time. Its sources decode every row into
+// an allocation of its own (see storage.Batch), so a row is narrowed
+// where it lies: no second batch, no copy of the values that stay.
 type projectCursor struct {
 	src  storage.Cursor
 	cols []int
-	in   storage.Batch // the upstream batch being projected, reused
-	it   storage.RowIter
+	// reorders is set when the projection moves a column left past one
+	// still to be read; each row is then read from a copy in stage.
+	// Otherwise shifting the columns down in order overwrites nothing
+	// it has yet to read.
+	reorders bool
+	stage    storage.Row
+	it       storage.RowIter
 }
 
 func (c *projectCursor) Next() (storage.RowID, storage.Row, bool, error) {
@@ -240,29 +297,39 @@ func (c *projectCursor) Next() (storage.RowID, storage.Row, bool, error) {
 }
 
 func (c *projectCursor) NextBatch(b *storage.Batch, max int) error {
-	c.in.Reset()
-	err := c.src.NextBatch(&c.in, max)
-	for r, out := range b.Extend(len(c.in.Rows), len(c.cols)) {
-		for k, i := range c.cols {
-			out[k] = c.in.Rows[r][i]
+	first := len(b.Rows)
+	err := c.src.NextBatch(b, max)
+	for r, row := range b.Rows[first:] {
+		from := row
+		if c.reorders {
+			c.stage = append(c.stage[:0], row...)
+			from = c.stage
 		}
+		out := row[:0]
+		for _, i := range c.cols {
+			out = append(out, from[i])
+		}
+		if len(out) < len(row) {
+			clear(row[len(out):]) // let go of what the row no longer shows (a geometry)
+		}
+		b.Rows[first+r] = out
 	}
 	return err
 }
 
 func (c *projectCursor) Close() error { return c.src.Close() }
 
-// fetchCursor lazily fetches and projects the rows of a resolved rowid
-// list (the output of a spatial WHERE predicate). The list was resolved
-// when the statement started and each fetch reads the table as it is
-// now, so a row deleted in between is skipped, not an error: read
-// committed per fetch, like a heap scan.
+// fetchCursor lazily fetches the rows of a resolved rowid list (the
+// output of a spatial WHERE predicate). The list was resolved when the
+// statement started and each fetch reads the table as it is now, so a
+// row deleted in between is skipped, not an error: read committed per
+// fetch, like a heap scan. Every SELECT behind a predicate — scoped or
+// not, streamed, counted or materialised — reads its rows here.
 type fetchCursor struct {
-	tab  *spatialtf.Table
-	ids  []spatialtf.RowID
-	cols []int
-	pos  int
-	it   storage.RowIter
+	tab *spatialtf.Table
+	ids []spatialtf.RowID
+	pos int
+	it  storage.RowIter
 }
 
 func (c *fetchCursor) Next() (storage.RowID, storage.Row, bool, error) {
@@ -273,13 +340,9 @@ func (c *fetchCursor) NextBatch(b *storage.Batch, max int) error {
 	if max <= 0 {
 		max = storage.DefaultBatch
 	}
-	first := len(b.Rows)
-	out := b.Extend(min(max, len(c.ids)-c.pos), len(c.cols))
-	n := 0
-	// Rows deleted since the ids were resolved (or an error) leave
-	// reserved rows unfilled.
-	defer func() { b.Rows = b.Rows[:first+n] }()
-	for n < len(out) && c.pos < len(c.ids) {
+	want := min(max, len(c.ids)-c.pos)
+	b.Rows = slices.Grow(b.Rows, want)
+	for want > 0 && c.pos < len(c.ids) {
 		row, err := c.tab.Fetch(c.ids[c.pos])
 		c.pos++
 		if errors.Is(err, storage.ErrRowDeleted) {
@@ -288,10 +351,8 @@ func (c *fetchCursor) NextBatch(b *storage.Batch, max int) error {
 		if err != nil {
 			return err
 		}
-		for k, i := range c.cols {
-			out[n][k] = row[i]
-		}
-		n++
+		b.Rows = append(b.Rows, row)
+		want--
 	}
 	return nil
 }

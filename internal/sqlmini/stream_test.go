@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"testing"
 
+	"spatialtf"
 	"spatialtf/internal/storage"
 )
 
@@ -122,5 +123,53 @@ func TestExecuteStreamErrors(t *testing.T) {
 	}
 	if _, err := eng.ExecuteStream("SELECT name FROM missing"); err == nil {
 		t.Errorf("missing table accepted")
+	}
+}
+
+// TestWindowSelectAllocFloor guards the per-statement allocation floor
+// of a short window SELECT, the statement a lookup workload is made of:
+// parse, index probe, and a cursor drained the way the server drains
+// one (a batch of the statement's own, topped up until nothing is
+// appended). The benchmark's 25 % bound is too wide to notice one
+// closure or slab creeping into a 40-µs statement; this is not. With
+// three table-SELECT bodies the counts were 71 unscoped and 86 scoped
+// (the scoped body fetched every row twice); the one pipeline must
+// never cost more than they did.
+func TestWindowSelectAllocFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	eng := streamEngine(t)
+	const window = "SELECT id FROM cities WHERE sdo_relate(geom, 'POLYGON ((0 0, 50 0, 50 50, 0 50, 0 0))', 'mask=anyinteract') = 'TRUE'"
+	for _, c := range []struct {
+		name   string
+		scope  *spatialtf.ClusterScope
+		budget float64
+	}{
+		{"unscoped", nil, 71},
+		// One shard owns every tile: the same three rows, through the owner filter.
+		{"scoped", spatialtf.NewClusterScope(spatialtf.MBR{MaxX: 100, MaxY: 100}, 4, 4, 1, 0), 79},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			st, err := eng.ExecuteStreamScoped(window, c.scope)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Cursor.Close()
+			var b storage.Batch
+			for n := -1; n < len(b.Rows); {
+				n = len(b.Rows)
+				if err := st.Cursor.NextBatch(&b, storage.DefaultBatch-n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(b.Rows) != 3 {
+				t.Fatalf("window SELECT returned %d rows, want 3", len(b.Rows))
+			}
+		})
+		t.Logf("%s: %.0f allocs per statement (budget %.0f)", c.name, got, c.budget)
+		if got > c.budget {
+			t.Errorf("%s window SELECT: %.0f allocs per statement, budget %.0f", c.name, got, c.budget)
+		}
 	}
 }
