@@ -7,6 +7,7 @@ package spatialtf
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -157,7 +158,7 @@ func BenchmarkTable2ParallelJoin(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := sjoin.SimulateParallelIndexJoin(fixStars, fixStars, cfg, workers)
+				res, err := sjoin.Simulate(fixStars, fixStars, cfg, sjoin.AlgoSubtree, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -174,27 +175,37 @@ func BenchmarkTable2ParallelJoin(b *testing.B) {
 // swept per-partition under the deterministic scheduler. sim-makespan-s
 // against BenchmarkTable2ParallelJoin at the same worker count is the
 // grid-vs-subtree comparison; tile-skew-max/mean-ms quantify how even
-// the tile costs are (dynamic dealing absorbs the difference).
+// the tile costs are (dynamic dealing absorbs the difference). The
+// scoped case is the shard side of a cluster join (shard 0 of 3): its
+// candidates and allocs/op against workers=4 pin the owner test ahead
+// of the secondary filter.
 func BenchmarkTable2GridJoin(b *testing.B) {
 	fixtures(b)
-	cfg := sjoin.DefaultConfig()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	run := func(name string, cfg sjoin.Config, workers int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := sjoin.SimulateGridJoin(fixStars, fixStars, cfg, workers)
+				res, err := sjoin.Simulate(fixStars, fixStars, cfg, sjoin.AlgoGrid, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if len(res.Pairs) == 0 {
 					b.Fatal("empty result")
 				}
-				max, mean := res.TileSkew()
+				max, mean := res.Skew()
 				b.ReportMetric(res.Elapsed.Seconds(), "sim-makespan-s")
 				b.ReportMetric(float64(max.Microseconds())/1e3, "tile-skew-max-ms")
 				b.ReportMetric(float64(mean.Microseconds())/1e3, "tile-skew-mean-ms")
+				b.ReportMetric(float64(res.Stats.Candidates), "candidates")
 			}
 		})
 	}
+	cfg := sjoin.DefaultConfig()
+	for _, workers := range []int{1, 2, 4, 8} {
+		run(fmt.Sprintf("workers=%d", workers), cfg, workers)
+	}
+	cfg.Owns = NewClusterScope(World, 4, 4, 3, 0).OwnsPoint
+	run("workers=4/scoped", cfg, 4)
 }
 
 func BenchmarkTable2NestedLoop(b *testing.B) {
@@ -425,7 +436,8 @@ func BenchmarkAblationInteriorApprox(b *testing.B) {
 }
 
 // Ablation 7: primary-filter algorithm — forward plane sweep over
-// xlo-sorted entry lists (default) vs the nested entry-pair scan.
+// xlo-sorted entry lists (default) vs the nested entry-pair scan, which
+// a sweep threshold no node pair reaches forces everywhere.
 // Node accesses are identical by construction (same traversal); the
 // sweep changes only the per-node-pair intersection cost.
 func BenchmarkAblationPrimaryFilter(b *testing.B) {
@@ -433,7 +445,9 @@ func BenchmarkAblationPrimaryFilter(b *testing.B) {
 	for _, nested := range []bool{false, true} {
 		b.Run(fmt.Sprintf("nested=%v", nested), func(b *testing.B) {
 			cfg := sjoin.DefaultConfig()
-			cfg.NestedPrimaryFilter = nested
+			if nested {
+				cfg.SweepThreshold = math.MaxInt
+			}
 			for i := 0; i < b.N; i++ {
 				fn, err := sjoin.NewJoinFunction(fixStars, fixStars, cfg)
 				if err != nil {
@@ -494,13 +508,13 @@ func BenchmarkAblationGridTiles(b *testing.B) {
 			cfg := sjoin.DefaultConfig()
 			cfg.GridTiles = tiles
 			for i := 0; i < b.N; i++ {
-				res, err := sjoin.SimulateGridJoin(fixStars, fixStars, cfg, 4)
+				res, err := sjoin.Simulate(fixStars, fixStars, cfg, sjoin.AlgoGrid, 4)
 				if err != nil {
 					b.Fatal(err)
 				}
-				max, mean := res.TileSkew()
+				max, mean := res.Skew()
 				b.ReportMetric(res.Elapsed.Seconds(), "sim-makespan-s")
-				b.ReportMetric(float64(len(res.TileTimes)), "tiles")
+				b.ReportMetric(float64(len(res.UnitTimes)), "tiles")
 				b.ReportMetric(float64(res.Stats.Candidates), "candidates")
 				if mean > 0 {
 					b.ReportMetric(float64(max)/float64(mean), "skew-ratio")
@@ -525,29 +539,15 @@ func BenchmarkAblationGridVsSubtree(b *testing.B) {
 		{"skewed", fixBlocks},
 	}
 	for _, fam := range families {
-		for _, grid := range []bool{true, false} {
-			algo := "subtree"
-			if grid {
-				algo = "grid"
-			}
-			b.Run(fam.name+"/algo="+algo, func(b *testing.B) {
+		for _, algo := range []sjoin.Algo{sjoin.AlgoGrid, sjoin.AlgoSubtree} {
+			b.Run(fmt.Sprintf("%s/algo=%v", fam.name, algo), func(b *testing.B) {
 				cfg := sjoin.DefaultConfig()
 				for i := 0; i < b.N; i++ {
-					var elapsed float64
-					if grid {
-						res, err := sjoin.SimulateGridJoin(fam.src, fam.src, cfg, 4)
-						if err != nil {
-							b.Fatal(err)
-						}
-						elapsed = res.Elapsed.Seconds()
-					} else {
-						res, err := sjoin.SimulateParallelIndexJoin(fam.src, fam.src, cfg, 4)
-						if err != nil {
-							b.Fatal(err)
-						}
-						elapsed = res.Elapsed.Seconds()
+					res, err := sjoin.Simulate(fam.src, fam.src, cfg, algo, 4)
+					if err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(elapsed, "sim-makespan-s")
+					b.ReportMetric(res.Elapsed.Seconds(), "sim-makespan-s")
 				}
 			})
 		}

@@ -43,9 +43,9 @@ var HotAlloc = &Analyzer{
 // entry exercises the seeding machinery in the golden fixture.
 var hotSeeds = map[string][]string{
 	"internal/sjoin": {
-		"JoinFunction.Fetch", "JoinFunction.fillCandidates", "JoinFunction.sweepPair",
-		"JoinFunction.emitLeafPair", "JoinFunction.secondaryFilter", "JoinFunction.fetchGeom",
-		"GridJoinFunction.Fetch", "gridState.sweepTile", "assignGrid",
+		"JoinFunction.Fetch", "JoinFunction.emit", "JoinFunction.secondaryFilter", "JoinFunction.fetchGeom",
+		"treeSource.refill", "treeSource.sweepPair", "treeSource.leafPair",
+		"gridSource.refill", "gridState.sweepTile", "assignGrid", "quadSource.refill",
 	},
 	"internal/tablefunc": {"pipelineCursor.NextBatch", "parallelCursor.NextBatch"},
 	// The batch render of a streamed join (pairs to rid text to rows)

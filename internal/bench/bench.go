@@ -230,7 +230,7 @@ func RunTable2(opt Table2Options) ([]Table2Row, error) {
 
 		var i2 int
 		if opt.SimulateProcessors {
-			res, err := sjoin.SimulateParallelIndexJoin(src, src, cfg, opt.Workers2)
+			res, err := sjoin.Simulate(src, src, cfg, sjoin.AlgoSubtree, opt.Workers2)
 			if err != nil {
 				return nil, err
 			}

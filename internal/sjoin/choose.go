@@ -53,7 +53,7 @@ func ParseAlgo(s string) (Algo, error) {
 		return AlgoAuto, nil
 	case "nested":
 		return AlgoNested, nil
-	case "subtree", "rtree":
+	case "subtree":
 		return AlgoSubtree, nil
 	case "grid":
 		return AlgoGrid, nil

@@ -12,7 +12,6 @@ func TestParseAlgo(t *testing.T) {
 		"auto":    AlgoAuto,
 		"nested":  AlgoNested,
 		"subtree": AlgoSubtree,
-		"rtree":   AlgoSubtree,
 		"grid":    AlgoGrid,
 	}
 	for s, want := range cases {
@@ -21,8 +20,11 @@ func TestParseAlgo(t *testing.T) {
 			t.Errorf("ParseAlgo(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseAlgo("bogus"); err == nil {
-		t.Errorf("ParseAlgo(bogus): want error")
+	// "rtree" was once an undocumented alias the SQL hint never accepted.
+	for _, s := range []string{"bogus", "rtree", "GRID"} {
+		if _, err := ParseAlgo(s); err == nil {
+			t.Errorf("ParseAlgo(%q): want error", s)
+		}
 	}
 	for _, a := range []Algo{AlgoAuto, AlgoNested, AlgoSubtree, AlgoGrid} {
 		back, err := ParseAlgo(a.String())
@@ -144,15 +146,12 @@ func TestDealPairsLongestFirst(t *testing.T) {
 	if total != len(pairs) {
 		t.Fatalf("dealt %d of %d tasks", total, len(pairs))
 	}
-	cost := func(p nodePair) float64 {
-		return float64(p.a.NumEntries()) * float64(p.b.NumEntries())
-	}
-	load := func(parts [][]nodePair) float64 {
+	load := func(parts [][]PairOfRoots) float64 {
 		var max float64
 		for _, part := range parts {
 			var sum float64
 			for _, p := range part {
-				sum += cost(p)
+				sum += pairCost(p)
 			}
 			if sum > max {
 				max = sum
@@ -160,9 +159,9 @@ func TestDealPairsLongestFirst(t *testing.T) {
 		}
 		return max
 	}
-	rr := make([][]nodePair, 4)
+	rr := make([][]PairOfRoots, 4)
 	for i, p := range pairs {
-		rr[i%4] = append(rr[i%4], nodePair{p.A, p.B})
+		rr[i%4] = append(rr[i%4], p)
 	}
 	if lpt, rrMax := load(parts), load(rr); lpt > rrMax {
 		t.Errorf("LPT max load %.0f worse than round-robin %.0f", lpt, rrMax)

@@ -126,40 +126,3 @@ func TestJoinFunctionLifecycleReuse(t *testing.T) {
 		t.Fatalf("re-run mismatch: %d vs %d", n1, n2)
 	}
 }
-
-func TestSimulateParallelJoinMatchesSerial(t *testing.T) {
-	src := buildSource(t, "simjoin", datagen.Stars(1200, 331))
-	cfg := DefaultConfig()
-	cur, err := IndexJoin(src, src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := CollectPairs(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SortPairs(want)
-	for _, w := range []int{1, 2, 4} {
-		res, err := SimulateParallelIndexJoin(src, src, cfg, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		got := append([]Pair(nil), res.Pairs...)
-		SortPairs(got)
-		if !pairsEqual(got, want) {
-			t.Fatalf("workers=%d: simulated join differs (%d vs %d pairs)", w, len(got), len(want))
-		}
-		if len(res.InstanceTimes) != w {
-			t.Fatalf("workers=%d: %d instance times", w, len(res.InstanceTimes))
-		}
-		var max int64
-		for _, d := range res.InstanceTimes {
-			if int64(d) > max {
-				max = int64(d)
-			}
-		}
-		if int64(res.Elapsed) != max {
-			t.Errorf("workers=%d: Elapsed %v != max instance %v", w, res.Elapsed, max)
-		}
-	}
-}

@@ -1,7 +1,7 @@
 package sjoin
 
 import (
-	"fmt"
+	"cmp"
 	"slices"
 
 	"spatialtf/internal/rtree"
@@ -28,7 +28,7 @@ import (
 // by 1 on Figure 1's trees yields (R11,S11), (R11,S12), (R12,S11),
 // (R12,S12).
 func SubtreePairs(a, b *rtree.Tree, descend int, cfg Config) []PairOfRoots {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return crossRootPairs(a.SubtreeRoots(descend), b.SubtreeRoots(descend), cfg)
 }
 
@@ -46,7 +46,7 @@ type PairOfRoots struct {
 // instead of re-descending from the root per candidate level.
 func SubtreePairsForWorkers(a, b *rtree.Tree, workers int, cfg Config) []PairOfRoots {
 	workers = normWorkers(workers)
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	want := workers * 4 // a few tasks per instance smooths skew
 	maxDescend := a.Height() - 1
 	if h := b.Height() - 1; h < maxDescend {
@@ -97,49 +97,95 @@ func childRoots(roots []rtree.NodeRef) []rtree.NodeRef {
 	return out
 }
 
-// dealPairs deals subtree-pair tasks into `workers` static partitions,
-// longest first: tasks are ordered by estimated cost (the entry-count
-// product of the two roots) descending and each goes to the least
-// loaded partition — the classic LPT schedule, which keeps a skewed
-// task from landing on an already-full partition the way round-robin
-// dealing can. Deterministic: the sort is stable over the enumeration
-// order and ties pick the lowest partition index.
-func dealPairs(pairs []PairOfRoots, workers int) [][]nodePair {
-	parts := make([][]nodePair, workers)
-	if len(pairs) == 0 {
-		return parts
-	}
-	costs := make([]float64, len(pairs))
-	order := make([]int, len(pairs))
-	for i, p := range pairs {
-		costs[i] = float64(p.A.NumEntries()) * float64(p.B.NumEntries())
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(x, y int) int {
-		switch {
-		case costs[x] > costs[y]:
-			return -1
-		case costs[x] < costs[y]:
-			return 1
-		default:
-			return 0
-		}
-	})
-	loads := make([]float64, workers)
-	for _, idx := range order {
+// leastLoaded is the one greedy list scheduler: it places units, in the
+// order given, each on the processor with the least load so far (ties
+// to the lowest index), and returns every unit's processor and the
+// final loads. dealPairs runs it over estimated subtree-pair costs,
+// Simulate over measured unit times.
+func leastLoaded[C ~int64 | ~float64](costs []C, workers int) (placed []int, loads []C) {
+	placed = make([]int, len(costs))
+	loads = make([]C, workers)
+	for u, c := range costs {
 		w := 0
 		for i := 1; i < workers; i++ {
 			if loads[i] < loads[w] {
 				w = i
 			}
 		}
-		p := pairs[idx]
-		parts[w] = append(parts[w], nodePair{p.A, p.B})
+		placed[u] = w
+		loads[w] += c
+	}
+	return placed, loads
+}
+
+// dealPairs deals subtree-pair tasks into at most `workers` static
+// partitions, longest first: tasks are ordered by estimated cost (the
+// entry-count product of the two roots) descending and each goes to the
+// least loaded partition — the classic LPT schedule, which keeps a
+// skewed task from landing on an already-full partition the way
+// round-robin dealing can. Deterministic: the sort is stable over the
+// enumeration order. Partitions left empty are dropped.
+func dealPairs(pairs []PairOfRoots, workers int) [][]PairOfRoots {
+	pairs = slices.Clone(pairs)
+	slices.SortStableFunc(pairs, func(p, q PairOfRoots) int {
+		return cmp.Compare(pairCost(q), pairCost(p))
+	})
+	costs := make([]float64, len(pairs))
+	for i, p := range pairs {
 		// The +1 spreads zero-cost tasks (empty roots) instead of piling
 		// them all on one partition.
-		loads[w] += costs[idx] + 1
+		costs[i] = pairCost(p) + 1
 	}
-	return parts
+	placed, _ := leastLoaded(costs, workers)
+	parts := make([][]PairOfRoots, workers)
+	for i, w := range placed {
+		parts[w] = append(parts[w], pairs[i])
+	}
+	return slices.DeleteFunc(parts, func(part []PairOfRoots) bool { return len(part) == 0 })
+}
+
+// pairCost estimates the join work under a subtree pair.
+func pairCost(p PairOfRoots) float64 {
+	return float64(p.A.NumEntries()) * float64(p.B.NumEntries())
+}
+
+// prepareInstances normalises what every multi-instance execution of
+// the join shares: the defaults, one decoded-geometry cache across the
+// instances (the sharded LRU is safe for concurrent use; otherwise each
+// instance would warm a private cache), the resolved degree of
+// parallelism, and operands checked once up front.
+func prepareInstances(a, b Source, cfg Config, workers int) (Config, int, error) {
+	cfg = cfg.WithDefaults()
+	cfg.GeomCache = cfg.resolveCache()
+	if _, err := a.geomColumn(); err != nil {
+		return cfg, 0, err
+	}
+	if _, err := b.geomColumn(); err != nil {
+		return cfg, 0, err
+	}
+	return cfg, normWorkers(workers), nil
+}
+
+// runInstances runs n parallel instances of the spatial_join table
+// function, instance i over the candidate source sourceOf(i), and
+// merges their pipelined outputs (order unspecified). All instances
+// share cfg.Trace (stage aggregates are atomic), so one per-query trace
+// sums the parallel instances' work.
+func runInstances(a, b Source, cfg Config, n int, sourceOf func(i int) candSource) storage.Cursor {
+	// The instances take their work from their sources; the input
+	// partitions the framework wants are positional placeholders.
+	inputs := make([]storage.Cursor, n)
+	for i := range inputs {
+		inputs[i] = storage.NewSliceCursor(nil, nil)
+	}
+	factory := func(instance int, _ storage.Cursor) (tablefunc.TableFunction, error) {
+		fn, err := newJoinFn(a, b, cfg, sourceOf(instance))
+		if err != nil {
+			return nil, err
+		}
+		return tablefunc.Traced(fn, cfg.Trace), nil
+	}
+	return tablefunc.Parallel(inputs, factory, cfg.FetchBatch)
 }
 
 // ParallelIndexJoin evaluates the spatial join with `workers` parallel
@@ -147,45 +193,12 @@ func dealPairs(pairs []PairOfRoots, workers int) [][]nodePair {
 // partition of the subtree-pair stream. The returned cursor merges the
 // instances' pipelined outputs (order unspecified).
 func ParallelIndexJoin(a, b Source, cfg Config, workers int) (storage.Cursor, error) {
-	cfg = cfg.withDefaults()
-	// Resolve the decoded-geometry cache once so all instances share it
-	// (the sharded LRU is safe for concurrent instances); otherwise each
-	// instance would warm a private cache.
-	cfg.GeomCache = cfg.resolveCache()
-	workers = normWorkers(workers)
-	if _, err := a.geomColumn(); err != nil {
+	cfg, workers, err := prepareInstances(a, b, cfg, workers)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := b.geomColumn(); err != nil {
-		return nil, err
-	}
-	pairs := SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg)
-	parts := dealPairs(pairs, workers)
-	var cursors []storage.Cursor
-	var tasks [][]nodePair
-	for _, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		tasks = append(tasks, part)
-		// The instance's input cursor is its task list; content is
-		// delivered via the factory closure, the cursor is positional.
-		cursors = append(cursors, storage.NewSliceCursor(nil, make([]storage.Row, len(part))))
-	}
-	if len(cursors) == 0 {
-		return storage.NewSliceCursor(nil, nil), nil
-	}
-	factory := func(instance int, input storage.Cursor) (tablefunc.TableFunction, error) {
-		if instance < 0 || instance >= len(tasks) {
-			return nil, fmt.Errorf("sjoin: no tasks for instance %d", instance)
-		}
-		jf, err := newJoinFn(a, b, cfg, tasks[instance])
-		if err != nil {
-			return nil, err
-		}
-		// All instances share cfg.Trace (stage aggregates are atomic),
-		// so one per-query trace sums the parallel instances' work.
-		return tablefunc.Traced(jf, cfg.Trace), nil
-	}
-	return tablefunc.Parallel(cursors, factory, cfg.FetchBatch), nil
+	parts := dealPairs(SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg), workers)
+	return runInstances(a, b, cfg, len(parts), func(i int) candSource {
+		return newTreeSource(parts[i], cfg)
+	}), nil
 }

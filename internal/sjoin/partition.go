@@ -4,12 +4,10 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"spatialtf/internal/geom"
 	"spatialtf/internal/rtree"
 	"spatialtf/internal/storage"
-	"spatialtf/internal/tablefunc"
 	"spatialtf/internal/telemetry"
 )
 
@@ -17,7 +15,9 @@ import (
 // W×H grid over the joint extent of both inputs, a per-tile plane sweep
 // as the primary filter, and dynamic dealing of tiles to the parallel
 // table-function instances (work stealing over a shared tile cursor
-// instead of the static subtree-pair partitioning of §4.1).
+// instead of the static subtree-pair partitioning of §4.1). To the
+// evaluator it is one more candidate source: gridSource refills the
+// candidate array of a JoinFunction from the tiles it claims.
 //
 // Replicated rectangles would produce duplicate result pairs, so each
 // copy of an entry is tagged with its two-layer class for that tile
@@ -48,9 +48,9 @@ const (
 // expands the first side inline during the sweep, exactly as sweepPair
 // does, so assignment and sweep agree bit-for-bit.
 type tileEntry struct {
-	xlo, ylo, xhi, yhi float64
-	id                 storage.RowID
-	class              uint8
+	geom.MBR
+	id    storage.RowID
+	class uint8
 }
 
 // Grid is the uniform partitioning of the joint extent.
@@ -165,15 +165,12 @@ func (t *gridTile) cost() float64 {
 
 // gridState is the shared state of one grid join: the tile queue in
 // longest-first order and the atomic claim cursor the parallel
-// instances steal tiles from. Per-tile sweep times land in tileNanos —
-// each tile is claimed by exactly one instance, so the writes are to
-// distinct indexes and race-free.
+// instances steal tiles from.
 type gridState struct {
-	grid      Grid
-	d         float64 // join distance (first side expanded by it)
-	tiles     []gridTile
-	next      atomic.Int64
-	tileNanos []int64
+	grid  Grid
+	d     float64 // join distance (first side expanded by it)
+	tiles []gridTile
+	next  atomic.Int64
 }
 
 // claim steals the next unclaimed tile index, or -1 when the queue is
@@ -197,11 +194,7 @@ func assignGrid(dense []gridTile, g Grid, items []rtree.Item, expand float64, si
 		c1 := g.ColOf(it.MBR.MaxX + expand)
 		r0 := g.RowOf(it.MBR.MinY - expand)
 		r1 := g.RowOf(it.MBR.MaxY + expand)
-		e := tileEntry{
-			xlo: it.MBR.MinX, ylo: it.MBR.MinY,
-			xhi: it.MBR.MaxX, yhi: it.MBR.MaxY,
-			id: it.ID,
-		}
+		e := tileEntry{MBR: it.MBR, id: it.ID}
 		for r := r0; r <= r1; r++ {
 			base := r * g.Cols
 			for c := c0; c <= c1; c++ {
@@ -238,7 +231,7 @@ func byMinX(p, q rtree.Item) int {
 
 // buildGridState materialises both inputs, sizes the grid, assigns and
 // classifies every rectangle, and queues the non-empty tiles longest
-// first. Returns nil when either side is empty (the join is empty).
+// first. With either side empty the queue is empty (so is the join).
 func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 	itemsA := a.Tree.Items()
 	itemsB := itemsA
@@ -246,7 +239,7 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 		itemsB = b.Tree.Items()
 	}
 	if len(itemsA) == 0 || len(itemsB) == 0 {
-		return nil
+		return &gridState{}
 	}
 	d := cfg.Distance
 	bounds := a.Tree.Bounds().Expand(d).Union(b.Tree.Bounds())
@@ -288,7 +281,6 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 			return 0
 		}
 	})
-	gs.tileNanos = make([]int64, len(gs.tiles))
 	return gs
 }
 
@@ -303,19 +295,19 @@ func (gs *gridState) sweepTile(t *gridTile, emit func(a, b *tileEntry)) {
 	ea, eb := t.ra, t.rb
 	i, k := 0, 0
 	for i < len(ea) && k < len(eb) {
-		if ea[i].xlo-d <= eb[k].xlo {
+		if ea[i].MinX-d <= eb[k].MinX {
 			e := &ea[i]
-			xmax := e.xhi + d
-			ylo, yhi := e.ylo-d, e.yhi+d
-			for kk := k; kk < len(eb) && eb[kk].xlo <= xmax; kk++ {
+			xmax := e.MaxX + d
+			ylo, yhi := e.MinY-d, e.MaxY+d
+			for kk := k; kk < len(eb) && eb[kk].MinX <= xmax; kk++ {
 				o := &eb[kk]
-				if o.ylo > yhi || o.yhi < ylo {
+				if o.MinY > yhi || o.MaxY < ylo {
 					continue
 				}
 				if e.class|o.class != classBoth {
 					continue
 				}
-				if d > 0 && !tileDistOK(e, o, d) {
+				if d > 0 && !mbrsWithin(&e.MBR, &o.MBR, d) {
 					continue
 				}
 				emit(e, o)
@@ -323,15 +315,15 @@ func (gs *gridState) sweepTile(t *gridTile, emit func(a, b *tileEntry)) {
 			i++
 		} else {
 			e := &eb[k]
-			for ii := i; ii < len(ea) && ea[ii].xlo-d <= e.xhi; ii++ {
+			for ii := i; ii < len(ea) && ea[ii].MinX-d <= e.MaxX; ii++ {
 				o := &ea[ii]
-				if o.ylo-d > e.yhi || o.yhi+d < e.ylo {
+				if o.MinY-d > e.MaxY || o.MaxY+d < e.MinY {
 					continue
 				}
 				if e.class|o.class != classBoth {
 					continue
 				}
-				if d > 0 && !tileDistOK(o, e, d) {
+				if d > 0 && !mbrsWithin(&o.MBR, &e.MBR, d) {
 					continue
 				}
 				emit(o, e)
@@ -341,87 +333,35 @@ func (gs *gridState) sweepTile(t *gridTile, emit func(a, b *tileEntry)) {
 	}
 }
 
-// tileDistOK is sweepDistOK on tile entries: exact rectangle distance
-// between the unexpanded MBRs (a is the first side) within d.
-func tileDistOK(a, b *tileEntry, d float64) bool {
-	dx := math.Max(0, math.Max(b.xlo-a.xhi, a.xlo-b.xhi))
-	dy := math.Max(0, math.Max(b.ylo-a.yhi, a.ylo-b.yhi))
-	if dx == 0 {
-		return dy <= d
-	}
-	if dy == 0 {
-		return dx <= d
-	}
-	return math.Hypot(dx, dy) <= d
-}
-
-// GridJoinFunction is one parallel instance of the grid join: it steals
-// tiles from the shared state, sweeps each into the candidate array,
-// and reuses the JoinFunction secondary filter (sorted fetch, geometry
-// cache, exact predicate) unchanged.
-type GridJoinFunction struct {
-	j  *JoinFunction
+// gridSource is the candidate source of one grid-join instance: it
+// steals tiles from the shared state and sweeps each into the
+// evaluator's candidate array.
+type gridSource struct {
 	gs *gridState
 }
 
-// newGridJoinFn builds one instance over the shared grid state.
-func newGridJoinFn(a, b Source, cfg Config, gs *gridState) (*GridJoinFunction, error) {
-	j, err := newJoinFn(a, b, cfg, nil)
-	if err != nil {
-		return nil, err
+// start is a no-op: the grid state is prebuilt and its claim cursor is
+// shared, so instances start empty-handed.
+func (s gridSource) start() {}
+
+// refill claims and sweeps tiles until the candidate array has a
+// batch worth of work or the queue is exhausted. A tile is swept whole,
+// so the array can overshoot CandidateCap by one tile's candidates.
+func (s gridSource) refill(j *JoinFunction) {
+	for len(j.cands) < j.cfg.CandidateCap {
+		ti := s.gs.claim()
+		if ti < 0 {
+			return
+		}
+		//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per tile sweep not per row
+		end := j.span(telemetry.StageTileSweep)
+		s.gs.sweepTile(&s.gs.tiles[ti], func(a, b *tileEntry) {
+			j.emit(Pair{A: a.id, B: b.id}, a.MBR, b.MBR, false)
+		})
+		end()
+		j.stats.TilesSwept++
 	}
-	return &GridJoinFunction{j: j, gs: gs}, nil
 }
-
-// Start implements TableFunction (the grid state is prebuilt and
-// shared, so instances start empty-handed).
-func (g *GridJoinFunction) Start() error { return nil }
-
-// Fetch implements TableFunction: drain verified results, then claim
-// and sweep tiles until the candidate array has a batch worth of work,
-// then drain it through the secondary filter.
-func (g *GridJoinFunction) Fetch(b *storage.Batch, max int) error {
-	j := g.j
-	for n := 0; n < max; {
-		if k := min(len(j.ready), max-n); k > 0 {
-			//spatiallint:ignore hotalloc grows a fresh batch to the fetch size; a reused one has the room
-			appendPairRows(b, j.ready[:k])
-			j.ready = j.ready[k:]
-			n += k
-			continue
-		}
-		for len(j.cands) < j.cfg.CandidateCap {
-			ti := g.gs.claim()
-			if ti < 0 {
-				break
-			}
-			//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per tile sweep not per row
-			end := j.span(telemetry.StageTileSweep)
-			t0 := time.Now()
-			g.gs.sweepTile(&g.gs.tiles[ti], func(a, b *tileEntry) {
-				j.cands = append(j.cands, Pair{A: a.id, B: b.id})
-				j.stats.Candidates++
-			})
-			g.gs.tileNanos[ti] = int64(time.Since(t0))
-			end()
-			j.stats.TilesSwept++
-		}
-		if len(j.cands) == 0 {
-			break // queue exhausted and nothing pending: done
-		}
-		if err := j.secondaryFilter(); err != nil {
-			return err
-		}
-	}
-	j.flushStats()
-	return nil
-}
-
-// Close implements TableFunction.
-func (g *GridJoinFunction) Close() error { return g.j.Close() }
-
-// Stats returns the instance's accumulated work counters.
-func (g *GridJoinFunction) Stats() JoinStats { return g.j.Stats() }
 
 // GridParallelJoin evaluates the spatial join on the grid-partitioned
 // parallel path: build and classify the grid once, then run `workers`
@@ -429,144 +369,14 @@ func (g *GridJoinFunction) Stats() JoinStats { return g.j.Stats() }
 // cursor merges the instances' pipelined outputs (order unspecified);
 // the result-pair set is identical to the other join paths.
 func GridParallelJoin(a, b Source, cfg Config, workers int) (storage.Cursor, error) {
-	cfg = cfg.withDefaults()
-	// One shared decoded-geometry cache across instances, as in
-	// ParallelIndexJoin.
-	cfg.GeomCache = cfg.resolveCache()
-	workers = normWorkers(workers)
-	if _, err := a.geomColumn(); err != nil {
-		return nil, err
-	}
-	if _, err := b.geomColumn(); err != nil {
+	cfg, workers, err := prepareInstances(a, b, cfg, workers)
+	if err != nil {
 		return nil, err
 	}
 	endPart := stageSpan(cfg.Instr, cfg.Trace, telemetry.StageGridPartition)
 	gs := buildGridState(a, b, cfg, workers)
 	endPart()
-	if gs == nil || len(gs.tiles) == 0 {
-		return storage.NewSliceCursor(nil, nil), nil
-	}
-	if workers > len(gs.tiles) {
-		workers = len(gs.tiles)
-	}
-	cursors := make([]storage.Cursor, workers)
-	for i := range cursors {
-		// The instances' input "partition" is the shared tile queue;
-		// the per-instance cursors are positional placeholders.
-		cursors[i] = storage.NewSliceCursor(nil, nil)
-	}
-	factory := func(instance int, input storage.Cursor) (tablefunc.TableFunction, error) {
-		fn, err := newGridJoinFn(a, b, cfg, gs)
-		if err != nil {
-			return nil, err
-		}
-		return tablefunc.Traced(fn, cfg.Trace), nil
-	}
-	return tablefunc.Parallel(cursors, factory, cfg.FetchBatch), nil
-}
-
-// GridSimResult reports a simulated grid-parallel run (see simulate.go
-// for why simulation: hosts with fewer cores than the requested degree
-// cannot show the speedup in wall clock).
-type GridSimResult struct {
-	// Pairs is the join result (identical to the goroutine execution up
-	// to order).
-	Pairs []Pair
-	// Elapsed is the simulated makespan: tiles are timed serially and
-	// list-scheduled greedily onto `workers` virtual processors in
-	// queue (longest-first) order — the schedule dynamic dealing
-	// produces when every claim goes to the first free instance.
-	Elapsed time.Duration
-	// InstanceTimes are the virtual processors' busy times; their max
-	// is Elapsed, their sum approximates the 1-processor time.
-	InstanceTimes []time.Duration
-	// TileTimes are the per-tile costs (sweep plus that tile's share of
-	// the secondary filter), in queue order. Max/mean is the skew the
-	// benchmarks report.
-	TileTimes []time.Duration
-	// Grid is the partitioning used.
-	Grid Grid
-	// Stats aggregates the work counters.
-	Stats JoinStats
-}
-
-// TileSkew returns the max and mean per-tile time; their ratio is the
-// skew factor the benchmarks report (1.0 = perfectly even tiles).
-func (r GridSimResult) TileSkew() (max, mean time.Duration) {
-	if len(r.TileTimes) == 0 {
-		return 0, 0
-	}
-	var sum time.Duration
-	for _, d := range r.TileTimes {
-		sum += d
-		if d > max {
-			max = d
-		}
-	}
-	return max, sum / time.Duration(len(r.TileTimes))
-}
-
-// SimulateGridJoin runs the grid join under the deterministic
-// multi-processor simulator: each tile's full cost (sweep + secondary
-// drain) is measured serially, then the longest-first tile queue is
-// greedily list-scheduled onto `workers` virtual processors — the
-// assignment dynamic dealing converges to. Results are identical to
-// GridParallelJoin.
-func SimulateGridJoin(a, b Source, cfg Config, workers int) (GridSimResult, error) {
-	cfg = cfg.withDefaults()
-	cfg.GeomCache = cfg.resolveCache()
-	workers = normWorkers(workers)
-	if _, err := a.geomColumn(); err != nil {
-		return GridSimResult{}, err
-	}
-	if _, err := b.geomColumn(); err != nil {
-		return GridSimResult{}, err
-	}
-	gs := buildGridState(a, b, cfg, workers)
-	if gs == nil {
-		return GridSimResult{}, nil
-	}
-	fn, err := newGridJoinFn(a, b, cfg, gs)
-	if err != nil {
-		return GridSimResult{}, err
-	}
-	j := fn.j
-	res := GridSimResult{Grid: gs.grid}
-	for ti := range gs.tiles {
-		t0 := time.Now()
-		gs.sweepTile(&gs.tiles[ti], func(a, b *tileEntry) {
-			j.cands = append(j.cands, Pair{A: a.id, B: b.id})
-			j.stats.Candidates++
-		})
-		j.stats.TilesSwept++
-		if err := j.secondaryFilter(); err != nil {
-			j.Close()
-			return GridSimResult{}, err
-		}
-		res.TileTimes = append(res.TileTimes, time.Since(t0))
-		res.Pairs = append(res.Pairs, j.ready...)
-		j.ready = j.ready[:0]
-	}
-	res.Stats = j.Stats()
-	j.Close()
-	// Greedy list schedule in queue order: each tile goes to the least
-	// loaded virtual processor, exactly what claiming off the shared
-	// cursor achieves when instances claim as they free up.
-	loads := make([]time.Duration, workers)
-	for _, d := range res.TileTimes {
-		w := 0
-		for i := 1; i < workers; i++ {
-			if loads[i] < loads[w] {
-				w = i
-			}
-		}
-		loads[w] += d
-	}
-	res.InstanceTimes = loads
-	for _, l := range loads {
-		if l > res.Elapsed {
-			res.Elapsed = l
-		}
-	}
-	return res, nil
+	return runInstances(a, b, cfg, min(workers, len(gs.tiles)), func(int) candSource {
+		return gridSource{gs}
+	}), nil
 }

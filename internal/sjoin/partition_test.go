@@ -3,7 +3,6 @@ package sjoin
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/geom"
@@ -15,15 +14,7 @@ import (
 func gridPairs(t *testing.T, a, b Source, cfg Config, workers int) []Pair {
 	t.Helper()
 	cur, err := GridParallelJoin(a, b, cfg, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := CollectPairs(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SortPairs(pairs)
-	return pairs
+	return sortedPairs(t, cur, err)
 }
 
 // nestedPairs is the serial nested-loop ground truth, sorted.
@@ -134,11 +125,11 @@ func TestGridJoinRace(t *testing.T) {
 // rectangles produce duplicates (proving the filter is load-bearing).
 func TestGridClassesEmitEachPairOnce(t *testing.T) {
 	src := buildSource(t, "c", datagen.Counties(400, 31))
-	cfg := DefaultConfig().withDefaults()
+	cfg := DefaultConfig().WithDefaults()
 	// Force many small tiles so rectangles straddle tile boundaries.
 	cfg.GridTiles = 256
 	gs := buildGridState(src, src, cfg, 4)
-	if gs == nil || len(gs.tiles) < 16 {
+	if len(gs.tiles) < 16 {
 		t.Fatalf("grid state too small: %+v", gs)
 	}
 	counts := map[Pair]int{}
@@ -148,9 +139,7 @@ func TestGridClassesEmitEachPairOnce(t *testing.T) {
 		// Count raw sweep candidates, ignoring classes.
 		for _, ea := range tl.ra {
 			for _, eb := range tl.rb {
-				m := geom.MBR{MinX: ea.xlo, MinY: ea.ylo, MaxX: ea.xhi, MaxY: ea.yhi}
-				o := geom.MBR{MinX: eb.xlo, MinY: eb.ylo, MaxX: eb.xhi, MaxY: eb.yhi}
-				if m.Intersects(o) {
+				if ea.Intersects(eb.MBR) {
 					raw++
 				}
 			}
@@ -186,45 +175,6 @@ func TestGridJoinEmptyAndTiny(t *testing.T) {
 	got := gridPairs(t, tiny, tiny, cfg, 8)
 	if len(got) != len(want) {
 		t.Errorf("tiny self-join: grid %d pairs, nested %d", len(got), len(want))
-	}
-}
-
-// TestSimulateGridJoinMatchesParallel checks the simulator produces the
-// same pair set as the goroutine execution and sensible schedule data.
-func TestSimulateGridJoinMatchesParallel(t *testing.T) {
-	src := buildSource(t, "s", datagen.Stars(500, 43))
-	cfg := DefaultConfig()
-	want := gridPairs(t, src, src, cfg, 4)
-	res, err := SimulateGridJoin(src, src, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := append([]Pair(nil), res.Pairs...)
-	SortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("simulator %d pairs, parallel %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d: sim %v, parallel %v", i, got[i], want[i])
-		}
-	}
-	if len(res.InstanceTimes) != 4 {
-		t.Errorf("InstanceTimes = %d entries, want 4", len(res.InstanceTimes))
-	}
-	if res.Stats.TilesSwept != len(res.TileTimes) {
-		t.Errorf("TilesSwept = %d, TileTimes = %d", res.Stats.TilesSwept, len(res.TileTimes))
-	}
-	var sum time.Duration
-	for _, d := range res.InstanceTimes {
-		if d > res.Elapsed {
-			t.Errorf("instance time %v exceeds makespan %v", d, res.Elapsed)
-		}
-		sum += d
-	}
-	max, mean := res.TileSkew()
-	if mean > max {
-		t.Errorf("tile skew mean %v > max %v", mean, max)
 	}
 }
 

@@ -1,8 +1,8 @@
 package sjoin
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 
 	"spatialtf/internal/geom"
 	"spatialtf/internal/quadtree"
@@ -12,9 +12,9 @@ import (
 // QuadtreeJoin is the extension join over two linear quadtree indexes
 // sharing a grid: the primary filter is a merge join of the two
 // tile-code B-trees (rows sharing a tile become candidates), followed by
-// the same sorted-candidate secondary filter as the R-tree join. The
-// paper focuses on R-tree joins but notes both indextypes; this
-// completes the pairing.
+// the same two-stage evaluation as the R-tree join — the candidates
+// pass through a JoinFunction. The paper focuses on R-tree joins but
+// notes both indextypes; this completes the pairing.
 //
 // QSource names one quadtree join operand.
 type QSource struct {
@@ -23,22 +23,41 @@ type QSource struct {
 	Index  *quadtree.Index
 }
 
+// quadSource is the candidate source of the quadtree join: the
+// deduplicated pair list of the tile merge join, handed to the
+// evaluator a candidate array at a time.
+type quadSource struct {
+	pairs []Pair
+	pos   int
+}
+
+func (s *quadSource) start() { s.pos = 0 }
+
+func (s *quadSource) refill(j *JoinFunction) {
+	n := min(len(s.pairs)-s.pos, j.cfg.CandidateCap-len(j.cands))
+	for _, p := range s.pairs[s.pos : s.pos+n] {
+		// Tile codes carry no MBRs; QuadtreeJoin has refused the owner
+		// test that would need them.
+		j.emit(p, geom.MBR{}, geom.MBR{}, false)
+	}
+	s.pos += n
+}
+
 // QuadtreeJoin evaluates the join and returns the result pairs.
 // Within-distance joins are not supported: the tile merge join only
 // surfaces pairs sharing a tile, which is incomplete for a distance
-// predicate — use the R-tree join for those.
+// predicate — use the R-tree join for those. Nor is a scoped join
+// (Config.Owns): ownership is decided on index MBRs, which a tile code
+// does not carry; the error wraps errors.ErrUnsupported.
 func QuadtreeJoin(a, b QSource, cfg Config) ([]Pair, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Distance > 0 {
 		return nil, fmt.Errorf("sjoin: quadtree join does not support within-distance predicates")
 	}
-	sa := Source{Table: a.Table, Column: a.Column}
-	sb := Source{Table: b.Table, Column: b.Column}
-	colA, err := sa.geomColumn()
-	if err != nil {
-		return nil, err
+	if cfg.Owns != nil {
+		return nil, fmt.Errorf("sjoin: quadtree join cannot restrict its result to a cluster scope: %w", errors.ErrUnsupported)
 	}
-	colB, err := sb.geomColumn()
+	src := &quadSource{}
+	fn, err := newJoinFn(Source{Table: a.Table, Column: a.Column}, Source{Table: b.Table, Column: b.Column}, cfg, src)
 	if err != nil {
 		return nil, err
 	}
@@ -52,38 +71,9 @@ func QuadtreeJoin(a, b QSource, cfg Config) ([]Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	cands := make([]Pair, 0, len(seen))
+	src.pairs = make([]Pair, 0, len(seen))
 	for p := range seen {
-		cands = append(cands, p)
+		src.pairs = append(src.pairs, p)
 	}
-	if cfg.SortCandidates {
-		slices.SortFunc(cands, comparePairs)
-	}
-	// Secondary filter, fetching through the same decoded-geometry cache
-	// as the R-tree join (shared when Config.GeomCache is set, so a
-	// database serving both index kinds reuses decodes across them).
-	cache := cfg.resolveCache()
-	var (
-		out     []Pair
-		curID   storage.RowID
-		haveCur bool
-	)
-	var curGeom geom.Geometry
-	for _, p := range cands {
-		if !haveCur || curID != p.A {
-			g, _, err := cachedFetch(cache, a.Table, colA, p.A)
-			if err != nil {
-				return nil, err
-			}
-			curID, curGeom, haveCur = p.A, g, true
-		}
-		g, _, err := cachedFetch(cache, b.Table, colB, p.B)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.secondaryAccepts(curGeom, g) {
-			out = append(out, p)
-		}
-	}
-	return out, nil
+	return CollectPairs(pipeline(fn, cfg))
 }

@@ -13,19 +13,21 @@ import (
 	"spatialtf/internal/telemetry"
 )
 
-// JoinFunction is the spatial_join pipelined table function of §4.2. Its state
-// across fetch calls is:
+// JoinFunction is the spatial_join pipelined table function of §4.2 —
+// the only one: every join algorithm runs this evaluator and differs in
+// the candidate source it is built over. Its state across fetch calls
+// is:
 //
-//   - a stack of R-tree node pairs still to be traversed (seeded in the
-//     start method with the subtree-root pairs passed in), and
-//   - the bounded candidate array filled by the index (primary) filter
-//     and drained by the geometry (secondary) filter.
+//   - the candidate source: the resumable primary (index MBR) filter of
+//     one algorithm, and
+//   - the bounded candidate array the source fills and the geometry
+//     (secondary) filter drains.
 //
-// Each fetch call resumes the traversal from the stack, refilling the
-// candidate array as it empties, evaluating candidates exactly, and
-// returning up to the requested number of result rowid pairs. When the
-// stack and array are empty the fetch returns an empty collection and
-// the subsequent close releases resources.
+// Each fetch call resumes the source, refilling the candidate array as
+// it empties, evaluating candidates exactly, and returning up to the
+// requested number of result rowid pairs. When the source and array are
+// empty the fetch returns an empty collection and the subsequent close
+// releases resources.
 type JoinFunction struct {
 	cfg Config
 
@@ -37,23 +39,14 @@ type JoinFunction struct {
 	// disabled). Shared across instances when Config.GeomCache is set.
 	cache *GeomCache
 
-	// Roots to traverse: the single (rootA, rootB) pair for the serial
-	// join, or this instance's share of the subtree-pair cross product
-	// for the parallel join.
-	roots []nodePair
-
-	// Traversal stack.
-	stack []nodePair
+	// The algorithm's primary filter.
+	src candSource
 
 	// Candidate array (primary-filter output awaiting exact check).
 	cands []Pair
 
 	// Verified results not yet returned by fetch.
 	ready []Pair
-
-	// Plane-sweep scratch: the two entry lists of the current node pair,
-	// sorted by low x. Reused across node pairs to avoid allocation.
-	sweepA, sweepB []sweepEntry
 
 	// Statistics, reported through JoinStats.
 	stats JoinStats
@@ -74,17 +67,17 @@ type JoinFunction struct {
 	gfNanos   int64
 }
 
-// nodePair is one unit of synchronized traversal.
-type nodePair struct {
-	a, b rtree.NodeRef
-}
-
-// sweepEntry is one node slot in plane-sweep order: its rectangle plus
-// the slot index it came from (to recover rowids/children after the
-// sort permutes the list).
-type sweepEntry struct {
-	xlo, xhi, ylo, yhi float64
-	idx                int32
+// candSource is the primary filter of one join algorithm, resumable
+// between fetch calls. The evaluator calls it once per candidate-array
+// refill; the source's own loops hand each survivor to
+// JoinFunction.emit directly, so nothing is dispatched per candidate.
+type candSource interface {
+	// start arms the source for a run from its beginning.
+	start()
+	// refill resumes the primary filter, emitting survivors until the
+	// candidate array holds CandidateCap pairs or the source is
+	// exhausted. An exhausted source emits nothing.
+	refill(j *JoinFunction)
 }
 
 // JoinStats counts the work a join did; benches report them.
@@ -115,22 +108,8 @@ type JoinStats struct {
 	TilesSwept int
 }
 
-// add accumulates another instance's counters (simulators and parallel
-// aggregation).
-func (s *JoinStats) add(o JoinStats) {
-	s.NodePairsVisited += o.NodePairsVisited
-	s.NodeAccesses += o.NodeAccesses
-	s.Candidates += o.Candidates
-	s.Results += o.Results
-	s.GeomFetches += o.GeomFetches
-	s.FastAccepts += o.FastAccepts
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.TilesSwept += o.TilesSwept
-}
-
-// newJoinFn builds the function for the given root pairs.
-func newJoinFn(a, b Source, cfg Config, roots []nodePair) (*JoinFunction, error) {
+// newJoinFn builds the evaluator over one candidate source.
+func newJoinFn(a, b Source, cfg Config, src candSource) (*JoinFunction, error) {
 	colA, err := a.geomColumn()
 	if err != nil {
 		return nil, err
@@ -139,7 +118,7 @@ func newJoinFn(a, b Source, cfg Config, roots []nodePair) (*JoinFunction, error)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return &JoinFunction{
 		cfg:   cfg,
 		tabA:  a.Table,
@@ -147,7 +126,7 @@ func newJoinFn(a, b Source, cfg Config, roots []nodePair) (*JoinFunction, error)
 		colA:  colA,
 		colB:  colB,
 		cache: cfg.resolveCache(),
-		roots: roots,
+		src:   src,
 		instr: cfg.Instr,
 		trace: cfg.Trace,
 	}, nil
@@ -155,13 +134,14 @@ func newJoinFn(a, b Source, cfg Config, roots []nodePair) (*JoinFunction, error)
 
 // Start implements TableFunction: "the metadata of the two R-tree
 // indexes ... is loaded and the subtree roots ... are pushed onto a
-// stack".
+// stack". A started function can be started again to re-run the join.
 func (j *JoinFunction) Start() error {
-	j.stack = append(j.stack[:0], j.roots...)
+	j.src.start()
+	j.cands, j.ready = j.cands[:0], nil
 	return nil
 }
 
-// Fetch implements TableFunction: resume the join from the stack and
+// Fetch implements TableFunction: resume the join from its source and
 // append up to max result pairs to b.
 func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 	for n := 0; n < max; {
@@ -173,22 +153,41 @@ func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 			n += k
 			continue
 		}
-		// Refill the candidate array by resuming the index traversal.
-		if len(j.stack) > 0 {
-			//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per refill not per row
-			end := j.span(telemetry.StagePrimary)
-			j.fillCandidates()
-			end()
-		}
-		if len(j.cands) == 0 {
-			break // stack empty and no candidates: join complete
-		}
-		if err := j.secondaryFilter(); err != nil {
-			return err
+		// Refill the candidate array by resuming the primary filter.
+		j.src.refill(j)
+		if len(j.cands) > 0 {
+			if err := j.secondaryFilter(); err != nil {
+				return err
+			}
+		} else if len(j.ready) == 0 {
+			break // source exhausted and nothing pending: join complete
 		}
 	}
 	j.flushStats()
 	return nil
+}
+
+// emit is the one exit of every primary filter: p survived the index
+// MBR test of its source, a and b are the two leaf-entry MBRs it
+// survived on. The owner test of a scoped join (Config.Owns) is applied
+// here, to the pair's reference point, ahead of both routes out — the
+// ready queue for a pair its source has already proven from index data
+// alone (the interior-approximation fast accept), the candidate array
+// for the rest — so an unowned pair costs neither a geometry fetch nor
+// an exact predicate, and a fast-accepted pair is owner-filtered like
+// any other.
+func (j *JoinFunction) emit(p Pair, a, b geom.MBR, proven bool) {
+	if own := j.cfg.Owns; own != nil && !own(PairRefPoint(a, b, j.cfg.Distance)) {
+		return
+	}
+	if proven {
+		j.ready = append(j.ready, p)
+		j.stats.Results++
+		j.stats.FastAccepts++
+		return
+	}
+	j.cands = append(j.cands, p)
+	j.stats.Candidates++
 }
 
 // flushGeomSpans moves the pending sampled geometry-fetch spans to the
@@ -205,57 +204,95 @@ func (j *JoinFunction) flushGeomSpans() {
 func (j *JoinFunction) Close() error {
 	j.flushGeomSpans()
 	j.flushStats()
-	j.stack = nil
 	j.cands = nil
 	j.ready = nil
-	j.sweepA = nil
-	j.sweepB = nil
 	return nil
 }
 
 // Stats returns the accumulated work counters.
 func (j *JoinFunction) Stats() JoinStats { return j.stats }
 
-// fillCandidates runs the synchronized R-tree traversal until the
-// candidate array reaches capacity or the stack empties — the primary
-// (index MBR) filter. Equal-height node pairs are intersected either by
-// a forward plane sweep over xlo-sorted entry lists (default, O(n log n
-// + output) instead of the O(n·m) nested scan) or by the nested scan
-// when the pair is small or Config.NestedPrimaryFilter is set.
-func (j *JoinFunction) fillCandidates() {
-	for len(j.stack) > 0 && len(j.cands) < j.cfg.CandidateCap {
-		top := j.stack[len(j.stack)-1]
-		j.stack = j.stack[:len(j.stack)-1]
+// treeSource is the synchronized R-tree traversal: the candidate source
+// of the serial join (one root pair) and of each subtree-parallel
+// instance (its share of the subtree-pair cross product).
+type treeSource struct {
+	roots []PairOfRoots
+	// Traversal stack of node pairs still to be visited.
+	stack []PairOfRoots
+	// Plane-sweep scratch: the two entry lists of the current node pair,
+	// sorted by low x. Reused across node pairs to avoid allocation.
+	sweepA, sweepB []sweepEntry
+	// fastAccept: the interior-approximation fast accept applies (an
+	// ANYINTERACT join with Config.UseInteriorApprox set).
+	fastAccept bool
+}
+
+func newTreeSource(roots []PairOfRoots, cfg Config) *treeSource {
+	return &treeSource{
+		roots:      roots,
+		fastAccept: cfg.UseInteriorApprox && cfg.Distance == 0 && cfg.Mask == geom.MaskAnyInteract,
+	}
+}
+
+// sweepEntry is one node slot in plane-sweep order: its rectangle plus
+// the slot index it came from (to recover rowids/children after the
+// sort permutes the list).
+type sweepEntry struct {
+	geom.MBR
+	idx int32
+}
+
+func (s *treeSource) start() {
+	s.stack = append(s.stack[:0], s.roots...)
+}
+
+// refill runs the synchronized R-tree traversal until the candidate
+// array reaches capacity or the stack empties — the primary (index MBR)
+// filter. Equal-height node pairs are intersected either by a forward
+// plane sweep over xlo-sorted entry lists (O(n log n + output) instead
+// of the O(n·m) nested scan) or, below Config.SweepThreshold, by the
+// nested scan.
+func (s *treeSource) refill(j *JoinFunction) {
+	if len(s.stack) == 0 {
+		return
+	}
+	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per refill not per row
+	end := j.span(telemetry.StagePrimary)
+	for len(s.stack) > 0 && len(j.cands) < j.cfg.CandidateCap {
+		top := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
 		j.stats.NodePairsVisited++
 		j.stats.NodeAccesses += 2
-		a, b := top.a, top.b
-		fastAccept := j.cfg.UseInteriorApprox && j.cfg.Distance == 0 && j.cfg.Mask == geom.MaskAnyInteract
+		a, b := top.A, top.B
+		sweep := a.NumEntries()+b.NumEntries() >= j.cfg.SweepThreshold
 		switch {
 		case a.IsLeaf() && b.IsLeaf():
-			if j.useSweep(a, b) {
-				j.sweepPair(a, b, func(ai, bi int) { j.emitLeafPair(a, b, ai, bi, fastAccept) })
+			if sweep {
+				s.sweepPair(j.cfg.Distance, a, b, func(e, o *sweepEntry) {
+					s.leafPair(j, a, b, int(e.idx), int(o.idx), e.MBR, o.MBR)
+				})
 			} else {
 				for i := 0; i < a.NumEntries(); i++ {
 					ma := a.EntryMBR(i)
 					for k := 0; k < b.NumEntries(); k++ {
-						if j.cfg.primaryAccepts(ma, b.EntryMBR(k)) {
-							j.emitLeafPair(a, b, i, k, fastAccept)
+						if mb := b.EntryMBR(k); j.cfg.primaryAccepts(ma, mb) {
+							s.leafPair(j, a, b, i, k, ma, mb)
 						}
 					}
 				}
 			}
 		case !a.IsLeaf() && !b.IsLeaf():
 			// Descend both sides, pairing children whose MBRs interact.
-			if j.useSweep(a, b) {
-				j.sweepPair(a, b, func(ai, bi int) {
-					j.stack = append(j.stack, nodePair{a.Child(ai), b.Child(bi)})
+			if sweep {
+				s.sweepPair(j.cfg.Distance, a, b, func(e, o *sweepEntry) {
+					s.stack = append(s.stack, PairOfRoots{a.Child(int(e.idx)), b.Child(int(o.idx))})
 				})
 			} else {
 				for i := 0; i < a.NumEntries(); i++ {
 					ma := a.EntryMBR(i)
 					for k := 0; k < b.NumEntries(); k++ {
 						if j.cfg.primaryAccepts(ma, b.EntryMBR(k)) {
-							j.stack = append(j.stack, nodePair{a.Child(i), b.Child(k)})
+							s.stack = append(s.stack, PairOfRoots{a.Child(i), b.Child(k)})
 						}
 					}
 				}
@@ -264,99 +301,83 @@ func (j *JoinFunction) fillCandidates() {
 			// Unequal heights: descend only the taller (b) side.
 			for k := 0; k < b.NumEntries(); k++ {
 				if j.cfg.primaryAccepts(a.MBR(), b.EntryMBR(k)) {
-					j.stack = append(j.stack, nodePair{a, b.Child(k)})
+					s.stack = append(s.stack, PairOfRoots{a, b.Child(k)})
 				}
 			}
 		default:
 			for i := 0; i < a.NumEntries(); i++ {
 				if j.cfg.primaryAccepts(a.EntryMBR(i), b.MBR()) {
-					j.stack = append(j.stack, nodePair{a.Child(i), b})
+					s.stack = append(s.stack, PairOfRoots{a.Child(i), b})
 				}
 			}
 		}
 	}
+	end()
 }
 
-// emitLeafPair routes one primary-filter survivor from a leaf×leaf node
-// pair: fast-accepted into the ready queue when the interior
-// approximations prove intersection, otherwise into the candidate array
-// for the secondary filter.
-func (j *JoinFunction) emitLeafPair(a, b rtree.NodeRef, ai, bi int, fastAccept bool) {
-	if fastAccept {
+// leafPair emits one primary-filter survivor of a leaf×leaf node pair,
+// marking it proven when the interior approximations of the two entries
+// show the geometries intersect.
+func (s *treeSource) leafPair(j *JoinFunction, a, b rtree.NodeRef, ai, bi int, ma, mb geom.MBR) {
+	proven := false
+	if s.fastAccept {
 		ia := a.EntryInterior(ai)
 		ib := b.EntryInterior(bi)
 		// Interior rectangles are subsets of the exact geometries, so
 		// any of these conditions proves intersection without a
 		// geometry fetch.
-		if (ia.Area() > 0 && ib.Area() > 0 && ia.Intersects(ib)) ||
-			(ia.Area() > 0 && ia.Contains(b.EntryMBR(bi))) ||
-			(ib.Area() > 0 && ib.Contains(a.EntryMBR(ai))) {
-			j.ready = append(j.ready, Pair{A: a.EntryID(ai), B: b.EntryID(bi)})
-			j.stats.Results++
-			j.stats.FastAccepts++
-			return
-		}
+		proven = (ia.Area() > 0 && ib.Area() > 0 && ia.Intersects(ib)) ||
+			(ia.Area() > 0 && ia.Contains(mb)) ||
+			(ib.Area() > 0 && ib.Contains(ma))
 	}
-	j.cands = append(j.cands, Pair{A: a.EntryID(ai), B: b.EntryID(bi)})
-	j.stats.Candidates++
-}
-
-// useSweep decides the intersection algorithm for an equal-height node
-// pair: plane sweep unless disabled or the pair is too small to
-// amortise the two sorts.
-func (j *JoinFunction) useSweep(a, b rtree.NodeRef) bool {
-	if j.cfg.NestedPrimaryFilter {
-		return false
-	}
-	return a.NumEntries()+b.NumEntries() >= j.cfg.SweepThreshold
+	j.emit(Pair{A: a.EntryID(ai), B: b.EntryID(bi)}, ma, mb, proven)
 }
 
 // sweepPair runs a forward plane sweep over the entries of nodes a and
-// b, calling emit(ai, bi) once for every entry pair accepted by the
-// primary filter — the same pair set, in a different order, as the
-// nested scan. Both entry lists are copied into the reusable scratch
-// slices and sorted on low x; the sweep then advances through the two
-// lists in xlo order, and for each entry scans forward in the other
-// list while x intervals (expanded by the join distance) overlap,
-// checking y overlap per pair. For distance joins the x/y interval
-// tests are necessary but not sufficient (corner-to-corner distance
-// exceeds either axis gap), so survivors take the exact MBR-distance
-// check before emission.
-func (j *JoinFunction) sweepPair(a, b rtree.NodeRef, emit func(ai, bi int)) {
-	j.sweepA = fillSweep(j.sweepA, a)
-	j.sweepB = fillSweep(j.sweepB, b)
-	d := j.cfg.Distance
-	ea, eb := j.sweepA, j.sweepB
+// b, calling emit once for every entry pair accepted by the primary
+// filter — the same pair set, in a different order, as the nested scan.
+// Both entry lists are copied into the reusable scratch slices and
+// sorted on low x; the sweep then advances through the two lists in xlo
+// order, and for each entry scans forward in the other list while x
+// intervals (expanded by the join distance d) overlap, checking y
+// overlap per pair. For distance joins the x/y interval tests are
+// necessary but not sufficient (corner-to-corner distance exceeds
+// either axis gap), so survivors take the exact MBR-distance check
+// before emission.
+func (s *treeSource) sweepPair(d float64, a, b rtree.NodeRef, emit func(ea, eb *sweepEntry)) {
+	s.sweepA = fillSweep(s.sweepA, a)
+	s.sweepB = fillSweep(s.sweepB, b)
+	ea, eb := s.sweepA, s.sweepB
 	i, k := 0, 0
 	for i < len(ea) && k < len(eb) {
-		if ea[i].xlo <= eb[k].xlo {
-			e := ea[i]
-			xmax := e.xhi + d
-			ylo, yhi := e.ylo-d, e.yhi+d
-			for kk := k; kk < len(eb) && eb[kk].xlo <= xmax; kk++ {
-				o := eb[kk]
-				if o.ylo > yhi || o.yhi < ylo {
+		if ea[i].MinX <= eb[k].MinX {
+			e := &ea[i]
+			xmax := e.MaxX + d
+			ylo, yhi := e.MinY-d, e.MaxY+d
+			for kk := k; kk < len(eb) && eb[kk].MinX <= xmax; kk++ {
+				o := &eb[kk]
+				if o.MinY > yhi || o.MaxY < ylo {
 					continue
 				}
-				if d > 0 && !sweepDistOK(e, o, d) {
+				if d > 0 && !mbrsWithin(&e.MBR, &o.MBR, d) {
 					continue
 				}
-				emit(int(e.idx), int(o.idx))
+				emit(e, o)
 			}
 			i++
 		} else {
-			e := eb[k]
-			xmax := e.xhi + d
-			ylo, yhi := e.ylo-d, e.yhi+d
-			for ii := i; ii < len(ea) && ea[ii].xlo <= xmax; ii++ {
-				o := ea[ii]
-				if o.ylo > yhi || o.yhi < ylo {
+			e := &eb[k]
+			xmax := e.MaxX + d
+			ylo, yhi := e.MinY-d, e.MaxY+d
+			for ii := i; ii < len(ea) && ea[ii].MinX <= xmax; ii++ {
+				o := &ea[ii]
+				if o.MinY > yhi || o.MaxY < ylo {
 					continue
 				}
-				if d > 0 && !sweepDistOK(o, e, d) {
+				if d > 0 && !mbrsWithin(&o.MBR, &e.MBR, d) {
 					continue
 				}
-				emit(int(o.idx), int(e.idx))
+				emit(o, e)
 			}
 			k++
 		}
@@ -369,13 +390,13 @@ func fillSweep(dst []sweepEntry, r rtree.NodeRef) []sweepEntry {
 	xlo, ylo, xhi, yhi := r.EntryRects()
 	dst = dst[:0]
 	for i := range xlo {
-		dst = append(dst, sweepEntry{xlo: xlo[i], xhi: xhi[i], ylo: ylo[i], yhi: yhi[i], idx: int32(i)})
+		dst = append(dst, sweepEntry{MBR: geom.MBR{MinX: xlo[i], MinY: ylo[i], MaxX: xhi[i], MaxY: yhi[i]}, idx: int32(i)})
 	}
 	slices.SortFunc(dst, func(a, b sweepEntry) int {
 		switch {
-		case a.xlo < b.xlo:
+		case a.MinX < b.MinX:
 			return -1
-		case a.xlo > b.xlo:
+		case a.MinX > b.MinX:
 			return 1
 		default:
 			return 0
@@ -384,12 +405,14 @@ func fillSweep(dst []sweepEntry, r rtree.NodeRef) []sweepEntry {
 	return dst
 }
 
-// sweepDistOK is the exact distance-join acceptance on sweep entries:
-// the rectangle distance (diagonal across both axis gaps, matching
-// geom.MBR.Dist) is within d.
-func sweepDistOK(a, b sweepEntry, d float64) bool {
-	dx := math.Max(0, math.Max(b.xlo-a.xhi, a.xlo-b.xhi))
-	dy := math.Max(0, math.Max(b.ylo-a.yhi, a.ylo-b.yhi))
+// mbrsWithin is the exact distance-join acceptance of both plane sweeps
+// (node entries and grid tiles): the rectangle distance (diagonal
+// across both axis gaps, matching geom.MBR.Dist) is within d. Sweep
+// survivors overlap on at least one axis far more often than not, so
+// the zero-gap cases skip the hypotenuse.
+func mbrsWithin(a, b *geom.MBR, d float64) bool {
+	dx := math.Max(0, math.Max(b.MinX-a.MaxX, a.MinX-b.MaxX))
+	dy := math.Max(0, math.Max(b.MinY-a.MaxY, a.MinY-b.MaxY))
 	if dx == 0 {
 		return dy <= d
 	}
@@ -500,7 +523,13 @@ func IndexJoin(a, b Source, cfg Config) (storage.Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tablefunc.Pipeline(tablefunc.Traced(fn, cfg.Trace), cfg.FetchBatch), nil
+	return pipeline(fn, cfg), nil
+}
+
+// pipeline is the serial execution of a join function: a pull cursor
+// over start-fetch-close.
+func pipeline(fn *JoinFunction, cfg Config) storage.Cursor {
+	return tablefunc.Pipeline(tablefunc.Traced(fn, cfg.Trace), cfg.FetchBatch)
 }
 
 // RunJoinFunction drives a join function to completion and returns the
@@ -510,21 +539,33 @@ func RunJoinFunction(fn *JoinFunction, batch int) (int, JoinStats, error) {
 	if batch <= 0 {
 		batch = tablefunc.DefaultBatch
 	}
-	if err := fn.Start(); err != nil {
-		return 0, fn.Stats(), err
-	}
 	defer fn.Close()
 	count := 0
 	var b storage.Batch
+	err := drive(fn, &b, batch, func(rows []storage.Row) error {
+		count += len(rows)
+		return nil
+	})
+	return count, fn.Stats(), err
+}
+
+// drive starts fn and fetches it to exhaustion through b, handing the
+// rows of every fetch to sink.
+func drive(fn *JoinFunction, b *storage.Batch, batch int, sink func(rows []storage.Row) error) error {
+	if err := fn.Start(); err != nil {
+		return err
+	}
 	for {
 		b.Reset()
-		if err := fn.Fetch(&b, batch); err != nil {
-			return count, fn.Stats(), err
+		if err := fn.Fetch(b, batch); err != nil {
+			return err
 		}
 		if len(b.Rows) == 0 {
-			return count, fn.Stats(), nil
+			return nil
 		}
-		count += len(b.Rows)
+		if err := sink(b.Rows); err != nil {
+			return err
+		}
 	}
 }
 
@@ -532,9 +573,9 @@ func RunJoinFunction(fn *JoinFunction, batch int) (int, JoinStats, error) {
 // roots of both indexes, for callers that drive start-fetch-close
 // directly (the facade and tests).
 func NewJoinFunction(a, b Source, cfg Config) (*JoinFunction, error) {
-	var roots []nodePair
+	var roots []PairOfRoots
 	if a.Tree.Len() > 0 && b.Tree.Len() > 0 {
-		roots = []nodePair{{a.Tree.Root(), b.Tree.Root()}}
+		roots = []PairOfRoots{{a.Tree.Root(), b.Tree.Root()}}
 	}
-	return newJoinFn(a, b, cfg, roots)
+	return newJoinFn(a, b, cfg, newTreeSource(roots, cfg))
 }

@@ -2,18 +2,25 @@
 // spatial joins over two R-tree-indexed tables evaluated through
 // parallel and pipelined table functions.
 //
-// Three evaluation strategies are provided:
+// There is one spatial_join table function, JoinFunction: the two-stage
+// evaluator of §4.2 (bounded candidate array, sorted-fetch secondary
+// filter, start-fetch-close). The join algorithms differ only in the
+// candidate source that refills its array:
 //
-//   - NestedLoop — the pre-9i baseline: iterate the first table and run
-//     an index-assisted spatial query on the second table per row.
-//   - IndexJoin — the spatial_join table function: a synchronized
-//     traversal of both R-trees pipelined through start-fetch-close,
-//     with the two-stage candidate-array evaluation of §4.2.
+//   - IndexJoin — a synchronized traversal of both R-trees from the two
+//     roots, pipelined.
 //   - ParallelIndexJoin — §4.1: descend both trees to a level, enumerate
-//     subtree roots, and run the join of the subtree-pair cross product
-//     on parallel table-function instances.
+//     subtree roots, and run the same traversal over a share of the
+//     subtree-pair cross product on each parallel instance.
+//   - GridParallelJoin — a uniform tile grid whose tiles the parallel
+//     instances claim dynamically and plane-sweep.
+//   - QuadtreeJoin — the tile merge join of two linear quadtrees
+//     (extension).
 //
-// A quadtree tile join is provided as an extension (QuadtreeJoin).
+// NestedLoop — the pre-9i baseline: iterate the first table and run an
+// index-assisted spatial query on the second table per row — is kept
+// apart from all of that on purpose: it is the reference the others are
+// tested against.
 package sjoin
 
 import (
@@ -106,14 +113,11 @@ type Config struct {
 	// Only applies to ANYINTERACT joins (Distance == 0) on indexes
 	// built with interior approximations; a no-op otherwise.
 	UseInteriorApprox bool
-	// NestedPrimaryFilter forces the primary filter back to the nested
-	// entry-pair scan. Default (false) uses the forward plane sweep over
-	// xlo-sorted entry lists whenever a node pair is large enough; this
-	// knob is the ablation baseline.
-	NestedPrimaryFilter bool
 	// SweepThreshold is the minimum combined entry count of a node pair
-	// for the plane sweep to engage (0 = DefaultSweepThreshold). Below
-	// it, sorting costs more than the quadratic scan saves.
+	// for the forward plane sweep over xlo-sorted entry lists to engage
+	// (0 = DefaultSweepThreshold). Below it the nested entry-pair scan
+	// runs — sorting costs more than the quadratic scan saves — so
+	// math.MaxInt is the nested-scan ablation baseline.
 	SweepThreshold int
 	// GridTiles, when positive, overrides the grid-partitioned path's
 	// automatic tile-count choice (GridShape) — an ablation knob for
@@ -135,6 +139,14 @@ type Config struct {
 	// stages are recorded on (it also enables per-fetch geometry-fetch
 	// timing, which is too hot for always-on collection).
 	Trace *telemetry.Trace
+	// Owns, when non-nil, restricts the result to the pairs whose
+	// reference point (PairRefPoint of the two index MBRs) it claims:
+	// the shard side of a scatter-gather cluster join, where every
+	// shard holding replicas of both rows would otherwise report the
+	// pair. The test runs where a primary filter emits the pair, so an
+	// unowned pair is never fetched or refined. Must be a pure function
+	// of the point; parallel instances call it concurrently.
+	Owns func(x, y float64) bool
 }
 
 // DefaultSweepThreshold is the combined entry count below which the
@@ -142,8 +154,12 @@ type Config struct {
 // bookkeeping only pay off once the pair has a few dozen entries.
 const DefaultSweepThreshold = 16
 
-// withDefaults normalises a config.
-func (c Config) withDefaults() Config {
+// WithDefaults normalises a config: every "0 = default" field holds the
+// value the join will run with. The join entry points apply it
+// themselves; it is exported so a caller that reports the plan (the
+// facade's ExplainJoin) reads the same values instead of re-deriving
+// them.
+func (c Config) WithDefaults() Config {
 	if c.CandidateCap <= 0 {
 		c.CandidateCap = DefaultCandidateCap
 	}

@@ -2,6 +2,7 @@ package sjoin
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"spatialtf/internal/datagen"
@@ -15,15 +16,7 @@ import (
 func collect(t *testing.T, a, b Source, cfg Config) []Pair {
 	t.Helper()
 	cur, err := IndexJoin(a, b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := CollectPairs(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SortPairs(pairs)
-	return pairs
+	return sortedPairs(t, cur, err)
 }
 
 // TestSweepMatchesNestedPrimaryFilter is the differential test for the
@@ -31,7 +24,8 @@ func collect(t *testing.T, a, b Source, cfg Config) []Pair {
 // (stars), and skewed (block groups) data, with and without a join
 // distance, the sweep and the nested entry-pair scan must produce
 // identical result sets. SweepThreshold 1 forces the sweep onto every
-// node pair, including the small ones the default threshold would skip.
+// node pair, including the small ones the default threshold would skip;
+// a threshold no node pair reaches forces the nested scan everywhere.
 func TestSweepMatchesNestedPrimaryFilter(t *testing.T) {
 	uniform := buildSource(t, "t_uniform", datagen.Counties(300, 11))
 	clustered := buildSource(t, "t_clustered", datagen.Stars(800, 12))
@@ -58,7 +52,7 @@ func TestSweepMatchesNestedPrimaryFilter(t *testing.T) {
 				got := collect(t, tc.a, tc.b, sweep)
 
 				nested := cfg
-				nested.NestedPrimaryFilter = true
+				nested.SweepThreshold = math.MaxInt
 				want := collect(t, tc.a, tc.b, nested)
 
 				if !pairsEqual(got, want) {
@@ -90,7 +84,7 @@ func TestSweepMatchesNestedParallel(t *testing.T) {
 			}
 
 			nested := DefaultConfig()
-			nested.NestedPrimaryFilter = true
+			nested.SweepThreshold = math.MaxInt
 			cn, err := ParallelIndexJoin(a, b, nested, workers)
 			if err != nil {
 				t.Fatal(err)

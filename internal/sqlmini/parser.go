@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"spatialtf/internal/sjoin"
 )
 
 // Parse parses one SQL statement (without a trailing semicolon).
@@ -468,11 +470,14 @@ func buildJoinCall(args []string, parallel int) (*SpatialJoinCall, error) {
 			if call.Algo != "" {
 				return nil, fmt.Errorf("sqlmini: duplicate 'algo=' hint")
 			}
+			// The hint's vocabulary is sjoin.ParseAlgo's, except that a
+			// hint must name an algorithm ("" is "no hint" there).
 			call.Algo = strings.TrimPrefix(hint, "algo=")
-			switch call.Algo {
-			case "auto", "nested", "subtree", "grid":
-			default:
-				return nil, fmt.Errorf("sqlmini: unknown join algorithm %q (want auto, nested, subtree, or grid)", call.Algo)
+			if call.Algo == "" {
+				return nil, fmt.Errorf("sqlmini: empty 'algo=' hint")
+			}
+			if _, err := sjoin.ParseAlgo(call.Algo); err != nil {
+				return nil, fmt.Errorf("sqlmini: %w", err)
 			}
 		case strings.HasPrefix(hint, "keys="):
 			if call.KeyA != "" {

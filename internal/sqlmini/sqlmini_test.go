@@ -3,6 +3,8 @@ package sqlmini
 import (
 	"strings"
 	"testing"
+
+	"spatialtf"
 )
 
 func exec(t *testing.T, e *Engine, sql string) *Result {
@@ -120,7 +122,16 @@ func TestSpatialJoinAlgoHint(t *testing.T) {
 	if r.Count < 3 {
 		t.Fatalf("grid distance self-join count = %d", r.Count)
 	}
-	execErr(t, e, "SELECT count(*) FROM TABLE(spatial_join('cities','geom','rivers','geom','anyinteract','algo=bogus'))")
+	// The hint vocabulary is sjoin.ParseAlgo's: what the Go facade's
+	// JoinOptions.Algo rejects, SQL rejects, and an empty hint names no
+	// algorithm.
+	for _, bad := range []string{"bogus", "rtree"} {
+		execErr(t, e, "SELECT count(*) FROM TABLE(spatial_join('cities','geom','rivers','geom','anyinteract','algo="+bad+"'))")
+		if _, err := e.DB().SpatialJoin("cities", "cities_idx", "rivers", "rivers_idx", spatialtf.JoinOptions{Algo: bad}); err == nil {
+			t.Errorf("facade accepted Algo %q", bad)
+		}
+	}
+	execErr(t, e, "SELECT count(*) FROM TABLE(spatial_join('cities','geom','rivers','geom','anyinteract','algo='))")
 	execErr(t, e, "SELECT count(*) FROM TABLE(spatial_join('cities','geom','rivers','geom','anyinteract','parallel=2'))")
 }
 

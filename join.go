@@ -48,12 +48,10 @@ type JoinOptions struct {
 	// on ANYINTERACT joins over indexes created with
 	// IndexOptions.InteriorEffort > 0.
 	UseInteriorApprox bool
-	// NestedPrimaryFilter forces the nested entry-pair scan in the
-	// primary filter instead of the default plane sweep (ablation
-	// switch).
-	NestedPrimaryFilter bool
 	// SweepThreshold is the minimum combined entry count of a node pair
-	// for the plane sweep to engage (0 = default).
+	// for the primary filter's plane sweep to engage (0 = default);
+	// smaller node pairs take the nested entry-pair scan, so
+	// math.MaxInt forces that scan everywhere (ablation switch).
 	SweepThreshold int
 	// GeomCacheBytes selects the decoded-geometry cache the secondary
 	// filter fetches through: 0 (default) shares the database-wide
@@ -63,7 +61,9 @@ type JoinOptions struct {
 	// Scope, when non-nil, restricts the result to the pairs this
 	// cluster shard owns under the reference-point rule (see
 	// ClusterScope): the shard-side half of a scatter-gather cluster
-	// join. The cluster's replication margin must cover Distance.
+	// join. The cluster's replication margin must cover Distance. The
+	// owner test runs on the index MBRs where the primary filter emits
+	// a candidate, before any geometry is fetched.
 	Scope *ClusterScope
 }
 
@@ -84,10 +84,12 @@ func (o JoinOptions) config() (sjoin.Config, error) {
 	cfg.CandidateCap = o.CandidateCap
 	cfg.SortCandidates = !o.NoSortCandidates
 	cfg.UseInteriorApprox = o.UseInteriorApprox
-	cfg.NestedPrimaryFilter = o.NestedPrimaryFilter
 	cfg.SweepThreshold = o.SweepThreshold
 	cfg.GeomCacheBytes = o.GeomCacheBytes
-	return cfg, nil
+	if o.Scope != nil {
+		cfg.Owns = o.Scope.OwnsPoint
+	}
+	return cfg.WithDefaults(), nil
 }
 
 // joinConfig resolves JoinOptions against this database: the default
@@ -113,25 +115,60 @@ func (db *DB) GeomCacheStats() CacheStats {
 	return db.geomCache.Stats()
 }
 
-// joinSource resolves (table, index) into an sjoin operand.
-func (db *DB) joinSource(table, index string) (sjoin.Source, error) {
+// joinOperand resolves (table, index) into the base table and an index
+// that is on it — the operand of every join, whatever the index kind.
+func (db *DB) joinOperand(table, index string) (*Table, *Index, error) {
 	t, err := db.Table(table)
 	if err != nil {
-		return sjoin.Source{}, err
+		return nil, nil, err
 	}
 	ix, err := db.Index(index)
 	if err != nil {
-		return sjoin.Source{}, err
+		return nil, nil, err
 	}
-	meta := ix.Meta()
-	if meta.TableName != table {
-		return sjoin.Source{}, fmt.Errorf("spatialtf: index %q is on table %q, not %q", index, meta.TableName, table)
+	if on := ix.Meta().TableName; on != table {
+		return nil, nil, fmt.Errorf("spatialtf: index %q is on table %q, not %q", index, on, table)
+	}
+	return t, ix, nil
+}
+
+// joinSource resolves (table, index) into an R-tree join operand.
+func (db *DB) joinSource(table, index string) (sjoin.Source, error) {
+	t, ix, err := db.joinOperand(table, index)
+	if err != nil {
+		return sjoin.Source{}, err
 	}
 	tree, err := ix.rtree()
 	if err != nil {
 		return sjoin.Source{}, err
 	}
-	return sjoin.Source{Table: t.inner, Column: meta.ColumnName, Tree: tree}, nil
+	return sjoin.Source{Table: t.inner, Column: ix.Meta().ColumnName, Tree: tree}, nil
+}
+
+// quadJoinSource resolves (table, index) into a quadtree join operand.
+func (db *DB) quadJoinSource(table, index string) (sjoin.QSource, error) {
+	t, ix, err := db.joinOperand(table, index)
+	if err != nil {
+		return sjoin.QSource{}, err
+	}
+	qi, err := ix.qindex()
+	if err != nil {
+		return sjoin.QSource{}, err
+	}
+	return sjoin.QSource{Table: t.inner, Column: ix.Meta().ColumnName, Index: qi}, nil
+}
+
+// rtreeJoin resolves a join call over two R-tree-indexed operands: the
+// configuration and both sources.
+func (db *DB) rtreeJoin(tableA, indexA, tableB, indexB string, opt JoinOptions) (cfg sjoin.Config, a, b sjoin.Source, err error) {
+	if cfg, err = db.joinConfig(opt); err != nil {
+		return cfg, a, b, err
+	}
+	if a, err = db.joinSource(tableA, indexA); err != nil {
+		return cfg, a, b, err
+	}
+	b, err = db.joinSource(tableB, indexB)
+	return cfg, a, b, err
 }
 
 // pinTrees read-pins the operand R-trees so concurrent DML waits for
@@ -243,19 +280,11 @@ func (jc *JoinCursor) Collect() ([]Pair, error) {
 // indexed tables through the spatial_join table function, pipelined
 // (Parallel ≤ 1) or parallel over subtree pairs (Parallel > 1).
 func (db *DB) SpatialJoin(tableA, indexA, tableB, indexB string, opt JoinOptions) (*JoinCursor, error) {
-	cfg, err := db.joinConfig(opt)
+	cfg, a, b, err := db.rtreeJoin(tableA, indexA, tableB, indexB, opt)
 	if err != nil {
 		return nil, err
 	}
-	a, err := db.joinSource(tableA, indexA)
-	if err != nil {
-		return nil, err
-	}
-	b, err := db.joinSource(tableB, indexB)
-	if err != nil {
-		return nil, err
-	}
-	algo, workers, err := resolveJoinAlgo(a, b, cfg, opt)
+	plan, err := resolveJoinAlgo(a, b, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -265,9 +294,9 @@ func (db *DB) SpatialJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 	cfg.Trace = trace
 	unpin := pinTrees(a.Tree, b.Tree)
 	var cur storage.Cursor
-	switch algo {
+	switch plan.Algo {
 	case sjoin.AlgoGrid:
-		cur, err = sjoin.GridParallelJoin(a, b, cfg, workers)
+		cur, err = sjoin.GridParallelJoin(a, b, cfg, plan.Workers)
 	case sjoin.AlgoNested:
 		var pairs []Pair
 		pairs, err = sjoin.NestedLoop(a, b, cfg)
@@ -275,8 +304,8 @@ func (db *DB) SpatialJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 			cur = sjoin.PairsCursor(pairs)
 		}
 	default: // AlgoSubtree: the paper's serial/parallel R-tree paths
-		if workers > 1 {
-			cur, err = sjoin.ParallelIndexJoin(a, b, cfg, workers)
+		if plan.Workers > 1 {
+			cur, err = sjoin.ParallelIndexJoin(a, b, cfg, plan.Workers)
 		} else {
 			cur, err = sjoin.IndexJoin(a, b, cfg)
 		}
@@ -286,44 +315,31 @@ func (db *DB) SpatialJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 		trace.Finish()
 		return nil, err
 	}
-	if opt.Scope != nil {
-		scur, serr := sjoin.ScopedPairFilter(cur, a, b, cfg.Distance, cfg.GeomCache, opt.Scope.OwnsPoint)
-		if serr != nil {
-			cur.Close()
-			unpin()
-			trace.Finish()
-			return nil, serr
-		}
-		cur = scur
-	}
 	return &JoinCursor{cur: cur, unpin: unpin, trace: trace}, nil
 }
 
 // resolveJoinAlgo maps JoinOptions onto a concrete join path and worker
 // count. Algo == "" preserves the legacy dispatch (Parallel > 1 selects
 // the subtree-parallel path, else serial); "auto" runs the sjoin cost
-// model; anything else is a forced override. Paths chosen through Algo
-// resolve Parallel <= 0 to all cores.
-func resolveJoinAlgo(a, b sjoin.Source, cfg sjoin.Config, opt JoinOptions) (sjoin.Algo, int, error) {
+// model, whose choice carries its Reason; anything else is a forced
+// override. Paths chosen through Algo resolve Parallel <= 0 to all
+// cores.
+func resolveJoinAlgo(a, b sjoin.Source, cfg sjoin.Config, opt JoinOptions) (sjoin.PlanChoice, error) {
 	if opt.Algo == "" {
-		if opt.Parallel > 1 {
-			return sjoin.AlgoSubtree, opt.Parallel, nil
-		}
-		return sjoin.AlgoSubtree, 1, nil
+		return sjoin.PlanChoice{Algo: sjoin.AlgoSubtree, Workers: max(opt.Parallel, 1)}, nil
 	}
 	algo, err := sjoin.ParseAlgo(opt.Algo)
 	if err != nil {
-		return 0, 0, fmt.Errorf("spatialtf: %w", err)
+		return sjoin.PlanChoice{}, fmt.Errorf("spatialtf: %w", err)
 	}
 	if algo == sjoin.AlgoAuto {
-		pc := sjoin.ChoosePlan(a, b, cfg, opt.Parallel)
-		return pc.Algo, pc.Workers, nil
+		return sjoin.ChoosePlan(a, b, cfg, opt.Parallel), nil
 	}
 	workers := opt.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return algo, workers, nil
+	return sjoin.PlanChoice{Algo: algo, Workers: workers}, nil
 }
 
 // ExplainJoin describes how a SpatialJoin with the given options would
@@ -332,15 +348,11 @@ func resolveJoinAlgo(a, b sjoin.Source, cfg sjoin.Config, opt JoinOptions) (sjoi
 // the number of scheduled and MBR-pruned subtree-pair tasks. It is the
 // EXPLAIN PLAN of the spatial_join table function.
 func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions) (string, error) {
-	cfg, err := db.joinConfig(opt)
+	cfg, a, b, err := db.rtreeJoin(tableA, indexA, tableB, indexB, opt)
 	if err != nil {
 		return "", err
 	}
-	a, err := db.joinSource(tableA, indexA)
-	if err != nil {
-		return "", err
-	}
-	b, err := db.joinSource(tableB, indexB)
+	plan, err := resolveJoinAlgo(a, b, cfg, opt)
 	if err != nil {
 		return "", err
 	}
@@ -356,15 +368,7 @@ func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 		tableB, indexB, b.Tree.Len(), b.Tree.Height(), b.Tree.MaxEntries())
 	fmt.Fprintf(&sb, "  two-stage evaluation: candidate array cap %d, secondary filter fetch order %s\n",
 		cfg.CandidateCap, map[bool]string{true: "sorted by first rowid", false: "arrival order"}[cfg.SortCandidates])
-	if cfg.NestedPrimaryFilter {
-		sb.WriteString("  primary filter: nested entry-pair scan\n")
-	} else {
-		thr := cfg.SweepThreshold
-		if thr <= 0 {
-			thr = sjoin.DefaultSweepThreshold
-		}
-		fmt.Fprintf(&sb, "  primary filter: plane sweep (node pairs with >= %d entries), nested scan below\n", thr)
-	}
+	fmt.Fprintf(&sb, "  primary filter: plane sweep (node pairs with >= %d entries), nested scan below\n", cfg.SweepThreshold)
 	switch {
 	case cfg.GeomCache != nil:
 		sb.WriteString("  decoded-geometry cache: shared per-database\n")
@@ -376,34 +380,32 @@ func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 	if cfg.UseInteriorApprox {
 		sb.WriteString("  interior-approximation fast accept: enabled\n")
 	}
-	algo, workers, err := resolveJoinAlgo(a, b, cfg, opt)
-	if err != nil {
-		return "", err
+	if sc := opt.Scope; sc != nil {
+		fmt.Fprintf(&sb, "  cluster scope: shard %d of %d, owner test at candidate emission\n", sc.Shard, sc.NShards)
 	}
 	if opt.Algo != "" {
-		fmt.Fprintf(&sb, "  algorithm: %s (hint %q)\n", algo, opt.Algo)
-		if opt.Algo == "auto" {
-			pc := sjoin.ChoosePlan(a, b, cfg, opt.Parallel)
-			fmt.Fprintf(&sb, "  cost model: %s\n", pc.Reason)
-		}
+		fmt.Fprintf(&sb, "  algorithm: %s (hint %q)\n", plan.Algo, opt.Algo)
 	}
-	switch algo {
+	if plan.Reason != "" {
+		fmt.Fprintf(&sb, "  cost model: %s\n", plan.Reason)
+	}
+	switch plan.Algo {
 	case sjoin.AlgoGrid:
-		cols, rows := sjoin.GridShape(a.Tree.Len(), b.Tree.Len(), workers)
-		fmt.Fprintf(&sb, "  strategy: GRID-PARTITIONED parallel table function, %d instances\n", workers)
+		cols, rows := sjoin.GridShape(a.Tree.Len(), b.Tree.Len(), plan.Workers)
+		fmt.Fprintf(&sb, "  strategy: GRID-PARTITIONED parallel table function, %d instances\n", plan.Workers)
 		fmt.Fprintf(&sb, "  grid decomposition: %dx%d uniform tiles over the joint extent; per-tile plane sweep; two-layer A/B/C/D classes (no dedup pass); tiles dealt dynamically, longest first\n",
 			cols, rows)
 	case sjoin.AlgoNested:
 		sb.WriteString("  strategy: NESTED LOOP (per-row probes of operand B's index)\n")
 	default:
-		if workers > 1 {
-			pairs := sjoin.SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg)
+		if plan.Workers > 1 {
+			pairs := sjoin.SubtreePairsForWorkers(a.Tree, b.Tree, plan.Workers, cfg)
 			descend := 0
 			if len(pairs) > 0 {
 				descend = a.Tree.Height() - pairs[0].A.Level()
 			}
 			total := len(a.Tree.SubtreeRoots(descend)) * len(b.Tree.SubtreeRoots(descend))
-			fmt.Fprintf(&sb, "  strategy: PARALLEL pipelined table function, %d instances\n", workers)
+			fmt.Fprintf(&sb, "  strategy: PARALLEL pipelined table function, %d instances\n", plan.Workers)
 			fmt.Fprintf(&sb, "  subtree decomposition: descend %d level(s); %d subtree-pair tasks scheduled, %d pruned as disjoint; tasks dealt longest first\n",
 				descend, len(pairs), total-len(pairs))
 		} else {
@@ -416,15 +418,7 @@ func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 // NestedLoopJoin evaluates the same join with the pre-9i baseline
 // strategy (per-row index probes), the comparison point of Tables 1-2.
 func (db *DB) NestedLoopJoin(tableA, indexA, tableB, indexB string, opt JoinOptions) ([]Pair, error) {
-	cfg, err := db.joinConfig(opt)
-	if err != nil {
-		return nil, err
-	}
-	a, err := db.joinSource(tableA, indexA)
-	if err != nil {
-		return nil, err
-	}
-	b, err := db.joinSource(tableB, indexB)
+	cfg, a, b, err := db.rtreeJoin(tableA, indexA, tableB, indexB, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -432,36 +426,21 @@ func (db *DB) NestedLoopJoin(tableA, indexA, tableB, indexB string, opt JoinOpti
 }
 
 // QuadtreeJoin evaluates a join over two Quadtree-indexed tables with
-// the tile merge join (extension; intersection-style masks only).
+// the tile merge join (extension; intersection-style masks only). It is
+// one serial path, so Algo and Parallel do not apply, and it cannot be
+// scoped: a non-nil Scope is refused with an error wrapping
+// errors.ErrUnsupported, because tile codes carry no MBRs to take a
+// pair's reference point from.
 func (db *DB) QuadtreeJoin(tableA, indexA, tableB, indexB string, opt JoinOptions) ([]Pair, error) {
 	cfg, err := db.joinConfig(opt)
 	if err != nil {
 		return nil, err
 	}
-	srcOf := func(table, index string) (sjoin.QSource, error) {
-		t, err := db.Table(table)
-		if err != nil {
-			return sjoin.QSource{}, err
-		}
-		ix, err := db.Index(index)
-		if err != nil {
-			return sjoin.QSource{}, err
-		}
-		meta := ix.Meta()
-		if meta.TableName != table {
-			return sjoin.QSource{}, fmt.Errorf("spatialtf: index %q is on table %q, not %q", index, meta.TableName, table)
-		}
-		qi, err := ix.qindex()
-		if err != nil {
-			return sjoin.QSource{}, err
-		}
-		return sjoin.QSource{Table: t.inner, Column: meta.ColumnName, Index: qi}, nil
-	}
-	a, err := srcOf(tableA, indexA)
+	a, err := db.quadJoinSource(tableA, indexA)
 	if err != nil {
 		return nil, err
 	}
-	b, err := srcOf(tableB, indexB)
+	b, err := db.quadJoinSource(tableB, indexB)
 	if err != nil {
 		return nil, err
 	}

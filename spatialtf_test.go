@@ -1,6 +1,8 @@
 package spatialtf
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -272,6 +274,82 @@ func TestFacadeQuadtreeJoin(t *testing.T) {
 	// Joining an R-tree-indexed operand with QuadtreeJoin fails cleanly.
 	if _, err := db.QuadtreeJoin("c", "c_rt", "c", "c_qt", JoinOptions{}); err == nil {
 		t.Errorf("quadtree join over rtree index: want error")
+	}
+}
+
+// TestFacadeQuadtreeJoinRefusesScope: tile codes carry no MBRs to take
+// a pair's reference point from, so a scoped quadtree join must fail
+// typed instead of returning the unscoped set.
+func TestFacadeQuadtreeJoinRefusesScope(t *testing.T) {
+	db := Open()
+	if _, err := db.LoadDataset("c", Counties(36, 107)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex("c_qt", "c", Quadtree, IndexOptions{TilingLevel: 6, Bounds: World}); err != nil {
+		t.Fatal(err)
+	}
+	opt := JoinOptions{Scope: NewClusterScope(World, 4, 4, 3, 0)}
+	if pairs, err := db.QuadtreeJoin("c", "c_qt", "c", "c_qt", opt); !errors.Is(err, errors.ErrUnsupported) {
+		t.Fatalf("scoped quadtree join: %d pairs, err = %v; want ErrUnsupported", len(pairs), err)
+	}
+}
+
+// TestFacadeJoinScope checks the R-tree join entry points against a
+// cluster scope: SpatialJoin and NestedLoopJoin return the same proper
+// subset on each shard, the shards' subsets partition the unscoped
+// result, and ExplainJoin says where the owner test runs.
+func TestFacadeJoinScope(t *testing.T) {
+	db := Open()
+	if _, err := db.LoadDataset("c", Counties(64, 109)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex("c_rt", "c", RTree, IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	all, err := db.NestedLoopJoin("c", "c_rt", "c", "c_rt", JoinOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 3
+	seen := map[Pair]int{}
+	for shard := 0; shard < shards; shard++ {
+		opt := JoinOptions{Scope: NewClusterScope(World, 4, 4, shards, shard)}
+		nl, err := db.NestedLoopJoin("c", "c_rt", "c", "c_rt", opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nl) == 0 || len(nl) >= len(all) {
+			t.Fatalf("shard %d: nested loop returned %d of %d pairs; want a proper subset", shard, len(nl), len(all))
+		}
+		cur, err := db.SpatialJoin("c", "c_rt", "c", "c_rt", opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sj, err := cur.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sj) != len(nl) {
+			t.Fatalf("shard %d: spatial join %d pairs, nested loop %d", shard, len(sj), len(nl))
+		}
+		for _, p := range sj {
+			seen[p]++
+		}
+		for _, p := range nl {
+			seen[p]++
+		}
+		plan, err := db.ExplainJoin("c", "c_rt", "c", "c_rt", opt)
+		if want := fmt.Sprintf("cluster scope: shard %d of %d, owner test at candidate emission", shard, shards); err != nil || !containsStr(plan, want) {
+			t.Errorf("scoped plan missing %q (err %v):\n%s", want, err, plan)
+		}
+	}
+	if len(seen) != len(all) {
+		t.Fatalf("shards returned %d distinct pairs, unscoped join %d", len(seen), len(all))
+	}
+	for p, n := range seen {
+		if n != 2 { // once from each of the two entry points, on one shard
+			t.Fatalf("pair %v returned %d times across shards and entry points, want 2", p, n)
+		}
 	}
 }
 
