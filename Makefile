@@ -1,6 +1,7 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
 # build, the spatiallint analyzer suite, the complete test suite under
-# the race detector, a fuzz smoke pass over the wire/SQL decoders, and a
+# the race detector, a fuzz smoke pass over the wire/SQL/WAL/snapshot/
+# catalog decoders, and a
 # one-iteration benchmark smoke run (so benchmarks cannot silently rot).
 
 GO ?= go
@@ -67,6 +68,8 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzWireDecode -fuzztime 5s ./internal/wire
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 5s ./internal/sqlmini
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime 5s ./internal/pager
+	$(GO) test -run NONE -fuzz FuzzImport -fuzztime 5s .
+	$(GO) test -run NONE -fuzz FuzzCatalog -fuzztime 5s .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

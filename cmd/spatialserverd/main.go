@@ -1,17 +1,19 @@
 // Command spatialserverd is the networked query server daemon: it opens
-// a durable data directory (or loads a snapshot, or synthesizes
-// datasets) and serves the wire protocol over TCP.
+// a database — a durable data directory, or memory — and serves the wire
+// protocol over TCP.
 //
 // With -data-dir, the database lives in a paged store with a
 // write-ahead log: every committed mutation survives a crash (per
 // -wal-sync), restart recovers from WAL + checkpoint, and shutdown is a
-// checkpoint — no snapshot rewrite. A -snapshot given alongside an
-// empty -data-dir is imported once (migration); thereafter the data
-// directory is authoritative.
+// checkpoint. Without it, the database is in memory and -snapshot is
+// its persistence: rewritten atomically on SIGTERM/SIGINT after
+// draining in-flight cursors.
 //
-// Without -data-dir, the database is in-memory and -snapshot keeps the
-// old export/import persistence: restored at start, rewritten
-// atomically on SIGTERM/SIGINT after draining in-flight cursors.
+// -snapshot has one start-up rule in both modes: if the opened database
+// has no tables and the file exists, it is imported. So an in-memory
+// daemon picks up where its last shutdown left off, an empty -data-dir
+// given a snapshot migrates it once, and a data directory that already
+// holds tables is authoritative.
 //
 // Usage:
 //
@@ -33,8 +35,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"spatialtf"
+	"spatialtf/internal/pager"
 	"spatialtf/internal/server"
 )
 
@@ -57,7 +58,7 @@ func main() {
 		walSync      = flag.String("wal-sync", "always", "WAL fsync policy with -data-dir (always|batch|off)")
 		poolPages    = flag.Int("pool-pages", 0, "buffer pool size in pages with -data-dir (0 = default)")
 		checkpointMB = flag.Int64("checkpoint-mb", 0, "checkpoint once the WAL exceeds this many MiB (0 = default)")
-		snapshot     = flag.String("snapshot", "", "snapshot file: restored (or imported into an empty -data-dir) at start; saved on shutdown in in-memory mode")
+		snapshot     = flag.String("snapshot", "", "snapshot file: imported at start if the database comes up with no tables; saved on shutdown in in-memory mode")
 		index        = flag.String("index", "rtree", "index kind built on -load tables (rtree|quadtree|none)")
 		parallel     = flag.Int("parallel", 0, "parallel workers for restore/index builds")
 		maxConns     = flag.Int("max-conns", 64, "concurrent connection limit")
@@ -151,7 +152,7 @@ func main() {
 				log.Printf("data directory checkpointed")
 			}
 		} else if *snapshot != "" {
-			if err := saveSnapshot(db, *snapshot); err != nil {
+			if err := pager.AtomicWrite(pager.OSFS, *snapshot, db.Save); err != nil {
 				log.Printf("snapshot save failed: %v", err)
 			} else {
 				log.Printf("database saved to %s", *snapshot)
@@ -170,161 +171,61 @@ func main() {
 		s.Queries, s.RowsStreamed, s.Fetches, s.ConnsAccepted)
 }
 
-// openDB opens the durable data directory when -data-dir is set
-// (importing the snapshot into it on first boot), otherwise restores
-// the snapshot into memory if it exists, otherwise opens empty.
+// openDB opens the database — a durable data directory when -data-dir
+// is set, otherwise in memory — and then applies the one start-up rule
+// for -snapshot in both modes: a database that comes up with no tables
+// imports the snapshot file if it exists. A recovered data directory is
+// therefore authoritative, and a missing file means "start empty".
 func openDB(dataDir, snapPath, walSync string, poolPages int, checkpointMB int64, parallel int, reg *spatialtf.TelemetryRegistry) (*spatialtf.DB, error) {
+	var db *spatialtf.DB
 	if dataDir == "" {
-		if snapPath == "" {
-			return spatialtf.Open(), nil
+		db = spatialtf.Open()
+	} else {
+		var sync spatialtf.SyncMode
+		switch walSync {
+		case "always":
+			sync = spatialtf.SyncAlways
+		case "batch":
+			sync = spatialtf.SyncBatch
+		case "off":
+			sync = spatialtf.SyncOff
+		default:
+			return nil, fmt.Errorf("bad -wal-sync %q (want always|batch|off)", walSync)
 		}
-		f, err := os.Open(snapPath)
-		if os.IsNotExist(err) {
-			log.Printf("snapshot %s not found; starting empty", snapPath)
-			return spatialtf.Open(), nil
-		}
+		var err error
+		db, err = spatialtf.OpenDir(dataDir, spatialtf.DirOptions{
+			PoolPages:       poolPages,
+			Sync:            sync,
+			CheckpointBytes: checkpointMB << 20,
+			Parallel:        parallel,
+			Telemetry:       reg,
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("open data dir %s: %w", dataDir, err)
 		}
-		defer f.Close()
-		db, err := spatialtf.Restore(f, parallel)
-		if err != nil {
-			return nil, fmt.Errorf("restore %s: %w", snapPath, err)
+		if n := len(db.TableNames()); n > 0 {
+			log.Printf("data directory %s opened (%d tables recovered)", dataDir, n)
+			return db, nil
 		}
-		log.Printf("database restored from %s", snapPath)
+	}
+	if snapPath == "" {
 		return db, nil
 	}
-
-	var sync spatialtf.SyncMode
-	switch walSync {
-	case "always":
-		sync = spatialtf.SyncAlways
-	case "batch":
-		sync = spatialtf.SyncBatch
-	case "off":
-		sync = spatialtf.SyncOff
-	default:
-		return nil, fmt.Errorf("bad -wal-sync %q (want always|batch|off)", walSync)
-	}
-	db, err := spatialtf.OpenDir(dataDir, spatialtf.DirOptions{
-		PoolPages:       poolPages,
-		Sync:            sync,
-		CheckpointBytes: checkpointMB << 20,
-		Parallel:        parallel,
-		Telemetry:       reg,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("open data dir %s: %w", dataDir, err)
-	}
-	if n := len(db.TableNames()); n > 0 {
-		log.Printf("data directory %s opened (%d tables recovered)", dataDir, n)
-		return db, nil
-	}
-	if snapPath != "" {
-		imported, err := importSnapshot(db, snapPath, parallel)
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		if imported {
-			log.Printf("snapshot %s imported into %s", snapPath, dataDir)
-		}
-	}
-	return db, nil
-}
-
-// importSnapshot migrates a snapshot into an empty durable database:
-// tables are copied row by row (rowids are NOT preserved — the snapshot
-// format never had stable rowids) and indexes are recreated with their
-// original parameters. Returns false if the snapshot does not exist.
-func importSnapshot(db *spatialtf.DB, path string, parallel int) (bool, error) {
-	f, err := os.Open(path)
+	f, err := os.Open(snapPath)
 	if os.IsNotExist(err) {
-		return false, nil
+		log.Printf("snapshot %s not found; starting empty", snapPath)
+		return db, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	mem, err := spatialtf.Restore(f, parallel)
-	if err != nil {
-		return false, fmt.Errorf("restore %s: %w", path, err)
-	}
-	names := mem.TableNames()
-	sort.Strings(names)
-	for _, name := range names {
-		src, err := mem.Table(name)
-		if err != nil {
-			return false, err
-		}
-		dst, err := db.CreateTable(name, src.Inner().Schema())
-		if err != nil {
-			return false, err
-		}
-		var insertErr error
-		if err := src.Scan(func(_ spatialtf.RowID, row spatialtf.Row) bool {
-			_, insertErr = dst.Insert(row...)
-			return insertErr == nil
-		}); err != nil {
-			return false, err
-		}
-		if insertErr != nil {
-			return false, fmt.Errorf("import table %q: %w", name, insertErr)
-		}
-	}
-	metas, err := mem.IndexMetadata()
-	if err != nil {
-		return false, err
-	}
-	for _, m := range metas {
-		opt := spatialtf.IndexOptions{
-			Fanout:         m.Fanout,
-			TilingLevel:    m.TilingLevel,
-			InteriorEffort: m.InteriorEffort,
-			Parallel:       parallel,
-		}
-		if m.Kind == spatialtf.Quadtree {
-			opt.Bounds = m.Bounds
-		}
-		if _, err := db.CreateIndexOn(m.IndexName, m.TableName, m.ColumnName, m.Kind, opt); err != nil {
-			return false, fmt.Errorf("import index %q: %w", m.IndexName, err)
-		}
-	}
-	return true, nil
-}
-
-// saveSnapshot writes the database atomically and durably: temp file,
-// fsync, rename, directory fsync — a crash mid-save leaves either the
-// old snapshot or the new one, never a torn file.
-func saveSnapshot(db *spatialtf.DB, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = db.Save(f)
 	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+		err = db.Import(f, parallel)
+		f.Close()
 	}
 	if err != nil {
-		os.Remove(tmp)
-		return err
+		db.Close()
+		return nil, fmt.Errorf("import %s: %w", snapPath, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	err = dir.Sync()
-	if cerr := dir.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	log.Printf("snapshot %s imported", snapPath)
+	return db, nil
 }
 
 // loadDataset parses name:n[:seed] and loads it, indexing the geometry

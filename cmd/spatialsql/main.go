@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"spatialtf"
+	"spatialtf/internal/pager"
 	"spatialtf/internal/sqlmini"
 	"spatialtf/internal/telemetry"
 	"spatialtf/internal/wire"
@@ -166,16 +167,8 @@ func meta(eng *sqlmini.Engine, st **shellTelemetry, cmd string) bool {
 			fmt.Fprintln(os.Stderr, "usage: \\save <file>")
 			return true
 		}
-		f, err := os.Create(fields[1])
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			return true
-		}
-		err = eng.DB().Save(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		// Atomic replace: a failed save leaves the previous file intact.
+		if err := pager.AtomicWrite(pager.OSFS, fields[1], eng.DB().Save); err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			return true
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
 	"sort"
 	"time"
@@ -71,22 +72,18 @@ type DirOptions struct {
 	fs pager.FS
 }
 
-// catalog format (little endian):
+// catalog format (little endian; string, schema and index are the
+// catalogue codec's encodings, see catalog.go):
 //
 //	magic "STFCAT01"
 //	uvarint table count
-//	per table: string name; uvarint page-space id; uvarint ncols;
-//	  per column (string name, byte type)
+//	per table: string name; uvarint page-space id; schema
 //	uvarint index count
-//	per index: strings name/table/column/kind; uvarints fanout,
-//	  tilingLevel, interiorEffort; 4 × float64 bounds
+//	per index: index
 //	uint32 CRC-32C over everything above
 const (
 	catalogMagic = "STFCAT01"
 	catalogFile  = "catalog.bin"
-	// maxCatalogEntries bounds table and index counts read from disk
-	// before they size allocations.
-	maxCatalogEntries = 1 << 16
 )
 
 var catalogCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -196,34 +193,22 @@ func (db *DB) loadCatalog(parallel int) error {
 	}
 	br := bufio.NewReader(bytes.NewReader(body[len(catalogMagic):]))
 
-	tableCount, err := binary.ReadUvarint(br)
-	if err != nil || tableCount > maxCatalogEntries {
-		return fmt.Errorf("spatialtf: catalog table count: %v", err)
+	tableCount, err := readCount(br, "table count", maxCatalogEntries)
+	if err != nil {
+		return fmt.Errorf("spatialtf: catalog: %w", err)
 	}
 	for i := uint64(0); i < tableCount; i++ {
-		name, err := readString(br)
+		name, err := readString(br, "name")
 		if err != nil {
 			return fmt.Errorf("spatialtf: catalog table %d: %w", i, err)
 		}
-		space, err := binary.ReadUvarint(br)
+		space, err := readCount(br, "page space", math.MaxUint32)
 		if err != nil {
-			return err
+			return fmt.Errorf("spatialtf: catalog table %q: %w", name, err)
 		}
-		ncols, err := binary.ReadUvarint(br)
-		if err != nil || ncols == 0 || ncols > maxSnapshotCols {
-			return fmt.Errorf("spatialtf: catalog table %q columns: %v", name, err)
-		}
-		schema := make([]Column, ncols)
-		for c := range schema {
-			cn, err := readString(br)
-			if err != nil {
-				return err
-			}
-			tb, err := br.ReadByte()
-			if err != nil {
-				return err
-			}
-			schema[c] = Column{Name: cn, Type: storage.ColType(tb)}
+		schema, err := readSchema(br)
+		if err != nil {
+			return fmt.Errorf("spatialtf: catalog table %q: %w", name, err)
 		}
 		inner, err := storage.OpenTable(name, schema, db.store.Space(uint32(space)))
 		if err != nil {
@@ -236,46 +221,17 @@ func (db *DB) loadCatalog(parallel int) error {
 		}
 	}
 
-	idxCount, err := binary.ReadUvarint(br)
-	if err != nil || idxCount > maxCatalogEntries {
-		return fmt.Errorf("spatialtf: catalog index count: %v", err)
+	idxCount, err := readCount(br, "index count", maxCatalogEntries)
+	if err != nil {
+		return fmt.Errorf("spatialtf: catalog: %w", err)
 	}
 	for i := uint64(0); i < idxCount; i++ {
-		var fields [4]string
-		for j := range fields {
-			s, err := readString(br)
-			if err != nil {
-				return fmt.Errorf("spatialtf: catalog index %d: %w", i, err)
-			}
-			fields[j] = s
+		m, err := readIndexMeta(br)
+		if err != nil {
+			return fmt.Errorf("spatialtf: catalog index %d: %w", i, err)
 		}
-		var nums [3]uint64
-		for j := range nums {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return err
-			}
-			nums[j] = v
-		}
-		var bounds MBR
-		for _, dst := range []*float64{&bounds.MinX, &bounds.MinY, &bounds.MaxX, &bounds.MaxY} {
-			var fbuf [8]byte
-			if _, err := io.ReadFull(br, fbuf[:]); err != nil {
-				return err
-			}
-			*dst = floatFromUint64(binary.LittleEndian.Uint64(fbuf[:]))
-		}
-		opt := IndexOptions{
-			Fanout:         int(nums[0]),
-			TilingLevel:    int(nums[1]),
-			InteriorEffort: int(nums[2]),
-			Parallel:       parallel,
-		}
-		if IndexKind(fields[3]) == Quadtree {
-			opt.Bounds = bounds
-		}
-		if _, err := db.createIndexOn(fields[0], fields[1], fields[2], IndexKind(fields[3]), opt, false); err != nil {
-			return fmt.Errorf("spatialtf: rebuild index %q: %w", fields[0], err)
+		if _, err := db.createIndexOn(m.IndexName, m.TableName, m.ColumnName, m.Kind, indexOptions(m, parallel), false); err != nil {
+			return fmt.Errorf("spatialtf: rebuild index %q: %w", m.IndexName, err)
 		}
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
@@ -284,25 +240,19 @@ func (db *DB) loadCatalog(parallel int) error {
 	return nil
 }
 
-// writeCatalogLocked rewrites catalog.bin atomically (temp file, fsync,
-// rename, directory fsync). Caller holds db.mu.
+// writeCatalogLocked rewrites catalog.bin atomically. Tables go in name
+// order, indexes in creation order (the order a reopen rebuilds them
+// in). Caller holds db.mu.
 func (db *DB) writeCatalogLocked() error {
-	buf := []byte(catalogMagic)
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	buf := binary.AppendUvarint([]byte(catalogMagic), uint64(len(names)))
 	for _, name := range names {
-		buf = catPutString(buf, name)
-		buf = binary.AppendUvarint(buf, uint64(db.spaceOf[name]))
-		schema := db.tables[name].inner.Schema()
-		buf = binary.AppendUvarint(buf, uint64(len(schema)))
-		for _, c := range schema {
-			buf = catPutString(buf, c.Name)
-			buf = append(buf, byte(c.Type))
-		}
+		buf = binary.AppendUvarint(appendString(buf, name), uint64(db.spaceOf[name]))
+		buf = appendSchema(buf, db.tables[name].inner.Schema())
 	}
 	metas, err := db.reg.MetadataRows()
 	if err != nil {
@@ -310,22 +260,8 @@ func (db *DB) writeCatalogLocked() error {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(metas)))
 	for _, m := range metas {
-		buf = catPutString(buf, m.IndexName)
-		buf = catPutString(buf, m.TableName)
-		buf = catPutString(buf, m.ColumnName)
-		buf = catPutString(buf, string(m.Kind))
-		buf = binary.AppendUvarint(buf, uint64(m.Fanout))
-		buf = binary.AppendUvarint(buf, uint64(m.TilingLevel))
-		buf = binary.AppendUvarint(buf, uint64(m.InteriorEffort))
-		for _, f := range []float64{m.Bounds.MinX, m.Bounds.MinY, m.Bounds.MaxX, m.Bounds.MaxY} {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64FromFloat(f))
-		}
+		buf = appendIndexMeta(buf, m)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, catalogCRC))
 	return pager.AtomicWriteFile(db.dirFS, db.catalogPath, buf)
-}
-
-func catPutString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }

@@ -1,6 +1,9 @@
 package spatialtf
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"spatialtf/internal/pager"
@@ -94,41 +97,207 @@ func TestOpenDirLifecycle(t *testing.T) {
 	}
 }
 
+// crashMark is the committed state at one boundary of the crash
+// script: everything here had returned to the caller before filesystem
+// operation `point`, so a crash at or after it must preserve all of it.
+type crashMark struct {
+	point int
+	ddl   int                         // DDL statements completed
+	rows  map[string]map[RowID]string // table → rowid → rendered row
+	dead  []RowID                     // deleted from "stars"
+}
+
+// TestOpenDirCrashDurability crashes a data directory at EVERY
+// filesystem operation of a script that mixes DML with every kind of
+// DDL — table creation, R-tree and Quadtree creation, a snapshot import
+// — in a plain and a torn-final-write variant with unsynced writes
+// dropped. Every reopen must succeed; the recovered catalogue must be
+// one of the script's successive catalogues, no older than the last one
+// committed; every catalogued index (rebuilt on open) must answer a
+// window query exactly like an index-free scan; and every row committed
+// before the crash must be there. That puts catalog.bin rewrites and
+// index rebuild-on-open inside the crash matrix, not just the heap.
 func TestOpenDirCrashDurability(t *testing.T) {
 	fs := pager.NewMemFS()
-	db, err := OpenDir("data", DirOptions{fs: fs, Sync: SyncAlways})
+	opt := DirOptions{fs: fs, Sync: SyncAlways, PoolPages: 32}
+	db, err := OpenDir("data", opt)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
-	tab, err := db.CreateSpatialTable("stars")
-	if err != nil {
-		t.Fatalf("CreateSpatialTable: %v", err)
+	// The script's DDL in order; Import creates its tables, then its
+	// indexes, each in name order.
+	ddl := []string{"table stars", "index stars_rt", "table roads", "index roads_qt",
+		"table notes", "table parcels", "index parcels_qt", "index parcels_rt"}
+	var marks []crashMark
+	var dead []RowID
+	mark := func() {
+		t.Helper()
+		m := crashMark{point: fs.CrashPoints(), ddl: catalogueLen(t, db, ddl), rows: map[string]map[RowID]string{}}
+		for _, name := range db.TableNames() {
+			tab, _ := db.Table(name)
+			m.rows[name] = map[RowID]string{}
+			tab.Scan(func(id RowID, row Row) bool {
+				m.rows[name][id] = fmt.Sprint(row)
+				return true
+			})
+		}
+		m.dead = append(m.dead, dead...)
+		marks = append(marks, m)
 	}
-	ids := fillSpatial(t, tab, 25)
-	if err := tab.Delete(ids[3]); err != nil {
-		t.Fatalf("Delete: %v", err)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	// SIGKILL: no Close, no Checkpoint; unsynced writes are lost.
-	clone := fs.CrashClone(fs.CrashPoints(), false, true)
+	add := func(tab *Table, n int) []RowID {
+		t.Helper()
+		ids := make([]RowID, n)
+		for i := range ids {
+			x, y := float64(i%5)*6, float64(i/5)*6
+			ids[i], err = tab.Add("row", MustRect(x, y, x+4, y+4))
+			must(err)
+			mark()
+		}
+		return ids
+	}
 
-	db2, err := OpenDir("data", DirOptions{fs: clone, Sync: SyncAlways})
+	mark()
+	stars, err := db.CreateSpatialTable("stars")
+	must(err)
+	mark()
+	ids := add(stars, 25)
+	_, err = db.CreateIndex("stars_rt", "stars", RTree, IndexOptions{Fanout: 8, InteriorEffort: 1})
+	must(err)
+	mark()
+	roads, err := db.CreateSpatialTable("roads")
+	must(err)
+	mark()
+	add(roads, 10)
+	_, err = db.CreateIndex("roads_qt", "roads", Quadtree, IndexOptions{TilingLevel: 5, Bounds: MBR{MaxX: 64, MaxY: 64}})
+	must(err)
+	mark()
+	must(db.Import(bytes.NewReader(golden(t, "golden.snap")), 0))
+	mark()
+	must(stars.Delete(ids[3]))
+	dead = append(dead, ids[3])
+	mark()
+	if got := marks[len(marks)-1].ddl; got != len(ddl) {
+		t.Fatalf("script finished with %d of %d DDL statements catalogued", got, len(ddl))
+	}
+	wantMeta := map[string]Metadata{}
+	metas, err := db.IndexMetadata()
+	must(err)
+	for _, m := range metas {
+		wantMeta[m.IndexName] = m
+	}
+
+	window := MustRect(3, 3, 30, 30)
+	points := fs.CrashPoints()
+	// The matrix starts where the script does: crash points inside the
+	// very first OpenDir (page-file bootstrap) are the pager's to cover.
+	for k := marks[0].point; k <= points; k++ {
+		floor := marks[0]
+		for _, m := range marks {
+			if m.point <= k {
+				floor = m
+			}
+		}
+		for _, torn := range []bool{false, true} {
+			tag := fmt.Sprintf("k=%d/%d torn=%v", k, points, torn)
+			copt := opt
+			copt.fs = fs.CrashClone(k, torn, true)
+			db2, err := OpenDir("data", copt)
+			if err != nil {
+				t.Fatalf("%s: reopen after crash: %v", tag, err)
+			}
+			if n := catalogueLen(t, db2, ddl); n < floor.ddl {
+				t.Fatalf("%s: recovered the catalogue after %d DDL statements, %d were committed", tag, n, floor.ddl)
+			}
+			metas, err := db2.IndexMetadata()
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			for _, m := range metas {
+				// RowsIndexed and an R-tree's data bounds describe the
+				// rows present at the rebuild, not the catalogue.
+				w := wantMeta[m.IndexName]
+				m.RowsIndexed, w.RowsIndexed = 0, 0
+				if m.Kind == RTree {
+					m.Bounds, w.Bounds = MBR{}, MBR{}
+				}
+				if m != w {
+					t.Fatalf("%s: index recovered as %+v, created as %+v", tag, m, w)
+				}
+				tab, err := db2.Table(m.TableName)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				got, err := db2.Relate(m.TableName, m.IndexName, window, "anyinteract")
+				if err != nil {
+					t.Fatalf("%s: window query on rebuilt %s: %v", tag, m.IndexName, err)
+				}
+				want := scanWindow(t, tab, m.ColumnName, window)
+				slices.SortFunc(got, RowID.Compare)
+				slices.SortFunc(want, RowID.Compare)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: rebuilt %s answers %v, an index-free scan %v", tag, m.IndexName, got, want)
+				}
+			}
+			for name, rows := range floor.rows {
+				tab, err := db2.Table(name)
+				if err != nil {
+					t.Fatalf("%s: committed table lost: %v", tag, err)
+				}
+				for id, want := range rows {
+					row, err := tab.Fetch(id)
+					if err != nil || fmt.Sprint(row) != want {
+						t.Fatalf("%s: committed row %s%v = %v (%v), want %s", tag, name, id, row, err, want)
+					}
+				}
+			}
+			for _, id := range floor.dead {
+				if _, err := db2.tables["stars"].Fetch(id); err == nil {
+					t.Fatalf("%s: committed delete of %v came back", tag, id)
+				}
+			}
+			if k == points {
+				// SIGKILL after the whole script: nothing may be missing.
+				for name, rows := range floor.rows {
+					if tab, _ := db2.Table(name); tab.Len() != len(rows) {
+						t.Fatalf("%s: table %s recovered %d rows, want %d", tag, name, tab.Len(), len(rows))
+					}
+				}
+			}
+			if err := db2.Close(); err != nil {
+				t.Fatalf("%s: close after recovery: %v", tag, err)
+			}
+		}
+	}
+	t.Logf("verified %d crash points × {plain, torn}", points+1-marks[0].point)
+}
+
+// catalogueLen checks that db's catalogue — its tables and indexes — is
+// exactly the first n statements of the DDL script, and returns n.
+func catalogueLen(t *testing.T, db *DB, ddl []string) int {
+	t.Helper()
+	have := map[string]bool{}
+	for _, name := range db.TableNames() {
+		have["table "+name] = true
+	}
+	metas, err := db.IndexMetadata()
 	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
+		t.Fatal(err)
 	}
-	defer db2.Close()
-	t2, err := db2.Table("stars")
-	if err != nil {
-		t.Fatalf("Table after crash: %v", err)
+	for _, m := range metas {
+		have["index "+m.IndexName] = true
 	}
-	if t2.Len() != 24 {
-		t.Fatalf("recovered %d rows, want 24", t2.Len())
+	for _, stmt := range ddl[:min(len(have), len(ddl))] {
+		if !have[stmt] {
+			t.Fatalf("catalogue %v is not a prefix of the DDL script %v", have, ddl)
+		}
 	}
-	if _, err := t2.Fetch(ids[3]); err == nil {
-		t.Fatal("deleted row came back after crash recovery")
-	}
-	if _, err := t2.Fetch(ids[7]); err != nil {
-		t.Fatalf("committed row lost in crash: %v", err)
-	}
+	return len(have)
 }
 
 func TestOpenDirCatalogCorruptionDetected(t *testing.T) {

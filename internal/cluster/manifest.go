@@ -20,9 +20,9 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 
 	"spatialtf/internal/geom"
+	"spatialtf/internal/pager"
 	"spatialtf/internal/sjoin"
 	"spatialtf/internal/wire"
 )
@@ -151,40 +151,13 @@ func (m *ShardMap) encode() []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, manifestCRC))
 }
 
-// Save writes the manifest atomically: temp file, fsync, rename,
-// directory fsync (the catalog idiom, so a crash leaves either the old
-// or the new manifest, never a torn one).
+// Save writes the manifest through pager.AtomicWrite, so a crash leaves
+// either the old or the new manifest, never a torn one.
 func (m *ShardMap) Save(path string) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(m.encode()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return pager.AtomicWriteFile(pager.OSFS, path, m.encode())
 }
 
 // LoadShardMap reads and verifies a manifest.

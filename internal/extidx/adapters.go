@@ -32,8 +32,17 @@ type rtreeIndex struct {
 	interiorEffort int
 }
 
+// maxInteriorEffort caps Params.InteriorEffort: the interior search
+// tries effort² centres per polygon, so an unchecked value — from the
+// API or from a catalogue row read back from disk — would turn index
+// creation into an effectively unbounded loop.
+const maxInteriorEffort = 64
+
 // BuildRTree is the RTREE indextype builder.
 func BuildRTree(tab *storage.Table, geomCol int, p Params) (SpatialIndex, error) {
+	if p.InteriorEffort > maxInteriorEffort {
+		return nil, fmt.Errorf("extidx: interior effort %d exceeds limit %d", p.InteriorEffort, maxInteriorEffort)
+	}
 	column := tab.Schema()[geomCol].Name
 	tree, stats, err := idxbuild.CreateRtreeOpts(tab, column, idxbuild.RtreeOptions{
 		Fanout:         p.Fanout,

@@ -94,6 +94,10 @@ func TestCreateIndexErrors(t *testing.T) {
 	if _, err := r.CreateIndex("q", KindQuadtree, tab, "geom", Params{}); err == nil {
 		t.Errorf("quadtree without params: want error")
 	}
+	// An interior effort past the cap is refused before any work is done.
+	if _, err := r.CreateIndex("e", KindRTree, tab, "geom", Params{InteriorEffort: maxInteriorEffort + 1}); err == nil {
+		t.Errorf("interior effort %d: want error", maxInteriorEffort+1)
+	}
 	_ = ds
 }
 

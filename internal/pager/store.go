@@ -662,7 +662,10 @@ func (s *Store) checkpointLocked() error {
 
 // rotateWALLocked atomically replaces the WAL with an empty generation
 // starting at the current LSN. Only legal when every pool page is clean
-// (just checkpointed) and no transaction is in flight.
+// (just checkpointed) and no transaction is in flight. It is the one
+// temp → fsync → rename → fsync(dir) sequence not routed through
+// AtomicWrite: the freshly written file's handle stays open and becomes
+// the live WAL, which a write-and-close helper cannot hand back.
 func (s *Store) rotateWALLocked() error {
 	tmp := s.walPath + ".tmp"
 	f, err := s.fs.Create(tmp)

@@ -3,6 +3,7 @@ package pager
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"spatialtf/internal/telemetry"
@@ -231,34 +232,85 @@ func TestCheckpointRotatesWAL(t *testing.T) {
 	}
 }
 
-func TestAtomicWriteFile(t *testing.T) {
+// TestAtomicWrite: the streaming writer issues several writes, a failed
+// write callback changes nothing, and at every crash point × {torn} ×
+// {drop-unsynced} the path holds exactly the old bytes or exactly the
+// new — never a truncation, never a mix.
+func TestAtomicWrite(t *testing.T) {
 	fs := NewMemFS()
-	if err := AtomicWriteFile(fs, "dir/file.bin", []byte("first")); err != nil {
-		t.Fatalf("AtomicWriteFile: %v", err)
+	versions := [][]byte{[]byte("first"), bytes.Repeat([]byte("second"), 100), []byte("3rd")}
+	chunked := func(data []byte) func(io.Writer) error {
+		return func(w io.Writer) error {
+			for len(data) > 0 {
+				n := min(len(data), 7)
+				if _, err := w.Write(data[:n]); err != nil {
+					return err
+				}
+				data = data[n:]
+			}
+			return nil
+		}
 	}
-	if err := AtomicWriteFile(fs, "dir/file.bin", []byte("second")); err != nil {
-		t.Fatalf("AtomicWriteFile: %v", err)
+	read := func(fs *MemFS) []byte {
+		if ok, _ := fs.Exists("dir/file.bin"); !ok {
+			return nil
+		}
+		f, err := fs.Open("dir/file.bin")
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		size, _ := f.Size()
+		got := make([]byte, size)
+		if size > 0 {
+			f.ReadAt(got, 0)
+		}
+		return got
 	}
-	// At every crash point the file reads back as a complete old or new
-	// version — never truncated, never mixed.
+	boom := errors.New("boom")
+	var done []int // crash points at which version i became durable
+	for i, v := range versions {
+		if i == 2 {
+			// A writer that fails halfway leaves the old file and no temp.
+			err := AtomicWrite(fs, "dir/file.bin", func(w io.Writer) error {
+				w.Write([]byte("half a fi"))
+				return boom
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("failed writer: error %v", err)
+			}
+			if got := read(fs); !bytes.Equal(got, versions[1]) {
+				t.Fatalf("failed writer replaced the file with %q", got)
+			}
+			if ok, _ := fs.Exists("dir/file.bin.tmp"); ok {
+				t.Fatal("failed writer left its temp file behind")
+			}
+		}
+		var err error
+		if i == 0 {
+			err = AtomicWriteFile(fs, "dir/file.bin", v) // the []byte form, same protocol
+		} else {
+			err = AtomicWrite(fs, "dir/file.bin", chunked(v))
+		}
+		if err != nil {
+			t.Fatalf("AtomicWrite: %v", err)
+		}
+		done = append(done, fs.CrashPoints())
+	}
 	for k := 0; k <= fs.CrashPoints(); k++ {
 		for _, torn := range []bool{false, true} {
-			clone := fs.CrashClone(k, torn, true)
-			ok, err := clone.Exists("dir/file.bin")
-			if err != nil || !ok {
-				continue // before the first rename: no file is fine
-			}
-			f, err := clone.Open("dir/file.bin")
-			if err != nil {
-				t.Fatalf("k=%d open: %v", k, err)
-			}
-			size, _ := f.Size()
-			got := make([]byte, size)
-			if size > 0 {
-				f.ReadAt(got, 0)
-			}
-			if !bytes.Equal(got, []byte("first")) && !bytes.Equal(got, []byte("second")) {
-				t.Fatalf("k=%d torn=%v: file content %q is neither version", k, torn, got)
+			for _, drop := range []bool{false, true} {
+				got := read(fs.CrashClone(k, torn, drop))
+				// Version i is required once its AtomicWrite returned and
+				// allowed from the moment it started.
+				ok := got == nil && k < done[0]
+				for i, v := range versions {
+					started := i == 0 || k >= done[i-1]
+					superseded := i+1 < len(versions) && k >= done[i+1]
+					ok = ok || (bytes.Equal(got, v) && started && !superseded)
+				}
+				if !ok {
+					t.Fatalf("k=%d torn=%v drop=%v: file holds %q, not a whole allowed version", k, torn, drop, got)
+				}
 			}
 		}
 	}

@@ -102,30 +102,43 @@ func (f osFile) Size() (int64, error) {
 	return st.Size(), nil
 }
 
-// AtomicWriteFile replaces path with data using the temp-file → fsync →
-// rename → fsync(dir) protocol, so a crash at any point leaves either
-// the old content or the new, never a truncated mix. Every durable file
-// the module persists outside the WAL (snapshots, checkpoint WAL
-// rotation, the catalog) goes through this shape.
-func AtomicWriteFile(fs FS, path string, data []byte) error {
+// AtomicWrite replaces path with whatever write streams into the writer
+// it is handed, using the temp-file → fsync → rename → fsync(dir)
+// protocol, so a crash at any point — or an error from write — leaves
+// the old content or the new, never a truncated mix. Every whole-file
+// rewrite in the module goes through it: catalog.bin, database
+// snapshots (the daemon's shutdown save, the shell's \save) and the
+// cluster's shard-map manifest. The one exception is checkpoint WAL
+// rotation (Store.rotateWALLocked), which runs the same sequence by
+// hand because it must keep the new file's handle open as the live WAL.
+func AtomicWrite(fs FS, path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("pager: write %s: %w", tmp, err)
+	if err = write(io.NewOffsetWriter(f, 0)); err != nil {
+		err = fmt.Errorf("pager: write %s: %w", tmp, err)
+	} else if err = f.Sync(); err != nil {
+		err = fmt.Errorf("pager: sync %s: %w", tmp, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("pager: sync %s: %w", tmp, err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
+		fs.Remove(tmp) // best effort: the failure is what gets reported
 		return err
 	}
 	if err := fs.Rename(tmp, path); err != nil {
 		return err
 	}
 	return fs.SyncDir(filepath.Dir(path))
+}
+
+// AtomicWriteFile is AtomicWrite for content already in memory.
+func AtomicWriteFile(fs FS, path string, data []byte) error {
+	return AtomicWrite(fs, path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }

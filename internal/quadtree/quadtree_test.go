@@ -171,6 +171,12 @@ func TestTessellateOutsideGrid(t *testing.T) {
 	if _, err := Tessellate(g, invalid); err == nil {
 		t.Errorf("invalid geometry: want error")
 	}
+	// A level far too fine for the geometry fails typed instead of
+	// tiling without bound: 2^22 cells here against a 2^20 cap.
+	big, _ := geom.NewRect(0, 0, 1024, 1024)
+	if _, err := Tessellate(testGrid(t, 11), big); err == nil {
+		t.Errorf("cover past maxTilesPerGeometry: want error")
+	}
 }
 
 func TestCoverWindow(t *testing.T) {

@@ -19,6 +19,11 @@ import (
 // The returned tiles are in ascending Morton order (a property of the
 // depth-first quadrant order), which lets the index builder feed them to
 // the B-tree bulk loader without re-sorting per geometry.
+//
+// A cover of more than maxTilesPerGeometry tiles is refused: the tiling
+// level is a parameter that can arrive from SQL or from a catalogue row
+// read back from disk, and a level far too fine for the data would
+// otherwise turn index creation into an unbounded loop and allocation.
 func Tessellate(grid Grid, g geom.Geometry) ([]Tile, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("quadtree: tessellate: %w", err)
@@ -28,13 +33,21 @@ func Tessellate(grid Grid, g geom.Geometry) ([]Tile, error) {
 		return nil, fmt.Errorf("quadtree: geometry %v outside grid bounds %v", mbr, grid.Bounds)
 	}
 	var tiles []Tile
-	tessellateQuad(grid, g, mbr, 0, 0, 0, &tiles)
+	if !tessellateQuad(grid, g, mbr, 0, 0, 0, &tiles) {
+		return nil, fmt.Errorf("quadtree: geometry %v covers more than %d level-%d tiles; use a coarser tiling level", mbr, maxTilesPerGeometry, grid.Level)
+	}
 	return tiles, nil
 }
 
+// maxTilesPerGeometry bounds one geometry's tile cover (8 MiB of tile
+// codes). The finest level any workload here uses, 9, has 2^18 cells in
+// the whole grid.
+const maxTilesPerGeometry = 1 << 20
+
 // tessellateQuad recursively covers the quadrant with cell origin
-// (cx, cy) at the given depth (root quadrant spans the whole grid).
-func tessellateQuad(grid Grid, g geom.Geometry, gmbr geom.MBR, depth int, cx, cy uint32, out *[]Tile) {
+// (cx, cy) at the given depth (root quadrant spans the whole grid). It
+// returns false once the cover outgrows maxTilesPerGeometry.
+func tessellateQuad(grid Grid, g geom.Geometry, gmbr geom.MBR, depth int, cx, cy uint32, out *[]Tile) bool {
 	quadCells := uint32(1) << uint(grid.Level-depth) // cells per side of this quadrant
 	w, h := grid.CellSize()
 	rect := geom.MBR{
@@ -45,22 +58,22 @@ func tessellateQuad(grid Grid, g geom.Geometry, gmbr geom.MBR, depth int, cx, cy
 	}
 	// Cheap reject on the geometry MBR before the exact test.
 	if !rect.Intersects(gmbr) {
-		return
+		return true
 	}
 	if !rectInteracts(rect, g) {
-		return
+		return true
 	}
 	if depth == grid.Level {
 		*out = append(*out, grid.TileOf(cx, cy))
-		return
+		return len(*out) <= maxTilesPerGeometry
 	}
 	half := quadCells / 2
 	// Z-order: (0,0), (1,0), (0,1), (1,1) quadrants — morton order is
 	// x-bit first, so iterate y-major over (dy, dx) with dx fastest.
-	tessellateQuad(grid, g, gmbr, depth+1, cx, cy, out)
-	tessellateQuad(grid, g, gmbr, depth+1, cx+half, cy, out)
-	tessellateQuad(grid, g, gmbr, depth+1, cx, cy+half, out)
-	tessellateQuad(grid, g, gmbr, depth+1, cx+half, cy+half, out)
+	return tessellateQuad(grid, g, gmbr, depth+1, cx, cy, out) &&
+		tessellateQuad(grid, g, gmbr, depth+1, cx+half, cy, out) &&
+		tessellateQuad(grid, g, gmbr, depth+1, cx, cy+half, out) &&
+		tessellateQuad(grid, g, gmbr, depth+1, cx+half, cy+half, out)
 }
 
 // rectInteracts reports whether the rectangle interacts with g, using

@@ -461,6 +461,26 @@ func (h *Heap) Scan(fn func(id RowID, row []byte) bool) {
 	h.scanLocked(0, ^uint32(0), fn)
 }
 
+// ScanImages hands begin the live-row count and then fn every live row,
+// all under one shared lock, so the count and the rows cannot disagree
+// whatever DML is queued behind the scan. The first error from begin or
+// fn ends the scan and is returned. Like Scan, a page that cannot be
+// pinned ends the scan early: a caller that needs every row compares
+// what it saw with the count.
+func (h *Heap) ScanImages(begin func(live int) error, fn func(row []byte) error) error {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	err := begin(h.rowCount)
+	if err != nil {
+		return err
+	}
+	h.scanLocked(0, ^uint32(0), func(_ RowID, row []byte) bool {
+		err = fn(row)
+		return err == nil
+	})
+	return err
+}
+
 // ScanRange behaves like Scan restricted to pages in [fromPage, toPage).
 // Parallel table functions use it to partition a full scan into
 // contiguous page ranges. A jumbo row belongs to the range holding its

@@ -230,6 +230,15 @@ func (t *Table) Scan(fn func(id RowID, row Row) bool) error {
 	return decodeErr
 }
 
+// ScanImages is the export scan: begin receives the live-row count, then
+// fn the encoded image (see EncodeRow) of each live row in storage
+// order, with no decode. Count and rows come from one acquisition of
+// the heap lock — see Heap.ScanImages. Images alias the pinned page and
+// must not be retained.
+func (t *Table) ScanImages(begin func(live int) error, fn func(img []byte) error) error {
+	return t.heap.ScanImages(begin, fn)
+}
+
 // PageRanges splits the table's page-id span into n contiguous ranges
 // of roughly equal width, the unit parallel table functions partition a
 // table scan by. Fewer than n ranges are returned for tiny tables. On a

@@ -272,6 +272,47 @@ func TestTableScan(t *testing.T) {
 	}
 }
 
+func TestTableScanImages(t *testing.T) {
+	tab, _ := NewTable("t", testSchema())
+	var ids []RowID
+	for i := 0; i < 50; i++ {
+		id, _ := tab.Insert(testRow(i))
+		ids = append(ids, id)
+	}
+	tab.Delete(ids[7])
+	// The count announced first is the number of images that follow, and
+	// each image is the row's stored encoding.
+	declared, sum := -1, int64(0)
+	n := 0
+	err := tab.ScanImages(func(live int) error {
+		declared = live
+		return nil
+	}, func(img []byte) error {
+		row, err := DecodeRow(tab.Schema(), img)
+		if err != nil {
+			return err
+		}
+		sum += row[0].I
+		n++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if declared != 49 || n != 49 || sum != 49*50/2-7 {
+		t.Errorf("ScanImages declared %d, emitted %d rows summing %d", declared, n, sum)
+	}
+	// Either callback's error ends the scan and comes back.
+	boom := errors.New("boom")
+	if err := tab.ScanImages(func(int) error { return boom }, func([]byte) error { t.Fatal("scanned after begin failed"); return nil }); err != boom {
+		t.Errorf("begin error: got %v", err)
+	}
+	n = 0
+	if err := tab.ScanImages(func(int) error { return nil }, func([]byte) error { n++; return boom }); err != boom || n != 1 {
+		t.Errorf("fn error: got %v after %d rows", err, n)
+	}
+}
+
 func TestTablePageRanges(t *testing.T) {
 	tab, _ := NewTable("t", testSchema())
 	for i := 0; i < 500; i++ {

@@ -5,89 +5,72 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"spatialtf/internal/storage"
 )
 
 // Database snapshots: Save writes every table (live rows) and the
-// spatial-index catalogue to a stream; Restore rebuilds a database from
-// it, recreating indexes with their original parameters. This is the
-// export/import durability model (like exp/imp), not a physical
-// datafile copy: rowids are NOT stable across Save/Restore — rows are
+// spatial-index catalogue to a stream; Import loads such a stream into
+// a database, recreating indexes with their original parameters. This
+// is the export/import durability model (like exp/imp), not a physical
+// datafile copy: rowids are NOT stable across Save/Import — rows are
 // reinserted in storage order and indexes are rebuilt.
 
-// snapshot format (little endian):
+// snapshot format (little endian; string, schema and index are the
+// catalogue codec's encodings, see catalog.go):
 //
 //	magic "STFSNAP1"
 //	uvarint table count
-//	per table: string name; uvarint ncols; per column (string name,
-//	  byte type); uvarint row count; per row (uvarint len, bytes)
+//	per table: string name; schema; uvarint row count; per row
+//	  (uvarint len, row image as storage.EncodeRow writes it)
 //	uvarint index count
-//	per index: strings name/table/column/kind; uvarints fanout,
-//	  tilingLevel, interiorEffort, parallelHint; 4 × float64 bounds
+//	per index: index
 const snapshotMagic = "STFSNAP1"
 
-// Restore bounds: counts in the stream are attacker-controlled (a
-// snapshot may come off the network or a shared filesystem), so every
-// count is checked before it sizes an allocation.
-const (
-	// maxSnapshotCols caps columns per table, matching the wire
-	// protocol's schema cap in wire.ParseDescribe.
-	maxSnapshotCols = 4096
-	// maxSnapshotRowImage caps one encoded row (strings and blobs
-	// included); the storage layer's own blob limit is far below this.
-	maxSnapshotRowImage = 1 << 24
-)
+// maxSnapshotRowImage caps one encoded row (strings and blobs
+// included); the storage layer's own blob limit is far below this.
+const maxSnapshotRowImage = 1 << 24
 
-// Save serialises the database. Tables are written in name order so
-// snapshots of equal databases are byte-identical.
+// Save serialises the database. Tables are written in name order and
+// indexes in index-name order, so snapshots of equal databases are
+// byte-identical. Save may run beside DML: each table section is one
+// consistent scan (its row count and its rows are read under one lock),
+// though different tables are captured at different instants.
 func (db *DB) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
-	db.mu.RLock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	db.mu.RUnlock()
+	names := db.TableNames()
 	sort.Strings(names)
-
-	writeUvarint(bw, uint64(len(names)))
+	buf := binary.AppendUvarint([]byte(snapshotMagic), uint64(len(names)))
 	for _, name := range names {
 		t, err := db.Table(name)
 		if err != nil {
 			return err
 		}
-		inner := t.Inner()
-		writeString(bw, name)
-		schema := inner.Schema()
-		writeUvarint(bw, uint64(len(schema)))
-		for _, c := range schema {
-			writeString(bw, c.Name)
-			writeByte(bw, byte(c.Type))
-		}
-		writeUvarint(bw, uint64(inner.Len()))
-		var encodeErr error
-		scanErr := inner.Scan(func(_ RowID, row Row) bool {
-			img, err := storage.EncodeRow(schema, row)
-			if err != nil {
-				encodeErr = err
-				return false
+		buf = appendSchema(appendString(buf, name), t.inner.Schema())
+		declared, emitted := 0, 0
+		err = t.inner.ScanImages(func(live int) error {
+			declared = live
+			_, err := bw.Write(binary.AppendUvarint(buf, uint64(live)))
+			return err
+		}, func(img []byte) error {
+			emitted++
+			var l [binary.MaxVarintLen64]byte
+			if _, err := bw.Write(l[:binary.PutUvarint(l[:], uint64(len(img)))]); err != nil {
+				return err
 			}
-			writeUvarint(bw, uint64(len(img)))
-			writeBytes(bw, img)
-			return true
+			_, err := bw.Write(img)
+			return err
 		})
-		if scanErr != nil {
-			return scanErr
+		if err != nil {
+			return err
 		}
-		if encodeErr != nil {
-			return encodeErr
+		// A scan cut short by an unreadable page must not become a table
+		// section whose count disagrees with its rows.
+		if emitted != declared {
+			return fmt.Errorf("spatialtf: save table %q: scan produced %d of %d live rows", name, emitted, declared)
 		}
+		buf = buf[:0]
 	}
 
 	metas, err := db.IndexMetadata()
@@ -95,194 +78,98 @@ func (db *DB) Save(w io.Writer) error {
 		return err
 	}
 	sort.Slice(metas, func(i, j int) bool { return metas[i].IndexName < metas[j].IndexName })
-	writeUvarint(bw, uint64(len(metas)))
+	buf = binary.AppendUvarint(buf, uint64(len(metas)))
 	for _, m := range metas {
-		writeString(bw, m.IndexName)
-		writeString(bw, m.TableName)
-		writeString(bw, m.ColumnName)
-		writeString(bw, string(m.Kind))
-		writeUvarint(bw, uint64(m.Fanout))
-		writeUvarint(bw, uint64(m.TilingLevel))
-		writeUvarint(bw, uint64(m.InteriorEffort))
-		var fbuf [8]byte
-		for _, f := range []float64{m.Bounds.MinX, m.Bounds.MinY, m.Bounds.MaxX, m.Bounds.MaxY} {
-			binary.LittleEndian.PutUint64(fbuf[:], uint64FromFloat(f))
-			writeBytes(bw, fbuf[:])
-		}
+		buf = appendIndexMeta(buf, m)
+	}
+	if _, err := bw.Write(buf); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// Restore reads a snapshot and returns a new database with the tables
-// loaded and every index recreated (rebuilt with `parallel` workers;
-// 0 = sequential).
+// Restore reads a snapshot into a new in-memory database (indexes
+// rebuilt with `parallel` workers; 0 = sequential).
 func Restore(r io.Reader, parallel int) (*DB, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("spatialtf: snapshot header: %w", err)
-	}
-	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("spatialtf: bad snapshot magic %q", magic)
-	}
 	db := Open()
-
-	tableCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("spatialtf: snapshot table count: %w", err)
-	}
-	for ti := uint64(0); ti < tableCount; ti++ {
-		name, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		ncols, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if ncols > maxSnapshotCols {
-			return nil, fmt.Errorf("spatialtf: snapshot table %q: column count %d exceeds limit %d", name, ncols, maxSnapshotCols)
-		}
-		schema := make([]Column, ncols)
-		for i := range schema {
-			cn, err := readString(br)
-			if err != nil {
-				return nil, err
-			}
-			tb, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			schema[i] = Column{Name: cn, Type: storage.ColType(tb)}
-		}
-		tab, err := db.CreateTable(name, schema)
-		if err != nil {
-			return nil, fmt.Errorf("spatialtf: restore table %q: %w", name, err)
-		}
-		rowCount, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		for ri := uint64(0); ri < rowCount; ri++ {
-			l, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			if l > maxSnapshotRowImage {
-				return nil, fmt.Errorf("spatialtf: snapshot %q row %d: image length %d exceeds limit %d", name, ri, l, maxSnapshotRowImage)
-			}
-			img := make([]byte, l)
-			if _, err := io.ReadFull(br, img); err != nil {
-				return nil, err
-			}
-			row, err := storage.DecodeRow(schema, img)
-			if err != nil {
-				return nil, fmt.Errorf("spatialtf: restore %q row %d: %w", name, ri, err)
-			}
-			if _, err := tab.Insert(row...); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	idxCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("spatialtf: snapshot index count: %w", err)
-	}
-	for ii := uint64(0); ii < idxCount; ii++ {
-		var fields [4]string
-		for i := range fields {
-			s, err := readString(br)
-			if err != nil {
-				return nil, err
-			}
-			fields[i] = s
-		}
-		fanout, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		level, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		effort, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		var bounds MBR
-		for _, dst := range []*float64{&bounds.MinX, &bounds.MinY, &bounds.MaxX, &bounds.MaxY} {
-			var fbuf [8]byte
-			if _, err := io.ReadFull(br, fbuf[:]); err != nil {
-				return nil, err
-			}
-			*dst = floatFromUint64(binary.LittleEndian.Uint64(fbuf[:]))
-		}
-		opt := IndexOptions{
-			Fanout:         int(fanout),
-			TilingLevel:    int(level),
-			InteriorEffort: int(effort),
-			Parallel:       parallel,
-		}
-		if IndexKind(fields[3]) == Quadtree {
-			opt.Bounds = bounds
-		}
-		if _, err := db.CreateIndexOn(fields[0], fields[1], fields[2], IndexKind(fields[3]), opt); err != nil {
-			return nil, fmt.Errorf("spatialtf: restore index %q: %w", fields[0], err)
-		}
-	}
-	// Trailing garbage is an error: snapshots are exact.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("spatialtf: trailing bytes after snapshot")
+	if err := db.Import(r, parallel); err != nil {
+		return nil, err
 	}
 	return db, nil
 }
 
-// --- little helpers ---
-
-// The write helpers below deliberately drop per-call error results:
-// bufio.Writer errors are sticky, every later write is a no-op after
-// the first failure, and Save's final Flush reports it. Checking each
-// call would triple the line count of the snapshot writer for no added
-// safety.
-
-//spatiallint:ignore wireerr bufio errors are sticky; Save's final Flush reports the first failure
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-//spatiallint:ignore wireerr bufio errors are sticky; Save's final Flush reports the first failure
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s)
-}
-
-//spatiallint:ignore wireerr bufio errors are sticky; Save's final Flush reports the first failure
-func writeByte(w *bufio.Writer, b byte) {
-	w.WriteByte(b)
-}
-
-//spatiallint:ignore wireerr bufio errors are sticky; Save's final Flush reports the first failure
-func writeBytes(w *bufio.Writer, b []byte) {
-	w.Write(b)
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	l, err := binary.ReadUvarint(r)
+// Import loads a snapshot into this database — in-memory or durable —
+// through the ordinary CreateTable, Insert and CreateIndexOn, so on a
+// data directory every step is catalogued and logged like any other DDL
+// and DML. A table name the database already has fails with
+// CreateTable's "already exists" error. Import is not all-or-nothing:
+// tables are loaded in stream (name) order, and on any error the tables,
+// rows and indexes loaded before it stay.
+func (db *DB) Import(r io.Reader, parallel int) error {
+	br := bufio.NewReader(r)
+	magic := make([]byte, len(snapshotMagic))
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return fmt.Errorf("spatialtf: snapshot header: %w", err)
+	}
+	if string(magic) != snapshotMagic {
+		return fmt.Errorf("spatialtf: bad snapshot magic %q", magic)
+	}
+	tableCount, err := readCount(br, "table count", maxCatalogEntries)
 	if err != nil {
-		return "", err
+		return fmt.Errorf("spatialtf: snapshot: %w", err)
 	}
-	if l > 1<<20 {
-		return "", fmt.Errorf("spatialtf: snapshot string of %d bytes", l)
+	for ti := uint64(0); ti < tableCount; ti++ {
+		name, err := readString(br, "name")
+		if err != nil {
+			return fmt.Errorf("spatialtf: snapshot table %d: %w", ti, err)
+		}
+		schema, err := readSchema(br)
+		if err != nil {
+			return fmt.Errorf("spatialtf: snapshot table %q: %w", name, err)
+		}
+		tab, err := db.CreateTable(name, schema)
+		if err != nil {
+			return fmt.Errorf("spatialtf: import table %q: %w", name, err)
+		}
+		rowCount, err := binary.ReadUvarint(br)
+		if err != nil {
+			return fmt.Errorf("spatialtf: snapshot table %q row count: %w", name, err)
+		}
+		for ri := uint64(0); ri < rowCount; ri++ {
+			l, err := readCount(br, "image length", maxSnapshotRowImage)
+			if err != nil {
+				return fmt.Errorf("spatialtf: snapshot table %q row %d: %w", name, ri, err)
+			}
+			img := make([]byte, l)
+			if _, err := io.ReadFull(br, img); err != nil {
+				return fmt.Errorf("spatialtf: snapshot table %q row %d: %w", name, ri, err)
+			}
+			row, err := storage.DecodeRow(schema, img)
+			if err != nil {
+				return fmt.Errorf("spatialtf: snapshot table %q row %d: %w", name, ri, err)
+			}
+			if _, err := tab.Insert(row...); err != nil {
+				return err
+			}
+		}
 	}
-	b := make([]byte, l)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
 
-func uint64FromFloat(f float64) uint64 { return math.Float64bits(f) }
-func floatFromUint64(u uint64) float64 { return math.Float64frombits(u) }
+	idxCount, err := readCount(br, "index count", maxCatalogEntries)
+	if err != nil {
+		return fmt.Errorf("spatialtf: snapshot: %w", err)
+	}
+	for ii := uint64(0); ii < idxCount; ii++ {
+		m, err := readIndexMeta(br)
+		if err != nil {
+			return fmt.Errorf("spatialtf: snapshot index %d: %w", ii, err)
+		}
+		if _, err := db.CreateIndexOn(m.IndexName, m.TableName, m.ColumnName, m.Kind, indexOptions(m, parallel)); err != nil {
+			return fmt.Errorf("spatialtf: import index %q: %w", m.IndexName, err)
+		}
+	}
+	// Trailing garbage is an error: snapshots are exact.
+	if _, err := br.ReadByte(); err != io.EOF {
+		return fmt.Errorf("spatialtf: trailing bytes after snapshot")
+	}
+	return nil
+}
