@@ -1,7 +1,7 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
 # build, the spatiallint analyzer suite, the complete test suite under
 # the race detector, a fuzz smoke pass over the wire/SQL/WAL/snapshot/
-# catalog decoders, and a
+# catalog/geometry decoders, and a
 # one-iteration benchmark smoke run (so benchmarks cannot silently rot).
 
 GO ?= go
@@ -70,6 +70,8 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime 5s ./internal/pager
 	$(GO) test -run NONE -fuzz FuzzImport -fuzztime 5s .
 	$(GO) test -run NONE -fuzz FuzzCatalog -fuzztime 5s .
+	$(GO) test -run NONE -fuzz FuzzGeomBinary -fuzztime 5s ./internal/geom
+	$(GO) test -run NONE -fuzz FuzzParseWKT -fuzztime 5s ./internal/geom
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -77,13 +79,15 @@ bench:
 # Compile-and-run smoke over every benchmark: one iteration each, no
 # timing fidelity, just proof they still execute. Timings that carry a
 # claim come from the repository benchmark (BENCHMARK.json, benchmark/).
-# The allocs/op lane re-runs the two headline join benchmarks with
-# -benchmem: allocation counts, unlike one-iteration timings, repeat
-# exactly, so a regression on the fetch/sweep hot paths shows up in CI
-# output next to the hotalloc lint (see DESIGN.md §16).
+# The allocs/op lane re-runs the two headline join benchmarks and the
+# secondary filter's kernels (one sub-benchmark per join pair shape)
+# with -benchmem: allocation counts, unlike one-iteration timings,
+# repeat exactly, so a regression on the fetch/sweep/refine hot paths
+# shows up in CI output next to the hotalloc lint (see DESIGN.md §16).
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
 	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin' -benchmem -benchtime 2x -count 1 .
+	$(GO) test -run NONE -bench 'Intersects|WithinDistance' -benchmem -benchtime 2x -count 1 ./internal/geom
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a module of
 # its own, so the root `./...` patterns above neither vet nor test it:

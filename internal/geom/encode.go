@@ -95,7 +95,10 @@ func appendCoords(dst []byte, pts []Point) []byte {
 }
 
 // UnmarshalBinary decodes a geometry previously produced by
-// MarshalBinary/AppendBinary.
+// MarshalBinary/AppendBinary. Images arrive from outside the process
+// (snapshot import), so a well-formed image of a geometry Validate
+// rejects is an error here too: nothing downstream meets a polygon
+// without rings or a NaN vertex.
 func UnmarshalBinary(b []byte) (Geometry, error) {
 	g, rest, err := decodeBinary(b)
 	if err != nil {
@@ -103,6 +106,9 @@ func UnmarshalBinary(b []byte) (Geometry, error) {
 	}
 	if len(rest) != 0 {
 		return Geometry{}, fmt.Errorf("geom: %d trailing bytes after geometry", len(rest))
+	}
+	if err := g.Validate(); err != nil {
+		return Geometry{}, fmt.Errorf("geom: invalid %v image: %w", g.Kind, err)
 	}
 	return g, nil
 }

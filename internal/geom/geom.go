@@ -179,32 +179,35 @@ func NewRect(minX, minY, maxX, maxY float64) (Geometry, error) {
 
 // NewMulti returns a homogeneous multi-geometry of the given kind
 // (KindMultiPoint, KindMultiLineString or KindMultiPolygon) over elems,
-// each of which must be of the matching primitive kind.
+// each of which must be a valid geometry of the matching primitive kind.
 func NewMulti(kind Kind, elems []Geometry) (Geometry, error) {
-	var want Kind
-	switch kind {
-	case KindMultiPoint:
-		want = KindPoint
-	case KindMultiLineString:
-		want = KindLineString
-	case KindMultiPolygon:
-		want = KindPolygon
-	default:
+	if memberKind(kind) == KindNone {
 		return Geometry{}, fmt.Errorf("kind %v: %w", kind, ErrBadKind)
 	}
-	if len(elems) == 0 {
-		return Geometry{}, ErrEmpty
+	g := Geometry{Kind: kind, Elems: elems}
+	if err := g.Validate(); err != nil {
+		return Geometry{}, err
 	}
-	for i, e := range elems {
-		if e.Kind != want {
-			return Geometry{}, fmt.Errorf("element %d is %v, want %v: %w", i, e.Kind, want, ErrBadElement)
-		}
+	return g, nil
+}
+
+// memberKind returns the primitive kind a collection kind holds, or
+// KindNone when k is not a collection kind.
+func memberKind(k Kind) Kind {
+	switch k {
+	case KindMultiPoint:
+		return KindPoint
+	case KindMultiLineString:
+		return KindLineString
+	case KindMultiPolygon:
+		return KindPolygon
 	}
-	return Geometry{Kind: kind, Elems: elems}, nil
+	return KindNone
 }
 
 // Validate checks the structural invariants of g and returns the first
-// violation found, or nil if g is well formed.
+// violation found, or nil if g is well formed. It is the one list of
+// rules: NewMulti and UnmarshalBinary apply it as it stands.
 func (g Geometry) Validate() error {
 	switch g.Kind {
 	case KindPoint:
@@ -238,6 +241,9 @@ func (g Geometry) Validate() error {
 			return ErrEmpty
 		}
 		for i, e := range g.Elems {
+			if want := memberKind(g.Kind); e.Kind != want {
+				return fmt.Errorf("element %d is %v, want %v: %w", i, e.Kind, want, ErrBadElement)
+			}
 			if err := e.Validate(); err != nil {
 				return fmt.Errorf("element %d: %w", i, err)
 			}
@@ -249,13 +255,7 @@ func (g Geometry) Validate() error {
 }
 
 // IsMulti reports whether g is a collection kind.
-func (g Geometry) IsMulti() bool {
-	switch g.Kind {
-	case KindMultiPoint, KindMultiLineString, KindMultiPolygon:
-		return true
-	}
-	return false
-}
+func (g Geometry) IsMulti() bool { return memberKind(g.Kind) != KindNone }
 
 // primitives returns the primitive members of g, read-only: the element
 // list of a multi kind, or g itself stored in the caller's one-slot
@@ -412,18 +412,9 @@ func (g Geometry) Equal(h Geometry) bool {
 		if !ringsEqual(g.Rings[0], h.Rings[0]) {
 			return false
 		}
-		// Holes may appear in any order.
-		used := make([]bool, len(h.Rings))
+		// Holes may appear in any order: each must occur as often in h.
 		for _, r := range g.Rings[1:] {
-			found := false
-			for j := 1; j < len(h.Rings); j++ {
-				if !used[j] && ringsEqual(r, h.Rings[j]) {
-					used[j] = true
-					found = true
-					break
-				}
-			}
-			if !found {
+			if countEqual(g.Rings[1:], r, ringsEqual) != countEqual(h.Rings[1:], r, ringsEqual) {
 				return false
 			}
 		}
@@ -432,17 +423,9 @@ func (g Geometry) Equal(h Geometry) bool {
 		if len(g.Elems) != len(h.Elems) {
 			return false
 		}
-		used := make([]bool, len(h.Elems))
+		// Members may appear in any order: each must occur as often in h.
 		for _, e := range g.Elems {
-			found := false
-			for j, f := range h.Elems {
-				if !used[j] && e.Equal(f) {
-					used[j] = true
-					found = true
-					break
-				}
-			}
-			if !found {
+			if countEqual(g.Elems, e, Geometry.Equal) != countEqual(h.Elems, e, Geometry.Equal) {
 				return false
 			}
 		}
@@ -450,14 +433,30 @@ func (g Geometry) Equal(h Geometry) bool {
 	}
 }
 
+// countEqual returns how many members of xs are eq to x. Comparing
+// these counts matches two lists as multisets without a scratch slice,
+// because each eq (ringsEqual, Geometry.Equal) is an equivalence.
+func countEqual[T any](xs []T, x T, eq func(a, b T) bool) int {
+	n := 0
+	for _, y := range xs {
+		if eq(x, y) {
+			n++
+		}
+	}
+	return n
+}
+
 // String returns the WKT form of g.
 func (g Geometry) String() string { return MarshalWKT(g) }
 
 // --- small internal helpers ---
 
+// checkFinite rejects NaN and ±Inf coordinates. It runs on every decoded
+// vertex, so it tests with one comparison per point: x − x is 0 for
+// every finite x and NaN otherwise, and NaN ≠ 0.
 func checkFinite(pts []Point) error {
 	for _, p := range pts {
-		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+		if (p.X-p.X)+(p.Y-p.Y) != 0 {
 			return ErrNotFinite
 		}
 	}
@@ -476,12 +475,14 @@ func dropClosingVertex(r []Point) []Point {
 // signedArea returns twice-signed-area/2 of an implicitly closed ring:
 // positive for counter-clockwise orientation.
 func signedArea(r []Point) float64 {
-	a := 0.0
-	for i := range r {
-		j := (i + 1) % len(r)
-		a += r[i].Cross(r[j])
+	if len(r) == 0 {
+		return 0
 	}
-	return a / 2
+	a := 0.0
+	for i := 1; i < len(r); i++ {
+		a += r[i-1].Cross(r[i])
+	}
+	return (a + r[len(r)-1].Cross(r[0])) / 2
 }
 
 func reversed(r []Point) []Point {

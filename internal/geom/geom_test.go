@@ -214,3 +214,27 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestEqualMatchesMultisets checks that holes and multi members pair up
+// one to one: a repeated member on one side is not matched twice.
+func TestEqualMatchesMultisets(t *testing.T) {
+	outer := []Point{{0, 0}, {10, 0}, {10, 10}, {0, 10}}
+	h1, h2 := []Point{{1, 1}, {2, 1}, {2, 2}}, []Point{{5, 5}, {6, 5}, {6, 6}}
+	twice := Geometry{Kind: KindPolygon, Rings: [][]Point{outer, h1, h1}}
+	if twice.Equal(mustPolygon(t, outer, h1, h2)) || mustPolygon(t, outer, h1, h2).Equal(twice) {
+		t.Errorf("polygon with a repeated hole reported Equal to one with two different holes")
+	}
+	if !mustPolygon(t, outer, h1, h2).Equal(mustPolygon(t, outer, h2, h1)) {
+		t.Errorf("hole order changed Equal")
+	}
+	a, b := NewPoint(1, 1), NewPoint(2, 2)
+	aa := Geometry{Kind: KindMultiPoint, Elems: []Geometry{a, a}}
+	ab := Geometry{Kind: KindMultiPoint, Elems: []Geometry{a, b}}
+	ba := Geometry{Kind: KindMultiPoint, Elems: []Geometry{b, a}}
+	if aa.Equal(ab) || ab.Equal(aa) {
+		t.Errorf("multipoint with a repeated member reported Equal to one with two different members")
+	}
+	if !ab.Equal(ba) {
+		t.Errorf("member order changed Equal")
+	}
+}

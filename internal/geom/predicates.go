@@ -3,26 +3,78 @@ package geom
 // This file implements the exact intersection test between arbitrary
 // geometry pairs — the heart of the "secondary filter" that the paper's
 // two-stage join applies to each candidate pair after the index-level
-// MBR (primary) filter.
+// MBR (primary) filter. Every comparison of two boundaries goes through
+// edgePairs (edges.go), which skips the edge pairs that cannot meet.
 
 // Intersects reports whether g and h share at least one point
 // (Oracle's ANYINTERACT relationship). Both geometries must be valid.
 func Intersects(g, h Geometry) bool {
-	if !MBROf(g).Intersects(MBROf(h)) {
-		return false
-	}
+	return MBROf(g).Intersects(MBROf(h)) && anyPrimPair(g, h, primIntersects)
+}
+
+// anyPrimPair reports whether fn holds for some primitive of g and
+// some primitive of h.
+func anyPrimPair(g, h Geometry, fn func(a, b Geometry) bool) bool {
 	var gb, hb [1]Geometry
-	gs := g.primitives(&gb)
 	hs := h.primitives(&hb)
-	for _, a := range gs {
+	for _, a := range g.primitives(&gb) {
 		for _, b := range hs {
-			if primIntersects(a, b) {
+			if fn(a, b) {
 				return true
 			}
 		}
 	}
 	return false
 }
+
+// chains returns the number of boundary chains of line or polygon g:
+// one path for a line string, one ring per polygon ring.
+func (g Geometry) chains() int {
+	if g.Kind == KindLineString {
+		return 1
+	}
+	return len(g.Rings)
+}
+
+// chain returns g's i-th boundary chain.
+func (g Geometry) chain(i int) chain {
+	if g.Kind == KindLineString {
+		return path(g.Pts)
+	}
+	return ring(g.Rings[i])
+}
+
+// chainPairs reports whether fn holds for some pair of a boundary chain
+// of a and one of b, both lines or polygons.
+func chainPairs(a, b Geometry, fn func(p, q chain) bool) bool {
+	for i := 0; i < a.chains(); i++ {
+		for j := 0; j < b.chains(); j++ {
+			if fn(a.chain(i), b.chain(j)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// boundariesMeet reports whether some edge of a's boundary and some
+// edge of b's satisfy meet (segIntersects or segProperCross).
+func boundariesMeet(a, b Geometry, meet func(a, b, c, d Point) bool) bool {
+	return chainPairs(a, b, func(p, q chain) bool { return edgePairs(p, q, 0, meet) })
+}
+
+// anyBoundaryEdge reports whether fn holds for some boundary edge of
+// line or polygon g.
+func anyBoundaryEdge(g Geometry, fn func(a, b Point) bool) bool {
+	for i := 0; i < g.chains(); i++ {
+		if g.chain(i).anyEdge(fn) {
+			return true
+		}
+	}
+	return false
+}
+
+func mid(a, b Point) Point { return Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2} }
 
 // primIntersects dispatches the primitive × primitive intersection test.
 func primIntersects(a, b Geometry) bool {
@@ -39,7 +91,7 @@ func primIntersects(a, b Geometry) bool {
 	case a.Kind == KindPoint && b.Kind == KindPolygon:
 		return pointInPolygon(a.Pts[0], b) >= 0
 	case a.Kind == KindLineString && b.Kind == KindLineString:
-		return pathsIntersect(a.Pts, b.Pts)
+		return boundariesMeet(a, b, segIntersects)
 	case a.Kind == KindLineString && b.Kind == KindPolygon:
 		return linePolyIntersects(a, b)
 	case a.Kind == KindPolygon && b.Kind == KindPolygon:
@@ -51,65 +103,7 @@ func primIntersects(a, b Geometry) bool {
 
 // pointOnPath reports whether p lies on the polyline pts.
 func pointOnPath(p Point, pts []Point) bool {
-	found := false
-	pathEdges(pts, func(a, b Point) bool {
-		if orient(a, b, p) == 0 && onSegment(a, b, p) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// pathsIntersect reports whether two open polylines share a point.
-func pathsIntersect(p, q []Point) bool {
-	found := false
-	pathEdges(p, func(a, b Point) bool {
-		pathEdges(q, func(c, d Point) bool {
-			if segIntersects(a, b, c, d) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return !found
-	})
-	return found
-}
-
-// pathRingIntersect reports whether the open polyline pts intersects the
-// implicitly closed ring r.
-func pathRingIntersect(pts []Point, r []Point) bool {
-	found := false
-	pathEdges(pts, func(a, b Point) bool {
-		ringEdges(r, func(c, d Point) bool {
-			if segIntersects(a, b, c, d) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return !found
-	})
-	return found
-}
-
-// ringsIntersect reports whether two implicitly closed rings share a
-// boundary point.
-func ringsIntersect(r, s []Point) bool {
-	found := false
-	ringEdges(r, func(a, b Point) bool {
-		ringEdges(s, func(c, d Point) bool {
-			if segIntersects(a, b, c, d) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return !found
-	})
-	return found
+	return path(pts).anyEdge(func(a, b Point) bool { return orient(a, b, p) == 0 && onSegment(a, b, p) })
 }
 
 // linePolyIntersects reports whether line string l shares a point with
@@ -124,51 +118,26 @@ func linePolyIntersects(l, p Geometry) bool {
 	// Any edge crossing any ring? (Covers the case where the line passes
 	// through the polygon without a vertex inside, and the case where it
 	// only clips a hole boundary.)
-	for _, r := range p.Rings {
-		if pathRingIntersect(l.Pts, r) {
-			return true
-		}
-	}
-	return false
+	return boundariesMeet(l, p, segIntersects)
 }
 
 // polyPolyIntersects reports whether two polygons share a point.
 func polyPolyIntersects(p, q Geometry) bool {
 	// Boundary-boundary contact.
-	for _, r := range p.Rings {
-		for _, s := range q.Rings {
-			if ringsIntersect(r, s) {
-				return true
-			}
-		}
+	if boundariesMeet(p, q, segIntersects) {
+		return true
 	}
 	// No boundary contact: either disjoint or one strictly inside the
 	// other. A single vertex test per direction decides it (holes are
 	// handled by pointInPolygon).
-	if pointInPolygon(p.Rings[0][0], q) > 0 {
-		return true
-	}
-	if pointInPolygon(q.Rings[0][0], p) > 0 {
-		return true
-	}
-	return false
+	return pointInPolygon(p.Rings[0][0], q) > 0 || pointInPolygon(q.Rings[0][0], p) > 0
 }
 
 // boundariesIntersect reports whether the boundaries of g and h share a
 // point. For points the boundary is the point itself; for lines the
 // polyline; for polygons all rings.
 func boundariesIntersect(g, h Geometry) bool {
-	var gb, hb [1]Geometry
-	gs := g.primitives(&gb)
-	hs := h.primitives(&hb)
-	for _, a := range gs {
-		for _, b := range hs {
-			if primBoundariesIntersect(a, b) {
-				return true
-			}
-		}
-	}
-	return false
+	return anyPrimPair(g, h, primBoundariesIntersect)
 }
 
 func primBoundariesIntersect(a, b Geometry) bool {
@@ -182,24 +151,8 @@ func primBoundariesIntersect(a, b Geometry) bool {
 		return pointOnPath(a.Pts[0], b.Pts)
 	case a.Kind == KindPoint && b.Kind == KindPolygon:
 		return pointInPolygon(a.Pts[0], b) == 0
-	case a.Kind == KindLineString && b.Kind == KindLineString:
-		return pathsIntersect(a.Pts, b.Pts)
-	case a.Kind == KindLineString && b.Kind == KindPolygon:
-		for _, r := range b.Rings {
-			if pathRingIntersect(a.Pts, r) {
-				return true
-			}
-		}
-		return false
-	default: // polygon-polygon
-		for _, r := range a.Rings {
-			for _, s := range b.Rings {
-				if ringsIntersect(r, s) {
-					return true
-				}
-			}
-		}
-		return false
+	default: // lines and polygons: their edges meet
+		return boundariesMeet(a, b, segIntersects)
 	}
 }
 
@@ -207,17 +160,7 @@ func primBoundariesIntersect(a, b Geometry) bool {
 // point. For a point the interior is the point; for a line the polyline
 // minus its two endpoints; for a polygon the open region.
 func interiorsIntersect(g, h Geometry) bool {
-	var gb, hb [1]Geometry
-	gs := g.primitives(&gb)
-	hs := h.primitives(&hb)
-	for _, a := range gs {
-		for _, b := range hs {
-			if primInteriorsIntersect(a, b) {
-				return true
-			}
-		}
-	}
-	return false
+	return anyPrimPair(g, h, primInteriorsIntersect)
 }
 
 func primInteriorsIntersect(a, b Geometry) bool {
@@ -234,7 +177,7 @@ func primInteriorsIntersect(a, b Geometry) bool {
 	case a.Kind == KindPoint && b.Kind == KindPolygon:
 		return pointInPolygon(a.Pts[0], b) > 0
 	case a.Kind == KindLineString && b.Kind == KindLineString:
-		return lineInteriorsIntersect(a.Pts, b.Pts)
+		return lineInteriorsIntersect(a, b)
 	case a.Kind == KindLineString && b.Kind == KindPolygon:
 		return lineInteriorInPolygonInterior(a, b)
 	default:
@@ -251,31 +194,21 @@ func pointOnPathInterior(p Point, pts []Point) bool {
 	return p.Dist(pts[0]) > eps && p.Dist(pts[len(pts)-1]) > eps
 }
 
-// lineInteriorsIntersect reports whether two polylines intersect at a
-// point interior to both (any shared point that is not exclusively an
+// lineInteriorsIntersect reports whether two line strings intersect at
+// a point interior to both (any shared point that is not exclusively an
 // endpoint-endpoint touch).
-func lineInteriorsIntersect(p, q []Point) bool {
-	if !pathsIntersect(p, q) {
+func lineInteriorsIntersect(a, b Geometry) bool {
+	if !boundariesMeet(a, b, segIntersects) {
 		return false
 	}
 	// A proper segment crossing is always interior-interior.
-	cross := false
-	pathEdges(p, func(a, b Point) bool {
-		pathEdges(q, func(c, d Point) bool {
-			if segProperCross(a, b, c, d) {
-				cross = true
-				return false
-			}
-			return true
-		})
-		return !cross
-	})
-	if cross {
+	if boundariesMeet(a, b, segProperCross) {
 		return true
 	}
 	// Otherwise all contacts are touches/overlaps; check whether some
 	// contact point is interior to both polylines. Sample candidate
 	// points: all vertices of each line lying on the other.
+	p, q := a.Pts, b.Pts
 	for _, v := range p {
 		if pointOnPathInterior(v, q) && pointOnPathInterior(v, p) {
 			return true
@@ -299,54 +232,19 @@ func lineInteriorInPolygonInterior(l, p Geometry) bool {
 		}
 	}
 	// Any edge properly crossing a ring means the line passes from
-	// outside to inside (or between interior regions).
-	crossed := false
-	pathEdges(l.Pts, func(a, b Point) bool {
-		for _, r := range p.Rings {
-			ringEdges(r, func(c, d Point) bool {
-				if segProperCross(a, b, c, d) {
-					crossed = true
-					return false
-				}
-				return true
-			})
-			if crossed {
-				return false
-			}
-		}
-		// Edge midpoints catch the case of a segment whose endpoints
-		// both lie on the boundary but whose middle runs inside.
-		mid := Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2}
-		if pointInPolygon(mid, p) > 0 {
-			crossed = true
-			return false
-		}
-		return true
-	})
-	return crossed
+	// outside to inside (or between interior regions). Edge midpoints
+	// catch the case of a segment whose endpoints both lie on the
+	// boundary but whose middle runs inside.
+	return boundariesMeet(l, p, segProperCross) ||
+		anyBoundaryEdge(l, func(a, b Point) bool { return pointInPolygon(mid(a, b), p) > 0 })
 }
 
 // polyInteriorsIntersect reports whether the open interiors of two
 // polygons overlap.
 func polyInteriorsIntersect(p, q Geometry) bool {
 	// A proper edge crossing forces interior overlap.
-	for _, r := range p.Rings {
-		for _, s := range q.Rings {
-			proper := false
-			ringEdges(r, func(a, b Point) bool {
-				ringEdges(s, func(c, d Point) bool {
-					if segProperCross(a, b, c, d) {
-						proper = true
-						return false
-					}
-					return true
-				})
-				return !proper
-			})
-			if proper {
-				return true
-			}
-		}
+	if boundariesMeet(p, q, segProperCross) {
+		return true
 	}
 	// No proper crossings: interiors overlap iff some vertex of one is
 	// strictly inside the other, or (pure boundary-sharing cases) some
@@ -367,25 +265,9 @@ func polyInteriorsIntersect(p, q Geometry) bool {
 	}
 	// Edge midpoints: handles equal polygons and containment with all
 	// vertices on the boundary.
-	mids := func(g Geometry) []Point {
-		var out []Point
-		for _, r := range g.Rings {
-			ringEdges(r, func(a, b Point) bool {
-				out = append(out, Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2})
-				return true
-			})
-		}
-		return out
-	}
-	for _, m := range mids(p) {
-		if pointInPolygon(m, q) > 0 {
-			return true
-		}
-	}
-	for _, m := range mids(q) {
-		if pointInPolygon(m, p) > 0 {
-			return true
-		}
+	if anyBoundaryEdge(p, func(a, b Point) bool { return pointInPolygon(mid(a, b), q) > 0 }) ||
+		anyBoundaryEdge(q, func(a, b Point) bool { return pointInPolygon(mid(a, b), p) > 0 }) {
+		return true
 	}
 	// Final fallback: centroid of the MBR intersection.
 	c := MBROf(p).Intersect(MBROf(q)).Center()
@@ -463,30 +345,8 @@ func lineCoveredByPolygon(l, p Geometry) bool {
 	// No edge may properly cross a ring (that would exit the region),
 	// and edge midpoints must stay in the closed region (catches edges
 	// hopping across a concavity or a hole).
-	ok := true
-	pathEdges(l.Pts, func(a, b Point) bool {
-		for _, r := range p.Rings {
-			crossed := false
-			ringEdges(r, func(c, d Point) bool {
-				if segProperCross(a, b, c, d) {
-					crossed = true
-					return false
-				}
-				return true
-			})
-			if crossed {
-				ok = false
-				return false
-			}
-		}
-		mid := Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2}
-		if pointInPolygon(mid, p) < 0 {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
+	return !boundariesMeet(l, p, segProperCross) &&
+		!anyBoundaryEdge(l, func(a, b Point) bool { return pointInPolygon(mid(a, b), p) < 0 })
 }
 
 // lineCoveredByLine reports whether polyline a is a sub-path of
@@ -497,16 +357,7 @@ func lineCoveredByLine(a, b []Point) bool {
 			return false
 		}
 	}
-	ok := true
-	pathEdges(a, func(p, q Point) bool {
-		mid := Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2}
-		if !pointOnPath(mid, b) {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
+	return !path(a).anyEdge(func(p, q Point) bool { return !pointOnPath(mid(p, q), b) })
 }
 
 // polyCoveredByPoly reports whether polygon a lies entirely within the
@@ -520,39 +371,11 @@ func polyCoveredByPoly(a, b Geometry) bool {
 			}
 		}
 	}
-	// No proper boundary crossing.
-	for _, r := range a.Rings {
-		for _, s := range b.Rings {
-			proper := false
-			ringEdges(r, func(p, q Point) bool {
-				ringEdges(s, func(c, d Point) bool {
-					if segProperCross(p, q, c, d) {
-						proper = true
-						return false
-					}
-					return true
-				})
-				return !proper
-			})
-			if proper {
-				return false
-			}
-		}
-	}
-	// Edge midpoints of a must remain in b (catches concavities).
-	for _, r := range a.Rings {
-		out := false
-		ringEdges(r, func(p, q Point) bool {
-			mid := Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2}
-			if pointInPolygon(mid, b) < 0 {
-				out = true
-				return false
-			}
-			return true
-		})
-		if out {
-			return false
-		}
+	// No proper boundary crossing, and edge midpoints of a must remain
+	// in b (catches concavities).
+	if boundariesMeet(a, b, segProperCross) ||
+		anyBoundaryEdge(a, func(p, q Point) bool { return pointInPolygon(mid(p, q), b) < 0 }) {
+		return false
 	}
 	// No hole of b may poke into the interior of a: if a hole boundary
 	// of b lies strictly inside a, part of a would be excluded from b.

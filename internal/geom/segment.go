@@ -107,26 +107,6 @@ func segSegDist(a, b, c, d Point) float64 {
 	)
 }
 
-// ringEdges calls fn for each edge of the implicitly closed ring r.
-// fn returning false stops the iteration early.
-func ringEdges(r []Point, fn func(a, b Point) bool) {
-	n := len(r)
-	for i := 0; i < n; i++ {
-		if !fn(r[i], r[(i+1)%n]) {
-			return
-		}
-	}
-}
-
-// pathEdges calls fn for each edge of the open polyline pts.
-func pathEdges(pts []Point, fn func(a, b Point) bool) {
-	for i := 1; i < len(pts); i++ {
-		if !fn(pts[i-1], pts[i]) {
-			return
-		}
-	}
-}
-
 // pointInRing classifies p against the implicitly closed ring r:
 // +1 strictly inside, 0 on the boundary, -1 strictly outside.
 // It uses the standard crossing-number ray cast with boundary detection.

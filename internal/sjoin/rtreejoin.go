@@ -461,7 +461,6 @@ func (j *JoinFunction) secondaryFilter() error {
 		if err != nil {
 			return err
 		}
-		//spatiallint:ignore hotalloc Relate visited-ring scratch only runs on the exact-mask predicate, bounded by parts per geometry
 		if j.cfg.secondaryAccepts(curGeom, gb) {
 			j.ready = append(j.ready, p)
 			j.stats.Results++
