@@ -52,9 +52,12 @@ race:
 	$(GO) test -race ./...
 
 # Focused race lane over the concurrency-heavy surfaces — the root
-# package's reader/writer tests, the pager's checkpoint-under-load
-# churn, the grid join's atomic tile claiming, the server, and the
-# parallel join — so races there fail fast before the full -race sweep.
+# package's reader/writer tests (TestConcurrentDeleteJoin among them:
+# the join's read-committed contract beside a concurrent deleter, on
+# the fetched and the index-decided route), the pager's
+# checkpoint-under-load churn, the grid join's atomic tile claiming,
+# the server, and the parallel join — so races there fail fast before
+# the full -race sweep.
 race-hot:
 	$(GO) test -race -run 'TestConcurrent|TestSnapshot' .
 	$(GO) test -race -run 'TestCheckpointUnderLoad' ./internal/pager
@@ -79,14 +82,16 @@ bench:
 # Compile-and-run smoke over every benchmark: one iteration each, no
 # timing fidelity, just proof they still execute. Timings that carry a
 # claim come from the repository benchmark (BENCHMARK.json, benchmark/).
-# The allocs/op lane re-runs the two headline join benchmarks and the
-# secondary filter's kernels (one sub-benchmark per join pair shape)
-# with -benchmem: allocation counts, unlike one-iteration timings,
+# The allocs/op lane re-runs the two headline join benchmarks, the
+# benchmark's join_stream statement in miniature (the point cross-match
+# over loopback, BenchmarkWirePointJoinStream) and the secondary
+# filter's kernels (one sub-benchmark per join pair shape) with
+# -benchmem: allocation counts, unlike one-iteration timings,
 # repeat exactly, so a regression on the fetch/sweep/refine hot paths
 # shows up in CI output next to the hotalloc lint (see DESIGN.md §16).
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
-	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin' -benchmem -benchtime 2x -count 1 .
+	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|WirePointJoinStream' -benchmem -benchtime 2x -count 1 .
 	$(GO) test -run NONE -bench 'Intersects|WithinDistance' -benchmem -benchtime 2x -count 1 ./internal/geom
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a module of

@@ -2,10 +2,15 @@ package spatialtf
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"testing"
+	"time"
+
+	"spatialtf/internal/geom"
+	"spatialtf/internal/storage"
 )
 
 // TestAddNeverReusesIDs is the regression test for the id-collision
@@ -303,4 +308,130 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	readerWg.Wait()
 	close(stop)
 	writerWg.Wait()
+}
+
+// TestConcurrentDeleteJoin pins the join's isolation contract, read
+// committed per fetch, on both of its routes. Rows are deleted while a
+// join cursor is open: Table.Delete takes the heap row out at once and
+// then waits in the R-tree hook for the cursor's pin, so the join still
+// meets the index entries of rows that are gone. The fetched route
+// (polygons, cache disabled) drops such a candidate; the index-decided
+// route (points) returns the pair from the index entry it already has.
+// Either way the statement succeeds, returns only pairs of rows live
+// when it started, and misses no pair of rows that were never deleted.
+func TestConcurrentDeleteJoin(t *testing.T) {
+	polygons := Stars(1500, 5)
+	points := Stars(1500, 5)
+	for i, g := range points.Geoms {
+		c := geom.MBROf(g).Center()
+		points.Geoms[i] = geom.NewPoint(c.X, c.Y)
+	}
+	cases := []struct {
+		name string
+		ds   Dataset
+		opt  JoinOptions
+	}{
+		{"polygons fetched", polygons, JoinOptions{GeomCacheBytes: -1, CandidateCap: 8}},
+		{"points index-decided", points, JoinOptions{Distance: 1.5, GeomCacheBytes: -1, CandidateCap: 8}},
+	}
+	for _, c := range cases {
+		for _, algo := range []string{"", "grid"} {
+			t.Run(fmt.Sprintf("%s/algo=%q", c.name, algo), func(t *testing.T) {
+				opt := c.opt
+				opt.Algo, opt.Parallel = algo, 2
+				db := Open()
+				if _, err := db.LoadDataset("t", c.ds); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.CreateIndex("t_idx", "t", RTree, IndexOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				tab, err := db.Table("t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := db.NestedLoopJoin("t", "t_idx", "t", "t_idx", opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				deleted := map[RowID]bool{}
+				i := 0
+				tab.Scan(func(id RowID, _ Row) bool {
+					if i%5 == 0 {
+						deleted[id] = true
+					}
+					i++
+					return true
+				})
+
+				cur, err := db.SpatialJoin("t", "t_idx", "t", "t_idx", opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cur.Close()
+				got, err := cur.NextBatch(nil, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var deleters sync.WaitGroup
+				for id := range deleted {
+					deleters.Add(1)
+					go func() {
+						defer deleters.Done()
+						if err := tab.Delete(id); err != nil {
+							t.Error(err)
+						}
+					}()
+				}
+				// Every heap row gone before the join goes on: the deleters
+				// are then all waiting for the cursor's pin.
+				deadline := time.Now().Add(10 * time.Second)
+				for id := range deleted {
+					for {
+						if _, err := tab.Fetch(id); errors.Is(err, storage.ErrRowDeleted) {
+							break
+						}
+						if time.Now().After(deadline) {
+							t.Fatalf("row %v still in the heap after 10s", id)
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
+				for {
+					n := len(got)
+					if got, err = cur.NextBatch(got, 0); err != nil {
+						t.Fatalf("join beside the deleter: %v", err)
+					}
+					if len(got) == n {
+						break
+					}
+				}
+				cur.Close()
+				deleters.Wait()
+
+				inStart := map[Pair]bool{}
+				for _, p := range want {
+					inStart[p] = true
+				}
+				seen := map[Pair]bool{}
+				for _, p := range got {
+					if !inStart[p] {
+						t.Fatalf("pair %v is not in the statement-start result", p)
+					}
+					if seen[p] {
+						t.Fatalf("pair %v returned twice", p)
+					}
+					seen[p] = true
+				}
+				for _, p := range want {
+					if !deleted[p.A] && !deleted[p.B] && !seen[p] {
+						t.Fatalf("pair %v of two never-deleted rows is missing", p)
+					}
+				}
+				if n := tab.Len(); n != len(c.ds.Geoms)-len(deleted) {
+					t.Fatalf("%d rows after the deletes, want %d", n, len(c.ds.Geoms)-len(deleted))
+				}
+			})
+		}
+	}
 }

@@ -24,6 +24,14 @@ func EmptyMBR() MBR {
 // IsEmpty reports whether m is the empty rectangle.
 func (m MBR) IsEmpty() bool { return m.MinX > m.MaxX || m.MinY > m.MaxY }
 
+// IsPoint reports whether m is a single point. The MBR of a valid,
+// non-empty geometry is a point exactly when the geometry is that point
+// (a point, a multipoint of one repeated coordinate, a zero-length
+// line), so for such a pair the MBR tests are the exact ANYINTERACT and
+// within-distance predicates. The empty rectangle is not a point; the
+// zero MBR is the origin.
+func (m MBR) IsPoint() bool { return m.MinX == m.MaxX && m.MinY == m.MaxY }
+
 // Valid reports whether m is a non-empty rectangle with finite bounds.
 func (m MBR) Valid() bool {
 	return !m.IsEmpty() &&

@@ -26,6 +26,27 @@ func TestEmptyMBR(t *testing.T) {
 	}
 }
 
+func TestMBRIsPoint(t *testing.T) {
+	for _, c := range []struct {
+		m    MBR
+		want bool
+	}{
+		{MBR{}, true}, // the origin: a real point, not "no MBR"
+		{MBR{3, 4, 3, 4}, true},
+		{MBROf(NewPoint(-1, 2)), true},
+		{MBROf(mustLine(t, Point{5, 5}, Point{5, 5})), true},
+		{MBR{3, 4, 3, 5}, false}, // a vertical segment
+		{MBR{3, 4, math.Nextafter(3, 4), 4}, false},
+		{MBROf(mustRect(t, 0, 0, 1, 1)), false},
+		{EmptyMBR(), false},
+		{MBR{math.NaN(), 0, math.NaN(), 0}, false},
+	} {
+		if got := c.m.IsPoint(); got != c.want {
+			t.Errorf("%v.IsPoint() = %v, want %v", c.m, got, c.want)
+		}
+	}
+}
+
 func TestMBRBasics(t *testing.T) {
 	m := MBR{0, 0, 4, 2}
 	if m.Width() != 4 || m.Height() != 2 || m.Area() != 8 || m.Margin() != 6 {

@@ -1,40 +1,101 @@
 package sjoin
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"spatialtf/internal/datagen"
+	"spatialtf/internal/geom"
+	"spatialtf/internal/rtree"
 	"spatialtf/internal/storage"
 )
 
 // Failure-injection tests: the join's secondary filter fetches base
-// rows by rowid; rows deleted between index creation and the fetch (a
-// stale index — impossible through the maintained extidx path, possible
-// when driving sjoin directly) must surface as errors, not panics or
-// silent omissions.
+// rows by rowid through an index it does not maintain. A row deleted
+// since its index entry was read is skipped — read committed per fetch,
+// the rule the maintained path relies on while DML waits for the join's
+// pin. Any other fetch failure (here an index entry naming a rowid the
+// heap never allocated) must surface as an error, not a panic or a silent
+// omission. The nested-loop reference fetches on its own and stays
+// strict: it reports a deleted row too.
+
+// firstRow returns the rowid of src's first row in storage order.
+func firstRow(src Source) storage.RowID {
+	var first storage.RowID
+	src.Table.Scan(func(id storage.RowID, _ storage.Row) bool {
+		first = id
+		return false
+	})
+	return first
+}
+
+// corruptIndex adds an entry to src's R-tree over the MBR of its first
+// row, naming a rowid the heap never allocated: any join reaching the
+// entry fails to fetch it.
+func corruptIndex(t *testing.T, src Source) {
+	t.Helper()
+	col, err := src.geomColumn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := src.Table.FetchColumn(firstRow(src), col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Tree.Insert(rtree.Item{MBR: geom.MBROf(v.G), ID: storage.RowID{Page: 1 << 20}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// withoutRow returns the pairs not involving id.
+func withoutRow(pairs []Pair, id storage.RowID) []Pair {
+	var out []Pair
+	for _, p := range pairs {
+		if p.A != id && p.B != id {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 func TestIndexJoinSurfacesFetchErrors(t *testing.T) {
 	src := buildSource(t, "fragile", datagen.Stars(200, 301))
-	// Delete a row from the table without maintaining the index.
-	var victim storage.RowID
-	src.Table.Scan(func(id storage.RowID, _ storage.Row) bool {
-		victim = id
-		return false
-	})
-	if err := src.Table.Delete(victim); err != nil {
-		t.Fatal(err)
-	}
+	corruptIndex(t, src)
 	cur, err := IndexJoin(src, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = CollectPairs(cur)
-	if err == nil {
-		t.Fatalf("stale-index join did not surface the fetch error")
+	if !errors.Is(err, storage.ErrBadRowID) {
+		t.Fatalf("corrupt-index join: err = %v, want the fetch's ErrBadRowID", err)
 	}
 	if !strings.Contains(err.Error(), "fetch") {
 		t.Errorf("unexpected error text: %v", err)
+	}
+}
+
+// TestIndexJoinSkipsDeletedRows: a row deleted behind the index's back
+// drops out of the result, and the rest of the result is untouched.
+func TestIndexJoinSkipsDeletedRows(t *testing.T) {
+	src := buildSource(t, "deleted", datagen.Stars(200, 301))
+	cfg := DefaultConfig()
+	cfg.GeomCacheBytes = -1 // every candidate fetches
+	before := collect(t, src, src, cfg)
+	victim := firstRow(src)
+	if err := src.Table.Delete(victim); err != nil {
+		t.Fatal(err)
+	}
+	want := withoutRow(before, victim)
+	if len(want) == len(before) {
+		t.Fatalf("fixture: row %v takes part in no pair", victim)
+	}
+	if got := collect(t, src, src, cfg); !pairsEqual(got, want) {
+		t.Fatalf("after the delete: %d pairs, want the %d not involving it", len(got), len(want))
+	}
+	cur, err := ParallelIndexJoin(src, src, cfg, 4)
+	if got := sortedPairs(t, cur, err); !pairsEqual(got, want) {
+		t.Fatalf("parallel, after the delete: %d pairs, want %d", len(got), len(want))
 	}
 }
 
@@ -67,20 +128,13 @@ func TestNestedLoopSurfacesFetchErrors(t *testing.T) {
 
 func TestParallelJoinSurfacesFetchErrors(t *testing.T) {
 	src := buildSource(t, "fragile_par", datagen.Stars(500, 311))
-	var victim storage.RowID
-	src.Table.Scan(func(id storage.RowID, _ storage.Row) bool {
-		victim = id
-		return false
-	})
-	if err := src.Table.Delete(victim); err != nil {
-		t.Fatal(err)
-	}
+	corruptIndex(t, src)
 	cur, err := ParallelIndexJoin(src, src, DefaultConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CollectPairs(cur); err == nil {
-		t.Fatalf("stale-index parallel join did not surface the fetch error")
+	if _, err := CollectPairs(cur); !errors.Is(err, storage.ErrBadRowID) {
+		t.Fatalf("corrupt-index parallel join: err = %v, want the fetch's ErrBadRowID", err)
 	}
 }
 

@@ -48,7 +48,7 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 		Candidates:   reg.NewCounter("join_candidates_total", "primary-filter survivors queued for the secondary filter"),
 		Results:      reg.NewCounter("join_results_total", "exact-predicate survivors returned"),
 		GeomFetches:  reg.NewCounter("join_geom_fetches_total", "base-table geometry fetches by the secondary filter"),
-		FastAccepts:  reg.NewCounter("join_fast_accepts_total", "pairs accepted from interior approximations without a geometry fetch"),
+		FastAccepts:  reg.NewCounter("join_fast_accepts_total", "pairs proven from index data alone (interior approximations or point MBRs)"),
 		TilesSwept:   reg.NewCounter("join_tiles_swept_total", "grid tiles swept by the grid-partitioned join"),
 		PrimarySeconds: reg.NewHistogram("join_primary_filter_seconds",
 			"latency of one primary-filter candidate refill", nil),

@@ -344,11 +344,11 @@ type gridSource struct {
 // shared, so instances start empty-handed.
 func (s gridSource) start() {}
 
-// refill claims and sweeps tiles until the candidate array has a
-// batch worth of work or the queue is exhausted. A tile is swept whole,
-// so the array can overshoot CandidateCap by one tile's candidates.
+// refill claims and sweeps tiles until the refill has no room left or
+// the queue is exhausted. A tile is swept whole, so the candidate array
+// and the ready queue can overshoot CandidateCap by one tile's pairs.
 func (s gridSource) refill(j *JoinFunction) {
-	for len(j.cands) < j.cfg.CandidateCap {
+	for j.room() > 0 {
 		ti := s.gs.claim()
 		if ti < 0 {
 			return

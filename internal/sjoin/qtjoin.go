@@ -34,11 +34,13 @@ type quadSource struct {
 func (s *quadSource) start() { s.pos = 0 }
 
 func (s *quadSource) refill(j *JoinFunction) {
-	n := min(len(s.pairs)-s.pos, j.cfg.CandidateCap-len(j.cands))
+	n := min(len(s.pairs)-s.pos, j.room())
 	for _, p := range s.pairs[s.pos : s.pos+n] {
-		// Tile codes carry no MBRs; QuadtreeJoin has refused the owner
-		// test that would need them.
-		j.emit(p, geom.MBR{}, geom.MBR{}, false)
+		// Tile codes carry no MBRs, so the pair goes out with empty ones:
+		// the zero MBR is a point at the origin, and two of them would
+		// "prove" every pair sharing a tile. QuadtreeJoin has refused the
+		// owner test that would need real ones.
+		j.emit(p, geom.EmptyMBR(), geom.EmptyMBR(), false)
 	}
 	s.pos += n
 }

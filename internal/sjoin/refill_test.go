@@ -1,0 +1,170 @@
+package sjoin
+
+import (
+	"math/rand"
+	"testing"
+
+	"spatialtf/internal/datagen"
+	"spatialtf/internal/geom"
+	"spatialtf/internal/quadtree"
+	"spatialtf/internal/storage"
+)
+
+// Bounded pipelining. A refill stops once the candidate array and the
+// ready queue together hold CandidateCap pairs, so a join whose pairs
+// are proven from the index (interior fast accepts, point MBRs) stays a
+// pipeline instead of materialising its result in one refill.
+
+// overlappingSquares returns n squares of side 100 with lower-left
+// corners in [0, 50)²: every two overlap by at least 50 × 50, so their
+// interior approximations prove every pair.
+func overlappingSquares(t testing.TB, seed int64, n int) datagen.Dataset {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	geoms := make([]geom.Geometry, n)
+	for i := range geoms {
+		x, y := rng.Float64()*50, rng.Float64()*50
+		g, err := geom.NewRect(x, y, x+100, y+100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		geoms[i] = g
+	}
+	return datagen.Dataset{Name: "squares", Geoms: geoms, Bounds: geom.MBR{MaxX: 150, MaxY: 150}}
+}
+
+// TestFastAcceptsRespectCandidateCap fetches an all-fast-accept tree
+// join one row at a time: the ready queue may never hold more than
+// CandidateCap plus the pairs of the one node pair that crossed it.
+func TestFastAcceptsRespectCandidateCap(t *testing.T) {
+	src := buildInteriorSource(t, "squares", overlappingSquares(t, 9, 200))
+	cfg := DefaultConfig()
+	cfg.UseInteriorApprox = true
+	cfg.CandidateCap = 16
+	fn, err := NewJoinFunction(src, src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fn.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer fn.Close()
+	bound := cfg.CandidateCap + src.Tree.MaxEntries()*src.Tree.MaxEntries()
+	var (
+		b    storage.Batch
+		got  []Pair
+		peak int
+	)
+	for {
+		b.Reset()
+		if err := fn.Fetch(&b, 1); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, len(fn.ready))
+		if len(b.Rows) == 0 {
+			break
+		}
+		if got, err = AppendPairs(got, b.Rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := fn.Stats(); st.FastAccepts <= bound {
+		t.Fatalf("only %d fast accepts; the fixture must prove more pairs than the bound %d", st.FastAccepts, bound)
+	}
+	if peak > bound {
+		t.Errorf("ready queue peaked at %d pairs, bound CandidateCap + one node pair = %d", peak, bound)
+	}
+	SortPairs(got)
+	if want := nestedPairs(t, src, src, cfg); !pairsEqual(got, want) {
+		t.Fatalf("%d pairs, nested-loop reference %d", len(got), len(want))
+	}
+}
+
+// TestGridPointJoinSharesTiles runs two grid instances over one tile
+// queue, taking turns a row at a time as two instances sharing one
+// processor do. Every pair of the point join is proven at emission, so
+// only the refill bound stops the first instance from claiming every
+// tile in its first refill: both must sweep tiles.
+func TestGridPointJoinSharesTiles(t *testing.T) {
+	src := pointTable(t, "grid_points", "point", latticePoints(10, 400))
+	cfg := DefaultConfig()
+	cfg.Distance = 1.5
+	cfg.CandidateCap = 8
+	gs := buildGridState(src, src, cfg, 2)
+	var fns [2]*JoinFunction
+	for i := range fns {
+		fn, err := newJoinFn(src, src, cfg, gridSource{gs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fn.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer fn.Close()
+		fns[i] = fn
+	}
+	var (
+		b    storage.Batch
+		got  []Pair
+		done [2]bool
+	)
+	for !done[0] || !done[1] {
+		for i, fn := range fns {
+			if done[i] {
+				continue
+			}
+			b.Reset()
+			if err := fn.Fetch(&b, 1); err != nil {
+				t.Fatal(err)
+			}
+			done[i] = len(b.Rows) == 0
+			var err error
+			if got, err = AppendPairs(got, b.Rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, fn := range fns {
+		if fn.Stats().TilesSwept == 0 {
+			t.Errorf("instance %d swept no tile of %d", i, len(gs.tiles))
+		}
+	}
+	SortPairs(got)
+	if want := nestedPairs(t, src, src, cfg); !pairsEqual(got, want) {
+		t.Fatalf("%d pairs, nested-loop reference %d", len(got), len(want))
+	}
+}
+
+// TestQuadtreePointJoinEqualsNestedLoop guards the quadtree source's
+// MBRs: tile codes carry none, so it must emit empty MBRs — a zero MBR
+// is a point at the origin and would "prove" every pair sharing a tile.
+// The fixture includes two points that share a tile and do not meet.
+func TestQuadtreePointJoinEqualsNestedLoop(t *testing.T) {
+	pts := append(latticePoints(11, 150), geom.Point{X: 1, Y: 1}, geom.Point{X: 2, Y: 2}, geom.Point{X: 1, Y: 1})
+	geoms := make([]geom.Geometry, len(pts))
+	for i, p := range pts {
+		geoms[i] = geom.NewPoint(p.X, p.Y)
+	}
+	// Level 3 over pointExtent: 5-unit tiles, so (1, 1) and (2, 2) share one.
+	qs, s := buildQSource(t, "quad_points", datagen.Dataset{Name: "quad_points", Geoms: geoms, Bounds: pointExtent}, 3)
+	cfg := DefaultConfig()
+	want := nestedPairs(t, s, s, cfg)
+	shared := map[Pair]bool{}
+	if err := quadtree.TilePairs(qs.Index, qs.Index, func(a, b storage.RowID) bool {
+		shared[Pair{A: a, B: b}] = true
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(shared) <= len(want) {
+		t.Fatalf("fixture: %d tile-sharing pairs, %d results; want a tile-sharing non-result", len(shared), len(want))
+	}
+	got, err := QuadtreeJoin(qs, qs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SortPairs(got)
+	if !pairsEqual(got, want) {
+		t.Fatalf("quadtree join %d pairs, nested-loop reference %d", len(got), len(want))
+	}
+}

@@ -1,6 +1,7 @@
 package sjoin
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -42,6 +43,11 @@ type JoinFunction struct {
 	// The algorithm's primary filter.
 	src candSource
 
+	// pointsDecided: the predicate (ANYINTERACT, or within-distance)
+	// depends only on the two point sets, so emit proves a pair whose
+	// leaf MBRs are both points from the test its source already made.
+	pointsDecided bool
+
 	// Candidate array (primary-filter output awaiting exact check).
 	cands []Pair
 
@@ -75,9 +81,20 @@ type candSource interface {
 	// start arms the source for a run from its beginning.
 	start()
 	// refill resumes the primary filter, emitting survivors until the
-	// candidate array holds CandidateCap pairs or the source is
-	// exhausted. An exhausted source emits nothing.
+	// candidate array and the ready queue together hold CandidateCap
+	// pairs (JoinFunction.room) or the source is exhausted. An exhausted
+	// source emits nothing.
 	refill(j *JoinFunction)
+}
+
+// room is how many more pairs a refill may emit before the candidate
+// array and the ready queue together reach CandidateCap. Proven pairs
+// count against it like candidates: a join whose every pair is proven
+// from the index would otherwise fill no candidate array, run its whole
+// source in one refill and materialise the result in ready — and the
+// first grid instance would claim every tile.
+func (j *JoinFunction) room() int {
+	return j.cfg.CandidateCap - len(j.cands) - len(j.ready)
 }
 
 // JoinStats counts the work a join did; benches report them.
@@ -96,8 +113,9 @@ type JoinStats struct {
 	// GeomFetches counts base-table geometry fetches in the secondary
 	// filter (cache hits on the sorted outer side avoid fetches).
 	GeomFetches int
-	// FastAccepts counts pairs proven intersecting from interior
-	// approximations alone, skipping the secondary filter entirely.
+	// FastAccepts counts pairs proven from index data alone (interior
+	// approximations or point MBRs), skipping the secondary filter
+	// entirely; they count in Results, not in Candidates.
 	FastAccepts int
 	// CacheHits / CacheMisses count decoded-geometry cache lookups by
 	// the secondary filter (both zero when the cache is disabled).
@@ -120,15 +138,16 @@ func newJoinFn(a, b Source, cfg Config, src candSource) (*JoinFunction, error) {
 	}
 	cfg = cfg.WithDefaults()
 	return &JoinFunction{
-		cfg:   cfg,
-		tabA:  a.Table,
-		tabB:  b.Table,
-		colA:  colA,
-		colB:  colB,
-		cache: cfg.resolveCache(),
-		src:   src,
-		instr: cfg.Instr,
-		trace: cfg.Trace,
+		cfg:           cfg,
+		tabA:          a.Table,
+		tabB:          b.Table,
+		colA:          colA,
+		colB:          colB,
+		cache:         cfg.resolveCache(),
+		src:           src,
+		pointsDecided: cfg.Distance > 0 || cfg.Mask == geom.MaskAnyInteract,
+		instr:         cfg.Instr,
+		trace:         cfg.Trace,
 	}, nil
 }
 
@@ -171,16 +190,20 @@ func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 // MBR test of its source, a and b are the two leaf-entry MBRs it
 // survived on. The owner test of a scoped join (Config.Owns) is applied
 // here, to the pair's reference point, ahead of both routes out — the
-// ready queue for a pair its source has already proven from index data
-// alone (the interior-approximation fast accept), the candidate array
-// for the rest — so an unowned pair costs neither a geometry fetch nor
-// an exact predicate, and a fast-accepted pair is owner-filtered like
-// any other.
+// ready queue for a pair proven from index data alone, the candidate
+// array for the rest — so an unowned pair costs neither a geometry
+// fetch nor an exact predicate, and a proven pair is owner-filtered
+// like any other. A pair is proven when its source says so (the
+// interior-approximation fast accept) or when both leaf MBRs are
+// points under a point-set predicate: a valid geometry whose MBR is a
+// point is that point, and every source has already applied the exact
+// point test — MBR intersection, or the rectangle distance computed
+// over the same differences as geom.WithinDistance — before emitting.
 func (j *JoinFunction) emit(p Pair, a, b geom.MBR, proven bool) {
 	if own := j.cfg.Owns; own != nil && !own(PairRefPoint(a, b, j.cfg.Distance)) {
 		return
 	}
-	if proven {
+	if proven || j.pointsDecided && a.IsPoint() && b.IsPoint() {
 		j.ready = append(j.ready, p)
 		j.stats.Results++
 		j.stats.FastAccepts++
@@ -246,9 +269,10 @@ func (s *treeSource) start() {
 	s.stack = append(s.stack[:0], s.roots...)
 }
 
-// refill runs the synchronized R-tree traversal until the candidate
-// array reaches capacity or the stack empties — the primary (index MBR)
-// filter. Equal-height node pairs are intersected either by a forward
+// refill runs the synchronized R-tree traversal until the refill has no
+// room left or the stack empties — the primary (index MBR) filter. One
+// node pair is expanded whole, so the candidate array and the ready
+// queue can overshoot CandidateCap by one node pair's entry pairs. Equal-height node pairs are intersected either by a forward
 // plane sweep over xlo-sorted entry lists (O(n log n + output) instead
 // of the O(n·m) nested scan) or, below Config.SweepThreshold, by the
 // nested scan.
@@ -258,7 +282,7 @@ func (s *treeSource) refill(j *JoinFunction) {
 	}
 	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per refill not per row
 	end := j.span(telemetry.StagePrimary)
-	for len(s.stack) > 0 && len(j.cands) < j.cfg.CandidateCap {
+	for len(s.stack) > 0 && j.room() > 0 {
 		top := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
 		j.stats.NodePairsVisited++
@@ -445,23 +469,26 @@ func (j *JoinFunction) secondaryFilter() error {
 		endDrain()
 	}()
 	var (
-		curID   storage.RowID
-		curGeom geom.Geometry
-		haveCur bool
+		curID            storage.RowID
+		curGeom          geom.Geometry
+		haveCur, curLive bool
 	)
 	for _, p := range j.cands {
 		if !haveCur || curID != p.A {
-			g, err := j.fetchGeom(j.tabA, j.colA, p.A)
+			g, live, err := j.fetchGeom(j.tabA, j.colA, p.A)
 			if err != nil {
 				return err
 			}
-			curID, curGeom, haveCur = p.A, g, true
+			curID, curGeom, curLive, haveCur = p.A, g, live, true
 		}
-		gb, err := j.fetchGeom(j.tabB, j.colB, p.B)
+		if !curLive {
+			continue
+		}
+		gb, live, err := j.fetchGeom(j.tabB, j.colB, p.B)
 		if err != nil {
 			return err
 		}
-		if j.cfg.secondaryAccepts(curGeom, gb) {
+		if live && j.cfg.secondaryAccepts(curGeom, gb) {
 			j.ready = append(j.ready, p)
 			j.stats.Results++
 		}
@@ -476,11 +503,16 @@ func (j *JoinFunction) secondaryFilter() error {
 const geomSampleMask = 15
 
 // fetchGeom resolves one geometry for the secondary filter through the
-// cache, maintaining the fetch and cache counters. When a per-query
-// trace is attached, fetches are counted exactly but timed by sampling:
-// the pending totals sit in plain per-instance fields and reach the
-// shared trace through flushGeomSpans once per drain.
-func (j *JoinFunction) fetchGeom(tab *storage.Table, col int, id storage.RowID) (geom.Geometry, error) {
+// cache, maintaining the fetch and cache counters. A row deleted since
+// the statement started is not an error: its index entry outlives it
+// (Table.Delete removes the heap row before the index hook waits for
+// the join's pin), so it reports the row not live and the secondary
+// filter drops the candidate — read committed per fetch, as at every
+// other place a statement fetches a row it resolved earlier. When a per-query trace is attached,
+// fetches are counted exactly but timed by sampling: the pending totals
+// sit in plain per-instance fields and reach the shared trace through
+// flushGeomSpans once per drain.
+func (j *JoinFunction) fetchGeom(tab *storage.Table, col int, id storage.RowID) (geom.Geometry, bool, error) {
 	var t0 time.Time
 	sampled := false
 	if j.trace != nil {
@@ -496,18 +528,21 @@ func (j *JoinFunction) fetchGeom(tab *storage.Table, col int, id storage.RowID) 
 	if sampled {
 		j.gfNanos += int64(time.Since(t0)) * (geomSampleMask + 1)
 	}
+	if errors.Is(err, storage.ErrRowDeleted) {
+		return geom.Geometry{}, false, nil
+	}
 	if err != nil {
-		return geom.Geometry{}, fmt.Errorf("sjoin: fetch %v from %q: %w", id, tab.Name(), err)
+		return geom.Geometry{}, false, fmt.Errorf("sjoin: fetch %v from %q: %w", id, tab.Name(), err)
 	}
 	if hit {
 		j.stats.CacheHits++
-		return g, nil
+		return g, true, nil
 	}
 	j.stats.GeomFetches++
 	if j.cache != nil {
 		j.stats.CacheMisses++
 	}
-	return g, nil
+	return g, true, nil
 }
 
 // IndexJoin evaluates the spatial join of a and b through a single
