@@ -83,15 +83,16 @@ bench:
 # timing fidelity, just proof they still execute. Timings that carry a
 # claim come from the repository benchmark (BENCHMARK.json, benchmark/).
 # The allocs/op lane re-runs the two headline join benchmarks, the
-# benchmark's join_stream statement in miniature (the point cross-match
-# over loopback, BenchmarkWirePointJoinStream) and the secondary
+# benchmark's join_stream and window_lookup statements in miniature (the
+# point cross-match and one window SELECT over loopback,
+# BenchmarkWirePointJoinStream and BenchmarkWireWindowLookup) and the secondary
 # filter's kernels (one sub-benchmark per join pair shape) with
 # -benchmem: allocation counts, unlike one-iteration timings,
 # repeat exactly, so a regression on the fetch/sweep/refine hot paths
 # shows up in CI output next to the hotalloc lint (see DESIGN.md §16).
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
-	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|WirePointJoinStream' -benchmem -benchtime 2x -count 1 .
+	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|WirePointJoinStream|WireWindowLookup' -benchmem -benchtime 2x -count 1 .
 	$(GO) test -run NONE -bench 'Intersects|WithinDistance' -benchmem -benchtime 2x -count 1 ./internal/geom
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a module of

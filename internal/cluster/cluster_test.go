@@ -32,9 +32,9 @@ func (s *testShard) kill(t testing.TB) {
 	s.srv.Shutdown(ctx) // the short deadline force-closes in-flight cursors
 }
 
-func startShard(t testing.TB) *testShard {
+func startShard(t testing.TB, cfg server.Config) *testShard {
 	t.Helper()
-	srv := server.New(spatialtf.Open(), server.Config{})
+	srv := server.New(spatialtf.Open(), cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -48,10 +48,16 @@ func startShard(t testing.TB) *testShard {
 // bootCluster starts n shards and a coordinator over them.
 func bootCluster(t testing.TB, n int, margin float64, opt Options) (*Coordinator, []*testShard) {
 	t.Helper()
+	return bootClusterOn(t, server.Config{}, n, margin, opt)
+}
+
+// bootClusterOn is bootCluster with the shard servers configured by cfg.
+func bootClusterOn(t testing.TB, cfg server.Config, n int, margin float64, opt Options) (*Coordinator, []*testShard) {
+	t.Helper()
 	shards := make([]*testShard, n)
 	addrs := make([]string, n)
 	for i := range shards {
-		shards[i] = startShard(t)
+		shards[i] = startShard(t, cfg)
 		addrs[i] = shards[i].addr
 	}
 	m := &ShardMap{
@@ -222,9 +228,11 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 
 // TestShardLossPartial kills a shard mid-stream under the partial
 // policy: the surviving shards' rows keep flowing and the stream ends
-// with a typed *PartialError — never a silently short result.
+// with a typed *PartialError — never a silently short result. The
+// shards answer with 4-row first batches, so each shard's 60 rows keep
+// a server cursor open for the kill to cut.
 func TestShardLossPartial(t *testing.T) {
-	co, shards := bootCluster(t, 2, 0, Options{
+	co, shards := bootClusterOn(t, server.Config{DefaultBatch: 4}, 2, 0, Options{
 		OnShardLoss: LossPartial,
 		FetchBatch:  4,
 		ReadTimeout: 2 * time.Second,
@@ -273,7 +281,7 @@ func TestShardLossPartial(t *testing.T) {
 // TestShardLossFailFast kills a shard mid-stream under the default
 // policy: the next pull surfaces a typed *ShardError.
 func TestShardLossFailFast(t *testing.T) {
-	co, shards := bootCluster(t, 2, 0, Options{
+	co, shards := bootClusterOn(t, server.Config{DefaultBatch: 4}, 2, 0, Options{
 		FetchBatch:  4,
 		ReadTimeout: 2 * time.Second,
 	})
@@ -308,6 +316,44 @@ func TestShardLossFailFast(t *testing.T) {
 	}
 	if se.Shard != 1 {
 		t.Fatalf("shard error blames shard %d, want 1", se.Shard)
+	}
+}
+
+// TestShardLossAfterFirstBatch kills a shard whose whole answer came
+// with its query reply: the shard holds no cursor and the router needs
+// nothing more from it, so under either policy the stream completes
+// with every row and reports no loss.
+func TestShardLossAfterFirstBatch(t *testing.T) {
+	for _, policy := range []string{LossFail, LossPartial} {
+		t.Run(policy, func(t *testing.T) {
+			co, shards := bootCluster(t, 2, 0, Options{
+				OnShardLoss: policy,
+				FetchBatch:  4,
+				ReadTimeout: 2 * time.Second,
+			})
+			sess := co.NewSession()
+			mustExec(t, sess, datasetSQL("pts", datagen.Counties(120, 5))...)
+			st, err := sess.ExecuteStream("SELECT id FROM pts")
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer st.Cursor.Close()
+			shards[1].kill(t)
+			rows := 0
+			for {
+				_, _, ok, err := st.Cursor.Next()
+				if err != nil {
+					t.Fatalf("stream after %d rows: %v, want no loss", rows, err)
+				}
+				if !ok {
+					break
+				}
+				rows++
+			}
+			if rows != 120 {
+				t.Fatalf("stream returned %d rows, want all 120", rows)
+			}
+		})
 	}
 }
 

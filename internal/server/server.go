@@ -423,10 +423,8 @@ func (c *conn) serve() {
 		}
 		var reply func() error
 		switch t {
-		case wire.FrameQuery:
-			reply = c.handleQuery(bw, payload)
-		case wire.FrameScopedQuery:
-			reply = c.handleScopedQuery(bw, payload)
+		case wire.FrameQuery, wire.FrameScopedQuery, wire.FrameQueryFirst:
+			reply = c.handleQuery(bw, t, payload)
 		case wire.FrameFetch:
 			reply = c.handleFetch(bw, payload)
 		case wire.FrameCloseCursor:
@@ -467,38 +465,42 @@ func (c *conn) serve() {
 	}
 }
 
-func (c *conn) handleQuery(bw *bufio.Writer, payload []byte) func() error {
-	sql, err := wire.ParseQuery(payload)
+// handleQuery executes one Query, ScopedQuery or QueryFirst frame and
+// replies with an immediate result or a cursor's Describe. QueryFirst
+// follows the Describe with the cursor's first batch at the default
+// size, and a result that ends inside it never enters c.cursors: the
+// client sends no Fetch or CloseCursor for it.
+func (c *conn) handleQuery(bw *bufio.Writer, t wire.FrameType, payload []byte) func() error {
+	var scope *wire.Scope
+	var sql string
+	var err error
+	switch t {
+	case wire.FrameQuery:
+		sql, err = wire.ParseQuery(payload)
+	case wire.FrameScopedQuery:
+		var s wire.Scope
+		s, sql, err = wire.ParseScopedQuery(payload)
+		scope = &s
+	default:
+		scope, sql, err = wire.ParseQueryFirst(payload)
+	}
 	if err != nil {
 		return c.sendError(bw, err.Error())
 	}
-	return c.runQuery(bw, sql, func() (*sqlmini.Stream, error) {
-		return c.sess.ExecuteStream(sql)
-	})
-}
-
-func (c *conn) handleScopedQuery(bw *bufio.Writer, payload []byte) func() error {
-	sc, sql, err := wire.ParseScopedQuery(payload)
-	if err != nil {
-		return c.sendError(bw, err.Error())
-	}
-	ss, ok := c.sess.(ScopedSession)
-	if !ok {
+	ss, canScope := c.sess.(ScopedSession)
+	if scope != nil && !canScope {
 		return c.sendError(bw, "this server does not support scoped queries")
 	}
-	return c.runQuery(bw, sql, func() (*sqlmini.Stream, error) {
-		return ss.ExecuteStreamScoped(sql, sc)
-	})
-}
-
-// runQuery executes one statement through exec and replies with either
-// an immediate result or a new cursor.
-func (c *conn) runQuery(bw *bufio.Writer, sql string, exec func() (*sqlmini.Stream, error)) func() error {
 	if c.srv.inShutdown.Load() {
 		return c.sendError(bw, "server is shutting down")
 	}
 	c.srv.stats.Queries.Add(1)
-	stream, err := exec()
+	var stream *sqlmini.Stream
+	if scope == nil {
+		stream, err = c.sess.ExecuteStream(sql)
+	} else {
+		stream, err = ss.ExecuteStreamScoped(sql, *scope)
+	}
 	if err != nil {
 		return c.sendError(bw, err.Error())
 	}
@@ -514,23 +516,52 @@ func (c *conn) runQuery(bw *bufio.Writer, sql string, exec func() (*sqlmini.Stre
 			}))
 		}
 	}
-	if len(c.cursors) >= c.srv.cfg.MaxCursorsPerConn {
-		stream.Cursor.Close()
-		return c.sendError(bw, fmt.Sprintf("cursor limit reached (%d per connection)", c.srv.cfg.MaxCursorsPerConn))
-	}
 	c.nextCursor++
 	sc := &serverCursor{id: c.nextCursor, schema: stream.Schema, cur: stream.Cursor,
 		trace: c.srv.tracer.Begin(truncateSQL(sql))}
 	if c.srv.cfg.QueryTimeout > 0 {
 		sc.deadline = time.Now().Add(c.srv.cfg.QueryTimeout)
 	}
+	var img *[]byte
+	done := false
+	if t == wire.FrameQueryFirst {
+		img, done, err = c.nextBatch(sc, c.srv.cfg.DefaultBatch)
+	}
+	if err == nil && !done {
+		if err = c.register(sc); err != nil && img != nil {
+			framePool.Put(img)
+		}
+	}
+	if err != nil {
+		sc.close()
+		return c.sendError(bw, err.Error())
+	}
+	if done {
+		sc.close()
+	}
+	return func() error {
+		err := wire.WriteFrame(bw, wire.FrameDescribe, wire.AppendDescribe(nil, sc.id, sc.schema))
+		if img != nil {
+			if err == nil {
+				err = wire.WriteFrame(bw, wire.FrameBatch, *img)
+			}
+			framePool.Put(img)
+		}
+		return err
+	}
+}
+
+// register enters sc in the connection's cursor table, within the
+// per-connection cursor limit.
+func (c *conn) register(sc *serverCursor) error {
+	if len(c.cursors) >= c.srv.cfg.MaxCursorsPerConn {
+		return fmt.Errorf("cursor limit reached (%d per connection)", c.srv.cfg.MaxCursorsPerConn)
+	}
 	c.cursors[sc.id] = sc
 	c.cursorCount.Add(1)
 	c.srv.stats.CursorsOpened.Add(1)
 	c.srv.stats.CursorsOpen.Add(1)
-	return func() error {
-		return wire.WriteFrame(bw, wire.FrameDescribe, wire.AppendDescribe(nil, sc.id, sc.schema))
-	}
+	return nil
 }
 
 // framePool recycles encoded batch payloads, so a steady fetch stream
@@ -562,21 +593,39 @@ func (c *conn) handleFetch(bw *bufio.Writer, payload []byte) func() error {
 		c.dropCursor(sc)
 		return c.sendError(bw, err.Error())
 	}
+	img, done, err := c.nextBatch(sc, batch)
+	if err != nil {
+		c.dropCursor(sc)
+		return c.sendError(bw, err.Error())
+	}
+	if done {
+		c.dropCursor(sc)
+	}
+	return func() error {
+		err := wire.WriteFrame(bw, wire.FrameBatch, *img)
+		framePool.Put(img)
+		return err
+	}
+}
+
+// nextBatch produces the cursor's next batch of up to max rows and
+// encodes it as a Batch frame into a pooled image; done reports the end
+// of the stream. A cursor error after some rows is deferred to the next
+// fetch (pendingErr). On error nothing is encoded, and the caller
+// closes the cursor and reports the error.
+func (c *conn) nextBatch(sc *serverCursor, max int) (img *[]byte, done bool, err error) {
 	start := time.Now()
 	// One NextBatch usually fills the frame. A short batch (the tail of
 	// a parallel instance, what a scope filter left) is topped up, so
-	// the client pays a round trip per `batch` rows, not per upstream
+	// the client pays a round trip per `max` rows, not per upstream
 	// batch.
 	b := &sc.batch
 	b.Reset()
-	done := false
-	for len(b.Rows) < batch {
+	for len(b.Rows) < max {
 		n := len(b.Rows)
-		err := sc.cur.NextBatch(b, batch-n)
-		if err != nil {
+		if err := sc.cur.NextBatch(b, max-n); err != nil {
 			if len(b.Rows) == 0 {
-				c.dropCursor(sc)
-				return c.sendError(bw, err.Error())
+				return nil, false, err
 			}
 			sc.pendingErr = err
 			break
@@ -589,8 +638,7 @@ func (c *conn) handleFetch(bw *bufio.Writer, payload []byte) func() error {
 	rows := b.Rows
 	sc.streamed += int64(len(rows))
 	if limit := c.srv.cfg.MaxRowsPerQuery; limit > 0 && sc.streamed > limit {
-		c.dropCursor(sc)
-		return c.sendError(bw, fmt.Sprintf("query row limit exceeded (%d rows)", limit))
+		return nil, false, fmt.Errorf("query row limit exceeded (%d rows)", limit)
 	}
 	elapsed := time.Since(start)
 	c.srv.stats.Fetches.Add(1)
@@ -602,21 +650,13 @@ func (c *conn) handleFetch(bw *bufio.Writer, payload []byte) func() error {
 	// The one copy of the batch: its rows are encoded straight into the
 	// pooled frame image, after which the cursor's batch is free for the
 	// next fetch.
-	img := framePool.Get().(*[]byte)
+	img = framePool.Get().(*[]byte)
 	*img, err = wire.AppendBatch((*img)[:0], sc.id, done, sc.schema, rows)
 	if err != nil {
 		framePool.Put(img)
-		c.dropCursor(sc)
-		return c.sendError(bw, err.Error())
+		return nil, false, err
 	}
-	if done {
-		c.dropCursor(sc)
-	}
-	return func() error {
-		err := wire.WriteFrame(bw, wire.FrameBatch, *img)
-		framePool.Put(img)
-		return err
-	}
+	return img, done, nil
 }
 
 func (c *conn) handleClose(bw *bufio.Writer, payload []byte) func() error {
@@ -634,10 +674,15 @@ func (c *conn) handleClose(bw *bufio.Writer, payload []byte) func() error {
 	}
 }
 
-// dropCursor closes and forgets a cursor.
-func (c *conn) dropCursor(sc *serverCursor) {
+// close releases the engine cursor and ends its trace.
+func (sc *serverCursor) close() {
 	sc.cur.Close()
 	sc.trace.Finish()
+}
+
+// dropCursor closes and forgets a registered cursor.
+func (c *conn) dropCursor(sc *serverCursor) {
+	sc.close()
 	delete(c.cursors, sc.id)
 	c.cursorCount.Add(-1)
 	c.srv.stats.CursorsOpen.Add(-1)

@@ -34,11 +34,17 @@ func newTestDB(t testing.TB, rows int) *spatialtf.DB {
 // server plus its address. The server shuts down with the test.
 func startTestServer(t testing.TB, db *spatialtf.DB, cfg Config) (*Server, string) {
 	t.Helper()
+	return startServer(t, dbBackend{db: db}, cfg)
+}
+
+// startServer is startTestServer over an arbitrary backend.
+func startServer(t testing.TB, b Backend, cfg Config) (*Server, string) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(db, cfg)
+	srv := NewWith(b, cfg)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	t.Cleanup(func() {
@@ -273,9 +279,11 @@ func TestServerConnectionLimit(t *testing.T) {
 	}
 }
 
+// TestServerCursorLimit holds cursors open mid-stream: the join is
+// longer than the 4-row first batch, so each Query keeps a server cursor.
 func TestServerCursorLimit(t *testing.T) {
 	db := newTestDB(t, 32)
-	_, addr := startTestServer(t, db, Config{MaxCursorsPerConn: 2})
+	_, addr := startTestServer(t, db, Config{MaxCursorsPerConn: 2, DefaultBatch: 4})
 	cli, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +348,7 @@ func TestServerRowLimit(t *testing.T) {
 
 func TestServerQueryTimeout(t *testing.T) {
 	db := newTestDB(t, 64)
-	_, addr := startTestServer(t, db, Config{QueryTimeout: 30 * time.Millisecond})
+	_, addr := startTestServer(t, db, Config{QueryTimeout: 30 * time.Millisecond, DefaultBatch: 4})
 	cli, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -349,6 +357,11 @@ func TestServerQueryTimeout(t *testing.T) {
 	res, err := cli.Query(joinSQL)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The first batch came with the reply; the fetches below reach the
+	// server.
+	if _, done, err := res.Cursor.Fetch(0); err != nil || done {
+		t.Fatalf("first batch: done=%v err=%v, want a result longer than 4 rows", done, err)
 	}
 	if _, _, err := res.Cursor.Fetch(1); err != nil {
 		t.Fatalf("fetch before deadline: %v", err)
@@ -677,46 +690,43 @@ func (s errAfterSession) ExecuteStream(sql string) (*sqlmini.Stream, error) {
 // contract: when a cursor fails mid-batch, the rows already assembled
 // are delivered first and the error answers the next fetch — a late
 // stream error (a cluster partial result, say) must not swallow
-// results the engine already produced.
+// results the engine already produced. At the default batch the error
+// arrives while the server fills the first batch, so the seven rows
+// come with the query reply; at batch 4 it arrives in the first Fetch.
 func TestServerDeliversRowsBeforeCursorError(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewWith(errAfterBackend{n: 7}, Config{})
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-errc
-	}()
-
-	cli, err := wire.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	res, err := cli.Query("SELECT id FROM whatever")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A batch far larger than the row count forces the error to arrive
-	// mid-assembly.
-	rows, done, err := res.Cursor.Fetch(100)
-	if err != nil || done {
-		t.Fatalf("first fetch: rows=%d done=%v err=%v, want the 7 pre-error rows", len(rows), done, err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("first fetch delivered %d rows, want 7", len(rows))
-	}
-	if _, _, err := res.Cursor.Fetch(100); err == nil || !strings.Contains(err.Error(), "backend exploded") {
-		t.Fatalf("second fetch: err=%v, want the deferred cursor error", err)
-	}
-	// The errored cursor is reaped server-side.
-	if n := srv.Stats().CursorsOpen.Value(); n != 0 {
-		t.Fatalf("%d cursors still open after deferred error", n)
+	for _, batch := range []int{0, 4} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			srv, addr := startServer(t, errAfterBackend{n: 7}, Config{DefaultBatch: batch})
+			cli := dial(t, addr)
+			res, err := cli.Query("SELECT id FROM whatever")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := srv.Stats().RowsStreamed.Value(); batch == 0 && n != 7 {
+				t.Fatalf("%d rows produced with the query reply, want all 7", n)
+			}
+			rows := 0
+			for {
+				got, done, err := res.Cursor.Fetch(100)
+				if err != nil {
+					if !strings.Contains(err.Error(), "backend exploded") {
+						t.Fatalf("fetch after %d rows: %v, want the deferred cursor error", rows, err)
+					}
+					break
+				}
+				if done {
+					t.Fatalf("stream ended after %d rows without the cursor error", rows)
+				}
+				rows += len(got)
+			}
+			if rows != 7 {
+				t.Fatalf("%d rows delivered before the error, want 7", rows)
+			}
+			// The errored cursor is reaped server-side.
+			if n := srv.Stats().CursorsOpen.Value(); n != 0 {
+				t.Fatalf("%d cursors still open after deferred error", n)
+			}
+		})
 	}
 }
 
@@ -763,7 +773,7 @@ func TestServeAfterShutdown(t *testing.T) {
 // skipped, not an error that leaves the statement half applied.
 func TestWindowSelectSkipsConcurrentlyDeletedRows(t *testing.T) {
 	db := spatialtf.Open()
-	_, addr := startTestServer(t, db, Config{})
+	_, addr := startTestServer(t, db, Config{DefaultBatch: 4})
 	dial := func() *wire.Client {
 		cli, err := wire.Dial(addr)
 		if err != nil {
@@ -805,19 +815,31 @@ func TestWindowSelectSkipsConcurrentlyDeletedRows(t *testing.T) {
 		}
 	}
 
-	// The rowids are resolved; now delete a quarter of the rows behind
-	// the open cursor.
+	// The rowids are resolved and the first batch fetched with them; now
+	// delete a quarter of the rows behind the open cursor. The rows of
+	// the first batch were live at its fetch, so they count whatever
+	// the DELETE removes.
 	res, err := reader.Query(window)
 	if err != nil {
 		t.Fatal(err)
+	}
+	first, _, err := res.Cursor.Fetch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := n - 100
+	for _, row := range first {
+		if row[0].I < 100 {
+			want++
+		}
 	}
 	exec(writer, "DELETE FROM pts"+quarter)
 	rows, err := drain(res.Cursor)
 	if err != nil {
 		t.Fatalf("window SELECT over rows deleted after it started: %v", err)
 	}
-	if want := n - 100; rows != want {
-		t.Fatalf("window SELECT returned %d rows, want the %d that were not deleted", rows, want)
+	if rows += len(first); rows != want {
+		t.Fatalf("window SELECT returned %d rows, want the %d that were not deleted or fetched first", rows, want)
 	}
 
 	// Reader and deleter at full tilt.

@@ -37,6 +37,9 @@ type Client struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	opt  Options
+	// noFirst records that the server predates QueryFirst, so queries
+	// travel as Query/ScopedQuery and their first batch as a Fetch.
+	noFirst bool
 }
 
 // Dial connects to a server at addr ("host:port") and performs the
@@ -106,7 +109,19 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return "server: " + e.Msg }
 
+// unknownQueryFirst is how a server that predates QueryFirst answers
+// it: the reply its dispatch loop gives every frame type it does not
+// know, sent before it reads anything of the payload.
+const unknownQueryFirst = "unknown frame type 0x07"
+
 // roundTrip sends one frame and reads the reply, handling Error frames.
+// A Describe answering a QueryFirst is followed on the wire by the
+// cursor's first Batch, which is read under the same lock and returned
+// as batch. A QueryFirst that a server predating it rejects is sent
+// once more in its inner form, and the connection sends that form from
+// then on; no other error is retried, since the server may have run the
+// statement.
+//
 // The client's mutex is deliberately held across the socket write and
 // the reply read: the protocol is strict request/response on a single
 // connection, so the lock IS the request pipeline — waiters queue for
@@ -114,9 +129,33 @@ func (e *RemoteError) Error() string { return "server: " + e.Msg }
 // long a reply can take.
 //
 //spatiallint:ignore lockdiscipline the mutex serialises request/response frames on one connection; holding it across the round trip is the protocol
-func (c *Client) roundTrip(t FrameType, payload []byte) (FrameType, []byte, error) {
+func (c *Client) roundTrip(t FrameType, payload []byte) (rt FrameType, rp, batch []byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if t == FrameQueryFirst && c.noFirst {
+		t, payload = FrameType(payload[0]), payload[1:]
+	}
+	rt, rp, err = c.exchange(t, payload)
+	if re, ok := err.(*RemoteError); ok && t == FrameQueryFirst && re.Msg == unknownQueryFirst {
+		c.noFirst = true
+		t, payload = FrameType(payload[0]), payload[1:]
+		rt, rp, err = c.exchange(t, payload)
+	}
+	if err != nil || t != FrameQueryFirst || rt != FrameDescribe {
+		return rt, rp, nil, err
+	}
+	bt, bp, err := c.recv()
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if bt != FrameBatch {
+		return 0, nil, nil, fmt.Errorf("wire: unexpected frame 0x%02x after Describe", byte(bt))
+	}
+	return rt, rp, bp, nil
+}
+
+// exchange writes one frame and reads its reply; the caller holds c.mu.
+func (c *Client) exchange(t FrameType, payload []byte) (FrameType, []byte, error) {
 	if c.opt.WriteTimeout > 0 {
 		if err := c.conn.SetWriteDeadline(time.Now().Add(c.opt.WriteTimeout)); err != nil {
 			return 0, nil, err
@@ -128,6 +167,12 @@ func (c *Client) roundTrip(t FrameType, payload []byte) (FrameType, []byte, erro
 	if err := c.bw.Flush(); err != nil {
 		return 0, nil, err
 	}
+	return c.recv()
+}
+
+// recv reads one frame under the read timeout, turning an Error frame
+// into a *RemoteError; the caller holds c.mu.
+func (c *Client) recv() (FrameType, []byte, error) {
 	if c.opt.ReadTimeout > 0 {
 		if err := c.conn.SetReadDeadline(time.Now().Add(c.opt.ReadTimeout)); err != nil {
 			return 0, nil, err
@@ -200,10 +245,10 @@ func (r *QueryResult) Format() string {
 }
 
 // Query executes one SQL statement on the server. Streaming SELECTs
-// return a QueryResult holding an open Cursor; everything else returns
-// an immediate QueryResult.
+// return a QueryResult holding an open Cursor, which already holds the
+// first batch; everything else returns an immediate QueryResult.
 func (c *Client) Query(sql string) (*QueryResult, error) {
-	return c.query(FrameQuery, AppendQuery(nil, sql))
+	return c.query(AppendQueryFirst(nil, nil, sql))
 }
 
 // QueryScoped executes one SQL statement restricted to a cluster scope:
@@ -211,11 +256,11 @@ func (c *Client) Query(sql string) (*QueryResult, error) {
 // reference point falls in a grid tile owned by sc.Shard. Servers that
 // predate the frame answer with an "unknown frame type" RemoteError.
 func (c *Client) QueryScoped(sql string, sc Scope) (*QueryResult, error) {
-	return c.query(FrameScopedQuery, AppendScopedQuery(nil, sc, sql))
+	return c.query(AppendQueryFirst(nil, &sc, sql))
 }
 
-func (c *Client) query(ft FrameType, payload []byte) (*QueryResult, error) {
-	t, p, err := c.roundTrip(ft, payload)
+func (c *Client) query(payload []byte) (*QueryResult, error) {
+	t, p, batch, err := c.roundTrip(FrameQueryFirst, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +282,13 @@ func (c *Client) query(ft FrameType, payload []byte) (*QueryResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &QueryResult{Cursor: &Cursor{c: c, id: id, schema: schema}}, nil
+		cur := &Cursor{c: c, id: id, schema: schema}
+		if batch != nil {
+			if err := cur.take(batch); err != nil {
+				return nil, err
+			}
+		}
+		return &QueryResult{Cursor: cur}, nil
 	default:
 		return nil, fmt.Errorf("wire: unexpected reply frame 0x%02x to Query", byte(t))
 	}
@@ -245,7 +296,7 @@ func (c *Client) query(ft FrameType, payload []byte) (*QueryResult, error) {
 
 // Stats fetches the server's statistics snapshot.
 func (c *Client) Stats() (Stats, error) {
-	t, p, err := c.roundTrip(FrameStats, nil)
+	t, p, _, err := c.roundTrip(FrameStats, nil)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -259,7 +310,7 @@ func (c *Client) Stats() (Stats, error) {
 // series, histograms included). A server that predates the Metrics
 // frame answers with an "unknown frame type" RemoteError.
 func (c *Client) Metrics() ([]telemetry.Point, error) {
-	t, p, err := c.roundTrip(FrameMetricsReq, nil)
+	t, p, _, err := c.roundTrip(FrameMetricsReq, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +328,12 @@ type Cursor struct {
 	c      *Client
 	id     uint64
 	schema []storage.Column
-	done   bool
+	// done records that the server holds no cursor for this one: it
+	// delivered the final batch, failed, or was closed.
+	done bool
+	// pending is the decoded batch Fetch has not handed out yet: the
+	// first batch, which arrives with the query reply.
+	pending []storage.Row
 
 	// Row-at-a-time buffer for Next.
 	buf []storage.Row
@@ -290,51 +346,62 @@ func (cur *Cursor) ID() uint64 { return cur.id }
 // Columns returns the result schema.
 func (cur *Cursor) Columns() []storage.Column { return cur.schema }
 
-// Fetch pulls the next batch of up to max rows (0 = server default).
-// done reports end of stream, after which the server has already
-// released the cursor and further calls return no rows.
-func (cur *Cursor) Fetch(max int) (rows []storage.Row, done bool, err error) {
-	if cur.done {
-		return nil, true, nil
+// take decodes one Batch payload of this cursor into pending.
+func (cur *Cursor) take(p []byte) error {
+	id, done, rows, err := ParseBatch(p, cur.schema)
+	if err != nil {
+		return err
 	}
+	if id != cur.id {
+		return fmt.Errorf("wire: batch for cursor %d on cursor %d", id, cur.id)
+	}
+	cur.done, cur.pending = done, rows
+	return nil
+}
+
+// Fetch returns the next batch of up to max rows (0 = server default):
+// what is left of the batch that came with the query reply, then one
+// batch per request to the server. done reports end of stream, after
+// which the server has already released the cursor and further calls
+// return no rows.
+func (cur *Cursor) Fetch(max int) (rows []storage.Row, done bool, err error) {
 	if max < 0 {
 		max = 0
 	}
-	t, p, err := cur.c.roundTrip(FrameFetch, AppendFetch(nil, cur.id, uint64(max)))
-	if err != nil {
-		if _, remote := err.(*RemoteError); remote {
-			// The server discarded the cursor along with the error.
-			cur.done = true
+	if len(cur.pending) == 0 && !cur.done {
+		t, p, _, err := cur.c.roundTrip(FrameFetch, AppendFetch(nil, cur.id, uint64(max)))
+		if err != nil {
+			if _, remote := err.(*RemoteError); remote {
+				// The server discarded the cursor along with the error.
+				cur.done = true
+			}
+			return nil, false, err
 		}
-		return nil, false, err
+		if t != FrameBatch {
+			return nil, false, fmt.Errorf("wire: unexpected reply frame 0x%02x to Fetch", byte(t))
+		}
+		if err := cur.take(p); err != nil {
+			return nil, false, err
+		}
 	}
-	if t != FrameBatch {
-		return nil, false, fmt.Errorf("wire: unexpected reply frame 0x%02x to Fetch", byte(t))
+	rows = cur.pending
+	if max > 0 && max < len(rows) {
+		rows = rows[:max:max]
 	}
-	id, d, rows, err := ParseBatch(p, cur.schema)
-	if err != nil {
-		return nil, false, err
-	}
-	if id != cur.id {
-		return nil, false, fmt.Errorf("wire: batch for cursor %d on cursor %d", id, cur.id)
-	}
-	cur.done = d
-	return rows, d, nil
+	cur.pending = cur.pending[len(rows):]
+	return rows, cur.done && len(cur.pending) == 0, nil
 }
 
 // Next returns rows one at a time, fetching batches (server default
 // size) behind the scenes. ok is false at end of stream.
 func (cur *Cursor) Next() (storage.Row, bool, error) {
 	for cur.pos >= len(cur.buf) {
-		if cur.done {
-			return nil, false, nil
-		}
-		rows, _, err := cur.Fetch(0)
+		rows, done, err := cur.Fetch(0)
 		if err != nil {
 			return nil, false, err
 		}
 		cur.buf, cur.pos = rows, 0
-		if len(rows) == 0 && cur.done {
+		if len(rows) == 0 && done {
 			return nil, false, nil
 		}
 	}
@@ -343,14 +410,15 @@ func (cur *Cursor) Next() (storage.Row, bool, error) {
 	return row, true, nil
 }
 
-// Close releases the cursor on the server. Idempotent; a drained
-// cursor needs no round trip (the server released it with the final
-// batch).
+// Close releases the cursor on the server. Idempotent; a cursor whose
+// final batch has arrived needs no round trip (the server released it
+// with that batch, or never kept it).
 func (cur *Cursor) Close() error {
+	cur.pending = nil
 	if cur.done {
 		return nil
 	}
 	cur.done = true
-	_, _, err := cur.c.roundTrip(FrameCloseCursor, AppendCloseCursor(nil, cur.id))
+	_, _, _, err := cur.c.roundTrip(FrameCloseCursor, AppendCloseCursor(nil, cur.id))
 	return err
 }

@@ -25,7 +25,8 @@ var fuzzSchema = []storage.Column{
 // FuzzWireDecode throws bytes at every decode path a peer can reach: the
 // frame reader, then each payload parser on the raw payload. All of them
 // must return an error rather than panic, hang, or over-allocate on
-// hostile input.
+// hostile input, and what the batch and query parsers accept must
+// survive re-encoding.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendQuery(nil, "SELECT count(*) FROM cities"))
@@ -64,6 +65,10 @@ func FuzzWireDecode(f *testing.F) {
 	if err := WriteFrame(bw, FrameQuery, AppendQuery(nil, "SELECT * FROM rivers")); err == nil && bw.Flush() == nil {
 		f.Add(frame.Bytes())
 	}
+	sc := Scope{MinX: -1, MinY: 0, MaxX: 10, MaxY: 12.5, Cols: 4, Rows: 3, NShards: 2, Shard: 1}
+	f.Add(AppendScopedQuery(nil, sc, "SELECT id FROM cities"))
+	f.Add(AppendQueryFirst(nil, nil, "SELECT id FROM cities"))
+	f.Add(AppendQueryFirst(nil, &sc, "SELECT count(*) FROM cities"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -73,6 +78,18 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 		ParseQuery(data)
+		// The query frames must re-encode to what they decoded from.
+		if sc, sql, err := ParseScopedQuery(data); err == nil {
+			if sc2, sql2, err := ParseScopedQuery(AppendScopedQuery(nil, sc, sql)); err != nil || sc2 != sc || sql2 != sql {
+				t.Fatalf("scoped query %+v %q re-decoded as %+v %q (%v)", sc, sql, sc2, sql2, err)
+			}
+		}
+		if sc, sql, err := ParseQueryFirst(data); err == nil {
+			sc2, sql2, err := ParseQueryFirst(AppendQueryFirst(nil, sc, sql))
+			if err != nil || sql2 != sql || (sc == nil) != (sc2 == nil) || (sc != nil && *sc != *sc2) {
+				t.Fatalf("QueryFirst %v %q re-decoded as %v %q (%v)", sc, sql, sc2, sql2, err)
+			}
+		}
 		ParseFetch(data)
 		ParseCloseCursor(data)
 		ParseDescribe(data)

@@ -47,6 +47,37 @@ func TestScopedQueryTruncated(t *testing.T) {
 	}
 }
 
+func TestQueryFirstCodec(t *testing.T) {
+	sc := Scope{MinX: 0, MinY: -10, MaxX: 1000, MaxY: 990, Cols: 8, Rows: 4, NShards: 3, Shard: 2}
+	for _, want := range []*Scope{nil, &sc} {
+		b := AppendQueryFirst(nil, want, "SELECT id FROM counties")
+		got, sql, err := ParseQueryFirst(b)
+		if err != nil || sql != "SELECT id FROM counties" || (got == nil) != (want == nil) || (got != nil && *got != *want) {
+			t.Fatalf("round trip of %v: %v %q, %v", want, got, sql, err)
+		}
+		// The form byte is the frame the rest of the payload would travel
+		// as without QueryFirst.
+		if want == nil && string(b[1:]) != string(AppendQuery(nil, sql)) ||
+			want != nil && string(b[1:]) != string(AppendScopedQuery(nil, sc, sql)) {
+			t.Fatalf("payload %x does not wrap the inner form's payload", b)
+		}
+		for n := 0; n < len(b); n++ {
+			if _, _, err := ParseQueryFirst(b[:n]); err == nil {
+				t.Fatalf("truncation at %d bytes parsed without error", n)
+			}
+		}
+	}
+	for _, form := range []FrameType{FrameFetch, FrameQueryFirst, 0} {
+		if _, _, err := ParseQueryFirst(append([]byte{byte(form)}, AppendQuery(nil, "SELECT 1")...)); err == nil {
+			t.Errorf("form 0x%02x accepted", byte(form))
+		}
+	}
+	bad := Scope{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1, Cols: 1, Rows: 1, NShards: 0}
+	if _, _, err := ParseQueryFirst(AppendQueryFirst(nil, &bad, "SELECT 1")); err == nil {
+		t.Error("invalid scope accepted")
+	}
+}
+
 // TestClientReadTimeout proves a client with a read deadline fails with
 // a net timeout instead of hanging when the server accepts, handshakes,
 // and then goes silent.

@@ -2,10 +2,12 @@
 // networked query server: a length-prefixed, little-endian binary
 // framing (versioned by an 8-byte magic, like the snapshot format) that
 // extends the paper's start–fetch–close cursor pipeline across a
-// socket. A remote client opens a cursor with a Query frame, pulls
-// bounded FetchBatch frames exactly as a local consumer drives a
-// pipelined table function's fetch calls, and releases it with
-// CloseCursor — the server never materialises a full result set.
+// socket. A remote client opens a cursor with a QueryFirst frame, which
+// also returns its first batch, pulls further bounded Fetch batches
+// exactly as a local consumer drives a pipelined table function's fetch
+// calls, and releases it with CloseCursor — the server never
+// materialises a full result set, and a result that fits one batch
+// never holds a server cursor at all.
 //
 // Row payloads reuse the storage row codec (storage.EncodeRow), so
 // geometry columns travel in the same WKB-style binary image
@@ -44,6 +46,13 @@ const (
 	FrameCloseCursor FrameType = 0x03
 	// FrameStats requests server statistics; empty payload.
 	FrameStats FrameType = 0x04
+	// FrameQueryFirst runs a statement and fetches its first batch in
+	// one round trip (protocol revision 1.2): byte form (FrameQuery or
+	// FrameScopedQuery), then that frame's payload. A streaming SELECT
+	// is answered by Describe and the first Batch at the server's
+	// default size in one flush; when that batch has done set the server
+	// kept no cursor. Anything else is answered as the form would be.
+	FrameQueryFirst FrameType = 0x07
 
 	// FrameResult is an immediate statement outcome (DDL/DML/COUNT).
 	FrameResult FrameType = 0x81
@@ -191,6 +200,36 @@ func ParseQuery(b []byte) (string, error) {
 		return "", err
 	}
 	return sql, p.done()
+}
+
+// AppendQueryFirst encodes a QueryFirst payload: the Query form when sc
+// is nil, the ScopedQuery form otherwise.
+func AppendQueryFirst(dst []byte, sc *Scope, sql string) []byte {
+	if sc == nil {
+		return AppendQuery(append(dst, byte(FrameQuery)), sql)
+	}
+	return AppendScopedQuery(append(dst, byte(FrameScopedQuery)), *sc, sql)
+}
+
+// ParseQueryFirst decodes a QueryFirst payload; sc is nil for the Query
+// form.
+func ParseQueryFirst(b []byte) (sc *Scope, sql string, err error) {
+	if len(b) == 0 {
+		return nil, "", fmt.Errorf("wire: truncated byte")
+	}
+	switch FrameType(b[0]) {
+	case FrameQuery:
+		sql, err = ParseQuery(b[1:])
+		return nil, sql, err
+	case FrameScopedQuery:
+		s, sql, err := ParseScopedQuery(b[1:])
+		if err != nil {
+			return nil, "", err
+		}
+		return &s, sql, nil
+	default:
+		return nil, "", fmt.Errorf("wire: QueryFirst of unknown form 0x%02x", b[0])
+	}
 }
 
 // --- Fetch / CloseCursor ---

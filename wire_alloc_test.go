@@ -37,6 +37,14 @@ func servePointJoin(tb testing.TB, n int) *wire.Client {
 	if _, err := db.CreateIndex("stars_idx", "stars", spatialtf.RTree, spatialtf.IndexOptions{Parallel: 2}); err != nil {
 		tb.Fatal(err)
 	}
+	return serveLoopback(tb, db)
+}
+
+// serveLoopback serves db on loopback with the default server
+// configuration and returns a connected client; cleanup is registered
+// on tb.
+func serveLoopback(tb testing.TB, db *spatialtf.DB) *wire.Client {
+	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
@@ -86,6 +94,36 @@ func BenchmarkWirePointJoinStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		drainJoin(b, cli, pointJoinSQL)
+	}
+	b.ReportMetric(float64(rows), "rows/op")
+}
+
+// windowSQL is a window over the counties that matches a handful of
+// rows, the shape of the benchmark's window_lookup statements.
+const windowSQL = "SELECT id FROM counties WHERE sdo_relate(geom, 'POLYGON ((500 500, 512 500, 512 512, 500 512, 500 500))', 'mask=anyinteract') = 'TRUE'"
+
+// BenchmarkWireWindowLookup is the benchmark's window_lookup statement
+// in miniature: one short indexed window SELECT over loopback on one
+// processor, where the round trip and the server's per-statement work,
+// not the R-tree descent, are the cost.
+func BenchmarkWireWindowLookup(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	db := spatialtf.Open()
+	if _, err := db.LoadDataset("counties", spatialtf.Counties(1024, 1)); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.CreateIndex("counties_idx", "counties", spatialtf.RTree, spatialtf.IndexOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	cli := serveLoopback(b, db)
+	rows := drainJoin(b, cli, windowSQL)
+	if rows == 0 || rows > 8 {
+		b.Fatalf("window matched %d rows, want a handful", rows)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drainJoin(b, cli, windowSQL)
 	}
 	b.ReportMetric(float64(rows), "rows/op")
 }
