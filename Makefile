@@ -75,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzCatalog -fuzztime 5s .
 	$(GO) test -run NONE -fuzz FuzzGeomBinary -fuzztime 5s ./internal/geom
 	$(GO) test -run NONE -fuzz FuzzParseWKT -fuzztime 5s ./internal/geom
+	$(GO) test -run NONE -fuzz FuzzBoxSide -fuzztime 5s ./internal/geom
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -93,7 +94,7 @@ bench:
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
 	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|WirePointJoinStream|WireWindowLookup' -benchmem -benchtime 2x -count 1 .
-	$(GO) test -run NONE -bench 'Intersects|WithinDistance' -benchmem -benchtime 2x -count 1 ./internal/geom
+	$(GO) test -run NONE -bench 'Intersects|WithinDistance|BoxSide|Refine' -benchmem -benchtime 2x -count 1 ./internal/geom
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a module of
 # its own, so the root `./...` patterns above neither vet nor test it:

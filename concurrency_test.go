@@ -316,9 +316,13 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 // then waits in the R-tree hook for the cursor's pin, so the join still
 // meets the index entries of rows that are gone. The fetched route
 // (polygons, cache disabled) drops such a candidate; the index-decided
-// route (points) returns the pair from the index entry it already has.
-// Either way the statement succeeds, returns only pairs of rows live
-// when it started, and misses no pair of rows that were never deleted.
+// route (points) returns the pair from the index entry it already has,
+// and so does a candidate decided by its box (stars × counties, stars
+// deleted): a star whose leaf MBR lies inside its county is never
+// fetched (sjoin's TestBoxDecidedPairOfDeletedRow pins which pairs
+// that returns). Either way the statement succeeds, returns only pairs
+// of rows live when it started, and misses no pair of rows that were
+// never deleted.
 func TestConcurrentDeleteJoin(t *testing.T) {
 	polygons := Stars(1500, 5)
 	points := Stars(1500, 5)
@@ -326,13 +330,18 @@ func TestConcurrentDeleteJoin(t *testing.T) {
 		c := geom.MBROf(g).Center()
 		points.Geoms[i] = geom.NewPoint(c.X, c.Y)
 	}
+	counties := Counties(100, 5)
 	cases := []struct {
 		name string
 		ds   Dataset
-		opt  JoinOptions
+		// other, when set, is the second side: the join is t × u and
+		// only t's rows are deleted; otherwise it is a self-join of t.
+		other *Dataset
+		opt   JoinOptions
 	}{
-		{"polygons fetched", polygons, JoinOptions{GeomCacheBytes: -1, CandidateCap: 8}},
-		{"points index-decided", points, JoinOptions{Distance: 1.5, GeomCacheBytes: -1, CandidateCap: 8}},
+		{"polygons fetched", polygons, nil, JoinOptions{GeomCacheBytes: -1, CandidateCap: 8}},
+		{"points index-decided", points, nil, JoinOptions{Distance: 1.5, GeomCacheBytes: -1, CandidateCap: 8}},
+		{"box-decided", polygons, &counties, JoinOptions{GeomCacheBytes: -1, CandidateCap: 8}},
 	}
 	for _, c := range cases {
 		for _, algo := range []string{"", "grid"} {
@@ -346,15 +355,27 @@ func TestConcurrentDeleteJoin(t *testing.T) {
 				if _, err := db.CreateIndex("t_idx", "t", RTree, IndexOptions{}); err != nil {
 					t.Fatal(err)
 				}
+				b, bIdx := "t", "t_idx"
+				if c.other != nil {
+					b, bIdx = "u", "u_idx"
+					if _, err := db.LoadDataset(b, *c.other); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := db.CreateIndex(bIdx, b, RTree, IndexOptions{}); err != nil {
+						t.Fatal(err)
+					}
+				}
 				tab, err := db.Table("t")
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := db.NestedLoopJoin("t", "t_idx", "t", "t_idx", opt)
+				want, err := db.NestedLoopJoin("t", "t_idx", b, bIdx, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				deleted := map[RowID]bool{}
+				// gone reports whether p has a side taken from t's deleted rows.
+				gone := func(p Pair) bool { return deleted[p.A] || c.other == nil && deleted[p.B] }
 				i := 0
 				tab.Scan(func(id RowID, _ Row) bool {
 					if i%5 == 0 {
@@ -364,7 +385,7 @@ func TestConcurrentDeleteJoin(t *testing.T) {
 					return true
 				})
 
-				cur, err := db.SpatialJoin("t", "t_idx", "t", "t_idx", opt)
+				cur, err := db.SpatialJoin("t", "t_idx", b, bIdx, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -424,7 +445,7 @@ func TestConcurrentDeleteJoin(t *testing.T) {
 					seen[p] = true
 				}
 				for _, p := range want {
-					if !deleted[p.A] && !deleted[p.B] && !seen[p] {
+					if !gone(p) && !seen[p] {
 						t.Fatalf("pair %v of two never-deleted rows is missing", p)
 					}
 				}

@@ -182,3 +182,90 @@ func edgePairs(p, q chain, reach float64, fn func(a, b, c, d Point) bool) bool {
 	}
 	return false
 }
+
+// BoxSide classifies the rectangle r against the polygon or
+// multipolygon g for a test of contact (reach 0) or of distance at most
+// reach: +1 when r lies in g's interior, −1 when r lies outside g and
+// farther than reach from it, 0 when it shows neither. Any geometry
+// whose MBR is r then meets g (+1) or stays beyond reach of it (−1),
+// without being read; the join's secondary filter decides a candidate
+// from its leaf MBR this way.
+//
+// One pass over g's ring edges gives up (0) at the first edge whose box
+// meets r grown by reach. Past it, the same test with r grown by
+// reach + τ (contactTol over r and g's rings, with g's shortest edge)
+// leaves no boundary point of g within reach + τ of r, so every point
+// of r is on one side of g's boundary, and one pointInPolygon on r's
+// centre says which. The clip of edgePairs skips exactly the edge pairs
+// whose boxes lie farther apart than reach + its own τ, so Intersects
+// and WithinDistance give the same answer on such a geometry — except
+// that their τ also shrinks with the candidate's shortest edge, so a
+// candidate with edges shorter than g's (and than 1) can meet a
+// tolerance false positive that −1 drops, as the clip drops the one
+// TestToleranceFalsePositive pins (TestBoxSideDropsFalsePositive pins
+// this one). Other kinds of g, an empty r, and a zero-length edge (τ
+// infinite) give 0. It allocates nothing.
+func BoxSide(r MBR, g Geometry, reach float64) int {
+	if r.IsEmpty() || g.Kind != KindPolygon && g.Kind != KindMultiPolygon {
+		return 0
+	}
+	var buf [1]Geometry
+	polys := g.primitives(&buf)
+	if edgeBoxMeets(polys, r.Expand(reach)) {
+		return 0
+	}
+	span, short := r, math.Inf(1)
+	for _, p := range polys {
+		for _, rg := range p.Rings {
+			m, s := ring(rg).span()
+			span, short = span.Union(m), min(short, s)
+		}
+	}
+	if edgeBoxMeets(polys, r.Expand(reach+contactTol(span, short))) {
+		return 0
+	}
+	c := r.Center()
+	for _, p := range polys {
+		if s := pointInPolygon(c, p); s >= 0 {
+			return s
+		}
+	}
+	return -1
+}
+
+// edgeBoxMeets reports whether the box of some ring edge of the polygons
+// meets w. An edge's box misses w exactly when both its end points lie
+// beyond the same side of w, so each vertex is classified once
+// (outcode) and shared by its two edges.
+func edgeBoxMeets(polys []Geometry, w MBR) bool {
+	for _, p := range polys {
+		for _, rg := range p.Rings {
+			prev := outcode(rg[len(rg)-1], w) // the closing edge first
+			for _, q := range rg {
+				c := outcode(q, w)
+				if c&prev == 0 {
+					return true
+				}
+				prev = c
+			}
+		}
+	}
+	return false
+}
+
+// outcode returns the sides of w that p lies beyond, one bit each (the
+// Cohen–Sutherland region code).
+func outcode(p Point, w MBR) uint8 {
+	var c uint8
+	if p.X < w.MinX {
+		c = 1
+	} else if p.X > w.MaxX {
+		c = 2
+	}
+	if p.Y < w.MinY {
+		c |= 4
+	} else if p.Y > w.MaxY {
+		c |= 8
+	}
+	return c
+}

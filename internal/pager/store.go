@@ -203,7 +203,11 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // openPageFile opens or creates pages.db, validates the superblock and
-// header-scans the allocated pages into the space map.
+// header-scans the allocated pages into the space map. A new page file
+// appears whole or not at all: its superblock is written through
+// AtomicWriteFile, so a crash during creation leaves no pages.db (at
+// most a pages.db.tmp the next creation overwrites), never one the
+// superblock check refuses.
 func (s *Store) openPageFile() error {
 	path := filepath.Join(s.dir, "pages.db")
 	exists, err := s.fs.Exists(path)
@@ -211,29 +215,14 @@ func (s *Store) openPageFile() error {
 		return err
 	}
 	if !exists {
-		f, err := s.fs.Create(path)
-		if err != nil {
-			return err
-		}
 		super := make([]byte, s.pageSize)
 		copy(super, pageMagic)
 		binary.LittleEndian.PutUint32(super[superMagicEnd:], pageVersion)
 		binary.LittleEndian.PutUint32(super[superMagicEnd+4:], uint32(s.pageSize))
 		binary.LittleEndian.PutUint32(super[superCRCOff:], crc32.Checksum(super[:superCRCOff], castagnoli))
-		if _, err := f.WriteAt(super, 0); err != nil {
-			f.Close()
+		if err := AtomicWriteFile(s.fs, path, super); err != nil {
 			return err
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := s.fs.SyncDir(s.dir); err != nil {
-			f.Close()
-			return err
-		}
-		s.pageFile = f
-		return nil
 	}
 	f, err := s.fs.Open(path)
 	if err != nil {

@@ -232,6 +232,34 @@ func TestCheckpointRotatesWAL(t *testing.T) {
 	}
 }
 
+// TestFirstOpenCrash crashes the first Open of an empty directory at
+// every filesystem operation, torn and not, with unsynced writes kept
+// and dropped: the next Open must succeed on whatever was left and
+// hand out working pages — a crash while the page file is being
+// created leaves no page file, never one without its superblock.
+func TestFirstOpenCrash(t *testing.T) {
+	fs := NewMemFS()
+	s := testOpen(t, fs, Options{})
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for k := 0; k <= fs.CrashPoints(); k++ {
+		for _, torn := range []bool{false, true} {
+			for _, drop := range []bool{false, true} {
+				s, err := Open("data", Options{FS: fs.CrashClone(k, torn, drop), PageSize: 512})
+				if err != nil {
+					t.Fatalf("k=%d torn=%v drop=%v: reopen: %v", k, torn, drop, err)
+				}
+				sp := s.Space(1)
+				checkPage(t, sp, put(t, sp, 0x3C), 0x3C)
+				if err := s.Close(); err != nil {
+					t.Fatalf("k=%d: Close: %v", k, err)
+				}
+			}
+		}
+	}
+}
+
 // TestAtomicWrite: the streaming writer issues several writes, a failed
 // write callback changes nothing, and at every crash point × {torn} ×
 // {drop-unsynced} the path holds exactly the old bytes or exactly the

@@ -2,6 +2,7 @@ package sjoin
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,11 +14,11 @@ import (
 
 // Failure-injection tests: the join's secondary filter fetches base
 // rows by rowid through an index it does not maintain. A row deleted
-// since its index entry was read is skipped — read committed per fetch,
-// the rule the maintained path relies on while DML waits for the join's
-// pin. Any other fetch failure (here an index entry naming a rowid the
-// heap never allocated) must surface as an error, not a panic or a silent
-// omission. The nested-loop reference fetches on its own and stays
+// since its index entry was read is skipped where it is fetched — read
+// committed per fetch, the rule the maintained path relies on while DML
+// waits for the join's pin. Any other fetch failure (here an index entry
+// naming a rowid the heap never allocated) must surface as an error, not
+// a panic or a silent omission. The nested-loop reference fetches on its own and stays
 // strict: it reports a deleted row too.
 
 // firstRow returns the rowid of src's first row in storage order.
@@ -76,7 +77,10 @@ func TestIndexJoinSurfacesFetchErrors(t *testing.T) {
 }
 
 // TestIndexJoinSkipsDeletedRows: a row deleted behind the index's back
-// drops out of the result, and the rest of the result is untouched.
+// drops out of every pair that fetches it, and the rest of the result
+// is untouched. A pair decided from the row's index entry alone — the
+// row with itself, or its leaf MBR inside its partner (DESIGN.md §22) —
+// never fetches it and is returned from the entry.
 func TestIndexJoinSkipsDeletedRows(t *testing.T) {
 	src := buildSource(t, "deleted", datagen.Stars(200, 301))
 	cfg := DefaultConfig()
@@ -87,15 +91,82 @@ func TestIndexJoinSkipsDeletedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := withoutRow(before, victim)
-	if len(want) == len(before) {
-		t.Fatalf("fixture: row %v takes part in no pair", victim)
+	check := func(name string, got []Pair) {
+		t.Helper()
+		if others := withoutRow(got, victim); !pairsEqual(others, want) {
+			t.Fatalf("%s: %d pairs not involving the deleted row, want %d", name, len(others), len(want))
+		}
+		for _, p := range got {
+			if !slices.Contains(before, p) {
+				t.Fatalf("%s: pair %v is not in the result before the delete", name, p)
+			}
+		}
+		kept := len(got) - len(want)
+		if kept < 1 || kept >= len(before)-len(want) || !slices.Contains(got, Pair{A: victim, B: victim}) {
+			t.Fatalf("%s: the deleted row is in %d pairs of %d; want its pair with itself, not the fetched ones", name, kept, len(before)-len(want))
+		}
 	}
-	if got := collect(t, src, src, cfg); !pairsEqual(got, want) {
-		t.Fatalf("after the delete: %d pairs, want the %d not involving it", len(got), len(want))
-	}
+	check("serial", collect(t, src, src, cfg))
 	cur, err := ParallelIndexJoin(src, src, cfg, 4)
+	check("parallel", sortedPairs(t, cur, err))
+}
+
+// TestBoxDecidedPairOfDeletedRow: stars joined with counties, some
+// stars deleted behind the index's back. A star's pair whose leaf MBR
+// lies inside its county is a box hit — the star is never fetched — so
+// it is returned from the index entry; every other pair of a deleted
+// star fetches the star and drops out. Pairs of live stars are
+// untouched.
+func TestBoxDecidedPairOfDeletedRow(t *testing.T) {
+	stars := buildSource(t, "stars", datagen.Stars(400, 5))
+	counties := buildSource(t, "counties", datagen.Counties(400, 5))
+	cfg := DefaultConfig()
+	cfg.GeomCacheBytes = -1 // every candidate fetches
+	before := collect(t, stars, counties, cfg)
+	starMBR := heapMBRs(t, stars)
+	col, err := counties.geomColumn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted := map[storage.RowID]bool{}
+	i := 0
+	stars.Table.Scan(func(id storage.RowID, _ storage.Row) bool {
+		if i%5 == 0 {
+			deleted[id] = true
+		}
+		i++
+		return true
+	})
+	for id := range deleted {
+		if err := stars.Table.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []Pair
+	hits, dropped := 0, 0
+	for _, p := range before {
+		if deleted[p.A] {
+			v, err := counties.Table.FetchColumn(p.B, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if geom.BoxSide(starMBR[p.A], v.G, 0) != 1 {
+				dropped++
+				continue
+			}
+			hits++
+		}
+		want = append(want, p)
+	}
+	if hits == 0 || dropped == 0 {
+		t.Fatalf("fixture: deleted stars have %d box-decided and %d fetched pairs; want both", hits, dropped)
+	}
+	if got := collect(t, stars, counties, cfg); !pairsEqual(got, want) {
+		t.Fatalf("after the deletes: %d pairs, want %d (%d box-decided pairs of deleted stars)", len(got), len(want), hits)
+	}
+	cur, err := GridParallelJoin(stars, counties, cfg, 3)
 	if got := sortedPairs(t, cur, err); !pairsEqual(got, want) {
-		t.Fatalf("parallel, after the delete: %d pairs, want %d", len(got), len(want))
+		t.Fatalf("grid, after the deletes: %d pairs, want %d", len(got), len(want))
 	}
 }
 

@@ -24,6 +24,10 @@ type Instruments struct {
 	Results      *telemetry.Counter
 	GeomFetches  *telemetry.Counter
 	FastAccepts  *telemetry.Counter
+	// BoxHits / BoxMisses count candidates decided by one side's leaf
+	// MBR against the other side's geometry.
+	BoxHits   *telemetry.Counter
+	BoxMisses *telemetry.Counter
 	// TilesSwept counts grid tiles swept by the grid-partitioned path.
 	TilesSwept *telemetry.Counter
 	// Stage latencies, observed per batch-granular section: one
@@ -48,7 +52,9 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 		Candidates:   reg.NewCounter("join_candidates_total", "primary-filter survivors queued for the secondary filter"),
 		Results:      reg.NewCounter("join_results_total", "exact-predicate survivors returned"),
 		GeomFetches:  reg.NewCounter("join_geom_fetches_total", "base-table geometry fetches by the secondary filter"),
-		FastAccepts:  reg.NewCounter("join_fast_accepts_total", "pairs proven from index data alone (interior approximations or point MBRs)"),
+		FastAccepts:  reg.NewCounter("join_fast_accepts_total", "pairs proven from index data alone (interior approximations, point MBRs or a row paired with itself)"),
+		BoxHits:      reg.NewCounter("join_box_hits_total", "candidates whose leaf MBR lies inside the other side's geometry (true hits)"),
+		BoxMisses:    reg.NewCounter("join_box_misses_total", "candidates whose leaf MBR lies beyond the predicate's reach of the other side's geometry (true misses)"),
 		TilesSwept:   reg.NewCounter("join_tiles_swept_total", "grid tiles swept by the grid-partitioned join"),
 		PrimarySeconds: reg.NewHistogram("join_primary_filter_seconds",
 			"latency of one primary-filter candidate refill", nil),
@@ -120,6 +126,8 @@ func (j *JoinFunction) flushStats() {
 	in.Results.Add(int64(cur.Results - prev.Results))
 	in.GeomFetches.Add(int64(cur.GeomFetches - prev.GeomFetches))
 	in.FastAccepts.Add(int64(cur.FastAccepts - prev.FastAccepts))
+	in.BoxHits.Add(int64(cur.BoxHits - prev.BoxHits))
+	in.BoxMisses.Add(int64(cur.BoxMisses - prev.BoxMisses))
 	in.TilesSwept.Add(int64(cur.TilesSwept - prev.TilesSwept))
 	j.flushed = cur
 }

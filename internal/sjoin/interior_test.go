@@ -91,51 +91,42 @@ func TestInteriorJoinMatchesPlainJoin(t *testing.T) {
 func TestInteriorFastAcceptDisabledCases(t *testing.T) {
 	ds := datagen.Stars(300, 223)
 	src := buildInteriorSource(t, "src", ds)
+	// fastAccepts runs the self-join of s with the interior flag set and
+	// returns its fast accepts beyond those of the same join without it
+	// (a self-join proves every row's pair with itself either way).
+	fastAccepts := func(s Source, cfg Config) int {
+		t.Helper()
+		n := [2]int{}
+		for i, interior := range []bool{false, true} {
+			cfg.UseInteriorApprox = interior
+			fn, err := NewJoinFunction(s, s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stats, err := RunJoinFunction(fn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n[i] = stats.FastAccepts
+		}
+		return n[1] - n[0]
+	}
 
 	// Distance joins must not use the fast accept (interior overlap
 	// does not prove a distance bound tighter than 0, and the predicate
 	// differs); verify results still match brute force.
 	cfg := DefaultConfig()
 	cfg.Distance = 2
-	cfg.UseInteriorApprox = true
-	fn, err := NewJoinFunction(src, src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := RunJoinFunction(fn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FastAccepts != 0 {
-		t.Errorf("distance join used %d fast accepts", stats.FastAccepts)
+	if n := fastAccepts(src, cfg); n != 0 {
+		t.Errorf("distance join used %d fast accepts", n)
 	}
 	// TOUCH joins likewise.
-	cfg = Config{Mask: geom.MaskTouch, SortCandidates: true, UseInteriorApprox: true}
-	fn, err = NewJoinFunction(src, src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err = RunJoinFunction(fn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FastAccepts != 0 {
-		t.Errorf("touch join used %d fast accepts", stats.FastAccepts)
+	if n := fastAccepts(src, Config{Mask: geom.MaskTouch, SortCandidates: true}); n != 0 {
+		t.Errorf("touch join used %d fast accepts", n)
 	}
 	// Enabling the flag over an index without interiors is a no-op.
-	plain := buildSource(t, "plain2", ds)
-	cfg = DefaultConfig()
-	cfg.UseInteriorApprox = true
-	fn, err = NewJoinFunction(plain, plain, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err = RunJoinFunction(fn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FastAccepts != 0 {
-		t.Errorf("interior-less index produced %d fast accepts", stats.FastAccepts)
+	if n := fastAccepts(buildSource(t, "plain2", ds), DefaultConfig()); n != 0 {
+		t.Errorf("interior-less index produced %d fast accepts", n)
 	}
 }
 

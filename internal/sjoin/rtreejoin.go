@@ -32,9 +32,12 @@ import (
 type JoinFunction struct {
 	cfg Config
 
-	// Operand tables for the secondary filter.
-	tabA, tabB *storage.Table
-	colA, colB int
+	// Operand tables and geometry columns for the secondary filter,
+	// indexed by side: 0 is A, 1 is B.
+	tabs [2]*storage.Table
+	cols [2]int
+	// self: both sides are the same column of the same table.
+	self bool
 
 	// Decoded-geometry cache consulted by the secondary filter (nil when
 	// disabled). Shared across instances when Config.GeomCache is set.
@@ -45,11 +48,17 @@ type JoinFunction struct {
 
 	// pointsDecided: the predicate (ANYINTERACT, or within-distance)
 	// depends only on the two point sets, so emit proves a pair whose
-	// leaf MBRs are both points from the test its source already made.
+	// leaf MBRs are both points from the test its source already made, or
+	// that pairs a row with itself, and the secondary filter may decide a
+	// candidate from one side's leaf MBR (geom.BoxSide).
 	pointsDecided bool
 
-	// Candidate array (primary-filter output awaiting exact check).
+	// Candidate arrays (primary-filter output awaiting the secondary
+	// filter): boxed holds the candidates it tests by a leaf MBR first,
+	// cands the rest as bare pairs, so sorting them moves 16 bytes a
+	// pair.
 	cands []Pair
+	boxed []boxCand
 
 	// Verified results not yet returned by fetch.
 	ready []Pair
@@ -73,6 +82,18 @@ type JoinFunction struct {
 	gfNanos   int64
 }
 
+// boxCand is a candidate the secondary filter tests by its box, the
+// smaller of the pair's two leaf MBRs, against the geometry of the side
+// big (0 = A, 1 = B) before it refines it.
+type boxCand struct {
+	Pair
+	box geom.MBR
+	big uint8
+}
+
+// compareBoxed orders the boxed candidates on their pairs.
+func compareBoxed(x, y boxCand) int { return comparePairs(x.Pair, y.Pair) }
+
 // candSource is the primary filter of one join algorithm, resumable
 // between fetch calls. The evaluator calls it once per candidate-array
 // refill; the source's own loops hand each survivor to
@@ -88,13 +109,13 @@ type candSource interface {
 }
 
 // room is how many more pairs a refill may emit before the candidate
-// array and the ready queue together reach CandidateCap. Proven pairs
+// arrays and the ready queue together reach CandidateCap. Proven pairs
 // count against it like candidates: a join whose every pair is proven
 // from the index would otherwise fill no candidate array, run its whole
 // source in one refill and materialise the result in ready — and the
 // first grid instance would claim every tile.
 func (j *JoinFunction) room() int {
-	return j.cfg.CandidateCap - len(j.cands) - len(j.ready)
+	return j.cfg.CandidateCap - len(j.cands) - len(j.boxed) - len(j.ready)
 }
 
 // JoinStats counts the work a join did; benches report them.
@@ -114,9 +135,16 @@ type JoinStats struct {
 	// filter (cache hits on the sorted outer side avoid fetches).
 	GeomFetches int
 	// FastAccepts counts pairs proven from index data alone (interior
-	// approximations or point MBRs), skipping the secondary filter
-	// entirely; they count in Results, not in Candidates.
+	// approximations, point MBRs, or a row paired with itself), skipping
+	// the secondary filter entirely; they count in Results, not in
+	// Candidates.
 	FastAccepts int
+	// BoxHits / BoxMisses count candidates the secondary filter decided
+	// from one side's leaf MBR against the other side's geometry
+	// (geom.BoxSide), without fetching the MBR's own row: true hits
+	// (also in Results) and true misses.
+	BoxHits   int
+	BoxMisses int
 	// CacheHits / CacheMisses count decoded-geometry cache lookups by
 	// the secondary filter (both zero when the cache is disabled).
 	CacheHits   int
@@ -139,10 +167,9 @@ func newJoinFn(a, b Source, cfg Config, src candSource) (*JoinFunction, error) {
 	cfg = cfg.WithDefaults()
 	return &JoinFunction{
 		cfg:           cfg,
-		tabA:          a.Table,
-		tabB:          b.Table,
-		colA:          colA,
-		colB:          colB,
+		tabs:          [2]*storage.Table{a.Table, b.Table},
+		cols:          [2]int{colA, colB},
+		self:          a.Table == b.Table && colA == colB,
 		cache:         cfg.resolveCache(),
 		src:           src,
 		pointsDecided: cfg.Distance > 0 || cfg.Mask == geom.MaskAnyInteract,
@@ -156,7 +183,7 @@ func newJoinFn(a, b Source, cfg Config, src candSource) (*JoinFunction, error) {
 // stack". A started function can be started again to re-run the join.
 func (j *JoinFunction) Start() error {
 	j.src.start()
-	j.cands, j.ready = j.cands[:0], nil
+	j.cands, j.boxed, j.ready = j.cands[:0], j.boxed[:0], nil
 	return nil
 }
 
@@ -174,7 +201,7 @@ func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 		}
 		// Refill the candidate array by resuming the primary filter.
 		j.src.refill(j)
-		if len(j.cands) > 0 {
+		if len(j.cands)+len(j.boxed) > 0 {
 			if err := j.secondaryFilter(); err != nil {
 				return err
 			}
@@ -190,27 +217,46 @@ func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 // MBR test of its source, a and b are the two leaf-entry MBRs it
 // survived on. The owner test of a scoped join (Config.Owns) is applied
 // here, to the pair's reference point, ahead of both routes out — the
-// ready queue for a pair proven from index data alone, the candidate
+// ready queue for a pair proven from index data alone, a candidate
 // array for the rest — so an unowned pair costs neither a geometry
 // fetch nor an exact predicate, and a proven pair is owner-filtered
 // like any other. A pair is proven when its source says so (the
-// interior-approximation fast accept) or when both leaf MBRs are
-// points under a point-set predicate: a valid geometry whose MBR is a
+// interior-approximation fast accept) or, under a point-set predicate,
+// when both leaf MBRs are points — a valid geometry whose MBR is a
 // point is that point, and every source has already applied the exact
-// point test — MBR intersection, or the rectangle distance computed
-// over the same differences as geom.WithinDistance — before emitting.
+// point test (MBR intersection, or the rectangle distance computed over
+// the same differences as geom.WithinDistance) before emitting — or
+// when a self-join pairs a row with itself: a valid geometry meets
+// itself. A candidate whose smaller leaf MBR, grown by the reach, is
+// small beside the other goes to the boxed array with that box for the
+// secondary filter's box test. A source without MBRs (the quadtree's
+// empty ones) takes no route: every one of its candidates is refined.
 func (j *JoinFunction) emit(p Pair, a, b geom.MBR, proven bool) {
 	if own := j.cfg.Owns; own != nil && !own(PairRefPoint(a, b, j.cfg.Distance)) {
 		return
 	}
-	if proven || j.pointsDecided && a.IsPoint() && b.IsPoint() {
+	if proven || j.pointsDecided && (a.IsPoint() && b.IsPoint() || j.self && p.A == p.B && !a.IsEmpty()) {
 		j.ready = append(j.ready, p)
 		j.stats.Results++
 		j.stats.FastAccepts++
 		return
 	}
-	j.cands = append(j.cands, p)
 	j.stats.Candidates++
+	if j.pointsDecided {
+		box, other, big := a, b, uint8(1)
+		if a.Area() > b.Area() {
+			box, other, big = b, a, 0
+		}
+		// The test pays only for a box small beside its partner — grown
+		// by the reach, at most half the other MBR's width and height;
+		// a larger one is rarely clear of the partner's boundary, and is
+		// refined without it (DESIGN.md §22).
+		if w := box.Expand(j.cfg.Distance); 2*w.Width() <= other.Width() && 2*w.Height() <= other.Height() {
+			j.boxed = append(j.boxed, boxCand{p, box, big})
+			return
+		}
+	}
+	j.cands = append(j.cands, p)
 }
 
 // flushGeomSpans moves the pending sampled geometry-fetch spans to the
@@ -227,8 +273,7 @@ func (j *JoinFunction) flushGeomSpans() {
 func (j *JoinFunction) Close() error {
 	j.flushGeomSpans()
 	j.flushStats()
-	j.cands = nil
-	j.ready = nil
+	j.cands, j.boxed, j.ready = nil, nil, nil
 	return nil
 }
 
@@ -446,19 +491,21 @@ func mbrsWithin(a, b *geom.MBR, d float64) bool {
 	return math.Hypot(dx, dy) <= d
 }
 
-// secondaryFilter drains the candidate array: fetch exact geometries and
-// keep pairs satisfying the exact predicate. Per §4.2 the candidates are
-// sorted on the first rowid before fetching (Shekhar et al. show optimal
-// fetch order is NP-complete and rowid-sort is within ~20% of the best
-// approximations); sorting also lets consecutive candidates sharing the
-// first rowid reuse one fetched geometry. Fetches on both sides go
-// through the decoded-geometry cache, so repeated rowids — across
-// candidate batches, join sides of a self-join, or parallel instances
-// sharing a cache — skip the base-table decode entirely.
+// secondaryFilter drains the candidate arrays, boxed candidates first:
+// fetch exact geometries and keep pairs satisfying the exact predicate.
+// Per §4.2 each array is sorted on the first rowid before fetching
+// (Shekhar et al. show optimal fetch order is NP-complete and rowid-sort
+// is within ~20% of the best approximations); sorting also lets
+// consecutive candidates sharing a rowid reuse one fetched geometry
+// (sideGeom). Fetches on both sides go through the decoded-geometry
+// cache, so repeated rowids — across candidate batches, join sides of a
+// self-join, or parallel instances sharing a cache — skip the
+// base-table decode entirely.
 func (j *JoinFunction) secondaryFilter() error {
 	if j.cfg.SortCandidates {
 		//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per sort not per row
 		end := j.span(telemetry.StageSort)
+		slices.SortFunc(j.boxed, compareBoxed)
 		slices.SortFunc(j.cands, comparePairs)
 		end()
 	}
@@ -468,33 +515,98 @@ func (j *JoinFunction) secondaryFilter() error {
 		j.flushGeomSpans()
 		endDrain()
 	}()
-	var (
-		curID            storage.RowID
-		curGeom          geom.Geometry
-		haveCur, curLive bool
-	)
-	for _, p := range j.cands {
-		if !haveCur || curID != p.A {
-			g, live, err := j.fetchGeom(j.tabA, j.colA, p.A)
-			if err != nil {
-				return err
-			}
-			curID, curGeom, curLive, haveCur = p.A, g, live, true
-		}
-		if !curLive {
-			continue
-		}
-		gb, live, err := j.fetchGeom(j.tabB, j.colB, p.B)
+	var last [2]fetched
+	for i := range j.boxed {
+		c := &j.boxed[i]
+		ok, err := j.decide(c, &last)
 		if err != nil {
 			return err
 		}
-		if live && j.cfg.secondaryAccepts(curGeom, gb) {
+		if ok {
+			j.ready = append(j.ready, c.Pair)
+			j.stats.Results++
+		}
+	}
+	for _, p := range j.cands {
+		ok, err := j.refine(p, &last)
+		if err != nil {
+			return err
+		}
+		if ok {
 			j.ready = append(j.ready, p)
 			j.stats.Results++
 		}
 	}
-	j.cands = j.cands[:0]
+	j.cands, j.boxed = j.cands[:0], j.boxed[:0]
 	return nil
+}
+
+// fetched is the geometry the secondary filter fetched last on one side
+// of the join (valid when ok is set).
+type fetched struct {
+	id       storage.RowID
+	g        geom.Geometry
+	live, ok bool
+}
+
+// sideGeom returns the geometry of p's row on side s, reusing the one
+// fetched last on that side: sorted candidates come in runs of one
+// first rowid.
+//
+//spatiallint:hot
+func (j *JoinFunction) sideGeom(last *[2]fetched, p Pair, s uint8) (geom.Geometry, bool, error) {
+	id := p.A
+	if s == 1 {
+		id = p.B
+	}
+	f := &last[s]
+	if !f.ok || f.id != id {
+		g, live, err := j.fetchGeom(j.tabs[s], j.cols[s], id)
+		if err != nil {
+			return geom.Geometry{}, false, err
+		}
+		*f = fetched{id: id, g: g, live: live, ok: true}
+	}
+	return f.g, f.live, nil
+}
+
+// decide evaluates a boxed candidate: it fetches the side with the
+// larger leaf MBR and classifies the box against that geometry
+// (geom.BoxSide, DESIGN.md §22); only when that decides nothing is the
+// candidate refined. A row deleted since the statement started drops
+// the candidate where it is fetched (fetchGeom), and goes unseen where
+// its box decides.
+//
+//spatiallint:hot
+func (j *JoinFunction) decide(c *boxCand, last *[2]fetched) (bool, error) {
+	g, live, err := j.sideGeom(last, c.Pair, c.big)
+	if err != nil || !live {
+		return false, err
+	}
+	switch geom.BoxSide(c.box, g, j.cfg.Distance) {
+	case 1:
+		j.stats.BoxHits++
+		return true, nil
+	case -1:
+		j.stats.BoxMisses++
+		return false, nil
+	}
+	return j.refine(c.Pair, last)
+}
+
+// refine fetches both geometries of p and runs the exact predicate.
+//
+//spatiallint:hot
+func (j *JoinFunction) refine(p Pair, last *[2]fetched) (bool, error) {
+	ga, live, err := j.sideGeom(last, p, 0)
+	if err != nil || !live {
+		return false, err
+	}
+	gb, live, err := j.sideGeom(last, p, 1)
+	if err != nil || !live {
+		return false, err
+	}
+	return j.cfg.secondaryAccepts(ga, gb), nil
 }
 
 // geomSampleMask times one geometry fetch in 16 and scales the sampled
