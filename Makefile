@@ -1,7 +1,7 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
 # build, the spatiallint analyzer suite, the complete test suite under
 # the race detector, a fuzz smoke pass over the wire/SQL/WAL/snapshot/
-# catalog/geometry decoders, and a
+# catalog/geometry/shard-map decoders, and a
 # one-iteration benchmark smoke run (so benchmarks cannot silently rot).
 
 GO ?= go
@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzGeomBinary -fuzztime 5s ./internal/geom
 	$(GO) test -run NONE -fuzz FuzzParseWKT -fuzztime 5s ./internal/geom
 	$(GO) test -run NONE -fuzz FuzzBoxSide -fuzztime 5s ./internal/geom
+	$(GO) test -run NONE -fuzz FuzzManifest -fuzztime 5s ./internal/cluster
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -84,6 +85,8 @@ bench:
 # timing fidelity, just proof they still execute. Timings that carry a
 # claim come from the repository benchmark (BENCHMARK.json, benchmark/).
 # The allocs/op lane re-runs the two headline join benchmarks, the
+# counties self-join at distance 7 (BenchmarkSelfJoinRefine, the
+# join_refine secondary statement in miniature), the
 # benchmark's join_stream and window_lookup statements in miniature (the
 # point cross-match and one window SELECT over loopback,
 # BenchmarkWirePointJoinStream and BenchmarkWireWindowLookup) and the secondary
@@ -93,7 +96,7 @@ bench:
 # shows up in CI output next to the hotalloc lint (see DESIGN.md §16).
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
-	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|WirePointJoinStream|WireWindowLookup' -benchmem -benchtime 2x -count 1 .
+	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|SelfJoinRefine|WirePointJoinStream|WireWindowLookup' -benchmem -benchtime 2x -count 1 .
 	$(GO) test -run NONE -bench 'Intersects|WithinDistance|BoxSide|Refine' -benchmem -benchtime 2x -count 1 ./internal/geom
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a module of

@@ -112,6 +112,25 @@ func BenchmarkTable1IndexJoin(b *testing.B) {
 	}
 }
 
+// The join_refine workload's secondary statement in miniature: the
+// counties self-join at distance 7, serial. Every candidate is
+// like-sized and fetched, so the secondary filter does the work; the
+// allocs/op lane of bench-smoke watches its refine path.
+func BenchmarkSelfJoinRefine(b *testing.B) {
+	fixtures(b)
+	cfg := sjoin.DefaultConfig()
+	cfg.Distance = 7
+	for i := 0; i < b.N; i++ {
+		fn, err := sjoin.NewJoinFunction(fixCounties, fixCounties, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n, _, err := sjoin.RunJoinFunction(fn, 0); err != nil || n == 0 {
+			b.Fatal(n, err)
+		}
+	}
+}
+
 // --- Table 2: star self-join scaling, serial vs parallel join ---
 
 func BenchmarkTable2IndexJoin(b *testing.B) {

@@ -322,7 +322,9 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 // fetched (sjoin's TestBoxDecidedPairOfDeletedRow pins which pairs
 // that returns). Either way the statement succeeds, returns only pairs
 // of rows live when it started, and misses no pair of rows that were
-// never deleted.
+// never deleted. A self-join under a symmetric predicate decides each
+// unordered pair once, on one fetch of each row, so it returns a pair
+// in both orientations or in neither.
 func TestConcurrentDeleteJoin(t *testing.T) {
 	polygons := Stars(1500, 5)
 	points := Stars(1500, 5)
@@ -338,10 +340,15 @@ func TestConcurrentDeleteJoin(t *testing.T) {
 		// only t's rows are deleted; otherwise it is a self-join of t.
 		other *Dataset
 		opt   JoinOptions
+		// mirrored: a self-join under a symmetric predicate, which
+		// decides each unordered pair once, so a pair comes back in both
+		// orientations or in neither.
+		mirrored bool
 	}{
-		{"polygons fetched", polygons, nil, JoinOptions{GeomCacheBytes: -1, CandidateCap: 8}},
-		{"points index-decided", points, nil, JoinOptions{Distance: 1.5, GeomCacheBytes: -1, CandidateCap: 8}},
-		{"box-decided", polygons, &counties, JoinOptions{GeomCacheBytes: -1, CandidateCap: 8}},
+		{"polygons fetched", polygons, nil, JoinOptions{GeomCacheBytes: -1, CandidateCap: 8}, true},
+		{"points index-decided", points, nil, JoinOptions{Distance: 1.5, GeomCacheBytes: -1, CandidateCap: 8}, true},
+		{"box-decided", polygons, &counties, JoinOptions{GeomCacheBytes: -1, CandidateCap: 8}, false},
+		{"mirrored d=7", counties, nil, JoinOptions{Distance: 7, GeomCacheBytes: -1, CandidateCap: 8}, true},
 	}
 	for _, c := range cases {
 		for _, algo := range []string{"", "grid"} {
@@ -447,6 +454,13 @@ func TestConcurrentDeleteJoin(t *testing.T) {
 				for _, p := range want {
 					if !gone(p) && !seen[p] {
 						t.Fatalf("pair %v of two never-deleted rows is missing", p)
+					}
+				}
+				if c.mirrored {
+					for p := range seen {
+						if !seen[Pair{A: p.B, B: p.A}] {
+							t.Fatalf("pair %v came back without its mirror image", p)
+						}
 					}
 				}
 				if n := tab.Len(); n != len(c.ds.Geoms)-len(deleted) {

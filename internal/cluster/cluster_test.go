@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -223,6 +224,35 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHugeDistanceWindow: a window query whose distance overflows the
+// router's grid arithmetic still scatters to every shard the grown
+// window reaches. A distance of 1e300 grows the point to the whole
+// plane, so the cluster must return every row, like the single node.
+func TestHugeDistanceWindow(t *testing.T) {
+	ds := datagen.Counties(120, 1)
+	ref := sqlmini.NewEngineOn(spatialtf.Open())
+	mustExec(t, ref, datasetSQL("cu", ds)...)
+	co, _ := bootCluster(t, 3, 8, Options{})
+	sess := co.NewSession()
+	mustExec(t, sess, datasetSQL("cu", ds)...)
+	for _, q := range []string{
+		"SELECT id FROM cu WHERE sdo_within_distance(geom, 'POINT (700 100)', 'distance=1e300') = 'TRUE'",
+		"SELECT count(*) FROM cu WHERE sdo_within_distance(geom, 'POINT (700 100)', 'distance=1e300')",
+	} {
+		want, err := runSorted(ref, q)
+		if err != nil {
+			t.Fatalf("single-node %q: %v", q, err)
+		}
+		got, err := runSorted(sess, q)
+		if err != nil {
+			t.Fatalf("cluster %q: %v", q, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%q: cluster returned %d rows, single node %d", q, len(got), len(want))
+		}
 	}
 }
 

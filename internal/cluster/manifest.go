@@ -55,16 +55,22 @@ type ShardMap struct {
 	Shards []string
 }
 
-// Validate rejects unusable maps.
+// Validate rejects unusable maps, among them a NaN or infinite bound or
+// margin: every grid coordinate it reaches is NaN or infinite, and
+// routes to a border tile.
 func (m *ShardMap) Validate() error {
-	if !(m.Bounds.MinX < m.Bounds.MaxX) || !(m.Bounds.MinY < m.Bounds.MaxY) {
-		return fmt.Errorf("cluster: shard map with empty bounds %+v", m.Bounds)
+	b := m.Bounds
+	if !finite(b.MinX, b.MinY, b.MaxX, b.MaxY) {
+		return fmt.Errorf("cluster: shard map with non-finite bounds %+v", b)
+	}
+	if !(b.MinX < b.MaxX) || !(b.MinY < b.MaxY) {
+		return fmt.Errorf("cluster: shard map with empty bounds %+v", b)
 	}
 	if m.Cols < 1 || m.Rows < 1 || m.Cols > 1<<16 || m.Rows > 1<<16 {
 		return fmt.Errorf("cluster: shard map with %dx%d grid", m.Cols, m.Rows)
 	}
-	if m.Margin < 0 {
-		return fmt.Errorf("cluster: negative replication margin %g", m.Margin)
+	if !finite(m.Margin) || m.Margin < 0 {
+		return fmt.Errorf("cluster: replication margin %g is not a finite non-negative distance", m.Margin)
 	}
 	if len(m.Shards) < 1 {
 		return fmt.Errorf("cluster: shard map with no shards")
@@ -75,6 +81,16 @@ func (m *ShardMap) Validate() error {
 		}
 	}
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // NShards returns the cluster size.
@@ -166,17 +182,27 @@ func LoadShardMap(path string) (*ShardMap, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := decodeShardMap(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%w (manifest %s)", err, path)
+	}
+	return m, nil
+}
+
+// decodeShardMap parses and validates a manifest image, the inverse of
+// encode.
+func decodeShardMap(raw []byte) (*ShardMap, error) {
 	if len(raw) < len(manifestMagic)+4 || string(raw[:len(manifestMagic)]) != manifestMagic {
-		return nil, fmt.Errorf("cluster: %s is not a shard-map manifest", path)
+		return nil, fmt.Errorf("cluster: not a shard-map manifest")
 	}
 	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
 	if crc32.Checksum(body, manifestCRC) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("cluster: manifest %s fails its checksum", path)
+		return nil, fmt.Errorf("cluster: manifest fails its checksum")
 	}
 	p := body[len(manifestMagic):]
 	need := func(n int) error {
 		if len(p) < n {
-			return fmt.Errorf("cluster: manifest %s is truncated", path)
+			return fmt.Errorf("cluster: manifest is truncated")
 		}
 		return nil
 	}
@@ -211,7 +237,7 @@ func LoadShardMap(path string) (*ShardMap, error) {
 	}
 	m.Cols, m.Rows = int(cols), int(rows)
 	if n > 1<<16 {
-		return nil, fmt.Errorf("cluster: manifest %s names %d shards", path, n)
+		return nil, fmt.Errorf("cluster: manifest names %d shards", n)
 	}
 	m.Shards = make([]string, n)
 	for i := range m.Shards {
@@ -226,7 +252,7 @@ func LoadShardMap(path string) (*ShardMap, error) {
 		p = p[l:]
 	}
 	if len(p) != 0 {
-		return nil, fmt.Errorf("cluster: manifest %s has %d trailing bytes", path, len(p))
+		return nil, fmt.Errorf("cluster: manifest has %d trailing bytes", len(p))
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -80,21 +82,89 @@ func TestManifestRejectsCorruption(t *testing.T) {
 }
 
 func TestShardMapValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []*ShardMap{
 		{Cols: 4, Rows: 4, Shards: []string{"a"}}, // empty bounds
 		func() *ShardMap { m := testMap(2); m.Cols = 0; return m }(),
 		func() *ShardMap { m := testMap(2); m.Margin = -1; return m }(),
 		func() *ShardMap { m := testMap(2); m.Shards = nil; return m }(),
 		func() *ShardMap { m := testMap(2); m.Shards[1] = ""; return m }(),
+		func() *ShardMap { m := testMap(2); m.Margin = nan; return m }(),
+		func() *ShardMap { m := testMap(2); m.Margin = inf; return m }(),
+		func() *ShardMap { m := testMap(2); m.Bounds.MinX = -inf; return m }(),
+		func() *ShardMap { m := testMap(2); m.Bounds.MaxX = inf; return m }(),
+		func() *ShardMap { m := testMap(2); m.Bounds.MinY = -inf; return m }(),
+		func() *ShardMap { m := testMap(2); m.Bounds.MaxY = inf; return m }(),
+		func() *ShardMap { m := testMap(2); m.Bounds.MinX = nan; return m }(),
+		func() *ShardMap { m := testMap(2); m.Bounds.MaxY = nan; return m }(),
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {
-			t.Errorf("case %d: invalid map validated", i)
+			t.Errorf("case %d: invalid map validated: %+v", i, m)
+		}
+		// Save validates before writing, and a hand-made image of the
+		// map does not load.
+		if err := m.Save(filepath.Join(t.TempDir(), "cluster.stf")); err == nil {
+			t.Errorf("case %d: invalid map saved", i)
+		}
+		if _, err := decodeShardMap(m.encode()); err == nil {
+			t.Errorf("case %d: invalid map image decoded", i)
 		}
 	}
 	if err := testMap(3).Validate(); err != nil {
 		t.Errorf("valid map rejected: %v", err)
 	}
+}
+
+// TestShardsForMBRNonFinite: a huge, infinite or NaN expansion still
+// routes to every shard the grown box reaches. Converting the tile
+// quotient to int before clamping sent +Inf and 1e300 to column 0.
+func TestShardsForMBRNonFinite(t *testing.T) {
+	m := testMap(3)
+	box := geom.MBR{MinX: 600, MinY: 10, MaxX: 610, MaxY: 20} // tile (2, 0)
+	if got := m.ShardsForMBR(box, 0); !reflect.DeepEqual(got, []int{m.TileOwner(2, 0)}) {
+		t.Fatalf("unexpanded box routes to %v, want [%d]", got, m.TileOwner(2, 0))
+	}
+	for _, expand := range []float64{1e300, math.MaxFloat64, math.Inf(1)} {
+		if got := m.ShardsForMBR(box, expand); !reflect.DeepEqual(got, m.AllShards()) {
+			t.Errorf("expand %g: routes to %v, want every shard", expand, got)
+		}
+	}
+	g := m.Grid()
+	for _, c := range []struct {
+		x    float64
+		want int
+	}{{math.NaN(), 0}, {math.Inf(-1), 0}, {-1e300, 0}, {1e300, m.Cols - 1}, {math.Inf(1), m.Cols - 1}, {999.9, m.Cols - 1}, {250, 1}} {
+		if got := g.ColOf(c.x); got != c.want {
+			t.Errorf("ColOf(%g) = %d, want %d", c.x, got, c.want)
+		}
+		if got := g.RowOf(c.x); got != c.want {
+			t.Errorf("RowOf(%g) = %d, want %d", c.x, got, c.want)
+		}
+	}
+}
+
+// FuzzManifest feeds arbitrary images to the manifest decoder: it must
+// never panic, and an image it accepts validates and re-encodes to the
+// same bytes.
+func FuzzManifest(f *testing.F) {
+	f.Add(testMap(3).encode())
+	m := testMap(2)
+	m.Shards = []string{"10.0.0.1:7878", ""}
+	f.Add(m.encode())
+	f.Add([]byte(manifestMagic))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, err := decodeShardMap(raw)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("decoded map fails validation: %v", err)
+		}
+		if enc := m.encode(); !bytes.Equal(enc, raw) {
+			t.Fatalf("re-encoded image differs:\n in  %x\n out %x", raw, enc)
+		}
+	})
 }
 
 func TestShardsForMBR(t *testing.T) {

@@ -136,7 +136,8 @@ func TestPredicateInvariance(t *testing.T) {
 }
 
 // TestMaskDualities checks INSIDE↔CONTAINS, COVEREDBY↔COVERS and the
-// symmetry of the symmetric masks over the whole corpus.
+// symmetry of the symmetric masks, of Distance and of WithinDistance at
+// every threshold over the whole corpus.
 func TestMaskDualities(t *testing.T) {
 	for _, c := range corpusPairs(t) {
 		if Relate(c.a, c.b, MaskInside) != Relate(c.b, c.a, MaskContains) {
@@ -148,6 +149,17 @@ func TestMaskDualities(t *testing.T) {
 		for _, m := range allMasks {
 			if m.Symmetric() && Relate(c.a, c.b, m) != Relate(c.b, c.a, m) {
 				t.Errorf("%s: %v not symmetric\n a = %v\n b = %v", c.name, m, c.a, c.b)
+			}
+		}
+		// A self-join under a distance refines each unordered pair once
+		// and returns both orientations (sjoin's mirror route), so the
+		// distance predicate must not depend on the operand order.
+		if d, e := Distance(c.a, c.b), Distance(c.b, c.a); d != e && !(math.IsNaN(d) && math.IsNaN(e)) {
+			t.Errorf("%s: Distance(a, b) = %v, Distance(b, a) = %v\n a = %v\n b = %v", c.name, d, e, c.a, c.b)
+		}
+		for _, d := range withinDistances {
+			if WithinDistance(c.a, c.b, d) != WithinDistance(c.b, c.a, d) {
+				t.Errorf("%s: WithinDistance not symmetric at %g\n a = %v\n b = %v", c.name, d, c.a, c.b)
 			}
 		}
 	}

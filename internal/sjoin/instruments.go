@@ -28,6 +28,9 @@ type Instruments struct {
 	// MBR against the other side's geometry.
 	BoxHits   *telemetry.Counter
 	BoxMisses *telemetry.Counter
+	// Mirrored counts self-join results returned as the mirror image of
+	// a pair the secondary filter accepted.
+	Mirrored *telemetry.Counter
 	// TilesSwept counts grid tiles swept by the grid-partitioned path.
 	TilesSwept *telemetry.Counter
 	// Stage latencies, observed per batch-granular section: one
@@ -55,6 +58,7 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 		FastAccepts:  reg.NewCounter("join_fast_accepts_total", "pairs proven from index data alone (interior approximations, point MBRs or a row paired with itself)"),
 		BoxHits:      reg.NewCounter("join_box_hits_total", "candidates whose leaf MBR lies inside the other side's geometry (true hits)"),
 		BoxMisses:    reg.NewCounter("join_box_misses_total", "candidates whose leaf MBR lies beyond the predicate's reach of the other side's geometry (true misses)"),
+		Mirrored:     reg.NewCounter("join_mirrored_total", "self-join results returned as the mirror image of an accepted pair, neither emitted nor refined"),
 		TilesSwept:   reg.NewCounter("join_tiles_swept_total", "grid tiles swept by the grid-partitioned join"),
 		PrimarySeconds: reg.NewHistogram("join_primary_filter_seconds",
 			"latency of one primary-filter candidate refill", nil),
@@ -128,6 +132,7 @@ func (j *JoinFunction) flushStats() {
 	in.FastAccepts.Add(int64(cur.FastAccepts - prev.FastAccepts))
 	in.BoxHits.Add(int64(cur.BoxHits - prev.BoxHits))
 	in.BoxMisses.Add(int64(cur.BoxMisses - prev.BoxMisses))
+	in.Mirrored.Add(int64(cur.Mirrored - prev.Mirrored))
 	in.TilesSwept.Add(int64(cur.TilesSwept - prev.TilesSwept))
 	j.flushed = cur
 }

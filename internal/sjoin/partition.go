@@ -86,32 +86,30 @@ func NewGrid(bounds geom.MBR, cols, rows int) Grid {
 // also makes ColOf/RowOf a total ownership function over the plane,
 // which is what the cluster layer shards reference points by.
 func (g Grid) ColOf(x float64) int {
-	if g.cellW <= 0 {
-		return 0
-	}
-	c := int((x - g.Bounds.MinX) / g.cellW)
-	if c < 0 {
-		return 0
-	}
-	if c >= g.Cols {
-		return g.Cols - 1
-	}
-	return c
+	return cellOf(x-g.Bounds.MinX, g.cellW, g.Cols)
 }
 
 // RowOf returns the row containing y, clamped to the grid.
 func (g Grid) RowOf(y float64) int {
-	if g.cellH <= 0 {
+	return cellOf(y-g.Bounds.MinY, g.cellH, g.Rows)
+}
+
+// cellOf is the clamped index of offset off on an axis of n cells of
+// width w. It clamps in floating point, before converting: a quotient
+// beyond the int range (a huge or infinite offset) converts to an
+// arbitrary int, so +Inf would land in cell 0. NaN clamps to cell 0.
+func cellOf(off, w float64, n int) int {
+	if !(w > 0) {
 		return 0
 	}
-	r := int((y - g.Bounds.MinY) / g.cellH)
-	if r < 0 {
+	q := off / w
+	if !(q > 0) {
 		return 0
 	}
-	if r >= g.Rows {
-		return g.Rows - 1
+	if q >= float64(n) {
+		return n - 1
 	}
-	return r
+	return int(q)
 }
 
 // Tiles returns the tile count.

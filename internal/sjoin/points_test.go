@@ -204,7 +204,7 @@ func joinCounters(t *testing.T, open func(cfg Config) (storage.Cursor, error), c
 	}
 	c = map[string]int64{}
 	for _, name := range []string{"join_candidates_total", "join_geom_fetches_total", "join_fast_accepts_total", "join_results_total",
-		"join_box_hits_total", "join_box_misses_total"} {
+		"join_box_hits_total", "join_box_misses_total", "join_mirrored_total"} {
 		c[name] = lookupValue(t, reg, name)
 	}
 	return len(got), c

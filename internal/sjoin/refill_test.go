@@ -33,14 +33,78 @@ func overlappingSquares(t testing.TB, seed int64, n int) datagen.Dataset {
 	return datagen.Dataset{Name: "squares", Geoms: geoms, Bounds: geom.MBR{MaxX: 150, MaxY: 150}}
 }
 
-// TestFastAcceptsRespectCandidateCap fetches an all-fast-accept tree
-// join one row at a time: the ready queue may never hold more than
-// CandidateCap plus the pairs of the one node pair that crossed it.
+// TestFastAcceptsRespectCandidateCap fetches a tree self-join one row
+// at a time: the ready queue may never hold more than CandidateCap plus
+// the pairs of the one node pair that crossed it. The fast-accept leg
+// proves every pair from the index; the refined leg refines every
+// pair, each once, and returns it in both orientations (the mirror
+// route, whose candidates count twice against the cap).
 func TestFastAcceptsRespectCandidateCap(t *testing.T) {
 	src := buildInteriorSource(t, "squares", overlappingSquares(t, 9, 200))
+	for _, leg := range []struct {
+		name     string
+		interior bool
+	}{{"fast accepts", true}, {"refined self-join", false}} {
+		t.Run(leg.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.UseInteriorApprox = leg.interior
+			cfg.CandidateCap = 16
+			fn, err := NewJoinFunction(src, src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fn.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer fn.Close()
+			bound := cfg.CandidateCap + src.Tree.MaxEntries()*src.Tree.MaxEntries()
+			var (
+				b    storage.Batch
+				got  []Pair
+				peak int
+			)
+			for {
+				b.Reset()
+				if err := fn.Fetch(&b, 1); err != nil {
+					t.Fatal(err)
+				}
+				peak = max(peak, len(fn.ready))
+				if len(b.Rows) == 0 {
+					break
+				}
+				if got, err = AppendPairs(got, b.Rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := fn.Stats()
+			decided := st.FastAccepts
+			if !leg.interior {
+				decided = st.Mirrored
+				if st.FastAccepts != src.Table.Len() || 2*st.Mirrored != st.Results-st.FastAccepts {
+					t.Errorf("%+v; want only the self pairs proven, and every refined pair mirrored", st)
+				}
+			}
+			if decided <= bound {
+				t.Fatalf("%+v; the fixture must decide more pairs than the bound %d", st, bound)
+			}
+			if peak > bound {
+				t.Errorf("ready queue peaked at %d pairs, bound CandidateCap + one node pair = %d", peak, bound)
+			}
+			SortPairs(got)
+			if want := nestedPairs(t, src, src, cfg); !pairsEqual(got, want) {
+				t.Fatalf("%d pairs, nested-loop reference %d", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestMirroredRefillCountsTwice: a refill of a mirrored self-join stops
+// once the candidate arrays and the ready queue hold CandidateCap pairs,
+// a candidate counting as the two pairs it returns, so the node pair
+// that crosses the cap adds at most twice its own pairs.
+func TestMirroredRefillCountsTwice(t *testing.T) {
+	src := buildInteriorSource(t, "squares", overlappingSquares(t, 9, 200))
 	cfg := DefaultConfig()
-	cfg.UseInteriorApprox = true
-	cfg.CandidateCap = 16
 	fn, err := NewJoinFunction(src, src, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,34 +113,12 @@ func TestFastAcceptsRespectCandidateCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fn.Close()
-	bound := cfg.CandidateCap + src.Tree.MaxEntries()*src.Tree.MaxEntries()
-	var (
-		b    storage.Batch
-		got  []Pair
-		peak int
-	)
-	for {
-		b.Reset()
-		if err := fn.Fetch(&b, 1); err != nil {
-			t.Fatal(err)
-		}
-		peak = max(peak, len(fn.ready))
-		if len(b.Rows) == 0 {
-			break
-		}
-		if got, err = AppendPairs(got, b.Rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := fn.Stats(); st.FastAccepts <= bound {
-		t.Fatalf("only %d fast accepts; the fixture must prove more pairs than the bound %d", st.FastAccepts, bound)
-	}
-	if peak > bound {
-		t.Errorf("ready queue peaked at %d pairs, bound CandidateCap + one node pair = %d", peak, bound)
-	}
-	SortPairs(got)
-	if want := nestedPairs(t, src, src, cfg); !pairsEqual(got, want) {
-		t.Fatalf("%d pairs, nested-loop reference %d", len(got), len(want))
+	fn.src.refill(fn)
+	cap, pair := fn.cfg.CandidateCap, src.Tree.MaxEntries()*src.Tree.MaxEntries()
+	queued := 2*(len(fn.cands)+len(fn.boxed)) + len(fn.ready)
+	if !fn.mirror || queued < cap || queued > cap+2*pair {
+		t.Fatalf("mirror %v: the first refill queued %d candidates and %d proven pairs (%d counted); want between CandidateCap %d and %d",
+			fn.mirror, len(fn.cands)+len(fn.boxed), len(fn.ready), queued, cap, cap+2*pair)
 	}
 }
 

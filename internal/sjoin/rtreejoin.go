@@ -52,6 +52,11 @@ type JoinFunction struct {
 	// that pairs a row with itself, and the secondary filter may decide a
 	// candidate from one side's leaf MBR (geom.BoxSide).
 	pointsDecided bool
+	// mirror: an unscoped self-join under a symmetric predicate over a
+	// source that carries MBRs. Its source emits every candidate in both
+	// orientations, so emit keeps only (a, b) with a < b and the secondary
+	// filter returns (b, a) beside every (a, b) it accepts (DESIGN.md §23).
+	mirror bool
 
 	// Candidate arrays (primary-filter output awaiting the secondary
 	// filter): boxed holds the candidates it tests by a leaf MBR first,
@@ -59,6 +64,9 @@ type JoinFunction struct {
 	// pair.
 	cands []Pair
 	boxed []boxCand
+	// drained counts the candidates the secondary filter has evaluated,
+	// boxed first, since the arrays were last refilled.
+	drained int
 
 	// Verified results not yet returned by fetch.
 	ready []Pair
@@ -113,9 +121,14 @@ type candSource interface {
 // count against it like candidates: a join whose every pair is proven
 // from the index would otherwise fill no candidate array, run its whole
 // source in one refill and materialise the result in ready — and the
-// first grid instance would claim every tile.
+// first grid instance would claim every tile. A candidate of the
+// mirror route counts twice: it returns both orientations.
 func (j *JoinFunction) room() int {
-	return j.cfg.CandidateCap - len(j.cands) - len(j.boxed) - len(j.ready)
+	queued := len(j.cands) + len(j.boxed)
+	if j.mirror {
+		queued *= 2
+	}
+	return j.cfg.CandidateCap - queued - len(j.ready)
 }
 
 // JoinStats counts the work a join did; benches report them.
@@ -145,6 +158,10 @@ type JoinStats struct {
 	// (also in Results) and true misses.
 	BoxHits   int
 	BoxMisses int
+	// Mirrored counts the results a self-join returned as the mirror
+	// image of a pair it accepted, without emitting or refining them
+	// (also in Results, not in Candidates).
+	Mirrored int
 	// CacheHits / CacheMisses count decoded-geometry cache lookups by
 	// the secondary filter (both zero when the cache is disabled).
 	CacheHits   int
@@ -165,14 +182,18 @@ func newJoinFn(a, b Source, cfg Config, src candSource) (*JoinFunction, error) {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
+	self := a.Table == b.Table && colA == colB
+	// Tile codes carry no MBRs: the quadtree source takes no route.
+	_, tiles := src.(*quadSource)
 	return &JoinFunction{
 		cfg:           cfg,
 		tabs:          [2]*storage.Table{a.Table, b.Table},
 		cols:          [2]int{colA, colB},
-		self:          a.Table == b.Table && colA == colB,
+		self:          self,
 		cache:         cfg.resolveCache(),
 		src:           src,
 		pointsDecided: cfg.Distance > 0 || cfg.Mask == geom.MaskAnyInteract,
+		mirror:        self && (cfg.Distance > 0 || cfg.Mask.Symmetric()) && cfg.Owns == nil && !tiles,
 		instr:         cfg.Instr,
 		trace:         cfg.Trace,
 	}, nil
@@ -183,7 +204,7 @@ func newJoinFn(a, b Source, cfg Config, src candSource) (*JoinFunction, error) {
 // stack". A started function can be started again to re-run the join.
 func (j *JoinFunction) Start() error {
 	j.src.start()
-	j.cands, j.boxed, j.ready = j.cands[:0], j.boxed[:0], nil
+	j.cands, j.boxed, j.ready, j.drained = j.cands[:0], j.boxed[:0], nil, 0
 	return nil
 }
 
@@ -199,14 +220,19 @@ func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 			n += k
 			continue
 		}
-		// Refill the candidate array by resuming the primary filter.
-		j.src.refill(j)
-		if len(j.cands)+len(j.boxed) > 0 {
-			if err := j.secondaryFilter(); err != nil {
-				return err
+		if len(j.cands)+len(j.boxed) == 0 {
+			// Refill the candidate arrays by resuming the primary filter.
+			j.src.refill(j)
+			if len(j.cands)+len(j.boxed) == 0 {
+				if len(j.ready) == 0 {
+					break // source exhausted and nothing pending: join complete
+				}
+				continue
 			}
-		} else if len(j.ready) == 0 {
-			break // source exhausted and nothing pending: join complete
+			j.sortCandidates()
+		}
+		if err := j.secondaryFilter(); err != nil {
+			return err
 		}
 	}
 	j.flushStats()
@@ -227,10 +253,12 @@ func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 // point test (MBR intersection, or the rectangle distance computed over
 // the same differences as geom.WithinDistance) before emitting — or
 // when a self-join pairs a row with itself: a valid geometry meets
-// itself. A candidate whose smaller leaf MBR, grown by the reach, is
-// small beside the other goes to the boxed array with that box for the
-// secondary filter's box test. A source without MBRs (the quadtree's
-// empty ones) takes no route: every one of its candidates is refined.
+// itself. Under the mirror route a candidate (a, b) with a > b is
+// dropped: its mirror image (b, a) is emitted too, and decides both. A
+// candidate whose smaller leaf MBR, grown by the reach, is small beside
+// the other goes to the boxed array with that box for the secondary
+// filter's box test. A source without MBRs (the quadtree's empty ones)
+// takes no route: every one of its candidates is refined.
 func (j *JoinFunction) emit(p Pair, a, b geom.MBR, proven bool) {
 	if own := j.cfg.Owns; own != nil && !own(PairRefPoint(a, b, j.cfg.Distance)) {
 		return
@@ -239,6 +267,9 @@ func (j *JoinFunction) emit(p Pair, a, b geom.MBR, proven bool) {
 		j.ready = append(j.ready, p)
 		j.stats.Results++
 		j.stats.FastAccepts++
+		return
+	}
+	if j.mirror && p.B.Less(p.A) {
 		return
 	}
 	j.stats.Candidates++
@@ -273,7 +304,7 @@ func (j *JoinFunction) flushGeomSpans() {
 func (j *JoinFunction) Close() error {
 	j.flushGeomSpans()
 	j.flushStats()
-	j.cands, j.boxed, j.ready = nil, nil, nil
+	j.cands, j.boxed, j.ready, j.drained = nil, nil, nil, 0
 	return nil
 }
 
@@ -491,24 +522,35 @@ func mbrsWithin(a, b *geom.MBR, d float64) bool {
 	return math.Hypot(dx, dy) <= d
 }
 
+// sortCandidates orders the refilled candidate arrays for the
+// secondary filter. Per §4.2 each array is sorted on the first rowid
+// before fetching (Shekhar et al. show optimal fetch order is
+// NP-complete and rowid-sort is within ~20% of the best
+// approximations); sorting also lets consecutive candidates sharing a
+// rowid reuse one fetched geometry (sideGeom).
+//
+//spatiallint:hot
+func (j *JoinFunction) sortCandidates() {
+	if !j.cfg.SortCandidates {
+		return
+	}
+	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per sort not per row
+	end := j.span(telemetry.StageSort)
+	slices.SortFunc(j.boxed, compareBoxed)
+	slices.SortFunc(j.cands, comparePairs)
+	end()
+}
+
 // secondaryFilter drains the candidate arrays, boxed candidates first:
 // fetch exact geometries and keep pairs satisfying the exact predicate.
-// Per §4.2 each array is sorted on the first rowid before fetching
-// (Shekhar et al. show optimal fetch order is NP-complete and rowid-sort
-// is within ~20% of the best approximations); sorting also lets
-// consecutive candidates sharing a rowid reuse one fetched geometry
-// (sideGeom). Fetches on both sides go through the decoded-geometry
+// It stops once the ready queue holds CandidateCap pairs and the next
+// call resumes there, so the queue stays within CandidateCap plus one
+// node pair even where every kept candidate returns two pairs (the
+// mirror route). Fetches on both sides go through the decoded-geometry
 // cache, so repeated rowids — across candidate batches, join sides of a
 // self-join, or parallel instances sharing a cache — skip the
 // base-table decode entirely.
 func (j *JoinFunction) secondaryFilter() error {
-	if j.cfg.SortCandidates {
-		//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per sort not per row
-		end := j.span(telemetry.StageSort)
-		slices.SortFunc(j.boxed, compareBoxed)
-		slices.SortFunc(j.cands, comparePairs)
-		end()
-	}
 	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per drain not per row
 	endDrain := j.span(telemetry.StageSecondary)
 	defer func() {
@@ -516,29 +558,45 @@ func (j *JoinFunction) secondaryFilter() error {
 		endDrain()
 	}()
 	var last [2]fetched
-	for i := range j.boxed {
-		c := &j.boxed[i]
+	for ; j.drained < len(j.boxed) && len(j.ready) < j.cfg.CandidateCap; j.drained++ {
+		c := &j.boxed[j.drained]
 		ok, err := j.decide(c, &last)
 		if err != nil {
 			return err
 		}
 		if ok {
-			j.ready = append(j.ready, c.Pair)
-			j.stats.Results++
+			j.accept(c.Pair)
 		}
 	}
-	for _, p := range j.cands {
+	for ; j.drained < len(j.boxed)+len(j.cands) && len(j.ready) < j.cfg.CandidateCap; j.drained++ {
+		p := j.cands[j.drained-len(j.boxed)]
 		ok, err := j.refine(p, &last)
 		if err != nil {
 			return err
 		}
 		if ok {
-			j.ready = append(j.ready, p)
-			j.stats.Results++
+			j.accept(p)
 		}
 	}
-	j.cands, j.boxed = j.cands[:0], j.boxed[:0]
+	if j.drained == len(j.boxed)+len(j.cands) {
+		j.cands, j.boxed, j.drained = j.cands[:0], j.boxed[:0], 0
+	}
 	return nil
+}
+
+// accept queues a candidate the secondary filter kept; under the mirror
+// route it queues the pair's mirror image with it, decided by the same
+// fetches and the same test.
+//
+//spatiallint:hot
+func (j *JoinFunction) accept(p Pair) {
+	j.ready = append(j.ready, p)
+	j.stats.Results++
+	if j.mirror && p.A != p.B {
+		j.ready = append(j.ready, Pair{A: p.B, B: p.A})
+		j.stats.Results++
+		j.stats.Mirrored++
+	}
 }
 
 // fetched is the geometry the secondary filter fetched last on one side

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -442,6 +443,14 @@ func (p *parser) spatialJoinCall() (*SpatialJoinCall, error) {
 	return buildJoinCall(args, 0)
 }
 
+// parseDistance parses the number of a 'distance=' spec, which must be
+// finite and non-negative: an infinite or NaN distance would reach the
+// cluster router's grid arithmetic and the index's window expansion.
+func parseDistance(s string) (float64, bool) {
+	d, err := strconv.ParseFloat(s, 64)
+	return d, err == nil && d >= 0 && !math.IsInf(d, 1)
+}
+
 func buildJoinCall(args []string, parallel int) (*SpatialJoinCall, error) {
 	if len(args) < 5 || len(args) > 7 {
 		return nil, fmt.Errorf("sqlmini: spatial_join expects 5 to 7 string arguments, got %d", len(args))
@@ -453,8 +462,8 @@ func buildJoinCall(args []string, parallel int) (*SpatialJoinCall, error) {
 	}
 	spec := strings.ToLower(strings.TrimSpace(args[4]))
 	if strings.HasPrefix(spec, "distance=") {
-		d, err := strconv.ParseFloat(strings.TrimPrefix(spec, "distance="), 64)
-		if err != nil || d < 0 {
+		d, ok := parseDistance(strings.TrimPrefix(spec, "distance="))
+		if !ok {
 			return nil, fmt.Errorf("sqlmini: bad distance in %q", args[4])
 		}
 		call.Distance = d
@@ -555,8 +564,8 @@ func (p *parser) predicate() (*Predicate, error) {
 		pred.Mask = strings.TrimPrefix(spec, "mask=")
 	case "sdo_within_distance":
 		pred.Op = "withindistance"
-		d, err := strconv.ParseFloat(strings.TrimPrefix(spec, "distance="), 64)
-		if err != nil || d < 0 {
+		d, ok := parseDistance(strings.TrimPrefix(spec, "distance="))
+		if !ok {
 			return nil, fmt.Errorf("sqlmini: bad distance spec %q", spec)
 		}
 		pred.Distance = d

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -225,6 +226,27 @@ func TestParserDetails(t *testing.T) {
 	}
 	if v := stmt.(Insert).Values[0]; !v.IsNum || v.Num != 150 {
 		t.Fatalf("exponent literal = %+v", v)
+	}
+}
+
+// TestParseRejectsNonFiniteDistance: a distance spec must be a finite,
+// non-negative number in both places it appears. An infinite or NaN
+// distance reaches the cluster router's grid arithmetic unchecked.
+func TestParseRejectsNonFiniteDistance(t *testing.T) {
+	for _, d := range []string{"inf", "+Inf", "infinity", "nan", "NaN", "-1", "-inf", "1e309"} {
+		for _, sql := range []string{
+			fmt.Sprintf("SELECT count(*) FROM TABLE(spatial_join('a','g','b','g','distance=%s'))", d),
+			fmt.Sprintf("SELECT id FROM t WHERE sdo_within_distance(g, 'POINT (1 1)', 'distance=%s') = 'TRUE'", d),
+		} {
+			if _, err := Parse(sql); err == nil || !strings.Contains(err.Error(), "bad distance") {
+				t.Errorf("%s: err = %v, want a bad distance error", sql, err)
+			}
+		}
+	}
+	for _, d := range []string{"0", "2.5", "1e300"} {
+		if _, err := Parse(fmt.Sprintf("SELECT count(*) FROM TABLE(spatial_join('a','g','b','g','distance=%s'))", d)); err != nil {
+			t.Errorf("distance=%s: %v", d, err)
+		}
 	}
 }
 
