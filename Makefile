@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build lint test race race-hot fuzz-smoke bench bench-smoke bench-module bench-wire obs-smoke crash-smoke cluster-smoke
+.PHONY: ci fmt-check vet build lint test race race-hot fuzz-smoke bench bench-smoke bench-module bench-wire obs-smoke crash-smoke cluster-smoke loc
 
 ci: fmt-check vet build lint race-hot race fuzz-smoke bench-smoke bench-module obs-smoke crash-smoke cluster-smoke
 
@@ -128,3 +128,10 @@ cluster-smoke:
 # Wire-protocol streaming throughput (loopback server + client).
 bench-wire:
 	$(GO) test -run NONE -bench BenchmarkWireJoinStream -benchmem .
+
+# Go line counts for the simplicity rule (ROADMAP.md): total and
+# non-blank non-comment lines of non-test Go outside benchmark/ and
+# testdata/, and the product spatiallint:ignore directives. Reporting
+# only, not part of ci.
+loc:
+	./scripts/loc.sh

@@ -421,39 +421,6 @@ func BenchmarkAblationTilingLevel(b *testing.B) {
 	}
 }
 
-// Ablation 6: interior-approximation fast accept (the SSTD 2001
-// optimization) vs the plain two-stage join.
-func BenchmarkAblationInteriorApprox(b *testing.B) {
-	ds := datagen.Stars(5000, 29)
-	tab, _, err := datagen.LoadTable("bench_interior", ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, _, err := idxbuild.CreateRtreeOpts(tab, "geom", idxbuild.RtreeOptions{InteriorEffort: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := sjoin.Source{Table: tab, Column: "geom", Tree: tree}
-	for _, use := range []bool{false, true} {
-		b.Run(fmt.Sprintf("interior=%v", use), func(b *testing.B) {
-			cfg := sjoin.DefaultConfig()
-			cfg.UseInteriorApprox = use
-			for i := 0; i < b.N; i++ {
-				fn, err := sjoin.NewJoinFunction(src, src, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, stats, err := sjoin.RunJoinFunction(fn, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(stats.GeomFetches), "geom-fetches")
-				b.ReportMetric(float64(stats.FastAccepts), "fast-accepts")
-			}
-		})
-	}
-}
-
 // Ablation 7: primary-filter algorithm — forward plane sweep over
 // xlo-sorted entry lists (default) vs the nested entry-pair scan, which
 // a sweep threshold no node pair reaches forces everywhere.

@@ -20,8 +20,9 @@ import (
 // fillGoldenDB builds the fixed database the format goldens under
 // testdata/ were produced from — by the commit BEFORE the catalogue
 // codec was unified, so they pin both on-disk formats: a non-spatial
-// table, a spatial table, an R-tree with interior approximations and a
-// Quadtree with explicit bounds. Do not change it without regenerating
+// table, a spatial table, an R-tree recording an interior effort (which
+// builds nothing, but the formats carry it) and a Quadtree with explicit
+// bounds. Do not change it without regenerating
 // the goldens from a commit known to write the formats correctly.
 func fillGoldenDB(t testing.TB, db *DB) {
 	t.Helper()

@@ -5,7 +5,6 @@ import (
 
 	"spatialtf/internal/extidx"
 	"spatialtf/internal/geom"
-	"spatialtf/internal/quadtree"
 	"spatialtf/internal/rtree"
 )
 
@@ -22,10 +21,9 @@ type IndexOptions struct {
 	// Parallel is the degree of parallelism for index creation (the
 	// paper's §5); 0 or 1 builds sequentially.
 	Parallel int
-	// InteriorEffort, when positive, computes interior approximations
-	// for R-tree entries at index creation (and on DML maintenance).
-	// Joins over such indexes may set JoinOptions.UseInteriorApprox to
-	// fast-accept candidates without fetching exact geometries.
+	// InteriorEffort is recorded in the index metadata, the catalogue
+	// and snapshots, and must be at most 64; it builds nothing, as the
+	// R-tree stores no interior approximations.
 	InteriorEffort int
 }
 
@@ -116,15 +114,6 @@ func (ix *Index) rtree() (*rtree.Tree, error) {
 		return h.Tree(), nil
 	}
 	return nil, fmt.Errorf("spatialtf: index %q is not an R-tree", ix.name)
-}
-
-// qindex returns the backing quadtree or an error for other kinds.
-func (ix *Index) qindex() (*quadtree.Index, error) {
-	type qtHolder interface{ Index() *quadtree.Index }
-	if h, ok := ix.inner.(qtHolder); ok {
-		return h.Index(), nil
-	}
-	return nil, fmt.Errorf("spatialtf: index %q is not a quadtree", ix.name)
 }
 
 // IndexMetadata lists the metadata table — one row per created index.

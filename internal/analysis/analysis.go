@@ -39,8 +39,8 @@
 //	               lowercase_snake, unique across the module (the
 //	               registry's runtime panic on a duplicate, at lint time)
 //	hotalloc       no hidden allocations on declared hot paths
-//	               (//spatiallint:hot plus seeded fetch/sweep/pin/encode
-//	               roots): direct make/append/boxing/closure sites,
+//	               (//spatiallint:hot fetch/sweep/pin/encode roots):
+//	               direct make/append/boxing/closure sites,
 //	               allocating callees with via-chains, defer and map
 //	               iteration inside hot loops, and sync.Pool bypass —
 //	               on an interprocedural escape analysis (allocsummary.go)

@@ -1,15 +1,12 @@
 package analysis
 
 // HotAlloc is the hot-path allocation lint: on a declared hot function,
-// every may-reached allocation is a finding. The hot set is the union
-// of
-//
-//   - functions whose doc comment carries a //spatiallint:hot line, and
-//   - the seeded roots below — the per-row and per-frame loops this
-//     codebase lives on: the plane-sweep inner loops of the spatial
-//     join, the table-function Fetch batch loops, the R-tree node
-//     scans, the pager's pin and WAL-append paths, and the wire frame
-//     encoders.
+// every may-reached allocation is a finding. The hot set is the
+// functions whose doc comment carries a //spatiallint:hot line — the
+// per-row and per-frame loops this codebase lives on: the plane-sweep
+// inner loops of the spatial join, the table-function Fetch batch
+// loops, the R-tree node scans, the pager's pin and WAL-append paths,
+// and the wire frame encoders.
 //
 // Findings come in four shapes: a direct allocation site in the hot
 // function (from its AllocSites summary), a call to a module function
@@ -38,33 +35,6 @@ var HotAlloc = &Analyzer{
 	Run:  runHotAlloc,
 }
 
-// hotSeeds lists the seeded hot roots per package-path suffix, spelled
-// as declNameOf renders them ("Name" or "Type.Method"). The testdata
-// entry exercises the seeding machinery in the golden fixture.
-var hotSeeds = map[string][]string{
-	"internal/sjoin": {
-		"JoinFunction.Fetch", "JoinFunction.emit", "JoinFunction.secondaryFilter", "JoinFunction.fetchGeom",
-		"treeSource.refill", "treeSource.sweepPair", "treeSource.leafPair",
-		"gridSource.refill", "gridState.sweepTile", "assignGrid", "quadSource.refill",
-	},
-	"internal/tablefunc": {"pipelineCursor.NextBatch", "parallelCursor.NextBatch"},
-	// The batch render of a streamed join (pairs to rid text to rows)
-	// and the owner-filter and projection stages of a table SELECT. The
-	// fetch stage under them decodes a heap row per rowid, an allocation
-	// by contract; sqlmini's TestWindowSelectAllocFloor pins its count.
-	"internal/sqlmini": {"joinCursorAdapter.NextBatch", "filterCursor.NextBatch", "projectCursor.NextBatch"},
-	"internal/rtree": {
-		"Tree.Search", "Tree.SearchCounted", "Tree.SearchWithinDist", "Tree.SearchWithinDistCounted",
-	},
-	"internal/pager": {"Mem.Pin", "Store.pin", "appendWALRecord"},
-	// The coordinator's merge loop; the remote fetch itself is excluded
-	// because wire decoding allocates its row batches by design.
-	"internal/cluster":                        {"gatherCursor.NextBatch"},
-	"internal/storage":                        {"Heap.fetchLocked", "Table.FetchColumn"},
-	"internal/wire":                           {"WriteFrame", "AppendBatch", "ParseBatch"},
-	"internal/analysis/testdata/src/hotalloc": {"SeededScan"},
-}
-
 const hotPrefix = "//spatiallint:hot"
 
 // poolDecl records one sync.Pool whose New closure builds a known type.
@@ -81,7 +51,7 @@ func (m *Module) hotFuncs() map[string]bool {
 		m.poolTys = make(map[string]poolDecl)
 		for _, key := range sortedKeys(m.fns) {
 			s := m.fns[key]
-			if hotAnnotated(s.Decl) || hotSeeded(s) {
+			if hotAnnotated(s.Decl) {
 				m.hotFns[key] = true
 			}
 		}
@@ -108,21 +78,6 @@ func hotAnnotated(fd *ast.FuncDecl) bool {
 	for _, c := range fd.Doc.List {
 		if strings.HasPrefix(c.Text, hotPrefix) {
 			return true
-		}
-	}
-	return false
-}
-
-func hotSeeded(s *FuncSummary) bool {
-	name := declNameOf(s.Decl)
-	for suffix, names := range hotSeeds {
-		if s.Pkg.Path != suffix && !strings.HasSuffix(s.Pkg.Path, "/"+suffix) {
-			continue
-		}
-		for _, n := range names {
-			if n == name {
-				return true
-			}
 		}
 	}
 	return false

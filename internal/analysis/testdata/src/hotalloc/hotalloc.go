@@ -1,9 +1,8 @@
 // Package hotalloc is the golden-file fixture for the hotalloc
 // analyzer: no hidden allocations on declared hot paths. It exercises
-// both ways into the hot set (//spatiallint:hot annotations and the
-// seeded-roots table, which names SeededScan below), every finding
-// shape, and the exemptions that keep the rule quiet on idiomatic
-// allocation-free code.
+// the way into the hot set (//spatiallint:hot annotations), every
+// finding shape, and the exemptions that keep the rule quiet on
+// idiomatic allocation-free code.
 package hotalloc
 
 import (
@@ -92,8 +91,10 @@ func HotClosure(n int) func() int {
 
 // --- exemptions: none of the following may produce findings ---
 
-// SeededScan is hot via the seeded-roots table, not an annotation; the
-// conversion inside the loop proves the seeding took.
+// SeededScan is a hot root whose doc comment carries more than the
+// marker; the conversion inside the loop proves the annotation took.
+//
+//spatiallint:hot
 func SeededScan(dst []byte, src []string) ([]byte, []byte) {
 	var last []byte
 	for _, s := range src {

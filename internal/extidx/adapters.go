@@ -27,15 +27,11 @@ func RegisterDefaultKinds(r *Registry) {
 type rtreeIndex struct {
 	meta Metadata
 	tree *rtree.Tree
-	// interiorEffort > 0 means the index stores interior approximations
-	// and DML maintenance must compute them for new rows too.
-	interiorEffort int
 }
 
-// maxInteriorEffort caps Params.InteriorEffort: the interior search
-// tries effort² centres per polygon, so an unchecked value — from the
-// API or from a catalogue row read back from disk — would turn index
-// creation into an effectively unbounded loop.
+// maxInteriorEffort caps Params.InteriorEffort, which is only
+// recorded: it bounds what an index may record, from the API or from a
+// catalogue row read back from disk.
 const maxInteriorEffort = 64
 
 // BuildRTree is the RTREE indextype builder.
@@ -44,11 +40,7 @@ func BuildRTree(tab *storage.Table, geomCol int, p Params) (SpatialIndex, error)
 		return nil, fmt.Errorf("extidx: interior effort %d exceeds limit %d", p.InteriorEffort, maxInteriorEffort)
 	}
 	column := tab.Schema()[geomCol].Name
-	tree, stats, err := idxbuild.CreateRtreeOpts(tab, column, idxbuild.RtreeOptions{
-		Fanout:         p.Fanout,
-		Workers:        p.BuildWorkers,
-		InteriorEffort: p.InteriorEffort,
-	})
+	tree, stats, err := idxbuild.CreateRtree(tab, column, p.Fanout, p.BuildWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -61,8 +53,7 @@ func BuildRTree(tab *storage.Table, geomCol int, p Params) (SpatialIndex, error)
 			InteriorEffort: p.InteriorEffort,
 			RowsIndexed:    stats.Rows,
 		},
-		tree:           tree,
-		interiorEffort: p.InteriorEffort,
+		tree: tree,
 	}, nil
 }
 
@@ -91,13 +82,7 @@ func (x *rtreeIndex) DistCandidates(w geom.MBR, d float64) []storage.RowID {
 }
 
 func (x *rtreeIndex) InsertRow(id storage.RowID, g geom.Geometry) error {
-	it := rtree.Item{MBR: geom.MBROf(g), ID: id}
-	if x.interiorEffort > 0 {
-		if r := geom.InteriorRect(g, x.interiorEffort); r.Valid() && r.Area() > 0 {
-			it.Interior = r
-		}
-	}
-	return x.tree.Insert(it)
+	return x.tree.Insert(rtree.Item{MBR: geom.MBROf(g), ID: id})
 }
 
 func (x *rtreeIndex) DeleteRow(id storage.RowID, g geom.Geometry) error {
@@ -139,9 +124,6 @@ func BuildQuadtree(tab *storage.Table, geomCol int, p Params) (SpatialIndex, err
 }
 
 func (x *quadtreeIndex) Meta() Metadata { return x.meta }
-
-// Index exposes the underlying quadtree for the tile-join machinery.
-func (x *quadtreeIndex) Index() *quadtree.Index { return x.idx }
 
 func (x *quadtreeIndex) WindowCandidates(w geom.MBR) []storage.RowID {
 	return x.idx.WindowCandidates(w)

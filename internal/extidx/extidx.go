@@ -39,9 +39,10 @@ type Params struct {
 	// BuildWorkers is the degree of parallelism for index creation —
 	// the paper's "parallel clause". 0 or 1 builds sequentially.
 	BuildWorkers int
-	// InteriorEffort, when positive, computes interior approximations
-	// for R-tree entries (geom.InteriorRect search granularity); joins
-	// on such indexes can enable the interior fast accept.
+	// InteriorEffort is recorded in the index metadata and range-checked
+	// (at most 64), but builds nothing: the R-tree stores no interior
+	// approximations. It stays because the catalogue and snapshot
+	// formats carry it.
 	InteriorEffort int
 }
 
@@ -61,8 +62,8 @@ type Metadata struct {
 	Fanout      int
 	TilingLevel int
 	Bounds      geom.MBR
-	// InteriorEffort records whether (and at what granularity) interior
-	// approximations were computed for R-tree entries.
+	// InteriorEffort is the effort the index was created with; see
+	// Params.InteriorEffort.
 	InteriorEffort int
 	// RowsIndexed at creation time (maintenance updates the live index,
 	// not this snapshot).

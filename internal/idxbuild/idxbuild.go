@@ -161,13 +161,10 @@ func CreateQuadtree(tab *storage.Table, column string, grid quadtree.Grid, worke
 // --- R-tree creation ---
 
 // mbrLoadFn is the MBR-computation table function: it consumes geometry
-// rows and emits (mbr, interior, rowid) rows. Interior approximations
-// (Kothuri & Ravada, SSTD 2001) are computed when interiorEffort > 0;
-// they cost extra build time but let joins fast-accept candidates.
+// rows and emits (mbr, rowid) rows.
 type mbrLoadFn struct {
-	input          storage.Cursor
-	geomCol        int
-	interiorEffort int
+	input   storage.Cursor
+	geomCol int
 }
 
 func (f *mbrLoadFn) Start() error { return nil }
@@ -181,84 +178,52 @@ func (f *mbrLoadFn) Fetch(b *storage.Batch, max int) error {
 		if !ok {
 			break
 		}
-		g := row[f.geomCol].G
-		m := geom.MBROf(g)
+		m := geom.MBROf(row[f.geomCol].G)
 		if !m.Valid() {
 			return fmt.Errorf("idxbuild: row %v has invalid MBR", id)
 		}
-		interior := geom.MBR{}
-		if f.interiorEffort > 0 {
-			if r := geom.InteriorRect(g, f.interiorEffort); r.Valid() && r.Area() > 0 {
-				interior = r
-			}
-		}
-		b.Rows = append(b.Rows, mbrRow(m, interior, id))
+		b.Rows = append(b.Rows, mbrRow(m, id))
 	}
 	return nil
 }
 
 func (f *mbrLoadFn) Close() error { return f.input.Close() }
 
-// mbrRow encodes one (mbr, interior, rowid) row. An absent interior is
-// stored as four zeros (zero area = none).
-func mbrRow(m, interior geom.MBR, id storage.RowID) storage.Row {
+// mbrRow encodes one (mbr, rowid) row.
+func mbrRow(m geom.MBR, id storage.RowID) storage.Row {
 	return storage.Row{
 		storage.Float(m.MinX), storage.Float(m.MinY),
 		storage.Float(m.MaxX), storage.Float(m.MaxY),
-		storage.Float(interior.MinX), storage.Float(interior.MinY),
-		storage.Float(interior.MaxX), storage.Float(interior.MaxY),
 		storage.Bytes(id.AppendTo(nil)),
 	}
 }
 
-// mbrRowItem decodes an (mbr, interior, rowid) row into an R-tree item.
+// mbrRowItem decodes an (mbr, rowid) row into an R-tree item.
 func mbrRowItem(row storage.Row) (rtree.Item, error) {
-	id, err := storage.RowIDFromBytes(row[8].B)
+	id, err := storage.RowIDFromBytes(row[4].B)
 	if err != nil {
 		return rtree.Item{}, err
 	}
 	return rtree.Item{
-		MBR:      geom.MBR{MinX: row[0].F, MinY: row[1].F, MaxX: row[2].F, MaxY: row[3].F},
-		Interior: geom.MBR{MinX: row[4].F, MinY: row[5].F, MaxX: row[6].F, MaxY: row[7].F},
-		ID:       id,
+		MBR: geom.MBR{MinX: row[0].F, MinY: row[1].F, MaxX: row[2].F, MaxY: row[3].F},
+		ID:  id,
 	}, nil
-}
-
-// RtreeOptions tunes CreateRtreeOpts.
-type RtreeOptions struct {
-	// Fanout is the node capacity (0 = default).
-	Fanout int
-	// Workers is the degree of parallelism.
-	Workers int
-	// InteriorEffort, when positive, computes interior approximations
-	// for each geometry at the given search granularity (see
-	// geom.InteriorRect).
-	InteriorEffort int
 }
 
 // CreateRtree builds an R-tree index on tab's geometry column with the
 // given node fanout (0 = default) and degree of parallelism.
 func CreateRtree(tab *storage.Table, column string, fanout, workers int) (*rtree.Tree, Stats, error) {
-	return CreateRtreeOpts(tab, column, RtreeOptions{Fanout: fanout, Workers: workers})
-}
-
-// CreateRtreeOpts builds an R-tree index with full options.
-func CreateRtreeOpts(tab *storage.Table, column string, opt RtreeOptions) (*rtree.Tree, Stats, error) {
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	col, err := tab.ColumnIndex(column)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	start := time.Now()
 
-	// Step 1 (parallel): load geometries and compute MBRs (plus
-	// interior approximations when requested).
+	// Step 1 (parallel): load geometries and compute MBRs.
 	parts := tablefunc.PartitionTable(tab, workers)
 	factory := func(instance int, input storage.Cursor) (tablefunc.TableFunction, error) {
-		return &mbrLoadFn{input: input, geomCol: col, interiorEffort: opt.InteriorEffort}, nil
+		return &mbrLoadFn{input: input, geomCol: col}, nil
 	}
 	out := tablefunc.Parallel(parts, factory, 0)
 	var items []rtree.Item
@@ -282,7 +247,7 @@ func CreateRtreeOpts(tab *storage.Table, column string, opt RtreeOptions) (*rtre
 	loadDone := time.Now()
 
 	// Step 2 (parallel): cluster subtrees in parallel and merge.
-	tree := rtree.ParallelBulkLoad(items, opt.Fanout, workers)
+	tree := rtree.ParallelBulkLoad(items, fanout, workers)
 	end := time.Now()
 
 	return tree, Stats{

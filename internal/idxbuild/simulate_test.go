@@ -99,42 +99,6 @@ func TestCreateRtreeSimBadColumn(t *testing.T) {
 	}
 }
 
-func TestCreateRtreeWithInterior(t *testing.T) {
-	ds := datagen.Counties(36, 421)
-	tab := loadTable(t, ds)
-	tree, stats, err := CreateRtreeOpts(tab, "geom", RtreeOptions{Workers: 2, InteriorEffort: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Entries != tab.Len() {
-		t.Fatalf("stats %+v", stats)
-	}
-	// Every leaf item of fat county polygons should carry a non-trivial
-	// interior approximation contained in its MBR.
-	withInterior := 0
-	for _, it := range tree.Items() {
-		if it.Interior.Area() > 0 {
-			withInterior++
-			if !it.MBR.Contains(it.Interior) {
-				t.Fatalf("interior %v escapes MBR %v", it.Interior, it.MBR)
-			}
-		}
-	}
-	if withInterior < tab.Len()*3/4 {
-		t.Errorf("only %d of %d items have interiors", withInterior, tab.Len())
-	}
-	// Without the option, none do.
-	plain, _, err := CreateRtree(tab, "geom", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range plain.Items() {
-		if it.Interior.Area() > 0 {
-			t.Fatalf("plain build produced an interior approximation")
-		}
-	}
-}
-
 func TestParallelBulkLoadSimSmallInput(t *testing.T) {
 	// Tiny inputs take the sequential path and still report a cluster
 	// time.

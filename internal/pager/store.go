@@ -298,6 +298,7 @@ func (s *Store) pageOffset(id uint32) int64 { return int64(id) * int64(s.pageSiz
 
 // --- pinning and the buffer pool ---
 
+//spatiallint:hot
 func (s *Store) pin(space, page uint32) (*Frame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -136,55 +136,3 @@ func (idx *Index) WindowCandidates(w geom.MBR) []storage.RowID {
 	}
 	return out
 }
-
-// TilePairs performs the quadtree join primary filter between two
-// indexes sharing a grid: a merge join over the two tile-sorted B-trees
-// emitting every (rowid, rowid) pair that shares a tile. Pairs may
-// repeat across tiles; callers dedupe.
-func TilePairs(a, b *Index, emit func(ida, idb storage.RowID) bool) error {
-	if a.grid != b.grid {
-		return fmt.Errorf("quadtree: join across different grids (%v level %d vs %v level %d)",
-			a.grid.Bounds, a.grid.Level, b.grid.Bounds, b.grid.Level)
-	}
-	// Collect per-tile rowid groups from a, then probe b's identical
-	// tile ranges. Both trees are tile-ordered, so this is a merge-style
-	// sweep using prefix scans.
-	type group struct {
-		tile Tile
-		ids  []storage.RowID
-	}
-	var groups []group
-	var cur *group
-	a.bt.Ascend(func(k, v []byte) bool {
-		t, id, err := splitKey(k)
-		if err != nil {
-			return true
-		}
-		if cur == nil || cur.tile != t {
-			groups = append(groups, group{tile: t})
-			cur = &groups[len(groups)-1]
-		}
-		cur.ids = append(cur.ids, id)
-		return true
-	})
-	for _, g := range groups {
-		stop := false
-		b.bt.AscendPrefix(tilePrefix(g.tile), func(k, v []byte) bool {
-			_, idb, err := splitKey(k)
-			if err != nil {
-				return true
-			}
-			for _, ida := range g.ids {
-				if !emit(ida, idb) {
-					stop = true
-					return false
-				}
-			}
-			return true
-		})
-		if stop {
-			return nil
-		}
-	}
-	return nil
-}

@@ -341,56 +341,6 @@ func idSet(ids []storage.RowID) map[storage.RowID]bool {
 	return m
 }
 
-func TestTilePairsJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(127))
-	grid := testGrid(t, 6)
-	a := NewIndex(grid)
-	b := NewIndex(grid)
-	ga := make([]geom.Geometry, 100)
-	gb := make([]geom.Geometry, 100)
-	for i := 0; i < 100; i++ {
-		ga[i] = randomRectGeom(t, rng)
-		gb[i] = randomRectGeom(t, rng)
-		a.InsertGeometry(rid(i), ga[i])
-		b.InsertGeometry(rid(i), gb[i])
-	}
-	// Candidate pairs from the tile join, deduped.
-	type pair struct{ a, b storage.RowID }
-	cands := map[pair]bool{}
-	err := TilePairs(a, b, func(ida, idb storage.RowID) bool {
-		cands[pair{ida, idb}] = true
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Soundness: every exactly-intersecting pair must be a candidate.
-	for i, x := range ga {
-		for j, y := range gb {
-			if geom.Intersects(x, y) && !cands[pair{rid(i), rid(j)}] {
-				t.Fatalf("true pair (%d, %d) missing from tile join", i, j)
-			}
-		}
-	}
-	// The candidates must themselves pass the MBR filter (tile-sharing
-	// implies tile-rect overlap of both MBRs).
-	for p := range cands {
-		i := int(p.a.Page-1)*1000 + int(p.a.Slot)
-		j := int(p.b.Page-1)*1000 + int(p.b.Slot)
-		// Tiles are closed cells, so sharing a tile bounds the gap by
-		// one cell diagonal.
-		w, h := grid.CellSize()
-		if geom.MBROf(ga[i]).Dist(geom.MBROf(gb[j])) > w+h {
-			t.Fatalf("candidate pair (%d, %d) too far apart", i, j)
-		}
-	}
-	// Grid mismatch errors.
-	other := NewIndex(testGrid(t, 5))
-	if err := TilePairs(a, other, func(_, _ storage.RowID) bool { return true }); err == nil {
-		t.Errorf("grid mismatch: want error")
-	}
-}
-
 func TestTessellationLevelGrowth(t *testing.T) {
 	// Deeper levels produce at least as many tiles for the same shape;
 	// this is the tiling-level cost/precision trade-off the ablation

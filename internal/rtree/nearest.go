@@ -60,7 +60,7 @@ func (t *Tree) NearestFunc(q geom.MBR, fn func(it Item, lowerBound float64) bool
 			m := n.rect(i)
 			d := m.Dist(q)
 			if n.leaf {
-				heap.Push(pq, nnEntry{dist: d, item: Item{MBR: m, Interior: n.interiors[i], ID: n.ids[i]}})
+				heap.Push(pq, nnEntry{dist: d, item: Item{MBR: m, ID: n.ids[i]}})
 			} else {
 				heap.Push(pq, nnEntry{dist: d, node: n.children[i]})
 			}

@@ -32,15 +32,10 @@ const DefaultMaxEntries = 32
 var ErrNotFound = errors.New("rtree: entry not found")
 
 // Item is one indexed datum: the MBR approximation of a geometry and the
-// rowid of the base-table row holding the exact geometry. Interior
-// optionally carries an interior approximation (a rectangle guaranteed
-// to lie inside the geometry, per Kothuri & Ravada's SSTD 2001 paper);
-// joins use it to accept candidates without fetching exact geometries.
-// A zero or zero-area Interior means "no interior approximation".
+// rowid of the base-table row holding the exact geometry.
 type Item struct {
-	MBR      geom.MBR
-	Interior geom.MBR
-	ID       storage.RowID
+	MBR geom.MBR
+	ID  storage.RowID
 }
 
 // entry is a detached node slot used by the cold restructuring paths
@@ -48,23 +43,20 @@ type Item struct {
 // fields for leaf slots. The resident layout inside a node is SoA; an
 // entry is only materialised while entries move between nodes.
 type entry struct {
-	mbr geom.MBR
-	// interior is only meaningful on leaf entries.
-	interior geom.MBR
-	child    *node
-	id       storage.RowID
+	mbr   geom.MBR
+	child *node
+	id    storage.RowID
 }
 
 // node stores its entry rectangles as four parallel coordinate slices
 // (structure of arrays); slot i's rectangle is
 // (xlo[i], ylo[i], xhi[i], yhi[i]). children is parallel on internal
-// nodes; ids and interiors are parallel on leaves.
+// nodes; ids is parallel on leaves.
 type node struct {
 	leaf               bool
 	xlo, ylo, xhi, yhi []float64
 	children           []*node
 	ids                []storage.RowID
-	interiors          []geom.MBR
 }
 
 // newNode returns an empty node with capacity for capHint entries.
@@ -78,7 +70,6 @@ func newNode(leaf bool, capHint int) *node {
 		n.yhi = coords[3*capHint : 3*capHint : 4*capHint]
 		if leaf {
 			n.ids = make([]storage.RowID, 0, capHint)
-			n.interiors = make([]geom.MBR, 0, capHint)
 		} else {
 			n.children = make([]*node, 0, capHint)
 		}
@@ -108,10 +99,9 @@ func (n *node) pushRect(m geom.MBR) {
 }
 
 // pushLeaf appends a data slot to a leaf.
-func (n *node) pushLeaf(m, interior geom.MBR, id storage.RowID) {
+func (n *node) pushLeaf(m geom.MBR, id storage.RowID) {
 	n.pushRect(m)
 	n.ids = append(n.ids, id)
-	n.interiors = append(n.interiors, interior)
 }
 
 // pushChild appends a child slot to an internal node.
@@ -123,7 +113,7 @@ func (n *node) pushChild(m geom.MBR, c *node) {
 // pushEntry appends a detached entry, dispatching on the node kind.
 func (n *node) pushEntry(e entry) {
 	if n.leaf {
-		n.pushLeaf(e.mbr, e.interior, e.id)
+		n.pushLeaf(e.mbr, e.id)
 	} else {
 		n.pushChild(e.mbr, e.child)
 	}
@@ -133,7 +123,6 @@ func (n *node) pushEntry(e entry) {
 func (n *node) entryAt(i int) entry {
 	e := entry{mbr: n.rect(i)}
 	if n.leaf {
-		e.interior = n.interiors[i]
 		e.id = n.ids[i]
 	} else {
 		e.child = n.children[i]
@@ -157,7 +146,6 @@ func (n *node) removeAt(i int) {
 	n.yhi = append(n.yhi[:i], n.yhi[i+1:]...)
 	if n.leaf {
 		n.ids = append(n.ids[:i], n.ids[i+1:]...)
-		n.interiors = append(n.interiors[:i], n.interiors[i+1:]...)
 	} else {
 		n.children = append(n.children[:i], n.children[i+1:]...)
 	}
@@ -168,7 +156,6 @@ func (n *node) reset() {
 	n.xlo, n.ylo, n.xhi, n.yhi = n.xlo[:0], n.ylo[:0], n.xhi[:0], n.yhi[:0]
 	if n.leaf {
 		n.ids = n.ids[:0]
-		n.interiors = n.interiors[:0]
 	} else {
 		// Drop child pointers so condensed subtrees can be collected.
 		for i := range n.children {
@@ -330,7 +317,7 @@ func (t *Tree) Insert(item Item) error {
 	defer t.pinMu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.insertAtLevel(entry{mbr: item.MBR, interior: item.Interior, id: item.ID}, 1)
+	t.insertAtLevel(entry{mbr: item.MBR, id: item.ID}, 1)
 	t.size++
 	return nil
 }
@@ -579,6 +566,8 @@ func collectItems(n *node, out *[]entry) {
 
 // Search calls fn for every item whose MBR intersects q, stopping early
 // if fn returns false.
+//
+//spatiallint:hot
 func (t *Tree) Search(q geom.MBR, fn func(Item) bool) {
 	t.SearchCounted(q, fn)
 }
@@ -587,6 +576,8 @@ func (t *Tree) Search(q geom.MBR, fn func(Item) bool) {
 // the "buffer gets" a disk-resident execution of the probe would issue.
 // The nested-loop join baseline reports this to expose its repeated
 // index descents.
+//
+//spatiallint:hot
 func (t *Tree) SearchCounted(q geom.MBR, fn func(Item) bool) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -604,9 +595,8 @@ func searchNode(n *node, q geom.MBR, fn func(Item) bool, visited *int) bool {
 				continue
 			}
 			it := Item{
-				MBR:      geom.MBR{MinX: xlo[i], MinY: ylo[i], MaxX: xhi[i], MaxY: yhi[i]},
-				Interior: n.interiors[i],
-				ID:       n.ids[i],
+				MBR: geom.MBR{MinX: xlo[i], MinY: ylo[i], MaxX: xhi[i], MaxY: yhi[i]},
+				ID:  n.ids[i],
 			}
 			if !fn(it) {
 				return false
@@ -627,12 +617,16 @@ func searchNode(n *node, q geom.MBR, fn func(Item) bool, visited *int) bool {
 
 // SearchWithinDist calls fn for every item whose MBR lies within
 // distance d of q — the primary filter for within-distance queries.
+//
+//spatiallint:hot
 func (t *Tree) SearchWithinDist(q geom.MBR, d float64, fn func(Item) bool) {
 	t.SearchWithinDistCounted(q, d, fn)
 }
 
 // SearchWithinDistCounted is SearchWithinDist returning the number of
 // index nodes visited.
+//
+//spatiallint:hot
 func (t *Tree) SearchWithinDistCounted(q geom.MBR, d float64, fn func(Item) bool) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -649,7 +643,7 @@ func searchDistNode(n *node, q geom.MBR, d float64, fn func(Item) bool, visited 
 			continue
 		}
 		if n.leaf {
-			if !fn(Item{MBR: m, Interior: n.interiors[i], ID: n.ids[i]}) {
+			if !fn(Item{MBR: m, ID: n.ids[i]}) {
 				return false
 			}
 		} else if !searchDistNode(n.children[i], q, d, fn, visited) {
@@ -668,7 +662,7 @@ func (t *Tree) Items() []Item {
 	walk = func(n *node) {
 		if n.leaf {
 			for i := 0; i < n.count(); i++ {
-				out = append(out, Item{MBR: n.rect(i), Interior: n.interiors[i], ID: n.ids[i]})
+				out = append(out, Item{MBR: n.rect(i), ID: n.ids[i]})
 			}
 			return
 		}
@@ -742,10 +736,10 @@ func (t *Tree) validateNode(n *node, level int, isRoot bool, count *int) error {
 		return fmt.Errorf("rtree: ragged coordinate slices at level %d", level)
 	}
 	if n.leaf {
-		if len(n.ids) != c || len(n.interiors) != c || len(n.children) != 0 {
+		if len(n.ids) != c || len(n.children) != 0 {
 			return fmt.Errorf("rtree: ragged leaf slices at level %d", level)
 		}
-	} else if len(n.children) != c || len(n.ids) != 0 || len(n.interiors) != 0 {
+	} else if len(n.children) != c || len(n.ids) != 0 {
 		return fmt.Errorf("rtree: ragged internal slices at level %d", level)
 	}
 	if !isRoot && c < t.minEntries {

@@ -36,7 +36,7 @@ func packLeaves(items []Item, maxEntries int) []*node {
 	for _, size := range groupSizes(len(items), maxEntries) {
 		leaf := newNode(true, size)
 		for _, it := range items[start : start+size] {
-			leaf.pushLeaf(it.MBR, it.Interior, it.ID)
+			leaf.pushLeaf(it.MBR, it.ID)
 		}
 		leaves = append(leaves, leaf)
 		start += size

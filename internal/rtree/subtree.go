@@ -50,11 +50,6 @@ func (r NodeRef) EntryRects() (xlo, ylo, xhi, yhi []float64) {
 // EntryID returns the rowid in slot i; only meaningful on leaves.
 func (r NodeRef) EntryID(i int) storage.RowID { return r.n.ids[i] }
 
-// EntryInterior returns the interior approximation of slot i (only
-// meaningful on leaves; zero-area when the index was built without
-// interior approximations).
-func (r NodeRef) EntryInterior(i int) geom.MBR { return r.n.interiors[i] }
-
 // Child returns the handle of the i-th child; only meaningful on
 // internal nodes.
 func (r NodeRef) Child(i int) NodeRef {
@@ -65,7 +60,7 @@ func (r NodeRef) Child(i int) NodeRef {
 func (r NodeRef) Items(dst []Item) []Item {
 	if r.n.leaf {
 		for i := 0; i < r.n.count(); i++ {
-			dst = append(dst, Item{MBR: r.n.rect(i), Interior: r.n.interiors[i], ID: r.n.ids[i]})
+			dst = append(dst, Item{MBR: r.n.rect(i), ID: r.n.ids[i]})
 		}
 		return dst
 	}

@@ -1,7 +1,6 @@
 package sjoin
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/geom"
 	"spatialtf/internal/idxbuild"
-	"spatialtf/internal/quadtree"
 	"spatialtf/internal/storage"
 	"spatialtf/internal/storage/storagetest"
 )
@@ -22,11 +20,11 @@ type joinPath struct {
 	open    func(cfg Config) (storage.Cursor, error)
 }
 
-// pathFixture is one table with every index kind on it, and the join
-// paths over them. All paths join the table with itself, so they share
-// rowids and must return the same pairs.
+// pathFixture is one R-tree-indexed table and the join paths over it.
+// All paths join the table with itself, so they share rowids and must
+// return the same pairs.
 type pathFixture struct {
-	plain Source // R-tree without interior approximations
+	plain Source
 	paths []joinPath
 	mbrs  map[storage.RowID]geom.MBR // geom.MBROf of every heap row
 }
@@ -41,21 +39,7 @@ func newPathFixture(t *testing.T, ds datagen.Dataset) pathFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	itree, _, err := idxbuild.CreateRtreeOpts(tab, "geom", idxbuild.RtreeOptions{Workers: 1, InteriorEffort: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := quadtree.NewGrid(ds.Bounds, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qidx, _, err := idxbuild.CreateQuadtree(tab, "geom", grid, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := Source{Table: tab, Column: "geom", Tree: tree}
-	isrc := Source{Table: tab, Column: "geom", Tree: itree}
-	qsrc := QSource{Table: tab, Column: "geom", Index: qidx}
 	eager := func(pairs []Pair, err error) (storage.Cursor, error) {
 		if err != nil {
 			return nil, err
@@ -69,15 +53,9 @@ func newPathFixture(t *testing.T, ds datagen.Dataset) pathFixture {
 			cfg.SweepThreshold = math.MaxInt
 			return IndexJoin(src, src, cfg)
 		}},
-		{"serial interior", true, func(cfg Config) (storage.Cursor, error) {
-			cfg.UseInteriorApprox = true
-			return IndexJoin(isrc, isrc, cfg)
-		}},
 		{"subtree x3", false, func(cfg Config) (storage.Cursor, error) { return ParallelIndexJoin(src, src, cfg, 3) }},
 		{"grid x3", false, func(cfg Config) (storage.Cursor, error) { return GridParallelJoin(src, src, cfg, 3) }},
 		{"nested", true, func(cfg Config) (storage.Cursor, error) { return eager(NestedLoop(src, src, cfg)) }},
-		// Unordered: the tile merge join dedups through a map.
-		{"quadtree", false, func(cfg Config) (storage.Cursor, error) { return eager(QuadtreeJoin(qsrc, qsrc, cfg)) }},
 	}
 	col, err := src.geomColumn()
 	if err != nil {
@@ -118,14 +96,30 @@ func sortedPairs(t *testing.T, cur storage.Cursor, err error) []Pair {
 }
 
 // TestBatchDrainEqualsRowDrain is the sjoin differential table: every
-// join path × predicate shape × {unscoped, scoped}. Read a fetch batch
-// at a time (at any size) a path returns the rows it returns row by
-// row; unscoped it returns the nested-loop reference's pairs; scoped it
-// returns exactly the reference pairs whose reference point — taken
-// from geom.MBROf of the two heap rows, not from any index — the scope
-// owns, so the shards of any partition return every pair exactly once.
+// join path × fixture × predicate shape × {unscoped, scoped}. Read a
+// fetch batch at a time (at any size) a path returns the rows it
+// returns row by row; unscoped it returns the nested-loop reference's
+// pairs; scoped it returns exactly the reference pairs whose reference
+// point — taken from geom.MBROf of the two heap rows, not from any
+// index — the scope owns, so the shards of any partition return every
+// pair exactly once. The stars prove each row's pair with itself at
+// emission, the point lattice every pair: both proven routes are
+// owner-filtered like the refined one.
 func TestBatchDrainEqualsRowDrain(t *testing.T) {
-	f := newPathFixture(t, datagen.Stars(300, 41))
+	for _, fx := range []struct {
+		prefix string
+		ds     datagen.Dataset
+	}{
+		{"", datagen.Stars(300, 41)},
+		{"points ", pointDataset(t, "point", latticePoints(5, 300))},
+	} {
+		checkBatchDrain(t, fx.prefix, newPathFixture(t, fx.ds))
+	}
+}
+
+// checkBatchDrain runs the differential over one fixture, naming each
+// leg by prefix and path.
+func checkBatchDrain(t *testing.T, prefix string, f pathFixture) {
 	shardCounts := []int{1, 3, 4}
 	if raceEnabled {
 		// The concurrency under test is the same at every partition;
@@ -149,11 +143,7 @@ func TestBatchDrainEqualsRowDrain(t *testing.T) {
 			return out
 		}
 		for _, p := range f.paths {
-			quad := p.name == "quadtree"
-			if quad && dist > 0 {
-				continue // the tile merge join has no distance predicate
-			}
-			t.Run(fmt.Sprintf("%s/distance=%g", p.name, dist), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s%s/distance=%g", prefix, p.name, dist), func(t *testing.T) {
 				storagetest.CheckBatchEqualsNext(t, p.ordered, func() (storage.Cursor, error) { return p.open(cfg) })
 				cur, err := p.open(cfg)
 				if got := sortedPairs(t, cur, err); !pairsEqual(got, want) {
@@ -164,12 +154,6 @@ func TestBatchDrainEqualsRowDrain(t *testing.T) {
 					for k, own := range stripes(n) {
 						scoped := cfg
 						scoped.Owns = own
-						if quad {
-							if _, err := p.open(scoped); !errors.Is(err, errors.ErrUnsupported) {
-								t.Fatalf("scoped quadtree join: err = %v, want ErrUnsupported", err)
-							}
-							continue
-						}
 						cur, err := p.open(scoped)
 						got := sortedPairs(t, cur, err)
 						if exp := owned(own); !pairsEqual(got, exp) {
@@ -184,7 +168,7 @@ func TestBatchDrainEqualsRowDrain(t *testing.T) {
 						union = append(union, got...)
 					}
 					// Equal as sorted lists: complete and pairwise disjoint.
-					if SortPairs(union); !quad && !pairsEqual(union, want) {
+					if SortPairs(union); !pairsEqual(union, want) {
 						t.Fatalf("%d shards: union has %d pairs, unscoped %d", n, len(union), len(want))
 					}
 				}
@@ -196,10 +180,11 @@ func TestBatchDrainEqualsRowDrain(t *testing.T) {
 // TestScopeFiltersBeforeSecondaryFilter pins where the owner test runs:
 // a scoped join queues strictly fewer candidates than the unscoped one
 // (unowned pairs never reach the secondary filter), and the pairs the
-// interior approximations fast-accept are owner-filtered too.
+// self and points routes prove at emission are owner-filtered too.
 func TestScopeFiltersBeforeSecondaryFilter(t *testing.T) {
-	src := buildInteriorSource(t, "scoped_stats", datagen.Stars(300, 41))
-	run := func(cfg Config) JoinStats {
+	stars := buildSource(t, "scoped_stars", datagen.Stars(300, 41))
+	points := pointTable(t, "scoped_points", "point", latticePoints(5, 300))
+	run := func(src Source, cfg Config) JoinStats {
 		t.Helper()
 		fn, err := NewJoinFunction(src, src, cfg)
 		if err != nil {
@@ -211,32 +196,37 @@ func TestScopeFiltersBeforeSecondaryFilter(t *testing.T) {
 		}
 		return stats
 	}
-	for _, interior := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.UseInteriorApprox = interior
-		all := run(cfg)
-		cfg.Owns = stripes(3)[0]
-		own := run(cfg)
-		if own.Candidates == 0 || own.Candidates >= all.Candidates {
-			t.Errorf("interior=%v: scoped join queued %d candidates, unscoped %d; want strictly fewer", interior, own.Candidates, all.Candidates)
-		}
-		if own.GeomFetches+own.CacheHits >= all.GeomFetches+all.CacheHits {
-			t.Errorf("interior=%v: scoped join looked up %d geometries, unscoped %d", interior, own.GeomFetches+own.CacheHits, all.GeomFetches+all.CacheHits)
-		}
-		if interior && (own.FastAccepts == 0 || own.FastAccepts >= all.FastAccepts) {
-			t.Errorf("scoped join fast-accepted %d pairs, unscoped %d; want a proper subset", own.FastAccepts, all.FastAccepts)
+	cfg := DefaultConfig()
+	all := run(stars, cfg)
+	scoped := cfg
+	scoped.Owns = stripes(3)[0]
+	own := run(stars, scoped)
+	if own.Candidates == 0 || own.Candidates >= all.Candidates {
+		t.Errorf("scoped join queued %d candidates, unscoped %d; want strictly fewer", own.Candidates, all.Candidates)
+	}
+	if own.GeomFetches+own.CacheHits >= all.GeomFetches+all.CacheHits {
+		t.Errorf("scoped join looked up %d geometries, unscoped %d", own.GeomFetches+own.CacheHits, all.GeomFetches+all.CacheHits)
+	}
+	for _, c := range []struct {
+		src Source
+		d   float64
+		r   route
+	}{{stars, 0, routeSelf}, {points, 1.5, routePoints}} {
+		cfg.Distance, scoped.Distance = c.d, c.d
+		all, own := run(c.src, cfg), run(c.src, scoped)
+		if n, m := own.routes[c.r].kept, all.routes[c.r].kept; n == 0 || n >= m {
+			t.Errorf("the %v route: scoped join proved %d pairs, unscoped %d; want a proper subset", c.r, n, m)
 		}
 	}
 }
 
 // TestFetchDrainsFastAcceptsWithoutCandidates covers a refill that
-// yields fast-accepted results but no candidates: a lone polygon's
-// self-pair is proven by its own interior, and the fetch must still
-// return it.
+// yields pairs proven at emission but no candidates: a lone polygon's
+// pair with itself is proven by the self route, and the fetch must
+// still return it.
 func TestFetchDrainsFastAcceptsWithoutCandidates(t *testing.T) {
-	src := buildInteriorSource(t, "lone", datagen.Counties(1, 7))
+	src := buildSource(t, "lone", datagen.Counties(1, 7))
 	cfg := DefaultConfig()
-	cfg.UseInteriorApprox = true
 	fn, err := NewJoinFunction(src, src, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -245,8 +235,8 @@ func TestFetchDrainsFastAcceptsWithoutCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || stats.FastAccepts != 1 || stats.Candidates != 0 {
-		t.Fatalf("lone self-join: %d rows, %d fast accepts, %d candidates; want 1, 1, 0", n, stats.FastAccepts, stats.Candidates)
+	if self := stats.routes[routeSelf].kept; n != 1 || self != 1 || stats.Candidates != 0 {
+		t.Fatalf("lone self-join: %d rows, %d proven by the self route, %d candidates; want 1, 1, 0", n, self, stats.Candidates)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/storage"
-	"spatialtf/internal/telemetry"
 )
 
 // Box-decided candidates. Under ANYINTERACT and within-distance the
@@ -16,8 +15,7 @@ import (
 // fetch the second geometry and run the exact predicate. A self-join
 // proves each row's pair with itself at emission. These tests hold every
 // algorithm to the nested-loop reference on the join_refine shapes and
-// pin that both routes engage — and that the quadtree join, whose
-// candidates carry no MBRs, takes neither.
+// pin that both routes engage.
 
 // boxJoinCase is one join of the differential.
 type boxJoinCase struct {
@@ -93,43 +91,6 @@ func TestBoxDecidedJoinsEqualNestedLoop(t *testing.T) {
 					t.Errorf("%v; want every row's pair with itself (%d) proven at emission", got, c.selfRows)
 				}
 			})
-		}
-	}
-}
-
-// TestQuadtreeJoinIsFullyRefined: the tile merge join's candidates carry
-// empty MBRs, so none is box-decided and no self-pair is proven — every
-// pair it returns went through the exact predicate — and it still
-// returns the nested-loop reference's pairs.
-func TestQuadtreeJoinIsFullyRefined(t *testing.T) {
-	qbg, bg := buildQSource(t, "q_blockgroups", datagen.BlockGroups(150, 1), 5)
-	qc, counties := buildQSource(t, "q_counties", datagen.Counties(64, 3), 5)
-	for _, c := range []struct {
-		name   string
-		qa, qb QSource
-		a, b   Source
-	}{
-		{"blockgroups x counties", qbg, qc, bg, counties},
-		{"counties self", qc, qc, counties, counties},
-	} {
-		cfg := DefaultConfig()
-		reg := telemetry.New()
-		cfg.Instr = NewInstruments(reg)
-		got, err := QuadtreeJoin(c.qa, c.qb, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		SortPairs(got)
-		if want := nestedPairs(t, c.a, c.b, DefaultConfig()); !pairsEqual(got, want) {
-			t.Fatalf("%s: quadtree join %d pairs, nested-loop reference %d", c.name, len(got), len(want))
-		}
-		for _, name := range []string{"join_box_hits_total", "join_box_misses_total", "join_fast_accepts_total"} {
-			if n := lookupValue(t, reg, name); n != 0 {
-				t.Errorf("%s: %s = %d, want 0", c.name, name, n)
-			}
-		}
-		if n := lookupValue(t, reg, "join_candidates_total"); n < int64(len(got)) {
-			t.Errorf("%s: %d candidates for %d results", c.name, n, len(got))
 		}
 	}
 }

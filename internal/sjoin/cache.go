@@ -28,8 +28,7 @@ const geomCacheShards = 16
 // can never go stale.
 //
 // All methods are safe for concurrent use; a cache may be shared across
-// joins, join instances, and index kinds (the R-tree and quadtree joins
-// both fetch through it).
+// joins, their parallel instances and the nested-loop reference.
 type GeomCache struct {
 	shards [geomCacheShards]geomShard
 	hits   atomic.Int64

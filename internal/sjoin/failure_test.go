@@ -79,7 +79,7 @@ func TestIndexJoinSurfacesFetchErrors(t *testing.T) {
 // TestIndexJoinSkipsDeletedRows: a row deleted behind the index's back
 // drops out of every pair that fetches it, and the rest of the result
 // is untouched. A pair decided from the row's index entry alone — the
-// row with itself, or its leaf MBR inside its partner (DESIGN.md §22) —
+// row with itself, or its leaf MBR inside its partner (DESIGN.md §21) —
 // never fetches it and is returned from the entry.
 func TestIndexJoinSkipsDeletedRows(t *testing.T) {
 	src := buildSource(t, "deleted", datagen.Stars(200, 301))

@@ -17,6 +17,11 @@ import (
 // JoinFunction.flushStats): the hot loops keep bumping plain ints in
 // JoinStats and the registry sees the accumulated delta once per fetch
 // batch, which keeps the per-candidate cost at zero.
+//
+// Four counters are read off JoinStats' per-route vector (DESIGN.md
+// §21): FastAccepts is what the self and points routes proved at
+// emission, BoxHits / BoxMisses what the box route decided without
+// refining, and Mirrored the mirror images the mirror route returned.
 type Instruments struct {
 	NodePairs    *telemetry.Counter
 	NodeAccesses *telemetry.Counter
@@ -24,13 +29,9 @@ type Instruments struct {
 	Results      *telemetry.Counter
 	GeomFetches  *telemetry.Counter
 	FastAccepts  *telemetry.Counter
-	// BoxHits / BoxMisses count candidates decided by one side's leaf
-	// MBR against the other side's geometry.
-	BoxHits   *telemetry.Counter
-	BoxMisses *telemetry.Counter
-	// Mirrored counts self-join results returned as the mirror image of
-	// a pair the secondary filter accepted.
-	Mirrored *telemetry.Counter
+	BoxHits      *telemetry.Counter
+	BoxMisses    *telemetry.Counter
+	Mirrored     *telemetry.Counter
 	// TilesSwept counts grid tiles swept by the grid-partitioned path.
 	TilesSwept *telemetry.Counter
 	// Stage latencies, observed per batch-granular section: one
@@ -55,7 +56,7 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 		Candidates:   reg.NewCounter("join_candidates_total", "primary-filter survivors queued for the secondary filter"),
 		Results:      reg.NewCounter("join_results_total", "exact-predicate survivors returned"),
 		GeomFetches:  reg.NewCounter("join_geom_fetches_total", "base-table geometry fetches by the secondary filter"),
-		FastAccepts:  reg.NewCounter("join_fast_accepts_total", "pairs proven from index data alone (interior approximations, point MBRs or a row paired with itself)"),
+		FastAccepts:  reg.NewCounter("join_fast_accepts_total", "pairs proven from index data alone (point MBRs or a row paired with itself)"),
 		BoxHits:      reg.NewCounter("join_box_hits_total", "candidates whose leaf MBR lies inside the other side's geometry (true hits)"),
 		BoxMisses:    reg.NewCounter("join_box_misses_total", "candidates whose leaf MBR lies beyond the predicate's reach of the other side's geometry (true misses)"),
 		Mirrored:     reg.NewCounter("join_mirrored_total", "self-join results returned as the mirror image of an accepted pair, neither emitted nor refined"),
@@ -129,10 +130,11 @@ func (j *JoinFunction) flushStats() {
 	in.Candidates.Add(int64(cur.Candidates - prev.Candidates))
 	in.Results.Add(int64(cur.Results - prev.Results))
 	in.GeomFetches.Add(int64(cur.GeomFetches - prev.GeomFetches))
-	in.FastAccepts.Add(int64(cur.FastAccepts - prev.FastAccepts))
-	in.BoxHits.Add(int64(cur.BoxHits - prev.BoxHits))
-	in.BoxMisses.Add(int64(cur.BoxMisses - prev.BoxMisses))
-	in.Mirrored.Add(int64(cur.Mirrored - prev.Mirrored))
+	cr, pr := &cur.routes, &prev.routes
+	in.FastAccepts.Add(int64(cr[routeSelf].kept + cr[routePoints].kept - pr[routeSelf].kept - pr[routePoints].kept))
+	in.BoxHits.Add(int64(cr[routeBox].kept - pr[routeBox].kept))
+	in.BoxMisses.Add(int64(cr[routeBox].dropped - pr[routeBox].dropped))
+	in.Mirrored.Add(int64(cr[routeMirror].kept - pr[routeMirror].kept))
 	in.TilesSwept.Add(int64(cur.TilesSwept - prev.TilesSwept))
 	j.flushed = cur
 }

@@ -49,11 +49,21 @@ func TestInstrumentsMatchJoinStats(t *testing.T) {
 		{"join_candidates_total", stats.Candidates},
 		{"join_results_total", stats.Results},
 		{"join_geom_fetches_total", stats.GeomFetches},
-		{"join_fast_accepts_total", stats.FastAccepts},
+		{"join_fast_accepts_total", stats.routes[routeSelf].kept + stats.routes[routePoints].kept},
+		{"join_box_hits_total", stats.routes[routeBox].kept},
+		{"join_box_misses_total", stats.routes[routeBox].dropped},
+		{"join_mirrored_total", stats.routes[routeMirror].kept},
 	} {
 		if got := lookupValue(t, reg, c.name); got != int64(c.want) {
 			t.Errorf("%s = %d, want %d (JoinStats)", c.name, got, c.want)
 		}
+	}
+	kept := 0
+	for _, c := range stats.routes {
+		kept += c.kept
+	}
+	if kept != stats.Results {
+		t.Errorf("the routes kept %d pairs, Results = %d", kept, stats.Results)
 	}
 	// Stage histograms observed at batch granularity: at least one
 	// primary refill and one secondary drain happened.

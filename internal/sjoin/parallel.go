@@ -199,6 +199,6 @@ func ParallelIndexJoin(a, b Source, cfg Config, workers int) (storage.Cursor, er
 	}
 	parts := dealPairs(SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg), workers)
 	return runInstances(a, b, cfg, len(parts), func(i int) candSource {
-		return newTreeSource(parts[i], cfg)
+		return &treeSource{roots: parts[i]}
 	}), nil
 }

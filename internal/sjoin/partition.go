@@ -186,6 +186,8 @@ func (gs *gridState) claim() int {
 // each copy with its class. expand widens the rectangles for tile
 // assignment and class computation (the distance-join expansion of the
 // first side); the stored coordinates stay unexpanded.
+//
+//spatiallint:hot
 func assignGrid(dense []gridTile, g Grid, items []rtree.Item, expand float64, sideA bool) {
 	for _, it := range items {
 		c0 := g.ColOf(it.MBR.MinX - expand)
@@ -288,6 +290,8 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 // two classes OR to classBoth, and — for distance joins — the exact
 // rectangle distance is within d. Identical structure to sweepPair;
 // both lists are already in xlo order.
+//
+//spatiallint:hot
 func (gs *gridState) sweepTile(t *gridTile, emit func(a, b *tileEntry)) {
 	d := gs.d
 	ea, eb := t.ra, t.rb
@@ -345,6 +349,8 @@ func (s gridSource) start() {}
 // refill claims and sweeps tiles until the refill has no room left or
 // the queue is exhausted. A tile is swept whole, so the candidate array
 // and the ready queue can overshoot CandidateCap by one tile's pairs.
+//
+//spatiallint:hot
 func (s gridSource) refill(j *JoinFunction) {
 	for j.room() > 0 {
 		ti := s.gs.claim()
@@ -354,7 +360,7 @@ func (s gridSource) refill(j *JoinFunction) {
 		//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per tile sweep not per row
 		end := j.span(telemetry.StageTileSweep)
 		s.gs.sweepTile(&s.gs.tiles[ti], func(a, b *tileEntry) {
-			j.emit(Pair{A: a.id, B: b.id}, a.MBR, b.MBR, false)
+			j.emit(Pair{A: a.id, B: b.id}, a.MBR, b.MBR)
 		})
 		end()
 		j.stats.TilesSwept++

@@ -45,6 +45,12 @@ func latticePoints(seed int64, n int) []geom.Point {
 // indexes it.
 func pointTable(t testing.TB, name, kind string, pts []geom.Point) Source {
 	t.Helper()
+	return buildSource(t, name, pointDataset(t, kind, pts))
+}
+
+// pointDataset shapes one geometry per coordinate by kind.
+func pointDataset(t testing.TB, kind string, pts []geom.Point) datagen.Dataset {
+	t.Helper()
 	geoms := make([]geom.Geometry, len(pts))
 	for i, p := range pts {
 		pt := geom.NewPoint(p.X, p.Y)
@@ -66,7 +72,7 @@ func pointTable(t testing.TB, name, kind string, pts []geom.Point) Source {
 			t.Fatal(err)
 		}
 	}
-	return buildSource(t, name, datagen.Dataset{Name: name, Geoms: geoms, Bounds: pointExtent})
+	return datagen.Dataset{Name: kind, Geoms: geoms, Bounds: pointExtent}
 }
 
 // pointJoinCase is one operand pair of the point differential.

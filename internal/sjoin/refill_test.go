@@ -6,18 +6,17 @@ import (
 
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/geom"
-	"spatialtf/internal/quadtree"
 	"spatialtf/internal/storage"
 )
 
 // Bounded pipelining. A refill stops once the candidate array and the
 // ready queue together hold CandidateCap pairs, so a join whose pairs
-// are proven from the index (interior fast accepts, point MBRs) stays a
-// pipeline instead of materialising its result in one refill.
+// are proven from the index (point MBRs, a row paired with itself)
+// stays a pipeline instead of materialising its result in one refill.
 
 // overlappingSquares returns n squares of side 100 with lower-left
-// corners in [0, 50)²: every two overlap by at least 50 × 50, so their
-// interior approximations prove every pair.
+// corners in [0, 50)²: every two overlap by at least 50 × 50, so every
+// pair is a result.
 func overlappingSquares(t testing.TB, seed int64, n int) datagen.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -36,18 +35,22 @@ func overlappingSquares(t testing.TB, seed int64, n int) datagen.Dataset {
 // TestFastAcceptsRespectCandidateCap fetches a tree self-join one row
 // at a time: the ready queue may never hold more than CandidateCap plus
 // the pairs of the one node pair that crossed it. The fast-accept leg
-// proves every pair from the index; the refined leg refines every
-// pair, each once, and returns it in both orientations (the mirror
-// route, whose candidates count twice against the cap).
+// proves every pair at emission (the points and self routes); the
+// refined leg refines every pair, each once, and returns it in both
+// orientations (the mirror route, whose candidates count twice against
+// the cap).
 func TestFastAcceptsRespectCandidateCap(t *testing.T) {
-	src := buildInteriorSource(t, "squares", overlappingSquares(t, 9, 200))
+	points := pointTable(t, "points", "point", latticePoints(9, 1000))
+	squares := buildSource(t, "squares", overlappingSquares(t, 9, 200))
 	for _, leg := range []struct {
-		name     string
-		interior bool
-	}{{"fast accepts", true}, {"refined self-join", false}} {
+		name string
+		src  Source
+		d    float64
+	}{{"fast accepts", points, 1.5}, {"refined self-join", squares, 0}} {
 		t.Run(leg.name, func(t *testing.T) {
+			src := leg.src
 			cfg := DefaultConfig()
-			cfg.UseInteriorApprox = leg.interior
+			cfg.Distance = leg.d
 			cfg.CandidateCap = 16
 			fn, err := NewJoinFunction(src, src, cfg)
 			if err != nil {
@@ -77,12 +80,14 @@ func TestFastAcceptsRespectCandidateCap(t *testing.T) {
 				}
 			}
 			st := fn.Stats()
-			decided := st.FastAccepts
-			if !leg.interior {
-				decided = st.Mirrored
-				if st.FastAccepts != src.Table.Len() || 2*st.Mirrored != st.Results-st.FastAccepts {
-					t.Errorf("%+v; want only the self pairs proven, and every refined pair mirrored", st)
+			self, decided := st.routes[routeSelf].kept, st.routes[routeMirror].kept
+			if leg.d > 0 {
+				decided = self + st.routes[routePoints].kept
+				if st.Candidates != 0 {
+					t.Errorf("%+v; want every pair proven at emission", st)
 				}
+			} else if self != src.Table.Len() || 2*decided != st.Results-self {
+				t.Errorf("%+v; want only the self pairs proven, and every refined pair mirrored", st)
 			}
 			if decided <= bound {
 				t.Fatalf("%+v; the fixture must decide more pairs than the bound %d", st, bound)
@@ -103,7 +108,7 @@ func TestFastAcceptsRespectCandidateCap(t *testing.T) {
 // a candidate counting as the two pairs it returns, so the node pair
 // that crosses the cap adds at most twice its own pairs.
 func TestMirroredRefillCountsTwice(t *testing.T) {
-	src := buildInteriorSource(t, "squares", overlappingSquares(t, 9, 200))
+	src := buildSource(t, "squares", overlappingSquares(t, 9, 200))
 	cfg := DefaultConfig()
 	fn, err := NewJoinFunction(src, src, cfg)
 	if err != nil {
@@ -116,9 +121,9 @@ func TestMirroredRefillCountsTwice(t *testing.T) {
 	fn.src.refill(fn)
 	cap, pair := fn.cfg.CandidateCap, src.Tree.MaxEntries()*src.Tree.MaxEntries()
 	queued := 2*(len(fn.cands)+len(fn.boxed)) + len(fn.ready)
-	if !fn.mirror || queued < cap || queued > cap+2*pair {
+	if mirror := fn.routes.has(routeMirror); !mirror || queued < cap || queued > cap+2*pair {
 		t.Fatalf("mirror %v: the first refill queued %d candidates and %d proven pairs (%d counted); want between CandidateCap %d and %d",
-			fn.mirror, len(fn.cands)+len(fn.boxed), len(fn.ready), queued, cap, cap+2*pair)
+			mirror, len(fn.cands)+len(fn.boxed), len(fn.ready), queued, cap, cap+2*pair)
 	}
 }
 
@@ -174,39 +179,5 @@ func TestGridPointJoinSharesTiles(t *testing.T) {
 	SortPairs(got)
 	if want := nestedPairs(t, src, src, cfg); !pairsEqual(got, want) {
 		t.Fatalf("%d pairs, nested-loop reference %d", len(got), len(want))
-	}
-}
-
-// TestQuadtreePointJoinEqualsNestedLoop guards the quadtree source's
-// MBRs: tile codes carry none, so it must emit empty MBRs — a zero MBR
-// is a point at the origin and would "prove" every pair sharing a tile.
-// The fixture includes two points that share a tile and do not meet.
-func TestQuadtreePointJoinEqualsNestedLoop(t *testing.T) {
-	pts := append(latticePoints(11, 150), geom.Point{X: 1, Y: 1}, geom.Point{X: 2, Y: 2}, geom.Point{X: 1, Y: 1})
-	geoms := make([]geom.Geometry, len(pts))
-	for i, p := range pts {
-		geoms[i] = geom.NewPoint(p.X, p.Y)
-	}
-	// Level 3 over pointExtent: 5-unit tiles, so (1, 1) and (2, 2) share one.
-	qs, s := buildQSource(t, "quad_points", datagen.Dataset{Name: "quad_points", Geoms: geoms, Bounds: pointExtent}, 3)
-	cfg := DefaultConfig()
-	want := nestedPairs(t, s, s, cfg)
-	shared := map[Pair]bool{}
-	if err := quadtree.TilePairs(qs.Index, qs.Index, func(a, b storage.RowID) bool {
-		shared[Pair{A: a, B: b}] = true
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(shared) <= len(want) {
-		t.Fatalf("fixture: %d tile-sharing pairs, %d results; want a tile-sharing non-result", len(shared), len(want))
-	}
-	got, err := QuadtreeJoin(qs, qs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SortPairs(got)
-	if !pairsEqual(got, want) {
-		t.Fatalf("quadtree join %d pairs, nested-loop reference %d", len(got), len(want))
 	}
 }

@@ -36,8 +36,6 @@ type JoinFunction struct {
 	// indexed by side: 0 is A, 1 is B.
 	tabs [2]*storage.Table
 	cols [2]int
-	// self: both sides are the same column of the same table.
-	self bool
 
 	// Decoded-geometry cache consulted by the secondary filter (nil when
 	// disabled). Shared across instances when Config.GeomCache is set.
@@ -46,17 +44,8 @@ type JoinFunction struct {
 	// The algorithm's primary filter.
 	src candSource
 
-	// pointsDecided: the predicate (ANYINTERACT, or within-distance)
-	// depends only on the two point sets, so emit proves a pair whose
-	// leaf MBRs are both points from the test its source already made, or
-	// that pairs a row with itself, and the secondary filter may decide a
-	// candidate from one side's leaf MBR (geom.BoxSide).
-	pointsDecided bool
-	// mirror: an unscoped self-join under a symmetric predicate over a
-	// source that carries MBRs. Its source emits every candidate in both
-	// orientations, so emit keeps only (a, b) with a < b and the secondary
-	// filter returns (b, a) beside every (a, b) it accepts (DESIGN.md §23).
-	mirror bool
+	// The proof routes whose per-join conditions hold (routes.go).
+	routes routeSet
 
 	// Candidate arrays (primary-filter output awaiting the secondary
 	// filter): boxed holds the candidates it tests by a leaf MBR first,
@@ -121,11 +110,11 @@ type candSource interface {
 // count against it like candidates: a join whose every pair is proven
 // from the index would otherwise fill no candidate array, run its whole
 // source in one refill and materialise the result in ready — and the
-// first grid instance would claim every tile. A candidate of the
-// mirror route counts twice: it returns both orientations.
+// first grid instance would claim every tile. Under the mirror route a
+// candidate counts twice: it returns both orientations.
 func (j *JoinFunction) room() int {
 	queued := len(j.cands) + len(j.boxed)
-	if j.mirror {
+	if j.routes.has(routeMirror) {
 		queued *= 2
 	}
 	return j.cfg.CandidateCap - queued - len(j.ready)
@@ -140,28 +129,21 @@ type JoinStats struct {
 	// The synchronized tree join reads the two nodes of each visited
 	// pair; the nested loop re-descends the inner index per outer row.
 	NodeAccesses int
-	// Candidates counts primary-filter survivors.
+	// Candidates counts the primary-filter survivors queued for the
+	// secondary filter (the box and refine routes).
 	Candidates int
-	// Results counts exact-predicate survivors.
+	// Results counts the pairs returned.
 	Results int
 	// GeomFetches counts base-table geometry fetches in the secondary
 	// filter (cache hits on the sorted outer side avoid fetches).
 	GeomFetches int
-	// FastAccepts counts pairs proven from index data alone (interior
-	// approximations, point MBRs, or a row paired with itself), skipping
-	// the secondary filter entirely; they count in Results, not in
-	// Candidates.
-	FastAccepts int
-	// BoxHits / BoxMisses count candidates the secondary filter decided
-	// from one side's leaf MBR against the other side's geometry
-	// (geom.BoxSide), without fetching the MBR's own row: true hits
-	// (also in Results) and true misses.
-	BoxHits   int
-	BoxMisses int
-	// Mirrored counts the results a self-join returned as the mirror
-	// image of a pair it accepted, without emitting or refining them
-	// (also in Results, not in Candidates).
-	Mirrored int
+	// routes counts, per proof route, the pairs it returned (kept: the
+	// self and point proofs, the mirror images, the box hits, the
+	// refined pairs that passed) and dropped (the owner test's unowned
+	// pairs, the box misses, the refined pairs that failed). The kept
+	// counts sum to Results; registry counters are fed from it
+	// (flushStats).
+	routes [numRoutes]routeCount
 	// CacheHits / CacheMisses count decoded-geometry cache lookups by
 	// the secondary filter (both zero when the cache is disabled).
 	CacheHits   int
@@ -173,29 +155,20 @@ type JoinStats struct {
 
 // newJoinFn builds the evaluator over one candidate source.
 func newJoinFn(a, b Source, cfg Config, src candSource) (*JoinFunction, error) {
-	colA, err := a.geomColumn()
-	if err != nil {
-		return nil, err
-	}
-	colB, err := b.geomColumn()
+	colA, colB, self, err := geomColumns(a, b)
 	if err != nil {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	self := a.Table == b.Table && colA == colB
-	// Tile codes carry no MBRs: the quadtree source takes no route.
-	_, tiles := src.(*quadSource)
 	return &JoinFunction{
-		cfg:           cfg,
-		tabs:          [2]*storage.Table{a.Table, b.Table},
-		cols:          [2]int{colA, colB},
-		self:          self,
-		cache:         cfg.resolveCache(),
-		src:           src,
-		pointsDecided: cfg.Distance > 0 || cfg.Mask == geom.MaskAnyInteract,
-		mirror:        self && (cfg.Distance > 0 || cfg.Mask.Symmetric()) && cfg.Owns == nil && !tiles,
-		instr:         cfg.Instr,
-		trace:         cfg.Trace,
+		cfg:    cfg,
+		tabs:   [2]*storage.Table{a.Table, b.Table},
+		cols:   [2]int{colA, colB},
+		routes: resolveRoutes(cfg, self),
+		cache:  cfg.resolveCache(),
+		src:    src,
+		instr:  cfg.Instr,
+		trace:  cfg.Trace,
 	}, nil
 }
 
@@ -210,6 +183,8 @@ func (j *JoinFunction) Start() error {
 
 // Fetch implements TableFunction: resume the join from its source and
 // append up to max result pairs to b.
+//
+//spatiallint:hot
 func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 	for n := 0; n < max; {
 		// Drain verified results first.
@@ -241,53 +216,32 @@ func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 
 // emit is the one exit of every primary filter: p survived the index
 // MBR test of its source, a and b are the two leaf-entry MBRs it
-// survived on. The owner test of a scoped join (Config.Owns) is applied
-// here, to the pair's reference point, ahead of both routes out — the
-// ready queue for a pair proven from index data alone, a candidate
-// array for the rest — so an unowned pair costs neither a geometry
-// fetch nor an exact predicate, and a proven pair is owner-filtered
-// like any other. A pair is proven when its source says so (the
-// interior-approximation fast accept) or, under a point-set predicate,
-// when both leaf MBRs are points — a valid geometry whose MBR is a
-// point is that point, and every source has already applied the exact
-// point test (MBR intersection, or the rectangle distance computed over
-// the same differences as geom.WithinDistance) before emitting — or
-// when a self-join pairs a row with itself: a valid geometry meets
-// itself. Under the mirror route a candidate (a, b) with a > b is
-// dropped: its mirror image (b, a) is emitted too, and decides both. A
-// candidate whose smaller leaf MBR, grown by the reach, is small beside
-// the other goes to the boxed array with that box for the secondary
-// filter's box test. A source without MBRs (the quadtree's empty ones)
-// takes no route: every one of its candidates is refined.
-func (j *JoinFunction) emit(p Pair, a, b geom.MBR, proven bool) {
-	if own := j.cfg.Owns; own != nil && !own(PairRefPoint(a, b, j.cfg.Distance)) {
-		return
-	}
-	if proven || j.pointsDecided && (a.IsPoint() && b.IsPoint() || j.self && p.A == p.B && !a.IsEmpty()) {
+// survived on. It settles p by its proof route (classify): dropped
+// (owner, mirror), proven into the ready queue (self, points), or
+// queued for the secondary filter (box, refine). The owner test thus
+// runs ahead of every other route, so an unowned pair costs neither a
+// geometry fetch nor an exact predicate, and a proven pair is
+// owner-filtered like any other.
+//
+//spatiallint:hot
+func (j *JoinFunction) emit(p Pair, a, b geom.MBR) {
+	switch r := j.classify(p, a, b); r {
+	case routeOwner:
+		j.stats.routes[r].dropped++
+	case routeMirror:
+		// Dropped: the twin (b, a) is emitted too, and decides both.
+	case routeSelf, routePoints:
 		j.ready = append(j.ready, p)
 		j.stats.Results++
-		j.stats.FastAccepts++
-		return
+		j.stats.routes[r].kept++
+	case routeBox:
+		j.stats.Candidates++
+		box, _, big := boxOf(a, b)
+		j.boxed = append(j.boxed, boxCand{p, box, big})
+	case routeRefine:
+		j.stats.Candidates++
+		j.cands = append(j.cands, p)
 	}
-	if j.mirror && p.B.Less(p.A) {
-		return
-	}
-	j.stats.Candidates++
-	if j.pointsDecided {
-		box, other, big := a, b, uint8(1)
-		if a.Area() > b.Area() {
-			box, other, big = b, a, 0
-		}
-		// The test pays only for a box small beside its partner — grown
-		// by the reach, at most half the other MBR's width and height;
-		// a larger one is rarely clear of the partner's boundary, and is
-		// refined without it (DESIGN.md §22).
-		if w := box.Expand(j.cfg.Distance); 2*w.Width() <= other.Width() && 2*w.Height() <= other.Height() {
-			j.boxed = append(j.boxed, boxCand{p, box, big})
-			return
-		}
-	}
-	j.cands = append(j.cands, p)
 }
 
 // flushGeomSpans moves the pending sampled geometry-fetch spans to the
@@ -321,16 +275,6 @@ type treeSource struct {
 	// Plane-sweep scratch: the two entry lists of the current node pair,
 	// sorted by low x. Reused across node pairs to avoid allocation.
 	sweepA, sweepB []sweepEntry
-	// fastAccept: the interior-approximation fast accept applies (an
-	// ANYINTERACT join with Config.UseInteriorApprox set).
-	fastAccept bool
-}
-
-func newTreeSource(roots []PairOfRoots, cfg Config) *treeSource {
-	return &treeSource{
-		roots:      roots,
-		fastAccept: cfg.UseInteriorApprox && cfg.Distance == 0 && cfg.Mask == geom.MaskAnyInteract,
-	}
 }
 
 // sweepEntry is one node slot in plane-sweep order: its rectangle plus
@@ -348,10 +292,13 @@ func (s *treeSource) start() {
 // refill runs the synchronized R-tree traversal until the refill has no
 // room left or the stack empties — the primary (index MBR) filter. One
 // node pair is expanded whole, so the candidate array and the ready
-// queue can overshoot CandidateCap by one node pair's entry pairs. Equal-height node pairs are intersected either by a forward
-// plane sweep over xlo-sorted entry lists (O(n log n + output) instead
-// of the O(n·m) nested scan) or, below Config.SweepThreshold, by the
-// nested scan.
+// queue can overshoot CandidateCap by one node pair's entry pairs.
+// Equal-height node pairs are intersected either by a forward plane
+// sweep over xlo-sorted entry lists (O(n log n + output) instead of the
+// O(n·m) nested scan) or, below Config.SweepThreshold, by the nested
+// scan.
+//
+//spatiallint:hot
 func (s *treeSource) refill(j *JoinFunction) {
 	if len(s.stack) == 0 {
 		return
@@ -369,14 +316,14 @@ func (s *treeSource) refill(j *JoinFunction) {
 		case a.IsLeaf() && b.IsLeaf():
 			if sweep {
 				s.sweepPair(j.cfg.Distance, a, b, func(e, o *sweepEntry) {
-					s.leafPair(j, a, b, int(e.idx), int(o.idx), e.MBR, o.MBR)
+					j.emit(Pair{A: a.EntryID(int(e.idx)), B: b.EntryID(int(o.idx))}, e.MBR, o.MBR)
 				})
 			} else {
 				for i := 0; i < a.NumEntries(); i++ {
 					ma := a.EntryMBR(i)
 					for k := 0; k < b.NumEntries(); k++ {
 						if mb := b.EntryMBR(k); j.cfg.primaryAccepts(ma, mb) {
-							s.leafPair(j, a, b, i, k, ma, mb)
+							j.emit(Pair{A: a.EntryID(i), B: b.EntryID(k)}, ma, mb)
 						}
 					}
 				}
@@ -415,24 +362,6 @@ func (s *treeSource) refill(j *JoinFunction) {
 	end()
 }
 
-// leafPair emits one primary-filter survivor of a leaf×leaf node pair,
-// marking it proven when the interior approximations of the two entries
-// show the geometries intersect.
-func (s *treeSource) leafPair(j *JoinFunction, a, b rtree.NodeRef, ai, bi int, ma, mb geom.MBR) {
-	proven := false
-	if s.fastAccept {
-		ia := a.EntryInterior(ai)
-		ib := b.EntryInterior(bi)
-		// Interior rectangles are subsets of the exact geometries, so
-		// any of these conditions proves intersection without a
-		// geometry fetch.
-		proven = (ia.Area() > 0 && ib.Area() > 0 && ia.Intersects(ib)) ||
-			(ia.Area() > 0 && ia.Contains(mb)) ||
-			(ib.Area() > 0 && ib.Contains(ma))
-	}
-	j.emit(Pair{A: a.EntryID(ai), B: b.EntryID(bi)}, ma, mb, proven)
-}
-
 // sweepPair runs a forward plane sweep over the entries of nodes a and
 // b, calling emit once for every entry pair accepted by the primary
 // filter — the same pair set, in a different order, as the nested scan.
@@ -444,6 +373,8 @@ func (s *treeSource) leafPair(j *JoinFunction, a, b rtree.NodeRef, ai, bi int, m
 // necessary but not sufficient (corner-to-corner distance exceeds
 // either axis gap), so survivors take the exact MBR-distance check
 // before emission.
+//
+//spatiallint:hot
 func (s *treeSource) sweepPair(d float64, a, b rtree.NodeRef, emit func(ea, eb *sweepEntry)) {
 	s.sweepA = fillSweep(s.sweepA, a)
 	s.sweepB = fillSweep(s.sweepB, b)
@@ -550,6 +481,8 @@ func (j *JoinFunction) sortCandidates() {
 // cache, so repeated rowids — across candidate batches, join sides of a
 // self-join, or parallel instances sharing a cache — skip the
 // base-table decode entirely.
+//
+//spatiallint:hot
 func (j *JoinFunction) secondaryFilter() error {
 	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per drain not per row
 	endDrain := j.span(telemetry.StageSecondary)
@@ -592,10 +525,10 @@ func (j *JoinFunction) secondaryFilter() error {
 func (j *JoinFunction) accept(p Pair) {
 	j.ready = append(j.ready, p)
 	j.stats.Results++
-	if j.mirror && p.A != p.B {
+	if j.routes.has(routeMirror) && p.A != p.B {
 		j.ready = append(j.ready, Pair{A: p.B, B: p.A})
 		j.stats.Results++
-		j.stats.Mirrored++
+		j.stats.routes[routeMirror].kept++
 	}
 }
 
@@ -630,7 +563,7 @@ func (j *JoinFunction) sideGeom(last *[2]fetched, p Pair, s uint8) (geom.Geometr
 
 // decide evaluates a boxed candidate: it fetches the side with the
 // larger leaf MBR and classifies the box against that geometry
-// (geom.BoxSide, DESIGN.md §22); only when that decides nothing is the
+// (geom.BoxSide, DESIGN.md §21); only when that decides nothing is the
 // candidate refined. A row deleted since the statement started drops
 // the candidate where it is fetched (fetchGeom), and goes unseen where
 // its box decides.
@@ -643,10 +576,10 @@ func (j *JoinFunction) decide(c *boxCand, last *[2]fetched) (bool, error) {
 	}
 	switch geom.BoxSide(c.box, g, j.cfg.Distance) {
 	case 1:
-		j.stats.BoxHits++
+		j.stats.routes[routeBox].kept++
 		return true, nil
 	case -1:
-		j.stats.BoxMisses++
+		j.stats.routes[routeBox].dropped++
 		return false, nil
 	}
 	return j.refine(c.Pair, last)
@@ -664,7 +597,13 @@ func (j *JoinFunction) refine(p Pair, last *[2]fetched) (bool, error) {
 	if err != nil || !live {
 		return false, err
 	}
-	return j.cfg.secondaryAccepts(ga, gb), nil
+	ok := j.cfg.secondaryAccepts(ga, gb)
+	if ok {
+		j.stats.routes[routeRefine].kept++
+	} else {
+		j.stats.routes[routeRefine].dropped++
+	}
+	return ok, nil
 }
 
 // geomSampleMask times one geometry fetch in 16 and scales the sampled
@@ -678,10 +617,12 @@ const geomSampleMask = 15
 // (Table.Delete removes the heap row before the index hook waits for
 // the join's pin), so it reports the row not live and the secondary
 // filter drops the candidate — read committed per fetch, as at every
-// other place a statement fetches a row it resolved earlier. When a per-query trace is attached,
-// fetches are counted exactly but timed by sampling: the pending totals
-// sit in plain per-instance fields and reach the shared trace through
-// flushGeomSpans once per drain.
+// other place a statement fetches a row it resolved earlier. When a
+// per-query trace is attached, fetches are counted exactly but timed by
+// sampling: the pending totals sit in plain per-instance fields and
+// reach the shared trace through flushGeomSpans once per drain.
+//
+//spatiallint:hot
 func (j *JoinFunction) fetchGeom(tab *storage.Table, col int, id storage.RowID) (geom.Geometry, bool, error) {
 	var t0 time.Time
 	sampled := false
@@ -781,5 +722,5 @@ func NewJoinFunction(a, b Source, cfg Config) (*JoinFunction, error) {
 	if a.Tree.Len() > 0 && b.Tree.Len() > 0 {
 		roots = []PairOfRoots{{a.Tree.Root(), b.Tree.Root()}}
 	}
-	return newJoinFn(a, b, cfg, newTreeSource(roots, cfg))
+	return newJoinFn(a, b, cfg, &treeSource{roots: roots})
 }

@@ -69,7 +69,7 @@ func Simulate(a, b Source, cfg Config, algo Algo, workers int) (SimResult, error
 	switch algo {
 	case AlgoSubtree:
 		for _, part := range dealPairs(SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg), workers) {
-			units = append(units, newTreeSource(part, cfg))
+			units = append(units, &treeSource{roots: part})
 		}
 	case AlgoGrid:
 		gs := buildGridState(a, b, cfg, workers)

@@ -14,8 +14,6 @@
 //     subtree-pair cross product on each parallel instance.
 //   - GridParallelJoin — a uniform tile grid whose tiles the parallel
 //     instances claim dynamically and plane-sweep.
-//   - QuadtreeJoin — the tile merge join of two linear quadtrees
-//     (extension).
 //
 // NestedLoop — the pre-9i baseline: iterate the first table and run an
 // index-assisted spatial query on the second table per row — is kept
@@ -79,6 +77,18 @@ func (s Source) geomColumn() (int, error) {
 	return col, nil
 }
 
+// geomColumns resolves both operands' geometry columns; self reports
+// that they are the same column of the same table.
+func geomColumns(a, b Source) (colA, colB int, self bool, err error) {
+	if colA, err = a.geomColumn(); err != nil {
+		return 0, 0, false, err
+	}
+	if colB, err = b.geomColumn(); err != nil {
+		return 0, 0, false, err
+	}
+	return colA, colB, a.Table == b.Table && colA == colB, nil
+}
+
 // DefaultCandidateCap bounds the in-memory candidate array of the
 // two-stage join — the paper's "size of this array is determined by
 // existing memory resources". When the array fills, the primary filter
@@ -106,13 +116,6 @@ type Config struct {
 	// FetchBatch is the table-function fetch size (0 = framework
 	// default).
 	FetchBatch int
-	// UseInteriorApprox enables the interior-approximation fast accept
-	// (Kothuri & Ravada, SSTD 2001): leaf-entry pairs whose interior
-	// rectangles overlap — or where one interior contains the other's
-	// MBR — are emitted as results without fetching exact geometries.
-	// Only applies to ANYINTERACT joins (Distance == 0) on indexes
-	// built with interior approximations; a no-op otherwise.
-	UseInteriorApprox bool
 	// SweepThreshold is the minimum combined entry count of a node pair
 	// for the forward plane sweep over xlo-sorted entry lists to engage
 	// (0 = DefaultSweepThreshold). Below it the nested entry-pair scan

@@ -336,27 +336,3 @@ func TestGeomCacheEviction(t *testing.T) {
 		t.Fatalf("hit counter did not advance")
 	}
 }
-
-// TestQuadtreeJoinCacheIdentical covers the second index kind: the tile
-// merge join must return the same pairs with the cache disabled and
-// enabled.
-func TestQuadtreeJoinCacheIdentical(t *testing.T) {
-	qa, _ := buildQSource(t, "qc_a", datagen.Counties(150, 61), 7)
-	qb, _ := buildQSource(t, "qc_b", datagen.Stars(300, 62), 7)
-
-	off := DefaultConfig()
-	off.GeomCacheBytes = -1
-	pOff, err := QuadtreeJoin(qa, qb, off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pOn, err := QuadtreeJoin(qa, qb, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	SortPairs(pOff)
-	SortPairs(pOn)
-	if !pairsEqual(pOn, pOff) {
-		t.Fatalf("quadtree cache-on join produced %d pairs, cache-off %d", len(pOn), len(pOff))
-	}
-}

@@ -296,6 +296,7 @@ func (c *projectCursor) Next() (storage.RowID, storage.Row, bool, error) {
 	return c.it.Next(c)
 }
 
+//spatiallint:hot
 func (c *projectCursor) NextBatch(b *storage.Batch, max int) error {
 	first := len(b.Rows)
 	err := c.src.NextBatch(b, max)
@@ -386,6 +387,8 @@ func (c *joinCursorAdapter) Next() (storage.RowID, storage.Row, bool, error) {
 // in one byte slab and becomes one string per batch that every cell is
 // cut from, so a batch costs one allocation here however many rows it
 // has (the rows themselves are carved from b).
+//
+//spatiallint:hot
 func (c *joinCursorAdapter) NextBatch(b *storage.Batch, max int) error {
 	pairs, err := c.jc.NextBatch(c.pairs[:0], max)
 	c.pairs = pairs

@@ -161,6 +161,8 @@ func (t *Table) Fetch(id RowID) (Row, error) {
 // FetchColumn returns a single column of the row at id, avoiding a full
 // row decode when the caller (the join secondary filter) only needs the
 // geometry column.
+//
+//spatiallint:hot
 func (t *Table) FetchColumn(id RowID, col int) (Value, error) {
 	if col < 0 || col >= len(t.schema) {
 		return Value{}, fmt.Errorf("fetch from %q: column %d out of range", t.name, col)

@@ -84,6 +84,8 @@ func (c *pipelineCursor) Next() (storage.RowID, storage.Row, bool, error) {
 
 // NextBatch implements storage.Cursor with one fetch call of max rows
 // (the pipeline's own batch size when max <= 0).
+//
+//spatiallint:hot
 func (c *pipelineCursor) NextBatch(b *storage.Batch, max int) error {
 	if c.closed {
 		return errClosed
@@ -228,6 +230,8 @@ func (c *parallelCursor) Next() (storage.RowID, storage.Row, bool, error) {
 // storage with the consumer's (empty) batch; otherwise — the consumer
 // is topping up a batch, or asked for fewer rows than the instances
 // fetch — the rows it wants are copied over.
+//
+//spatiallint:hot
 func (c *parallelCursor) NextBatch(b *storage.Batch, max int) error {
 	if c.failed != nil {
 		return c.failed

@@ -71,6 +71,8 @@ const (
 
 // WriteFrame writes one frame (uint32 little-endian payload length,
 // type byte, payload). The caller flushes.
+//
+//spatiallint:hot
 func WriteFrame(w *bufio.Writer, t FrameType, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(payload), MaxFrame)
@@ -318,6 +320,8 @@ func ParseDescribe(b []byte) (cursorID uint64, schema []storage.Column, err erro
 // row codec under the cursor's schema, each encoded straight into dst
 // behind its length (the server passes its pooled frame image, so this
 // is the one copy a row makes between the cursor and the socket).
+//
+//spatiallint:hot
 func AppendBatch(dst []byte, cursorID uint64, done bool, schema []storage.Column, rows []storage.Row) ([]byte, error) {
 	p := payload{b: dst}
 	p.u64(cursorID)
@@ -361,6 +365,8 @@ const slabValues = 1 << 14
 // one copy of the payload, so a batch costs a handful of allocations
 // however many rows it carries; geometry and raw columns still decode
 // per value. The rows are the caller's to keep.
+//
+//spatiallint:hot
 func ParseBatch(b []byte, schema []storage.Column) (cursorID uint64, done bool, rows []storage.Row, err error) {
 	p := pReader{b: b}
 	if cursorID, err = p.u64(); err != nil {

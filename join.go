@@ -44,10 +44,6 @@ type JoinOptions struct {
 	// rowid before the secondary filter (ablation switch; the default
 	// follows the paper and sorts).
 	NoSortCandidates bool
-	// UseInteriorApprox enables the interior-approximation fast accept
-	// on ANYINTERACT joins over indexes created with
-	// IndexOptions.InteriorEffort > 0.
-	UseInteriorApprox bool
 	// SweepThreshold is the minimum combined entry count of a node pair
 	// for the primary filter's plane sweep to engage (0 = default);
 	// smaller node pairs take the nested entry-pair scan, so
@@ -83,7 +79,6 @@ func (o JoinOptions) config() (sjoin.Config, error) {
 	cfg.Distance = o.Distance
 	cfg.CandidateCap = o.CandidateCap
 	cfg.SortCandidates = !o.NoSortCandidates
-	cfg.UseInteriorApprox = o.UseInteriorApprox
 	cfg.SweepThreshold = o.SweepThreshold
 	cfg.GeomCacheBytes = o.GeomCacheBytes
 	if o.Scope != nil {
@@ -115,47 +110,25 @@ func (db *DB) GeomCacheStats() CacheStats {
 	return db.geomCache.Stats()
 }
 
-// joinOperand resolves (table, index) into the base table and an index
-// that is on it — the operand of every join, whatever the index kind.
-func (db *DB) joinOperand(table, index string) (*Table, *Index, error) {
+// joinSource resolves (table, index) into an R-tree join operand: the
+// base table and an index that is on it.
+func (db *DB) joinSource(table, index string) (sjoin.Source, error) {
 	t, err := db.Table(table)
 	if err != nil {
-		return nil, nil, err
+		return sjoin.Source{}, err
 	}
 	ix, err := db.Index(index)
 	if err != nil {
-		return nil, nil, err
+		return sjoin.Source{}, err
 	}
 	if on := ix.Meta().TableName; on != table {
-		return nil, nil, fmt.Errorf("spatialtf: index %q is on table %q, not %q", index, on, table)
-	}
-	return t, ix, nil
-}
-
-// joinSource resolves (table, index) into an R-tree join operand.
-func (db *DB) joinSource(table, index string) (sjoin.Source, error) {
-	t, ix, err := db.joinOperand(table, index)
-	if err != nil {
-		return sjoin.Source{}, err
+		return sjoin.Source{}, fmt.Errorf("spatialtf: index %q is on table %q, not %q", index, on, table)
 	}
 	tree, err := ix.rtree()
 	if err != nil {
 		return sjoin.Source{}, err
 	}
 	return sjoin.Source{Table: t.inner, Column: ix.Meta().ColumnName, Tree: tree}, nil
-}
-
-// quadJoinSource resolves (table, index) into a quadtree join operand.
-func (db *DB) quadJoinSource(table, index string) (sjoin.QSource, error) {
-	t, ix, err := db.joinOperand(table, index)
-	if err != nil {
-		return sjoin.QSource{}, err
-	}
-	qi, err := ix.qindex()
-	if err != nil {
-		return sjoin.QSource{}, err
-	}
-	return sjoin.QSource{Table: t.inner, Column: ix.Meta().ColumnName, Index: qi}, nil
 }
 
 // rtreeJoin resolves a join call over two R-tree-indexed operands: the
@@ -344,8 +317,9 @@ func resolveJoinAlgo(a, b sjoin.Source, cfg sjoin.Config, opt JoinOptions) (sjoi
 
 // ExplainJoin describes how a SpatialJoin with the given options would
 // execute, without running it: the strategy, the operand index shapes,
-// and — for parallel joins — the subtree decomposition (§4.1) including
-// the number of scheduled and MBR-pruned subtree-pair tasks. It is the
+// the proof routes the secondary filter may settle pairs by, and — for
+// parallel joins — the subtree decomposition (§4.1) including the
+// number of scheduled and MBR-pruned subtree-pair tasks. It is the
 // EXPLAIN PLAN of the spatial_join table function.
 func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions) (string, error) {
 	cfg, a, b, err := db.rtreeJoin(tableA, indexA, tableB, indexB, opt)
@@ -377,9 +351,11 @@ func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 	default:
 		fmt.Fprintf(&sb, "  decoded-geometry cache: private, %d bytes\n", cfg.GeomCacheBytes)
 	}
-	if cfg.UseInteriorApprox {
-		sb.WriteString("  interior-approximation fast accept: enabled\n")
+	routes, err := sjoin.ProofRoutes(a, b, cfg)
+	if err != nil {
+		return "", err
 	}
+	fmt.Fprintf(&sb, "  proof routes: %s\n", routes)
 	if sc := opt.Scope; sc != nil {
 		fmt.Fprintf(&sb, "  cluster scope: shard %d of %d, owner test at candidate emission\n", sc.Shard, sc.NShards)
 	}
@@ -423,26 +399,4 @@ func (db *DB) NestedLoopJoin(tableA, indexA, tableB, indexB string, opt JoinOpti
 		return nil, err
 	}
 	return sjoin.NestedLoop(a, b, cfg)
-}
-
-// QuadtreeJoin evaluates a join over two Quadtree-indexed tables with
-// the tile merge join (extension; intersection-style masks only). It is
-// one serial path, so Algo and Parallel do not apply, and it cannot be
-// scoped: a non-nil Scope is refused with an error wrapping
-// errors.ErrUnsupported, because tile codes carry no MBRs to take a
-// pair's reference point from.
-func (db *DB) QuadtreeJoin(tableA, indexA, tableB, indexB string, opt JoinOptions) ([]Pair, error) {
-	cfg, err := db.joinConfig(opt)
-	if err != nil {
-		return nil, err
-	}
-	a, err := db.quadJoinSource(tableA, indexA)
-	if err != nil {
-		return nil, err
-	}
-	b, err := db.quadJoinSource(tableB, indexB)
-	if err != nil {
-		return nil, err
-	}
-	return sjoin.QuadtreeJoin(a, b, cfg)
 }

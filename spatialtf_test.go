@@ -1,7 +1,6 @@
 package spatialtf
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -248,52 +247,6 @@ func TestFacadeJoinCursorStreams(t *testing.T) {
 	}
 }
 
-func TestFacadeQuadtreeJoin(t *testing.T) {
-	db := Open()
-	ds := Counties(36, 107)
-	if _, err := db.LoadDataset("c", ds); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.CreateIndex("c_rt", "c", RTree, IndexOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.CreateIndex("c_qt", "c", Quadtree, IndexOptions{TilingLevel: 6, Bounds: World}); err != nil {
-		t.Fatal(err)
-	}
-	rt, err := db.NestedLoopJoin("c", "c_rt", "c", "c_rt", JoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qt, err := db.QuadtreeJoin("c", "c_qt", "c", "c_qt", JoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rt) != len(qt) {
-		t.Fatalf("rtree join %d pairs, quadtree join %d", len(rt), len(qt))
-	}
-	// Joining an R-tree-indexed operand with QuadtreeJoin fails cleanly.
-	if _, err := db.QuadtreeJoin("c", "c_rt", "c", "c_qt", JoinOptions{}); err == nil {
-		t.Errorf("quadtree join over rtree index: want error")
-	}
-}
-
-// TestFacadeQuadtreeJoinRefusesScope: tile codes carry no MBRs to take
-// a pair's reference point from, so a scoped quadtree join must fail
-// typed instead of returning the unscoped set.
-func TestFacadeQuadtreeJoinRefusesScope(t *testing.T) {
-	db := Open()
-	if _, err := db.LoadDataset("c", Counties(36, 107)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.CreateIndex("c_qt", "c", Quadtree, IndexOptions{TilingLevel: 6, Bounds: World}); err != nil {
-		t.Fatal(err)
-	}
-	opt := JoinOptions{Scope: NewClusterScope(World, 4, 4, 3, 0)}
-	if pairs, err := db.QuadtreeJoin("c", "c_qt", "c", "c_qt", opt); !errors.Is(err, errors.ErrUnsupported) {
-		t.Fatalf("scoped quadtree join: %d pairs, err = %v; want ErrUnsupported", len(pairs), err)
-	}
-}
-
 // TestFacadeJoinScope checks the R-tree join entry points against a
 // cluster scope: SpatialJoin and NestedLoopJoin return the same proper
 // subset on each shard, the shards' subsets partition the unscoped
@@ -437,6 +390,39 @@ func TestExplainJoin(t *testing.T) {
 	}
 	if _, err := db.ExplainJoin("stars", "nope", "stars", "si", JoinOptions{}); err == nil {
 		t.Errorf("bad index accepted")
+	}
+}
+
+// TestExplainJoinProofRoutes pins the plan's proof-route line: the
+// routes whose per-join conditions hold, as the join function resolves
+// them.
+func TestExplainJoinProofRoutes(t *testing.T) {
+	db := Open()
+	for _, tab := range []string{"c", "d"} {
+		if _, err := db.LoadDataset(tab, Counties(36, 107)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.CreateIndex(tab+"_rt", tab, RTree, IndexOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		b      string
+		opt    JoinOptions
+		routes string
+	}{
+		{"counties self-join d=7", "c", JoinOptions{Distance: 7}, "self, points, mirror, box, refine"},
+		{"touch join", "d", JoinOptions{Mask: "touch"}, "refine"},
+		{"scoped self-join d=7", "c", JoinOptions{Distance: 7, Scope: NewClusterScope(World, 4, 4, 3, 0)}, "owner, self, points, box, refine"},
+	} {
+		plan, err := db.ExplainJoin("c", "c_rt", c.b, c.b+"_rt", c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "  proof routes: " + c.routes + "\n"; !containsStr(plan, want) {
+			t.Errorf("%s: plan missing %q:\n%s", c.name, want, plan)
+		}
 	}
 }
 
