@@ -96,7 +96,7 @@ bench:
 # shows up in CI output next to the hotalloc lint (see DESIGN.md §16).
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
-	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|SelfJoinRefine|WirePointJoinStream|WireWindowLookup' -benchmem -benchtime 2x -count 1 .
+	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|SelfJoinRefine|PointSelfJoinGrid|WirePointJoinStream|WireWindowLookup' -benchmem -benchtime 2x -count 1 .
 	$(GO) test -run NONE -bench 'Intersects|WithinDistance|BoxSide|Refine' -benchmem -benchtime 2x -count 1 ./internal/geom
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a module of

@@ -30,6 +30,9 @@ var (
 	fixBlocks   sjoin.Source // 1500 block groups (skewed)
 	fixBGTab    *storage.Table
 	fixBGDs     datagen.Dataset
+
+	pointsOnce sync.Once
+	fixPoints  sjoin.Source // 16 000 star centres
 )
 
 func fixtures(b *testing.B) {
@@ -225,6 +228,50 @@ func BenchmarkTable2GridJoin(b *testing.B) {
 	}
 	cfg.Owns = NewClusterScope(World, 4, 4, 3, 0).OwnsPoint
 	run("workers=4/scoped", cfg, 4)
+}
+
+// The join_stream workload's join in miniature: the 16 000-point star
+// self-join at distance 1.5 on the grid path with two instances,
+// drained to a count. Every pair is decided from the index, so the
+// primary filter — grid partition and tile sweeps — does the work; the
+// allocs/op lane of bench-smoke watches it.
+func BenchmarkPointSelfJoinGrid(b *testing.B) {
+	pointsOnce.Do(func() {
+		ds := datagen.Stars(16000, 1)
+		for i, g := range ds.Geoms {
+			c := geom.MBROf(g).Center()
+			ds.Geoms[i] = geom.NewPoint(c.X, c.Y)
+		}
+		var err error
+		if fixPoints, err = benchSource("bench_points", ds); err != nil {
+			panic(err)
+		}
+	})
+	cfg := sjoin.DefaultConfig()
+	cfg.Distance = 1.5
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur, err := sjoin.GridParallelJoin(fixPoints, fixPoints, cfg, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		var batch storage.Batch
+		for {
+			batch.Reset()
+			if err := cur.NextBatch(&batch, 0); err != nil {
+				b.Fatal(err)
+			}
+			if len(batch.Rows) == 0 {
+				break
+			}
+			n += len(batch.Rows)
+		}
+		if err := cur.Close(); err != nil || n == 0 {
+			b.Fatal(n, err)
+		}
+	}
 }
 
 func BenchmarkTable2NestedLoop(b *testing.B) {

@@ -18,10 +18,11 @@ import (
 // JoinStats and the registry sees the accumulated delta once per fetch
 // batch, which keeps the per-candidate cost at zero.
 //
-// Four counters are read off JoinStats' per-route vector (DESIGN.md
+// Five counters are read off JoinStats' per-route vector (DESIGN.md
 // §21): FastAccepts is what the self and points routes proved at
 // emission, BoxHits / BoxMisses what the box route decided without
-// refining, and Mirrored the mirror images the mirror route returned.
+// refining, Mirrored the mirror images the mirror mode returned, and
+// Refined the candidates the refine route ran the exact predicate on.
 type Instruments struct {
 	NodePairs    *telemetry.Counter
 	NodeAccesses *telemetry.Counter
@@ -32,6 +33,7 @@ type Instruments struct {
 	BoxHits      *telemetry.Counter
 	BoxMisses    *telemetry.Counter
 	Mirrored     *telemetry.Counter
+	Refined      *telemetry.Counter
 	// TilesSwept counts grid tiles swept by the grid-partitioned path.
 	TilesSwept *telemetry.Counter
 	// Stage latencies, observed per batch-granular section: one
@@ -60,6 +62,7 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 		BoxHits:      reg.NewCounter("join_box_hits_total", "candidates whose leaf MBR lies inside the other side's geometry (true hits)"),
 		BoxMisses:    reg.NewCounter("join_box_misses_total", "candidates whose leaf MBR lies beyond the predicate's reach of the other side's geometry (true misses)"),
 		Mirrored:     reg.NewCounter("join_mirrored_total", "self-join results returned as the mirror image of an accepted pair, neither emitted nor refined"),
+		Refined:      reg.NewCounter("join_refined_total", "candidates the secondary filter fetched and ran the exact predicate on, kept or dropped"),
 		TilesSwept:   reg.NewCounter("join_tiles_swept_total", "grid tiles swept by the grid-partitioned join"),
 		PrimarySeconds: reg.NewHistogram("join_primary_filter_seconds",
 			"latency of one primary-filter candidate refill", nil),
@@ -135,6 +138,7 @@ func (j *JoinFunction) flushStats() {
 	in.BoxHits.Add(int64(cr[routeBox].kept - pr[routeBox].kept))
 	in.BoxMisses.Add(int64(cr[routeBox].dropped - pr[routeBox].dropped))
 	in.Mirrored.Add(int64(cr[routeMirror].kept - pr[routeMirror].kept))
+	in.Refined.Add(int64(cr[routeRefine].kept + cr[routeRefine].dropped - pr[routeRefine].kept - pr[routeRefine].dropped))
 	in.TilesSwept.Add(int64(cur.TilesSwept - prev.TilesSwept))
 	j.flushed = cur
 }

@@ -53,10 +53,14 @@ func TestInstrumentsMatchJoinStats(t *testing.T) {
 		{"join_box_hits_total", stats.routes[routeBox].kept},
 		{"join_box_misses_total", stats.routes[routeBox].dropped},
 		{"join_mirrored_total", stats.routes[routeMirror].kept},
+		{"join_refined_total", stats.routes[routeRefine].kept + stats.routes[routeRefine].dropped},
 	} {
 		if got := lookupValue(t, reg, c.name); got != int64(c.want) {
 			t.Errorf("%s = %d, want %d (JoinStats)", c.name, got, c.want)
 		}
+	}
+	if r := stats.routes[routeRefine]; r.kept == 0 || r.dropped == 0 {
+		t.Errorf("the refine route kept %d and dropped %d candidates; the fixture must refine both ways", r.kept, r.dropped)
 	}
 	kept := 0
 	for _, c := range stats.routes {

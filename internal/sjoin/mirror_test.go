@@ -12,9 +12,9 @@ import (
 )
 
 // Mirrored self-join candidates. An unscoped self-join under a
-// symmetric predicate emits every candidate in both orientations; emit
-// keeps only (a, b) with a < b, and the secondary filter returns (b, a)
-// beside every (a, b) it accepts. These tests hold every algorithm to
+// symmetric predicate enumerates each unordered candidate once, as
+// (a, b) with a < b, and the secondary filter returns (b, a) beside
+// every (a, b) it accepts. These tests hold every algorithm to
 // the nested-loop reference (which refines both orientations on its
 // own) at two candidate caps, drained row by row and by batch, scoped
 // and unscoped, and pin that the route engages exactly where it

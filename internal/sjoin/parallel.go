@@ -26,10 +26,12 @@ import (
 // pairs whose subtree MBRs can satisfy the predicate (a disjoint pair
 // can produce no results and is pruned before scheduling). Descending
 // by 1 on Figure 1's trees yields (R11,S11), (R11,S12), (R12,S11),
-// (R12,S12).
+// (R12,S12). When a and b are the same tree and cfg puts the join in
+// the mirror mode (UnorderedPairs), the product keeps each unordered
+// pair of roots once: (rᵢ, rⱼ) with i ≤ j.
 func SubtreePairs(a, b *rtree.Tree, descend int, cfg Config) []PairOfRoots {
 	cfg = cfg.WithDefaults()
-	return crossRootPairs(a.SubtreeRoots(descend), b.SubtreeRoots(descend), cfg)
+	return crossRootPairs(a.SubtreeRoots(descend), b.SubtreeRoots(descend), cfg, cfg.unordered(a == b))
 }
 
 // PairOfRoots is one subtree-join task.
@@ -52,10 +54,11 @@ func SubtreePairsForWorkers(a, b *rtree.Tree, workers int, cfg Config) []PairOfR
 	if h := b.Height() - 1; h < maxDescend {
 		maxDescend = h
 	}
+	unordered := cfg.unordered(a == b)
 	ra := a.SubtreeRoots(0)
 	rb := b.SubtreeRoots(0)
 	for d := 0; ; d++ {
-		pairs := crossRootPairs(ra, rb, cfg)
+		pairs := crossRootPairs(ra, rb, cfg, unordered)
 		if len(pairs) >= want || d >= maxDescend {
 			return pairs
 		}
@@ -65,12 +68,18 @@ func SubtreePairsForWorkers(a, b *rtree.Tree, workers int, cfg Config) []PairOfR
 }
 
 // crossRootPairs is the pruned cross product of two root lists — the
-// inner step of SubtreePairs, shared by the incremental descent.
-func crossRootPairs(ra, rb []rtree.NodeRef, cfg Config) []PairOfRoots {
+// inner step of SubtreePairs, shared by the incremental descent. With
+// unordered set the lists are one tree's roots at one level, and root i
+// is paired with roots j ≥ i only.
+func crossRootPairs(ra, rb []rtree.NodeRef, cfg Config, unordered bool) []PairOfRoots {
 	var out []PairOfRoots
-	for _, na := range ra {
+	for i, na := range ra {
 		ma := na.MBR()
-		for _, nb := range rb {
+		from := rb
+		if unordered {
+			from = rb[i:]
+		}
+		for _, nb := range from {
 			if cfg.primaryAccepts(ma, nb.MBR()) {
 				out = append(out, PairOfRoots{A: na, B: nb})
 			}

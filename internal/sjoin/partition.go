@@ -151,7 +151,8 @@ func GridShape(nA, nB, workers int) (cols, rows int) {
 
 // gridTile holds the two per-tile entry lists, in xlo order (the inputs
 // are sorted once globally before assignment, so appends preserve sweep
-// order and no per-tile sort is needed).
+// order and no per-tile sort is needed). An unordered grid keeps one
+// copy of each entry per tile: rb is ra, swept against itself.
 type gridTile struct {
 	ra, rb []tileEntry
 }
@@ -165,10 +166,14 @@ func (t *gridTile) cost() float64 {
 // longest-first order and the atomic claim cursor the parallel
 // instances steal tiles from.
 type gridState struct {
-	grid  Grid
-	d     float64 // join distance (first side expanded by it)
-	tiles []gridTile
-	next  atomic.Int64
+	grid Grid
+	d    float64 // join distance (first side expanded by it)
+	// unordered: the mirror mode's grid, one copy of each entry assigned
+	// by its MBR grown by d/2, each tile swept against itself
+	// (sweepTileSelf).
+	unordered bool
+	tiles     []gridTile
+	next      atomic.Int64
 }
 
 // claim steals the next unclaimed tile index, or -1 when the queue is
@@ -232,7 +237,14 @@ func byMinX(p, q rtree.Item) int {
 // buildGridState materialises both inputs, sizes the grid, assigns and
 // classifies every rectangle, and queues the non-empty tiles longest
 // first. With either side empty the queue is empty (so is the join).
+//
+// Under the mirror mode (UnorderedPairs) the one input is assigned once,
+// each MBR grown by d/2 on every side. Two MBRs whose L∞ gap is at most
+// d have overlapping half-grown boxes, and the low corner of that
+// overlap is the same for (a, b) and (b, a), so the class test reports
+// each unordered pair in exactly one tile (DESIGN.md §21).
 func buildGridState(a, b Source, cfg Config, workers int) *gridState {
+	unordered := UnorderedPairs(a, b, cfg)
 	itemsA := a.Tree.Items()
 	itemsB := itemsA
 	if a.Tree != b.Tree {
@@ -243,6 +255,9 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 	}
 	d := cfg.Distance
 	bounds := a.Tree.Bounds().Expand(d).Union(b.Tree.Bounds())
+	if unordered {
+		bounds = a.Tree.Bounds().Expand(d / 2)
+	}
 	cols, rows := GridShape(len(itemsA), len(itemsB), workers)
 	if cfg.GridTiles > 0 {
 		t := cfg.GridTiles
@@ -258,9 +273,16 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 		slices.SortFunc(itemsB, byMinX)
 	}
 	dense := make([]gridTile, g.Tiles())
-	assignGrid(dense, g, itemsA, d, true)
-	assignGrid(dense, g, itemsB, 0, false)
-	gs := &gridState{grid: g, d: d}
+	if unordered {
+		assignGrid(dense, g, itemsA, d/2, true)
+		for i := range dense {
+			dense[i].rb = dense[i].ra
+		}
+	} else {
+		assignGrid(dense, g, itemsA, d, true)
+		assignGrid(dense, g, itemsB, 0, false)
+	}
+	gs := &gridState{grid: g, d: d, unordered: unordered}
 	for i := range dense {
 		if len(dense[i].ra) == 0 || len(dense[i].rb) == 0 {
 			continue // a one-sided tile can produce no pairs
@@ -293,6 +315,10 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 //
 //spatiallint:hot
 func (gs *gridState) sweepTile(t *gridTile, emit func(a, b *tileEntry)) {
+	if gs.unordered {
+		gs.sweepTileSelf(t.ra, emit)
+		return
+	}
 	d := gs.d
 	ea, eb := t.ra, t.rb
 	i, k := 0, 0
@@ -331,6 +357,37 @@ func (gs *gridState) sweepTile(t *gridTile, emit func(a, b *tileEntry)) {
 				emit(o, e)
 			}
 			k++
+		}
+	}
+}
+
+// sweepTileSelf is the tile sweep of an unordered grid: one xlo-sorted
+// list, each entry i swept against the entries k ≥ i (k = i is the row
+// paired with itself), so each unordered pair the tile owns is emitted
+// once. The x and y tests are on the boxes grown by d/2 — the
+// expressions assignGrid placed them by — so a pair the sweep accepts
+// lies in its reporting tile bit for bit; the class test and
+// mbrsWithin are sweepTile's.
+//
+//spatiallint:hot
+func (gs *gridState) sweepTileSelf(es []tileEntry, emit func(a, b *tileEntry)) {
+	d, h := gs.d, gs.d/2
+	for i := range es {
+		e := &es[i]
+		xmax := e.MaxX + h
+		ylo, yhi := e.MinY-h, e.MaxY+h
+		for k := i; k < len(es) && es[k].MinX-h <= xmax; k++ {
+			o := &es[k]
+			if o.MinY-h > yhi || o.MaxY+h < ylo {
+				continue
+			}
+			if e.class|o.class != classBoth {
+				continue
+			}
+			if d > 0 && !mbrsWithin(&e.MBR, &o.MBR, d) {
+				continue
+			}
+			emit(e, o)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/geom"
+	"spatialtf/internal/storage"
 	"spatialtf/internal/telemetry"
 )
 
@@ -120,15 +121,21 @@ func TestGridJoinRace(t *testing.T) {
 }
 
 // TestGridClassesEmitEachPairOnce checks the two-layer class scheme
-// directly at the tile level: with the class filter every candidate
-// pair is produced by exactly one tile; without it, replicated
-// rectangles produce duplicates (proving the filter is load-bearing).
+// directly at the tile level. A scoped self-join keeps two copies of
+// every rectangle: with the class filter every candidate pair is
+// produced by exactly one tile; without it, replicated rectangles
+// produce duplicates (proving the filter is load-bearing). An unscoped
+// self-join under a symmetric predicate keeps one copy, grown by d/2:
+// each unordered candidate pair comes from exactly one tile in one
+// orientation, and each row's pair with itself exactly once.
 func TestGridClassesEmitEachPairOnce(t *testing.T) {
 	src := buildSource(t, "c", datagen.Counties(400, 31))
 	cfg := DefaultConfig().WithDefaults()
 	// Force many small tiles so rectangles straddle tile boundaries.
 	cfg.GridTiles = 256
-	gs := buildGridState(src, src, cfg, 4)
+	scoped := cfg
+	scoped.Owns = func(x, y float64) bool { return true }
+	gs := buildGridState(src, src, scoped, 4)
 	if len(gs.tiles) < 16 {
 		t.Fatalf("grid state too small: %+v", gs)
 	}
@@ -155,6 +162,73 @@ func TestGridClassesEmitEachPairOnce(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("pair %v emitted by %d tiles, want exactly 1", p, n)
 		}
+	}
+
+	lattice := pointTable(t, "lattice", "point", latticePoints(31, 1500))
+	for _, leg := range []struct {
+		name string
+		src  Source
+		d    float64
+	}{{"counties anyinteract", src, 0}, {"counties d=7", src, 7}, {"lattice d=1.5", lattice, 1.5}} {
+		t.Run("unordered/"+leg.name, func(t *testing.T) {
+			cfg := cfg
+			cfg.Distance = leg.d
+			checkUnorderedTiles(t, leg.src, cfg)
+		})
+	}
+}
+
+// checkUnorderedTiles sweeps every tile of an unordered grid self-join
+// and checks that the sweeps emit exactly the unordered primary-filter
+// candidates of the table, each by one tile in one orientation, and
+// that some candidates of two points exactly d apart lie on opposite
+// sides of a tile edge.
+func checkUnorderedTiles(t *testing.T, src Source, cfg Config) {
+	t.Helper()
+	gs := buildGridState(src, src, cfg, 4)
+	if len(gs.tiles) < 16 {
+		t.Fatalf("grid state too small: %d tiles", len(gs.tiles))
+	}
+	unordered := func(a, b storage.RowID) Pair {
+		if b.Less(a) {
+			a, b = b, a
+		}
+		return Pair{A: a, B: b}
+	}
+	counts := map[Pair]int{}
+	for ti := range gs.tiles {
+		gs.sweepTile(&gs.tiles[ti], func(a, b *tileEntry) {
+			counts[unordered(a.id, b.id)]++
+		})
+	}
+	items := src.Tree.Items()
+	want, mbrs := 0, map[storage.RowID]geom.MBR{}
+	for i, x := range items {
+		mbrs[x.ID] = x.MBR
+		for _, y := range items[i:] {
+			if cfg.primaryAccepts(x.MBR, y.MBR) {
+				want++
+				if n := counts[unordered(x.ID, y.ID)]; n != 1 {
+					t.Fatalf("candidate (%v, %v) emitted %d times, want once", x.ID, y.ID, n)
+				}
+			}
+		}
+	}
+	if len(counts) != want {
+		t.Fatalf("the sweeps emitted %d unordered pairs, the table has %d candidates", len(counts), want)
+	}
+	if cfg.Distance == 0 || !items[0].MBR.IsPoint() {
+		return
+	}
+	edge := 0
+	for p := range counts {
+		a, b := mbrs[p.A], mbrs[p.B]
+		if a.Dist(b) == cfg.Distance && (gs.grid.ColOf(a.MinX) != gs.grid.ColOf(b.MinX) || gs.grid.RowOf(a.MinY) != gs.grid.RowOf(b.MinY)) {
+			edge++
+		}
+	}
+	if edge == 0 {
+		t.Fatalf("no candidate of two points %g apart straddles a tile edge: the fixture tests nothing", cfg.Distance)
 	}
 }
 

@@ -37,7 +37,7 @@ func overlappingSquares(t testing.TB, seed int64, n int) datagen.Dataset {
 // the pairs of the one node pair that crossed it. The fast-accept leg
 // proves every pair at emission (the points and self routes); the
 // refined leg refines every pair, each once, and returns it in both
-// orientations (the mirror route, whose candidates count twice against
+// orientations (the mirror mode, whose candidates count twice against
 // the cap).
 func TestFastAcceptsRespectCandidateCap(t *testing.T) {
 	points := pointTable(t, "points", "point", latticePoints(9, 1000))

@@ -13,8 +13,9 @@ import (
 //	owner   a scoped join drops the pair another shard owns
 //	self    a row paired with itself meets itself: proven
 //	points  two point MBRs are their geometries: proven
-//	mirror  an unscoped symmetric self-join drops (a, b) with a > b;
-//	        accept returns it beside (b, a)
+//	mirror  not a per-pair test but a mode of the sources: an unscoped
+//	        symmetric self-join enumerates each unordered pair once,
+//	        and emit and accept return it in both orientations
 //	box     the smaller leaf MBR against the partner's boundary
 //	        (geom.BoxSide) decides, or the candidate is refined
 //	refine  fetch both geometries and run the exact predicate
@@ -55,6 +56,18 @@ func (c Config) pointSet() bool {
 
 func (r route) String() string { return routeTable[r].name }
 
+// UnorderedPairs reports whether a join of a and b under cfg runs in
+// the mirror row's mode: its sources — the grid, the tile sweeps and
+// the R-tree traversal — enumerate each unordered pair of rows once,
+// and the join returns both orientations of it (DESIGN.md §21).
+func UnorderedPairs(a, b Source, cfg Config) bool {
+	_, _, self, err := geomColumns(a, b)
+	return err == nil && cfg.unordered(self)
+}
+
+// unordered is the mirror row's condition; self as in resolveRoutes.
+func (c Config) unordered(self bool) bool { return routeTable[routeMirror].applies(c, self) }
+
 // routeSet holds one bit per route whose per-join conditions hold.
 type routeSet uint8
 
@@ -73,7 +86,7 @@ func (s routeSet) String() string {
 
 // resolveRoutes evaluates every route's per-join conditions for a join
 // under c; self is set when both operands are the same column of the
-// same table.
+// same table, read through the same index.
 func resolveRoutes(c Config, self bool) routeSet {
 	var s routeSet
 	for r, row := range routeTable {
@@ -114,9 +127,6 @@ func (j *JoinFunction) classify(p Pair, a, b geom.MBR) route {
 	}
 	if j.routes.has(routePoints) && a.IsPoint() && b.IsPoint() {
 		return routePoints
-	}
-	if j.routes.has(routeMirror) && p.B.Less(p.A) {
-		return routeMirror
 	}
 	if j.routes.has(routeBox) {
 		// The test pays only for a box small beside its partner — grown

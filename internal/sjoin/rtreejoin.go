@@ -110,7 +110,7 @@ type candSource interface {
 // count against it like candidates: a join whose every pair is proven
 // from the index would otherwise fill no candidate array, run its whole
 // source in one refill and materialise the result in ready — and the
-// first grid instance would claim every tile. Under the mirror route a
+// first grid instance would claim every tile. Under the mirror mode a
 // candidate counts twice: it returns both orientations.
 func (j *JoinFunction) room() int {
 	queued := len(j.cands) + len(j.boxed)
@@ -217,23 +217,33 @@ func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 // emit is the one exit of every primary filter: p survived the index
 // MBR test of its source, a and b are the two leaf-entry MBRs it
 // survived on. It settles p by its proof route (classify): dropped
-// (owner, mirror), proven into the ready queue (self, points), or
-// queued for the secondary filter (box, refine). The owner test thus
-// runs ahead of every other route, so an unowned pair costs neither a
-// geometry fetch nor an exact predicate, and a proven pair is
-// owner-filtered like any other.
+// (owner), proven into the ready queue (self, points), or queued for
+// the secondary filter (box, refine). The owner test thus runs ahead of
+// every other route, so an unowned pair costs neither a geometry fetch
+// nor an exact predicate, and a proven pair is owner-filtered like any
+// other. Under the mirror mode the source hands over each unordered
+// pair once: emit puts the lower rowid first, returns a proven pair of
+// two rows in both orientations, and queues the candidate whose mirror
+// image accept returns.
 //
 //spatiallint:hot
 func (j *JoinFunction) emit(p Pair, a, b geom.MBR) {
+	unordered := j.routes.has(routeMirror)
+	if unordered && p.B.Less(p.A) {
+		p, a, b = Pair{A: p.B, B: p.A}, b, a
+	}
 	switch r := j.classify(p, a, b); r {
 	case routeOwner:
 		j.stats.routes[r].dropped++
-	case routeMirror:
-		// Dropped: the twin (b, a) is emitted too, and decides both.
 	case routeSelf, routePoints:
 		j.ready = append(j.ready, p)
 		j.stats.Results++
 		j.stats.routes[r].kept++
+		if unordered && p.A != p.B {
+			j.ready = append(j.ready, Pair{A: p.B, B: p.A})
+			j.stats.Results++
+			j.stats.routes[r].kept++
+		}
 	case routeBox:
 		j.stats.Candidates++
 		box, _, big := boxOf(a, b)
@@ -296,7 +306,11 @@ func (s *treeSource) start() {
 // Equal-height node pairs are intersected either by a forward plane
 // sweep over xlo-sorted entry lists (O(n log n + output) instead of the
 // O(n·m) nested scan) or, below Config.SweepThreshold, by the nested
-// scan.
+// scan. Under the mirror mode a node paired with itself is expanded by
+// a self-sweep (sweepSelf) or a nested scan over entry pairs i ≤ k, so
+// the traversal meets each unordered pair of entries, and of children,
+// once; a pair of distinct nodes holds disjoint entries and expands as
+// in any other join.
 //
 //spatiallint:hot
 func (s *treeSource) refill(j *JoinFunction) {
@@ -305,6 +319,7 @@ func (s *treeSource) refill(j *JoinFunction) {
 	}
 	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per refill not per row
 	end := j.span(telemetry.StagePrimary)
+	unordered := j.routes.has(routeMirror)
 	for len(s.stack) > 0 && j.room() > 0 {
 		top := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
@@ -312,16 +327,29 @@ func (s *treeSource) refill(j *JoinFunction) {
 		j.stats.NodeAccesses += 2
 		a, b := top.A, top.B
 		sweep := a.NumEntries()+b.NumEntries() >= j.cfg.SweepThreshold
+		// k0 is the first entry of b the nested scan pairs entry i of a
+		// with: i itself when a is paired with itself.
+		selfPaired := unordered && a == b
+		k0 := func(i int) int {
+			if selfPaired {
+				return i
+			}
+			return 0
+		}
 		switch {
 		case a.IsLeaf() && b.IsLeaf():
-			if sweep {
-				s.sweepPair(j.cfg.Distance, a, b, func(e, o *sweepEntry) {
-					j.emit(Pair{A: a.EntryID(int(e.idx)), B: b.EntryID(int(o.idx))}, e.MBR, o.MBR)
-				})
-			} else {
+			emit := func(e, o *sweepEntry) {
+				j.emit(Pair{A: a.EntryID(int(e.idx)), B: b.EntryID(int(o.idx))}, e.MBR, o.MBR)
+			}
+			switch {
+			case sweep && selfPaired:
+				s.sweepSelf(j.cfg.Distance, a, emit)
+			case sweep:
+				s.sweepPair(j.cfg.Distance, a, b, emit)
+			default:
 				for i := 0; i < a.NumEntries(); i++ {
 					ma := a.EntryMBR(i)
-					for k := 0; k < b.NumEntries(); k++ {
+					for k := k0(i); k < b.NumEntries(); k++ {
 						if mb := b.EntryMBR(k); j.cfg.primaryAccepts(ma, mb) {
 							j.emit(Pair{A: a.EntryID(i), B: b.EntryID(k)}, ma, mb)
 						}
@@ -330,14 +358,18 @@ func (s *treeSource) refill(j *JoinFunction) {
 			}
 		case !a.IsLeaf() && !b.IsLeaf():
 			// Descend both sides, pairing children whose MBRs interact.
-			if sweep {
-				s.sweepPair(j.cfg.Distance, a, b, func(e, o *sweepEntry) {
-					s.stack = append(s.stack, PairOfRoots{a.Child(int(e.idx)), b.Child(int(o.idx))})
-				})
-			} else {
+			push := func(e, o *sweepEntry) {
+				s.stack = append(s.stack, PairOfRoots{a.Child(int(e.idx)), b.Child(int(o.idx))})
+			}
+			switch {
+			case sweep && selfPaired:
+				s.sweepSelf(j.cfg.Distance, a, push)
+			case sweep:
+				s.sweepPair(j.cfg.Distance, a, b, push)
+			default:
 				for i := 0; i < a.NumEntries(); i++ {
 					ma := a.EntryMBR(i)
-					for k := 0; k < b.NumEntries(); k++ {
+					for k := k0(i); k < b.NumEntries(); k++ {
 						if j.cfg.primaryAccepts(ma, b.EntryMBR(k)) {
 							s.stack = append(s.stack, PairOfRoots{a.Child(i), b.Child(k)})
 						}
@@ -415,6 +447,33 @@ func (s *treeSource) sweepPair(d float64, a, b rtree.NodeRef, emit func(ea, eb *
 	}
 }
 
+// sweepSelf is sweepPair over a node paired with itself under the
+// mirror mode: one xlo-sorted entry list, each entry i swept against
+// the entries k ≥ i (k = i is the entry paired with itself), so emit
+// sees each unordered entry pair once. The x, y and distance tests are
+// sweepPair's, with e as the first side.
+//
+//spatiallint:hot
+func (s *treeSource) sweepSelf(d float64, a rtree.NodeRef, emit func(e, o *sweepEntry)) {
+	s.sweepA = fillSweep(s.sweepA, a)
+	es := s.sweepA
+	for i := range es {
+		e := &es[i]
+		xmax := e.MaxX + d
+		ylo, yhi := e.MinY-d, e.MaxY+d
+		for k := i; k < len(es) && es[k].MinX <= xmax; k++ {
+			o := &es[k]
+			if o.MinY > yhi || o.MaxY < ylo {
+				continue
+			}
+			if d > 0 && !mbrsWithin(&e.MBR, &o.MBR, d) {
+				continue
+			}
+			emit(e, o)
+		}
+	}
+}
+
 // fillSweep copies a node's structure-of-arrays rectangles into the
 // scratch list and sorts it by low x for the sweep.
 func fillSweep(dst []sweepEntry, r rtree.NodeRef) []sweepEntry {
@@ -477,7 +536,7 @@ func (j *JoinFunction) sortCandidates() {
 // It stops once the ready queue holds CandidateCap pairs and the next
 // call resumes there, so the queue stays within CandidateCap plus one
 // node pair even where every kept candidate returns two pairs (the
-// mirror route). Fetches on both sides go through the decoded-geometry
+// mirror mode). Fetches on both sides go through the decoded-geometry
 // cache, so repeated rowids — across candidate batches, join sides of a
 // self-join, or parallel instances sharing a cache — skip the
 // base-table decode entirely.
@@ -518,7 +577,7 @@ func (j *JoinFunction) secondaryFilter() error {
 }
 
 // accept queues a candidate the secondary filter kept; under the mirror
-// route it queues the pair's mirror image with it, decided by the same
+// mode it queues the pair's mirror image with it, decided by the same
 // fetches and the same test.
 //
 //spatiallint:hot

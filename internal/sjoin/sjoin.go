@@ -78,7 +78,8 @@ func (s Source) geomColumn() (int, error) {
 }
 
 // geomColumns resolves both operands' geometry columns; self reports
-// that they are the same column of the same table.
+// that they are the same column of the same table, read through the
+// same index.
 func geomColumns(a, b Source) (colA, colB int, self bool, err error) {
 	if colA, err = a.geomColumn(); err != nil {
 		return 0, 0, false, err
@@ -86,7 +87,7 @@ func geomColumns(a, b Source) (colA, colB int, self bool, err error) {
 	if colB, err = b.geomColumn(); err != nil {
 		return 0, 0, false, err
 	}
-	return colA, colB, a.Table == b.Table && colA == colB, nil
+	return colA, colB, a.Table == b.Table && colA == colB && a.Tree == b.Tree, nil
 }
 
 // DefaultCandidateCap bounds the in-memory candidate array of the

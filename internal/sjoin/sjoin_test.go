@@ -7,6 +7,7 @@ import (
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/geom"
 	"spatialtf/internal/idxbuild"
+	"spatialtf/internal/rtree"
 	"spatialtf/internal/storage"
 )
 
@@ -377,12 +378,29 @@ func TestSubtreePairsFigure1(t *testing.T) {
 		t.Fatalf("SubtreePairs = %d, roots %dx%d", len(pairs), len(ra), len(rb))
 	}
 	// With pruning disabled by a huge distance the full cross product
-	// appears.
+	// appears — for a scoped join, which keeps both orientations of a
+	// self-join's pairs. Unscoped, the symmetric self-join keeps each
+	// unordered pair of roots once.
 	cfg := DefaultConfig()
 	cfg.Distance = 1e9
+	cfg.Owns = func(x, y float64) bool { return true }
 	full := SubtreePairs(a, b, 1, cfg)
 	if len(full) != len(ra)*len(rb) {
 		t.Fatalf("unpruned SubtreePairs = %d, want %d", len(full), len(ra)*len(rb))
+	}
+	cfg.Owns = nil
+	half := SubtreePairs(a, b, 1, cfg)
+	if len(half) != len(ra)*(len(ra)+1)/2 {
+		t.Fatalf("unpruned unordered SubtreePairs = %d, want %d", len(half), len(ra)*(len(ra)+1)/2)
+	}
+	pos := map[rtree.NodeRef]int{}
+	for i, r := range ra {
+		pos[r] = i
+	}
+	for _, p := range half {
+		if pos[p.A] > pos[p.B] {
+			t.Fatalf("unordered SubtreePairs keeps (r%d, r%d)", pos[p.A], pos[p.B])
+		}
 	}
 }
 

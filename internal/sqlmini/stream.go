@@ -386,7 +386,11 @@ func (c *joinCursorAdapter) Next() (storage.RowID, storage.Row, bool, error) {
 // NextBatch renders one fetch batch of pairs. The cells' text is built
 // in one byte slab and becomes one string per batch that every cell is
 // cut from, so a batch costs one allocation here however many rows it
-// has (the rows themselves are carved from b).
+// has (the rows themselves are carved from b). A keyed projection skips
+// a pair whose row was deleted since the join met its index entry —
+// read committed per fetch, as fetchCursor does — by cutting the pair's
+// cells back off the slab; a batch whose every pair is skipped fetches
+// the next.
 //
 //spatiallint:hot
 func (c *joinCursorAdapter) NextBatch(b *storage.Batch, max int) error {
@@ -395,14 +399,21 @@ func (c *joinCursorAdapter) NextBatch(b *storage.Batch, max int) error {
 	if len(pairs) == 0 {
 		return err
 	}
-	text, ends := c.text[:0], c.ends[:0]
+	text, ends, rows := c.text[:0], c.ends[:0], 0
+pair:
 	for _, p := range pairs {
+		mark, cells := len(text), len(ends)
 		for _, col := range c.cols {
 			switch {
 			case c.keys != nil:
 				var kerr error
 				//spatiallint:ignore hotalloc a keyed projection fetches and decodes a user column per cell
-				if text, kerr = c.keys.appendKey(text, p, col); kerr != nil {
+				text, kerr = c.keys.appendKey(text, p, col)
+				if errors.Is(kerr, storage.ErrRowDeleted) {
+					text, ends = text[:mark], ends[:cells]
+					continue pair
+				}
+				if kerr != nil {
 					return kerr
 				}
 			case col == "rid1":
@@ -412,13 +423,17 @@ func (c *joinCursorAdapter) NextBatch(b *storage.Batch, max int) error {
 			}
 			ends = append(ends, len(text))
 		}
+		rows++
 	}
 	c.text, c.ends = text, ends
+	if rows == 0 && err == nil {
+		return c.NextBatch(b, max)
+	}
 	//spatiallint:ignore hotalloc the batch's one string, which every cell is cut from
 	cells := string(text)
 	start, cell := 0, 0
 	//spatiallint:ignore hotalloc grows a fresh batch to the fetch size; a reused one has the room
-	for _, out := range b.Extend(len(pairs), len(c.cols)) {
+	for _, out := range b.Extend(rows, len(c.cols)) {
 		for k := range out {
 			out[k] = storage.Str(cells[start:ends[cell]])
 			start = ends[cell]

@@ -1,9 +1,13 @@
 package sqlmini
 
 import (
+	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"spatialtf"
+	"spatialtf/internal/geom"
 	"spatialtf/internal/storage"
 )
 
@@ -110,6 +114,126 @@ func TestExecuteStreamJoin(t *testing.T) {
 	}
 	if len(rows) < 3 {
 		t.Fatalf("self-join of 3 rows streamed only %d pairs", len(rows))
+	}
+}
+
+// TestKeyedJoinBesideDeleter runs a keyed spatial_join while rows are
+// deleted under it. The key projection fetches the key column of every
+// pair it returns, and a row deleted since the join met its index entry
+// is skipped there: read committed per fetch, as at every other place a
+// statement fetches a row it resolved earlier. The statement succeeds,
+// every key pair it returns is a result pair of two rows live at some
+// point during it, and no pair of two rows never deleted is missed.
+// Point pairs are decided from the index, so the join itself returns
+// the pairs of deleted rows and only the key fetch can notice.
+func TestKeyedJoinBesideDeleter(t *testing.T) {
+	eng := NewEngine()
+	ds := spatialtf.Stars(600, 7)
+	for i, g := range ds.Geoms {
+		c := geom.MBROf(g).Center()
+		ds.Geoms[i] = geom.NewPoint(c.X, c.Y)
+	}
+	tab, err := eng.DB().LoadDataset("pts", ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Execute("CREATE INDEX pts_idx ON pts(geom) INDEXTYPE IS RTREE"); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT key1, key2 FROM TABLE(spatial_join('pts','geom','pts','geom','distance=2','keys=id:id'))"
+	keyPairs := func(rows []storage.Row) [][2]string {
+		out := make([][2]string, len(rows))
+		for i, r := range rows {
+			out[i] = [2]string{r[0].S, r[1].S}
+		}
+		return out
+	}
+	s, err := eng.ExecuteStream(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]string]bool{}
+	for _, p := range keyPairs(drain(t, s.Cursor)) {
+		want[p] = true
+	}
+	deleted, gone := map[spatialtf.RowID]bool{}, map[string]bool{}
+	i := 0
+	if err := tab.Scan(func(id spatialtf.RowID, row spatialtf.Row) bool {
+		if i%5 == 0 {
+			deleted[id] = true
+			gone[string(row[0].AppendString(nil))] = true
+		}
+		i++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = eng.ExecuteStream(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Cursor.Close()
+	var b storage.Batch
+	if err := s.Cursor.NextBatch(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	got := keyPairs(b.Rows)
+	var deleters sync.WaitGroup
+	for id := range deleted {
+		deleters.Add(1)
+		go func() {
+			defer deleters.Done()
+			if err := tab.Delete(id); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	// Every heap row gone before the join goes on: the deleters then
+	// wait in the index hook for the open cursor's pin.
+	deadline := time.Now().Add(10 * time.Second)
+	for id := range deleted {
+		for {
+			if _, err := tab.Fetch(id); errors.Is(err, storage.ErrRowDeleted) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("row %v still live after 10s", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// A row at a time, so a batch whose one pair is skipped goes on to
+	// the next pair instead of ending the statement.
+	for {
+		b.Reset()
+		err := s.Cursor.NextBatch(&b, 1)
+		got = append(got, keyPairs(b.Rows)...)
+		if err != nil {
+			t.Fatalf("keyed join beside a deleter: %v", err)
+		}
+		if len(b.Rows) == 0 {
+			break
+		}
+	}
+	if err := s.Cursor.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deleters.Wait()
+	seen := map[[2]string]bool{}
+	for _, p := range got {
+		if !want[p] {
+			t.Fatalf("returned %v, not a result pair of the table before the deletes", p)
+		}
+		seen[p] = true
+	}
+	for p := range want {
+		if !gone[p[0]] && !gone[p[1]] && !seen[p] {
+			t.Fatalf("missed %v, a pair of two rows never deleted", p)
+		}
+	}
+	if len(seen) == len(want) {
+		t.Fatalf("every one of the %d pairs returned: the deletes went unseen, the test tests nothing", len(want))
 	}
 }
 

@@ -380,7 +380,11 @@ func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 			if len(pairs) > 0 {
 				descend = a.Tree.Height() - pairs[0].A.Level()
 			}
-			total := len(a.Tree.SubtreeRoots(descend)) * len(b.Tree.SubtreeRoots(descend))
+			roots := len(a.Tree.SubtreeRoots(descend))
+			total := roots * len(b.Tree.SubtreeRoots(descend))
+			if sjoin.UnorderedPairs(a, b, cfg) {
+				total = roots * (roots + 1) / 2 // one tree's unordered root pairs
+			}
 			fmt.Fprintf(&sb, "  strategy: PARALLEL pipelined table function, %d instances\n", plan.Workers)
 			fmt.Fprintf(&sb, "  subtree decomposition: descend %d level(s); %d subtree-pair tasks scheduled, %d pruned as disjoint; tasks dealt longest first\n",
 				descend, len(pairs), total-len(pairs))
