@@ -22,11 +22,12 @@ vet:
 build:
 	$(GO) build ./...
 
-# The project's own analyzer suite (cmd/spatiallint): pin/Unpin pairing,
-# cursor Close discipline, locks across blocking calls (interprocedural),
+# The project's own analyzer suite (cmd/spatiallint): acquire => release
+# on every path (tree pins, cursors, buffer-pool frames, returned
+# release funcs), locks across blocking calls (interprocedural),
 # lock-order cycle detection, atomic/plain mixed access, discarded wire
 # errors, exact float comparison, decoded-size taint tracking, goroutine
-# accounting, release-func summaries, and hot-path allocation findings.
+# accounting, metric names, and hot-path allocation findings.
 # Zero findings required.
 # Timing budget, enforced: the CFG/summary/escape engine must keep a
 # warm full-repo run under 10s. The binary is built first so the budget

@@ -1,11 +1,13 @@
 // Command spatiallint runs the project's static analyzer suite
 // (internal/analysis) over Go packages: the concurrency and cursor
-// contracts the compiler cannot check — pin pairing, cursor close
-// discipline, lock-vs-blocking hygiene (interprocedural), lock-order
-// deadlock detection, atomic/plain mixed field access, unchecked wire
-// errors, float equality on coordinates, unbounded decoded allocation
-// sizes, unjoined goroutines, and discarded release funcs. See
-// DESIGN.md §10–§11 and §15.
+// contracts the compiler cannot check — acquire ⇒ release on every
+// path for tree pins, cursors, buffer-pool frames and returned release
+// funcs; lock-vs-blocking hygiene (interprocedural); lock-order
+// deadlock detection; atomic/plain mixed field access; unchecked wire
+// errors; float equality on coordinates; unbounded decoded allocation
+// sizes; unjoined goroutines; telemetry metric names; and hidden
+// allocations on declared hot paths. See DESIGN.md §10–§11, §15 and
+// §16.
 //
 // Usage:
 //
@@ -15,7 +17,6 @@
 //	-disable a,b  disable the named analyzers
 //	-json         emit findings as a JSON array instead of text
 //	-rules        print the registered rules with descriptions and exit
-//	              (-list is an alias)
 //	-cfg-debug f  print the control-flow graph of function f (Graphviz
 //	              dot; f is "Name" or "Type.Method") and exit
 //	-lockgraph    print the module-wide lock-order graph (Graphviz dot,
@@ -46,15 +47,14 @@ func main() {
 		chdir    = flag.String("C", "", "run as if started in `dir`")
 		disable  = flag.String("disable", "", "comma-separated `rules` to disable")
 		jsonOut  = flag.Bool("json", false, "emit findings as JSON")
-		listOnly = flag.Bool("list", false, "print the registered rules with descriptions and exit")
-		rules    = flag.Bool("rules", false, "alias for -list")
+		rules    = flag.Bool("rules", false, "print the registered rules with descriptions and exit")
 		cfgDebug = flag.String("cfg-debug", "", "print the CFG of `func` (\"Name\" or \"Type.Method\") as Graphviz dot and exit")
 		lockDot  = flag.Bool("lockgraph", false, "print the module lock-order graph as Graphviz dot and exit")
 		allocDot = flag.Bool("allocgraph", false, "print the hot-path allocation graph as Graphviz dot and exit")
 	)
 	flag.Parse()
 
-	if *listOnly || *rules {
+	if *rules {
 		listRules(os.Stdout)
 		return
 	}
@@ -77,7 +77,7 @@ func main() {
 			continue
 		}
 		if analysis.ByName(name) == nil {
-			fmt.Fprintf(os.Stderr, "spatiallint: unknown analyzer %q (try -list)\n", name)
+			fmt.Fprintf(os.Stderr, "spatiallint: unknown analyzer %q (try -rules)\n", name)
 			os.Exit(2)
 		}
 		disabled[name] = true
@@ -161,7 +161,7 @@ func dumpCFG(chdir, name string, patterns []string) int {
 }
 
 // listRules prints every registered rule with its one-line description
-// (the -rules / -list inventory).
+// (the -rules inventory).
 func listRules(w io.Writer) {
 	for _, a := range analysis.Analyzers() {
 		fmt.Fprintf(w, "%-16s %s\n", a.Name, a.Doc)

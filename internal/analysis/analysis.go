@@ -5,12 +5,12 @@
 // the lifetime of a streaming join cursor, and bounded streaming over
 // the wire — so this package checks them mechanically:
 //
-//	pinpair        every rtree.Tree.Pin() is released (defer/all-paths
-//	               Unpin, or an escaping release func à la pinTrees)
-//	cursorclose    an opened cursor is Closed on every path, including
-//	               error returns
-//	latchpair      every pinned buffer-pool frame (pager.Space.Pin or
-//	               Allocate) is Unpinned on every path or handed off
+//	release        acquire ⇒ release on every path: an rtree.Tree.Pin()
+//	               (defer/all-paths Unpin, or an escaping release func
+//	               à la pinTrees), an opened cursor (Close), a pinned
+//	               buffer-pool frame (Unpin), and a release/cancel func
+//	               a function returns (called, deferred, or handed off
+//	               by every caller), including error returns
 //	lockdiscipline no sync.Mutex/RWMutex held across a channel
 //	               operation, a cursor Fetch, a wire write, or a call
 //	               that transitively blocks or re-acquires the same
@@ -33,8 +33,6 @@
 //	goleak         a goroutine launched in the server/join machinery
 //	               must be joined (WaitGroup, channel) or tied to a
 //	               shutdown path
-//	releasesummary a release/cancel func returned by a function must be
-//	               called, deferred, or handed off by every caller
 //	metricname     telemetry metric names must be constant strings in
 //	               lowercase_snake, unique across the module (the
 //	               registry's runtime panic on a duplicate, at lint time)
@@ -45,10 +43,11 @@
 //	               iteration inside hot loops, and sync.Pool bypass —
 //	               on an interprocedural escape analysis (allocsummary.go)
 //
-// pinpair, cursorclose, and the three rules below the line run on the
-// control-flow-graph engine in the cfg subpackage: per-function basic
-// blocks plus a worklist dataflow solver, with per-function summaries
-// (Module) carrying facts across calls — which functions return
+// release, lockdiscipline, lockorder, atomicmix, taintsize and
+// hotalloc run on the control-flow-graph engine in the cfg subpackage:
+// per-function basic blocks plus a worklist dataflow solver, one graph
+// per function scope shared through the Module, with per-function
+// summaries carrying facts across calls — which functions return
 // release funcs, which results carry unbounded decoded counts, which
 // callees account for the goroutines they spawn.
 //
@@ -118,9 +117,7 @@ type Analyzer struct {
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		PinPair,
-		CursorClose,
-		LatchPair,
+		Release,
 		LockDiscipline,
 		LockOrder,
 		AtomicMix,
@@ -128,7 +125,6 @@ func Analyzers() []*Analyzer {
 		FloatEq,
 		TaintSize,
 		GoLeak,
-		ReleaseSummary,
 		MetricName,
 		HotAlloc,
 	}
@@ -351,8 +347,12 @@ func lastResultIsError(fn *types.Func) bool {
 	if !ok || sig.Results().Len() == 0 {
 		return false
 	}
-	last := sig.Results().At(sig.Results().Len() - 1).Type()
-	named, ok := last.(*types.Named)
+	return isErrorType(sig.Results().At(sig.Results().Len() - 1).Type())
+}
+
+// isErrorType reports whether t is the builtin error type.
+func isErrorType(t types.Type) bool {
+	named, ok := t.(*types.Named)
 	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 }
 

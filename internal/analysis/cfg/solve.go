@@ -5,9 +5,9 @@ import "go/ast"
 // The worklist dataflow solver. A Flow describes one forward analysis:
 // the entry fact, the lattice operations (Join/Equal/Clone), the
 // per-node transfer function, and an optional per-edge refinement that
-// sees the branch condition an edge follows (how cursorclose excuses
-// the open's own error path, and how taintsize treats a bound check as
-// a sanitizer).
+// sees the branch condition an edge follows (how the release rule
+// excuses the open's own error path, and how taintsize treats a bound
+// check as a sanitizer).
 //
 // Facts must be monotone under Transfer/Edge and the lattice of
 // reachable facts finite (the rules use small maps keyed by objects or

@@ -138,11 +138,42 @@ diags:
 	}
 }
 
+// absorbed lists the fixture directories an analyzer runs besides the
+// one named after it: release covers the per-kind fixtures of the four
+// rules it replaced.
+var absorbed = map[string][]string{
+	"release": {"pinpair", "cursorclose", "latchpair", "releasesummary"},
+}
+
+// TestGolden runs every analyzer of the suite over its fixtures. An
+// analyzer without a fixture directory, or a fixture directory that no
+// analyzer runs, fails the test (suppress belongs to TestSuppressions).
 func TestGolden(t *testing.T) {
-	for _, rule := range []string{"pinpair", "cursorclose", "latchpair", "lockdiscipline", "lockorder", "atomicmix", "wireerr", "floateq", "taintsize", "goleak", "releasesummary", "metricname", "hotalloc"} {
-		t.Run(rule, func(t *testing.T) {
-			checkFixture(t, filepath.Join("testdata", "src", rule), []*Analyzer{ByName(rule)})
-		})
+	src := filepath.Join("testdata", "src")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unrun := make(map[string]bool)
+	for _, e := range ents {
+		if e.IsDir() && e.Name() != "suppress" {
+			unrun[e.Name()] = true
+		}
+	}
+	for _, a := range Analyzers() {
+		for _, dir := range append([]string{a.Name}, absorbed[a.Name]...) {
+			if !unrun[dir] {
+				t.Errorf("analyzer %s: no fixture directory %s", a.Name, filepath.Join(src, dir))
+				continue
+			}
+			delete(unrun, dir)
+			t.Run(dir, func(t *testing.T) {
+				checkFixture(t, filepath.Join(src, dir), []*Analyzer{a})
+			})
+		}
+	}
+	for dir := range unrun {
+		t.Errorf("fixture directory %s is run by no analyzer", filepath.Join(src, dir))
 	}
 }
 
@@ -177,7 +208,7 @@ func TestSuppressions(t *testing.T) {
 	// Directives validate against the full suite even when the run
 	// disables their rule: with floateq off, its suppressions are inert,
 	// not "unknown rule" findings — only the malformed one remains.
-	subset := Run([]*Pkg{pkg}, []*Analyzer{PinPair})
+	subset := Run([]*Pkg{pkg}, []*Analyzer{Release})
 	if len(subset) != 1 || subset[0].Rule != "directive" ||
 		!strings.Contains(subset[0].Message, "malformed directive") {
 		t.Fatalf("disabled-rule run: got %v, want only the malformed directive", subset)

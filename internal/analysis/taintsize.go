@@ -45,7 +45,7 @@ func runTaintSize(pass *Pass) []Diag {
 	var diags []Diag
 	for _, f := range pkg.Files {
 		for _, body := range funcScopes(f) {
-			g := cfg.Build(body)
+			g := pass.Mod.graphFor(body)
 			fl := taintFlow(pkg, pass.Mod, nil)
 			in := cfg.Solve(g, fl)
 			taintSinks(pkg, pass.Mod, g, fl, in, func(pos token.Pos, argName string, val taintVal, sink string) {
@@ -353,7 +353,7 @@ func updateTaintSummary(s *FuncSummary, m *Module) bool {
 			}
 		}
 	}
-	g := cfg.Build(s.Decl.Body)
+	g := m.graphFor(s.Decl.Body)
 	fl := taintFlow(s.Pkg, m, seed)
 	in := cfg.Solve(g, fl)
 	changed := false

@@ -16,7 +16,7 @@
 // uint32 ids starting at 1 (page 0 is reserved, matching the storage
 // layer's InvalidRowID convention). Callers Pin a page to read or write
 // its payload and must Unpin it on every path — the spatiallint
-// latchpair rule enforces this discipline module-wide.
+// release rule enforces this discipline module-wide.
 //
 // Mutation protocol (write-ahead logging):
 //
