@@ -56,9 +56,11 @@ race:
 # package's reader/writer tests (TestConcurrentDeleteJoin among them:
 # the join's read-committed contract beside a concurrent deleter, on
 # the fetched and the index-decided route), the pager's
-# checkpoint-under-load churn, the grid join's atomic tile claiming,
-# the server, and the parallel join — so races there fail fast before
-# the full -race sweep.
+# checkpoint-under-load churn, the parallel joins' shared claim queue
+# (grid tiles and subtree pairs, TestGridJoinRace and
+# TestClaimQueueLongestFirst among the sjoin tests), the server, and
+# the parallel join — so races there fail fast before the full -race
+# sweep.
 race-hot:
 	$(GO) test -race -run 'TestConcurrent|TestSnapshot' .
 	$(GO) test -race -run 'TestCheckpointUnderLoad' ./internal/pager

@@ -174,6 +174,10 @@ func BenchmarkTable2IndexJoinTelemetry(b *testing.B) {
 	}
 }
 
+// Table 2's parallel column: the star self-join on the subtree path
+// under the simulator (sim-makespan-s), plus a real 2-worker leg
+// (real-s, the mean wall clock of one join) that prices the
+// simulator's error when run with -cpu 2.
 func BenchmarkTable2ParallelJoin(b *testing.B) {
 	fixtures(b)
 	cfg := sjoin.DefaultConfig()
@@ -191,13 +195,25 @@ func BenchmarkTable2ParallelJoin(b *testing.B) {
 			}
 		})
 	}
+	b.Run("workers=2/real", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cur, err := sjoin.ParallelIndexJoin(fixStars, fixStars, cfg, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, rows, err := storage.Drain(cur); err != nil || len(rows) == 0 {
+				b.Fatal(len(rows), err)
+			}
+		}
+		b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "real-s")
+	})
 }
 
 // Table 2 on the grid-partitioned path: same star self-join, tiles
 // swept per-partition under the deterministic scheduler. sim-makespan-s
 // against BenchmarkTable2ParallelJoin at the same worker count is the
 // grid-vs-subtree comparison; tile-skew-max/mean-ms quantify how even
-// the tile costs are (dynamic dealing absorbs the difference). The
+// the tile costs are (dynamic claiming absorbs the difference). The
 // scoped case is the shard side of a cluster join (shard 0 of 3): its
 // candidates and allocs/op against workers=4 pin the owner test ahead
 // of the secondary filter.
@@ -285,6 +301,10 @@ func BenchmarkTable2NestedLoop(b *testing.B) {
 }
 
 // --- Table 3: parallel index creation ---
+//
+// Each build runs under the simulator (sim-total-s) at 1, 2 and 4
+// workers, plus a real 2-worker leg (real-total-s) that prices the
+// simulator's error when run with -cpu 2.
 
 func BenchmarkTable3QuadtreeCreate(b *testing.B) {
 	fixtures(b)
@@ -303,6 +323,15 @@ func BenchmarkTable3QuadtreeCreate(b *testing.B) {
 			}
 		})
 	}
+	b.Run("workers=2/real", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, stats, err := idxbuild.CreateQuadtree(fixBGTab, "geom", grid, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(stats.Total.Seconds(), "real-total-s")
+		}
+	})
 }
 
 func BenchmarkTable3RtreeCreate(b *testing.B) {
@@ -318,6 +347,15 @@ func BenchmarkTable3RtreeCreate(b *testing.B) {
 			}
 		})
 	}
+	b.Run("workers=2/real", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, stats, err := idxbuild.CreateRtree(fixBGTab, "geom", 0, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(stats.Total.Seconds(), "real-total-s")
+		}
+	})
 }
 
 // --- Figure 1: subtree-pair decomposition ---

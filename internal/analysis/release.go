@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"maps"
+	"slices"
 	"strings"
 
 	"spatialtf/internal/analysis/cfg"
@@ -193,7 +194,7 @@ func releaseScope(pass *Pass, body *ast.BlockStmt) []Diag {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
 			if t := locals[info.Uses[id]]; t != nil {
-				if k := classifyUse(parents, id, t.kind.closing); k != useNil && k != useAdvance {
+				if k := classifyUse(parents, id, t.kind.closing); k != useNone && k != useAdvance {
 					released[t.obj] = true
 				}
 			}
@@ -276,7 +277,7 @@ func releaseScope(pass *Pass, body *ast.BlockStmt) []Diag {
 						return true
 					}
 					switch classifyUse(parents, x, t.kind.closing) {
-					case useNil:
+					case useNone:
 					case useAdvance:
 						ob.used = true
 						f.live[k] = ob
@@ -437,8 +438,10 @@ func providerResults(pkg *Pkg, mod *Module, call *ast.CallExpr) []bool {
 type useKind int
 
 const (
-	// useNil is a comparison against nil: neither a use nor a release.
-	useNil useKind = iota
+	// useNone is a comparison against nil or an assignment's left-hand
+	// side: neither a use nor a release. A rebinding with `=` leaves the
+	// obligation to the value it binds.
+	useNone useKind = iota
 	// useAdvance is a non-releasing method call (Next, Fetch, Data...):
 	// the resource stays live and is marked used.
 	useAdvance
@@ -457,7 +460,10 @@ func classifyUse(parents map[ast.Node]ast.Node, id *ast.Ident, closing map[strin
 	p := parents[id]
 	if bin, ok := p.(*ast.BinaryExpr); ok && (bin.Op == token.EQL || bin.Op == token.NEQ) &&
 		(isNilIdent(bin.X) || isNilIdent(bin.Y)) {
-		return useNil
+		return useNone
+	}
+	if as, ok := p.(*ast.AssignStmt); ok && slices.Contains(as.Lhs, ast.Expr(id)) {
+		return useNone
 	}
 	// A reference from inside a nested literal is a capture: the
 	// closure owns (or shares) the resource now.

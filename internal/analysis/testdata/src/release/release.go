@@ -99,6 +99,18 @@ func reboundRelease(a, b *tree) {
 	defer unpin()
 }
 
+// reboundReleaseLeaks rebinds a release func with `=` and leaks the
+// second binding: the rebinding's own left-hand side hands nothing off.
+func reboundReleaseLeaks(a, b *tree) {
+	unpin := pinBoth(a, b)
+	unpin()
+	unpin = pinBoth(b, a)
+	if cond() {
+		return // want `return leaks release func "unpin"`
+	}
+	unpin()
+}
+
 // usedCursorErrIsNotExcused: once the cursor has been used, `err !=
 // nil` is some later call's error, not the open's.
 func usedCursorErrIsNotExcused(t *storage.Table) error {

@@ -228,6 +228,9 @@ func TestOwnershipExactlyOnce(t *testing.T) {
 			if sc.OwnsWindow(r, q, d) {
 				owners++
 			}
+			if sc.OwnsWindow(r, q, d) != sc.OwnsPair(q, r, d) {
+				t.Fatalf("shard %d: window r=%+v q=%+v d=%g owned unlike join pair (q, r)", sc.Shard, r, q, d)
+			}
 		}
 		if owners != 1 {
 			t.Fatalf("window result r=%+v q=%+v d=%g owned by %d shards", r, q, d, owners)

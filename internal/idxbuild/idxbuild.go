@@ -108,54 +108,90 @@ func tileRowKey(row storage.Row) ([]byte, error) {
 // with the given degree of parallelism, returning the index and build
 // statistics.
 func CreateQuadtree(tab *storage.Table, column string, grid quadtree.Grid, workers int) (*quadtree.Index, Stats, error) {
-	if workers < 1 {
-		workers = 1
-	}
+	idx, s, err := createQuadtree(tab, column, grid, workers, false)
+	return idx, s.Stats, err
+}
+
+// createQuadtree is the quadtree build, its tessellation phase run on
+// goroutines or, with sim set, under the simulator.
+func createQuadtree(tab *storage.Table, column string, grid quadtree.Grid, workers int, sim bool) (*quadtree.Index, SimStats, error) {
+	workers = max(workers, 1)
 	col, err := tab.ColumnIndex(column)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, SimStats{}, err
 	}
-	start := time.Now()
 
 	// Step 1 (parallel): tessellate geometries into tiles — the table
 	// function with a partitioned input cursor.
-	parts := tablefunc.PartitionTable(tab, workers)
 	factory := func(instance int, input storage.Cursor) (tablefunc.TableFunction, error) {
 		return &tessellateFn{input: input, geomCol: col, grid: grid}, nil
 	}
-	out := tablefunc.Parallel(parts, factory, 0)
 	var entries []btree.Entry
-	for {
-		_, row, ok, err := out.Next()
-		if err != nil {
-			out.Close()
-			return nil, Stats{}, err
+	load, times, err := runPhase(tablefunc.PartitionTable(tab, workers), factory, workers, sim, func(rows []storage.Row) error {
+		for _, row := range rows {
+			key, err := tileRowKey(row)
+			if err != nil {
+				return err
+			}
+			entries = append(entries, btree.Entry{Key: key})
 		}
-		if !ok {
-			break
-		}
-		key, err := tileRowKey(row)
-		if err != nil {
-			out.Close()
-			return nil, Stats{}, err
-		}
-		entries = append(entries, btree.Entry{Key: key})
+		return nil
+	})
+	if err != nil {
+		return nil, SimStats{}, err
 	}
-	out.Close()
-	loadDone := time.Now()
 
-	// Step 2 (parallel): build the B-tree on the tile codes.
+	// Step 2 (parallel): build the B-tree on the tile codes. The
+	// simulator charges it as measured: it is a few percent of the
+	// total, and its chunk sort parallelises for real on multi-core
+	// hosts.
+	t0 := time.Now()
 	idx := quadtree.NewIndexFromEntries(grid, entries, workers)
-	end := time.Now()
+	return idx, buildStats(tab, len(entries), workers, load, time.Since(t0), times), nil
+}
 
-	return idx, Stats{
-		Rows:       tab.Len(),
-		Entries:    len(entries),
-		Workers:    workers,
-		LoadPhase:  loadDone.Sub(start),
-		BuildPhase: end.Sub(loadDone),
-		Total:      end.Sub(start),
-	}, nil
+// runPhase runs a build's table-function phase, the instances of
+// factory over parts with every fetch's rows handed to sink: on
+// goroutines through tablefunc.Parallel, or with sim set under
+// tablefunc.Simulate. It returns the phase time, wall clock or the
+// simulated makespan, and under the simulator the virtual processors'
+// busy times.
+func runPhase(parts []storage.Cursor, factory tablefunc.Factory, workers int, sim bool, sink func(rows []storage.Row) error) (time.Duration, []time.Duration, error) {
+	if sim {
+		s, err := tablefunc.Simulate(parts, factory, workers, 0, sink)
+		return s.Makespan, s.Loads, err
+	}
+	t0 := time.Now()
+	out := tablefunc.Parallel(parts, factory, 0)
+	defer out.Close()
+	var b storage.Batch
+	for {
+		b.Reset()
+		if err := out.NextBatch(&b, 0); err != nil {
+			return 0, nil, err
+		}
+		if len(b.Rows) == 0 {
+			return time.Since(t0), nil, nil
+		}
+		if err := sink(b.Rows); err != nil {
+			return 0, nil, err
+		}
+	}
+}
+
+// buildStats assembles a build's statistics from its two phase times.
+func buildStats(tab *storage.Table, entries, workers int, load, build time.Duration, times []time.Duration) SimStats {
+	return SimStats{
+		Stats: Stats{
+			Rows:       tab.Len(),
+			Entries:    entries,
+			Workers:    workers,
+			LoadPhase:  load,
+			BuildPhase: build,
+			Total:      load + build,
+		},
+		InstanceTimes: times,
+	}
 }
 
 // --- R-tree creation ---
@@ -213,49 +249,51 @@ func mbrRowItem(row storage.Row) (rtree.Item, error) {
 // CreateRtree builds an R-tree index on tab's geometry column with the
 // given node fanout (0 = default) and degree of parallelism.
 func CreateRtree(tab *storage.Table, column string, fanout, workers int) (*rtree.Tree, Stats, error) {
+	tree, s, err := createRtree(tab, column, fanout, workers, false)
+	return tree, s.Stats, err
+}
+
+// createRtree is the R-tree build, both its phases run on goroutines
+// or, with sim set, under the simulator.
+func createRtree(tab *storage.Table, column string, fanout, workers int, sim bool) (*rtree.Tree, SimStats, error) {
 	workers = max(workers, 1)
 	col, err := tab.ColumnIndex(column)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, SimStats{}, err
 	}
-	start := time.Now()
 
 	// Step 1 (parallel): load geometries and compute MBRs.
-	parts := tablefunc.PartitionTable(tab, workers)
 	factory := func(instance int, input storage.Cursor) (tablefunc.TableFunction, error) {
 		return &mbrLoadFn{input: input, geomCol: col}, nil
 	}
-	out := tablefunc.Parallel(parts, factory, 0)
 	var items []rtree.Item
-	for {
-		_, row, ok, err := out.Next()
-		if err != nil {
-			out.Close()
-			return nil, Stats{}, err
+	load, times, err := runPhase(tablefunc.PartitionTable(tab, workers), factory, workers, sim, func(rows []storage.Row) error {
+		for _, row := range rows {
+			it, err := mbrRowItem(row)
+			if err != nil {
+				return err
+			}
+			items = append(items, it)
 		}
-		if !ok {
-			break
-		}
-		it, err := mbrRowItem(row)
-		if err != nil {
-			out.Close()
-			return nil, Stats{}, err
-		}
-		items = append(items, it)
+		return nil
+	})
+	if err != nil {
+		return nil, SimStats{}, err
 	}
-	out.Close()
-	loadDone := time.Now()
 
-	// Step 2 (parallel): cluster subtrees in parallel and merge.
-	tree := rtree.ParallelBulkLoad(items, fanout, workers)
-	end := time.Now()
-
-	return tree, Stats{
-		Rows:       tab.Len(),
-		Entries:    len(items),
-		Workers:    workers,
-		LoadPhase:  loadDone.Sub(start),
-		BuildPhase: end.Sub(loadDone),
-		Total:      end.Sub(start),
-	}, nil
+	// Step 2 (parallel): cluster subtrees in parallel and merge. The
+	// simulator charges the clustering at its slowest partition and the
+	// serial upper-level merge in full.
+	var tree *rtree.Tree
+	var build time.Duration
+	if sim {
+		var cluster, merge time.Duration
+		tree, cluster, merge = rtree.ParallelBulkLoadSim(items, fanout, workers)
+		build = cluster + merge
+	} else {
+		t0 := time.Now()
+		tree = rtree.ParallelBulkLoad(items, fanout, workers)
+		build = time.Since(t0)
+	}
+	return tree, buildStats(tab, len(items), workers, load, build, times), nil
 }

@@ -292,10 +292,9 @@ func TestSimulateMatchesParallel(t *testing.T) {
 						t.Errorf("%d tiles swept, %d unit times, %d-tile grid", res.Stats.TilesSwept, len(res.UnitTimes), res.Grid.Tiles())
 					}
 				case AlgoSubtree:
-					// At most one partition per instance: the makespan
-					// is the slowest instance's own time.
-					if len(res.UnitTimes) > w || res.Elapsed != maxUnit {
-						t.Errorf("%d units on %d workers, makespan %v, slowest unit %v", len(res.UnitTimes), w, res.Elapsed, maxUnit)
+					// A unit is one subtree pair of the claim queue.
+					if n := len(SubtreePairsForWorkers(src.Tree, src.Tree, w, cfg)); len(res.UnitTimes) != n {
+						t.Errorf("%d unit times, %d subtree pairs", len(res.UnitTimes), n)
 					}
 				}
 			})

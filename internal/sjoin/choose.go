@@ -25,7 +25,7 @@ const (
 	// traversal, parallelised over the subtree-pair cross product.
 	AlgoSubtree
 	// AlgoGrid is the grid-partitioned path: uniform tiles, per-tile
-	// plane sweep, dynamic dealing of tiles to instances.
+	// plane sweep, instances claiming tiles off a shared queue.
 	AlgoGrid
 )
 

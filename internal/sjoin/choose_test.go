@@ -1,6 +1,9 @@
 package sjoin
 
 import (
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spatialtf/internal/datagen"
@@ -124,46 +127,39 @@ func TestSubtreePairsForWorkersIncremental(t *testing.T) {
 	}
 }
 
-// TestDealPairsLongestFirst checks the LPT dealing: deterministic, all
-// tasks assigned exactly once, and max partition load no worse than
-// round-robin on a skewed task list.
-func TestDealPairsLongestFirst(t *testing.T) {
+// TestClaimQueueLongestFirst checks the subtree-pair claim queue: it
+// holds every pair, in non-increasing cost, and 4 concurrent claimers
+// take each pair exactly once.
+func TestClaimQueueLongestFirst(t *testing.T) {
 	a := buildSource(t, "a", datagen.BlockGroups(1200, 66))
-	cfg := DefaultConfig()
-	pairs := SubtreePairsForWorkers(a.Tree, a.Tree, 4, cfg)
+	pairs := SubtreePairsForWorkers(a.Tree, a.Tree, 4, DefaultConfig())
 	if len(pairs) < 8 {
 		t.Skipf("only %d pairs", len(pairs))
 	}
-	parts := dealPairs(pairs, 4)
-	parts2 := dealPairs(pairs, 4)
-	total := 0
-	for i := range parts {
-		total += len(parts[i])
-		if len(parts[i]) != len(parts2[i]) {
-			t.Fatalf("dealing is nondeterministic")
+	q := newPairQueue(slices.Clone(pairs))
+	if len(q.pairs) != len(pairs) {
+		t.Fatalf("queue holds %d of %d pairs", len(q.pairs), len(pairs))
+	}
+	for i := 1; i < len(q.pairs); i++ {
+		if pairCost(q.pairs[i]) > pairCost(q.pairs[i-1]) {
+			t.Fatalf("pair %d costs %.0f, more than pair %d's %.0f", i, pairCost(q.pairs[i]), i-1, pairCost(q.pairs[i-1]))
 		}
 	}
-	if total != len(pairs) {
-		t.Fatalf("dealt %d of %d tasks", total, len(pairs))
+	claims := make([]atomic.Int32, len(q.pairs))
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := claimNext(&q.next, len(q.pairs)); k >= 0; k = claimNext(&q.next, len(q.pairs)) {
+				claims[k].Add(1)
+			}
+		}()
 	}
-	load := func(parts [][]PairOfRoots) float64 {
-		var max float64
-		for _, part := range parts {
-			var sum float64
-			for _, p := range part {
-				sum += pairCost(p)
-			}
-			if sum > max {
-				max = sum
-			}
+	wg.Wait()
+	for k := range claims {
+		if n := claims[k].Load(); n != 1 {
+			t.Fatalf("pair %d claimed %d times", k, n)
 		}
-		return max
-	}
-	rr := make([][]PairOfRoots, 4)
-	for i, p := range pairs {
-		rr[i%4] = append(rr[i%4], p)
-	}
-	if lpt, rrMax := load(parts), load(rr); lpt > rrMax {
-		t.Errorf("LPT max load %.0f worse than round-robin %.0f", lpt, rrMax)
 	}
 }

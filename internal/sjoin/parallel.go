@@ -3,6 +3,7 @@ package sjoin
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 
 	"spatialtf/internal/rtree"
 	"spatialtf/internal/storage"
@@ -18,8 +19,9 @@ import (
 //	CURSOR(select * from table(subtree_root(idxA, level)),
 //	                table(subtree_root(idxB, level)))
 //
-// operand: it is partitioned across the parallel instances of the
-// spatial_join function, each of which joins its assigned pairs.
+// operand: its pairs are queued longest first, and the parallel
+// instances of the spatial_join function claim them one at a time, the
+// way the grid join's instances claim tiles.
 
 // SubtreePairs enumerates the cross product of the subtree roots of
 // both trees after descending each by the given level, keeping only
@@ -106,51 +108,39 @@ func childRoots(roots []rtree.NodeRef) []rtree.NodeRef {
 	return out
 }
 
-// leastLoaded is the one greedy list scheduler: it places units, in the
-// order given, each on the processor with the least load so far (ties
-// to the lowest index), and returns every unit's processor and the
-// final loads. dealPairs runs it over estimated subtree-pair costs,
-// Simulate over measured unit times.
-func leastLoaded[C ~int64 | ~float64](costs []C, workers int) (placed []int, loads []C) {
-	placed = make([]int, len(costs))
-	loads = make([]C, workers)
-	for u, c := range costs {
-		w := 0
-		for i := 1; i < workers; i++ {
-			if loads[i] < loads[w] {
-				w = i
-			}
-		}
-		placed[u] = w
-		loads[w] += c
-	}
-	return placed, loads
+// pairQueue holds the subtree-join tasks of one parallel join, longest
+// first, and the shared cursor its instances claim them off.
+type pairQueue struct {
+	pairs []PairOfRoots
+	next  atomic.Int64
 }
 
-// dealPairs deals subtree-pair tasks into at most `workers` static
-// partitions, longest first: tasks are ordered by estimated cost (the
-// entry-count product of the two roots) descending and each goes to the
-// least loaded partition — the classic LPT schedule, which keeps a
-// skewed task from landing on an already-full partition the way
-// round-robin dealing can. Deterministic: the sort is stable over the
-// enumeration order. Partitions left empty are dropped.
-func dealPairs(pairs []PairOfRoots, workers int) [][]PairOfRoots {
-	pairs = slices.Clone(pairs)
-	slices.SortStableFunc(pairs, func(p, q PairOfRoots) int {
-		return cmp.Compare(pairCost(q), pairCost(p))
-	})
-	costs := make([]float64, len(pairs))
-	for i, p := range pairs {
-		// The +1 spreads zero-cost tasks (empty roots) instead of piling
-		// them all on one partition.
-		costs[i] = pairCost(p) + 1
+// newPairQueue orders pairs into a claim queue, by estimated cost
+// descending (longestFirst).
+func newPairQueue(pairs []PairOfRoots) *pairQueue {
+	longestFirst(pairs, pairCost)
+	return &pairQueue{pairs: pairs}
+}
+
+// longestFirst orders a claim queue's units by cost descending, stable
+// over the enumeration order: the expensive units are claimed while
+// every instance is still busy, so a straggler cannot start last and
+// extend the makespan on its own.
+func longestFirst[T any](units []T, cost func(T) float64) {
+	slices.SortStableFunc(units, func(p, q T) int { return cmp.Compare(cost(q), cost(p)) })
+}
+
+// claimNext takes the next unclaimed index off a queue of n units
+// through its shared cursor, or -1 when the queue is exhausted. This is
+// the one way parallel instances divide work: an instance that
+// finishes early keeps claiming, so a skewed unit delays only the
+// instance holding it.
+func claimNext(next *atomic.Int64, n int) int {
+	k := next.Add(1) - 1
+	if k >= int64(n) {
+		return -1
 	}
-	placed, _ := leastLoaded(costs, workers)
-	parts := make([][]PairOfRoots, workers)
-	for i, w := range placed {
-		parts[w] = append(parts[w], pairs[i])
-	}
-	return slices.DeleteFunc(parts, func(part []PairOfRoots) bool { return len(part) == 0 })
+	return int(k)
 }
 
 // pairCost estimates the join work under a subtree pair.
@@ -175,18 +165,23 @@ func prepareInstances(a, b Source, cfg Config, workers int) (Config, int, error)
 	return cfg, normWorkers(workers), nil
 }
 
+// placeholders returns n empty input partitions: the instances of the
+// spatial_join table function take their work from their candidate
+// sources, so the partitions the framework wants are positional only.
+func placeholders(n int) []storage.Cursor {
+	inputs := make([]storage.Cursor, n)
+	for i := range inputs {
+		inputs[i] = storage.NewSliceCursor(nil, nil)
+	}
+	return inputs
+}
+
 // runInstances runs n parallel instances of the spatial_join table
 // function, instance i over the candidate source sourceOf(i), and
 // merges their pipelined outputs (order unspecified). All instances
 // share cfg.Trace (stage aggregates are atomic), so one per-query trace
 // sums the parallel instances' work.
 func runInstances(a, b Source, cfg Config, n int, sourceOf func(i int) candSource) storage.Cursor {
-	// The instances take their work from their sources; the input
-	// partitions the framework wants are positional placeholders.
-	inputs := make([]storage.Cursor, n)
-	for i := range inputs {
-		inputs[i] = storage.NewSliceCursor(nil, nil)
-	}
 	factory := func(instance int, _ storage.Cursor) (tablefunc.TableFunction, error) {
 		fn, err := newJoinFn(a, b, cfg, sourceOf(instance))
 		if err != nil {
@@ -194,20 +189,20 @@ func runInstances(a, b Source, cfg Config, n int, sourceOf func(i int) candSourc
 		}
 		return tablefunc.Traced(fn, cfg.Trace), nil
 	}
-	return tablefunc.Parallel(inputs, factory, cfg.FetchBatch)
+	return tablefunc.Parallel(placeholders(n), factory, cfg.FetchBatch)
 }
 
 // ParallelIndexJoin evaluates the spatial join with `workers` parallel
-// instances of the spatial_join table function, each joining a
-// partition of the subtree-pair stream. The returned cursor merges the
-// instances' pipelined outputs (order unspecified).
+// instances of the spatial_join table function, which claim the
+// subtree-pair tasks off one longest-first queue. The returned cursor
+// merges the instances' pipelined outputs (order unspecified).
 func ParallelIndexJoin(a, b Source, cfg Config, workers int) (storage.Cursor, error) {
 	cfg, workers, err := prepareInstances(a, b, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
-	parts := dealPairs(SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg), workers)
-	return runInstances(a, b, cfg, len(parts), func(i int) candSource {
-		return &treeSource{roots: parts[i]}
+	q := newPairQueue(SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg))
+	return runInstances(a, b, cfg, min(workers, len(q.pairs)), func(int) candSource {
+		return &treeSource{queue: q}
 	}), nil
 }

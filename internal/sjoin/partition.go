@@ -13,11 +13,11 @@ import (
 
 // This file implements the grid-partitioned parallel join: a uniform
 // W×H grid over the joint extent of both inputs, a per-tile plane sweep
-// as the primary filter, and dynamic dealing of tiles to the parallel
-// table-function instances (work stealing over a shared tile cursor
-// instead of the static subtree-pair partitioning of §4.1). To the
-// evaluator it is one more candidate source: gridSource refills the
-// candidate array of a JoinFunction from the tiles it claims.
+// as the primary filter, and parallel table-function instances that
+// claim tiles off a shared longest-first queue, as the §4.1 instances
+// claim subtree pairs. To the evaluator it is one more candidate
+// source: gridSource refills the candidate array of a JoinFunction from
+// the tiles it claims.
 //
 // Replicated rectangles would produce duplicate result pairs, so each
 // copy of an entry is tagged with its two-layer class for that tile
@@ -115,7 +115,7 @@ func cellOf(off, w float64, n int) int {
 // Tiles returns the tile count.
 func (g Grid) Tiles() int { return g.Cols * g.Rows }
 
-// Grid sizing: enough tiles that dynamic dealing can balance skew
+// Grid sizing: enough tiles that dynamic claiming can balance skew
 // (several tiles per worker) without shrinking tiles so far that
 // replication dominates.
 const (
@@ -123,7 +123,7 @@ const (
 	// to hold.
 	gridTargetPerTile = 128
 	// gridTilesPerWorker is the minimum tile-to-worker ratio; dynamic
-	// dealing needs a margin of tiles per instance to smooth skew.
+	// claiming needs a margin of tiles per instance to smooth skew.
 	gridTilesPerWorker = 8
 	// gridMaxTiles caps the grid so tiny inputs with many workers don't
 	// allocate a huge, mostly-empty grid.
@@ -158,7 +158,7 @@ type gridTile struct {
 }
 
 // cost estimates a tile's sweep work for the longest-first queue order.
-func (t *gridTile) cost() float64 {
+func (t gridTile) cost() float64 {
 	return float64(len(t.ra)) * float64(len(t.rb))
 }
 
@@ -177,14 +177,9 @@ type gridState struct {
 }
 
 // claim steals the next unclaimed tile index, or -1 when the queue is
-// exhausted. This is the dynamic dealing: instances that finish early
-// keep claiming, so a skewed tile delays only the instance holding it.
+// exhausted (claimNext).
 func (gs *gridState) claim() int {
-	k := gs.next.Add(1) - 1
-	if k >= int64(len(gs.tiles)) {
-		return -1
-	}
-	return int(k)
+	return claimNext(&gs.next, len(gs.tiles))
 }
 
 // assignGrid appends one side's items to the dense tile array, tagging
@@ -289,20 +284,7 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 		}
 		gs.tiles = append(gs.tiles, dense[i])
 	}
-	// Longest first: under dynamic dealing the expensive tiles are
-	// claimed while everyone is still busy, so a straggler can't start
-	// last and extend the makespan on its own.
-	slices.SortStableFunc(gs.tiles, func(p, q gridTile) int {
-		cp, cq := p.cost(), q.cost()
-		switch {
-		case cp > cq:
-			return -1
-		case cp < cq:
-			return 1
-		default:
-			return 0
-		}
-	})
+	longestFirst(gs.tiles, gridTile.cost)
 	return gs
 }
 

@@ -276,10 +276,15 @@ func (j *JoinFunction) Close() error {
 func (j *JoinFunction) Stats() JoinStats { return j.stats }
 
 // treeSource is the synchronized R-tree traversal: the candidate source
-// of the serial join (one root pair) and of each subtree-parallel
-// instance (its share of the subtree-pair cross product).
+// of the serial join and of each subtree-parallel instance.
 type treeSource struct {
+	// roots are pushed by start: the serial join's one root pair, so a
+	// restarted function re-runs the join.
 	roots []PairOfRoots
+	// queue is the parallel join's shared subtree-pair queue (nil on the
+	// serial join): the instance claims its next pair whenever its
+	// stack empties.
+	queue *pairQueue
 	// Traversal stack of node pairs still to be visited.
 	stack []PairOfRoots
 	// Plane-sweep scratch: the two entry lists of the current node pair,
@@ -300,9 +305,10 @@ func (s *treeSource) start() {
 }
 
 // refill runs the synchronized R-tree traversal until the refill has no
-// room left or the stack empties — the primary (index MBR) filter. One
-// node pair is expanded whole, so the candidate array and the ready
-// queue can overshoot CandidateCap by one node pair's entry pairs.
+// room left or the stack empties with no pair left to claim — the
+// primary (index MBR) filter. One node pair is expanded whole, so the
+// candidate array and the ready queue can overshoot CandidateCap by one
+// node pair's entry pairs.
 // Equal-height node pairs are intersected either by a forward plane
 // sweep over xlo-sorted entry lists (O(n log n + output) instead of the
 // O(n·m) nested scan) or, below Config.SweepThreshold, by the nested
@@ -314,13 +320,13 @@ func (s *treeSource) start() {
 //
 //spatiallint:hot
 func (s *treeSource) refill(j *JoinFunction) {
-	if len(s.stack) == 0 {
+	if len(s.stack) == 0 && !s.claim() {
 		return
 	}
 	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per refill not per row
 	end := j.span(telemetry.StagePrimary)
 	unordered := j.routes.has(routeMirror)
-	for len(s.stack) > 0 && j.room() > 0 {
+	for j.room() > 0 && (len(s.stack) > 0 || s.claim()) {
 		top := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
 		j.stats.NodePairsVisited++
@@ -392,6 +398,20 @@ func (s *treeSource) refill(j *JoinFunction) {
 		}
 	}
 	end()
+}
+
+// claim pushes the next subtree pair off the shared queue, reporting
+// false when there is no queue or it is exhausted.
+func (s *treeSource) claim() bool {
+	if s.queue == nil {
+		return false
+	}
+	k := claimNext(&s.queue.next, len(s.queue.pairs))
+	if k < 0 {
+		return false
+	}
+	s.stack = append(s.stack, s.queue.pairs[k])
+	return true
 }
 
 // sweepPair runs a forward plane sweep over the entries of nodes a and

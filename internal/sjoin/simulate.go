@@ -5,17 +5,16 @@ import (
 	"time"
 
 	"spatialtf/internal/storage"
+	"spatialtf/internal/tablefunc"
 )
 
-// This file provides a deterministic multi-processor simulator for the
-// parallel joins. The paper's experiments ran on a 4-CPU Sun; on hosts
-// with fewer cores than the requested degree of parallelism, goroutine
-// wall-clock cannot show the speedup the paper measures. The simulator
-// runs the units of work a parallel execution hands its instances — a
-// dealt partition of the subtree-pair stream, or one grid tile —
-// serially through the real JoinFunction, times each in isolation, and
-// list-schedules the unit times onto virtual processors. Partitioning
-// and all results are identical to the goroutine execution.
+// This file times the parallel joins under tablefunc.Simulate. The
+// paper's experiments ran on a 4-CPU Sun; on hosts with fewer cores
+// than the requested degree of parallelism, goroutine wall-clock cannot
+// show the speedup the paper measures. A unit is what one claim of a
+// parallel execution hands an instance — one subtree pair, or one grid
+// tile — and each unit runs serially through the real JoinFunction.
+// The queue and all results are identical to the goroutine execution.
 
 // SimResult reports a simulated parallel run.
 type SimResult struct {
@@ -28,8 +27,8 @@ type SimResult struct {
 	// is Elapsed, their sum approximates the 1-processor time.
 	InstanceTimes []time.Duration
 	// UnitTimes are the measured costs of the work units (primary
-	// filter plus that unit's share of the secondary filter), in the
-	// order they were scheduled.
+	// filter plus that unit's share of the secondary filter), in queue
+	// order.
 	UnitTimes []time.Duration
 	// Grid is the partitioning used (AlgoGrid only).
 	Grid Grid
@@ -52,13 +51,9 @@ func (r SimResult) Skew() (longest, mean time.Duration) {
 }
 
 // Simulate runs the parallel join algo (AlgoSubtree or AlgoGrid) under
-// the multi-processor simulator with the given degree of parallelism.
-// The units are greedily list-scheduled in queue order, each onto the
-// least loaded virtual processor: for the grid's longest-first tile
-// queue that is the assignment dynamic dealing converges to when every
-// claim goes to the first free instance; the subtree path deals at most
-// one partition per instance, so each lands on its own processor and
-// the makespan is the slowest instance's time.
+// tablefunc.Simulate with the given degree of parallelism: one
+// instance per unit of the algorithm's claim queue, in queue order,
+// list-scheduled onto the least loaded virtual processor.
 func Simulate(a, b Source, cfg Config, algo Algo, workers int) (SimResult, error) {
 	cfg, workers, err := prepareInstances(a, b, cfg, workers)
 	if err != nil {
@@ -68,8 +63,8 @@ func Simulate(a, b Source, cfg Config, algo Algo, workers int) (SimResult, error
 	var units []candSource
 	switch algo {
 	case AlgoSubtree:
-		for _, part := range dealPairs(SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg), workers) {
-			units = append(units, &treeSource{roots: part})
+		for _, p := range newPairQueue(SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg)).pairs {
+			units = append(units, &treeSource{roots: []PairOfRoots{p}})
 		}
 	case AlgoGrid:
 		gs := buildGridState(a, b, cfg, workers)
@@ -80,31 +75,25 @@ func Simulate(a, b Source, cfg Config, algo Algo, workers int) (SimResult, error
 	default:
 		return SimResult{}, fmt.Errorf("sjoin: no parallel execution to simulate for algorithm %v", algo)
 	}
-	// One function runs every unit in turn, so the counters accumulate
-	// and the buffers stay warm, as they do for an instance that works
-	// through several units.
+	// One function serves every unit in turn, its source rebound per
+	// unit, so the counters accumulate as they do for an instance that
+	// claims several units.
 	fn, err := newJoinFn(a, b, cfg, nil)
 	if err != nil {
 		return SimResult{}, err
 	}
-	defer fn.Close()
-	var batch storage.Batch
-	for _, u := range units {
-		fn.src = u
-		t0 := time.Now()
-		err := drive(fn, &batch, storage.DefaultBatch, func(rows []storage.Row) (err error) {
-			res.Pairs, err = AppendPairs(res.Pairs, rows)
-			return err
-		})
-		if err != nil {
-			return SimResult{}, err
-		}
-		res.UnitTimes = append(res.UnitTimes, time.Since(t0))
+	factory := func(i int, _ storage.Cursor) (tablefunc.TableFunction, error) {
+		fn.src = units[i]
+		return fn, nil
+	}
+	s, err := tablefunc.Simulate(placeholders(len(units)), factory, workers, storage.DefaultBatch, func(rows []storage.Row) (err error) {
+		res.Pairs, err = AppendPairs(res.Pairs, rows)
+		return err
+	})
+	if err != nil {
+		return SimResult{}, err
 	}
 	res.Stats = fn.Stats()
-	_, res.InstanceTimes = leastLoaded(res.UnitTimes, workers)
-	for _, l := range res.InstanceTimes {
-		res.Elapsed = max(res.Elapsed, l)
-	}
+	res.Elapsed, res.InstanceTimes, res.UnitTimes = s.Makespan, s.Loads, s.Units
 	return res, nil
 }

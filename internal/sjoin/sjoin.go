@@ -10,8 +10,8 @@
 //   - IndexJoin — a synchronized traversal of both R-trees from the two
 //     roots, pipelined.
 //   - ParallelIndexJoin — §4.1: descend both trees to a level, enumerate
-//     subtree roots, and run the same traversal over a share of the
-//     subtree-pair cross product on each parallel instance.
+//     subtree roots, and run the same traversal on each parallel
+//     instance over the subtree pairs it claims off a shared queue.
 //   - GridParallelJoin — a uniform tile grid whose tiles the parallel
 //     instances claim dynamically and plane-sweep.
 //

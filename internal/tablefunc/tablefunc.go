@@ -170,12 +170,30 @@ func Parallel(partitions []storage.Cursor, factory Factory, batch int) storage.C
 		stop: make(chan struct{}),
 		wg:   &sync.WaitGroup{},
 	}
+	// An instance takes an emptied batch back off free when there is
+	// one and stops sending once the consumer has closed.
+	next := func() *storage.Batch {
+		select {
+		case b := <-c.free:
+			return b
+		default:
+			return new(storage.Batch)
+		}
+	}
+	put := func(b *storage.Batch) bool {
+		select {
+		case c.out <- b:
+			return true
+		case <-c.stop:
+			return false
+		}
+	}
 	for i, part := range partitions {
 		c.wg.Add(1)
 		go func(i int, part storage.Cursor) {
 			defer c.wg.Done()
 			defer part.Close()
-			if err := c.runInstance(i, part, factory, batch); err != nil {
+			if err := runInstance(i, part, factory, batch, next, put); err != nil {
 				select {
 				case c.errs <- err:
 				default:
@@ -190,8 +208,12 @@ func Parallel(partitions []storage.Cursor, factory Factory, batch int) storage.C
 	return c
 }
 
-// runInstance drives one instance to completion or cancellation.
-func (c *parallelCursor) runInstance(i int, part storage.Cursor, factory Factory, batch int) error {
+// runInstance drives instance i over its partition: start, then fetch
+// into next's batches, handing each non-empty one to put, until the
+// instance is exhausted or put returns false. The instance is closed on
+// every path. Parallel runs it on one goroutine per partition, Simulate
+// on the caller's, one partition after another.
+func runInstance(i int, part storage.Cursor, factory Factory, batch int, next func() *storage.Batch, put func(*storage.Batch) bool) error {
 	fn, err := factory(i, part)
 	if err != nil {
 		return fmt.Errorf("tablefunc: instance %d: %w", i, err)
@@ -201,21 +223,11 @@ func (c *parallelCursor) runInstance(i int, part storage.Cursor, factory Factory
 		return fmt.Errorf("tablefunc: instance %d start: %w", i, err)
 	}
 	for {
-		var b *storage.Batch
-		select {
-		case b = <-c.free:
-		default:
-			b = new(storage.Batch)
-		}
+		b := next()
 		if err := fn.Fetch(b, batch); err != nil {
 			return fmt.Errorf("tablefunc: instance %d fetch: %w", i, err)
 		}
-		if len(b.Rows) == 0 {
-			return nil
-		}
-		select {
-		case c.out <- b:
-		case <-c.stop:
+		if len(b.Rows) == 0 || !put(b) {
 			return nil
 		}
 	}

@@ -2,7 +2,6 @@ package tablefunc
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -42,6 +41,25 @@ func (c *counterFn) Close() error {
 	atomic.AddInt32(&c.closed, 1)
 	return nil
 }
+
+// doublingFn reads its input partition and emits each value doubled,
+// proving the function transformed it.
+type doublingFn struct{ input storage.Cursor }
+
+func (f *doublingFn) Start() error { return nil }
+
+func (f *doublingFn) Fetch(b *storage.Batch, max int) error {
+	for n := 0; n < max; n++ {
+		_, row, ok, err := f.input.Next()
+		if err != nil || !ok {
+			return err
+		}
+		b.Rows = append(b.Rows, storage.Row{storage.Int(row[0].I * 2)})
+	}
+	return nil
+}
+
+func (f *doublingFn) Close() error { return nil }
 
 func drainInts(t *testing.T, c storage.Cursor) []int {
 	t.Helper()
@@ -251,16 +269,7 @@ func TestParallelConsumesInputCursors(t *testing.T) {
 		t.Fatalf("expected multiple partitions, got %d", len(parts))
 	}
 	factory := func(instance int, input storage.Cursor) (TableFunction, error) {
-		return &FuncCursor{
-			NextFn: func() (storage.Row, error) {
-				_, row, ok, err := input.Next()
-				if err != nil || !ok {
-					return nil, err
-				}
-				// Double each value to prove the function transformed it.
-				return storage.Row{storage.Int(row[0].I * 2)}, nil
-			},
-		}, nil
+		return &doublingFn{input: input}, nil
 	}
 	got := drainInts(t, Parallel(parts, factory, 0))
 	if len(got) != 2000 {
@@ -297,69 +306,9 @@ func TestPartitionTableTinyTable(t *testing.T) {
 	if len(parts) != 1 {
 		t.Errorf("1-row table partitions = %d", len(parts))
 	}
-	rows, err := CollectRows(parts[0])
+	_, rows, err := storage.Drain(parts[0])
 	if err != nil || len(rows) != 1 {
 		t.Errorf("partition contents: %d rows, %v", len(rows), err)
-	}
-}
-
-func TestPartitionRows(t *testing.T) {
-	rows := make([]storage.Row, 10)
-	for i := range rows {
-		rows[i] = storage.Row{storage.Int(int64(i))}
-	}
-	parts, err := PartitionRows(storage.NewSliceCursor(nil, rows), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 3 {
-		t.Fatalf("got %d partitions", len(parts))
-	}
-	var all []int
-	for _, p := range parts {
-		all = append(all, drainInts(t, p)...)
-	}
-	sort.Ints(all)
-	for i, v := range all {
-		if v != i {
-			t.Fatalf("partitioning lost/duplicated row %d", i)
-		}
-	}
-	// Empty input.
-	parts, err = PartitionRows(storage.NewSliceCursor(nil, nil), 3)
-	if err != nil || len(parts) != 0 {
-		t.Errorf("empty input: %d partitions, %v", len(parts), err)
-	}
-}
-
-func TestCollectRows(t *testing.T) {
-	rows := []storage.Row{{storage.Int(1)}, {storage.Int(2)}}
-	got, err := CollectRows(storage.NewSliceCursor(nil, rows))
-	if err != nil || len(got) != 2 {
-		t.Fatalf("CollectRows = %d rows, %v", len(got), err)
-	}
-}
-
-func TestFuncCursorLifecycle(t *testing.T) {
-	n := 0
-	started, closed := false, false
-	f := &FuncCursor{
-		StartFn: func() error { started = true; return nil },
-		NextFn: func() (storage.Row, error) {
-			if n >= 3 {
-				return nil, nil
-			}
-			n++
-			return storage.Row{storage.Int(int64(n))}, nil
-		},
-		CloseFn: func() error { closed = true; return nil },
-	}
-	got := drainInts(t, Pipeline(f, 2))
-	if fmt.Sprint(got) != "[1 2 3]" {
-		t.Fatalf("FuncCursor rows = %v", got)
-	}
-	if !started || !closed {
-		t.Errorf("lifecycle: started=%v closed=%v", started, closed)
 	}
 }
 

@@ -34,21 +34,12 @@ type JoinOptions struct {
 	// density, worker count); "nested", "subtree", and "grid" force a
 	// path — the ablation override. "grid" is the grid-partitioned
 	// parallel join: a uniform tile grid with two-layer A/B/C/D
-	// duplicate avoidance, a per-tile plane sweep, and dynamic dealing
-	// of tiles to the instances.
+	// duplicate avoidance, a per-tile plane sweep, and instances that
+	// claim tiles off a shared longest-first queue.
 	Algo string
 	// CandidateCap bounds the in-memory candidate array of the §4.2
 	// two-stage evaluation (0 = default).
 	CandidateCap int
-	// NoSortCandidates disables the §4.2 sort of candidates by first
-	// rowid before the secondary filter (ablation switch; the default
-	// follows the paper and sorts).
-	NoSortCandidates bool
-	// SweepThreshold is the minimum combined entry count of a node pair
-	// for the primary filter's plane sweep to engage (0 = default);
-	// smaller node pairs take the nested entry-pair scan, so
-	// math.MaxInt forces that scan everywhere (ablation switch).
-	SweepThreshold int
 	// GeomCacheBytes selects the decoded-geometry cache the secondary
 	// filter fetches through: 0 (default) shares the database-wide
 	// cache, > 0 gives this join a private cache of that byte size, and
@@ -78,8 +69,6 @@ func (o JoinOptions) config() (sjoin.Config, error) {
 	}
 	cfg.Distance = o.Distance
 	cfg.CandidateCap = o.CandidateCap
-	cfg.SortCandidates = !o.NoSortCandidates
-	cfg.SweepThreshold = o.SweepThreshold
 	cfg.GeomCacheBytes = o.GeomCacheBytes
 	if o.Scope != nil {
 		cfg.Owns = o.Scope.OwnsPoint
@@ -369,7 +358,7 @@ func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 	case sjoin.AlgoGrid:
 		cols, rows := sjoin.GridShape(a.Tree.Len(), b.Tree.Len(), plan.Workers)
 		fmt.Fprintf(&sb, "  strategy: GRID-PARTITIONED parallel table function, %d instances\n", plan.Workers)
-		fmt.Fprintf(&sb, "  grid decomposition: %dx%d uniform tiles over the joint extent; per-tile plane sweep; two-layer A/B/C/D classes (no dedup pass); tiles dealt dynamically, longest first\n",
+		fmt.Fprintf(&sb, "  grid decomposition: %dx%d uniform tiles over the joint extent; per-tile plane sweep; two-layer A/B/C/D classes (no dedup pass); tiles claimed dynamically, longest first\n",
 			cols, rows)
 	case sjoin.AlgoNested:
 		sb.WriteString("  strategy: NESTED LOOP (per-row probes of operand B's index)\n")
@@ -386,7 +375,7 @@ func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 				total = roots * (roots + 1) / 2 // one tree's unordered root pairs
 			}
 			fmt.Fprintf(&sb, "  strategy: PARALLEL pipelined table function, %d instances\n", plan.Workers)
-			fmt.Fprintf(&sb, "  subtree decomposition: descend %d level(s); %d subtree-pair tasks scheduled, %d pruned as disjoint; tasks dealt longest first\n",
+			fmt.Fprintf(&sb, "  subtree decomposition: descend %d level(s); %d subtree-pair tasks scheduled, %d pruned as disjoint; tasks claimed longest first\n",
 				descend, len(pairs), total-len(pairs))
 		} else {
 			sb.WriteString("  strategy: SERIAL pipelined table function (single root pair)\n")

@@ -68,19 +68,12 @@ func (s *ClusterScope) OwnsMBR(m MBR) bool {
 
 // OwnsWindow reports whether this shard owns row MBR r as a result of a
 // window/distance predicate with query MBR q and search distance d
-// (0 for a pure relate). The reference point is the bottom-left corner
-// of r ∩ q.Expand(d), which lies inside r — so every shard holding a
+// (0 for a pure relate). A window is a join of q against the row, so
+// the reference point is the join pair (q, r)'s: the bottom-left corner
+// of q.Expand(d) ∩ r, which lies inside r — so every shard holding a
 // replica of r can evaluate this identically, margin-free.
 func (s *ClusterScope) OwnsWindow(r, q MBR, d float64) bool {
-	x := q.MinX - d
-	if r.MinX > x {
-		x = r.MinX
-	}
-	y := q.MinY - d
-	if r.MinY > y {
-		y = r.MinY
-	}
-	return s.OwnsPoint(x, y)
+	return s.OwnsPoint(sjoin.PairRefPoint(q, r, d))
 }
 
 // OwnsPair reports whether this shard owns join pair (a, b) under join
