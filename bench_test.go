@@ -7,7 +7,6 @@ package spatialtf
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
@@ -501,35 +500,6 @@ func BenchmarkAblationTilingLevel(b *testing.B) {
 				}
 				b.ReportMetric(float64(stats.Entries), "tiles")
 				_ = idx
-			}
-		})
-	}
-}
-
-// Ablation 7: primary-filter algorithm — forward plane sweep over
-// xlo-sorted entry lists (default) vs the nested entry-pair scan, which
-// a sweep threshold no node pair reaches forces everywhere.
-// Node accesses are identical by construction (same traversal); the
-// sweep changes only the per-node-pair intersection cost.
-func BenchmarkAblationPrimaryFilter(b *testing.B) {
-	fixtures(b)
-	for _, nested := range []bool{false, true} {
-		b.Run(fmt.Sprintf("nested=%v", nested), func(b *testing.B) {
-			cfg := sjoin.DefaultConfig()
-			if nested {
-				cfg.SweepThreshold = math.MaxInt
-			}
-			for i := 0; i < b.N; i++ {
-				fn, err := sjoin.NewJoinFunction(fixStars, fixStars, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, stats, err := sjoin.RunJoinFunction(fn, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(stats.NodeAccesses), "node-accesses")
-				b.ReportMetric(float64(stats.Candidates), "candidates")
 			}
 		})
 	}

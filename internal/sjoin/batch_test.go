@@ -49,10 +49,7 @@ func newPathFixture(t *testing.T, ds datagen.Dataset) pathFixture {
 	f := pathFixture{plain: src, mbrs: map[storage.RowID]geom.MBR{}}
 	f.paths = []joinPath{
 		{"serial", true, func(cfg Config) (storage.Cursor, error) { return IndexJoin(src, src, cfg) }},
-		{"serial nested scan", true, func(cfg Config) (storage.Cursor, error) {
-			cfg.SweepThreshold = math.MaxInt
-			return IndexJoin(src, src, cfg)
-		}},
+		{"serial nested scan", true, func(cfg Config) (storage.Cursor, error) { return nestedScanJoin(src, src, cfg) }},
 		{"subtree x3", false, func(cfg Config) (storage.Cursor, error) { return ParallelIndexJoin(src, src, cfg, 3) }},
 		{"grid x3", false, func(cfg Config) (storage.Cursor, error) { return GridParallelJoin(src, src, cfg, 3) }},
 		{"nested", true, func(cfg Config) (storage.Cursor, error) { return eager(NestedLoop(src, src, cfg)) }},

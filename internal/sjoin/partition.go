@@ -43,16 +43,6 @@ const (
 	classBoth uint8 = classXStart | classYStart
 )
 
-// tileEntry is one copy of an input rectangle assigned to a tile. The
-// coordinates are the original (unexpanded) MBR — a distance join
-// expands the first side inline during the sweep, exactly as sweepPair
-// does, so assignment and sweep agree bit-for-bit.
-type tileEntry struct {
-	geom.MBR
-	id    storage.RowID
-	class uint8
-}
-
 // Grid is the uniform partitioning of the joint extent.
 type Grid struct {
 	Bounds     geom.MBR
@@ -151,10 +141,12 @@ func GridShape(nA, nB, workers int) (cols, rows int) {
 
 // gridTile holds the two per-tile entry lists, in xlo order (the inputs
 // are sorted once globally before assignment, so appends preserve sweep
-// order and no per-tile sort is needed). An unordered grid keeps one
-// copy of each entry per tile: rb is ra, swept against itself.
+// order and no per-tile sort is needed). An entry is one copy of an
+// input rectangle, unexpanded, with its class for the tile. An
+// unordered grid keeps one copy of each entry per tile: rb is ra, swept
+// against itself.
 type gridTile struct {
-	ra, rb []tileEntry
+	ra, rb []sweepEntry
 }
 
 // cost estimates a tile's sweep work for the longest-first queue order.
@@ -167,10 +159,13 @@ func (t gridTile) cost() float64 {
 // instances steal tiles from.
 type gridState struct {
 	grid Grid
-	d    float64 // join distance (first side expanded by it)
-	// unordered: the mirror mode's grid, one copy of each entry assigned
-	// by its MBR grown by d/2, each tile swept against itself
-	// (sweepTileSelf).
+	d    float64 // join distance
+	// grow is sweepGrow of the operands: the first side is placed and
+	// swept grown by it.
+	grow float64
+	// unordered: the mirror mode's grid, one copy of each entry placed
+	// by its MBR grown by grow/2, each tile swept against itself in the
+	// sweep's self mode.
 	unordered bool
 	tiles     []gridTile
 	next      atomic.Int64
@@ -184,8 +179,8 @@ func (gs *gridState) claim() int {
 
 // assignGrid appends one side's items to the dense tile array, tagging
 // each copy with its class. expand widens the rectangles for tile
-// assignment and class computation (the distance-join expansion of the
-// first side); the stored coordinates stay unexpanded.
+// assignment and class computation — the sweep's growth of that side,
+// by the same expressions; the stored coordinates stay unexpanded.
 //
 //spatiallint:hot
 func assignGrid(dense []gridTile, g Grid, items []rtree.Item, expand float64, sideA bool) {
@@ -194,7 +189,7 @@ func assignGrid(dense []gridTile, g Grid, items []rtree.Item, expand float64, si
 		c1 := g.ColOf(it.MBR.MaxX + expand)
 		r0 := g.RowOf(it.MBR.MinY - expand)
 		r1 := g.RowOf(it.MBR.MaxY + expand)
-		e := tileEntry{MBR: it.MBR, id: it.ID}
+		e := sweepEntry{MBR: it.MBR, id: it.ID}
 		for r := r0; r <= r1; r++ {
 			base := r * g.Cols
 			for c := c0; c <= c1; c++ {
@@ -234,8 +229,8 @@ func byMinX(p, q rtree.Item) int {
 // first. With either side empty the queue is empty (so is the join).
 //
 // Under the mirror mode (UnorderedPairs) the one input is assigned once,
-// each MBR grown by d/2 on every side. Two MBRs whose L∞ gap is at most
-// d have overlapping half-grown boxes, and the low corner of that
+// each MBR grown by grow/2 on every side. Two MBRs within distance d
+// have overlapping half-grown boxes, and the low corner of that
 // overlap is the same for (a, b) and (b, a), so the class test reports
 // each unordered pair in exactly one tile (DESIGN.md §21).
 func buildGridState(a, b Source, cfg Config, workers int) *gridState {
@@ -249,9 +244,10 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 		return &gridState{}
 	}
 	d := cfg.Distance
-	bounds := a.Tree.Bounds().Expand(d).Union(b.Tree.Bounds())
+	grow := sweepGrow(d, a.Tree.Bounds(), b.Tree.Bounds())
+	bounds := a.Tree.Bounds().Expand(grow).Union(b.Tree.Bounds())
 	if unordered {
-		bounds = a.Tree.Bounds().Expand(d / 2)
+		bounds = a.Tree.Bounds().Expand(grow / 2)
 	}
 	cols, rows := GridShape(len(itemsA), len(itemsB), workers)
 	if cfg.GridTiles > 0 {
@@ -267,111 +263,40 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 	if a.Tree != b.Tree {
 		slices.SortFunc(itemsB, byMinX)
 	}
-	dense := make([]gridTile, g.Tiles())
-	if unordered {
-		assignGrid(dense, g, itemsA, d/2, true)
-		for i := range dense {
-			dense[i].rb = dense[i].ra
-		}
-	} else {
-		assignGrid(dense, g, itemsA, d, true)
-		assignGrid(dense, g, itemsB, 0, false)
-	}
-	gs := &gridState{grid: g, d: d, unordered: unordered}
-	for i := range dense {
-		if len(dense[i].ra) == 0 || len(dense[i].rb) == 0 {
+	gs := &gridState{grid: g, d: d, grow: grow, unordered: unordered}
+	for _, t := range placeTiles(g, itemsA, itemsB, grow, unordered) {
+		if len(t.ra) == 0 || len(t.rb) == 0 {
 			continue // a one-sided tile can produce no pairs
 		}
-		gs.tiles = append(gs.tiles, dense[i])
+		gs.tiles = append(gs.tiles, t)
 	}
 	longestFirst(gs.tiles, gridTile.cost)
 	return gs
 }
 
-// sweepTile runs the forward plane sweep of one tile, calling emit once
-// for every candidate pair the tile owns: x intervals (first side
-// expanded by the join distance) overlap, y intervals overlap, the
-// two classes OR to classBoth, and — for distance joins — the exact
-// rectangle distance is within d. Identical structure to sweepPair;
-// both lists are already in xlo order.
-//
-//spatiallint:hot
-func (gs *gridState) sweepTile(t *gridTile, emit func(a, b *tileEntry)) {
-	if gs.unordered {
-		gs.sweepTileSelf(t.ra, emit)
-		return
-	}
-	d := gs.d
-	ea, eb := t.ra, t.rb
-	i, k := 0, 0
-	for i < len(ea) && k < len(eb) {
-		if ea[i].MinX-d <= eb[k].MinX {
-			e := &ea[i]
-			xmax := e.MaxX + d
-			ylo, yhi := e.MinY-d, e.MaxY+d
-			for kk := k; kk < len(eb) && eb[kk].MinX <= xmax; kk++ {
-				o := &eb[kk]
-				if o.MinY > yhi || o.MaxY < ylo {
-					continue
-				}
-				if e.class|o.class != classBoth {
-					continue
-				}
-				if d > 0 && !mbrsWithin(&e.MBR, &o.MBR, d) {
-					continue
-				}
-				emit(e, o)
-			}
-			i++
-		} else {
-			e := &eb[k]
-			for ii := i; ii < len(ea) && ea[ii].MinX-d <= e.MaxX; ii++ {
-				o := &ea[ii]
-				if o.MinY-d > e.MaxY || o.MaxY+d < e.MinY {
-					continue
-				}
-				if e.class|o.class != classBoth {
-					continue
-				}
-				if d > 0 && !mbrsWithin(&o.MBR, &e.MBR, d) {
-					continue
-				}
-				emit(o, e)
-			}
-			k++
+// placeTiles assigns the xlo-sorted items of both sides to the tiles of
+// g: side A grown by grow, or — unordered — the one side grown by
+// grow/2 and shared by both lists of every tile.
+func placeTiles(g Grid, itemsA, itemsB []rtree.Item, grow float64, unordered bool) []gridTile {
+	dense := make([]gridTile, g.Tiles())
+	if unordered {
+		assignGrid(dense, g, itemsA, grow/2, true)
+		for i := range dense {
+			dense[i].rb = dense[i].ra
 		}
+		return dense
 	}
+	assignGrid(dense, g, itemsA, grow, true)
+	assignGrid(dense, g, itemsB, 0, false)
+	return dense
 }
 
-// sweepTileSelf is the tile sweep of an unordered grid: one xlo-sorted
-// list, each entry i swept against the entries k ≥ i (k = i is the row
-// paired with itself), so each unordered pair the tile owns is emitted
-// once. The x and y tests are on the boxes grown by d/2 — the
-// expressions assignGrid placed them by — so a pair the sweep accepts
-// lies in its reporting tile bit for bit; the class test and
-// mbrsWithin are sweepTile's.
+// sweepTile sweeps one tile, calling emit once for every candidate pair
+// the tile owns.
 //
 //spatiallint:hot
-func (gs *gridState) sweepTileSelf(es []tileEntry, emit func(a, b *tileEntry)) {
-	d, h := gs.d, gs.d/2
-	for i := range es {
-		e := &es[i]
-		xmax := e.MaxX + h
-		ylo, yhi := e.MinY-h, e.MaxY+h
-		for k := i; k < len(es) && es[k].MinX-h <= xmax; k++ {
-			o := &es[k]
-			if o.MinY-h > yhi || o.MaxY+h < ylo {
-				continue
-			}
-			if e.class|o.class != classBoth {
-				continue
-			}
-			if d > 0 && !mbrsWithin(&e.MBR, &o.MBR, d) {
-				continue
-			}
-			emit(e, o)
-		}
-	}
+func (gs *gridState) sweepTile(t *gridTile, emit func(a, b *sweepEntry)) {
+	sweep(t.ra, t.rb, gs.grow, gs.d, gs.unordered, emit)
 }
 
 // gridSource is the candidate source of one grid-join instance: it
@@ -398,7 +323,7 @@ func (s gridSource) refill(j *JoinFunction) {
 		}
 		//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per tile sweep not per row
 		end := j.span(telemetry.StageTileSweep)
-		s.gs.sweepTile(&s.gs.tiles[ti], func(a, b *tileEntry) {
+		s.gs.sweepTile(&s.gs.tiles[ti], func(a, b *sweepEntry) {
 			j.emit(Pair{A: a.id, B: b.id}, a.MBR, b.MBR)
 		})
 		end()

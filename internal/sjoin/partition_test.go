@@ -151,7 +151,7 @@ func TestGridClassesEmitEachPairOnce(t *testing.T) {
 				}
 			}
 		}
-		gs.sweepTile(tl, func(a, b *tileEntry) {
+		gs.sweepTile(tl, func(a, b *sweepEntry) {
 			counts[Pair{A: a.id, B: b.id}]++
 		})
 	}
@@ -197,7 +197,7 @@ func checkUnorderedTiles(t *testing.T, src Source, cfg Config) {
 	}
 	counts := map[Pair]int{}
 	for ti := range gs.tiles {
-		gs.sweepTile(&gs.tiles[ti], func(a, b *tileEntry) {
+		gs.sweepTile(&gs.tiles[ti], func(a, b *sweepEntry) {
 			counts[unordered(a.id, b.id)]++
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialtf/internal/datagen"
@@ -39,6 +40,31 @@ func latticePoints(seed int64, n int) []geom.Point {
 		}
 	}
 	return pts
+}
+
+// roundingBoundaryPoints returns n point pairs on rows 10 apart, the
+// pairs' x gaps cycling through gaps. Each pair is one a sum-based
+// pre-filter gets wrong: lo + gap rounds below hi, while hi − lo, the
+// difference MBR.Dist takes, rounds to gap exactly. Every other pair
+// puts its second point west of its first. as holds the first point of
+// every pair, bs the second.
+func roundingBoundaryPoints(seed int64, n int, gaps ...float64) (as, bs []geom.Point) {
+	rng := rand.New(rand.NewSource(seed))
+	for len(as) < n {
+		gap := gaps[len(as)%len(gaps)]
+		lo := rng.Float64() * 30
+		hi := math.Nextafter(lo+gap, math.Inf(1))
+		if hi-lo != gap {
+			continue
+		}
+		y := float64(10 * len(as))
+		a, b := geom.Point{X: lo, Y: y}, geom.Point{X: hi, Y: y}
+		if len(as)%2 == 1 {
+			a, b = b, a
+		}
+		as, bs = append(as, a), append(bs, b)
+	}
+	return as, bs
 }
 
 // pointTable loads one geometry per coordinate, shaped by kind, and
@@ -92,12 +118,16 @@ func pointJoinCases(t testing.TB) []pointJoinCase {
 	multis := pointTable(t, "multipoints", "multipoint", pts)
 	otherLines := pointTable(t, "other_lines", "line", other)
 	rects := pointTable(t, "rects", "rect", other)
+	firsts, seconds := roundingBoundaryPoints(8, 40, 1.5, 2.5)
+	boundary := pointTable(t, "rounding_boundary", "point", append(slices.Clone(firsts), seconds...))
 	return []pointJoinCase{
 		{"points", points, points, true},
 		{"zero-length lines", lines, lines, true},
 		{"repeated multipoints", multis, multis, true},
 		{"points x lines", points, otherLines, true},
 		{"points x polygons", points, rects, false},
+		{"rounding boundary", boundary, boundary, true},
+		{"rounding boundary, first points x all", pointTable(t, "rounding_firsts", "point", firsts), boundary, true},
 	}
 }
 
@@ -123,10 +153,7 @@ var pointAlgos = []struct {
 	open    func(a, b Source, cfg Config) (storage.Cursor, error)
 }{
 	{"serial", true, IndexJoin},
-	{"serial nested scan", true, func(a, b Source, cfg Config) (storage.Cursor, error) {
-		cfg.SweepThreshold = math.MaxInt
-		return IndexJoin(a, b, cfg)
-	}},
+	{"serial nested scan", true, nestedScanJoin},
 	{"subtree x3", false, func(a, b Source, cfg Config) (storage.Cursor, error) { return ParallelIndexJoin(a, b, cfg, 3) }},
 	{"grid x3", false, func(a, b Source, cfg Config) (storage.Cursor, error) { return GridParallelJoin(a, b, cfg, 3) }},
 }

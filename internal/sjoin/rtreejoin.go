@@ -3,7 +3,6 @@ package sjoin
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -36,6 +35,9 @@ type JoinFunction struct {
 	// indexed by side: 0 is A, 1 is B.
 	tabs [2]*storage.Table
 	cols [2]int
+
+	// grow is the tree sweep's side growth, sweepGrow of the operands.
+	grow float64
 
 	// Decoded-geometry cache consulted by the secondary filter (nil when
 	// disabled). Shared across instances when Config.GeomCache is set.
@@ -164,6 +166,7 @@ func newJoinFn(a, b Source, cfg Config, src candSource) (*JoinFunction, error) {
 		cfg:    cfg,
 		tabs:   [2]*storage.Table{a.Table, b.Table},
 		cols:   [2]int{colA, colB},
+		grow:   sweepGrow(cfg.Distance, a.Tree.Bounds(), b.Tree.Bounds()),
 		routes: resolveRoutes(cfg, self),
 		cache:  cfg.resolveCache(),
 		src:    src,
@@ -292,14 +295,6 @@ type treeSource struct {
 	sweepA, sweepB []sweepEntry
 }
 
-// sweepEntry is one node slot in plane-sweep order: its rectangle plus
-// the slot index it came from (to recover rowids/children after the
-// sort permutes the list).
-type sweepEntry struct {
-	geom.MBR
-	idx int32
-}
-
 func (s *treeSource) start() {
 	s.stack = append(s.stack[:0], s.roots...)
 }
@@ -308,15 +303,11 @@ func (s *treeSource) start() {
 // room left or the stack empties with no pair left to claim — the
 // primary (index MBR) filter. One node pair is expanded whole, so the
 // candidate array and the ready queue can overshoot CandidateCap by one
-// node pair's entry pairs.
-// Equal-height node pairs are intersected either by a forward plane
-// sweep over xlo-sorted entry lists (O(n log n + output) instead of the
-// O(n·m) nested scan) or, below Config.SweepThreshold, by the nested
-// scan. Under the mirror mode a node paired with itself is expanded by
-// a self-sweep (sweepSelf) or a nested scan over entry pairs i ≤ k, so
-// the traversal meets each unordered pair of entries, and of children,
-// once; a pair of distinct nodes holds disjoint entries and expands as
-// in any other join.
+// node pair's entry pairs. Equal-height node pairs are intersected by
+// the plane sweep (sweepNodes). Under the mirror mode a node paired
+// with itself is expanded by a self-sweep, so the traversal meets each
+// unordered pair of entries, and of children, once; a pair of distinct
+// nodes holds disjoint entries and expands as in any other join.
 //
 //spatiallint:hot
 func (s *treeSource) refill(j *JoinFunction) {
@@ -332,56 +323,17 @@ func (s *treeSource) refill(j *JoinFunction) {
 		j.stats.NodePairsVisited++
 		j.stats.NodeAccesses += 2
 		a, b := top.A, top.B
-		sweep := a.NumEntries()+b.NumEntries() >= j.cfg.SweepThreshold
-		// k0 is the first entry of b the nested scan pairs entry i of a
-		// with: i itself when a is paired with itself.
 		selfPaired := unordered && a == b
-		k0 := func(i int) int {
-			if selfPaired {
-				return i
-			}
-			return 0
-		}
 		switch {
 		case a.IsLeaf() && b.IsLeaf():
-			emit := func(e, o *sweepEntry) {
+			s.sweepNodes(j, a, b, selfPaired, func(e, o *sweepEntry) {
 				j.emit(Pair{A: a.EntryID(int(e.idx)), B: b.EntryID(int(o.idx))}, e.MBR, o.MBR)
-			}
-			switch {
-			case sweep && selfPaired:
-				s.sweepSelf(j.cfg.Distance, a, emit)
-			case sweep:
-				s.sweepPair(j.cfg.Distance, a, b, emit)
-			default:
-				for i := 0; i < a.NumEntries(); i++ {
-					ma := a.EntryMBR(i)
-					for k := k0(i); k < b.NumEntries(); k++ {
-						if mb := b.EntryMBR(k); j.cfg.primaryAccepts(ma, mb) {
-							j.emit(Pair{A: a.EntryID(i), B: b.EntryID(k)}, ma, mb)
-						}
-					}
-				}
-			}
+			})
 		case !a.IsLeaf() && !b.IsLeaf():
 			// Descend both sides, pairing children whose MBRs interact.
-			push := func(e, o *sweepEntry) {
+			s.sweepNodes(j, a, b, selfPaired, func(e, o *sweepEntry) {
 				s.stack = append(s.stack, PairOfRoots{a.Child(int(e.idx)), b.Child(int(o.idx))})
-			}
-			switch {
-			case sweep && selfPaired:
-				s.sweepSelf(j.cfg.Distance, a, push)
-			case sweep:
-				s.sweepPair(j.cfg.Distance, a, b, push)
-			default:
-				for i := 0; i < a.NumEntries(); i++ {
-					ma := a.EntryMBR(i)
-					for k := k0(i); k < b.NumEntries(); k++ {
-						if j.cfg.primaryAccepts(ma, b.EntryMBR(k)) {
-							s.stack = append(s.stack, PairOfRoots{a.Child(i), b.Child(k)})
-						}
-					}
-				}
-			}
+			})
 		case a.IsLeaf():
 			// Unequal heights: descend only the taller (b) side.
 			for k := 0; k < b.NumEntries(); k++ {
@@ -400,6 +352,21 @@ func (s *treeSource) refill(j *JoinFunction) {
 	end()
 }
 
+// sweepNodes fills the scratch lists with the entries of nodes a and b
+// and sweeps them, a as side A; a node paired with itself (self) fills
+// one list and sweeps it in self mode.
+//
+//spatiallint:hot
+func (s *treeSource) sweepNodes(j *JoinFunction, a, b rtree.NodeRef, self bool, emit func(e, o *sweepEntry)) {
+	s.sweepA = fillSweep(s.sweepA, a)
+	eb := s.sweepA
+	if !self {
+		s.sweepB = fillSweep(s.sweepB, b)
+		eb = s.sweepB
+	}
+	sweep(s.sweepA, eb, j.grow, j.cfg.Distance, self, emit)
+}
+
 // claim pushes the next subtree pair off the shared queue, reporting
 // false when there is no queue or it is exhausted.
 func (s *treeSource) claim() bool {
@@ -412,124 +379,6 @@ func (s *treeSource) claim() bool {
 	}
 	s.stack = append(s.stack, s.queue.pairs[k])
 	return true
-}
-
-// sweepPair runs a forward plane sweep over the entries of nodes a and
-// b, calling emit once for every entry pair accepted by the primary
-// filter — the same pair set, in a different order, as the nested scan.
-// Both entry lists are copied into the reusable scratch slices and
-// sorted on low x; the sweep then advances through the two lists in xlo
-// order, and for each entry scans forward in the other list while x
-// intervals (expanded by the join distance d) overlap, checking y
-// overlap per pair. For distance joins the x/y interval tests are
-// necessary but not sufficient (corner-to-corner distance exceeds
-// either axis gap), so survivors take the exact MBR-distance check
-// before emission.
-//
-//spatiallint:hot
-func (s *treeSource) sweepPair(d float64, a, b rtree.NodeRef, emit func(ea, eb *sweepEntry)) {
-	s.sweepA = fillSweep(s.sweepA, a)
-	s.sweepB = fillSweep(s.sweepB, b)
-	ea, eb := s.sweepA, s.sweepB
-	i, k := 0, 0
-	for i < len(ea) && k < len(eb) {
-		if ea[i].MinX <= eb[k].MinX {
-			e := &ea[i]
-			xmax := e.MaxX + d
-			ylo, yhi := e.MinY-d, e.MaxY+d
-			for kk := k; kk < len(eb) && eb[kk].MinX <= xmax; kk++ {
-				o := &eb[kk]
-				if o.MinY > yhi || o.MaxY < ylo {
-					continue
-				}
-				if d > 0 && !mbrsWithin(&e.MBR, &o.MBR, d) {
-					continue
-				}
-				emit(e, o)
-			}
-			i++
-		} else {
-			e := &eb[k]
-			xmax := e.MaxX + d
-			ylo, yhi := e.MinY-d, e.MaxY+d
-			for ii := i; ii < len(ea) && ea[ii].MinX <= xmax; ii++ {
-				o := &ea[ii]
-				if o.MinY > yhi || o.MaxY < ylo {
-					continue
-				}
-				if d > 0 && !mbrsWithin(&o.MBR, &e.MBR, d) {
-					continue
-				}
-				emit(o, e)
-			}
-			k++
-		}
-	}
-}
-
-// sweepSelf is sweepPair over a node paired with itself under the
-// mirror mode: one xlo-sorted entry list, each entry i swept against
-// the entries k ≥ i (k = i is the entry paired with itself), so emit
-// sees each unordered entry pair once. The x, y and distance tests are
-// sweepPair's, with e as the first side.
-//
-//spatiallint:hot
-func (s *treeSource) sweepSelf(d float64, a rtree.NodeRef, emit func(e, o *sweepEntry)) {
-	s.sweepA = fillSweep(s.sweepA, a)
-	es := s.sweepA
-	for i := range es {
-		e := &es[i]
-		xmax := e.MaxX + d
-		ylo, yhi := e.MinY-d, e.MaxY+d
-		for k := i; k < len(es) && es[k].MinX <= xmax; k++ {
-			o := &es[k]
-			if o.MinY > yhi || o.MaxY < ylo {
-				continue
-			}
-			if d > 0 && !mbrsWithin(&e.MBR, &o.MBR, d) {
-				continue
-			}
-			emit(e, o)
-		}
-	}
-}
-
-// fillSweep copies a node's structure-of-arrays rectangles into the
-// scratch list and sorts it by low x for the sweep.
-func fillSweep(dst []sweepEntry, r rtree.NodeRef) []sweepEntry {
-	xlo, ylo, xhi, yhi := r.EntryRects()
-	dst = dst[:0]
-	for i := range xlo {
-		dst = append(dst, sweepEntry{MBR: geom.MBR{MinX: xlo[i], MinY: ylo[i], MaxX: xhi[i], MaxY: yhi[i]}, idx: int32(i)})
-	}
-	slices.SortFunc(dst, func(a, b sweepEntry) int {
-		switch {
-		case a.MinX < b.MinX:
-			return -1
-		case a.MinX > b.MinX:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return dst
-}
-
-// mbrsWithin is the exact distance-join acceptance of both plane sweeps
-// (node entries and grid tiles): the rectangle distance (diagonal
-// across both axis gaps, matching geom.MBR.Dist) is within d. Sweep
-// survivors overlap on at least one axis far more often than not, so
-// the zero-gap cases skip the hypotenuse.
-func mbrsWithin(a, b *geom.MBR, d float64) bool {
-	dx := math.Max(0, math.Max(b.MinX-a.MaxX, a.MinX-b.MaxX))
-	dy := math.Max(0, math.Max(b.MinY-a.MaxY, a.MinY-b.MaxY))
-	if dx == 0 {
-		return dy <= d
-	}
-	if dy == 0 {
-		return dx <= d
-	}
-	return math.Hypot(dx, dy) <= d
 }
 
 // sortCandidates orders the refilled candidate arrays for the

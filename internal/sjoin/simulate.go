@@ -70,7 +70,7 @@ func Simulate(a, b Source, cfg Config, algo Algo, workers int) (SimResult, error
 		gs := buildGridState(a, b, cfg, workers)
 		res.Grid = gs.grid
 		for ti := range gs.tiles {
-			units = append(units, gridSource{&gridState{d: gs.d, unordered: gs.unordered, tiles: gs.tiles[ti : ti+1]}})
+			units = append(units, gridSource{&gridState{d: gs.d, grow: gs.grow, unordered: gs.unordered, tiles: gs.tiles[ti : ti+1]}})
 		}
 	default:
 		return SimResult{}, fmt.Errorf("sjoin: no parallel execution to simulate for algorithm %v", algo)

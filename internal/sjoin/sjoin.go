@@ -117,12 +117,6 @@ type Config struct {
 	// FetchBatch is the table-function fetch size (0 = framework
 	// default).
 	FetchBatch int
-	// SweepThreshold is the minimum combined entry count of a node pair
-	// for the forward plane sweep over xlo-sorted entry lists to engage
-	// (0 = DefaultSweepThreshold). Below it the nested entry-pair scan
-	// runs — sorting costs more than the quadratic scan saves — so
-	// math.MaxInt is the nested-scan ablation baseline.
-	SweepThreshold int
 	// GridTiles, when positive, overrides the grid-partitioned path's
 	// automatic tile-count choice (GridShape) — an ablation knob for
 	// studying tile granularity. Rounded up to a square grid.
@@ -153,11 +147,6 @@ type Config struct {
 	Owns func(x, y float64) bool
 }
 
-// DefaultSweepThreshold is the combined entry count below which the
-// plane sweep falls back to the nested scan: two sorts plus merge
-// bookkeeping only pay off once the pair has a few dozen entries.
-const DefaultSweepThreshold = 16
-
 // WithDefaults normalises a config: every "0 = default" field holds the
 // value the join will run with. The join entry points apply it
 // themselves; it is exported so a caller that reports the plan (the
@@ -166,9 +155,6 @@ const DefaultSweepThreshold = 16
 func (c Config) WithDefaults() Config {
 	if c.CandidateCap <= 0 {
 		c.CandidateCap = DefaultCandidateCap
-	}
-	if c.SweepThreshold <= 0 {
-		c.SweepThreshold = DefaultSweepThreshold
 	}
 	return c
 }

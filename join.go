@@ -331,7 +331,7 @@ func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 		tableB, indexB, b.Tree.Len(), b.Tree.Height(), b.Tree.MaxEntries())
 	fmt.Fprintf(&sb, "  two-stage evaluation: candidate array cap %d, secondary filter fetch order %s\n",
 		cfg.CandidateCap, map[bool]string{true: "sorted by first rowid", false: "arrival order"}[cfg.SortCandidates])
-	fmt.Fprintf(&sb, "  primary filter: plane sweep (node pairs with >= %d entries), nested scan below\n", cfg.SweepThreshold)
+	sb.WriteString("  primary filter: plane sweep\n")
 	switch {
 	case cfg.GeomCache != nil:
 		sb.WriteString("  decoded-geometry cache: shared per-database\n")
