@@ -139,12 +139,14 @@ func GridShape(nA, nB, workers int) (cols, rows int) {
 	return side, side
 }
 
-// gridTile holds the two per-tile entry lists, in xlo order (the inputs
-// are sorted once globally before assignment, so appends preserve sweep
-// order and no per-tile sort is needed). An entry is one copy of an
-// input rectangle, unexpanded, with its class for the tile. An
-// unordered grid keeps one copy of each entry per tile: rb is ra, swept
-// against itself.
+// gridTile holds the two per-tile entry lists, in xlo order. An entry
+// is one copy of an input rectangle, unexpanded, with its class for the
+// tile. Each side is placed in three passes (placeSide): a radix sort
+// orders its items by low x (minXOrder), a counting pass sizes every
+// tile's list, and the fill appends the copies in that order into one
+// backing array cut into the tiles' lists, so every list comes out in
+// sweep order and no tile is sorted. An unordered grid keeps one copy
+// of each entry per tile: rb is ra, swept against itself.
 type gridTile struct {
 	ra, rb []sweepEntry
 }
@@ -177,30 +179,116 @@ func (gs *gridState) claim() int {
 	return claimNext(&gs.next, len(gs.tiles))
 }
 
-// assignGrid appends one side's items to the dense tile array, tagging
-// each copy with its class. expand widens the rectangles for tile
-// assignment and class computation — the sweep's growth of that side,
-// by the same expressions; the stored coordinates stay unexpanded.
+// tileSpan is the column range [c0, c1] and row range [r0, r1] of the
+// tiles that hold a copy of one rectangle. The grid has at most
+// gridMaxTiles tiles, so the indices fit in int32.
+type tileSpan struct{ c0, c1, r0, r1 int32 }
+
+// span is the tileSpan of m widened by expand on every side.
+func (g Grid) span(m geom.MBR, expand float64) tileSpan {
+	return tileSpan{
+		int32(g.ColOf(m.MinX - expand)), int32(g.ColOf(m.MaxX + expand)),
+		int32(g.RowOf(m.MinY - expand)), int32(g.RowOf(m.MaxY + expand)),
+	}
+}
+
+// minXKey is the order-preserving bit image of x: the keys compare as
+// unsigned integers as the floats compare, with -0 just below +0.
+// A negative float's bits are flipped, a non-negative one's sign bit
+// set.
+func minXKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// minXOrder returns the indices of items in ascending low-x order: a
+// stable LSD radix sort of (minXKey, index) pairs, one byte a pass, so
+// the 40-byte items never move. One counting walk builds all eight
+// byte histograms; a pass whose byte is the same in every key would
+// leave the order as it is and is skipped. O(n) with no worst case on
+// clustered or duplicate keys.
+func minXOrder(items []rtree.Item) []int32 {
+	n := len(items)
+	if n == 0 {
+		return nil
+	}
+	keys, idx := make([]uint64, 2*n), make([]int32, 2*n)
+	k0, k1 := keys[:n], keys[n:]
+	i0, i1 := idx[:n], idx[n:]
+	var hist [8][256]int
+	for i := range items {
+		k := minXKey(items[i].MBR.MinX)
+		k0[i], i0[i] = k, int32(i)
+		for p := range hist {
+			hist[p][byte(k>>(8*p))]++
+		}
+	}
+	for p := range hist {
+		h := &hist[p]
+		shift := 8 * p
+		if h[byte(k0[0]>>shift)] == n {
+			continue
+		}
+		at := 0
+		for b, c := range h {
+			h[b], at = at, at+c
+		}
+		for i, k := range k0 {
+			b := byte(k >> shift)
+			k1[h[b]], i1[h[b]] = k, i0[i]
+			h[b]++
+		}
+		k0, k1, i0, i1 = k1, k0, i1, i0
+	}
+	return i0
+}
+
+// countGrid records in spans the tiles each item's copies go to, its
+// MBR widened by expand — the sweep's growth of that side, by the same
+// expressions — adds every tile's copies to counts (indexed like the
+// dense tile array), and returns the total.
 //
 //spatiallint:hot
-func assignGrid(dense []gridTile, g Grid, items []rtree.Item, expand float64, sideA bool) {
-	for _, it := range items {
-		c0 := g.ColOf(it.MBR.MinX - expand)
-		c1 := g.ColOf(it.MBR.MaxX + expand)
-		r0 := g.RowOf(it.MBR.MinY - expand)
-		r1 := g.RowOf(it.MBR.MaxY + expand)
+func countGrid(counts []int, spans []tileSpan, g Grid, items []rtree.Item, expand float64) int {
+	total := 0
+	for i := range items {
+		s := g.span(items[i].MBR, expand)
+		spans[i] = s
+		for r := s.r0; r <= s.r1; r++ {
+			row := counts[int(r)*g.Cols:]
+			for c := s.c0; c <= s.c1; c++ {
+				row[c]++
+			}
+		}
+		total += int(s.c1-s.c0+1) * int(s.r1-s.r0+1)
+	}
+	return total
+}
+
+// assignGrid appends one side's items, in the order order, to the dense
+// tile array, each copy to the tiles of the item's span, tagged with
+// its class. The stored coordinates stay unexpanded. Every tile list
+// has the capacity countGrid counted, so the appends never grow.
+//
+//spatiallint:hot
+func assignGrid(dense []gridTile, g Grid, items []rtree.Item, spans []tileSpan, order []int32, sideA bool) {
+	for _, i := range order {
+		it, s := &items[i], spans[i]
 		e := sweepEntry{MBR: it.MBR, id: it.ID}
-		for r := r0; r <= r1; r++ {
-			base := r * g.Cols
-			for c := c0; c <= c1; c++ {
+		for r := s.r0; r <= s.r1; r++ {
+			base := int(r) * g.Cols
+			for c := s.c0; c <= s.c1; c++ {
 				e.class = 0
-				if c == c0 {
+				if c == s.c0 {
 					e.class |= classXStart
 				}
-				if r == r0 {
+				if r == s.r0 {
 					e.class |= classYStart
 				}
-				t := &dense[base+c]
+				t := &dense[base+int(c)]
 				if sideA {
 					t.ra = append(t.ra, e)
 				} else {
@@ -208,19 +296,6 @@ func assignGrid(dense []gridTile, g Grid, items []rtree.Item, expand float64, si
 				}
 			}
 		}
-	}
-}
-
-// byMinX orders items for the global pre-assignment sort; per-tile
-// lists inherit the order, which is what the tile sweep requires.
-func byMinX(p, q rtree.Item) int {
-	switch {
-	case p.MBR.MinX < q.MBR.MinX:
-		return -1
-	case p.MBR.MinX > q.MBR.MinX:
-		return 1
-	default:
-		return 0
 	}
 }
 
@@ -259,36 +334,56 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 		cols, rows = side, side
 	}
 	g := NewGrid(bounds, cols, rows)
-	slices.SortFunc(itemsA, byMinX)
-	if a.Tree != b.Tree {
-		slices.SortFunc(itemsB, byMinX)
-	}
 	gs := &gridState{grid: g, d: d, grow: grow, unordered: unordered}
-	for _, t := range placeTiles(g, itemsA, itemsB, grow, unordered) {
-		if len(t.ra) == 0 || len(t.rb) == 0 {
-			continue // a one-sided tile can produce no pairs
-		}
-		gs.tiles = append(gs.tiles, t)
-	}
+	// A one-sided tile can produce no pairs.
+	gs.tiles = slices.DeleteFunc(placeTiles(g, itemsA, itemsB, grow, unordered), func(t gridTile) bool {
+		return len(t.ra) == 0 || len(t.rb) == 0
+	})
 	longestFirst(gs.tiles, gridTile.cost)
 	return gs
 }
 
-// placeTiles assigns the xlo-sorted items of both sides to the tiles of
-// g: side A grown by grow, or — unordered — the one side grown by
-// grow/2 and shared by both lists of every tile.
+// placeTiles assigns the items of both sides, in any order, to the
+// tiles of g: side A grown by grow, or — unordered — the one side grown
+// by grow/2 and shared by both lists of every tile.
 func placeTiles(g Grid, itemsA, itemsB []rtree.Item, grow float64, unordered bool) []gridTile {
 	dense := make([]gridTile, g.Tiles())
+	counts := make([]int, g.Tiles())
 	if unordered {
-		assignGrid(dense, g, itemsA, grow/2, true)
+		placeSide(dense, counts, g, itemsA, grow/2, true)
 		for i := range dense {
 			dense[i].rb = dense[i].ra
 		}
 		return dense
 	}
-	assignGrid(dense, g, itemsA, grow, true)
-	assignGrid(dense, g, itemsB, 0, false)
+	placeSide(dense, counts, g, itemsA, grow, true)
+	clear(counts)
+	placeSide(dense, counts, g, itemsB, 0, false)
 	return dense
+}
+
+// placeSide places one side's items: order them by low x (minXOrder),
+// count every tile's copies into the zeroed counts (countGrid), cut the
+// tiles' lists out of one backing array with exactly that capacity, and
+// fill them in low-x order (assignGrid) by the spans the count
+// recorded, so each item's tile range is divided out once. The
+// allocations are here, once a side, so the per-item passes only count
+// and append.
+func placeSide(dense []gridTile, counts []int, g Grid, items []rtree.Item, expand float64, sideA bool) {
+	order := minXOrder(items)
+	spans := make([]tileSpan, len(items))
+	backing := make([]sweepEntry, countGrid(counts, spans, g, items, expand))
+	off := 0
+	for i, n := range counts {
+		list := backing[off : off : off+n]
+		if sideA {
+			dense[i].ra = list
+		} else {
+			dense[i].rb = list
+		}
+		off += n
+	}
+	assignGrid(dense, g, items, spans, order, sideA)
 }
 
 // sweepTile sweeps one tile, calling emit once for every candidate pair

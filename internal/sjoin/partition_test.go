@@ -2,10 +2,15 @@ package sjoin
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/geom"
+	"spatialtf/internal/rtree"
 	"spatialtf/internal/storage"
 	"spatialtf/internal/telemetry"
 )
@@ -265,5 +270,218 @@ func TestGridShape(t *testing.T) {
 	}
 	if c, r := GridShape(1<<30, 1<<30, 4); c*r > gridMaxTiles*2 {
 		t.Errorf("tile cap not applied: %d tiles", c*r)
+	}
+}
+
+// byMinX orders items on low x: the comparison sort of the reference
+// placement.
+func byMinX(p, q rtree.Item) int {
+	switch {
+	case p.MBR.MinX < q.MBR.MinX:
+		return -1
+	case p.MBR.MinX > q.MBR.MinX:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// referencePlaceTiles is the grid placement before minXOrder and the
+// counting pass, kept in the tests only: sort each side's items on low
+// x, then append every copy to its tile's list, which grows as it goes.
+// placeTiles must place the same copies with the same classes.
+func referencePlaceTiles(g Grid, itemsA, itemsB []rtree.Item, grow float64, unordered bool) []gridTile {
+	dense := make([]gridTile, g.Tiles())
+	add := func(items []rtree.Item, expand float64, sideA bool) {
+		items = slices.Clone(items)
+		slices.SortFunc(items, byMinX)
+		for _, it := range items {
+			c0 := g.ColOf(it.MBR.MinX - expand)
+			c1 := g.ColOf(it.MBR.MaxX + expand)
+			r0 := g.RowOf(it.MBR.MinY - expand)
+			r1 := g.RowOf(it.MBR.MaxY + expand)
+			e := sweepEntry{MBR: it.MBR, id: it.ID}
+			for r := r0; r <= r1; r++ {
+				for c := c0; c <= c1; c++ {
+					e.class = 0
+					if c == c0 {
+						e.class |= classXStart
+					}
+					if r == r0 {
+						e.class |= classYStart
+					}
+					t := &dense[r*g.Cols+c]
+					if sideA {
+						t.ra = append(t.ra, e)
+					} else {
+						t.rb = append(t.rb, e)
+					}
+				}
+			}
+		}
+	}
+	if unordered {
+		add(itemsA, grow/2, true)
+		for i := range dense {
+			dense[i].rb = dense[i].ra
+		}
+		return dense
+	}
+	add(itemsA, grow, true)
+	add(itemsB, 0, false)
+	return dense
+}
+
+// itemsBounds is the union of the items' MBRs.
+func itemsBounds(items []rtree.Item) geom.MBR {
+	m := geom.EmptyMBR()
+	for _, it := range items {
+		m = m.Union(it.MBR)
+	}
+	return m
+}
+
+// shuffled returns a copy of items in a random order.
+func shuffled(seed int64, items []rtree.Item) []rtree.Item {
+	out := slices.Clone(items)
+	rand.New(rand.NewSource(seed)).Shuffle(len(out), func(i, k int) { out[i], out[k] = out[k], out[i] })
+	return out
+}
+
+// placementItems builds one side of a placement fixture: an item per
+// MBR, rowids numbered from first, in a random order.
+func placementItems(seed int64, first int, mbrs []geom.MBR) []rtree.Item {
+	items := make([]rtree.Item, len(mbrs))
+	for i, m := range mbrs {
+		id := first + i
+		items[i] = rtree.Item{MBR: m, ID: storage.RowID{Page: uint32(id/100 + 1), Slot: uint16(id % 100)}}
+	}
+	return shuffled(seed, items)
+}
+
+// placementMBRs returns n rectangles with their low x drawn by lowX,
+// their low y uniform on [-50, 50), and sides up to 3 wide, a third of
+// them points.
+func placementMBRs(rng *rand.Rand, n int, lowX func(i int) float64) []geom.MBR {
+	mbrs := make([]geom.MBR, n)
+	for i := range mbrs {
+		x, y := lowX(i), rng.Float64()*100-50
+		w, h := rng.Float64()*3, rng.Float64()*3
+		if i%3 == 0 {
+			w, h = 0, 0
+		}
+		mbrs[i] = geom.MBR{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
+	}
+	return mbrs
+}
+
+// TestPlaceTilesMatchesReference is the placement differential: over
+// shuffled inputs — random rectangles and adversarial low-x keys
+// (duplicates, -0 beside +0, negative coordinates, ±1e300, every item
+// at one x, a single item) — placeTiles puts the same multiset of
+// (rowid, class) copies in every tile as the sort-then-append reference,
+// in both layouts, and every tile list is non-decreasing in low x.
+func TestPlaceTilesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	uniform := func(lo, hi float64) func(int) float64 {
+		return func(int) float64 { return lo + rng.Float64()*(hi-lo) }
+	}
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name string
+		a, b []geom.MBR
+	}{
+		{"random", placementMBRs(rng, 600, uniform(0, 60)), placementMBRs(rng, 500, uniform(10, 80))},
+		{"duplicate keys", placementMBRs(rng, 400, func(i int) float64 { return float64(i % 5) }), placementMBRs(rng, 300, func(i int) float64 { return float64(i%3) * 2 })},
+		{"signed zeros", placementMBRs(rng, 300, func(i int) float64 {
+			return []float64{negZero, 0, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, -1, 1}[i%6]
+		}), placementMBRs(rng, 200, func(i int) float64 { return []float64{0, negZero}[i%2] })},
+		{"negative", placementMBRs(rng, 400, uniform(-90, -1)), placementMBRs(rng, 300, uniform(-60, 5))},
+		{"huge", placementMBRs(rng, 300, func(i int) float64 { return []float64{-1e300, 1e300, 0, -7, 1e299}[i%5] }), placementMBRs(rng, 200, uniform(-1e300, 1e300))},
+		{"one x", placementMBRs(rng, 300, func(int) float64 { return 5 }), placementMBRs(rng, 200, func(int) float64 { return 5 })},
+		{"single item", placementMBRs(rng, 1, uniform(0, 10)), placementMBRs(rng, 1, uniform(0, 10))},
+	}
+	type copyKey struct {
+		id    storage.RowID
+		class uint8
+	}
+	multiset := func(list []sweepEntry) map[copyKey]int {
+		m := map[copyKey]int{}
+		for _, e := range list {
+			m[copyKey{e.id, e.class}]++
+		}
+		return m
+	}
+	for ci, tc := range cases {
+		a := placementItems(int64(ci), 0, tc.a)
+		b := placementItems(int64(ci)+100, 5000, tc.b)
+		for _, d := range []float64{0, 1.5} {
+			for _, unordered := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/d=%g/unordered=%v", tc.name, d, unordered), func(t *testing.T) {
+					grow := sweepGrow(d, itemsBounds(a), itemsBounds(b))
+					bounds := itemsBounds(a).Expand(grow).Union(itemsBounds(b))
+					if unordered {
+						bounds = itemsBounds(a).Expand(grow / 2)
+					}
+					g := NewGrid(bounds, 7, 5)
+					got := placeTiles(g, a, b, grow, unordered)
+					want := referencePlaceTiles(g, a, b, grow, unordered)
+					copies := 0
+					for ti := range want {
+						for side, lists := range [][2][]sweepEntry{{got[ti].ra, want[ti].ra}, {got[ti].rb, want[ti].rb}} {
+							if !maps.Equal(multiset(lists[0]), multiset(lists[1])) {
+								t.Fatalf("tile %d side %d: placed %d copies, the reference %d; the (rowid, class) multisets differ", ti, side, len(lists[0]), len(lists[1]))
+							}
+							for k := 1; k < len(lists[0]); k++ {
+								if lists[0][k].MinX < lists[0][k-1].MinX {
+									t.Fatalf("tile %d side %d: low x falls from %g to %g at copy %d", ti, side, lists[0][k-1].MinX, lists[0][k].MinX, k)
+								}
+							}
+							copies += len(lists[0])
+						}
+					}
+					if copies == 0 {
+						t.Fatal("no copies placed: the fixture tests nothing")
+					}
+				})
+			}
+		}
+	}
+}
+
+// gridBuildAllocFloor bounds buildGridState's allocations per
+// statement: a fixed number per side and per grid, whatever the input
+// size and the tile count.
+const gridBuildAllocFloor = 16
+
+// TestGridBuildAllocFloor holds buildGridState to gridBuildAllocFloor
+// allocations over 4 000 and 16 000 star points, in the unordered
+// layout (a self-join at distance 1.5) and the ordered one (the same
+// join scoped), at the default grid shape and at 4 096 tiles.
+func TestGridBuildAllocFloor(t *testing.T) {
+	for _, n := range []int{4000, 16000} {
+		stars := datagen.Stars(n, 7)
+		pts := make([]geom.Point, len(stars.Geoms))
+		for i, g := range stars.Geoms {
+			pts[i] = geom.MBROf(g).Center()
+		}
+		src := pointTable(t, fmt.Sprintf("floor_%d", n), "point", pts)
+		for _, scoped := range []bool{false, true} {
+			for _, tiles := range []int{0, 4096} {
+				cfg := DefaultConfig().WithDefaults()
+				cfg.Distance = 1.5
+				cfg.GridTiles = tiles
+				if scoped {
+					cfg.Owns = func(x, y float64) bool { return true }
+				}
+				if got := buildGridState(src, src, cfg, 2); len(got.tiles) == 0 || got.unordered == scoped {
+					t.Fatalf("n=%d scoped=%v: %d tiles, unordered=%v", n, scoped, len(got.tiles), got.unordered)
+				}
+				allocs := testing.AllocsPerRun(5, func() { buildGridState(src, src, cfg, 2) })
+				if allocs > gridBuildAllocFloor {
+					t.Errorf("n=%d scoped=%v tiles=%d: buildGridState made %.0f allocations, floor %d", n, scoped, tiles, allocs, gridBuildAllocFloor)
+				}
+			}
+		}
 	}
 }

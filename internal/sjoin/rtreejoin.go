@@ -59,8 +59,11 @@ type JoinFunction struct {
 	// boxed first, since the arrays were last refilled.
 	drained int
 
-	// Verified results not yet returned by fetch.
+	// Verified results: ready[head:] are not yet returned by fetch. The
+	// queue rewinds to ready[:0] when it empties, so its array is reused
+	// from refill to refill.
 	ready []Pair
+	head  int
 
 	// Statistics, reported through JoinStats.
 	stats JoinStats
@@ -119,8 +122,11 @@ func (j *JoinFunction) room() int {
 	if j.routes.has(routeMirror) {
 		queued *= 2
 	}
-	return j.cfg.CandidateCap - queued - len(j.ready)
+	return j.cfg.CandidateCap - queued - j.pending()
 }
+
+// pending is the number of verified results fetch has not returned.
+func (j *JoinFunction) pending() int { return len(j.ready) - j.head }
 
 // JoinStats counts the work a join did; benches report them.
 type JoinStats struct {
@@ -180,7 +186,7 @@ func newJoinFn(a, b Source, cfg Config, src candSource) (*JoinFunction, error) {
 // stack". A started function can be started again to re-run the join.
 func (j *JoinFunction) Start() error {
 	j.src.start()
-	j.cands, j.boxed, j.ready, j.drained = j.cands[:0], j.boxed[:0], nil, 0
+	j.cands, j.boxed, j.ready, j.head, j.drained = j.cands[:0], j.boxed[:0], j.ready[:0], 0, 0
 	return nil
 }
 
@@ -191,10 +197,13 @@ func (j *JoinFunction) Start() error {
 func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 	for n := 0; n < max; {
 		// Drain verified results first.
-		if k := min(len(j.ready), max-n); k > 0 {
+		if k := min(j.pending(), max-n); k > 0 {
 			//spatiallint:ignore hotalloc grows a fresh batch to the fetch size; a reused one has the room
-			appendPairRows(b, j.ready[:k])
-			j.ready = j.ready[k:]
+			appendPairRows(b, j.ready[j.head:j.head+k])
+			j.head += k
+			if j.head == len(j.ready) {
+				j.ready, j.head = j.ready[:0], 0
+			}
 			n += k
 			continue
 		}
@@ -202,7 +211,7 @@ func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 			// Refill the candidate arrays by resuming the primary filter.
 			j.src.refill(j)
 			if len(j.cands)+len(j.boxed) == 0 {
-				if len(j.ready) == 0 {
+				if j.pending() == 0 {
 					break // source exhausted and nothing pending: join complete
 				}
 				continue
@@ -271,7 +280,7 @@ func (j *JoinFunction) flushGeomSpans() {
 func (j *JoinFunction) Close() error {
 	j.flushGeomSpans()
 	j.flushStats()
-	j.cands, j.boxed, j.ready, j.drained = nil, nil, nil, 0
+	j.cands, j.boxed, j.ready, j.head, j.drained = nil, nil, nil, 0, 0
 	return nil
 }
 
@@ -419,7 +428,7 @@ func (j *JoinFunction) secondaryFilter() error {
 		endDrain()
 	}()
 	var last [2]fetched
-	for ; j.drained < len(j.boxed) && len(j.ready) < j.cfg.CandidateCap; j.drained++ {
+	for ; j.drained < len(j.boxed) && j.pending() < j.cfg.CandidateCap; j.drained++ {
 		c := &j.boxed[j.drained]
 		ok, err := j.decide(c, &last)
 		if err != nil {
@@ -429,7 +438,7 @@ func (j *JoinFunction) secondaryFilter() error {
 			j.accept(c.Pair)
 		}
 	}
-	for ; j.drained < len(j.boxed)+len(j.cands) && len(j.ready) < j.cfg.CandidateCap; j.drained++ {
+	for ; j.drained < len(j.boxed)+len(j.cands) && j.pending() < j.cfg.CandidateCap; j.drained++ {
 		p := j.cands[j.drained-len(j.boxed)]
 		ok, err := j.refine(p, &last)
 		if err != nil {

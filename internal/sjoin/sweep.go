@@ -146,8 +146,8 @@ func fillSweep(dst []sweepEntry, r rtree.NodeRef) []sweepEntry {
 // axis far more often than not, so the zero-gap cases skip the
 // hypotenuse.
 func mbrsWithin(a, b *geom.MBR, d float64) bool {
-	dx := math.Max(0, math.Max(b.MinX-a.MaxX, a.MinX-b.MaxX))
-	dy := math.Max(0, math.Max(b.MinY-a.MaxY, a.MinY-b.MaxY))
+	dx := max(0, b.MinX-a.MaxX, a.MinX-b.MaxX)
+	dy := max(0, b.MinY-a.MaxY, a.MinY-b.MaxY)
 	if dx == 0 {
 		return dy <= d
 	}

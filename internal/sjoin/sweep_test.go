@@ -204,13 +204,6 @@ func TestSweepEqualsBruteForce(t *testing.T) {
 	firsts, seconds := roundingBoundaryPoints(63, 20, 1.5, 7)
 	itemsA := sweepItems(61, 300, 0, append(firsts, seconds...)...)
 	itemsB := sweepItems(62, 250, 1000, seconds...)
-	bounds := func(items []rtree.Item) geom.MBR {
-		m := geom.EmptyMBR()
-		for _, it := range items {
-			m = m.Union(it.MBR)
-		}
-		return m
-	}
 	entries := func(items []rtree.Item) []sweepEntry {
 		es := make([]sweepEntry, len(items))
 		for i, it := range items {
@@ -235,12 +228,14 @@ func TestSweepEqualsBruteForce(t *testing.T) {
 				if len(want) < 100 {
 					t.Fatalf("only %d pairs: the fixture tests little", len(want))
 				}
-				grow := sweepGrow(d, bounds(a), bounds(b))
+				grow := sweepGrow(d, itemsBounds(a), itemsBounds(b))
 				got := map[Pair]int{}
 				emit := func(e, o *sweepEntry) { got[pairKey(e.id, o.id, mode.self)]++ }
 				if mode.grid {
-					g := NewGrid(bounds(a).Expand(grow).Union(bounds(b)), 7, 7)
-					for _, tile := range placeTiles(g, a, b, grow, mode.self) {
+					// placeTiles orders its input itself: hand it
+					// the items shuffled.
+					g := NewGrid(itemsBounds(a).Expand(grow).Union(itemsBounds(b)), 7, 7)
+					for _, tile := range placeTiles(g, shuffled(64, a), shuffled(65, b), grow, mode.self) {
 						sweep(tile.ra, tile.rb, grow, d, mode.self, emit)
 					}
 				} else {
