@@ -1,14 +1,14 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
-# build, the spatiallint analyzer suite, the complete test suite under
-# the race detector, a fuzz smoke pass over the wire/SQL/WAL/snapshot/
-# catalog/geometry/shard-map decoders, and a
+# build, the spatiallint analyzer suite, the allocation floor tests, the
+# complete test suite under the race detector, a fuzz smoke pass over
+# the wire/SQL/WAL/snapshot/catalog/geometry/shard-map decoders, and a
 # one-iteration benchmark smoke run (so benchmarks cannot silently rot).
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build lint test race race-hot fuzz-smoke bench bench-smoke bench-module bench-wire obs-smoke crash-smoke cluster-smoke loc
+.PHONY: ci fmt-check vet build lint floors test race race-hot fuzz-smoke bench bench-smoke bench-module bench-wire obs-smoke crash-smoke cluster-smoke loc
 
-ci: fmt-check vet build lint race-hot race fuzz-smoke bench-smoke bench-module obs-smoke crash-smoke cluster-smoke
+ci: fmt-check vet build lint floors race-hot race fuzz-smoke bench-smoke bench-module obs-smoke crash-smoke cluster-smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -27,10 +27,9 @@ build:
 # release funcs), locks across blocking calls (interprocedural),
 # lock-order cycle detection, atomic/plain mixed access, discarded wire
 # errors, exact float comparison, decoded-size taint tracking, goroutine
-# accounting, metric names, and hot-path allocation findings.
-# Zero findings required.
-# Timing budget, enforced: the CFG/summary/escape engine must keep a
-# warm full-repo run under 10s. The binary is built first so the budget
+# accounting, and metric names. Zero findings required.
+# Timing budget, enforced: the CFG/summary engine must keep a warm
+# full-repo run under 10s. The binary is built first so the budget
 # times the analysis, not the compiler.
 LINT_BUDGET_SECS ?= 10
 lint:
@@ -45,6 +44,13 @@ lint:
 		echo "lint: FAIL: spatiallint took $${elapsed}s, budget $(LINT_BUDGET_SECS)s"; exit 1; \
 	fi; \
 	echo "lint: clean in $${elapsed}s (budget $(LINT_BUDGET_SECS)s)"
+
+# The allocation floors (DESIGN.md §16): the testing.AllocsPerRun
+# budgets on the fetch, sweep, refine, pin, WAL and wire paths. They
+# skip under the race detector, whose instrumentation allocates, so
+# this lane runs them without it.
+floors:
+	$(GO) test -run 'Alloc(Floor|Free|Budget)' ./...
 
 test:
 	$(GO) test ./...
@@ -96,7 +102,7 @@ bench:
 # filter's kernels (one sub-benchmark per join pair shape) with
 # -benchmem: allocation counts, unlike one-iteration timings,
 # repeat exactly, so a regression on the fetch/sweep/refine hot paths
-# shows up in CI output next to the hotalloc lint (see DESIGN.md §16).
+# shows up in CI output next to the floors lane (see DESIGN.md §16).
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
 	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|SelfJoinRefine|PointSelfJoinGrid|WirePointJoinStream|WireWindowLookup' -benchmem -benchtime 2x -count 1 .

@@ -5,9 +5,8 @@
 // funcs; lock-vs-blocking hygiene (interprocedural); lock-order
 // deadlock detection; atomic/plain mixed field access; unchecked wire
 // errors; float equality on coordinates; unbounded decoded allocation
-// sizes; unjoined goroutines; telemetry metric names; and hidden
-// allocations on declared hot paths. See DESIGN.md §10–§11, §15 and
-// §16.
+// sizes; unjoined goroutines; and telemetry metric names. See DESIGN.md
+// §10–§11 and §15.
 //
 // Usage:
 //
@@ -21,8 +20,6 @@
 //	              dot; f is "Name" or "Type.Method") and exit
 //	-lockgraph    print the module-wide lock-order graph (Graphviz dot,
 //	              cycle edges in red) and exit
-//	-allocgraph   print the hot-path allocation graph (Graphviz dot,
-//	              hot roots in red) and exit
 //
 // Packages default to ./... . Exit status: 0 clean, 1 findings,
 // 2 load or usage failure.
@@ -50,7 +47,6 @@ func main() {
 		rules    = flag.Bool("rules", false, "print the registered rules with descriptions and exit")
 		cfgDebug = flag.String("cfg-debug", "", "print the CFG of `func` (\"Name\" or \"Type.Method\") as Graphviz dot and exit")
 		lockDot  = flag.Bool("lockgraph", false, "print the module lock-order graph as Graphviz dot and exit")
-		allocDot = flag.Bool("allocgraph", false, "print the hot-path allocation graph as Graphviz dot and exit")
 	)
 	flag.Parse()
 
@@ -64,11 +60,7 @@ func main() {
 	}
 
 	if *lockDot {
-		os.Exit(dumpModuleDot(*chdir, flag.Args(), analysis.LockGraphDot))
-	}
-
-	if *allocDot {
-		os.Exit(dumpModuleDot(*chdir, flag.Args(), analysis.AllocGraphDot))
+		os.Exit(dumpLockGraph(*chdir, flag.Args()))
 	}
 
 	disabled := make(map[string]bool)
@@ -168,16 +160,15 @@ func listRules(w io.Writer) {
 	}
 }
 
-// dumpModuleDot loads the packages, builds the module summary, and
-// prints one of the module-wide Graphviz renderings (-lockgraph,
-// -allocgraph).
-func dumpModuleDot(chdir string, patterns []string, render func(*analysis.Module) string) int {
+// dumpLockGraph loads the packages, builds the module summary, and
+// prints its lock-order graph as Graphviz dot (-lockgraph).
+func dumpLockGraph(chdir string, patterns []string) int {
 	pkgs, _, err := analysis.Load(chdir, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spatiallint:", err)
 		return 2
 	}
-	fmt.Print(render(analysis.BuildModule(pkgs)))
+	fmt.Print(analysis.LockGraphDot(analysis.BuildModule(pkgs)))
 	return 0
 }
 

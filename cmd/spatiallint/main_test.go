@@ -79,30 +79,13 @@ func TestDumpCFGUnknownFunc(t *testing.T) {
 func TestDumpLockGraph(t *testing.T) {
 	var status int
 	out := capture(t, func() {
-		status = dumpModuleDot(repoRoot, []string{"./internal/pager"}, analysis.LockGraphDot)
+		status = dumpLockGraph(repoRoot, []string{"./internal/pager"})
 	})
 	if status != 0 {
-		t.Fatalf("dumpModuleDot status %d", status)
+		t.Fatalf("dumpLockGraph status %d", status)
 	}
 	if !strings.Contains(out, "digraph lockorder") {
 		t.Errorf("-lockgraph output is not the lock-order digraph:\n%s", out)
-	}
-}
-
-func TestDumpAllocGraph(t *testing.T) {
-	var status int
-	out := capture(t, func() {
-		status = dumpModuleDot(repoRoot, []string{"./internal/pager"}, analysis.AllocGraphDot)
-	})
-	if status != 0 {
-		t.Fatalf("dumpModuleDot status %d", status)
-	}
-	// The pager's pin path is a seeded hot root with a known allocating
-	// callee; both ends of that edge must be in the graph.
-	for _, want := range []string{"digraph hotalloc", "Store.pin", "Store.loadLocked", "color=red"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-allocgraph output missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -36,15 +36,12 @@
 //	metricname     telemetry metric names must be constant strings in
 //	               lowercase_snake, unique across the module (the
 //	               registry's runtime panic on a duplicate, at lint time)
-//	hotalloc       no hidden allocations on declared hot paths
-//	               (//spatiallint:hot fetch/sweep/pin/encode roots):
-//	               direct make/append/boxing/closure sites,
-//	               allocating callees with via-chains, defer and map
-//	               iteration inside hot loops, and sync.Pool bypass —
-//	               on an interprocedural escape analysis (allocsummary.go)
 //
-// release, lockdiscipline, lockorder, atomicmix, taintsize and
-// hotalloc run on the control-flow-graph engine in the cfg subpackage:
+// Allocations are not linted: testing.AllocsPerRun floor tests beside
+// the hot paths hold them (DESIGN.md §16).
+//
+// release, lockdiscipline, lockorder, atomicmix and taintsize run on
+// the control-flow-graph engine in the cfg subpackage:
 // per-function basic blocks plus a worklist dataflow solver, one graph
 // per function scope shared through the Module, with per-function
 // summaries carrying facts across calls — which functions return
@@ -126,7 +123,6 @@ func Analyzers() []*Analyzer {
 		TaintSize,
 		GoLeak,
 		MetricName,
-		HotAlloc,
 	}
 }
 

@@ -58,16 +58,6 @@ type FuncSummary struct {
 	LockReleases  map[string]bool
 	LockLeaked    map[string]LeakInfo
 	Blocking      *BlockInfo
-
-	// The allocation summary (see allocsummary.go): the reportable
-	// allocation sites this function executes directly (AllocSites),
-	// the sites it reaches through concrete module callees with their
-	// via-chains (TransAllocs), and how far each parameter escapes
-	// (ParamEscapes) — the fact that lets a caller decide whether a
-	// closure or buffer it passes will be retained.
-	AllocSites   []AllocSite
-	TransAllocs  map[string]TransAlloc
-	ParamEscapes []EscClass
 }
 
 // Module is the cross-package summary table, plus the caches the
@@ -90,17 +80,6 @@ type Module struct {
 
 	atomicOnce sync.Once
 	atomics    *atomicInfo
-
-	// Allocation-analysis caches: per-function parent maps and cold
-	// regions (allocsummary.go), plus the hot-function set and the
-	// sync.Pool census (hotalloc.go).
-	allocMu  sync.Mutex
-	parentsC map[*ast.FuncDecl]map[ast.Node]ast.Node
-	coldC    map[*ast.FuncDecl][]posRange
-
-	hotOnce sync.Once
-	hotFns  map[string]bool
-	poolTys map[string]poolDecl
 }
 
 // FuncKey canonicalises fn across type-check universes.
@@ -161,8 +140,6 @@ func BuildModule(pkgs []*Pkg) *Module {
 					TaintedResults:      make([]bool, sig.Results().Len()),
 					UnguardedSizeParams: make([]bool, sig.Params().Len()),
 					ReleaseResults:      make([]bool, sig.Results().Len()),
-					ParamEscapes:        make([]EscClass, sig.Params().Len()),
-					TransAllocs:         make(map[string]TransAlloc),
 				}
 			}
 		}
@@ -182,9 +159,6 @@ func BuildModule(pkgs []*Pkg) *Module {
 				changed = true
 			}
 			if updateLockFacts(s, m) {
-				changed = true
-			}
-			if updateAllocFacts(s, m) {
 				changed = true
 			}
 		}

@@ -72,3 +72,52 @@ func mustCursor(t testing.TB, open func() (storage.Cursor, error)) storage.Curso
 	}
 	return cur
 }
+
+// TestClusterJoinAllocFloor holds a scatter-gather join through the
+// coordinator to an allocation budget per result row, counted over the
+// whole process: the shards' scoped joins and servers, the frame codec
+// both ways, the remote cursors and the gather cursor merging them.
+// Two of the 2.32 allocations per row are the keyed projection's: each
+// key cell copies its row image out of the heap (Table.FetchColumn). The
+// drain asks for 16 rows at a time into one reused batch, so the gather
+// cursor runs over 150 times a statement and one allocation added per
+// call costs more than the budget's slack.
+func TestClusterJoinAllocFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	co, _ := bootCluster(t, 3, 3, Options{})
+	sess := co.NewSession()
+	mustExec(t, sess, datasetSQL("pts", datagen.Counties(300, 5))...)
+	const join = "SELECT key1, key2 FROM TABLE(spatial_join('pts','geom','pts','geom','distance=3','keys=id:id'))"
+	var b storage.Batch
+	run := func() int {
+		st, err := sess.ExecuteStream(join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := st.Cursor
+		defer cur.Close()
+		rows := 0
+		for {
+			b.Reset()
+			if err := cur.NextBatch(&b, 16); err != nil {
+				t.Fatal(err)
+			}
+			if len(b.Rows) == 0 {
+				return rows
+			}
+			rows += len(b.Rows)
+		}
+	}
+	rows := run() // warm: connections, geometry caches, the batch
+	if rows < 2000 {
+		t.Fatalf("join returned %d rows; the budget needs a result large enough to amortise per-statement setup", rows)
+	}
+	perStmt := testing.AllocsPerRun(5, func() { run() })
+	perRow := perStmt / float64(rows)
+	t.Logf("%d rows, %.0f allocations per statement, %.3f per row", rows, perStmt, perRow)
+	if perRow > 2.35 {
+		t.Errorf("%.3f allocations per result row, budget 2.35", perRow)
+	}
+}

@@ -144,8 +144,6 @@ func (c *gatherCursor) Next() (storage.RowID, storage.Row, bool, error) {
 
 // NextBatch implements storage.Cursor: a shard's fetch batch passes
 // through whole.
-//
-//spatiallint:hot
 func (c *gatherCursor) NextBatch(b *storage.Batch, max int) error {
 	if c.failed != nil || c.done {
 		return c.failed

@@ -40,8 +40,6 @@ func (m *Mem) Pages() []uint32 {
 
 // Pin implements Space. Mem frames carry no pool state, so Unpin is a
 // no-op and Pin is a bounds check plus a slice load.
-//
-//spatiallint:hot
 func (m *Mem) Pin(page uint32) (*Frame, error) {
 	if page == 0 || int(page) >= len(m.frames) {
 		return nil, fmt.Errorf("%w: page %d", ErrBadPage, page)

@@ -298,7 +298,6 @@ func (s *Store) pageOffset(id uint32) int64 { return int64(id) * int64(s.pageSiz
 
 // --- pinning and the buffer pool ---
 
-//spatiallint:hot
 func (s *Store) pin(space, page uint32) (*Frame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -318,7 +317,6 @@ func (s *Store) pin(space, page uint32) (*Frame, error) {
 		return f, nil
 	}
 	s.mMisses.Inc()
-	//spatiallint:ignore hotalloc a buffer-pool miss must materialise the frame; hits return the resident frame
 	f, err := s.loadLocked(page)
 	if err != nil {
 		return nil, err

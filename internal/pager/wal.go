@@ -104,8 +104,6 @@ func decodeWALHeader(h []byte) (pageSize int, startLSN uint64, err error) {
 }
 
 // appendWALRecord encodes r onto dst and returns the extended slice.
-//
-//spatiallint:hot
 func appendWALRecord(dst []byte, r *walRecord) []byte {
 	lenAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length backpatched below

@@ -566,8 +566,6 @@ func collectItems(n *node, out *[]entry) {
 
 // Search calls fn for every item whose MBR intersects q, stopping early
 // if fn returns false.
-//
-//spatiallint:hot
 func (t *Tree) Search(q geom.MBR, fn func(Item) bool) {
 	t.SearchCounted(q, fn)
 }
@@ -576,8 +574,6 @@ func (t *Tree) Search(q geom.MBR, fn func(Item) bool) {
 // the "buffer gets" a disk-resident execution of the probe would issue.
 // The nested-loop join baseline reports this to expose its repeated
 // index descents.
-//
-//spatiallint:hot
 func (t *Tree) SearchCounted(q geom.MBR, fn func(Item) bool) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -617,16 +613,12 @@ func searchNode(n *node, q geom.MBR, fn func(Item) bool, visited *int) bool {
 
 // SearchWithinDist calls fn for every item whose MBR lies within
 // distance d of q — the primary filter for within-distance queries.
-//
-//spatiallint:hot
 func (t *Tree) SearchWithinDist(q geom.MBR, d float64, fn func(Item) bool) {
 	t.SearchWithinDistCounted(q, d, fn)
 }
 
 // SearchWithinDistCounted is SearchWithinDist returning the number of
 // index nodes visited.
-//
-//spatiallint:hot
 func (t *Tree) SearchWithinDistCounted(q geom.MBR, d float64, fn func(Item) bool) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

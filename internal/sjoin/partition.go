@@ -250,8 +250,6 @@ func minXOrder(items []rtree.Item) []int32 {
 // MBR widened by expand — the sweep's growth of that side, by the same
 // expressions — adds every tile's copies to counts (indexed like the
 // dense tile array), and returns the total.
-//
-//spatiallint:hot
 func countGrid(counts []int, spans []tileSpan, g Grid, items []rtree.Item, expand float64) int {
 	total := 0
 	for i := range items {
@@ -272,8 +270,6 @@ func countGrid(counts []int, spans []tileSpan, g Grid, items []rtree.Item, expan
 // tile array, each copy to the tiles of the item's span, tagged with
 // its class. The stored coordinates stay unexpanded. Every tile list
 // has the capacity countGrid counted, so the appends never grow.
-//
-//spatiallint:hot
 func assignGrid(dense []gridTile, g Grid, items []rtree.Item, spans []tileSpan, order []int32, sideA bool) {
 	for _, i := range order {
 		it, s := &items[i], spans[i]
@@ -388,8 +384,6 @@ func placeSide(dense []gridTile, counts []int, g Grid, items []rtree.Item, expan
 
 // sweepTile sweeps one tile, calling emit once for every candidate pair
 // the tile owns.
-//
-//spatiallint:hot
 func (gs *gridState) sweepTile(t *gridTile, emit func(a, b *sweepEntry)) {
 	sweep(t.ra, t.rb, gs.grow, gs.d, gs.unordered, emit)
 }
@@ -408,15 +402,12 @@ func (s gridSource) start() {}
 // refill claims and sweeps tiles until the refill has no room left or
 // the queue is exhausted. A tile is swept whole, so the candidate array
 // and the ready queue can overshoot CandidateCap by one tile's pairs.
-//
-//spatiallint:hot
 func (s gridSource) refill(j *JoinFunction) {
 	for j.room() > 0 {
 		ti := s.gs.claim()
 		if ti < 0 {
 			return
 		}
-		//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per tile sweep not per row
 		end := j.span(telemetry.StageTileSweep)
 		s.gs.sweepTile(&s.gs.tiles[ti], func(a, b *sweepEntry) {
 			j.emit(Pair{A: a.id, B: b.id}, a.MBR, b.MBR)

@@ -116,8 +116,6 @@ type routeCount struct {
 
 // classify picks p's route from the leaf MBRs a and b it survived the
 // primary filter on.
-//
-//spatiallint:hot
 func (j *JoinFunction) classify(p Pair, a, b geom.MBR) route {
 	if j.routes.has(routeOwner) && !j.cfg.Owns(PairRefPoint(a, b, j.cfg.Distance)) {
 		return routeOwner

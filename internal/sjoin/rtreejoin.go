@@ -192,13 +192,10 @@ func (j *JoinFunction) Start() error {
 
 // Fetch implements TableFunction: resume the join from its source and
 // append up to max result pairs to b.
-//
-//spatiallint:hot
 func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 	for n := 0; n < max; {
 		// Drain verified results first.
 		if k := min(j.pending(), max-n); k > 0 {
-			//spatiallint:ignore hotalloc grows a fresh batch to the fetch size; a reused one has the room
 			appendPairRows(b, j.ready[j.head:j.head+k])
 			j.head += k
 			if j.head == len(j.ready) {
@@ -237,8 +234,6 @@ func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 // pair once: emit puts the lower rowid first, returns a proven pair of
 // two rows in both orientations, and queues the candidate whose mirror
 // image accept returns.
-//
-//spatiallint:hot
 func (j *JoinFunction) emit(p Pair, a, b geom.MBR) {
 	unordered := j.routes.has(routeMirror)
 	if unordered && p.B.Less(p.A) {
@@ -317,13 +312,10 @@ func (s *treeSource) start() {
 // with itself is expanded by a self-sweep, so the traversal meets each
 // unordered pair of entries, and of children, once; a pair of distinct
 // nodes holds disjoint entries and expands as in any other join.
-//
-//spatiallint:hot
 func (s *treeSource) refill(j *JoinFunction) {
 	if len(s.stack) == 0 && !s.claim() {
 		return
 	}
-	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per refill not per row
 	end := j.span(telemetry.StagePrimary)
 	unordered := j.routes.has(routeMirror)
 	for j.room() > 0 && (len(s.stack) > 0 || s.claim()) {
@@ -364,8 +356,6 @@ func (s *treeSource) refill(j *JoinFunction) {
 // sweepNodes fills the scratch lists with the entries of nodes a and b
 // and sweeps them, a as side A; a node paired with itself (self) fills
 // one list and sweeps it in self mode.
-//
-//spatiallint:hot
 func (s *treeSource) sweepNodes(j *JoinFunction, a, b rtree.NodeRef, self bool, emit func(e, o *sweepEntry)) {
 	s.sweepA = fillSweep(s.sweepA, a)
 	eb := s.sweepA
@@ -396,13 +386,10 @@ func (s *treeSource) claim() bool {
 // NP-complete and rowid-sort is within ~20% of the best
 // approximations); sorting also lets consecutive candidates sharing a
 // rowid reuse one fetched geometry (sideGeom).
-//
-//spatiallint:hot
 func (j *JoinFunction) sortCandidates() {
 	if !j.cfg.SortCandidates {
 		return
 	}
-	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per sort not per row
 	end := j.span(telemetry.StageSort)
 	slices.SortFunc(j.boxed, compareBoxed)
 	slices.SortFunc(j.cands, comparePairs)
@@ -418,10 +405,7 @@ func (j *JoinFunction) sortCandidates() {
 // cache, so repeated rowids — across candidate batches, join sides of a
 // self-join, or parallel instances sharing a cache — skip the
 // base-table decode entirely.
-//
-//spatiallint:hot
 func (j *JoinFunction) secondaryFilter() error {
-	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per drain not per row
 	endDrain := j.span(telemetry.StageSecondary)
 	defer func() {
 		j.flushGeomSpans()
@@ -457,8 +441,6 @@ func (j *JoinFunction) secondaryFilter() error {
 // accept queues a candidate the secondary filter kept; under the mirror
 // mode it queues the pair's mirror image with it, decided by the same
 // fetches and the same test.
-//
-//spatiallint:hot
 func (j *JoinFunction) accept(p Pair) {
 	j.ready = append(j.ready, p)
 	j.stats.Results++
@@ -480,8 +462,6 @@ type fetched struct {
 // sideGeom returns the geometry of p's row on side s, reusing the one
 // fetched last on that side: sorted candidates come in runs of one
 // first rowid.
-//
-//spatiallint:hot
 func (j *JoinFunction) sideGeom(last *[2]fetched, p Pair, s uint8) (geom.Geometry, bool, error) {
 	id := p.A
 	if s == 1 {
@@ -504,8 +484,6 @@ func (j *JoinFunction) sideGeom(last *[2]fetched, p Pair, s uint8) (geom.Geometr
 // candidate refined. A row deleted since the statement started drops
 // the candidate where it is fetched (fetchGeom), and goes unseen where
 // its box decides.
-//
-//spatiallint:hot
 func (j *JoinFunction) decide(c *boxCand, last *[2]fetched) (bool, error) {
 	g, live, err := j.sideGeom(last, c.Pair, c.big)
 	if err != nil || !live {
@@ -523,8 +501,6 @@ func (j *JoinFunction) decide(c *boxCand, last *[2]fetched) (bool, error) {
 }
 
 // refine fetches both geometries of p and runs the exact predicate.
-//
-//spatiallint:hot
 func (j *JoinFunction) refine(p Pair, last *[2]fetched) (bool, error) {
 	ga, live, err := j.sideGeom(last, p, 0)
 	if err != nil || !live {
@@ -558,8 +534,6 @@ const geomSampleMask = 15
 // per-query trace is attached, fetches are counted exactly but timed by
 // sampling: the pending totals sit in plain per-instance fields and
 // reach the shared trace through flushGeomSpans once per drain.
-//
-//spatiallint:hot
 func (j *JoinFunction) fetchGeom(tab *storage.Table, col int, id storage.RowID) (geom.Geometry, bool, error) {
 	var t0 time.Time
 	sampled := false
@@ -571,7 +545,6 @@ func (j *JoinFunction) fetchGeom(tab *storage.Table, col int, id storage.RowID) 
 			t0 = time.Now()
 		}
 	}
-	//spatiallint:ignore hotalloc a cache miss must decode and retain the geometry; hits are allocation-free
 	g, hit, err := cachedFetch(j.cache, tab, col, id)
 	if sampled {
 		j.gfNanos += int64(time.Since(t0)) * (geomSampleMask + 1)

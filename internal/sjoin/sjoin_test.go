@@ -439,3 +439,81 @@ func TestPairOrdering(t *testing.T) {
 		t.Fatalf("SortPairs = %v", pairs)
 	}
 }
+
+// TestJoinAllocFloor holds the join's candidate sources to an
+// allocation budget per result row, each drained through its cursor
+// into one reused batch with the geometry cache warm:
+//   - the tree source refining the counties self-join at distance 7:
+//     the synchronized traversal and its node sweeps, the candidate
+//     sort, the secondary filter and the cached geometry fetches;
+//   - the tree source deciding block groups against counties by their
+//     boxes (the box route), refining the rest;
+//   - the grid source on a point self-join over 1 024 tiles, whose
+//     pairs the point route proves.
+//
+// Each budget sits about ten allocations per statement above the count
+// measured when it was set. A candidate cap and a fetch size of 64 run
+// every per-refill and per-fetch step dozens of times a statement, as
+// the tile count runs the per-tile steps, so one allocation added to
+// any of them, like one added per candidate, breaks the budget.
+func TestJoinAllocFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	counties := buildSource(t, "floor_counties", datagen.Counties(900, 1))
+	blockGroups := buildSource(t, "floor_blockgroups", datagen.BlockGroups(1500, 3))
+	stars := datagen.Stars(4000, 7)
+	pts := make([]geom.Point, len(stars.Geoms))
+	for i, g := range stars.Geoms {
+		pts[i] = geom.MBROf(g).Center()
+	}
+	points := pointTable(t, "floor_points", "point", pts)
+
+	cfg := DefaultConfig()
+	cfg.CandidateCap = 64
+	cfg.FetchBatch = 64
+	cfg.GeomCache = NewGeomCache(0)
+	near, grid := cfg, cfg
+	near.Distance = 7
+	grid.Distance = 1.5
+	grid.GridTiles = 1024
+	for _, c := range []struct {
+		name   string
+		open   func() (storage.Cursor, error)
+		budget float64
+	}{
+		{"tree refine", func() (storage.Cursor, error) { return IndexJoin(counties, counties, near) }, 0.006},
+		{"tree box", func() (storage.Cursor, error) { return IndexJoin(blockGroups, counties, cfg) }, 0.022},
+		{"grid points", func() (storage.Cursor, error) { return GridParallelJoin(points, points, grid, 1) }, 0.0045},
+	} {
+		var b storage.Batch
+		run := func() int {
+			cur, err := c.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close()
+			rows := 0
+			for {
+				b.Reset()
+				if err := cur.NextBatch(&b, 0); err != nil {
+					t.Fatal(err)
+				}
+				if len(b.Rows) == 0 {
+					return rows
+				}
+				rows += len(b.Rows)
+			}
+		}
+		rows := run() // warm: the geometry cache, the batch
+		if rows < 2000 {
+			t.Fatalf("%s: %d rows; the budget needs a result large enough to amortise per-statement setup", c.name, rows)
+		}
+		perStmt := testing.AllocsPerRun(5, func() { run() })
+		perRow := perStmt / float64(rows)
+		t.Logf("%s: %d rows, %.0f allocations per statement, %.4f per row (budget %.4f)", c.name, rows, perStmt, perRow, c.budget)
+		if perRow > c.budget {
+			t.Errorf("%s: %.4f allocations per result row, budget %.4f", c.name, perRow, c.budget)
+		}
+	}
+}

@@ -63,8 +63,6 @@ func sweepGrow(d float64, a, b geom.MBR) float64 {
 // grow/2, so emit sees each unordered pair once. The grid places its
 // copies by these same expressions (assignGrid), so a pair the sweep
 // accepts lies in its reporting tile bit for bit.
-//
-//spatiallint:hot
 func sweep(ea, eb []sweepEntry, grow, d float64, self bool, emit func(a, b *sweepEntry)) {
 	if self {
 		h := grow / 2

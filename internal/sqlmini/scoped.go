@@ -54,7 +54,6 @@ func (c *filterCursor) Next() (storage.RowID, storage.Row, bool, error) {
 	return c.it.Next(c)
 }
 
-//spatiallint:hot
 func (c *filterCursor) NextBatch(b *storage.Batch, max int) error {
 	return storage.FilterBatch(c.src, b, max, c.keep)
 }

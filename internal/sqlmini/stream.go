@@ -296,7 +296,6 @@ func (c *projectCursor) Next() (storage.RowID, storage.Row, bool, error) {
 	return c.it.Next(c)
 }
 
-//spatiallint:hot
 func (c *projectCursor) NextBatch(b *storage.Batch, max int) error {
 	first := len(b.Rows)
 	err := c.src.NextBatch(b, max)
@@ -391,8 +390,6 @@ func (c *joinCursorAdapter) Next() (storage.RowID, storage.Row, bool, error) {
 // read committed per fetch, as fetchCursor does — by cutting the pair's
 // cells back off the slab; a batch whose every pair is skipped fetches
 // the next.
-//
-//spatiallint:hot
 func (c *joinCursorAdapter) NextBatch(b *storage.Batch, max int) error {
 	pairs, err := c.jc.NextBatch(c.pairs[:0], max)
 	c.pairs = pairs
@@ -407,7 +404,6 @@ pair:
 			switch {
 			case c.keys != nil:
 				var kerr error
-				//spatiallint:ignore hotalloc a keyed projection fetches and decodes a user column per cell
 				text, kerr = c.keys.appendKey(text, p, col)
 				if errors.Is(kerr, storage.ErrRowDeleted) {
 					text, ends = text[:mark], ends[:cells]
@@ -429,10 +425,8 @@ pair:
 	if rows == 0 && err == nil {
 		return c.NextBatch(b, max)
 	}
-	//spatiallint:ignore hotalloc the batch's one string, which every cell is cut from
 	cells := string(text)
 	start, cell := 0, 0
-	//spatiallint:ignore hotalloc grows a fresh batch to the fetch size; a reused one has the room
 	for _, out := range b.Extend(rows, len(c.cols)) {
 		for k := range out {
 			out[k] = storage.Str(cells[start:ends[cell]])

@@ -13,7 +13,13 @@ import (
 
 func streamEngine(t *testing.T) *Engine {
 	t.Helper()
-	eng := NewEngine()
+	return streamEngineOn(t, spatialtf.Open())
+}
+
+// streamEngineOn loads streamEngine's three cities into db.
+func streamEngineOn(t *testing.T, db *spatialtf.DB) *Engine {
+	t.Helper()
+	eng := NewEngineOn(db)
 	stmts := []string{
 		"CREATE TABLE cities (id INT, name VARCHAR, geom GEOMETRY)",
 		"INSERT INTO cities VALUES (1, 'springfield', 'POLYGON ((10 10, 14 10, 14 14, 10 14, 10 10))')",
@@ -258,24 +264,41 @@ func TestExecuteStreamErrors(t *testing.T) {
 // closure or slab creeping into a 40-µs statement; this is not. With
 // three table-SELECT bodies the counts were 71 unscoped and 86 scoped
 // (the scoped body fetched every row twice); the one pipeline must
-// never cost more than they did.
+// never cost more than they did. The within-distance window, the
+// window over a durable database (whose row fetches pin buffer-pool
+// frames) and a short keyed join are held at their counts when they
+// were added.
 func TestWindowSelectAllocFloor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	eng := streamEngine(t)
-	const window = "SELECT id FROM cities WHERE sdo_relate(geom, 'POLYGON ((0 0, 50 0, 50 50, 0 50, 0 0))', 'mask=anyinteract') = 'TRUE'"
+	mem := streamEngine(t)
+	durable := streamEngineOn(t, openDurable(t))
+	const (
+		window = "SELECT id FROM cities WHERE sdo_relate(geom, 'POLYGON ((0 0, 50 0, 50 50, 0 50, 0 0))', 'mask=anyinteract') = 'TRUE'"
+		near   = "SELECT id FROM cities WHERE sdo_within_distance(geom, 'POINT (22 22)', 'distance=12') = 'TRUE'"
+		join   = "SELECT key1, key2 FROM TABLE(spatial_join('cities','geom','cities','geom','anyinteract','keys=id:id'))"
+	)
 	for _, c := range []struct {
 		name   string
+		eng    *Engine
+		sql    string
 		scope  *spatialtf.ClusterScope
+		rows   int
 		budget float64
 	}{
-		{"unscoped", nil, 71},
+		{"unscoped", mem, window, nil, 3, 71},
 		// One shard owns every tile: the same three rows, through the owner filter.
-		{"scoped", spatialtf.NewClusterScope(spatialtf.MBR{MaxX: 100, MaxY: 100}, 4, 4, 1, 0), 79},
+		{"scoped", mem, window, spatialtf.NewClusterScope(spatialtf.MBR{MaxX: 100, MaxY: 100}, 4, 4, 1, 0), 3, 79},
+		// The same three rows through the index's within-distance search.
+		{"within distance", mem, near, nil, 3, 65},
+		// Every row fetch pins its heap page in the buffer pool.
+		{"durable", durable, window, nil, 3, 71},
+		// Each row pair projected through the join's keyed adapter.
+		{"keyed join", mem, join, nil, 5, 97},
 	} {
 		got := testing.AllocsPerRun(200, func() {
-			st, err := eng.ExecuteStreamScoped(window, c.scope)
+			st, err := c.eng.ExecuteStreamScoped(c.sql, c.scope)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,13 +310,48 @@ func TestWindowSelectAllocFloor(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if len(b.Rows) != 3 {
-				t.Fatalf("window SELECT returned %d rows, want 3", len(b.Rows))
+			if len(b.Rows) != c.rows {
+				t.Fatalf("%s: %d rows, want %d", c.name, len(b.Rows), c.rows)
 			}
 		})
 		t.Logf("%s: %.0f allocs per statement (budget %.0f)", c.name, got, c.budget)
 		if got > c.budget {
-			t.Errorf("%s window SELECT: %.0f allocs per statement, budget %.0f", c.name, got, c.budget)
+			t.Errorf("%s: %.0f allocs per statement, budget %.0f", c.name, got, c.budget)
 		}
+	}
+}
+
+// openDurable opens a database on a fresh data directory, closed when
+// the test ends. The WAL is not fsynced: the floors count allocations,
+// not disk waits.
+func openDurable(t *testing.T) *spatialtf.DB {
+	t.Helper()
+	db, err := spatialtf.OpenDir(t.TempDir(), spatialtf.DirOptions{Sync: spatialtf.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+// TestDurableInsertAllocFloor holds an INSERT into an indexed table of
+// a durable database to a per-statement budget: parse, row encode, the
+// heap and R-tree writes, the pinned pages, and the WAL records the
+// commit appends.
+func TestDurableInsertAllocFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	eng := streamEngineOn(t, openDurable(t))
+	const insert = "INSERT INTO cities VALUES (4, 'capital', 'POLYGON ((20 20, 22 20, 22 22, 20 22, 20 20))')"
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := eng.Execute(insert); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 34
+	t.Logf("%.0f allocs per INSERT (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("%.0f allocs per INSERT, budget %d", got, budget)
 	}
 }

@@ -341,7 +341,6 @@ func (h *Heap) FetchInto(dst []byte, id RowID) ([]byte, error) {
 	return h.fetchLocked(dst, id)
 }
 
-//spatiallint:hot
 func (h *Heap) fetchLocked(dst []byte, id RowID) ([]byte, error) {
 	f, err := h.space.Pin(id.Page)
 	if err != nil {

@@ -161,8 +161,6 @@ func (t *Table) Fetch(id RowID) (Row, error) {
 // FetchColumn returns a single column of the row at id, avoiding a full
 // row decode when the caller (the join secondary filter) only needs the
 // geometry column.
-//
-//spatiallint:hot
 func (t *Table) FetchColumn(id RowID, col int) (Value, error) {
 	if col < 0 || col >= len(t.schema) {
 		return Value{}, fmt.Errorf("fetch from %q: column %d out of range", t.name, col)
@@ -174,7 +172,6 @@ func (t *Table) FetchColumn(id RowID, col int) (Value, error) {
 	// Partial decode: sibling columns are skipped by length, so only
 	// the requested value is materialised (for the join secondary
 	// filter, one geometry instead of the whole row).
-	//spatiallint:ignore hotalloc materialising the requested column (geometry vertices, string copy) is the contract
 	v, err := decodeColumn(t.schema, img, col)
 	if err != nil {
 		return Value{}, fmt.Errorf("fetch from %q at %v: %w", t.name, id, err)

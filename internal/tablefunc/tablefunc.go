@@ -84,8 +84,6 @@ func (c *pipelineCursor) Next() (storage.RowID, storage.Row, bool, error) {
 
 // NextBatch implements storage.Cursor with one fetch call of max rows
 // (the pipeline's own batch size when max <= 0).
-//
-//spatiallint:hot
 func (c *pipelineCursor) NextBatch(b *storage.Batch, max int) error {
 	if c.closed {
 		return errClosed
@@ -242,8 +240,6 @@ func (c *parallelCursor) Next() (storage.RowID, storage.Row, bool, error) {
 // storage with the consumer's (empty) batch; otherwise — the consumer
 // is topping up a batch, or asked for fewer rows than the instances
 // fetch — the rows it wants are copied over.
-//
-//spatiallint:hot
 func (c *parallelCursor) NextBatch(b *storage.Batch, max int) error {
 	if c.failed != nil {
 		return c.failed
@@ -280,7 +276,6 @@ func (c *parallelCursor) NextBatch(b *storage.Batch, max int) error {
 	if n == len(src.Rows) && len(b.Rows) == 0 {
 		*b, *src = *src, *b
 	} else {
-		//spatiallint:ignore hotalloc grows a fresh batch to the fetch size; a reused one has the room
 		b.AppendCopy(src.Rows[c.pos : c.pos+n])
 		if c.pos += n; c.pos < len(src.Rows) {
 			return nil

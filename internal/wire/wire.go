@@ -71,8 +71,6 @@ const (
 
 // WriteFrame writes one frame (uint32 little-endian payload length,
 // type byte, payload). The caller flushes.
-//
-//spatiallint:hot
 func WriteFrame(w *bufio.Writer, t FrameType, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(payload), MaxFrame)
@@ -320,8 +318,6 @@ func ParseDescribe(b []byte) (cursorID uint64, schema []storage.Column, err erro
 // row codec under the cursor's schema, each encoded straight into dst
 // behind its length (the server passes its pooled frame image, so this
 // is the one copy a row makes between the cursor and the socket).
-//
-//spatiallint:hot
 func AppendBatch(dst []byte, cursorID uint64, done bool, schema []storage.Column, rows []storage.Row) ([]byte, error) {
 	p := payload{b: dst}
 	p.u64(cursorID)
@@ -365,8 +361,6 @@ const slabValues = 1 << 14
 // one copy of the payload, so a batch costs a handful of allocations
 // however many rows it carries; geometry and raw columns still decode
 // per value. The rows are the caller's to keep.
-//
-//spatiallint:hot
 func ParseBatch(b []byte, schema []storage.Column) (cursorID uint64, done bool, rows []storage.Row, err error) {
 	p := pReader{b: b}
 	if cursorID, err = p.u64(); err != nil {
@@ -387,7 +381,6 @@ func ParseBatch(b []byte, schema []storage.Column) (cursorID uint64, done bool, 
 	var text string
 	for _, c := range schema {
 		if c.Type == storage.TString {
-			//spatiallint:ignore hotalloc the batch's one string, which every string column is cut from
 			text = string(p.b)
 			break
 		}
@@ -396,7 +389,6 @@ func ParseBatch(b []byte, schema []storage.Column) (cursorID uint64, done bool, 
 	chunk := max(1, slabValues/max(1, len(schema)))
 	var batch storage.Batch
 	for left := int(n); left > 0; {
-		//spatiallint:ignore hotalloc the batch's value slab, one allocation for up to slabValues values
 		slab := batch.Extend(min(left, chunk), len(schema))
 		left -= len(slab)
 		for _, row := range slab {
@@ -409,7 +401,6 @@ func ParseBatch(b []byte, schema []storage.Column) (cursorID uint64, done bool, 
 				end := size - len(p.b)
 				rowText = text[end-len(img) : end]
 			}
-			//spatiallint:ignore hotalloc geometry and raw columns decode into storage of their own; strings are cut from text
 			if err := storage.DecodeRowInto(row, schema, img, rowText); err != nil {
 				return 0, false, nil, fmt.Errorf("wire: decode batch row: %w", err)
 			}

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -149,6 +151,51 @@ func TestBatchCodec(t *testing.T) {
 	img, _ = AppendBatch(nil, 9, true, schema, rows)
 	if _, _, _, err := ParseBatch(img[:len(img)/2], schema); err == nil {
 		t.Errorf("truncated batch accepted")
+	}
+}
+
+// TestBatchCodecAllocFloor holds the batch frame codec to its
+// allocation counts per batch of 64 rows. Encoding into a reused buffer
+// allocates nothing; writing the frame costs its 5-byte header, which
+// escapes through bufio.Writer.Write. Decoding costs the batch's one
+// string, its row and value slabs, and the storage each geometry value
+// decodes into (two allocations per polygon).
+func TestBatchCodecAllocFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g, err := geom.ParseWKT("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := []storage.Column{
+		{Name: "id", Type: storage.TInt64},
+		{Name: "name", Type: storage.TString},
+		{Name: "geom", Type: storage.TGeometry},
+	}
+	rows := make([]storage.Row, 64)
+	for i := range rows {
+		rows[i] = storage.Row{storage.Int(int64(i)), storage.Str(fmt.Sprintf("row-%d", i)), storage.Geom(g)}
+	}
+	img, err := AppendBatch(nil, 9, false, schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bufio.NewWriter(io.Discard)
+	enc := testing.AllocsPerRun(100, func() {
+		img, _ = AppendBatch(img[:0], 9, false, schema, rows)
+		if err := WriteFrame(w, FrameBatch, img); err != nil {
+			t.Fatal(err)
+		}
+	})
+	dec := testing.AllocsPerRun(100, func() { ParseBatch(img, schema) })
+	const encBudget, decBudget = 1, 3 + 2*64
+	t.Logf("encode %.0f, decode %.0f allocations per batch (budgets %d and %d)", enc, dec, encBudget, decBudget)
+	if enc > encBudget {
+		t.Errorf("encoding and writing a batch cost %.0f allocations, budget %d", enc, encBudget)
+	}
+	if dec > decBudget {
+		t.Errorf("decoding a batch cost %.0f allocations, budget %d", dec, decBudget)
 	}
 }
 
