@@ -64,11 +64,16 @@ race:
 # the fetched and the index-decided route), the pager's
 # checkpoint-under-load churn, the parallel joins' shared claim queue
 # (grid tiles and subtree pairs, TestGridJoinRace and
-# TestClaimQueueLongestFirst among the sjoin tests), the server, and
-# the parallel join — so races there fail fast before the full -race
-# sweep.
+# TestClaimQueueLongestFirst among the sjoin tests), the server
+# (TestWindowSelectSkipsConcurrentlyDeletedRows among its tests: window
+# SELECTs over the wire beside a deleter and an updater), window
+# statements beside a concurrent deleter (TestWindowBesideDeleter: SELECT
+# id, SELECT * and count(*), scoped and not, through an R-tree and a
+# quadtree), and the parallel join — so races there fail fast before
+# the full -race sweep.
 race-hot:
 	$(GO) test -race -run 'TestConcurrent|TestSnapshot' .
+	$(GO) test -race -run 'TestWindowBesideDeleter' ./internal/sqlmini
 	$(GO) test -race -run 'TestCheckpointUnderLoad' ./internal/pager
 	$(GO) test -race -run 'TestGridJoinRace' ./internal/sjoin
 	$(GO) test -race ./internal/server ./internal/sjoin

@@ -96,8 +96,23 @@ func (db *DB) Index(name string) (*Index, error) {
 	return &Index{db: db, name: name, inner: idx, meta: meta}, nil
 }
 
+// IndexOn returns the index on column of table of the given kind ("" =
+// any) that a statement reads through: an R-tree if there is one, and
+// otherwise the first index created (see extidx.Registry.IndexOn). ok
+// is false when there is none.
+func (db *DB) IndexOn(table, column string, kind IndexKind) (ix *Index, ok bool) {
+	idx, meta, ok := db.reg.IndexOn(table, column, kind)
+	if !ok {
+		return nil, false
+	}
+	return &Index{db: db, name: meta.IndexName, inner: idx, meta: meta}, true
+}
+
 // Name returns the index name.
 func (ix *Index) Name() string { return ix.name }
+
+// Inner exposes the domain index for the SQL layer's window path.
+func (ix *Index) Inner() extidx.SpatialIndex { return ix.inner }
 
 // Metadata describes a created index — the row from the spatial index
 // metadata table.

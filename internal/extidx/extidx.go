@@ -98,7 +98,10 @@ type Registry struct {
 	builders map[IndexKind]Builder
 	indexes  map[string]SpatialIndex
 	metas    map[string]Metadata
-	metaTab  *storage.Table
+	// names lists the indexes in creation order, the order of the
+	// metadata table's rows.
+	names   []string
+	metaTab *storage.Table
 }
 
 // Registry errors.
@@ -204,6 +207,7 @@ func (r *Registry) CreateIndex(name string, kind IndexKind, tab *storage.Table, 
 	}
 	r.indexes[name] = idx
 	r.metas[name] = meta
+	r.names = append(r.names, name)
 	r.mu.Unlock()
 
 	tab.AddHook(&indexHook{idx: idx, geomCol: col})
@@ -234,6 +238,26 @@ func (r *Registry) Describe(name string) (Metadata, error) {
 		return Metadata{}, fmt.Errorf("%w: %q", ErrNoIndex, name)
 	}
 	return m, nil
+}
+
+// IndexOn returns the index on column of table of the given kind ("" =
+// any) that a statement reads through, from the in-memory metadata: an
+// R-tree (the join-capable kind) if there is one — the last created —
+// and otherwise the first index created. ok is false when there is
+// none.
+func (r *Registry) IndexOn(table, column string, kind IndexKind) (idx SpatialIndex, meta Metadata, ok bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, name := range r.names {
+		m := r.metas[name]
+		if m.TableName != table || m.ColumnName != column || kind != "" && m.Kind != kind {
+			continue
+		}
+		if !ok || m.Kind == KindRTree {
+			idx, meta, ok = r.indexes[name], m, true
+		}
+	}
+	return idx, meta, ok
 }
 
 // MetadataRows returns the metadata table contents — the user-visible

@@ -1,62 +1,36 @@
 package extidx
 
 import (
-	"errors"
 	"fmt"
 
 	"spatialtf/internal/geom"
 	"spatialtf/internal/rtree"
+	"spatialtf/internal/sjoin"
 	"spatialtf/internal/storage"
 )
 
 // This file implements the query operators registered with the
-// framework: the equivalents of sdo_relate and sdo_within_distance in a
-// WHERE clause. An operator evaluation consults the domain index for
-// candidate rowids (primary filter) and then applies the exact geometry
-// predicate to each fetched candidate (secondary filter). By
-// construction an operator returns rows of the single indexed table —
-// the framework restriction that pushes joins out to table functions.
+// framework: the equivalents of sdo_relate, sdo_within_distance and
+// sdo_nn in a WHERE clause. An operator evaluation consults the domain
+// index for candidates (primary filter) and settles each by its index
+// entry or by the exact geometry predicate on the fetched row
+// (secondary filter). By construction an operator returns rows of the
+// single indexed table — the framework restriction that pushes joins
+// out to table functions.
 
 // Relate returns the rowids of rows in tab whose geometry column
 // satisfies mask against the query geometry q, using idx as the primary
 // filter. It is the executor for
 //
 //	SELECT ... FROM tab WHERE sdo_relate(tab.col, :q, 'mask=<mask>')
+//
+// and a drain of the window path (window.go).
 func Relate(idx SpatialIndex, tab *storage.Table, column string, q geom.Geometry, mask geom.Mask) ([]storage.RowID, error) {
-	col, err := tab.ColumnIndex(column)
+	cands, rows, err := Window(idx, tab, column, q, sjoin.WindowOp{Mask: mask}, nil, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("extidx: relate query geometry: %w", err)
-	}
-	var out []storage.RowID
-	for _, id := range idx.WindowCandidates(geom.MBROf(q)) {
-		g, ok, err := candidateGeom(tab, id, col)
-		if err != nil {
-			return nil, err
-		}
-		if ok && geom.Relate(g, q, mask) {
-			out = append(out, id)
-		}
-	}
-	return out, nil
-}
-
-// candidateGeom fetches the geometry of a row the index surfaced, for
-// the secondary filter. The index is read without a snapshot, so the
-// row may have been deleted since: ok is then false and the row is
-// simply not in the result — read committed per fetch, like a heap
-// scan — instead of failing the statement.
-func candidateGeom(tab *storage.Table, id storage.RowID, col int) (g geom.Geometry, ok bool, err error) {
-	v, err := tab.FetchColumn(id, col)
-	if errors.Is(err, storage.ErrRowDeleted) {
-		return geom.Geometry{}, false, nil
-	}
-	if err != nil {
-		return geom.Geometry{}, false, fmt.Errorf("extidx: secondary filter fetch %v: %w", id, err)
-	}
-	return v.G, true, nil
+	return rows.IDs(cands)
 }
 
 // Neighbor is one ranked result of Nearest.
@@ -75,8 +49,7 @@ type Neighbor struct {
 // Only R-tree-backed indexes support ranking; other kinds return an
 // error.
 func Nearest(idx SpatialIndex, tab *storage.Table, column string, q geom.Geometry, k int) ([]Neighbor, error) {
-	type ranker interface{ Tree() *rtree.Tree }
-	r, ok := idx.(ranker)
+	r, ok := idx.(treeIndex)
 	if !ok {
 		return nil, fmt.Errorf("extidx: index kind %v does not support nearest-neighbour ranking", idx.Meta().Kind)
 	}
@@ -91,6 +64,7 @@ func Nearest(idx SpatialIndex, tab *storage.Table, column string, q geom.Geometr
 		return nil, nil
 	}
 	qm := geom.MBROf(q)
+	cols, g := [1]int{col}, [1]storage.Value{}
 
 	// Refinement queue: exact-distance results not yet proven final.
 	var pending []Neighbor
@@ -106,15 +80,15 @@ func Nearest(idx SpatialIndex, tab *storage.Table, column string, q geom.Geometr
 				return false
 			}
 		}
-		g, ok, err := candidateGeom(tab, it.ID, col)
+		live, err := fetchColumns(tab, it.ID, cols[:], g[:])
 		if err != nil {
 			iterErr = err
 			return false
 		}
-		if !ok {
+		if !live {
 			return true
 		}
-		d := geom.Distance(g, q)
+		d := geom.Distance(g[0].G, q)
 		// Insert into pending, keeping it sorted by exact distance.
 		pos := len(pending)
 		for pos > 0 && pending[pos-1].Dist > d {
@@ -136,27 +110,12 @@ func Nearest(idx SpatialIndex, tab *storage.Table, column string, q geom.Geometr
 }
 
 // WithinDistance returns the rowids of rows whose geometry lies within
-// distance d of q — the executor for sdo_within_distance.
+// distance d of q — the executor for sdo_within_distance, a drain of
+// the window path.
 func WithinDistance(idx SpatialIndex, tab *storage.Table, column string, q geom.Geometry, d float64) ([]storage.RowID, error) {
-	col, err := tab.ColumnIndex(column)
+	cands, rows, err := Window(idx, tab, column, q, sjoin.WindowOp{Within: true, Distance: d}, nil, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("extidx: within-distance query geometry: %w", err)
-	}
-	if d < 0 {
-		return nil, fmt.Errorf("extidx: negative distance %g", d)
-	}
-	var out []storage.RowID
-	for _, id := range idx.DistCandidates(geom.MBROf(q), d) {
-		g, ok, err := candidateGeom(tab, id, col)
-		if err != nil {
-			return nil, err
-		}
-		if ok && geom.WithinDistance(g, q, d) {
-			out = append(out, id)
-		}
-	}
-	return out, nil
+	return rows.IDs(cands)
 }

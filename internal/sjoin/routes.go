@@ -117,26 +117,46 @@ type routeCount struct {
 // classify picks p's route from the leaf MBRs a and b it survived the
 // primary filter on.
 func (j *JoinFunction) classify(p Pair, a, b geom.MBR) route {
-	if j.routes.has(routeOwner) && !j.cfg.Owns(PairRefPoint(a, b, j.cfg.Distance)) {
+	return j.routes.pick(&j.cfg, a, b, p.A == p.B, false)
+}
+
+// pick is the per-pair test of the route table, the one function the
+// join's classify and a window's Decide both call: the first route of
+// s, in table order, whose test holds for a candidate with leaf MBRs a
+// and b. same is set when the two are one row. The box route tests the
+// smaller MBR against the other side's geometry (boxOf) or, when aBig
+// is set, always b's MBR against a's geometry — a window's a is its
+// in-memory query.
+func (s routeSet) pick(c *Config, a, b geom.MBR, same, aBig bool) route {
+	if s.has(routeOwner) && !c.owns(a, b) {
 		return routeOwner
 	}
-	if j.routes.has(routeSelf) && p.A == p.B {
+	if s.has(routeSelf) && same {
 		return routeSelf
 	}
-	if j.routes.has(routePoints) && a.IsPoint() && b.IsPoint() {
+	if s.has(routePoints) && a.IsPoint() && b.IsPoint() {
 		return routePoints
 	}
-	if j.routes.has(routeBox) {
+	if s.has(routeBox) {
 		// The test pays only for a box small beside its partner — grown
 		// by the reach, at most half the other MBR's width and height;
 		// a larger one is rarely clear of the partner's boundary, and is
 		// refined without it (DESIGN.md §21).
-		box, other, _ := boxOf(a, b)
-		if w := box.Expand(j.cfg.Distance); 2*w.Width() <= other.Width() && 2*w.Height() <= other.Height() {
+		box, other := b, a
+		if !aBig {
+			box, other, _ = boxOf(a, b)
+		}
+		if w := box.Expand(c.Distance); 2*w.Width() <= other.Width() && 2*w.Height() <= other.Height() {
 			return routeBox
 		}
 	}
 	return routeRefine
+}
+
+// owns is the owner route's test: whether the scope, if any, owns the
+// reference point of a pair with leaf MBRs a and b.
+func (c *Config) owns(a, b geom.MBR) bool {
+	return c.Owns == nil || c.Owns(PairRefPoint(a, b, c.Distance))
 }
 
 // boxOf splits a candidate's leaf MBRs for the box route: the box is

@@ -7,6 +7,9 @@ import (
 	"strings"
 
 	"spatialtf"
+	"spatialtf/internal/extidx"
+	"spatialtf/internal/geom"
+	"spatialtf/internal/sjoin"
 	"spatialtf/internal/storage"
 )
 
@@ -91,7 +94,7 @@ func (e *Engine) execStatement(stmt Statement) (*Result, error) {
 
 // whereIDs resolves the rowids a statement's WHERE clause selects
 // (all rows when where is nil).
-func (e *Engine) whereIDs(tableName string, tab *spatialtf.Table, where *Predicate) ([]spatialtf.RowID, error) {
+func (e *Engine) whereIDs(tab *spatialtf.Table, where *Predicate) ([]spatialtf.RowID, error) {
 	if where == nil {
 		var ids []spatialtf.RowID
 		err := tab.Scan(func(id spatialtf.RowID, _ spatialtf.Row) bool {
@@ -100,37 +103,54 @@ func (e *Engine) whereIDs(tableName string, tab *spatialtf.Table, where *Predica
 		})
 		return ids, err
 	}
-	q, err := spatialtf.ParseWKT(where.QueryWKT)
-	if err != nil {
-		return nil, fmt.Errorf("sqlmini: query geometry: %w", err)
-	}
-	idxName, err := e.indexFor(tableName, where.Column, "")
+	cands, rows, err := e.where(tab, where, nil, nil, 0)
 	if err != nil {
 		return nil, err
 	}
+	return rows.IDs(cands)
+}
+
+// where resolves a spatial WHERE clause through the index on its
+// column: the candidates the index pass kept, and the reader that
+// returns columns cols of their result rows. owns, when not nil, is a
+// cluster scope's owner test of rows placed by column ownCol (see
+// extidx.Window). sdo_nn ranks its k rows through an R-tree, and
+// they are read as proven.
+func (e *Engine) where(tab *spatialtf.Table, where *Predicate, cols []int, owns func(x, y float64) bool, ownCol int) ([]extidx.Candidate, *extidx.Rows, error) {
+	q, err := spatialtf.ParseWKT(where.QueryWKT)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sqlmini: query geometry: %w", err)
+	}
+	kind := spatialtf.IndexKind("")
+	if where.Op == "nearest" {
+		kind = spatialtf.RTree
+	}
+	ix, err := e.indexFor(tab.Name(), where.Column, kind)
+	if err != nil {
+		return nil, nil, err
+	}
+	var op sjoin.WindowOp
 	switch where.Op {
 	case "relate":
-		return e.db.Relate(tableName, idxName, q, where.Mask)
+		if op.Mask, err = geom.ParseMask(where.Mask); err != nil {
+			return nil, nil, err
+		}
 	case "withindistance":
-		return e.db.WithinDistance(tableName, idxName, q, where.Distance)
+		op.Within, op.Distance = true, where.Distance
 	case "nearest":
-		// sdo_nn needs an R-tree specifically.
-		idxName, err = e.indexFor(tableName, where.Column, spatialtf.RTree)
+		nbs, err := extidx.Nearest(ix.Inner(), tab.Inner(), where.Column, q, where.K)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		nbs, err := e.db.Nearest(tableName, idxName, q, where.K)
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]spatialtf.RowID, len(nbs))
+		cands := make([]extidx.Candidate, len(nbs))
 		for i, nb := range nbs {
-			ids[i] = nb.ID
+			cands[i].ID = nb.ID
 		}
-		return ids, nil
+		return cands, extidx.ProvenRows(tab.Inner(), cols), nil
 	default:
-		return nil, fmt.Errorf("sqlmini: unknown predicate %q", where.Op)
+		return nil, nil, fmt.Errorf("sqlmini: unknown predicate %q", where.Op)
 	}
+	return extidx.Window(ix.Inner(), tab.Inner(), where.Column, q, op, cols, owns, ownCol)
 }
 
 func (e *Engine) execDelete(s Delete) (*Result, error) {
@@ -138,7 +158,7 @@ func (e *Engine) execDelete(s Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids, err := e.whereIDs(s.Table, tab, s.Where)
+	ids, err := e.whereIDs(tab, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +199,7 @@ func (e *Engine) execUpdate(s Update) (*Result, error) {
 		}
 		targets = append(targets, setTarget{col: i, val: v})
 	}
-	ids, err := e.whereIDs(s.Table, tab, s.Where)
+	ids, err := e.whereIDs(tab, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -330,29 +350,15 @@ func (e *Engine) execCreateIndex(s CreateIndex) (*Result, error) {
 	return &Result{Message: fmt.Sprintf("index %s created", s.Name)}, nil
 }
 
-// indexFor finds a created index on (table, column) of the wanted kind
-// ("" = any), preferring R-trees (the join-capable kind).
-func (e *Engine) indexFor(table, column string, kind spatialtf.IndexKind) (string, error) {
-	metas, err := e.db.IndexMetadata()
-	if err != nil {
-		return "", err
+// indexFor finds the index a statement reads table.column through, of
+// the wanted kind ("" = any), preferring R-trees (the join-capable
+// kind); see DB.IndexOn.
+func (e *Engine) indexFor(table, column string, kind spatialtf.IndexKind) (*spatialtf.Index, error) {
+	ix, ok := e.db.IndexOn(table, column, kind)
+	if !ok {
+		return nil, fmt.Errorf("sqlmini: no spatial index on %s(%s); CREATE INDEX first", table, column)
 	}
-	best := ""
-	for _, m := range metas {
-		if m.TableName != table || m.ColumnName != column {
-			continue
-		}
-		if kind != "" && m.Kind != kind {
-			continue
-		}
-		if best == "" || m.Kind == spatialtf.RTree {
-			best = m.IndexName
-		}
-	}
-	if best == "" {
-		return "", fmt.Errorf("sqlmini: no spatial index on %s(%s); CREATE INDEX first", table, column)
-	}
-	return best, nil
+	return ix, nil
 }
 
 // Format renders a result as an aligned text table for the REPL.

@@ -4,42 +4,25 @@ import (
 	"fmt"
 	"slices"
 
-	"spatialtf"
-	"spatialtf/internal/geom"
 	"spatialtf/internal/storage"
 )
 
-// ownerFilter is the owner-filter stage of a base-table SELECT under a
-// cluster scope: it keeps the rows whose reference point the scope owns
-// — the row MBR's bottom-left corner for a plain scan, the window
-// reference point for a spatial predicate (see spatialtf.ClusterScope).
-// It sees the full row, before projection, so the geometry column is
-// always there.
-func ownerFilter(s Select, schema []storage.Column, scope *spatialtf.ClusterScope) (func(storage.Row) (bool, error), error) {
+// ownerColumn returns the column a SELECT's owner test reads under a
+// cluster scope: the schema's first GEOMETRY column — the one the
+// cluster places rows by (the coordinator routes an INSERT by it) —
+// whichever column a predicate names. A scan keeps the rows whose MBR's
+// bottom-left corner the scope owns (OwnsMBR, filterCursor); a window
+// keeps those whose window reference point it owns (OwnsWindow, tested
+// by the window's owner route). See spatialtf.ClusterScope.
+func ownerColumn(s Select, schema []storage.Column) (int, error) {
 	geomIdx := slices.IndexFunc(schema, func(c storage.Column) bool { return c.Type == storage.TGeometry })
 	if geomIdx < 0 {
-		return nil, fmt.Errorf("sqlmini: table %q has no GEOMETRY column; a scoped query cannot shard it", s.From.Table)
+		return 0, fmt.Errorf("sqlmini: table %q has no GEOMETRY column; a scoped query cannot shard it", s.From.Table)
 	}
-	if s.Where == nil {
-		return func(row storage.Row) (bool, error) {
-			return scope.OwnsMBR(geom.MBROf(row[geomIdx].G)), nil
-		}, nil
+	if s.Where != nil && s.Where.Op == "nearest" {
+		return 0, fmt.Errorf("sqlmini: sdo_nn cannot run under a cluster scope (a k-nearest result is not spatially decomposable)")
 	}
-	if s.Where.Op == "nearest" {
-		return nil, fmt.Errorf("sqlmini: sdo_nn cannot run under a cluster scope (a k-nearest result is not spatially decomposable)")
-	}
-	q, err := spatialtf.ParseWKT(s.Where.QueryWKT)
-	if err != nil {
-		return nil, fmt.Errorf("sqlmini: query geometry: %w", err)
-	}
-	qMBR := geom.MBROf(q)
-	d := 0.0
-	if s.Where.Op == "withindistance" {
-		d = s.Where.Distance
-	}
-	return func(row storage.Row) (bool, error) {
-		return scope.OwnsWindow(geom.MBROf(row[geomIdx].G), qMBR, d), nil
-	}, nil
+	return geomIdx, nil
 }
 
 // filterCursor keeps the rows of src that keep accepts, dropping the

@@ -3,9 +3,10 @@ package sqlmini
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"spatialtf"
+	"spatialtf/internal/extidx"
+	"spatialtf/internal/geom"
 	"spatialtf/internal/storage"
 )
 
@@ -60,12 +61,12 @@ func (e *Engine) ExecuteStreamScoped(sql string, scope *spatialtf.ClusterScope) 
 
 // selectStream builds every SELECT, scoped (scope != nil) or not, as
 // source → owner filter → projection | count. The source is a heap
-// scan, or — behind a spatial predicate — a lazy fetch of the rowids
-// the index resolved (bounded by the result's id count, not its row
-// payload), or a spatial_join's pair cursor (joinSelect). The owner
-// filter is there only under a scope and sees the full row, so the
-// geometry that decides ownership is fetched with the row, once. COUNT
-// drains the filtered source without projecting or rendering it.
+// scan, with the owner filter and the projection as stages over it; or
+// — behind a spatial predicate — a window's fetch cursor, which runs
+// both itself (a candidate's owner test reads its index entry where it
+// can, and a row is fetched once, for the projected columns); or a
+// spatial_join's pair cursor (joinSelect). COUNT drains the filtered
+// source without projecting or rendering it.
 func (e *Engine) selectStream(s Select, scope *spatialtf.ClusterScope) (*Stream, error) {
 	if s.From.Join != nil {
 		return e.joinSelect(s, scope)
@@ -92,42 +93,46 @@ func (e *Engine) selectStream(s Select, scope *spatialtf.ClusterScope) (*Stream,
 		cols[k], outSchema[k] = i, schema[i]
 		reorders = reorders || i < k
 	}
-
-	var owns func(storage.Row) (bool, error)
+	ownCol := -1
 	if scope != nil {
-		if owns, err = ownerFilter(s, schema, scope); err != nil {
+		if ownCol, err = ownerColumn(s, schema); err != nil {
 			return nil, err
 		}
 	}
-	// An unfiltered COUNT needs no rows: the table and the rowid list
-	// know their sizes.
-	sizeOnly := s.Count && owns == nil
+	if s.Count {
+		cols = nil
+	}
+
 	var src storage.Cursor
-	if s.Where == nil {
-		if sizeOnly {
-			return countStream(tab.Len()), nil
+	if s.Where != nil {
+		var owns func(x, y float64) bool
+		if scope != nil {
+			owns = scope.OwnsPoint
 		}
-		src = storage.NewCursor(tab.Inner())
-	} else {
-		ids, err := e.whereIDs(s.From.Table, tab, s.Where)
+		cands, rows, err := e.where(tab, s.Where, cols, owns, ownCol)
 		if err != nil {
 			return nil, err
 		}
-		if sizeOnly {
-			return countStream(len(ids)), nil
+		src = &fetchCursor{rows: rows, cands: cands, nout: len(cols)}
+	} else {
+		// An unfiltered COUNT needs no rows: the table knows its size.
+		if s.Count && scope == nil {
+			return countStream(tab.Len()), nil
 		}
-		src = &fetchCursor{tab: tab, ids: ids}
-	}
-	if owns != nil {
-		src = &filterCursor{src: src, keep: owns}
+		src = storage.NewCursor(tab.Inner())
+		if scope != nil {
+			src = &filterCursor{src: src, keep: func(row storage.Row) (bool, error) {
+				return scope.OwnsMBR(geom.MBROf(row[ownCol].G)), nil
+			}}
+		}
+		if !s.Count {
+			src = &projectCursor{src: src, cols: cols, reorders: reorders}
+		}
 	}
 	if s.Count {
 		return drainCount(src)
 	}
-	return &Stream{
-		Schema: outSchema,
-		Cursor: &projectCursor{src: src, cols: cols, reorders: reorders},
-	}, nil
+	return &Stream{Schema: outSchema, Cursor: src}, nil
 }
 
 // joinSelect is selectStream over TABLE(spatial_join(...)): the source
@@ -157,7 +162,7 @@ func (e *Engine) joinSelect(s Select, scope *spatialtf.ClusterScope) (*Stream, e
 	if err != nil {
 		return nil, err
 	}
-	jc, err := e.db.SpatialJoin(call.TableA, idxA, call.TableB, idxB, spatialtf.JoinOptions{
+	jc, err := e.db.SpatialJoin(call.TableA, idxA.Name(), call.TableB, idxB.Name(), spatialtf.JoinOptions{
 		Mask:     call.Mask,
 		Distance: call.Distance,
 		Parallel: call.Parallel,
@@ -276,10 +281,10 @@ func (e *Engine) joinProjection(s Select, call *SpatialJoinCall) ([]string, *joi
 	return wantCols, keys, nil
 }
 
-// projectCursor narrows the rows of a table source to the projected
-// columns, a fetch batch at a time. Its sources decode every row into
-// an allocation of its own (see storage.Batch), so a row is narrowed
-// where it lies: no second batch, no copy of the values that stay.
+// projectCursor narrows the rows of a heap scan to the projected
+// columns, a fetch batch at a time. The scan decodes every row into an
+// allocation of its own (see storage.Batch), so a row is narrowed where
+// it lies: no second batch, no copy of the values that stay.
 type projectCursor struct {
 	src  storage.Cursor
 	cols []int
@@ -319,17 +324,22 @@ func (c *projectCursor) NextBatch(b *storage.Batch, max int) error {
 
 func (c *projectCursor) Close() error { return c.src.Close() }
 
-// fetchCursor lazily fetches the rows of a resolved rowid list (the
-// output of a spatial WHERE predicate). The list was resolved when the
-// statement started and each fetch reads the table as it is now, so a
-// row deleted in between is skipped, not an error: read committed per
-// fetch, like a heap scan. Every SELECT behind a predicate — scoped or
-// not, streamed, counted or materialised — reads its rows here.
+// fetchCursor streams the result rows of a spatial predicate (a window,
+// or sdo_nn's ranked rows): the candidates the index pass kept when the
+// statement started, each read when its batch is — a proven row for its
+// projected columns only, a refined or owner-tested one once, its
+// geometry tested and its projection taken from the same image. Rows
+// are carved from the caller's batch. A row deleted in between is
+// skipped, not an error: read committed per fetch, like a heap scan.
+// Every SELECT behind a predicate — scoped or not, streamed, counted or
+// materialised — reads its rows here.
 type fetchCursor struct {
-	tab *spatialtf.Table
-	ids []spatialtf.RowID
-	pos int
-	it  storage.RowIter
+	rows  *extidx.Rows
+	cands []extidx.Candidate
+	// nout is the number of projected columns (0 for a count).
+	nout int
+	pos  int
+	it   storage.RowIter
 }
 
 func (c *fetchCursor) Next() (storage.RowID, storage.Row, bool, error) {
@@ -340,25 +350,31 @@ func (c *fetchCursor) NextBatch(b *storage.Batch, max int) error {
 	if max <= 0 {
 		max = storage.DefaultBatch
 	}
-	want := min(max, len(c.ids)-c.pos)
-	b.Rows = slices.Grow(b.Rows, want)
-	for want > 0 && c.pos < len(c.ids) {
-		row, err := c.tab.Fetch(c.ids[c.pos])
+	want := min(max, len(c.cands)-c.pos)
+	if want <= 0 {
+		return nil
+	}
+	first := len(b.Rows)
+	rows := b.Extend(want, c.rows.Width())
+	n := 0
+	for n < want && c.pos < len(c.cands) {
+		ok, err := c.rows.Fetch(c.cands[c.pos], rows[n])
 		c.pos++
-		if errors.Is(err, storage.ErrRowDeleted) {
-			continue
-		}
 		if err != nil {
+			b.Rows = b.Rows[:first+n]
 			return err
 		}
-		b.Rows = append(b.Rows, row)
-		want--
+		if ok {
+			rows[n] = rows[n][:c.nout]
+			n++
+		}
 	}
+	b.Rows = b.Rows[:first+n]
 	return nil
 }
 
 func (c *fetchCursor) Close() error {
-	c.pos = len(c.ids)
+	c.pos = len(c.cands)
 	return nil
 }
 

@@ -347,6 +347,36 @@ func (h *Heap) fetchLocked(dst []byte, id RowID) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadRowID, id)
 	}
 	defer f.Unpin()
+	img, err := h.rowImage(dst, f, id)
+	if err != nil || f.Kind() != pager.KindSlotted {
+		return img, err
+	}
+	return append(dst[:0], img...), nil
+}
+
+// view calls fn with the image of the row at id under the heap's read
+// lock: a slotted row's image is the pinned page's own bytes, not a
+// copy, and a jumbo row is assembled first. fn must not retain the
+// image; its error is returned as it is.
+func (h *Heap) view(id RowID, fn func(img []byte) error) error {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	f, err := h.space.Pin(id.Page)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRowID, id)
+	}
+	defer f.Unpin()
+	img, err := h.rowImage(nil, f, id)
+	if err != nil {
+		return err
+	}
+	return fn(img)
+}
+
+// rowImage returns the image of the row at id on its pinned page f:
+// the page's own bytes for a slotted row, or a jumbo row assembled onto
+// dst.
+func (h *Heap) rowImage(dst []byte, f *pager.Frame, id RowID) ([]byte, error) {
 	switch f.Kind() {
 	case pager.KindSlotted:
 		p := page{buf: f.Data()}
@@ -354,7 +384,7 @@ func (h *Heap) fetchLocked(dst []byte, id RowID) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fetch %v: %w", id, err)
 		}
-		return append(dst[:0], row...), nil
+		return row, nil
 	case pager.KindJumboHead:
 		if id.Slot != 0 {
 			return nil, fmt.Errorf("fetch %v: %w", id, ErrBadRowID)

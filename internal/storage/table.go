@@ -162,21 +162,39 @@ func (t *Table) Fetch(id RowID) (Row, error) {
 // row decode when the caller (the join secondary filter) only needs the
 // geometry column.
 func (t *Table) FetchColumn(id RowID, col int) (Value, error) {
-	if col < 0 || col >= len(t.schema) {
-		return Value{}, fmt.Errorf("fetch from %q: column %d out of range", t.name, col)
+	var v [1]Value
+	err := t.FetchColumns(id, []int{col}, v[:])
+	return v[0], err
+}
+
+// FetchColumns decodes columns cols of the row at id into dst, one slot
+// per entry of cols, from one read of the row. The cells are decoded
+// straight from the pinned page under the heap's read lock, with no
+// copy of the row image (a jumbo row is assembled first); sibling
+// columns are skipped by length. Every value is a copy, so none aliases
+// the page.
+func (t *Table) FetchColumns(id RowID, cols []int, dst Row) error {
+	for _, col := range cols {
+		if col < 0 || col >= len(t.schema) {
+			return fmt.Errorf("fetch from %q: column %d out of range", t.name, col)
+		}
 	}
-	img, err := t.heap.Fetch(id)
-	if err != nil {
-		return Value{}, fmt.Errorf("fetch from %q: %w", t.name, err)
+	var decodeErr error
+	err := t.heap.view(id, func(img []byte) error {
+		for k, col := range cols {
+			v, err := decodeColumn(t.schema, img, col)
+			if err != nil {
+				decodeErr = fmt.Errorf("fetch from %q at %v: %w", t.name, id, err)
+				return decodeErr
+			}
+			dst[k] = v
+		}
+		return nil
+	})
+	if err != nil && decodeErr == nil {
+		return fmt.Errorf("fetch from %q: %w", t.name, err)
 	}
-	// Partial decode: sibling columns are skipped by length, so only
-	// the requested value is materialised (for the join secondary
-	// filter, one geometry instead of the whole row).
-	v, err := decodeColumn(t.schema, img, col)
-	if err != nil {
-		return Value{}, fmt.Errorf("fetch from %q at %v: %w", t.name, id, err)
-	}
-	return v, nil
+	return err
 }
 
 // Update replaces the row at id. Because rowids are stable addresses,

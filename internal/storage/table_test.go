@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"spatialtf/internal/geom"
+	"spatialtf/internal/pager"
 )
 
 func testSchema() []Column {
@@ -158,6 +160,80 @@ func TestDecodeColumnAgreesWithDecodeRow(t *testing.T) {
 		if !rowsEqual(Row{v}, Row{row[col]}) {
 			t.Errorf("column %d: partial decode %v, full decode %v", col, v, row[col])
 		}
+	}
+}
+
+// TestFetchColumnsCopyEveryValue proves that the values FetchColumns
+// decodes straight from the pinned page own their storage: no string,
+// raw payload or geometry coordinate of any column points into the
+// page's bytes, on a slotted row and on a jumbo row, in any column
+// order.
+func TestFetchColumnsCopyEveryValue(t *testing.T) {
+	tab, _ := NewTable("t", testSchema())
+	id, _ := tab.Insert(testRow(5))
+	big := make([]geom.Point, 0, 3000)
+	for i := range 3000 {
+		big = append(big, geom.Point{X: float64(i), Y: float64(i % 7)})
+	}
+	line, err := geom.NewLineString(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jumbo := testRow(6)
+	jumbo[4] = Geom(line)
+	jid, err := tab.Insert(jumbo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rid := range []RowID{id, jid} {
+		f, err := tab.heap.space.Pin(rid.Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid == jid && f.Kind() != pager.KindJumboHead {
+			t.Fatalf("the %d-vertex row is not a jumbo row", len(big))
+		}
+		page := f.Data()
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(page)))
+		hi := lo + uintptr(len(page))
+		in := func(p unsafe.Pointer) bool { return uintptr(p) >= lo && uintptr(p) < hi }
+		cols := []int{4, 3, 1, 0, 2, 1}
+		dst := make(Row, len(cols))
+		if err := tab.FetchColumns(rid, cols, dst); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := tab.Fetch(rid)
+		for k, v := range dst {
+			if !rowsEqual(Row{v}, Row{want[cols[k]]}) {
+				t.Errorf("%v slot %d (column %d): %v, the full decode %v", rid, k, cols[k], v, want[cols[k]])
+			}
+			switch v.Type {
+			case TString:
+				if in(unsafe.Pointer(unsafe.StringData(v.S))) {
+					t.Errorf("%v column %d: the string aliases the page", rid, cols[k])
+				}
+			case TBytes:
+				if in(unsafe.Pointer(unsafe.SliceData(v.B))) {
+					t.Errorf("%v column %d: the payload aliases the page", rid, cols[k])
+				}
+			case TGeometry:
+				if in(unsafe.Pointer(unsafe.SliceData(v.G.Pts))) {
+					t.Errorf("%v column %d: the geometry aliases the page", rid, cols[k])
+				}
+				for _, r := range v.G.Rings {
+					if in(unsafe.Pointer(unsafe.SliceData(r))) {
+						t.Errorf("%v column %d: a ring aliases the page", rid, cols[k])
+					}
+				}
+			}
+		}
+		f.Unpin()
+	}
+	if err := tab.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.FetchColumns(id, []int{0}, make(Row, 1)); !errors.Is(err, ErrRowDeleted) {
+		t.Errorf("FetchColumns of a deleted row: %v, want ErrRowDeleted", err)
 	}
 }
 

@@ -75,11 +75,16 @@ func WriteFrame(w *bufio.Writer, t FrameType, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(payload), MaxFrame)
 	}
+	// The header goes in a byte at a time: passed to Write, it would
+	// escape through the io.Writer underneath and cost an allocation
+	// per frame.
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	for _, c := range hdr {
+		if err := w.WriteByte(c); err != nil {
+			return err
+		}
 	}
 	_, err := w.Write(payload)
 	return err
