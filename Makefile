@@ -69,11 +69,13 @@ race:
 # SELECTs over the wire beside a deleter and an updater), window
 # statements beside a concurrent deleter (TestWindowBesideDeleter: SELECT
 # id, SELECT * and count(*), scoped and not, through an R-tree and a
-# quadtree), and the parallel join — so races there fail fast before
-# the full -race sweep.
+# quadtree), count(*) over every join plan beside a concurrent deleter
+# (TestJoinCountBesideDeleter: nested, subtree and grid on 1, 2 and 4
+# instances, scoped and not, counted inside the join), and the parallel
+# join — so races there fail fast before the full -race sweep.
 race-hot:
 	$(GO) test -race -run 'TestConcurrent|TestSnapshot' .
-	$(GO) test -race -run 'TestWindowBesideDeleter' ./internal/sqlmini
+	$(GO) test -race -run 'TestWindowBesideDeleter|TestJoinCountBesideDeleter' ./internal/sqlmini
 	$(GO) test -race -run 'TestCheckpointUnderLoad' ./internal/pager
 	$(GO) test -race -run 'TestGridJoinRace' ./internal/sjoin
 	$(GO) test -race ./internal/server ./internal/sjoin

@@ -115,21 +115,39 @@ func BenchmarkTable1IndexJoin(b *testing.B) {
 }
 
 // The join_refine workload's secondary statement in miniature: the
-// counties self-join at distance 7, serial. Every candidate is
-// like-sized and fetched, so the secondary filter does the work; the
-// allocs/op lane of bench-smoke watches its refine path.
+// counties self-join at distance 7, serial, streamed as rows like the
+// statement. Every candidate is like-sized and fetched, so the
+// secondary filter does the work; the allocs/op lane of bench-smoke
+// watches its refine path.
 func BenchmarkSelfJoinRefine(b *testing.B) {
 	fixtures(b)
 	cfg := sjoin.DefaultConfig()
 	cfg.Distance = 7
 	for i := 0; i < b.N; i++ {
-		fn, err := sjoin.NewJoinFunction(fixCounties, fixCounties, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n, _, err := sjoin.RunJoinFunction(fn, 0); err != nil || n == 0 {
+		if n, err := drainRows(sjoin.IndexJoin(fixCounties, fixCounties, cfg)); err != nil || n == 0 {
 			b.Fatal(n, err)
 		}
+	}
+}
+
+// drainRows drains and closes a join cursor, a fetch batch at a time,
+// and returns its row count.
+func drainRows(cur storage.Cursor, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	defer cur.Close()
+	n := 0
+	var batch storage.Batch
+	for {
+		batch.Reset()
+		if err := cur.NextBatch(&batch, 0); err != nil {
+			return n, err
+		}
+		if len(batch.Rows) == 0 {
+			return n, cur.Close()
+		}
+		n += len(batch.Rows)
 	}
 }
 
@@ -245,12 +263,9 @@ func BenchmarkTable2GridJoin(b *testing.B) {
 	run("workers=4/scoped", cfg, 4)
 }
 
-// The join_stream workload's join in miniature: the 16 000-point star
-// self-join at distance 1.5 on the grid path with two instances,
-// drained to a count. Every pair is decided from the index, so the
-// primary filter — grid partition and tile sweeps — does the work; the
-// allocs/op lane of bench-smoke watches it.
-func BenchmarkPointSelfJoinGrid(b *testing.B) {
+// pointFixture loads the join_stream workload's table in miniature:
+// the 16 000-point star catalogue.
+func pointFixture() {
 	pointsOnce.Do(func() {
 		ds := datagen.Stars(16000, 1)
 		for i, g := range ds.Geoms {
@@ -262,28 +277,39 @@ func BenchmarkPointSelfJoinGrid(b *testing.B) {
 			panic(err)
 		}
 	})
+}
+
+// The join_stream workload's join in miniature: the 16 000-point star
+// self-join at distance 1.5 on the grid path with two instances,
+// drained as rows. Every pair is decided from the index, so the
+// primary filter — grid partition and tile sweeps — and the ready
+// queue's drain into rows do the work; the allocs/op lane of
+// bench-smoke watches it.
+func BenchmarkPointSelfJoinGrid(b *testing.B) {
+	pointFixture()
 	cfg := sjoin.DefaultConfig()
 	cfg.Distance = 1.5
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cur, err := sjoin.GridParallelJoin(fixPoints, fixPoints, cfg, 2)
-		if err != nil {
-			b.Fatal(err)
+		if n, err := drainRows(sjoin.GridParallelJoin(fixPoints, fixPoints, cfg, 2)); err != nil || n == 0 {
+			b.Fatal(n, err)
 		}
-		n := 0
-		var batch storage.Batch
-		for {
-			batch.Reset()
-			if err := cur.NextBatch(&batch, 0); err != nil {
-				b.Fatal(err)
-			}
-			if len(batch.Rows) == 0 {
-				break
-			}
-			n += len(batch.Rows)
-		}
-		if err := cur.Close(); err != nil || n == 0 {
+	}
+}
+
+// BenchmarkPointSelfJoinGridCount is the same join as a count(*): each
+// instance counts its pairs and returns one row, so no pair becomes a
+// row. Beside BenchmarkPointSelfJoinGrid it prices the row pipeline.
+func BenchmarkPointSelfJoinGridCount(b *testing.B) {
+	pointFixture()
+	cfg := sjoin.DefaultConfig()
+	cfg.Distance = 1.5
+	plan := sjoin.PlanChoice{Algo: sjoin.AlgoGrid, Workers: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := sjoin.CountJoin(fixPoints, fixPoints, cfg, plan); err != nil || n == 0 {
 			b.Fatal(n, err)
 		}
 	}

@@ -492,11 +492,7 @@ func (c *Coordinator) scatterCount(sql string, targets []int) (*sqlmini.Stream, 
 		}
 		total += res.Count
 	}
-	return &sqlmini.Stream{Result: &sqlmini.Result{
-		Count:   int(total),
-		Columns: []string{"COUNT(*)"},
-		Rows:    [][]string{{fmt.Sprintf("%d", total)}},
-	}}, nil
+	return &sqlmini.Stream{Result: sqlmini.CountResult(int(total))}, nil
 }
 
 // scatterStream opens one scoped cursor per target shard and merges

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spatialtf/internal/datagen"
+	"spatialtf/internal/tablefunc"
 	"spatialtf/internal/telemetry"
 )
 
@@ -152,5 +153,43 @@ func TestParallelJoinConcurrentScrape(t *testing.T) {
 	}
 	if p, ok := reg.Lookup("query_seconds"); !ok || p.Count != 1 {
 		t.Errorf("query_seconds count = %+v, want 1 observation", p)
+	}
+}
+
+// TestReadyDrainSpans: a traced grid join records one ready-drain span
+// for every fetch that returns pairs — every fetch but the one each
+// instance ends on — and the count(*) of the same join records none:
+// its instances fetch once for their count row and once for the end.
+func TestReadyDrainSpans(t *testing.T) {
+	points := pointTable(t, "drain_points", "point", latticePoints(11, 800))
+	cfg := DefaultConfig()
+	cfg.Distance = 1.5
+	tracer := telemetry.NewTracer(telemetry.New(), -1, nil)
+	plan := PlanChoice{Algo: AlgoGrid, Workers: 2}
+
+	cfg.Trace = tracer.Begin("streamed")
+	cur, err := Join(points, points, cfg, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := CollectPairs(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fetches := cfg.Trace.StageTotal(telemetry.StageFetch)
+	_, drains := cfg.Trace.StageTotal(telemetry.StageDrain)
+	if len(pairs) <= tablefunc.DefaultBatch || drains != fetches-int64(plan.Workers) {
+		t.Errorf("streamed: %d pairs, %d fetches, %d ready-drain spans; want more than one batch, and fetches - %d", len(pairs), fetches, drains, plan.Workers)
+	}
+
+	cfg.Trace = tracer.Begin("counted")
+	n, err := CountJoin(points, points, cfg, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fetches = cfg.Trace.StageTotal(telemetry.StageFetch)
+	_, drains = cfg.Trace.StageTotal(telemetry.StageDrain)
+	if n != len(pairs) || drains != 0 || fetches > 2*int64(plan.Workers) {
+		t.Errorf("counted: %d pairs, %d fetches, %d ready-drain spans; want %d, at most %d, 0", n, fetches, drains, len(pairs), 2*plan.Workers)
 	}
 }

@@ -28,6 +28,17 @@ import (
 // requested number of result rowid pairs. When the source and array are
 // empty the fetch returns an empty collection and the subsequent close
 // releases resources.
+//
+// A select count(*) over the function runs it in count mode (CountJoin,
+// RunJoinFunction): the function computes the aggregate itself. Every
+// pair it would return adds to its count instead of its ready queue,
+// and its fetch runs the source and the secondary filter to the end
+// and returns one INT row, the count. The counted pairs stand in for
+// the queue in the CandidateCap bound, and the fetch replays the
+// streamed form's fetches of max pairs one after another, so the
+// candidate arrays fill and empty where they would: the routes, the
+// arrays, the sort, the exact test and the JoinStats are the streamed
+// form's.
 type JoinFunction struct {
 	cfg Config
 
@@ -64,6 +75,12 @@ type JoinFunction struct {
 	// from refill to refill.
 	ready []Pair
 	head  int
+
+	// Count mode (Config.count): counted is stats.Results as of Start or
+	// the last count row, so the count not yet returned is the growth
+	// since; held is the part of it the replayed fetches have not taken,
+	// the ready queue's length in the streamed form.
+	counted, held int
 
 	// Statistics, reported through JoinStats.
 	stats JoinStats
@@ -126,7 +143,7 @@ func (j *JoinFunction) room() int {
 }
 
 // pending is the number of verified results fetch has not returned.
-func (j *JoinFunction) pending() int { return len(j.ready) - j.head }
+func (j *JoinFunction) pending() int { return len(j.ready) - j.head + j.held }
 
 // JoinStats counts the work a join did; benches report them.
 type JoinStats struct {
@@ -187,20 +204,29 @@ func newJoinFn(a, b Source, cfg Config, src candSource) (*JoinFunction, error) {
 func (j *JoinFunction) Start() error {
 	j.src.start()
 	j.cands, j.boxed, j.ready, j.head, j.drained = j.cands[:0], j.boxed[:0], j.ready[:0], 0, 0
+	j.counted, j.held = j.stats.Results, 0
 	return nil
 }
 
 // Fetch implements TableFunction: resume the join from its source and
-// append up to max result pairs to b.
+// append up to max result pairs to b. A traced fetch that returns pairs
+// records one ready-drain span (StageDrain) for the time it spent
+// moving them into b. In count mode a drain only takes the pairs off
+// held, and a full fetch starts the next: the loop runs until the
+// source is exhausted, and the fetch returns the count as one row; the
+// next fetch returns nothing.
 func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
-	for n := 0; n < max; {
+	var drain time.Duration
+	n := 0
+	for n < max {
 		// Drain verified results first.
 		if k := min(j.pending(), max-n); k > 0 {
-			appendPairRows(b, j.ready[j.head:j.head+k])
-			j.head += k
-			if j.head == len(j.ready) {
-				j.ready, j.head = j.ready[:0], 0
+			if j.cfg.count {
+				j.held -= k
+				n = (n + k) % max // a full fetch starts the next
+				continue
 			}
+			drain += j.drainReady(b, k)
 			n += k
 			continue
 		}
@@ -219,15 +245,40 @@ func (j *JoinFunction) Fetch(b *storage.Batch, max int) error {
 			return err
 		}
 	}
+	if n > 0 && !j.cfg.count {
+		j.trace.Add(telemetry.StageDrain, drain, 1)
+	}
+	if c := j.stats.Results - j.counted; j.cfg.count && c > 0 {
+		b.Extend(1, 1)[0][0] = storage.Int(int64(c))
+		j.counted = j.stats.Results
+	}
 	j.flushStats()
 	return nil
+}
+
+// drainReady moves the next k verified pairs of the ready queue into b
+// as rows, returning the time it took when the join is traced.
+func (j *JoinFunction) drainReady(b *storage.Batch, k int) time.Duration {
+	var t0 time.Time
+	if j.trace != nil {
+		t0 = time.Now()
+	}
+	appendPairRows(b, j.ready[j.head:j.head+k])
+	j.head += k
+	if j.head == len(j.ready) {
+		j.ready, j.head = j.ready[:0], 0
+	}
+	if j.trace == nil {
+		return 0
+	}
+	return time.Since(t0)
 }
 
 // emit is the one exit of every primary filter: p survived the index
 // MBR test of its source, a and b are the two leaf-entry MBRs it
 // survived on. It settles p by its proof route (classify): dropped
-// (owner), proven into the ready queue (self, points), or queued for
-// the secondary filter (box, refine). The owner test thus runs ahead of
+// (owner), proven and returned (self, points: keep), or queued for the
+// secondary filter (box, refine). The owner test thus runs ahead of
 // every other route, so an unowned pair costs neither a geometry fetch
 // nor an exact predicate, and a proven pair is owner-filtered like any
 // other. Under the mirror mode the source hands over each unordered
@@ -243,14 +294,7 @@ func (j *JoinFunction) emit(p Pair, a, b geom.MBR) {
 	case routeOwner:
 		j.stats.routes[r].dropped++
 	case routeSelf, routePoints:
-		j.ready = append(j.ready, p)
-		j.stats.Results++
-		j.stats.routes[r].kept++
-		if unordered && p.A != p.B {
-			j.ready = append(j.ready, Pair{A: p.B, B: p.A})
-			j.stats.Results++
-			j.stats.routes[r].kept++
-		}
+		j.stats.routes[r].kept += j.keep(p, unordered && p.A != p.B)
 	case routeBox:
 		j.stats.Candidates++
 		box, _, big := boxOf(a, b)
@@ -438,17 +482,31 @@ func (j *JoinFunction) secondaryFilter() error {
 	return nil
 }
 
-// accept queues a candidate the secondary filter kept; under the mirror
-// mode it queues the pair's mirror image with it, decided by the same
-// fetches and the same test.
+// accept returns a candidate the secondary filter kept; under the
+// mirror mode it returns the pair's mirror image with it, decided by
+// the same fetches and the same test.
 func (j *JoinFunction) accept(p Pair) {
-	j.ready = append(j.ready, p)
-	j.stats.Results++
-	if j.routes.has(routeMirror) && p.A != p.B {
-		j.ready = append(j.ready, Pair{A: p.B, B: p.A})
-		j.stats.Results++
-		j.stats.routes[routeMirror].kept++
+	j.stats.routes[routeMirror].kept += j.keep(p, j.routes.has(routeMirror) && p.A != p.B) - 1
+}
+
+// keep returns a settled pair, with its mirror image when mirrored, and
+// reports how many results that is: it queues them on ready, or in
+// count mode only counts them.
+func (j *JoinFunction) keep(p Pair, mirrored bool) int {
+	n := 1
+	if mirrored {
+		n = 2
 	}
+	j.stats.Results += n
+	if j.cfg.count {
+		j.held += n
+		return n
+	}
+	j.ready = append(j.ready, p)
+	if mirrored {
+		j.ready = append(j.ready, Pair{A: p.B, B: p.A})
+	}
+	return n
 }
 
 // fetched is the geometry the secondary filter fetched last on one side
@@ -587,39 +645,68 @@ func pipeline(fn *JoinFunction, cfg Config) storage.Cursor {
 	return tablefunc.Pipeline(tablefunc.Traced(fn, cfg.Trace), cfg.FetchBatch)
 }
 
-// RunJoinFunction drives a join function to completion and returns the
-// result-pair count and the work counters — the evaluation loop of a
-// "select count(*)" over the table function, used by the benchmarks.
+// RunJoinFunction is "select count(*)" over one join function: it puts
+// fn in count mode, runs it to completion and returns the result-pair
+// count and the work counters, through the drain CountJoin uses. batch
+// is the fetch size (<= 0: the default): fn returns its one count row
+// from its first fetch, in which it replays the streamed fetches of
+// that size, so its JoinStats are those of a row drain by that size.
 func RunJoinFunction(fn *JoinFunction, batch int) (int, JoinStats, error) {
-	if batch <= 0 {
-		batch = tablefunc.DefaultBatch
-	}
-	defer fn.Close()
-	count := 0
-	var b storage.Batch
-	err := drive(fn, &b, batch, func(rows []storage.Row) error {
-		count += len(rows)
-		return nil
-	})
-	return count, fn.Stats(), err
+	fn.cfg.count = true
+	n, err := sumCounts(tablefunc.Pipeline(fn, batch))
+	return n, fn.Stats(), err
 }
 
-// drive starts fn and fetches it to exhaustion through b, handing the
-// rows of every fetch to sink.
-func drive(fn *JoinFunction, b *storage.Batch, batch int, sink func(rows []storage.Row) error) error {
-	if err := fn.Start(); err != nil {
-		return err
+// Join runs the join of a and b on plan and returns its cursor of
+// (rid1, rid2) rows: the one place a plan's algorithm is dispatched.
+func Join(a, b Source, cfg Config, plan PlanChoice) (storage.Cursor, error) {
+	switch {
+	case plan.Algo == AlgoGrid:
+		return GridParallelJoin(a, b, cfg, plan.Workers)
+	case plan.Algo == AlgoNested:
+		pairs, err := NestedLoop(a, b, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if cfg.count {
+			return storage.NewSliceCursor(nil, []storage.Row{{storage.Int(int64(len(pairs)))}}), nil
+		}
+		return PairsCursor(pairs), nil
+	case plan.Workers > 1:
+		return ParallelIndexJoin(a, b, cfg, plan.Workers)
 	}
+	return IndexJoin(a, b, cfg)
+}
+
+// CountJoin is "select count(*)" over Join: every instance of the join
+// function runs in count mode and returns its count as one row, and one
+// drain sums them. The nested loop, kept apart as the reference,
+// returns the length of its pair list as its one row.
+func CountJoin(a, b Source, cfg Config, plan PlanChoice) (int, error) {
+	cfg.count = true
+	cur, err := Join(a, b, cfg, plan)
+	if err != nil {
+		return 0, err
+	}
+	return sumCounts(cur)
+}
+
+// sumCounts is the count drain: it sums the INT rows of a counting
+// join's cursor — one per instance that counted a pair — and closes it.
+func sumCounts(cur storage.Cursor) (int, error) {
+	defer cur.Close()
+	n := 0
+	var b storage.Batch
 	for {
 		b.Reset()
-		if err := fn.Fetch(b, batch); err != nil {
-			return err
+		if err := cur.NextBatch(&b, 0); err != nil {
+			return 0, err
 		}
 		if len(b.Rows) == 0 {
-			return nil
+			return n, cur.Close()
 		}
-		if err := sink(b.Rows); err != nil {
-			return err
+		for _, row := range b.Rows {
+			n += int(row[0].I)
 		}
 	}
 }

@@ -19,6 +19,9 @@
 // index-assisted spatial query on the second table per row — is kept
 // apart from all of that on purpose: it is the reference the others are
 // tested against.
+//
+// Join runs a PlanChoice on its algorithm, and CountJoin is select
+// count(*) over it, computed inside the join function (JoinFunction).
 package sjoin
 
 import (
@@ -145,6 +148,9 @@ type Config struct {
 	// unowned pair is never fetched or refined. Must be a pure function
 	// of the point; parallel instances call it concurrently.
 	Owns func(x, y float64) bool
+	// count runs every instance of the join function in count mode
+	// (CountJoin, RunJoinFunction).
+	count bool
 }
 
 // WithDefaults normalises a config: every "0 = default" field holds the

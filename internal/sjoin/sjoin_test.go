@@ -456,6 +456,11 @@ func TestPairOrdering(t *testing.T) {
 // every per-refill and per-fetch step dozens of times a statement, as
 // the tile count runs the per-tile steps, so one allocation added to
 // any of them, like one added per candidate, breaks the budget.
+//
+// Each shape also has a count leg: one join function of it counted
+// through RunJoinFunction (the grid's one instance over its own tile
+// queue). Its budget is the exact count per statement measured when it
+// was set, and it may not exceed what the row leg allocates.
 func TestJoinAllocFloor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -477,14 +482,21 @@ func TestJoinAllocFloor(t *testing.T) {
 	near.Distance = 7
 	grid.Distance = 1.5
 	grid.GridTiles = 1024
+	tree := func(a, b Source, cfg Config) func() (*JoinFunction, error) {
+		return func() (*JoinFunction, error) { return NewJoinFunction(a, b, cfg) }
+	}
 	for _, c := range []struct {
 		name   string
 		open   func() (storage.Cursor, error)
+		fn     func() (*JoinFunction, error)
 		budget float64
+		count  float64
 	}{
-		{"tree refine", func() (storage.Cursor, error) { return IndexJoin(counties, counties, near) }, 0.006},
-		{"tree box", func() (storage.Cursor, error) { return IndexJoin(blockGroups, counties, cfg) }, 0.022},
-		{"grid points", func() (storage.Cursor, error) { return GridParallelJoin(points, points, grid, 1) }, 0.0045},
+		{"tree refine", func() (storage.Cursor, error) { return IndexJoin(counties, counties, near) }, tree(counties, counties, near), 0.006, 32},
+		{"tree box", func() (storage.Cursor, error) { return IndexJoin(blockGroups, counties, cfg) }, tree(blockGroups, counties, cfg), 0.022, 39},
+		{"grid points", func() (storage.Cursor, error) { return GridParallelJoin(points, points, grid, 1) }, func() (*JoinFunction, error) {
+			return newJoinFn(points, points, grid, gridSource{buildGridState(points, points, grid, 1)})
+		}, 0.0045, 13},
 	} {
 		var b storage.Batch
 		run := func() int {
@@ -505,15 +517,34 @@ func TestJoinAllocFloor(t *testing.T) {
 				rows += len(b.Rows)
 			}
 		}
+		count := func() int {
+			fn, err := c.fn()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, _, err := RunJoinFunction(fn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
 		rows := run() // warm: the geometry cache, the batch
 		if rows < 2000 {
 			t.Fatalf("%s: %d rows; the budget needs a result large enough to amortise per-statement setup", c.name, rows)
 		}
+		if n := count(); n != rows {
+			t.Fatalf("%s: count(*) %d, rows %d", c.name, n, rows)
+		}
 		perStmt := testing.AllocsPerRun(5, func() { run() })
 		perRow := perStmt / float64(rows)
-		t.Logf("%s: %d rows, %.0f allocations per statement, %.4f per row (budget %.4f)", c.name, rows, perStmt, perRow, c.budget)
+		counted := testing.AllocsPerRun(5, func() { count() })
+		t.Logf("%s: %d rows, %.0f allocations per statement, %.4f per row (budget %.4f); counted %.0f (budget %.0f)",
+			c.name, rows, perStmt, perRow, c.budget, counted, c.count)
 		if perRow > c.budget {
 			t.Errorf("%s: %.4f allocations per result row, budget %.4f", c.name, perRow, c.budget)
+		}
+		if counted > c.count || counted > perStmt {
+			t.Errorf("%s: the count leg makes %.0f allocations per statement, budget %.0f, row leg %.0f", c.name, counted, c.count, perStmt)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"spatialtf"
 	"spatialtf/internal/extidx"
@@ -140,7 +141,8 @@ func (e *Engine) selectStream(s Select, scope *spatialtf.ClusterScope) (*Stream,
 // (JoinOptions.Scope). The rid1/rid2 rowids are projected as their
 // page.slot text form, matching the local REPL rendering; with a
 // 'keys=' hint the key1/key2 user-key columns are projected instead.
-// COUNT drains the pair batches and never renders a row.
+// COUNT is counted inside the join (DB.CountSpatialJoin): no pair
+// becomes a row.
 func (e *Engine) joinSelect(s Select, scope *spatialtf.ClusterScope) (*Stream, error) {
 	call := s.From.Join
 	if s.Where != nil {
@@ -162,29 +164,23 @@ func (e *Engine) joinSelect(s Select, scope *spatialtf.ClusterScope) (*Stream, e
 	if err != nil {
 		return nil, err
 	}
-	jc, err := e.db.SpatialJoin(call.TableA, idxA.Name(), call.TableB, idxB.Name(), spatialtf.JoinOptions{
+	opt := spatialtf.JoinOptions{
 		Mask:     call.Mask,
 		Distance: call.Distance,
 		Parallel: call.Parallel,
 		Algo:     call.Algo,
 		Scope:    scope,
-	})
-	if err != nil {
-		return nil, err
 	}
 	if s.Count {
-		defer jc.Close()
-		n := 0
-		var pairs []spatialtf.Pair
-		for {
-			if pairs, err = jc.NextBatch(pairs[:0], 0); err != nil {
-				return nil, err
-			}
-			if len(pairs) == 0 {
-				return countStream(n), jc.Close()
-			}
-			n += len(pairs)
+		n, err := e.db.CountSpatialJoin(call.TableA, idxA.Name(), call.TableB, idxB.Name(), opt)
+		if err != nil {
+			return nil, err
 		}
+		return countStream(n), nil
+	}
+	jc, err := e.db.SpatialJoin(call.TableA, idxA.Name(), call.TableB, idxB.Name(), opt)
+	if err != nil {
+		return nil, err
 	}
 	outSchema := make([]storage.Column, len(wantCols))
 	for i, c := range wantCols {
@@ -215,9 +211,12 @@ func drainCount(cur storage.Cursor) (*Stream, error) {
 }
 
 // countStream wraps a COUNT(*) outcome as an immediate result stream.
-func countStream(n int) *Stream {
-	return &Stream{Result: &Result{Count: n, Columns: []string{"COUNT(*)"},
-		Rows: [][]string{{fmt.Sprintf("%d", n)}}}}
+func countStream(n int) *Stream { return &Stream{Result: CountResult(n)} }
+
+// CountResult renders a COUNT(*) outcome: one column, one row, the
+// count in its decimal text.
+func CountResult(n int) *Result {
+	return &Result{Count: n, Columns: []string{"COUNT(*)"}, Rows: [][]string{{strconv.Itoa(n)}}}
 }
 
 // joinKeys resolves a 'keys=colA:colB' hint: the user-key columns the

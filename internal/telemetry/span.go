@@ -44,6 +44,10 @@ const (
 	// join — the per-tile primary filter. The span count is the tile
 	// count, so the trace exposes per-tile skew directly.
 	StageTileSweep
+	// StageDrain is one fetch call's move of verified result pairs from
+	// the join's ready queue into the fetch batch as rows. A fetch that
+	// returns no pairs (a count-mode fetch among them) records none.
+	StageDrain
 	// StageScatter is the cluster coordinator's fan-out: opening the
 	// per-shard remote cursors of one scatter-gather query. The span
 	// count is the shard count contacted.
@@ -77,6 +81,8 @@ func (s Stage) String() string {
 		return "grid_partition"
 	case StageTileSweep:
 		return "tile_sweep"
+	case StageDrain:
+		return "ready_drain"
 	case StageScatter:
 		return "scatter"
 	case StageMerge:

@@ -242,42 +242,63 @@ func (jc *JoinCursor) Collect() ([]Pair, error) {
 // indexed tables through the spatial_join table function, pipelined
 // (Parallel ≤ 1) or parallel over subtree pairs (Parallel > 1).
 func (db *DB) SpatialJoin(tableA, indexA, tableB, indexB string, opt JoinOptions) (*JoinCursor, error) {
-	cfg, a, b, err := db.rtreeJoin(tableA, indexA, tableB, indexB, opt)
+	j, err := db.bindJoin(tableA, indexA, tableB, indexB, opt)
 	if err != nil {
 		return nil, err
+	}
+	cur, err := sjoin.Join(j.a, j.b, j.cfg, j.plan)
+	if err != nil {
+		j.release()
+		return nil, err
+	}
+	return &JoinCursor{cur: cur, unpin: j.unpin, trace: j.cfg.Trace}, nil
+}
+
+// CountSpatialJoin returns the number of result pairs SpatialJoin would
+// stream — select count(*) over the spatial_join table function — with
+// the count computed inside the join: each instance counts the pairs it
+// proves or keeps and returns one row, its count, so no result pair
+// becomes a row. The operand trees stay pinned until it returns.
+func (db *DB) CountSpatialJoin(tableA, indexA, tableB, indexB string, opt JoinOptions) (int, error) {
+	j, err := db.bindJoin(tableA, indexA, tableB, indexB, opt)
+	if err != nil {
+		return 0, err
+	}
+	defer j.release()
+	return sjoin.CountJoin(j.a, j.b, j.cfg, j.plan)
+}
+
+// boundJoin is a join call resolved against the database — its
+// configuration, operands and plan — with its per-query trace begun
+// (when a tracer is attached; the join instances feed its stage
+// aggregates) and both operand trees pinned.
+type boundJoin struct {
+	cfg   sjoin.Config
+	a, b  sjoin.Source
+	plan  sjoin.PlanChoice
+	unpin func()
+}
+
+// bindJoin resolves and binds a join call; the caller releases it, or
+// hands its unpin and trace to the cursor that does.
+func (db *DB) bindJoin(tableA, indexA, tableB, indexB string, opt JoinOptions) (boundJoin, error) {
+	cfg, a, b, err := db.rtreeJoin(tableA, indexA, tableB, indexB, opt)
+	if err != nil {
+		return boundJoin{}, err
 	}
 	plan, err := resolveJoinAlgo(a, b, cfg, opt)
 	if err != nil {
-		return nil, err
+		return boundJoin{}, err
 	}
-	// A per-query trace (when a tracer is attached) spans the cursor
-	// from here to Close; the join instances feed its stage aggregates.
-	trace := db.getTracer().Begin(fmt.Sprintf("spatial_join %s*%s", tableA, tableB))
-	cfg.Trace = trace
+	cfg.Trace = db.getTracer().Begin(fmt.Sprintf("spatial_join %s*%s", tableA, tableB))
 	unpin := pinTrees(a.Tree, b.Tree)
-	var cur storage.Cursor
-	switch plan.Algo {
-	case sjoin.AlgoGrid:
-		cur, err = sjoin.GridParallelJoin(a, b, cfg, plan.Workers)
-	case sjoin.AlgoNested:
-		var pairs []Pair
-		pairs, err = sjoin.NestedLoop(a, b, cfg)
-		if err == nil {
-			cur = sjoin.PairsCursor(pairs)
-		}
-	default: // AlgoSubtree: the paper's serial/parallel R-tree paths
-		if plan.Workers > 1 {
-			cur, err = sjoin.ParallelIndexJoin(a, b, cfg, plan.Workers)
-		} else {
-			cur, err = sjoin.IndexJoin(a, b, cfg)
-		}
-	}
-	if err != nil {
-		unpin()
-		trace.Finish()
-		return nil, err
-	}
-	return &JoinCursor{cur: cur, unpin: unpin, trace: trace}, nil
+	return boundJoin{cfg: cfg, a: a, b: b, plan: plan, unpin: unpin}, nil
+}
+
+// release unpins the operand trees and finishes the trace.
+func (j boundJoin) release() {
+	j.unpin()
+	j.cfg.Trace.Finish()
 }
 
 // resolveJoinAlgo maps JoinOptions onto a concrete join path and worker
