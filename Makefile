@@ -71,13 +71,19 @@ race:
 # id, SELECT * and count(*), scoped and not, through an R-tree and a
 # quadtree), count(*) over every join plan beside a concurrent deleter
 # (TestJoinCountBesideDeleter: nested, subtree and grid on 1, 2 and 4
-# instances, scoped and not, counted inside the join), and the parallel
-# join — so races there fail fast before the full -race sweep.
+# instances, scoped and not, counted inside the join), the router's
+# remote instances, which decode shard rows straight into the batches
+# circulating between them and the gather consumer (TestScatterMergeRace:
+# concurrent scatter/merge streams; TestShardLossAfterFirstBatch: a shard
+# killed after its whole answer came with its query reply, so its rows
+# are handed on from the cursor's first batch), and the parallel join —
+# so races there fail fast before the full -race sweep.
 race-hot:
 	$(GO) test -race -run 'TestConcurrent|TestSnapshot' .
 	$(GO) test -race -run 'TestWindowBesideDeleter|TestJoinCountBesideDeleter' ./internal/sqlmini
 	$(GO) test -race -run 'TestCheckpointUnderLoad' ./internal/pager
 	$(GO) test -race -run 'TestGridJoinRace' ./internal/sjoin
+	$(GO) test -race -run 'TestScatterMergeRace|TestShardLossAfterFirstBatch' ./internal/cluster
 	$(GO) test -race ./internal/server ./internal/sjoin
 
 # A few seconds of coverage-guided fuzzing per target: enough to catch

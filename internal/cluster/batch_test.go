@@ -119,7 +119,7 @@ func TestClusterJoinAllocFloor(t *testing.T) {
 	perStmt := testing.AllocsPerRun(5, func() { run() })
 	perRow := perStmt / float64(rows)
 	t.Logf("%d rows, %.0f allocations per statement, %.3f per row", rows, perStmt, perRow)
-	if perRow > 0.32 {
-		t.Errorf("%.3f allocations per result row, budget 0.32", perRow)
+	if perRow > 0.29 {
+		t.Errorf("%.3f allocations per result row, budget 0.29", perRow)
 	}
 }

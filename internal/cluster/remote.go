@@ -54,16 +54,19 @@ type remoteTF struct {
 // before any rows flow).
 func (r *remoteTF) Start() error { return nil }
 
-// Fetch pulls the next remote batch. In partial mode a transport
-// failure is recorded and the instance ends cleanly (the merged stream
-// stays alive on the surviving shards); server-reported errors always
-// propagate — a shard that answered with an error is not "lost".
+// Fetch decodes the next remote batch straight into b, which the
+// parallel cursor hands back once the consumer is done with its rows.
+// In partial mode a transport failure is recorded and the instance ends
+// cleanly (the merged stream stays alive on the surviving shards);
+// server-reported errors always propagate — a shard that answered with
+// an error is not "lost".
 func (r *remoteTF) Fetch(b *storage.Batch, max int) error {
 	if r.cur == nil {
 		return nil
 	}
 	for {
-		rows, done, err := r.cur.Fetch(max)
+		n := len(b.Rows)
+		done, err := r.cur.FetchInto(b, max)
 		if err != nil {
 			se := &ShardError{Shard: r.shard, Addr: r.addr, Err: err}
 			if _, remote := err.(*wire.RemoteError); remote {
@@ -78,9 +81,7 @@ func (r *remoteTF) Fetch(b *storage.Batch, max int) error {
 			}
 			return se
 		}
-		// The client decoded the rows into storage of their own.
-		b.Rows = append(b.Rows, rows...)
-		if len(rows) > 0 || done {
+		if len(b.Rows) > n || done {
 			return nil
 		}
 	}

@@ -284,7 +284,7 @@ func (c *Client) query(payload []byte) (*QueryResult, error) {
 		}
 		cur := &Cursor{c: c, id: id, schema: schema}
 		if batch != nil {
-			if err := cur.take(batch); err != nil {
+			if err := cur.take(&cur.b, batch); err != nil {
 				return nil, err
 			}
 		}
@@ -324,6 +324,14 @@ func (c *Client) Metrics() ([]telemetry.Point, error) {
 // start–fetch–close pipeline. Rows arrive in bounded batches pulled by
 // Fetch; the server produces each batch on demand and never buffers the
 // full result.
+//
+// The cursor follows the batch contract of storage.Batch. Fetch decodes
+// every batch into one Batch the cursor owns, so its rows are valid
+// until the next Fetch, Next or Close. FetchInto decodes into the
+// caller's Batch, and Next into a fresh one per refill, so the rows
+// they hand out stay valid as long as their batch does. Use one of the
+// three on a cursor, not several: rows buffered for one are invisible
+// to the others.
 type Cursor struct {
 	c      *Client
 	id     uint64
@@ -331,13 +339,15 @@ type Cursor struct {
 	// done records that the server holds no cursor for this one: it
 	// delivered the final batch, failed, or was closed.
 	done bool
-	// pending is the decoded batch Fetch has not handed out yet: the
-	// first batch, which arrives with the query reply.
-	pending []storage.Row
+	// b holds the last batch decoded for Fetch, the first batch (which
+	// arrives with the query reply) included, and pos is the first of
+	// its rows not yet handed out.
+	b   storage.Batch
+	pos int
 
 	// Row-at-a-time buffer for Next.
-	buf []storage.Row
-	pos int
+	buf  []storage.Row
+	next int
 }
 
 // ID returns the server-assigned cursor id.
@@ -346,75 +356,118 @@ func (cur *Cursor) ID() uint64 { return cur.id }
 // Columns returns the result schema.
 func (cur *Cursor) Columns() []storage.Column { return cur.schema }
 
-// take decodes one Batch payload of this cursor into pending.
-func (cur *Cursor) take(p []byte) error {
-	id, done, rows, err := ParseBatch(p, cur.schema)
+// take decodes one Batch payload of this cursor into b.
+func (cur *Cursor) take(b *storage.Batch, p []byte) error {
+	had := len(b.Rows)
+	id, done, err := decodeBatch(b, p, cur.schema)
 	if err != nil {
 		return err
 	}
 	if id != cur.id {
+		b.Rows = b.Rows[:had]
 		return fmt.Errorf("wire: batch for cursor %d on cursor %d", id, cur.id)
 	}
-	cur.done, cur.pending = done, rows
+	cur.done = done
 	return nil
 }
 
-// Fetch returns the next batch of up to max rows (0 = server default):
-// what is left of the batch that came with the query reply, then one
-// batch per request to the server. done reports end of stream, after
-// which the server has already released the cursor and further calls
-// return no rows.
-func (cur *Cursor) Fetch(max int) (rows []storage.Row, done bool, err error) {
-	if max < 0 {
-		max = 0
+// fetch asks the server for the next batch of up to n rows (n <= 0:
+// the server default) and decodes the reply into b.
+func (cur *Cursor) fetch(b *storage.Batch, n int) error {
+	t, p, _, err := cur.c.roundTrip(FrameFetch, AppendFetch(nil, cur.id, uint64(max(n, 0))))
+	if err != nil {
+		if _, remote := err.(*RemoteError); remote {
+			// The server discarded the cursor along with the error.
+			cur.done = true
+		}
+		return err
 	}
-	if len(cur.pending) == 0 && !cur.done {
-		t, p, _, err := cur.c.roundTrip(FrameFetch, AppendFetch(nil, cur.id, uint64(max)))
-		if err != nil {
-			if _, remote := err.(*RemoteError); remote {
-				// The server discarded the cursor along with the error.
-				cur.done = true
-			}
-			return nil, false, err
-		}
-		if t != FrameBatch {
-			return nil, false, fmt.Errorf("wire: unexpected reply frame 0x%02x to Fetch", byte(t))
-		}
-		if err := cur.take(p); err != nil {
-			return nil, false, err
-		}
+	if t != FrameBatch {
+		return fmt.Errorf("wire: unexpected reply frame 0x%02x to Fetch", byte(t))
 	}
-	rows = cur.pending
+	return cur.take(b, p)
+}
+
+// pending hands out up to max (0 = all) of the decoded rows not yet
+// handed out.
+func (cur *Cursor) pending(max int) []storage.Row {
+	rows := cur.b.Rows[cur.pos:]
 	if max > 0 && max < len(rows) {
 		rows = rows[:max:max]
 	}
-	cur.pending = cur.pending[len(rows):]
-	return rows, cur.done && len(cur.pending) == 0, nil
+	cur.pos += len(rows)
+	return rows
+}
+
+// ended reports end of stream: the server sent its final batch and
+// every row of it has been handed out.
+func (cur *Cursor) ended() bool { return cur.done && cur.pos == len(cur.b.Rows) }
+
+// Fetch returns the next batch of up to max rows (0 = server default):
+// what is left of the batch that came with the query reply, then one
+// batch per request to the server. The rows are valid until the next
+// Fetch, Next or Close. done reports end of stream, after which the
+// server has already released the cursor and further calls return no
+// rows.
+func (cur *Cursor) Fetch(max int) (rows []storage.Row, done bool, err error) {
+	if cur.pos == len(cur.b.Rows) && !cur.done {
+		cur.b.Reset()
+		cur.pos = 0
+		if err := cur.fetch(&cur.b, max); err != nil {
+			return nil, false, err
+		}
+	}
+	rows = cur.pending(max)
+	return rows, cur.ended(), nil
+}
+
+// FetchInto appends the next batch of up to max rows (0 = server
+// default) to b and reports end of stream as Fetch does. A batch
+// fetched from the server is decoded straight into b. The rows of the
+// batch that came with the query reply were decoded before b was
+// known; FetchInto hands them on and the cursor never reuses them. On
+// error b.Rows is as it was.
+func (cur *Cursor) FetchInto(b *storage.Batch, max int) (done bool, err error) {
+	switch {
+	case cur.pos < len(cur.b.Rows):
+		b.Rows = append(b.Rows, cur.pending(max)...)
+		if cur.pos == len(cur.b.Rows) {
+			cur.b, cur.pos = storage.Batch{}, 0
+		}
+	case !cur.done:
+		if err := cur.fetch(b, max); err != nil {
+			return false, err
+		}
+	}
+	return cur.ended(), nil
 }
 
 // Next returns rows one at a time, fetching batches (server default
-// size) behind the scenes. ok is false at end of stream.
+// size) behind the scenes into a fresh batch per refill, so a row it
+// returned stays valid however long the caller keeps it. ok is false at
+// end of stream.
 func (cur *Cursor) Next() (storage.Row, bool, error) {
-	for cur.pos >= len(cur.buf) {
-		rows, done, err := cur.Fetch(0)
+	for cur.next >= len(cur.buf) {
+		var b storage.Batch
+		done, err := cur.FetchInto(&b, 0)
 		if err != nil {
 			return nil, false, err
 		}
-		cur.buf, cur.pos = rows, 0
-		if len(rows) == 0 && done {
+		cur.buf, cur.next = b.Rows, 0
+		if len(b.Rows) == 0 && done {
 			return nil, false, nil
 		}
 	}
-	row := cur.buf[cur.pos]
-	cur.pos++
+	row := cur.buf[cur.next]
+	cur.next++
 	return row, true, nil
 }
 
-// Close releases the cursor on the server. Idempotent; a cursor whose
-// final batch has arrived needs no round trip (the server released it
-// with that batch, or never kept it).
+// Close releases the cursor on the server and drops its batch.
+// Idempotent; a cursor whose final batch has arrived needs no round
+// trip (the server released it with that batch, or never kept it).
 func (cur *Cursor) Close() error {
-	cur.pending = nil
+	cur.b, cur.pos, cur.buf, cur.next = storage.Batch{}, 0, nil, 0
 	if cur.done {
 		return nil
 	}

@@ -26,7 +26,8 @@ var fuzzSchema = []storage.Column{
 // frame reader, then each payload parser on the raw payload. All of them
 // must return an error rather than panic, hang, or over-allocate on
 // hostile input, and what the batch and query parsers accept must
-// survive re-encoding.
+// survive re-encoding. A batch that decodes must decode to the same rows
+// into a batch that already held another payload's.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendQuery(nil, "SELECT count(*) FROM cities"))
@@ -52,13 +53,15 @@ func FuzzWireDecode(f *testing.F) {
 	// one backing string (with a row past the one-byte length boundary),
 	// and a row count the payload cannot hold.
 	pt := storage.Geom(geom.Geometry{Kind: geom.KindPoint, Pts: []geom.Point{{X: 1, Y: 2}}})
-	if b, err := AppendBatch(nil, 8, false, fuzzSchema, []storage.Row{
+	prefill, err := AppendBatch(nil, 8, false, fuzzSchema, []storage.Row{
 		{storage.Int(1), storage.Float(1), storage.Str("17.4"), storage.Bytes(nil), pt},
 		{storage.Int(2), storage.Float(2), storage.Str(strings.Repeat("long", 64)), storage.Bytes([]byte("raw")), pt},
 		{storage.Int(3), storage.Float(3), storage.Str(""), storage.Bytes(nil), pt},
-	}); err == nil {
-		f.Add(b)
+	})
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(prefill)
 	f.Add(binary.AppendUvarint([]byte{8, 0}, 1<<62))
 	var frame bytes.Buffer
 	bw := bufio.NewWriter(&frame)
@@ -101,6 +104,30 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			if _, _, again, err := ParseBatch(img, fuzzSchema); err != nil || len(again) != len(rows) {
 				t.Fatalf("decoded %d rows, re-decoded %d (%v)", len(rows), len(again), err)
+			}
+			// Decoded into a batch that held another payload's rows, it
+			// gives the same rows: after a Reset, and behind the rows
+			// held, which stay as they were.
+			var b storage.Batch
+			if _, _, err := decodeBatch(&b, prefill, fuzzSchema); err != nil {
+				t.Fatal(err)
+			}
+			held := len(b.Rows)
+			if _, _, err := decodeBatch(&b, data, fuzzSchema); err != nil {
+				t.Fatalf("decoding behind held rows: %v", err)
+			}
+			if again, _ := AppendBatch(nil, 8, false, fuzzSchema, b.Rows[:held]); !bytes.Equal(again, prefill) {
+				t.Fatal("decoding behind held rows changed them")
+			}
+			if again, _ := AppendBatch(nil, id, done, fuzzSchema, b.Rows[held:]); !bytes.Equal(again, img) {
+				t.Fatal("rows decoded behind held rows differ from a fresh decode")
+			}
+			b.Reset()
+			if _, _, err := decodeBatch(&b, data, fuzzSchema); err != nil {
+				t.Fatalf("decoding into a reset batch: %v", err)
+			}
+			if again, _ := AppendBatch(nil, id, done, fuzzSchema, b.Rows); !bytes.Equal(again, img) {
+				t.Fatal("rows decoded into a reset batch differ from a fresh decode")
 			}
 		}
 		ParseResult(data)

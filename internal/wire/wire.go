@@ -355,33 +355,44 @@ func AppendBatch(dst []byte, cursorID uint64, done bool, schema []storage.Column
 	return p.b, nil
 }
 
-// slabValues bounds how many values ParseBatch reserves at a time: what
-// the server's largest batch of a few columns needs, so a forged row
-// count on a short payload cannot reserve more than one chunk before
-// decoding fails.
+// slabValues bounds how many values decodeBatch reserves at a time:
+// what the server's largest batch of a few columns needs, so a forged
+// row count on a short payload cannot reserve more than one chunk
+// before decoding fails.
 const slabValues = 1 << 14
 
-// ParseBatch decodes a Batch payload against the cursor's schema. The
-// rows are carved from one value slab and their string columns cut from
-// one copy of the payload, so a batch costs a handful of allocations
-// however many rows it carries; geometry and raw columns still decode
-// per value. The rows are the caller's to keep.
+// ParseBatch decodes a Batch payload against the cursor's schema into
+// a fresh batch: the rows are the caller's to keep.
 func ParseBatch(b []byte, schema []storage.Column) (cursorID uint64, done bool, rows []storage.Row, err error) {
+	var batch storage.Batch
+	if cursorID, done, err = decodeBatch(&batch, b, schema); err != nil {
+		return 0, false, nil, err
+	}
+	return cursorID, done, batch.Rows, nil
+}
+
+// decodeBatch appends the rows of a Batch payload to dst, carving them
+// from dst's value slab, so a batch that is Reset and decoded into
+// again allocates no values once its slab has grown. String columns are
+// cut from one copy of the payload made per call, so a string kept from
+// a row stays valid after the slab is reused; geometry and raw columns
+// still decode per value. On error dst.Rows is as it was on entry.
+func decodeBatch(dst *storage.Batch, b []byte, schema []storage.Column) (cursorID uint64, done bool, err error) {
 	p := pReader{b: b}
 	if cursorID, err = p.u64(); err != nil {
-		return 0, false, nil, err
+		return 0, false, err
 	}
 	d, err := p.byteV()
 	if err != nil {
-		return 0, false, nil, err
+		return 0, false, err
 	}
 	n, err := p.u64()
 	if err != nil {
-		return 0, false, nil, err
+		return 0, false, err
 	}
 	// Every row costs at least its length byte.
 	if n > uint64(len(p.b)) {
-		return 0, false, nil, fmt.Errorf("wire: batch of %d rows in %d bytes", n, len(p.b))
+		return 0, false, fmt.Errorf("wire: batch of %d rows in %d bytes", n, len(p.b))
 	}
 	var text string
 	for _, c := range schema {
@@ -392,14 +403,18 @@ func ParseBatch(b []byte, schema []storage.Column) (cursorID uint64, done bool, 
 	}
 	size := len(p.b)
 	chunk := max(1, slabValues/max(1, len(schema)))
-	var batch storage.Batch
+	had := len(dst.Rows)
+	fail := func(err error) (uint64, bool, error) {
+		dst.Rows = dst.Rows[:had]
+		return 0, false, err
+	}
 	for left := int(n); left > 0; {
-		slab := batch.Extend(min(left, chunk), len(schema))
+		slab := dst.Extend(min(left, chunk), len(schema))
 		left -= len(slab)
 		for _, row := range slab {
 			img, err := p.blob()
 			if err != nil {
-				return 0, false, nil, err
+				return fail(err)
 			}
 			rowText := ""
 			if text != "" {
@@ -407,11 +422,14 @@ func ParseBatch(b []byte, schema []storage.Column) (cursorID uint64, done bool, 
 				rowText = text[end-len(img) : end]
 			}
 			if err := storage.DecodeRowInto(row, schema, img, rowText); err != nil {
-				return 0, false, nil, fmt.Errorf("wire: decode batch row: %w", err)
+				return fail(fmt.Errorf("wire: decode batch row: %w", err))
 			}
 		}
 	}
-	return cursorID, d != 0, batch.Rows, p.done()
+	if err := p.done(); err != nil {
+		return fail(err)
+	}
+	return cursorID, d != 0, nil
 }
 
 // --- Result ---

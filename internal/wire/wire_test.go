@@ -158,7 +158,8 @@ func TestBatchCodec(t *testing.T) {
 // allocation counts per batch of 64 rows. Encoding into a reused buffer
 // and writing the frame allocate nothing. Decoding costs the batch's one
 // string, its row and value slabs, and the storage each geometry value
-// decodes into (two allocations per polygon).
+// decodes into (two allocations per polygon). Decoding into a reused
+// batch, as a cursor does, costs the string and the geometries only.
 func TestBatchCodecAllocFloor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -188,13 +189,24 @@ func TestBatchCodecAllocFloor(t *testing.T) {
 		}
 	})
 	dec := testing.AllocsPerRun(100, func() { ParseBatch(img, schema) })
-	const encBudget, decBudget = 0, 3 + 2*64
-	t.Logf("encode %.0f, decode %.0f allocations per batch (budgets %d and %d)", enc, dec, encBudget, decBudget)
+	var b storage.Batch
+	reuse := testing.AllocsPerRun(100, func() {
+		b.Reset()
+		if _, _, err := decodeBatch(&b, img, schema); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const encBudget, decBudget, reuseBudget = 0, 3 + 2*64, 1 + 2*64
+	t.Logf("encode %.0f, decode %.0f, decode into a reused batch %.0f allocations per batch (budgets %d, %d and %d)",
+		enc, dec, reuse, encBudget, decBudget, reuseBudget)
 	if enc > encBudget {
 		t.Errorf("encoding and writing a batch cost %.0f allocations, budget %d", enc, encBudget)
 	}
 	if dec > decBudget {
 		t.Errorf("decoding a batch cost %.0f allocations, budget %d", dec, decBudget)
+	}
+	if reuse > reuseBudget {
+		t.Errorf("decoding a batch into a reused batch cost %.0f allocations, budget %d", reuse, reuseBudget)
 	}
 }
 
@@ -366,5 +378,139 @@ func TestParseBatchForgedCount(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() { ParseBatch(img, schema) })
 	if allocs > 4 { // the error and its formatted arguments, not a slab
 		t.Fatalf("refusing a forged row count cost %.0f allocations", allocs)
+	}
+}
+
+// reuseSchema is the narrower schema the reused-batch tests decode,
+// after the batch held rows of fuzzSchema's five columns.
+var reuseSchema = []storage.Column{
+	{Name: "id", Type: storage.TInt64},
+	{Name: "name", Type: storage.TString},
+	{Name: "geom", Type: storage.TGeometry},
+}
+
+// reuseBatches returns a wide payload (fuzzSchema: strings, raw bytes,
+// polygons, 40 rows) and a narrow one (reuseSchema: 3 rows), the two a
+// reused batch holds in turn.
+func reuseBatches(t *testing.T) (wide, narrow []byte) {
+	t.Helper()
+	poly, err := geom.ParseWKT("POLYGON ((0 0, 40 0, 40 40, 20 55, 0 40, 0 0), (5 5, 10 5, 10 10, 5 5))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []storage.Row
+	for i := range 40 {
+		rows = append(rows, storage.Row{storage.Int(int64(-i)), storage.Float(float64(i) / 4),
+			storage.Str(strings.Repeat("w", i*7)), storage.Bytes([]byte{byte(i), 1, 2}), storage.Geom(poly)})
+	}
+	if wide, err = AppendBatch(nil, 4, false, fuzzSchema, rows); err != nil {
+		t.Fatal(err)
+	}
+	if narrow, err = AppendBatch(nil, 5, true, reuseSchema, []storage.Row{
+		{storage.Int(7), storage.Str("seven"), storage.Geom(geom.NewPoint(1, 2))},
+		{storage.Int(8), storage.Str(""), storage.Geom(poly)},
+		{storage.Int(9), storage.Str("nine"), storage.Geom(geom.NewPoint(-3, 4))},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return wide, narrow
+}
+
+// TestDecodeBatchIntoReusedBatch checks a batch that is Reset and
+// decoded into again gives exactly the rows a fresh decode gives, when
+// it held wider rows, string, raw and geometry cells, and more rows
+// than the new payload; and that decoding without a Reset appends
+// behind the rows it held and leaves them as they were.
+func TestDecodeBatchIntoReusedBatch(t *testing.T) {
+	wide, narrow := reuseBatches(t)
+	_, _, want, err := ParseBatch(narrow, reuseSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, wideRows, err := ParseBatch(wide, fuzzSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b storage.Batch
+	for round := range 3 {
+		b.Reset()
+		if _, _, err := decodeBatch(&b, wide, fuzzSchema); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(b.Rows, wideRows) {
+			t.Fatalf("round %d: the wide batch decoded into a reused batch differs from a fresh decode", round)
+		}
+		b.Reset()
+		id, done, err := decodeBatch(&b, narrow, reuseSchema)
+		if err != nil || id != 5 || !done {
+			t.Fatalf("round %d: id=%d done=%v err=%v", round, id, done, err)
+		}
+		if !reflect.DeepEqual(b.Rows, want) {
+			t.Fatalf("round %d: reused batch decoded %v, a fresh decode %v", round, b.Rows, want)
+		}
+		for i, row := range b.Rows {
+			if len(row) != len(reuseSchema) || cap(row) != len(reuseSchema) {
+				t.Fatalf("round %d: row %d has len %d cap %d, want %d", round, i, len(row), cap(row), len(reuseSchema))
+			}
+		}
+	}
+	// Appending: the rows already held keep their values.
+	if _, _, err := decodeBatch(&b, wide, fuzzSchema); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(b.Rows[:len(want)], want) || !reflect.DeepEqual(b.Rows[len(want):], wideRows) {
+		t.Fatal("decoding behind held rows changed them or decoded wrong")
+	}
+}
+
+// TestDecodeBatchFailureKeepsRows checks a payload that fails on row k
+// leaves the batch's rows exactly as they were, for k at the first,
+// a middle and the last row, and for trailing bytes after the last.
+func TestDecodeBatchFailureKeepsRows(t *testing.T) {
+	wide, narrow := reuseBatches(t)
+	var b storage.Batch
+	if _, _, err := decodeBatch(&b, narrow, reuseSchema); err != nil {
+		t.Fatal(err)
+	}
+	held := append([]storage.Row(nil), b.Rows...)
+	heldVals := fmt.Sprint(b.Rows)
+	_, _, wideRows, err := ParseBatch(wide, fuzzSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Row k's image starts after the header and the k rows before it;
+	// a zero byte where its geometry's kind belongs fails that row only.
+	rowStart := func(k int) int {
+		at := 3 // cursor id, done, row count (40 < 128: one byte each)
+		for i := range k {
+			img, err := storage.EncodeRow(fuzzSchema, wideRows[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			at += len(binary.AppendUvarint(nil, uint64(len(img)))) + len(img)
+		}
+		return at
+	}
+	bad := map[string][]byte{"trailing byte": append(append([]byte(nil), wide...), 0)}
+	for _, k := range []int{0, 17, 39} {
+		img, err := storage.EncodeRow(fuzzSchema, wideRows[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := append([]byte(nil), wide...)
+		end := rowStart(k) + len(binary.AppendUvarint(nil, uint64(len(img)))) + len(img)
+		p[end-geom.BinarySize(wideRows[k][4].G)] = 0xEE // the geometry's kind byte
+		bad[fmt.Sprintf("row %d", k)] = p
+	}
+	for name, p := range bad {
+		if _, _, err := decodeBatch(&b, p, fuzzSchema); err == nil {
+			t.Fatalf("%s: a corrupt payload decoded", name)
+		}
+		if len(b.Rows) != len(held) || fmt.Sprint(b.Rows) != heldVals || !reflect.DeepEqual(b.Rows, held) {
+			t.Fatalf("%s: a failed decode left the batch %d rows, want the %d it held, unchanged", name, len(b.Rows), len(held))
+		}
+		if _, _, rows, err := ParseBatch(p, fuzzSchema); err == nil || rows != nil {
+			t.Fatalf("%s: ParseBatch returned %d rows, %v", name, len(rows), err)
+		}
 	}
 }
