@@ -22,12 +22,12 @@ vet:
 build:
 	$(GO) build ./...
 
-# The project's own analyzer suite (cmd/spatiallint): acquire => release
-# on every path (tree pins, cursors, buffer-pool frames, returned
-# release funcs), locks across blocking calls (interprocedural),
-# lock-order cycle detection, atomic/plain mixed access, discarded wire
-# errors, exact float comparison, decoded-size taint tracking, goroutine
-# accounting, and metric names. Zero findings required.
+# The project's own analyzer suite (cmd/spatiallint), six rules:
+# acquire => release on every path (tree pins, cursors, buffer-pool
+# frames, returned release funcs), locks across blocking calls and
+# lock-order cycles (interprocedural), discarded wire errors, exact
+# float comparison, decoded-size taint tracking, and goroutine
+# accounting. Zero findings required.
 # Timing budget, enforced: the CFG/summary engine must keep a warm
 # full-repo run under 10s. The binary is built first so the budget
 # times the analysis, not the compiler.

@@ -2,6 +2,7 @@ package spatialtf
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -394,4 +395,100 @@ func FuzzCatalog(f *testing.F) {
 			db.Close()
 		}
 	})
+}
+
+// TestIndexMetadataDifferential pins the index catalogue across the
+// change that made IndexMetadata read the registry's in-memory list
+// instead of a heap table: over a fixed script of creates (both kinds,
+// two tables, a second geometry column, names out of alphabetical
+// order) IndexMetadata lists the same rows in creation order, and
+// catalog.bin and the snapshot hash to the bytes recorded before it.
+// A reopen rebuilds the indexes in catalogue order and lists them the
+// same way.
+func TestIndexMetadataDifferential(t *testing.T) {
+	const (
+		wantRows = `{IndexName:roads_g2_qt TableName:roads ColumnName:g2 Kind:QUADTREE Dimensions:2 Fanout:0 TilingLevel:4 Bounds:MBR(-8,-8; 72,72) InteriorEffort:0 RowsIndexed:8}
+{IndexName:parcels_rt TableName:parcels ColumnName:geom Kind:RTREE Dimensions:2 Fanout:8 TilingLevel:0 Bounds:MBR(0,0; 36,26) InteriorEffort:0 RowsIndexed:12}
+{IndexName:roads_rt TableName:roads ColumnName:geom Kind:RTREE Dimensions:2 Fanout:4 TilingLevel:0 Bounds:MBR(0,0; 56,4) InteriorEffort:1 RowsIndexed:8}
+{IndexName:parcels_qt TableName:parcels ColumnName:geom Kind:QUADTREE Dimensions:2 Fanout:0 TilingLevel:5 Bounds:MBR(-8,-8; 56,56) InteriorEffort:0 RowsIndexed:12}
+{IndexName:roads_g2_rt TableName:roads ColumnName:g2 Kind:RTREE Dimensions:2 Fanout:16 TilingLevel:0 Bounds:MBR(0,30; 56,37) InteriorEffort:0 RowsIndexed:8}
+`
+		wantCatalog = "d25f625213fa2b20159201c2c1c5c147b4dac055cc671e64c7c14d874db81208"
+		wantSnap    = "ad4f87328af8d20b22df24071f81417cd6b6dd7a1a9987b5393072d75ac98a6e"
+	)
+	fs := pager.NewMemFS()
+	db, err := OpenDir("data", DirOptions{fs: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parcels, err := db.CreateSpatialTable("parcels")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		x, y := float64(i%4)*10, float64(i/4)*10
+		if _, err := parcels.Add("parcel", MustRect(x, y, x+6, y+6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roads, err := db.CreateTable("roads", []Column{
+		{Name: "id", Type: TInt64},
+		{Name: "geom", Type: TGeometry},
+		{Name: "g2", Type: TGeometry},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		x := float64(i) * 7
+		if _, err := roads.Insert(Int(int64(i)), Geom(MustRect(x, 0, x+7, 4)), Geom(MustRect(x, 30, x+7, 37))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name, table, column string
+		kind                IndexKind
+		opt                 IndexOptions
+	}{
+		{"roads_g2_qt", "roads", "g2", Quadtree, IndexOptions{TilingLevel: 4, Bounds: MBR{MinX: -8, MinY: -8, MaxX: 72, MaxY: 72}}},
+		{"parcels_rt", "parcels", "geom", RTree, IndexOptions{Fanout: 8}},
+		{"roads_rt", "roads", "geom", RTree, IndexOptions{Fanout: 4, InteriorEffort: 1}},
+		{"parcels_qt", "parcels", "geom", Quadtree, IndexOptions{TilingLevel: 5, Bounds: MBR{MinX: -8, MinY: -8, MaxX: 56, MaxY: 56}}},
+		{"roads_g2_rt", "roads", "g2", RTree, IndexOptions{Fanout: 16}},
+	} {
+		if _, err := db.CreateIndexOn(c.name, c.table, c.column, c.kind, c.opt); err != nil {
+			t.Fatalf("create %s: %v", c.name, err)
+		}
+	}
+	rows := func(db *DB) string {
+		metas, err := db.IndexMetadata()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, m := range metas {
+			fmt.Fprintf(&sb, "%+v\n", m)
+		}
+		return sb.String()
+	}
+	if got := rows(db); got != wantRows {
+		t.Errorf("IndexMetadata:\n got %s\nwant %s", got, wantRows)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(memFile(t, fs, "data/catalog.bin"))); got != wantCatalog {
+		t.Errorf("catalog.bin sha256 = %s, want %s", got, wantCatalog)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(saveBytes(t, db))); got != wantSnap {
+		t.Errorf("snapshot sha256 = %s, want %s", got, wantSnap)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = OpenDir("data", DirOptions{fs: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := rows(db); got != wantRows {
+		t.Errorf("IndexMetadata after reopen:\n got %s\nwant %s", got, wantRows)
+	}
 }

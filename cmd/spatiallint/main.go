@@ -2,11 +2,10 @@
 // (internal/analysis) over Go packages: the concurrency and cursor
 // contracts the compiler cannot check — acquire ⇒ release on every
 // path for tree pins, cursors, buffer-pool frames and returned release
-// funcs; lock-vs-blocking hygiene (interprocedural); lock-order
-// deadlock detection; atomic/plain mixed field access; unchecked wire
-// errors; float equality on coordinates; unbounded decoded allocation
-// sizes; unjoined goroutines; and telemetry metric names. See DESIGN.md
-// §10–§11 and §15.
+// funcs; lock-vs-blocking hygiene and lock-order cycles
+// (interprocedural); unchecked wire errors; float equality on
+// coordinates; unbounded decoded allocation sizes; and unjoined
+// goroutines. See DESIGN.md §10–§11 and §15.
 //
 // Usage:
 //
@@ -18,8 +17,6 @@
 //	-rules        print the registered rules with descriptions and exit
 //	-cfg-debug f  print the control-flow graph of function f (Graphviz
 //	              dot; f is "Name" or "Type.Method") and exit
-//	-lockgraph    print the module-wide lock-order graph (Graphviz dot,
-//	              cycle edges in red) and exit
 //
 // Packages default to ./... . Exit status: 0 clean, 1 findings,
 // 2 load or usage failure.
@@ -40,27 +37,35 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// run parses args, runs the suite (or the requested dump) and returns
+// the exit status. Findings and dumps go to stdout, usage and load
+// errors to stderr.
+func run(args []string, stderr io.Writer) int {
+	flags := flag.NewFlagSet("spatiallint", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		chdir    = flag.String("C", "", "run as if started in `dir`")
-		disable  = flag.String("disable", "", "comma-separated `rules` to disable")
-		jsonOut  = flag.Bool("json", false, "emit findings as JSON")
-		rules    = flag.Bool("rules", false, "print the registered rules with descriptions and exit")
-		cfgDebug = flag.String("cfg-debug", "", "print the CFG of `func` (\"Name\" or \"Type.Method\") as Graphviz dot and exit")
-		lockDot  = flag.Bool("lockgraph", false, "print the module lock-order graph as Graphviz dot and exit")
+		chdir    = flags.String("C", "", "run as if started in `dir`")
+		disable  = flags.String("disable", "", "comma-separated `rules` to disable")
+		jsonOut  = flags.Bool("json", false, "emit findings as JSON")
+		rules    = flags.Bool("rules", false, "print the registered rules with descriptions and exit")
+		cfgDebug = flags.String("cfg-debug", "", "print the CFG of `func` (\"Name\" or \"Type.Method\") as Graphviz dot and exit")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *rules {
 		listRules(os.Stdout)
-		return
+		return 0
 	}
 
 	if *cfgDebug != "" {
-		os.Exit(dumpCFG(*chdir, *cfgDebug, flag.Args()))
-	}
-
-	if *lockDot {
-		os.Exit(dumpLockGraph(*chdir, flag.Args()))
+		return dumpCFG(*chdir, *cfgDebug, flags.Args())
 	}
 
 	disabled := make(map[string]bool)
@@ -69,8 +74,8 @@ func main() {
 			continue
 		}
 		if analysis.ByName(name) == nil {
-			fmt.Fprintf(os.Stderr, "spatiallint: unknown analyzer %q (try -rules)\n", name)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "spatiallint: unknown analyzer %q (try -rules)\n", name)
+			return 2
 		}
 		disabled[name] = true
 	}
@@ -81,10 +86,10 @@ func main() {
 		}
 	}
 
-	pkgs, _, err := analysis.Load(*chdir, flag.Args()...)
+	pkgs, _, err := analysis.Load(*chdir, flags.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spatiallint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "spatiallint:", err)
+		return 2
 	}
 	diags := analysis.Run(pkgs, suite)
 
@@ -106,8 +111,8 @@ func main() {
 			diags = []analysis.Diag{}
 		}
 		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(os.Stderr, "spatiallint:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "spatiallint:", err)
+			return 2
 		}
 	} else {
 		for _, d := range diags {
@@ -116,10 +121,11 @@ func main() {
 	}
 	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "spatiallint: %d finding(s)\n", len(diags))
+			fmt.Fprintf(stderr, "spatiallint: %d finding(s)\n", len(diags))
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // dumpCFG builds and prints the control-flow graph of the named
@@ -158,18 +164,6 @@ func listRules(w io.Writer) {
 	for _, a := range analysis.Analyzers() {
 		fmt.Fprintf(w, "%-16s %s\n", a.Name, a.Doc)
 	}
-}
-
-// dumpLockGraph loads the packages, builds the module summary, and
-// prints its lock-order graph as Graphviz dot (-lockgraph).
-func dumpLockGraph(chdir string, patterns []string) int {
-	pkgs, _, err := analysis.Load(chdir, patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spatiallint:", err)
-		return 2
-	}
-	fmt.Print(analysis.LockGraphDot(analysis.BuildModule(pkgs)))
-	return 0
 }
 
 // declName renders a FuncDecl's name as the -cfg-debug flag spells it.

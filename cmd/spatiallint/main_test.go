@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"os"
 	"strings"
@@ -76,16 +77,20 @@ func TestDumpCFGUnknownFunc(t *testing.T) {
 	}
 }
 
-func TestDumpLockGraph(t *testing.T) {
-	var status int
-	out := capture(t, func() {
-		status = dumpLockGraph(repoRoot, []string{"./internal/pager"})
-	})
-	if status != 0 {
-		t.Fatalf("dumpLockGraph status %d", status)
-	}
-	if !strings.Contains(out, "digraph lockorder") {
-		t.Errorf("-lockgraph output is not the lock-order digraph:\n%s", out)
+// TestUnknownRuleFailsLoudly: disabling a rule the suite does not have
+// — including the names of rules since removed or folded into another —
+// is a usage error, not a silent no-op, so a stale -disable in a script
+// surfaces at once.
+func TestUnknownRuleFailsLoudly(t *testing.T) {
+	for _, name := range []string{"lockorder", "atomicmix", "metricname", "pinpair", "nosuchrule"} {
+		var stderr bytes.Buffer
+		if status := run([]string{"-disable", name}, &stderr); status != 2 {
+			t.Errorf("-disable %s: exit status %d, want 2", name, status)
+		}
+		want := fmt.Sprintf("unknown analyzer %q (try -rules)", name)
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("-disable %s: stderr %q, want it to contain %q", name, stderr.String(), want)
+		}
 	}
 }
 

@@ -254,10 +254,7 @@ func (db *DB) writeCatalogLocked() error {
 		buf = binary.AppendUvarint(appendString(buf, name), uint64(db.spaceOf[name]))
 		buf = appendSchema(buf, db.tables[name].inner.Schema())
 	}
-	metas, err := db.reg.MetadataRows()
-	if err != nil {
-		return err
-	}
+	metas := db.reg.MetadataRows()
 	buf = binary.AppendUvarint(buf, uint64(len(metas)))
 	for _, m := range metas {
 		buf = appendIndexMeta(buf, m)

@@ -114,8 +114,8 @@ func (ix *Index) Name() string { return ix.name }
 // Inner exposes the domain index for the SQL layer's window path.
 func (ix *Index) Inner() extidx.SpatialIndex { return ix.inner }
 
-// Metadata describes a created index — the row from the spatial index
-// metadata table.
+// Metadata describes a created index — its row in the index
+// catalogue.
 type Metadata = extidx.Metadata
 
 // Meta returns the index metadata, including the table and column the
@@ -131,9 +131,10 @@ func (ix *Index) rtree() (*rtree.Tree, error) {
 	return nil, fmt.Errorf("spatialtf: index %q is not an R-tree", ix.name)
 }
 
-// IndexMetadata lists the metadata table — one row per created index.
+// IndexMetadata lists the index catalogue — one row per created index,
+// in creation order. The error is always nil.
 func (db *DB) IndexMetadata() ([]Metadata, error) {
-	return db.reg.MetadataRows()
+	return db.reg.MetadataRows(), nil
 }
 
 // Relate evaluates the sdo_relate operator: rowids of rows in table

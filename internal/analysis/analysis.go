@@ -15,14 +15,10 @@
 //	               operation, a cursor Fetch, a wire write, or a call
 //	               that transitively blocks or re-acquires the same
 //	               lock (path-sensitive on the CFG, interprocedural
-//	               via module lock summaries)
-//	lockorder      lock acquisition order must be acyclic module-wide;
-//	               any cycle in the global lock-order graph is a
-//	               potential deadlock, reported with both paths
-//	atomicmix      a struct field accessed via sync/atomic must never
-//	               be plainly read or written without a dominating
-//	               lock, and typed atomics must not be aliased through
-//	               unsafe.Pointer
+//	               via module lock summaries); and lock acquisition
+//	               order acyclic module-wide — a cycle in the global
+//	               lock-order graph is a potential deadlock, reported
+//	               with both paths
 //	wireerr        no discarded error results from wire write/encode
 //	               and bufio flush calls
 //	floateq        no ==/!= on floating-point values outside the
@@ -33,15 +29,16 @@
 //	goleak         a goroutine launched in the server/join machinery
 //	               must be joined (WaitGroup, channel) or tied to a
 //	               shutdown path
-//	metricname     telemetry metric names must be constant strings in
-//	               lowercase_snake, unique across the module (the
-//	               registry's runtime panic on a duplicate, at lint time)
 //
-// Allocations are not linted: testing.AllocsPerRun floor tests beside
-// the hot paths hold them (DESIGN.md §16).
+// Some contracts are held elsewhere, not linted: allocations by
+// testing.AllocsPerRun floor tests beside the hot paths (DESIGN.md
+// §16); metric names by the registry, which panics on a malformed or
+// duplicate name, and a test that registers every metric set in the
+// module onto one registry; atomic fields by the typed sync/atomic API,
+// which admits no plain access (DESIGN.md §15).
 //
-// release, lockdiscipline, lockorder, atomicmix and taintsize run on
-// the control-flow-graph engine in the cfg subpackage:
+// release, lockdiscipline and taintsize run on the control-flow-graph
+// engine in the cfg subpackage:
 // per-function basic blocks plus a worklist dataflow solver, one graph
 // per function scope shared through the Module, with per-function
 // summaries carrying facts across calls — which functions return
@@ -116,13 +113,10 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Release,
 		LockDiscipline,
-		LockOrder,
-		AtomicMix,
 		WireErr,
 		FloatEq,
 		TaintSize,
 		GoLeak,
-		MetricName,
 	}
 }
 

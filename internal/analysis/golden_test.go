@@ -140,9 +140,11 @@ diags:
 
 // absorbed lists the fixture directories an analyzer runs besides the
 // one named after it: release covers the per-kind fixtures of the four
-// rules it replaced.
+// rules it replaced, and lockdiscipline the lock-order cycles it took
+// over.
 var absorbed = map[string][]string{
-	"release": {"pinpair", "cursorclose", "latchpair", "releasesummary"},
+	"release":        {"pinpair", "cursorclose", "latchpair", "releasesummary"},
+	"lockdiscipline": {"lockorder"},
 }
 
 // TestGolden runs every analyzer of the suite over its fixtures. An

@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -23,9 +25,17 @@ import (
 // fresh lock state, whether they are spawned by `go`, deferred, or
 // handed to tablefunc.Parallel as factory callbacks: the goroutine that
 // eventually runs them does not inherit the spawner's locks.
+//
+// The same replay folds every acquisition of a globally named lock
+// under another into one module-wide lock-order graph — an edge a→b
+// means some path acquires b while holding a — and each cycle in it is
+// reported as a potential deadlock, with the acquisition sites on both
+// sides. Two goroutines walking a cycle from opposite ends block
+// forever; the classic shape is pool→WAL in one function and WAL→pool
+// in another.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "no sync.Mutex/RWMutex may be held across a blocking operation or a re-acquisition of itself",
+	Doc:  "no sync.Mutex/RWMutex may be held across a blocking operation or a re-acquisition of itself, and lock order must be acyclic",
 	Run:  runLockDiscipline,
 }
 
@@ -44,19 +54,35 @@ func syncLockMethod(pkg *Pkg, sel *ast.SelectorExpr) (recvKey, method string, ok
 }
 
 func runLockDiscipline(pass *Pass) []Diag {
-	var diags []Diag
-	for _, f := range pass.Pkg.Files {
-		for _, body := range funcScopes(f) {
-			diags = append(diags, lockDisciplineScope(pass.Pkg, pass.Mod, body)...)
+	return pass.Mod.lockFindings()[pass.Pkg]
+}
+
+// lockFindings replays the lock scanner once over every function scope
+// of the module, collecting each package's findings and the order
+// graph together, then reports each cycle of the graph once, in the
+// package that owns its first edge.
+func (m *Module) lockFindings() map[*Pkg][]Diag {
+	m.lockOnce.Do(func() {
+		m.lockDiags = make(map[*Pkg][]Diag)
+		order := lockGraph{}
+		for _, pkg := range m.pkgs {
+			for _, f := range pkg.Files {
+				for _, body := range funcScopes(f) {
+					m.lockDiags[pkg] = append(m.lockDiags[pkg], lockDisciplineScope(pkg, m, f, body, order)...)
+				}
+			}
 		}
-	}
-	return diags
+		for _, c := range order.cycles() {
+			m.lockDiags[c[0].pkg] = append(m.lockDiags[c[0].pkg], cycleDiag(c))
+		}
+	})
+	return m.lockDiags
 }
 
 // lockDisciplineScope solves the may-held flow over one function scope
-// and reports blocking operations and same-lock re-acquisitions under
-// held locks.
-func lockDisciplineScope(pkg *Pkg, mod *Module, body *ast.BlockStmt) []Diag {
+// of file f, reports blocking operations and same-lock re-acquisitions
+// under held locks, and adds the scope's acquisitions to order.
+func lockDisciplineScope(pkg *Pkg, mod *Module, f *ast.File, body *ast.BlockStmt, order lockGraph) []Diag {
 	g := mod.graphFor(body)
 	sc := newLockScanner(pkg, mod, body)
 	var diags []Diag
@@ -82,6 +108,12 @@ func lockDisciplineScope(pkg *Pkg, mod *Module, body *ast.BlockStmt) []Diag {
 		acquire: func(pos token.Pos, id lockIdent, display string, write bool, via string, before lockFact) {
 			for _, k := range sortedFactKeys(before) {
 				h := before[k]
+				if id.global && h.id.global && h.id.name != id.name {
+					order.add(&lockEdge{
+						from: h.id.name, to: id.name,
+						pkg: pkg, fn: scopeName(f, body), pos: pos, heldPos: h.pos, via: via,
+					})
+				}
 				if h.id != id {
 					continue
 				}
@@ -108,8 +140,140 @@ func lockDisciplineScope(pkg *Pkg, mod *Module, body *ast.BlockStmt) []Diag {
 			}
 		},
 	}
-	sc.replay(g, false, ev)
+	sc.replay(g, ev)
 	return diags
+}
+
+// lockEdge is one observed ordering: `to` acquired at pos (in pkg,
+// inside fn) while `from` was held, the holder having locked at
+// heldPos. via names the callee chain when the acquisition is
+// transitive.
+type lockEdge struct {
+	from, to string
+	pkg      *Pkg
+	fn       string
+	pos      token.Pos
+	heldPos  token.Pos
+	via      string
+}
+
+// lockGraph is the module-wide order graph keyed on global lock
+// identities, from → to → edge. Only the first edge observed for each
+// (from,to) pair is kept; iteration everywhere is sorted, so reports
+// are deterministic.
+type lockGraph map[string]map[string]*lockEdge
+
+func (g lockGraph) add(e *lockEdge) {
+	if g[e.from] == nil {
+		g[e.from] = make(map[string]*lockEdge)
+	}
+	if _, ok := g[e.from][e.to]; !ok {
+		g[e.from][e.to] = e
+	}
+}
+
+// cycles returns one shortest cycle per strongly connected component
+// that has one, starting at the component's smallest lock. One
+// representative per component keeps a tangled component from producing
+// a report storm; fixing the reported cycle and re-running surfaces the
+// next one. Two locks share a component when each reaches the other.
+func (g lockGraph) cycles() [][]*lockEdge {
+	reach := make(map[string]map[string]bool, len(g))
+	for _, n := range sortedKeys(g) {
+		reach[n] = g.reachable(n)
+	}
+	reported := make(map[string]bool)
+	var out [][]*lockEdge
+	for _, n := range sortedKeys(reach) {
+		if reported[n] || !reach[n][n] {
+			continue
+		}
+		for m := range reach[n] {
+			if reach[m][n] {
+				reported[m] = true
+			}
+		}
+		out = append(out, g.shortestCycle(n))
+	}
+	return out
+}
+
+// reachable returns every lock some path of edges leads to from start.
+func (g lockGraph) reachable(start string) map[string]bool {
+	seen := make(map[string]bool)
+	queue := []string{start}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for to := range g[cur] {
+			if !seen[to] {
+				seen[to] = true
+				queue = append(queue, to)
+			}
+		}
+	}
+	return seen
+}
+
+// shortestCycle breadth-first searches from start back to itself and
+// returns the cycle's edges in order, the first leaving start.
+func (g lockGraph) shortestCycle(start string) []*lockEdge {
+	prev := make(map[string]*lockEdge)
+	queue := []string{start}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, to := range sortedKeys(g[cur]) {
+			e := g[cur][to]
+			if to == start {
+				path := []*lockEdge{e}
+				for n := cur; n != start; n = prev[n].from {
+					path = append(path, prev[n])
+				}
+				slices.Reverse(path)
+				return path
+			}
+			if _, seen := prev[to]; !seen {
+				prev[to] = e
+				queue = append(queue, to)
+			}
+		}
+	}
+	return nil
+}
+
+// cycleDiag reports one lock-order cycle at the site of its first edge.
+func cycleDiag(c []*lockEdge) Diag {
+	var path strings.Builder
+	var sides []string
+	for _, e := range c {
+		path.WriteString(e.from + " → ")
+		side := fmt.Sprintf("%s acquired at %s (in %s) while %s is held (locked at line %d)",
+			e.to, shortPos(e.pkg, e.pos), e.fn, e.from, e.pkg.Fset.Position(e.heldPos).Line)
+		if e.via != "" {
+			side += " via " + e.via
+		}
+		sides = append(sides, side)
+	}
+	path.WriteString(c[0].from)
+	return diag(c[0].pkg, "lockdiscipline", c[0].pos,
+		"potential deadlock: lock order cycle %s: %s", path.String(), strings.Join(sides, "; "))
+}
+
+// scopeName names a function scope of file f for reports: the enclosing
+// FuncDecl's name, or "func literal in <decl>" for a FuncLit body.
+func scopeName(f *ast.File, body *ast.BlockStmt) string {
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Body == nil || body.Pos() < fd.Pos() || fd.End() < body.End() {
+			continue
+		}
+		if fd.Body == body {
+			return fd.Name.Name
+		}
+		return "func literal in " + fd.Name.Name
+	}
+	return "func literal"
 }
 
 // blockingCall classifies calls that can block on a peer: a Fetch

@@ -1,8 +1,7 @@
 package analysis
 
-// Lock identity and the shared lock-state dataflow machinery under the
-// concurrency rules (lockdiscipline, lockorder, atomicmix) and the lock
-// summaries in locksummary.go.
+// Lock identity and the shared lock-state dataflow machinery under
+// lockdiscipline and the lock summaries in locksummary.go.
 //
 // A lock is named by the innermost named struct type that declares the
 // mutex field: `s.mu` on pager.Store is "pager.Store.mu" no matter how
@@ -16,8 +15,8 @@ package analysis
 // lockScanner is the one transition function over that state. It runs
 // in two modes: as a cfg.Flow transfer (no events) while solving, and
 // as a replay during cfg.Walk with a lockEvents sink attached, which is
-// where the rules and the summary collector observe acquisitions,
-// blocking operations, releases, and raw field accesses in order.
+// where the rule and the summary collector observe acquisitions,
+// blocking operations and releases in order.
 
 import (
 	"fmt"
@@ -110,24 +109,12 @@ func equalLockFact(a, b lockFact) bool {
 	return true
 }
 
-// joinLockFactUnion is the may-hold join (lockdiscipline, lockorder,
-// summaries): held on any path counts. First writer wins per key, so
-// loop re-joins stay stable.
+// joinLockFactUnion is the may-hold join: held on any path counts.
+// First writer wins per key, so loop re-joins stay stable.
 func joinLockFactUnion(a, b lockFact) lockFact {
 	for k, v := range b {
 		if _, ok := a[k]; !ok {
 			a[k] = v
-		}
-	}
-	return a
-}
-
-// joinLockFactIntersect is the must-hold join (atomicmix's dominating
-// lock): held on every path or not at all.
-func joinLockFactIntersect(a, b lockFact) lockFact {
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			delete(a, k)
 		}
 	}
 	return a
@@ -158,9 +145,6 @@ type lockEvents struct {
 	// was discharged (an unmatched release is a net release the
 	// summaries record, the Unpin side of a pin pair).
 	release func(pos token.Pos, id lockIdent, matched bool)
-	// access fires for every resolved struct-field selector outside
-	// sync/atomic calls — atomicmix's raw material.
-	access func(sel *ast.SelectorExpr, write bool, before lockFact)
 }
 
 func (ev *lockEvents) once(pos token.Pos, kind, detail string) bool {
@@ -179,7 +163,6 @@ func (ev *lockEvents) once(pos token.Pos, kind, detail string) bool {
 type walkCtx struct {
 	ev     *lockEvents
 	noChan bool                             // inside a select comm statement
-	writes map[ast.Expr]bool                // exprs in write position
 	binds  map[*ast.CallExpr][]types.Object // call → release-result targets
 }
 
@@ -218,17 +201,11 @@ func newLockScanner(pkg *Pkg, mod *Module, body *ast.BlockStmt) *lockScanner {
 	return sc
 }
 
-// flow builds the dataflow problem over the scanner. must selects the
-// intersection join (atomicmix's dominating-lock query) instead of the
-// default union (may-hold).
-func (sc *lockScanner) flow(must bool) cfg.Flow[lockFact] {
-	join := joinLockFactUnion
-	if must {
-		join = joinLockFactIntersect
-	}
+// flow builds the may-hold dataflow problem over the scanner.
+func (sc *lockScanner) flow() cfg.Flow[lockFact] {
 	return cfg.Flow[lockFact]{
 		Entry: lockFact{},
-		Join:  join,
+		Join:  joinLockFactUnion,
 		Equal: equalLockFact,
 		Clone: cloneLockFact,
 		Transfer: func(n cfg.Node, f lockFact) lockFact {
@@ -239,8 +216,8 @@ func (sc *lockScanner) flow(must bool) cfg.Flow[lockFact] {
 
 // replay re-walks the solved facts with ev attached, firing events in
 // block order with the facts in force just before each occurrence.
-func (sc *lockScanner) replay(g *cfg.Graph, must bool, ev *lockEvents) map[*cfg.Block]lockFact {
-	fl := sc.flow(must)
+func (sc *lockScanner) replay(g *cfg.Graph, ev *lockEvents) map[*cfg.Block]lockFact {
+	fl := sc.flow()
 	in := cfg.Solve(g, fl)
 	cfg.Walk(g, fl, in, func(n cfg.Node, before lockFact) {
 		sc.apply(n.N, cloneLockFact(before), ev)
@@ -280,10 +257,6 @@ func (sc *lockScanner) apply(n ast.Node, f lockFact, ev *lockEvents) lockFact {
 	}
 	switch n := n.(type) {
 	case *ast.AssignStmt:
-		ctx.writes = make(map[ast.Expr]bool, len(n.Lhs))
-		for _, l := range n.Lhs {
-			ctx.writes[l] = true
-		}
 		sc.markBindings(n.Lhs, n.Rhs, ctx)
 		for _, r := range n.Rhs {
 			f = sc.walk(r, f, ctx)
@@ -312,9 +285,6 @@ func (sc *lockScanner) apply(n ast.Node, f lockFact, ev *lockEvents) lockFact {
 			}
 		}
 		return f
-	case *ast.IncDecStmt:
-		ctx.writes = map[ast.Expr]bool{n.X: true}
-		return sc.walk(n.X, f, ctx)
 	case *ast.SendStmt:
 		f = sc.walk(n.Chan, f, ctx)
 		f = sc.walk(n.Value, f, ctx)
@@ -424,13 +394,7 @@ func (sc *lockScanner) walk(e ast.Expr, f lockFact, ctx *walkCtx) lockFact {
 	case *ast.CallExpr:
 		return sc.applyCall(e, f, ctx)
 	case *ast.SelectorExpr:
-		f = sc.walk(e.X, f, ctx)
-		if ctx.ev != nil && ctx.ev.access != nil {
-			if s, ok := sc.pkg.Info.Selections[e]; ok && s.Kind() == types.FieldVal {
-				ctx.ev.access(e, ctx.writes[e], f)
-			}
-		}
-		return f
+		return sc.walk(e.X, f, ctx)
 	case *ast.Ident:
 		// A use of a variable bound to a release func discharges the
 		// locks it guards: calling it releases them, and any other use

@@ -2,7 +2,7 @@ package analysis
 
 // Per-function lock summaries, folded to a module-wide fixpoint by
 // BuildModule alongside the taint/release/accounting facts. These are
-// what make lockdiscipline and lockorder interprocedural: a caller
+// what make lockdiscipline interprocedural: a caller
 // holding a mutex sees through its callees to the locks they acquire,
 // the operations they block on, and the locks they leave held (the
 // Pin/Unpin pattern).
@@ -17,12 +17,6 @@ import (
 
 	"spatialtf/internal/analysis/cfg"
 )
-
-// LockUse records a direct acquisition of a lock inside a function.
-type LockUse struct {
-	Write bool
-	Pos   token.Pos
-}
 
 // TransAcq records that a function acquires a lock directly or through
 // a callee chain (Via empty for direct, "g → h" for transitive).
@@ -54,7 +48,6 @@ func updateLockFacts(s *FuncSummary, m *Module) bool {
 	g := m.graphFor(s.Decl.Body)
 	sc := newLockScanner(s.Pkg, m, s.Decl.Body)
 
-	acq := make(map[string]LockUse)
 	trans := make(map[string]TransAcq)
 	rel := make(map[string]bool)
 	var blocking *BlockInfo
@@ -62,13 +55,6 @@ func updateLockFacts(s *FuncSummary, m *Module) bool {
 		acquire: func(pos token.Pos, id lockIdent, _ string, write bool, via string, _ lockFact) {
 			if !id.global {
 				return
-			}
-			if via == "" {
-				if old, ok := acq[id.name]; !ok {
-					acq[id.name] = LockUse{Write: write, Pos: pos}
-				} else if write && !old.Write {
-					acq[id.name] = LockUse{Write: true, Pos: old.Pos}
-				}
 			}
 			if old, ok := trans[id.name]; !ok || (old.Via != "" && via == "") {
 				trans[id.name] = TransAcq{Write: write, Pos: pos, Via: via}
@@ -88,17 +74,13 @@ func updateLockFacts(s *FuncSummary, m *Module) bool {
 			}
 		},
 	}
-	fl := sc.flow(false)
-	in := cfg.Solve(g, fl)
-	cfg.Walk(g, fl, in, func(n cfg.Node, before lockFact) {
-		sc.apply(n.N, cloneLockFact(before), ev)
-	})
+	in := sc.replay(g, ev)
 
 	// Leaks: locks still held at some return, minus what the deferred
 	// unlocks (including unlocks inside deferred closures) pay off.
 	leak := make(map[string]LeakInfo)
 	drel := sc.deferredReleaseKeys(g)
-	for _, ex := range cfg.Exits(g, fl, in) {
+	for _, ex := range cfg.Exits(g, sc.flow(), in) {
 		if ex.Edge.Kind != cfg.EdgeReturn {
 			continue
 		}
@@ -115,13 +97,12 @@ func updateLockFacts(s *FuncSummary, m *Module) bool {
 		}
 	}
 
-	changed := !maps.Equal(acq, s.LockAcquires) ||
-		!maps.Equal(trans, s.TransAcquires) ||
+	changed := !maps.Equal(trans, s.TransAcquires) ||
 		!maps.Equal(rel, s.LockReleases) ||
 		!maps.Equal(leak, s.LockLeaked) ||
 		!equalBlockInfo(blocking, s.Blocking)
 	if changed {
-		s.LockAcquires, s.TransAcquires, s.LockReleases, s.LockLeaked, s.Blocking = acq, trans, rel, leak, blocking
+		s.TransAcquires, s.LockReleases, s.LockLeaked, s.Blocking = trans, rel, leak, blocking
 	}
 	return changed
 }

@@ -48,12 +48,11 @@ type FuncSummary struct {
 	Accounted bool
 
 	// The lock summary (see locksummary.go): which globally-named
-	// locks this function acquires directly (LockAcquires) or through
-	// callees (TransAcquires), which it releases without acquiring
+	// locks this function acquires, directly or through callees
+	// (TransAcquires), which it releases without acquiring
 	// (LockReleases — the Unpin side of a pin pair), which it leaves
 	// held at a return (LockLeaked — the Pin side), and whether it can
 	// block indefinitely on a peer (Blocking).
-	LockAcquires  map[string]LockUse
 	TransAcquires map[string]TransAcq
 	LockReleases  map[string]bool
 	LockLeaked    map[string]LeakInfo
@@ -62,8 +61,7 @@ type FuncSummary struct {
 
 // Module is the cross-package summary table, plus the caches the
 // concurrency rules share: per-scope CFGs, the method-shape index for
-// interface-call resolution, the lock-order graph, and the module's
-// atomically-accessed fields.
+// interface-call resolution, and lockdiscipline's module-wide findings.
 type Module struct {
 	fns  map[string]*FuncSummary
 	pkgs []*Pkg
@@ -74,12 +72,8 @@ type Module struct {
 	idxOnce sync.Once
 	mIndex  map[string][]*FuncSummary
 
-	lockOnce sync.Once
-	lockG    *lockGraph
-	cycles   []lockCycle
-
-	atomicOnce sync.Once
-	atomics    *atomicInfo
+	lockOnce  sync.Once
+	lockDiags map[*Pkg][]Diag
 }
 
 // FuncKey canonicalises fn across type-check universes.

@@ -2,7 +2,7 @@
 // paper builds on: domain indexes (here the spatial R-tree and Quadtree
 // indextypes) are created on a column of a table through a registry,
 // maintained automatically by table DML, described by a metadata row in
-// a metadata table, and queried through operators that — crucially —
+// the registry's catalogue, and queried through operators that — crucially —
 // "only return rows from a single table". That restriction is why
 // spatial joins could not be implemented inside the framework and had to
 // move to table functions (§1 of the paper).
@@ -46,13 +46,14 @@ type Params struct {
 	InteriorEffort int
 }
 
-// Metadata is the per-index row kept in the metadata table: name of the
+// Metadata is the per-index row of the registry's catalogue: name of the
 // index, indexed table/column, indextype, and its parameters — the
 // direct analogue of the paper's "metadata for the entire index is
 // stored as a row in a separate metadata table. This metadata includes
 // the name of the index table storing the index, dimensionality, root
 // pointer fanout parameters for an R-tree and the tiling level parameter
-// for a Quadtree index."
+// for a Quadtree index." The registry keeps these rows in memory, in
+// creation order; a durable database persists them in catalog.bin.
 type Metadata struct {
 	IndexName   string
 	TableName   string
@@ -91,17 +92,16 @@ type SpatialIndex interface {
 // The rtree/quadtree adapter packages register one Builder each.
 type Builder func(tab *storage.Table, geomCol int, p Params) (SpatialIndex, error)
 
-// Registry tracks indextypes and created indexes, and owns the metadata
-// table.
+// Registry tracks indextypes and created indexes, and owns the index
+// catalogue.
 type Registry struct {
 	mu       sync.RWMutex
 	builders map[IndexKind]Builder
 	indexes  map[string]SpatialIndex
 	metas    map[string]Metadata
 	// names lists the indexes in creation order, the order of the
-	// metadata table's rows.
-	names   []string
-	metaTab *storage.Table
+	// catalogue view (MetadataRows).
+	names []string
 }
 
 // Registry errors.
@@ -111,37 +111,12 @@ var (
 	ErrNoIndex       = errors.New("extidx: no such index")
 )
 
-// metaSchema is the schema of the metadata table.
-func metaSchema() []storage.Column {
-	return []storage.Column{
-		{Name: "index_name", Type: storage.TString},
-		{Name: "table_name", Type: storage.TString},
-		{Name: "column_name", Type: storage.TString},
-		{Name: "indextype", Type: storage.TString},
-		{Name: "dimensions", Type: storage.TInt64},
-		{Name: "fanout", Type: storage.TInt64},
-		{Name: "tiling_level", Type: storage.TInt64},
-		{Name: "interior_effort", Type: storage.TInt64},
-		{Name: "min_x", Type: storage.TFloat64},
-		{Name: "min_y", Type: storage.TFloat64},
-		{Name: "max_x", Type: storage.TFloat64},
-		{Name: "max_y", Type: storage.TFloat64},
-		{Name: "rows_indexed", Type: storage.TInt64},
-	}
-}
-
 // NewRegistry returns a registry with no indextypes registered.
 func NewRegistry() *Registry {
-	meta, err := storage.NewTable("spatial_index_metadata", metaSchema())
-	if err != nil {
-		// The schema is a compile-time constant; failure is a bug.
-		panic(fmt.Sprintf("extidx: metadata table: %v", err))
-	}
 	return &Registry{
 		builders: make(map[IndexKind]Builder),
 		indexes:  make(map[string]SpatialIndex),
 		metas:    make(map[string]Metadata),
-		metaTab:  meta,
 	}
 }
 
@@ -211,9 +186,6 @@ func (r *Registry) CreateIndex(name string, kind IndexKind, tab *storage.Table, 
 	r.mu.Unlock()
 
 	tab.AddHook(&indexHook{idx: idx, geomCol: col})
-	if _, err := r.metaTab.Insert(metaRow(meta)); err != nil {
-		return nil, fmt.Errorf("extidx: record metadata for %q: %w", name, err)
-	}
 	return idx, nil
 }
 
@@ -260,46 +232,14 @@ func (r *Registry) IndexOn(table, column string, kind IndexKind) (idx SpatialInd
 	return idx, meta, ok
 }
 
-// MetadataRows returns the metadata table contents — the user-visible
-// catalogue view.
-func (r *Registry) MetadataRows() ([]Metadata, error) {
-	var out []Metadata
-	err := r.metaTab.Scan(func(id storage.RowID, row storage.Row) bool {
-		out = append(out, metaFromRow(row))
-		return true
-	})
-	return out, err
-}
-
-func metaRow(m Metadata) storage.Row {
-	return storage.Row{
-		storage.Str(m.IndexName),
-		storage.Str(m.TableName),
-		storage.Str(m.ColumnName),
-		storage.Str(string(m.Kind)),
-		storage.Int(int64(m.Dimensions)),
-		storage.Int(int64(m.Fanout)),
-		storage.Int(int64(m.TilingLevel)),
-		storage.Int(int64(m.InteriorEffort)),
-		storage.Float(m.Bounds.MinX),
-		storage.Float(m.Bounds.MinY),
-		storage.Float(m.Bounds.MaxX),
-		storage.Float(m.Bounds.MaxY),
-		storage.Int(int64(m.RowsIndexed)),
+// MetadataRows returns the metadata of every index in creation order —
+// the user-visible catalogue view, and the order a reopen rebuilds in.
+func (r *Registry) MetadataRows() []Metadata {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]Metadata, len(r.names))
+	for i, name := range r.names {
+		out[i] = r.metas[name]
 	}
-}
-
-func metaFromRow(row storage.Row) Metadata {
-	return Metadata{
-		IndexName:      row[0].S,
-		TableName:      row[1].S,
-		ColumnName:     row[2].S,
-		Kind:           IndexKind(row[3].S),
-		Dimensions:     int(row[4].I),
-		Fanout:         int(row[5].I),
-		TilingLevel:    int(row[6].I),
-		InteriorEffort: int(row[7].I),
-		Bounds:         geom.MBR{MinX: row[8].F, MinY: row[9].F, MaxX: row[10].F, MaxY: row[11].F},
-		RowsIndexed:    int(row[12].I),
-	}
+	return out
 }

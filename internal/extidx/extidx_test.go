@@ -43,12 +43,9 @@ func TestCreateIndexAndMetadata(t *testing.T) {
 	if qt.Meta().Kind != KindQuadtree || qt.Meta().TilingLevel != 6 {
 		t.Errorf("quadtree meta = %+v", qt.Meta())
 	}
-	rows, err := r.MetadataRows()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := r.MetadataRows()
 	if len(rows) != 2 {
-		t.Fatalf("metadata table has %d rows", len(rows))
+		t.Fatalf("catalogue has %d rows", len(rows))
 	}
 	byName := map[string]Metadata{}
 	for _, m := range rows {

@@ -23,9 +23,10 @@
 //
 // Names are lowercase_snake ([a-z][a-z0-9_]*), unique per registry.
 // Registration panics on a malformed or duplicate name: metric sets
-// are static program structure, so a bad name is a programming error —
-// and the spatiallint `metricname` rule rejects it at lint time before
-// it can panic at run time.
+// are static program structure, so a bad name is a programming error.
+// The root package's TestMetricSetsShareOneRegistry registers every
+// metric set in the module onto one registry, so the panic fires in
+// the test suite rather than in a daemon.
 package telemetry
 
 import (
@@ -65,8 +66,7 @@ func (k Kind) String() string {
 }
 
 // validName is the metric naming rule: lowercase_snake, led by a
-// letter. The spatiallint metricname rule enforces the same pattern on
-// registration literals.
+// letter.
 var validName = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // metric is the registry's view of one registered series.
@@ -95,7 +95,8 @@ func New() *Registry {
 func (r *Registry) Enabled() bool { return r != nil }
 
 // register validates and stores a metric; panics on a malformed or
-// duplicate name (static program structure, checked by spatiallint).
+// duplicate name (static program structure, exercised for every metric
+// set by TestMetricSetsShareOneRegistry).
 func (r *Registry) register(m metric) {
 	if !validName.MatchString(m.name()) {
 		panic(fmt.Sprintf("telemetry: metric name %q is not lowercase_snake", m.name()))
