@@ -106,8 +106,10 @@ bench:
 # Compile-and-run smoke over every benchmark: one iteration each, no
 # timing fidelity, just proof they still execute. Timings that carry a
 # claim come from the repository benchmark (BENCHMARK.json, benchmark/).
-# The allocs/op lane re-runs the two headline join benchmarks, the
-# counties self-join at distance 7 (BenchmarkSelfJoinRefine, the
+# The allocs/op lane re-runs the two headline join benchmarks (the
+# serial index join at each Table 2 size, and the real grid-partitioned
+# join's instances on 1-8 goroutines), the counties self-join at
+# distance 7 (BenchmarkSelfJoinRefine, the
 # join_refine secondary statement in miniature), the
 # benchmark's join_stream and window_lookup statements in miniature (the
 # point cross-match and one window SELECT over loopback,

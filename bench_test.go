@@ -1,16 +1,21 @@
 package spatialtf
 
 // One testing.B benchmark per paper table and figure, plus ablation
-// benches for the design choices called out in DESIGN.md §6. These run
-// at laptop scale; cmd/spatialbench reproduces the tables at any scale
-// with ratio reporting.
+// benches for the design choices called out in DESIGN.md §6. The table
+// and figure benchmarks report the paper's columns beside ns/op through
+// b.ReportMetric: result sizes and index node accesses (the "buffer
+// gets") for Tables 1 and 2, phase times for Table 3, and the pipeline
+// counts of Figures 1 and 2. Every parallel leg is real goroutine
+// execution. The datasets are a tenth of the paper's or smaller, fixed
+// in code; shape_test.go asserts the shapes the tables show.
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+	"time"
 
-	"spatialtf/internal/bench"
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/geom"
 	"spatialtf/internal/idxbuild"
@@ -32,17 +37,20 @@ var (
 
 	pointsOnce sync.Once
 	fixPoints  sjoin.Source // 16 000 star centres
+
+	table2Once  sync.Once
+	table2Stars map[int]sjoin.Source // prefixes of one 25 000-star set
 )
 
-func fixtures(b *testing.B) {
+func fixtures(b testing.TB) {
 	b.Helper()
 	fixOnce.Do(func() {
 		var err error
-		fixCounties, err = benchSource("bench_counties", datagen.Counties(900, 1))
+		fixCounties, err = benchSource("bench_counties", datagen.Counties(900, 1), 0)
 		if err != nil {
 			panic(err)
 		}
-		fixStars, err = benchSource("bench_stars", datagen.Stars(5000, 2))
+		fixStars, err = benchSource("bench_stars", datagen.Stars(5000, 2), 0)
 		if err != nil {
 			panic(err)
 		}
@@ -51,19 +59,21 @@ func fixtures(b *testing.B) {
 		if err != nil {
 			panic(err)
 		}
-		fixBlocks, err = benchSource("bench_blocks", fixBGDs)
+		fixBlocks, err = benchSource("bench_blocks", fixBGDs, 0)
 		if err != nil {
 			panic(err)
 		}
 	})
 }
 
-func benchSource(name string, ds datagen.Dataset) (sjoin.Source, error) {
+// benchSource loads ds and builds its R-tree with the given node fanout
+// (0 = default).
+func benchSource(name string, ds datagen.Dataset, fanout int) (sjoin.Source, error) {
 	tab, _, err := datagen.LoadTable(name, ds)
 	if err != nil {
 		return sjoin.Source{}, err
 	}
-	tree, _, err := idxbuild.CreateRtree(tab, "geom", 0, 1)
+	tree, _, err := idxbuild.CreateRtree(tab, "geom", fanout, 1)
 	if err != nil {
 		return sjoin.Source{}, err
 	}
@@ -72,44 +82,66 @@ func benchSource(name string, ds datagen.Dataset) (sjoin.Source, error) {
 
 // --- Table 1: counties self-join, nested loop vs index join ---
 
+// table1Cells is Table 1's distance sweep in county cells: plain
+// intersection, then distances that pull in more and more of the next
+// ring of neighbours (every county already touches its 8 neighbours).
+var table1Cells = []float64{0, 0.4, 0.8, 1.2}
+
+// table1Distance converts a sweep point to a distance: the 900 fixture
+// counties tile a 30 × 30 grid of the world.
+func table1Distance(cells float64) float64 {
+	return cells * (datagen.World.Width() / math.Ceil(math.Sqrt(900)))
+}
+
+// nestedLoop runs the nested-loop join and returns its result size and
+// counters.
+func nestedLoop(a, b sjoin.Source, cfg sjoin.Config) (int, sjoin.JoinStats, error) {
+	pairs, stats, err := sjoin.NestedLoopStats(a, b, cfg)
+	return len(pairs), stats, err
+}
+
+// indexJoin runs the serial spatial_join table function to exhaustion
+// and returns its result size and counters.
+func indexJoin(a, b sjoin.Source, cfg sjoin.Config) (int, sjoin.JoinStats, error) {
+	fn, err := sjoin.NewJoinFunction(a, b, cfg)
+	if err != nil {
+		return 0, sjoin.JoinStats{}, err
+	}
+	return sjoin.RunJoinFunction(fn, 0)
+}
+
+// benchJoin times join over src × src and reports the columns of
+// Tables 1 and 2 beside the time: the result size and the index node
+// accesses.
+func benchJoin(b *testing.B, src sjoin.Source, cfg sjoin.Config, join func(a, b sjoin.Source, cfg sjoin.Config) (int, sjoin.JoinStats, error)) {
+	for i := 0; i < b.N; i++ {
+		n, stats, err := join(src, src, cfg)
+		if err != nil || n == 0 {
+			b.Fatal(n, err)
+		}
+		b.ReportMetric(float64(n), "result-size")
+		b.ReportMetric(float64(stats.NodeAccesses), "node-accesses")
+	}
+}
+
 func BenchmarkTable1NestedLoop(b *testing.B) {
 	fixtures(b)
-	for _, d := range []float64{0, 25} {
-		b.Run(fmt.Sprintf("distance=%g", d), func(b *testing.B) {
+	for _, cells := range table1Cells {
+		b.Run(fmt.Sprintf("distance=%gcell", cells), func(b *testing.B) {
 			cfg := sjoin.DefaultConfig()
-			cfg.Distance = d
-			for i := 0; i < b.N; i++ {
-				pairs, err := sjoin.NestedLoop(fixCounties, fixCounties, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(pairs) == 0 {
-					b.Fatal("empty result")
-				}
-			}
+			cfg.Distance = table1Distance(cells)
+			benchJoin(b, fixCounties, cfg, nestedLoop)
 		})
 	}
 }
 
 func BenchmarkTable1IndexJoin(b *testing.B) {
 	fixtures(b)
-	for _, d := range []float64{0, 25} {
-		b.Run(fmt.Sprintf("distance=%g", d), func(b *testing.B) {
+	for _, cells := range table1Cells {
+		b.Run(fmt.Sprintf("distance=%gcell", cells), func(b *testing.B) {
 			cfg := sjoin.DefaultConfig()
-			cfg.Distance = d
-			for i := 0; i < b.N; i++ {
-				fn, err := sjoin.NewJoinFunction(fixCounties, fixCounties, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n, _, err := sjoin.RunJoinFunction(fn, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("empty result")
-				}
-			}
+			cfg.Distance = table1Distance(cells)
+			benchJoin(b, fixCounties, cfg, indexJoin)
 		})
 	}
 }
@@ -153,26 +185,49 @@ func drainRows(cur storage.Cursor, err error) (int, error) {
 
 // --- Table 2: star self-join scaling, serial vs parallel join ---
 
-func BenchmarkTable2IndexJoin(b *testing.B) {
-	fixtures(b)
-	cfg := sjoin.DefaultConfig()
-	for i := 0; i < b.N; i++ {
-		fn, err := sjoin.NewJoinFunction(fixStars, fixStars, cfg)
-		if err != nil {
-			b.Fatal(err)
+// table2Sizes are Table 2's subset sizes at a tenth of the paper's
+// (25, 2 500, 25 000, 100 000 and 250 000 stars; the smallest stays 25).
+var table2Sizes = []int{25, 250, 2500, 10000, 25000}
+
+// table2Fixture builds one source per Table 2 size over the prefixes of
+// a single seeded star set, as the paper joins subsets of one catalogue.
+func table2Fixture() {
+	table2Once.Do(func() {
+		full := datagen.Stars(table2Sizes[len(table2Sizes)-1], 2)
+		table2Stars = make(map[int]sjoin.Source, len(table2Sizes))
+		for _, n := range table2Sizes {
+			subset := datagen.Dataset{Name: "stars", Geoms: full.Geoms[:n], Bounds: full.Bounds}
+			src, err := benchSource(fmt.Sprintf("bench_stars_%d", n), subset, 0)
+			if err != nil {
+				panic(err)
+			}
+			table2Stars[n] = src
 		}
-		if _, _, err := sjoin.RunJoinFunction(fn, 0); err != nil {
-			b.Fatal(err)
-		}
+	})
+}
+
+// benchTable2 runs join over every Table 2 size, one sub-benchmark each.
+func benchTable2(b *testing.B, join func(a, b sjoin.Source, cfg sjoin.Config) (int, sjoin.JoinStats, error)) {
+	table2Fixture()
+	for _, n := range table2Sizes {
+		b.Run(fmt.Sprintf("size=%d", n), func(b *testing.B) {
+			benchJoin(b, table2Stars[n], sjoin.DefaultConfig(), join)
+		})
 	}
 }
 
+func BenchmarkTable2NestedLoop(b *testing.B) { benchTable2(b, nestedLoop) }
+
+func BenchmarkTable2IndexJoin(b *testing.B) { benchTable2(b, indexJoin) }
+
 // Telemetry overhead ablation: the identical star self-join with live
 // instruments and a per-query span trace attached. The delta against
-// BenchmarkTable2IndexJoin (which runs on the Nop registry) is the full
-// enabled-observability cost; the budget in DESIGN.md §12 is <= 2%.
+// BenchmarkTable2IndexJoin/size=10000 (which runs on the Nop registry)
+// is the full enabled-observability cost; the budget in DESIGN.md §12
+// is <= 2%.
 func BenchmarkTable2IndexJoinTelemetry(b *testing.B) {
-	fixtures(b)
+	table2Fixture()
+	src := table2Stars[10000]
 	reg := telemetry.New()
 	tracer := telemetry.NewTracer(reg, -1, nil)
 	cfg := sjoin.DefaultConfig()
@@ -180,7 +235,7 @@ func BenchmarkTable2IndexJoinTelemetry(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Trace = tracer.Begin("bench stars*stars")
-		fn, err := sjoin.NewJoinFunction(fixStars, fixStars, cfg)
+		fn, err := sjoin.NewJoinFunction(src, src, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,76 +246,111 @@ func BenchmarkTable2IndexJoinTelemetry(b *testing.B) {
 	}
 }
 
-// Table 2's parallel column: the star self-join on the subtree path
-// under the simulator (sim-makespan-s), plus a real 2-worker leg
-// (real-s, the mean wall clock of one join) that prices the
-// simulator's error when run with -cpu 2.
-func BenchmarkTable2ParallelJoin(b *testing.B) {
-	fixtures(b)
-	cfg := sjoin.DefaultConfig()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := sjoin.Simulate(fixStars, fixStars, cfg, sjoin.AlgoSubtree, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Pairs) == 0 {
-					b.Fatal("empty result")
-				}
-				b.ReportMetric(res.Elapsed.Seconds(), "sim-makespan-s")
-			}
-		})
+// parallelJoin drains the real parallel join algo (AlgoSubtree or
+// AlgoGrid) over workers instances and returns its row count.
+func parallelJoin(a, b sjoin.Source, cfg sjoin.Config, algo sjoin.Algo, workers int) (int, error) {
+	if algo == sjoin.AlgoGrid {
+		return drainRows(sjoin.GridParallelJoin(a, b, cfg, workers))
 	}
-	b.Run("workers=2/real", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cur, err := sjoin.ParallelIndexJoin(fixStars, fixStars, cfg, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, rows, err := storage.Drain(cur); err != nil || len(rows) == 0 {
-				b.Fatal(len(rows), err)
-			}
-		}
-		b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "real-s")
-	})
+	return drainRows(sjoin.ParallelIndexJoin(a, b, cfg, workers))
 }
 
-// Table 2 on the grid-partitioned path: same star self-join, tiles
-// swept per-partition under the deterministic scheduler. sim-makespan-s
-// against BenchmarkTable2ParallelJoin at the same worker count is the
-// grid-vs-subtree comparison; tile-skew-max/mean-ms quantify how even
-// the tile costs are (dynamic claiming absorbs the difference). The
-// scoped case is the shard side of a cluster join (shard 0 of 3): its
+// benchParallel drains the real parallel join of src × src b.N times
+// and reports the candidates per join and, on the grid path, the tiles
+// swept per join, read off live join instruments: the parallel cursors
+// return no counters.
+func benchParallel(b *testing.B, src sjoin.Source, cfg sjoin.Config, algo sjoin.Algo, workers int) {
+	reg := telemetry.New()
+	cfg.Instr = sjoin.NewInstruments(reg)
+	perJoin := func(name, unit string) {
+		p, _ := reg.Lookup(name)
+		b.ReportMetric(p.Value/float64(b.N), unit)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if n, err := parallelJoin(src, src, cfg, algo, workers); err != nil || n == 0 {
+			b.Fatal(n, err)
+		}
+	}
+	perJoin("join_candidates_total", "candidates")
+	if algo == sjoin.AlgoGrid {
+		perJoin("join_tiles_swept_total", "tiles")
+	}
+}
+
+// Table 2's parallel column: the 5 000-star self-join on the subtree
+// path, its instances claiming subtree pairs off one queue. Run with
+// -cpu 1,2 beside BenchmarkSpinProbe: the host decides whether a second
+// processor is there.
+func BenchmarkTable2ParallelJoin(b *testing.B) {
+	fixtures(b)
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchParallel(b, fixStars, sjoin.DefaultConfig(), sjoin.AlgoSubtree, workers)
+		})
+	}
+}
+
+// Table 2 on the grid-partitioned path: the same star self-join, its
+// instances claiming tiles. Against BenchmarkTable2ParallelJoin at the
+// same worker count it is the grid-vs-subtree comparison. The scoped
+// case is the shard side of a cluster join (shard 0 of 3): its
 // candidates and allocs/op against workers=4 pin the owner test ahead
 // of the secondary filter.
 func BenchmarkTable2GridJoin(b *testing.B) {
 	fixtures(b)
-	run := func(name string, cfg sjoin.Config, workers int) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := sjoin.Simulate(fixStars, fixStars, cfg, sjoin.AlgoGrid, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Pairs) == 0 {
-					b.Fatal("empty result")
-				}
-				max, mean := res.Skew()
-				b.ReportMetric(res.Elapsed.Seconds(), "sim-makespan-s")
-				b.ReportMetric(float64(max.Microseconds())/1e3, "tile-skew-max-ms")
-				b.ReportMetric(float64(mean.Microseconds())/1e3, "tile-skew-mean-ms")
-				b.ReportMetric(float64(res.Stats.Candidates), "candidates")
-			}
-		})
-	}
 	cfg := sjoin.DefaultConfig()
 	for _, workers := range []int{1, 2, 4, 8} {
-		run(fmt.Sprintf("workers=%d", workers), cfg, workers)
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchParallel(b, fixStars, cfg, sjoin.AlgoGrid, workers)
+		})
 	}
 	cfg.Owns = NewClusterScope(World, 4, 4, 3, 0).OwnsPoint
-	run("workers=4/scoped", cfg, 4)
+	b.Run("workers=4/scoped", func(b *testing.B) {
+		benchParallel(b, fixStars, cfg, sjoin.AlgoGrid, 4)
+	})
+}
+
+// spinProbe is a fixed amount of arithmetic on one goroutine.
+func spinProbe() uint64 {
+	x := uint64(88172645463325252)
+	for i := 0; i < 1<<22; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	return x
+}
+
+// BenchmarkSpinProbe times spinProbe on one goroutine (one-ms) and then
+// on two at once (two-ms, until both are done), the probe of
+// benchmark/NOISE.md. With -cpu 2 on a host whose second processor is
+// there, two-ms reads as one-ms; where it is gone, about twice that.
+// Run it in the same minute as any 2-worker number.
+func BenchmarkSpinProbe(b *testing.B) {
+	var one, two time.Duration
+	var sink [2]uint64
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		sink[0] = spinProbe()
+		one += time.Since(t0)
+		t0 = time.Now()
+		var wg sync.WaitGroup
+		for g := range sink {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sink[g] = spinProbe()
+			}()
+		}
+		wg.Wait()
+		two += time.Since(t0)
+	}
+	if sink[0] != sink[1] {
+		b.Fatal("spin probe is not deterministic")
+	}
+	b.ReportMetric(float64(one.Microseconds())/1e3/float64(b.N), "one-ms")
+	b.ReportMetric(float64(two.Microseconds())/1e3/float64(b.N), "two-ms")
 }
 
 // pointFixture loads the join_stream workload's table in miniature:
@@ -273,7 +363,7 @@ func pointFixture() {
 			ds.Geoms[i] = geom.NewPoint(c.X, c.Y)
 		}
 		var err error
-		if fixPoints, err = benchSource("bench_points", ds); err != nil {
+		if fixPoints, err = benchSource("bench_points", ds, 0); err != nil {
 			panic(err)
 		}
 	})
@@ -315,21 +405,31 @@ func BenchmarkPointSelfJoinGridCount(b *testing.B) {
 	}
 }
 
-func BenchmarkTable2NestedLoop(b *testing.B) {
-	fixtures(b)
-	cfg := sjoin.DefaultConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := sjoin.NestedLoop(fixStars, fixStars, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Table 3: parallel index creation ---
 //
-// Each build runs under the simulator (sim-total-s) at 1, 2 and 4
-// workers, plus a real 2-worker leg (real-total-s) that prices the
-// simulator's error when run with -cpu 2.
+// Each build runs on goroutines at 1, 2 and 4 workers over the 1 500
+// block groups and reports, as means over b.N, its total build time
+// (total-s) and its table-function phase beside it (load-s: the
+// quadtree's tessellation, the R-tree's MBR load), and the index
+// entries it produced.
+
+// benchBuild runs build b.N times and reports its phase times and
+// entries.
+func benchBuild(b *testing.B, build func() (idxbuild.Stats, error)) {
+	var total, load time.Duration
+	var stats idxbuild.Stats
+	for i := 0; i < b.N; i++ {
+		var err error
+		if stats, err = build(); err != nil {
+			b.Fatal(err)
+		}
+		total += stats.Total
+		load += stats.LoadPhase
+	}
+	b.ReportMetric(total.Seconds()/float64(b.N), "total-s")
+	b.ReportMetric(load.Seconds()/float64(b.N), "load-s")
+	b.ReportMetric(float64(stats.Entries), "entries")
+}
 
 func BenchmarkTable3QuadtreeCreate(b *testing.B) {
 	fixtures(b)
@@ -339,65 +439,66 @@ func BenchmarkTable3QuadtreeCreate(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, stats, err := idxbuild.CreateQuadtreeSim(fixBGTab, "geom", grid, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(stats.Total.Seconds(), "sim-total-s")
-			}
+			benchBuild(b, func() (idxbuild.Stats, error) {
+				_, stats, err := idxbuild.CreateQuadtree(fixBGTab, "geom", grid, workers)
+				return stats, err
+			})
 		})
 	}
-	b.Run("workers=2/real", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, stats, err := idxbuild.CreateQuadtree(fixBGTab, "geom", grid, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(stats.Total.Seconds(), "real-total-s")
-		}
-	})
 }
 
 func BenchmarkTable3RtreeCreate(b *testing.B) {
 	fixtures(b)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, stats, err := idxbuild.CreateRtreeSim(fixBGTab, "geom", 0, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(stats.Total.Seconds(), "sim-total-s")
-			}
+			benchBuild(b, func() (idxbuild.Stats, error) {
+				_, stats, err := idxbuild.CreateRtree(fixBGTab, "geom", 0, workers)
+				return stats, err
+			})
 		})
 	}
-	b.Run("workers=2/real", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, stats, err := idxbuild.CreateRtree(fixBGTab, "geom", 0, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(stats.Total.Seconds(), "real-total-s")
-		}
-	})
 }
 
 // --- Figure 1: subtree-pair decomposition ---
 
+// figure1Fixture builds Figure 1's two indexes at fanout 8: a clustered
+// star set joined with a contiguous counties map, which tiles the whole
+// domain, so subtree pairs overlap while some still prune.
+func figure1Fixture(tb testing.TB) (a, b sjoin.Source) {
+	tb.Helper()
+	a, err := benchSource("fig1_a", datagen.Stars(3000, 5), 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if b, err = benchSource("fig1_b", datagen.Counties(751, 6), 8); err != nil {
+		tb.Fatal(err)
+	}
+	return a, b
+}
+
+// BenchmarkFigure1SubtreePairs enumerates the subtree join pairs after
+// a one-level descent of both indexes, and reports the figure's counts:
+// the roots of each index and the pairs scheduled.
 func BenchmarkFigure1SubtreePairs(b *testing.B) {
-	fixtures(b)
+	a, c := figure1Fixture(b)
 	cfg := sjoin.DefaultConfig()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs := sjoin.SubtreePairs(fixStars.Tree, fixStars.Tree, 1, cfg)
+		pairs := sjoin.SubtreePairs(a.Tree, c.Tree, 1, cfg)
 		if len(pairs) == 0 {
 			b.Fatal("no subtree pairs")
 		}
+		b.ReportMetric(float64(len(pairs)), "pairs")
 	}
+	b.ReportMetric(float64(len(a.Tree.SubtreeRoots(1))), "roots-a")
+	b.ReportMetric(float64(len(c.Tree.SubtreeRoots(1))), "roots-b")
 }
 
 // --- Figure 2: the tessellation pipeline ---
 
+// BenchmarkFigure2TessellationPipeline runs the quadtree build of
+// Figure 2 on 4 tessellator instances and reports the tile rows the
+// instances produced and the entries the index B-tree holds.
 func BenchmarkFigure2TessellationPipeline(b *testing.B) {
 	fixtures(b)
 	grid, err := quadtree.NewGrid(fixBGDs.Bounds, 7)
@@ -405,13 +506,15 @@ func BenchmarkFigure2TessellationPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		_, stats, err := idxbuild.CreateQuadtree(fixBGTab, "geom", grid, 4)
+		idx, stats, err := idxbuild.CreateQuadtree(fixBGTab, "geom", grid, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if stats.Entries == 0 {
 			b.Fatal("no tiles")
 		}
+		b.ReportMetric(float64(stats.Entries), "tile-rows")
+		b.ReportMetric(float64(idx.EntryCount()), "index-entries")
 	}
 }
 
@@ -562,8 +665,8 @@ func BenchmarkAblationGeomCache(b *testing.B) {
 
 // Ablation 9: grid tile count — the GridShape default vs coarser and
 // finer uniform grids on the star self-join at 4 workers. Fewer tiles
-// mean less per-entry replication but worse load balance (higher
-// tile-skew); more tiles amortise skew at higher partition cost.
+// mean less per-entry replication but coarser claims; more tiles
+// balance the instances at a higher partition cost.
 func BenchmarkAblationGridTiles(b *testing.B) {
 	fixtures(b)
 	for _, tiles := range []int{0, 16, 64, 256, 1024} {
@@ -574,19 +677,7 @@ func BenchmarkAblationGridTiles(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := sjoin.DefaultConfig()
 			cfg.GridTiles = tiles
-			for i := 0; i < b.N; i++ {
-				res, err := sjoin.Simulate(fixStars, fixStars, cfg, sjoin.AlgoGrid, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				max, mean := res.Skew()
-				b.ReportMetric(res.Elapsed.Seconds(), "sim-makespan-s")
-				b.ReportMetric(float64(len(res.UnitTimes)), "tiles")
-				b.ReportMetric(float64(res.Stats.Candidates), "candidates")
-				if mean > 0 {
-					b.ReportMetric(float64(max)/float64(mean), "skew-ratio")
-				}
-			}
+			benchParallel(b, fixStars, cfg, sjoin.AlgoGrid, 4)
 		})
 	}
 }
@@ -608,14 +699,7 @@ func BenchmarkAblationGridVsSubtree(b *testing.B) {
 	for _, fam := range families {
 		for _, algo := range []sjoin.Algo{sjoin.AlgoGrid, sjoin.AlgoSubtree} {
 			b.Run(fmt.Sprintf("%s/algo=%v", fam.name, algo), func(b *testing.B) {
-				cfg := sjoin.DefaultConfig()
-				for i := 0; i < b.N; i++ {
-					res, err := sjoin.Simulate(fam.src, fam.src, cfg, algo, 4)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(res.Elapsed.Seconds(), "sim-makespan-s")
-				}
+				benchParallel(b, fam.src, sjoin.DefaultConfig(), algo, 4)
 			})
 		}
 	}
@@ -652,20 +736,6 @@ func BenchmarkTessellateComplexPolygon(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := quadtree.Tessellate(grid, g); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// Sanity: the harness runs end-to-end at bench scale; keeps -bench runs
-// honest when benches are filtered.
-func BenchmarkHarnessTable1Tiny(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunTable1(bench.Table1Options{Counties: 64, Seed: 1, Distances: []float64{0}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows[0].ResultSize == 0 {
-			b.Fatal("empty result")
 		}
 	}
 }

@@ -22,7 +22,6 @@ func main() {
 		n     = flag.Int("n", 4000, "number of block-group polygons")
 		level = flag.Int("level", 8, "quadtree tiling level")
 		seed  = flag.Int64("seed", 3, "generator seed")
-		sim   = flag.Bool("simulate", runtime.NumCPU() < 4, "use the multi-processor simulator (auto on small hosts)")
 	)
 	flag.Parse()
 
@@ -36,34 +35,18 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("dataset: %d complex polygons, %d total vertices\n", tab.Len(), ds.TotalVertices())
-	fmt.Printf("timing mode: ")
-	if *sim {
-		fmt.Println("multi-processor simulator (per-partition makespan)")
-	} else {
-		fmt.Printf("wall clock on %d CPUs\n", runtime.NumCPU())
-	}
+	fmt.Printf("timing mode: wall clock on %d CPUs\n", runtime.NumCPU())
 
 	fmt.Printf("\n%-10s %-22s %-22s\n", "workers", "quadtree (tessellate)", "rtree (mbr load)")
 	var q1, r1 float64
 	for _, w := range []int{1, 2, 4} {
-		var qs, rs idxbuild.Stats
-		if *sim {
-			_, q, err := idxbuild.CreateQuadtreeSim(tab, "geom", grid, w)
-			if err != nil {
-				log.Fatal(err)
-			}
-			_, r, err := idxbuild.CreateRtreeSim(tab, "geom", 0, w)
-			if err != nil {
-				log.Fatal(err)
-			}
-			qs, rs = q.Stats, r.Stats
-		} else {
-			if _, qs, err = idxbuild.CreateQuadtree(tab, "geom", grid, w); err != nil {
-				log.Fatal(err)
-			}
-			if _, rs, err = idxbuild.CreateRtree(tab, "geom", 0, w); err != nil {
-				log.Fatal(err)
-			}
+		_, qs, err := idxbuild.CreateQuadtree(tab, "geom", grid, w)
+		if err != nil {
+			log.Fatal(err)
+		}
+		_, rs, err := idxbuild.CreateRtree(tab, "geom", 0, w)
+		if err != nil {
+			log.Fatal(err)
 		}
 		q := qs.Total.Seconds()
 		r := rs.Total.Seconds()

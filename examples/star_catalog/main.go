@@ -76,6 +76,5 @@ func main() {
 		fmt.Printf("%-10d %-10d %-14s %-14s %-14s\n", n, len(ij),
 			nlTime.Round(time.Microsecond), ijTime.Round(time.Microsecond), pjTime.Round(time.Microsecond))
 	}
-	fmt.Println("\n(on single-core hosts the parallel column cannot beat wall-clock;")
-	fmt.Println(" cmd/spatialbench -table 2 uses the multi-processor simulator instead)")
+	fmt.Println("\n(on single-core hosts the parallel column cannot beat wall-clock)")
 }

@@ -108,17 +108,10 @@ func tileRowKey(row storage.Row) ([]byte, error) {
 // with the given degree of parallelism, returning the index and build
 // statistics.
 func CreateQuadtree(tab *storage.Table, column string, grid quadtree.Grid, workers int) (*quadtree.Index, Stats, error) {
-	idx, s, err := createQuadtree(tab, column, grid, workers, false)
-	return idx, s.Stats, err
-}
-
-// createQuadtree is the quadtree build, its tessellation phase run on
-// goroutines or, with sim set, under the simulator.
-func createQuadtree(tab *storage.Table, column string, grid quadtree.Grid, workers int, sim bool) (*quadtree.Index, SimStats, error) {
 	workers = max(workers, 1)
 	col, err := tab.ColumnIndex(column)
 	if err != nil {
-		return nil, SimStats{}, err
+		return nil, Stats{}, err
 	}
 
 	// Step 1 (parallel): tessellate geometries into tiles — the table
@@ -127,7 +120,7 @@ func createQuadtree(tab *storage.Table, column string, grid quadtree.Grid, worke
 		return &tessellateFn{input: input, geomCol: col, grid: grid}, nil
 	}
 	var entries []btree.Entry
-	load, times, err := runPhase(tablefunc.PartitionTable(tab, workers), factory, workers, sim, func(rows []storage.Row) error {
+	load, err := runPhase(tablefunc.PartitionTable(tab, workers), factory, func(rows []storage.Row) error {
 		for _, row := range rows {
 			key, err := tileRowKey(row)
 			if err != nil {
@@ -138,29 +131,19 @@ func createQuadtree(tab *storage.Table, column string, grid quadtree.Grid, worke
 		return nil
 	})
 	if err != nil {
-		return nil, SimStats{}, err
+		return nil, Stats{}, err
 	}
 
-	// Step 2 (parallel): build the B-tree on the tile codes. The
-	// simulator charges it as measured: it is a few percent of the
-	// total, and its chunk sort parallelises for real on multi-core
-	// hosts.
+	// Step 2 (parallel): build the B-tree on the tile codes.
 	t0 := time.Now()
 	idx := quadtree.NewIndexFromEntries(grid, entries, workers)
-	return idx, buildStats(tab, len(entries), workers, load, time.Since(t0), times), nil
+	return idx, buildStats(tab, len(entries), workers, load, time.Since(t0)), nil
 }
 
-// runPhase runs a build's table-function phase, the instances of
-// factory over parts with every fetch's rows handed to sink: on
-// goroutines through tablefunc.Parallel, or with sim set under
-// tablefunc.Simulate. It returns the phase time, wall clock or the
-// simulated makespan, and under the simulator the virtual processors'
-// busy times.
-func runPhase(parts []storage.Cursor, factory tablefunc.Factory, workers int, sim bool, sink func(rows []storage.Row) error) (time.Duration, []time.Duration, error) {
-	if sim {
-		s, err := tablefunc.Simulate(parts, factory, workers, 0, sink)
-		return s.Makespan, s.Loads, err
-	}
+// runPhase runs a build's table-function phase on goroutines through
+// tablefunc.Parallel, the instances of factory over parts with every
+// fetch's rows handed to sink, and returns its wall-clock time.
+func runPhase(parts []storage.Cursor, factory tablefunc.Factory, sink func(rows []storage.Row) error) (time.Duration, error) {
 	t0 := time.Now()
 	out := tablefunc.Parallel(parts, factory, 0)
 	defer out.Close()
@@ -168,29 +151,26 @@ func runPhase(parts []storage.Cursor, factory tablefunc.Factory, workers int, si
 	for {
 		b.Reset()
 		if err := out.NextBatch(&b, 0); err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		if len(b.Rows) == 0 {
-			return time.Since(t0), nil, nil
+			return time.Since(t0), nil
 		}
 		if err := sink(b.Rows); err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 	}
 }
 
 // buildStats assembles a build's statistics from its two phase times.
-func buildStats(tab *storage.Table, entries, workers int, load, build time.Duration, times []time.Duration) SimStats {
-	return SimStats{
-		Stats: Stats{
-			Rows:       tab.Len(),
-			Entries:    entries,
-			Workers:    workers,
-			LoadPhase:  load,
-			BuildPhase: build,
-			Total:      load + build,
-		},
-		InstanceTimes: times,
+func buildStats(tab *storage.Table, entries, workers int, load, build time.Duration) Stats {
+	return Stats{
+		Rows:       tab.Len(),
+		Entries:    entries,
+		Workers:    workers,
+		LoadPhase:  load,
+		BuildPhase: build,
+		Total:      load + build,
 	}
 }
 
@@ -249,17 +229,10 @@ func mbrRowItem(row storage.Row) (rtree.Item, error) {
 // CreateRtree builds an R-tree index on tab's geometry column with the
 // given node fanout (0 = default) and degree of parallelism.
 func CreateRtree(tab *storage.Table, column string, fanout, workers int) (*rtree.Tree, Stats, error) {
-	tree, s, err := createRtree(tab, column, fanout, workers, false)
-	return tree, s.Stats, err
-}
-
-// createRtree is the R-tree build, both its phases run on goroutines
-// or, with sim set, under the simulator.
-func createRtree(tab *storage.Table, column string, fanout, workers int, sim bool) (*rtree.Tree, SimStats, error) {
 	workers = max(workers, 1)
 	col, err := tab.ColumnIndex(column)
 	if err != nil {
-		return nil, SimStats{}, err
+		return nil, Stats{}, err
 	}
 
 	// Step 1 (parallel): load geometries and compute MBRs.
@@ -267,7 +240,7 @@ func createRtree(tab *storage.Table, column string, fanout, workers int, sim boo
 		return &mbrLoadFn{input: input, geomCol: col}, nil
 	}
 	var items []rtree.Item
-	load, times, err := runPhase(tablefunc.PartitionTable(tab, workers), factory, workers, sim, func(rows []storage.Row) error {
+	load, err := runPhase(tablefunc.PartitionTable(tab, workers), factory, func(rows []storage.Row) error {
 		for _, row := range rows {
 			it, err := mbrRowItem(row)
 			if err != nil {
@@ -278,22 +251,11 @@ func createRtree(tab *storage.Table, column string, fanout, workers int, sim boo
 		return nil
 	})
 	if err != nil {
-		return nil, SimStats{}, err
+		return nil, Stats{}, err
 	}
 
-	// Step 2 (parallel): cluster subtrees in parallel and merge. The
-	// simulator charges the clustering at its slowest partition and the
-	// serial upper-level merge in full.
-	var tree *rtree.Tree
-	var build time.Duration
-	if sim {
-		var cluster, merge time.Duration
-		tree, cluster, merge = rtree.ParallelBulkLoadSim(items, fanout, workers)
-		build = cluster + merge
-	} else {
-		t0 := time.Now()
-		tree = rtree.ParallelBulkLoad(items, fanout, workers)
-		build = time.Since(t0)
-	}
-	return tree, buildStats(tab, len(items), workers, load, build, times), nil
+	// Step 2 (parallel): cluster subtrees in parallel and merge.
+	t0 := time.Now()
+	tree := rtree.ParallelBulkLoad(items, fanout, workers)
+	return tree, buildStats(tab, len(items), workers, load, time.Since(t0)), nil
 }

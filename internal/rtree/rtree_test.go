@@ -283,6 +283,23 @@ func TestParallelBulkLoadEquivalence(t *testing.T) {
 	}
 }
 
+// TestParallelBulkLoadSmallInput: an input too small to partition
+// takes the sequential path, and an empty one yields an empty tree.
+func TestParallelBulkLoadSmallInput(t *testing.T) {
+	one := []Item{{MBR: geom.MBR{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, ID: rid(0)}}
+	tiny := ParallelBulkLoad(one, 8, 4)
+	if err := tiny.Validate(); err != nil || tiny.Len() != 1 {
+		t.Fatalf("tiny build: len=%d, validate: %v", tiny.Len(), err)
+	}
+	if got := collectSearch(tiny, one[0].MBR); !got[rid(0)] {
+		t.Fatalf("tiny build does not find its one item")
+	}
+	empty := ParallelBulkLoad(nil, 8, 4)
+	if err := empty.Validate(); err != nil || empty.Len() != 0 {
+		t.Fatalf("empty build: len=%d, validate: %v", empty.Len(), err)
+	}
+}
+
 func TestItemsReturnsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	items := randomItems(rng, 1234, 300)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/geom"
@@ -234,70 +233,5 @@ func TestFetchDrainsFastAcceptsWithoutCandidates(t *testing.T) {
 	}
 	if self := stats.routes[routeSelf].kept; n != 1 || self != 1 || stats.Candidates != 0 {
 		t.Fatalf("lone self-join: %d rows, %d proven by the self route, %d candidates; want 1, 1, 0", n, self, stats.Candidates)
-	}
-}
-
-// TestSimulateMatchesParallel checks the simulator against the
-// goroutine execution of both parallel algorithms: the same pair set,
-// and a schedule that accounts for every unit.
-func TestSimulateMatchesParallel(t *testing.T) {
-	src := buildSource(t, "sim", datagen.Stars(1200, 331))
-	cfg := DefaultConfig()
-	execs := map[Algo]func(workers int) (storage.Cursor, error){
-		AlgoSubtree: func(w int) (storage.Cursor, error) { return ParallelIndexJoin(src, src, cfg, w) },
-		AlgoGrid:    func(w int) (storage.Cursor, error) { return GridParallelJoin(src, src, cfg, w) },
-	}
-	for algo, exec := range execs {
-		for _, w := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%v/workers=%d", algo, w), func(t *testing.T) {
-				cur, err := exec(w)
-				want := sortedPairs(t, cur, err)
-				res, err := Simulate(src, src, cfg, algo, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := sortedPairs(t, PairsCursor(res.Pairs), nil); !pairsEqual(got, want) || len(got) == 0 {
-					t.Fatalf("simulated join %d pairs, goroutine execution %d", len(got), len(want))
-				}
-				if res.Stats.Results != len(want) {
-					t.Errorf("Stats.Results = %d, want %d", res.Stats.Results, len(want))
-				}
-				if len(res.InstanceTimes) != w {
-					t.Fatalf("%d instance times, want %d", len(res.InstanceTimes), w)
-				}
-				var busy, units, longest time.Duration
-				for _, d := range res.InstanceTimes {
-					busy += d
-					longest = max(longest, d)
-				}
-				for _, d := range res.UnitTimes {
-					units += d
-				}
-				if res.Elapsed != longest {
-					t.Errorf("Elapsed %v != max instance time %v", res.Elapsed, longest)
-				}
-				if busy != units {
-					t.Errorf("instances busy %v, units cost %v", busy, units)
-				}
-				maxUnit, mean := res.Skew()
-				if mean > maxUnit || maxUnit > res.Elapsed {
-					t.Errorf("unit skew max %v mean %v under makespan %v", maxUnit, mean, res.Elapsed)
-				}
-				switch algo {
-				case AlgoGrid:
-					if res.Stats.TilesSwept != len(res.UnitTimes) || res.Grid.Tiles() < len(res.UnitTimes) {
-						t.Errorf("%d tiles swept, %d unit times, %d-tile grid", res.Stats.TilesSwept, len(res.UnitTimes), res.Grid.Tiles())
-					}
-				case AlgoSubtree:
-					// A unit is one subtree pair of the claim queue.
-					if n := len(SubtreePairsForWorkers(src.Tree, src.Tree, w, cfg)); len(res.UnitTimes) != n {
-						t.Errorf("%d unit times, %d subtree pairs", len(res.UnitTimes), n)
-					}
-				}
-			})
-		}
-	}
-	if _, err := Simulate(src, src, cfg, AlgoNested, 2); err == nil {
-		t.Errorf("simulating the serial nested loop: want error")
 	}
 }

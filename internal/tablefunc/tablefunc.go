@@ -209,8 +209,7 @@ func Parallel(partitions []storage.Cursor, factory Factory, batch int) storage.C
 // runInstance drives instance i over its partition: start, then fetch
 // into next's batches, handing each non-empty one to put, until the
 // instance is exhausted or put returns false. The instance is closed on
-// every path. Parallel runs it on one goroutine per partition, Simulate
-// on the caller's, one partition after another.
+// every path. Parallel runs it on one goroutine per partition.
 func runInstance(i int, part storage.Cursor, factory Factory, batch int, next func() *storage.Batch, put func(*storage.Batch) bool) error {
 	fn, err := factory(i, part)
 	if err != nil {
