@@ -71,8 +71,15 @@ race:
 # id, SELECT * and count(*), scoped and not, through an R-tree and a
 # quadtree), count(*) over every join plan beside a concurrent deleter
 # (TestJoinCountBesideDeleter: nested, subtree and grid on 1, 2 and 4
-# instances, scoped and not, counted inside the join), the router's
-# remote instances, which decode shard rows straight into the batches
+# instances, scoped and not, counted inside the join), the keyed join
+# projection beside a concurrent deleter (TestKeyedJoinBesideDeleter:
+# its key fetches skip a deleted row through storage's one read by
+# rowid), the heap under concurrent readers and the table cursor, which
+# takes the heap lock once per page and releases it between pages,
+# beside concurrent inserts (TestHeapConcurrentReaders,
+# TestCursorSeesConcurrentInserts), windows, nearest-neighbour queries
+# and DML on one indexed table at once (TestConcurrentQueriesAndDML),
+# the router's remote instances, which decode shard rows straight into the batches
 # circulating between them and the gather consumer (TestScatterMergeRace:
 # concurrent scatter/merge streams; TestShardLossAfterFirstBatch: a shard
 # killed after its whole answer came with its query reply, so its rows
@@ -80,7 +87,9 @@ race:
 # so races there fail fast before the full -race sweep.
 race-hot:
 	$(GO) test -race -run 'TestConcurrent|TestSnapshot' .
-	$(GO) test -race -run 'TestWindowBesideDeleter|TestJoinCountBesideDeleter' ./internal/sqlmini
+	$(GO) test -race -run 'TestWindowBesideDeleter|TestJoinCountBesideDeleter|TestKeyedJoinBesideDeleter' ./internal/sqlmini
+	$(GO) test -race -run 'TestHeapConcurrentReaders|TestCursorSeesConcurrentInserts' ./internal/storage
+	$(GO) test -race -run 'TestConcurrentQueriesAndDML' ./internal/extidx
 	$(GO) test -race -run 'TestCheckpointUnderLoad' ./internal/pager
 	$(GO) test -race -run 'TestGridJoinRace' ./internal/sjoin
 	$(GO) test -race -run 'TestScatterMergeRace|TestShardLossAfterFirstBatch' ./internal/cluster

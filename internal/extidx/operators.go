@@ -80,7 +80,7 @@ func Nearest(idx SpatialIndex, tab *storage.Table, column string, q geom.Geometr
 				return false
 			}
 		}
-		live, err := fetchColumns(tab, it.ID, cols[:], g[:])
+		live, err := tab.FetchColumns(it.ID, cols[:], g[:])
 		if err != nil {
 			iterErr = err
 			return false

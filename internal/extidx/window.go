@@ -1,7 +1,6 @@
 package extidx
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -133,7 +132,7 @@ func (r *Rows) Fetch(c Candidate, row storage.Row) (bool, error) {
 	if n == 0 {
 		return true, nil
 	}
-	ok, err := fetchColumns(r.tab, c.ID, r.cols[:n], row[:n])
+	ok, err := r.tab.FetchColumns(c.ID, r.cols[:n], row[:n])
 	if ok && r.opos >= 0 {
 		ok = r.route.Owns(geom.MBROf(row[r.opos].G))
 	}
@@ -162,21 +161,4 @@ func (r *Rows) IDs(cands []Candidate) ([]storage.RowID, error) {
 		}
 	}
 	return out, nil
-}
-
-// fetchColumns is the fetch primitive of every operator: columns cols
-// of the row at id, from one read of it. The index is read without a
-// snapshot, so the row may have been deleted since the index surfaced
-// it: live is then false and the row is simply not in the result —
-// read committed per fetch, like a heap scan — instead of failing the
-// statement.
-func fetchColumns(tab *storage.Table, id storage.RowID, cols []int, dst storage.Row) (live bool, err error) {
-	err = tab.FetchColumns(id, cols, dst)
-	if errors.Is(err, storage.ErrRowDeleted) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("extidx: fetch %v: %w", id, err)
-	}
-	return true, nil
 }

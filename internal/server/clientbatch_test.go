@@ -29,7 +29,16 @@ func (c *listCursor) Next() (storage.RowID, storage.Row, bool, error) {
 }
 
 func (c *listCursor) NextBatch(b *storage.Batch, max int) error {
-	return storage.BatchFromNext(c.Next, b, max)
+	if max <= 0 {
+		max = storage.DefaultBatch
+	}
+	n := min(max, len(c.rows)-c.pos)
+	b.Rows = append(b.Rows, c.rows[c.pos:c.pos+n]...)
+	c.pos += n
+	if n < max {
+		return c.err
+	}
+	return nil
 }
 
 func (c *listCursor) Close() error { return nil }
@@ -86,10 +95,9 @@ func renderRows(rows []storage.Row) []string {
 
 // TestClientDrainsAgree is the client's batch-ownership differential:
 // one stream drained through Fetch at max 1, 7, 256 and 0 (rows read
-// before the next call, as the contract allows), through FetchInto into
-// a reused batch and into one that keeps every row, and through Next
-// (rows kept to the end) yields the same rows and the same deferred
-// error. Max 1 and 7 split the first batch, which arrives with the
+// before the next call, as the contract allows) and through FetchInto
+// into a reused batch and into one that keeps every row to the end
+// yields the same rows and the same deferred error. Max 1 and 7 split the first batch, which arrives with the
 // query reply; 600 rows span three server batches, and the error after
 // 256 answers the first fetch after the reply.
 func TestClientDrainsAgree(t *testing.T) {
@@ -142,16 +150,6 @@ func TestClientDrainsAgree(t *testing.T) {
 			}})
 		}
 	}
-	drains = append(drains, drain{"Next", func(cur *wire.Cursor) ([]string, error) {
-		var kept []storage.Row
-		for {
-			row, ok, err := cur.Next()
-			if err != nil || !ok {
-				return renderRows(kept), err
-			}
-			kept = append(kept, row)
-		}
-	}})
 
 	for _, c := range []struct {
 		name string

@@ -128,20 +128,20 @@ func TestServerEndToEnd(t *testing.T) {
 					return
 				}
 				names := 0
-				for {
-					row, ok, err := res.Cursor.Next()
+				for done := false; !done; {
+					var rows []storage.Row
+					rows, done, err = res.Cursor.Fetch(0)
 					if err != nil {
-						errs <- fmt.Errorf("client %d relate next: %w", i, err)
+						errs <- fmt.Errorf("client %d relate fetch: %w", i, err)
 						return
 					}
-					if !ok {
-						break
+					for _, row := range rows {
+						if row[0].S == "" {
+							errs <- fmt.Errorf("client %d: empty name", i)
+							return
+						}
+						names++
 					}
-					if row[0].S == "" {
-						errs <- fmt.Errorf("client %d: empty name", i)
-						return
-					}
-					names++
 				}
 				if names == 0 {
 					errs <- fmt.Errorf("client %d: world window matched nothing", i)
@@ -666,7 +666,17 @@ func (c *errAfterCursor) Next() (storage.RowID, storage.Row, bool, error) {
 }
 
 func (c *errAfterCursor) NextBatch(b *storage.Batch, max int) error {
-	return storage.BatchFromNext(c.Next, b, max)
+	if max <= 0 {
+		max = storage.DefaultBatch
+	}
+	for range max {
+		_, row, _, err := c.Next()
+		if err != nil {
+			return err
+		}
+		b.Rows = append(b.Rows, row)
+	}
+	return nil
 }
 
 func (c *errAfterCursor) Close() error { return nil }

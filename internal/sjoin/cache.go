@@ -236,19 +236,20 @@ func (c Config) resolveCache() *GeomCache {
 
 // cachedFetch fetches the geometry column col of (tab, id) through
 // cache (which may be nil). hit reports whether the base-table fetch
-// was avoided.
-func cachedFetch(cache *GeomCache, tab *storage.Table, col int, id storage.RowID) (g geom.Geometry, hit bool, err error) {
+// was avoided; live is false for a row deleted since its index entry
+// was read (Table.FetchColumns), which is then no candidate's side.
+func cachedFetch(cache *GeomCache, tab *storage.Table, col int, id storage.RowID) (g geom.Geometry, hit, live bool, err error) {
 	if cache != nil {
 		if g, ok := cache.Get(tab, col, id); ok {
-			return g, true, nil
+			return g, true, true, nil
 		}
 	}
-	v, err := tab.FetchColumn(id, col)
-	if err != nil {
-		return geom.Geometry{}, false, err
+	cols, v := [1]int{col}, [1]storage.Value{}
+	if live, err = tab.FetchColumns(id, cols[:], v[:]); !live || err != nil {
+		return geom.Geometry{}, false, false, err
 	}
 	if cache != nil {
-		cache.Put(tab, col, id, v.G)
+		cache.Put(tab, col, id, v[0].G)
 	}
-	return v.G, false, nil
+	return v[0].G, false, true, nil
 }

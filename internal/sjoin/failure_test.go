@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/geom"
@@ -249,5 +250,54 @@ func TestJoinFunctionLifecycleReuse(t *testing.T) {
 	}
 	if n1 == 0 || n1 != n2 {
 		t.Fatalf("re-run mismatch: %d vs %d", n1, n2)
+	}
+}
+
+// TestNestedSelfJoinBesideDeleterEnds runs the nested-loop self-join
+// while another goroutine deletes rows. The outer table's read must not
+// hold the heap lock across the inner fetches: a writer queued between
+// the two read locks of one heap would deadlock them. Each run ends,
+// with its pairs or with the fetch error of an index entry whose row
+// is gone (the source's index has no DML hook).
+func TestNestedSelfJoinBesideDeleterEnds(t *testing.T) {
+	src := buildSource(t, "nl_deleter", datagen.Stars(400, 313))
+	var ids []storage.RowID
+	if err := src.Table.Scan(func(id storage.RowID, _ storage.Row) bool {
+		ids = append(ids, id)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.GeomCacheBytes = -1
+	deleted := make(chan struct{})
+	go func() {
+		defer close(deleted)
+		for _, id := range ids {
+			if err := src.Table.Delete(id); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		for {
+			// Its pairs and its error are both allowed: the test is
+			// that it returns.
+			_, _ = NestedLoop(src, src, cfg)
+			select {
+			case <-deleted:
+				return
+			default:
+			}
+		}
+	}()
+	select {
+	case <-ended:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the nested-loop self-join hung beside a deleter")
 	}
 }

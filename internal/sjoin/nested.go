@@ -42,7 +42,20 @@ func NestedLoopStats(a, b Source, cfg Config) ([]Pair, JoinStats, error) {
 	cache := cfg.resolveCache()
 	var pairs []Pair
 	var probeErr error
-	scanErr := a.Table.Scan(func(idA storage.RowID, row storage.Row) bool {
+	// The outer table is read through a cursor, which holds its heap's
+	// lock only while it reads a page: a scan holding it across the
+	// probes would take it again for a self-join's inner fetch, and a
+	// writer queued between the two would deadlock them.
+	cur := storage.NewCursor(a.Table)
+	defer cur.Close()
+	for probeErr == nil {
+		idA, row, ok, err := cur.Next()
+		if err != nil {
+			return nil, stats, err
+		}
+		if !ok {
+			break
+		}
 		gA := row[colA].G
 		mA := geom.MBROf(gA)
 		probe := func(it rtree.Item) bool {
@@ -50,9 +63,15 @@ func NestedLoopStats(a, b Source, cfg Config) ([]Pair, JoinStats, error) {
 				return true // another shard reports this pair
 			}
 			stats.Candidates++
-			gB, hit, err := cachedFetch(cache, b.Table, colB, it.ID)
+			gB, hit, live, err := cachedFetch(cache, b.Table, colB, it.ID)
 			if err != nil {
 				probeErr = fmt.Errorf("sjoin: nested loop fetch %v: %w", it.ID, err)
+				return false
+			}
+			if !live {
+				// The oracle reads a quiet table: an index entry whose
+				// row is gone is a fault, not a concurrent delete.
+				probeErr = fmt.Errorf("sjoin: nested loop fetch %v: the index names a deleted row", it.ID)
 				return false
 			}
 			if hit {
@@ -74,10 +93,6 @@ func NestedLoopStats(a, b Source, cfg Config) ([]Pair, JoinStats, error) {
 		} else {
 			stats.NodeAccesses += b.Tree.SearchCounted(mA, probe)
 		}
-		return probeErr == nil
-	})
-	if scanErr != nil {
-		return nil, stats, scanErr
 	}
 	if probeErr != nil {
 		return nil, stats, probeErr

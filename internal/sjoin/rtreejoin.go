@@ -1,7 +1,6 @@
 package sjoin
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -603,15 +602,15 @@ func (j *JoinFunction) fetchGeom(tab *storage.Table, col int, id storage.RowID) 
 			t0 = time.Now()
 		}
 	}
-	g, hit, err := cachedFetch(j.cache, tab, col, id)
+	g, hit, live, err := cachedFetch(j.cache, tab, col, id)
 	if sampled {
 		j.gfNanos += int64(time.Since(t0)) * (geomSampleMask + 1)
 	}
-	if errors.Is(err, storage.ErrRowDeleted) {
-		return geom.Geometry{}, false, nil
-	}
 	if err != nil {
 		return geom.Geometry{}, false, fmt.Errorf("sjoin: fetch %v from %q: %w", id, tab.Name(), err)
+	}
+	if !live {
+		return geom.Geometry{}, false, nil
 	}
 	if hit {
 		j.stats.CacheHits++

@@ -227,19 +227,17 @@ type joinKeys struct {
 }
 
 // appendKey fetches the key value of one pair side and appends its
-// display string to dst.
-func (k *joinKeys) appendKey(dst []byte, p spatialtf.Pair, col string) ([]byte, error) {
-	var v spatialtf.Value
-	var err error
-	if col == "key1" {
-		v, err = k.tabA.Inner().FetchColumn(p.A, k.colA)
-	} else {
-		v, err = k.tabB.Inner().FetchColumn(p.B, k.colB)
+// display string to dst. live is false, and dst as it was, when the
+// side's row was deleted since the join met its index entry.
+func (k *joinKeys) appendKey(dst []byte, p spatialtf.Pair, col string) (out []byte, live bool, err error) {
+	tab, id, cols, v := k.tabA, p.A, [1]int{k.colA}, [1]storage.Value{}
+	if col != "key1" {
+		tab, id, cols[0] = k.tabB, p.B, k.colB
 	}
-	if err != nil {
-		return dst, err
+	if live, err = tab.Inner().FetchColumns(id, cols[:], v[:]); !live || err != nil {
+		return dst, false, err
 	}
-	return v.AppendString(dst), nil
+	return v[0].AppendString(dst), true, nil
 }
 
 // joinProjection validates the projected columns of a spatial_join
@@ -281,9 +279,9 @@ func (e *Engine) joinProjection(s Select, call *SpatialJoinCall) ([]string, *joi
 }
 
 // projectCursor narrows the rows of a heap scan to the projected
-// columns, a fetch batch at a time. The scan decodes every row into an
-// allocation of its own (see storage.Batch), so a row is narrowed where
-// it lies: no second batch, no copy of the values that stay.
+// columns, a fetch batch at a time. The scan decodes every row into
+// slots of its own (see storage.Batch), so a row is narrowed where it
+// lies: no second batch, no copy of the values that stay.
 type projectCursor struct {
 	src  storage.Cursor
 	cols []int
@@ -418,14 +416,14 @@ pair:
 		for _, col := range c.cols {
 			switch {
 			case c.keys != nil:
+				var live bool
 				var kerr error
-				text, kerr = c.keys.appendKey(text, p, col)
-				if errors.Is(kerr, storage.ErrRowDeleted) {
+				if text, live, kerr = c.keys.appendKey(text, p, col); kerr != nil {
+					return kerr
+				}
+				if !live {
 					text, ends = text[:mark], ends[:cells]
 					continue pair
-				}
-				if kerr != nil {
-					return kerr
 				}
 			case col == "rid1":
 				text = p.A.AppendString(text)

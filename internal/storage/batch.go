@@ -21,12 +21,12 @@ const DefaultBatch = 256
 //
 // A producer fills the caller's batch: it carves rows out of the slab
 // with Extend, or passes the batch on to its own source, or appends
-// rows that are allocations of their own and never reused (a decoded
-// heap row). It never appends rows that live in another batch's slab —
-// those are moved with AppendCopy — and never touches a batch after
-// returning it. Values are self-contained (strings, raw payloads and
-// geometries are not rewritten once built), so copying a Value copies
-// the row.
+// rows of its own that it never reuses (a heap scan's rows, carved from
+// a fresh slab per page). It never appends rows that live in another
+// batch's slab — those are moved with AppendCopy — and never touches a
+// batch after returning it. Values are self-contained (strings, raw
+// payloads and geometries are not rewritten once built), so copying a
+// Value copies the row.
 type Batch struct {
 	// Rows are the batch's rows, in production order.
 	Rows []Row
@@ -111,23 +111,6 @@ func (it *RowIter) Next(src BatchSource) (RowID, Row, bool, error) {
 	row := it.rows[it.pos]
 	it.pos++
 	return InvalidRowID, row, true, nil
-}
-
-// BatchFromNext implements NextBatch for a cursor that produces rows
-// natively one at a time (a heap scan, a slice): it appends up to max
-// rows from next to b.
-func BatchFromNext(next func() (RowID, Row, bool, error), b *Batch, max int) error {
-	if max <= 0 {
-		max = DefaultBatch
-	}
-	for n := 0; n < max; n++ {
-		_, row, ok, err := next()
-		if err != nil || !ok {
-			return err
-		}
-		b.Rows = append(b.Rows, row)
-	}
-	return nil
 }
 
 // FilterBatch implements NextBatch for a cursor that keeps some of its

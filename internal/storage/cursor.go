@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"fmt"
-
-	"spatialtf/internal/pager"
-)
+import "fmt"
 
 // Cursor is the pull-based row stream consumed by table functions: the
 // Go rendering of the ref-cursor arguments in the paper's SQL examples.
@@ -28,16 +24,20 @@ type Cursor interface {
 	Close() error
 }
 
-// tableCursor iterates a table (or a page range of it) without holding
-// the heap lock between Next calls, so writers and other readers can
-// interleave. It observes rows inserted behind its position, matching
-// the read-committed-per-fetch behaviour of an Oracle cursor without a
-// serializable snapshot — adequate for the read-only workloads here.
+// tableCursor iterates a table (or a page range of it) a page at a
+// time: it takes the heap's read lock once per page, decodes that
+// page's live rows straight from the pinned page through the heap's
+// page walk (visitPage), and releases the lock before handing them out,
+// so writers and other readers interleave between pages. Next and
+// NextBatch are served from that one buffer.
 //
 // The cursor tracks its position as an index into the heap's page list,
 // which is append-only, so the position survives lock releases even as
-// the table grows. Each Next pins the current page, copies one row out,
-// and unpins before decoding.
+// the table grows, and a slot on that page: a page it has read is read
+// again from that slot before the cursor moves on, so it observes rows
+// inserted behind its position, matching the read-committed-per-fetch
+// behaviour of an Oracle cursor without a serializable snapshot —
+// adequate for the read-only workloads here.
 type tableCursor struct {
 	t        *Table
 	pageIdx  int
@@ -45,6 +45,22 @@ type tableCursor struct {
 	fromPage uint32
 	toPage   uint32 // exclusive; 0 means "end of table at each step"
 	closed   bool
+
+	// rows are the rows of the last page read and ents their rowids
+	// (and their images while the page is pinned), pos the first not
+	// yet handed out. The rows of a page are carved from one fresh
+	// slab, each a full-capacity slice of its own, so a row handed out
+	// stays valid after the buffer moves on.
+	ents []pageRow
+	rows []Row
+	pos  int
+}
+
+// pageRow is one live row a page walk met: its rowid, and its image on
+// the pinned page until the walk's page is unpinned.
+type pageRow struct {
+	id  RowID
+	img []byte
 }
 
 // NewCursor returns a cursor over all rows of t in storage order.
@@ -58,89 +74,107 @@ func NewRangeCursor(t *Table, fromPage, toPage uint32) Cursor {
 	return &tableCursor{t: t, fromPage: fromPage, toPage: toPage}
 }
 
-// Next advances to the next live row.
+// Next returns the next live row with its rowid.
 func (c *tableCursor) Next() (RowID, Row, bool, error) {
-	if c.closed {
-		return InvalidRowID, nil, false, fmt.Errorf("storage: cursor on %q used after Close", c.t.name)
+	if c.pos == len(c.rows) {
+		if err := c.fill(); err != nil || len(c.rows) == 0 {
+			return InvalidRowID, nil, false, err
+		}
 	}
-	h := c.t.heap
-	for {
-		h.mu.RLock()
-		if c.pageIdx >= len(h.pages) {
-			h.mu.RUnlock()
-			return InvalidRowID, nil, false, nil
-		}
-		pid := h.pages[c.pageIdx]
-		if pid < c.fromPage {
-			h.mu.RUnlock()
-			c.pageIdx++
-			c.slot = 0
-			continue
-		}
-		if c.toPage != 0 && pid >= c.toPage {
-			h.mu.RUnlock()
-			return InvalidRowID, nil, false, nil
-		}
-		f, err := h.space.Pin(pid)
-		if err != nil {
-			h.mu.RUnlock()
-			return InvalidRowID, nil, false, fmt.Errorf("cursor on %q: %w", c.t.name, err)
-		}
-		var img []byte
-		id := InvalidRowID
-		switch f.Kind() {
-		case pager.KindSlotted:
-			p := page{buf: f.Data()}
-			n := p.slotCount()
-			for c.slot < n && img == nil {
-				slot := c.slot
-				c.slot++
-				if p.slotLen(slot) == tombstoneLen {
-					continue
-				}
-				off := p.slotOffset(slot)
-				img = make([]byte, p.slotLen(slot))
-				copy(img, p.buf[off:])
-				id = RowID{Page: pid, Slot: uint16(slot)}
-			}
-		case pager.KindJumboHead:
-			if c.slot == 0 {
-				c.slot++
-				row, jerr := h.fetchJumbo(nil, f)
-				if jerr != nil && jerr != ErrRowDeleted {
-					f.Unpin()
-					h.mu.RUnlock()
-					return InvalidRowID, nil, false, fmt.Errorf("cursor on %q: %w", c.t.name, jerr)
-				}
-				if jerr == nil {
-					img = row
-					id = RowID{Page: pid, Slot: 0}
-				}
-			}
-		}
-		f.Unpin()
-		h.mu.RUnlock()
-		if img == nil {
-			c.pageIdx++
-			c.slot = 0
-			continue
-		}
-		row, err := DecodeRow(c.t.schema, img)
-		if err != nil {
-			return InvalidRowID, nil, false, fmt.Errorf("cursor on %q: %w", c.t.name, err)
-		}
-		return id, row, true, nil
-	}
+	i := c.pos
+	c.pos++
+	return c.ents[i].id, c.rows[i], true, nil
 }
 
-// NextBatch implements Cursor: a heap scan decodes one row per step.
+// NextBatch implements Cursor: it hands on up to max buffered rows,
+// reading pages until it has them or the range ends.
 func (c *tableCursor) NextBatch(b *Batch, max int) error {
-	return BatchFromNext(c.Next, b, max)
+	if max <= 0 {
+		max = DefaultBatch
+	}
+	for n := 0; n < max; {
+		if c.pos == len(c.rows) {
+			if err := c.fill(); err != nil || len(c.rows) == 0 {
+				return err
+			}
+		}
+		k := min(max-n, len(c.rows)-c.pos)
+		b.Rows = append(b.Rows, c.rows[c.pos:c.pos+k]...)
+		c.pos += k
+		n += k
+	}
+	return nil
 }
 
-// Close marks the cursor unusable.
+// fill refills the empty buffer from the next page with rows the cursor
+// has not read; it leaves the buffer empty at the end of the range.
+func (c *tableCursor) fill() error {
+	if c.closed {
+		return fmt.Errorf("storage: cursor on %q used after Close", c.t.name)
+	}
+	c.rows, c.pos = c.rows[:0], 0
+	for len(c.rows) == 0 {
+		more, err := c.readPage()
+		if err != nil || !more {
+			return err
+		}
+	}
+	return nil
+}
+
+// readPage reads the live rows of the cursor's page from its slot on
+// into the buffer, under one hold of the heap's read lock, and moves
+// to the next page when there were none. more is false at the end of
+// the range.
+func (c *tableCursor) readPage() (more bool, err error) {
+	h := c.t.heap
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	for c.pageIdx < len(h.pages) && h.pages[c.pageIdx] < c.fromPage {
+		c.pageIdx++
+	}
+	if c.pageIdx >= len(h.pages) {
+		return false, nil
+	}
+	pid := h.pages[c.pageIdx]
+	if c.toPage != 0 && pid >= c.toPage {
+		return false, nil
+	}
+	f, err := h.space.Pin(pid)
+	if err != nil {
+		return false, fmt.Errorf("cursor on %q: %w", c.t.name, err)
+	}
+	defer f.Unpin()
+	c.ents = c.ents[:0]
+	next, err := h.visitPage(f, c.slot, func(id RowID, img []byte) bool {
+		c.ents = append(c.ents, pageRow{id: id, img: img})
+		return true
+	})
+	if err != nil {
+		return false, fmt.Errorf("cursor on %q: %w", c.t.name, err)
+	}
+	w := len(c.t.schema)
+	vals := make([]Value, len(c.ents)*w)
+	for i, e := range c.ents {
+		row := Row(vals[i*w : (i+1)*w : (i+1)*w])
+		if err := DecodeRowInto(row, c.t.schema, e.img, ""); err != nil {
+			return false, fmt.Errorf("cursor on %q at %v: %w", c.t.name, e.id, err)
+		}
+		c.rows = append(c.rows, row)
+	}
+	if len(c.rows) == 0 {
+		c.pageIdx++
+		c.slot = 0
+	} else {
+		c.slot = next
+	}
+	return true, nil
+}
+
+// Close marks the cursor unusable and drops its buffer.
 func (c *tableCursor) Close() error {
 	c.closed = true
+	c.ents, c.rows, c.pos = nil, nil, 0
 	return nil
 }
 

@@ -91,7 +91,7 @@ func OpenHeap(space pager.Space) (*Heap, error) {
 			h.lastPage = id
 			lastFree = p.freeSpace()
 		case pager.KindJumboHead:
-			if binary.LittleEndian.Uint32(f.Data()) != jumboTombstone {
+			if jumboLive(f.Data()) {
 				h.rowCount++
 			}
 		}
@@ -286,14 +286,17 @@ func (h *Heap) appendJumboPage(kind uint16, next, total uint32, chunk []byte) (u
 	return id, nil
 }
 
-// fetchJumbo assembles a jumbo row from its pinned head frame,
-// appending to dst.
+// jumboLive is the jumbo-head tombstone test: whether the head page
+// payload d still holds its row.
+func jumboLive(d []byte) bool {
+	return binary.LittleEndian.Uint32(d) != jumboTombstone
+}
+
+// fetchJumbo assembles the row of a live jumbo head frame, appending
+// to dst.
 func (h *Heap) fetchJumbo(dst []byte, f *pager.Frame) ([]byte, error) {
 	d := f.Data()
 	total := binary.LittleEndian.Uint32(d)
-	if total == jumboTombstone {
-		return nil, ErrRowDeleted
-	}
 	if int(total) > maxJumboLen {
 		return nil, fmt.Errorf("storage: jumbo row of %d bytes exceeds cap %d", total, maxJumboLen)
 	}
@@ -325,77 +328,47 @@ func (h *Heap) fetchJumbo(dst []byte, f *pager.Frame) ([]byte, error) {
 	return out, nil
 }
 
-// Fetch returns a copy of the row at id.
-func (h *Heap) Fetch(id RowID) ([]byte, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.fetchLocked(nil, id)
-}
-
-// FetchInto reads the row at id, appending to dst to avoid a fresh
-// allocation per fetch on hot paths (the join secondary filter fetches
-// millions of rows).
-func (h *Heap) FetchInto(dst []byte, id RowID) ([]byte, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.fetchLocked(dst, id)
-}
-
-func (h *Heap) fetchLocked(dst []byte, id RowID) ([]byte, error) {
-	f, err := h.space.Pin(id.Page)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRowID, id)
-	}
-	defer f.Unpin()
-	img, err := h.rowImage(dst, f, id)
-	if err != nil || f.Kind() != pager.KindSlotted {
-		return img, err
-	}
-	return append(dst[:0], img...), nil
-}
-
-// view calls fn with the image of the row at id under the heap's read
-// lock: a slotted row's image is the pinned page's own bytes, not a
-// copy, and a jumbo row is assembled first. fn must not retain the
-// image; its error is returned as it is.
-func (h *Heap) view(id RowID, fn func(img []byte) error) error {
+// view is the heap's one read by rowid: it calls fn with the image of
+// the row at id under the heap's read lock. A slotted row's image is
+// the pinned page's own bytes, not a copy, and a jumbo row is assembled
+// first; fn must not retain it. A row deleted since its rowid was
+// resolved, slotted or jumbo, is settled here and only here: view
+// reports it not live, with a nil error, and never calls fn. A rowid
+// that names no row fails with ErrBadRowID; fn's error is returned as
+// it is. The caller names the rowid in the error.
+func (h *Heap) view(id RowID, fn func(img []byte) error) (live bool, err error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	f, err := h.space.Pin(id.Page)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRowID, id)
+		return false, ErrBadRowID
 	}
 	defer f.Unpin()
-	img, err := h.rowImage(nil, f, id)
-	if err != nil {
-		return err
-	}
-	return fn(img)
-}
-
-// rowImage returns the image of the row at id on its pinned page f:
-// the page's own bytes for a slotted row, or a jumbo row assembled onto
-// dst.
-func (h *Heap) rowImage(dst []byte, f *pager.Frame, id RowID) ([]byte, error) {
+	var img []byte
 	switch f.Kind() {
 	case pager.KindSlotted:
 		p := page{buf: f.Data()}
-		row, err := p.fetch(int(id.Slot))
-		if err != nil {
-			return nil, fmt.Errorf("fetch %v: %w", id, err)
+		if img, err = p.fetch(int(id.Slot)); errors.Is(err, ErrRowDeleted) {
+			return false, nil
 		}
-		return row, nil
 	case pager.KindJumboHead:
 		if id.Slot != 0 {
-			return nil, fmt.Errorf("fetch %v: %w", id, ErrBadRowID)
+			return false, ErrBadRowID
 		}
-		out, err := h.fetchJumbo(dst, f)
-		if err != nil {
-			return nil, fmt.Errorf("fetch %v: %w", id, err)
+		if !jumboLive(f.Data()) {
+			return false, nil
 		}
-		return out, nil
+		img, err = h.fetchJumbo(nil, f)
+	default:
+		return false, ErrBadRowID
 	}
-	return nil, fmt.Errorf("%w: %v", ErrBadRowID, id)
+	if err != nil {
+		return false, err
+	}
+	if err := fn(img); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // Delete tombstones the row at id. The rowid is never reused; when a
@@ -435,7 +408,7 @@ func (h *Heap) Delete(id RowID) error {
 		if id.Slot != 0 {
 			return fmt.Errorf("%w: %v", ErrBadRowID, id)
 		}
-		if binary.LittleEndian.Uint32(d) == jumboTombstone {
+		if !jumboLive(d) {
 			return fmt.Errorf("delete %v: %w", id, ErrRowDeleted)
 		}
 		tx := h.space.Begin()
@@ -484,19 +457,18 @@ func (h *Heap) PageSpan() (lo, hi uint32) {
 // Scan calls fn for every live row in storage order until fn returns
 // false. The row slice passed to fn aliases the pinned page and must
 // not be retained. Scan holds a shared lock for its duration; writers
-// block until it finishes.
-func (h *Heap) Scan(fn func(id RowID, row []byte) bool) {
+// block until it finishes. A page that cannot be read ends the scan
+// with its error.
+func (h *Heap) Scan(fn func(id RowID, row []byte) bool) error {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	h.scanLocked(0, ^uint32(0), fn)
+	return h.scanLocked(fn)
 }
 
 // ScanImages hands begin the live-row count and then fn every live row,
 // all under one shared lock, so the count and the rows cannot disagree
-// whatever DML is queued behind the scan. The first error from begin or
-// fn ends the scan and is returned. Like Scan, a page that cannot be
-// pinned ends the scan early: a caller that needs every row compares
-// what it saw with the count.
+// whatever DML is queued behind the scan. The first error from begin,
+// fn or the scan ends it and is returned.
 func (h *Heap) ScanImages(begin func(live int) error, fn func(row []byte) error) error {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -504,63 +476,59 @@ func (h *Heap) ScanImages(begin func(live int) error, fn func(row []byte) error)
 	if err != nil {
 		return err
 	}
-	h.scanLocked(0, ^uint32(0), func(_ RowID, row []byte) bool {
+	if serr := h.scanLocked(func(_ RowID, row []byte) bool {
 		err = fn(row)
 		return err == nil
-	})
+	}); serr != nil {
+		return serr
+	}
 	return err
 }
 
-// ScanRange behaves like Scan restricted to pages in [fromPage, toPage).
-// Parallel table functions use it to partition a full scan into
-// contiguous page ranges. A jumbo row belongs to the range holding its
-// head page.
-func (h *Heap) ScanRange(fromPage, toPage uint32, fn func(id RowID, row []byte) bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	h.scanLocked(fromPage, toPage, fn)
-}
-
-func (h *Heap) scanLocked(fromPage, toPage uint32, fn func(id RowID, row []byte) bool) {
-	var jumbo []byte
+// scanLocked walks every page in storage order through visitPage until
+// fn returns false. The caller holds the heap's read lock.
+func (h *Heap) scanLocked(fn func(id RowID, row []byte) bool) error {
 	for _, pid := range h.pages {
-		if pid < fromPage {
-			continue
-		}
-		if pid >= toPage {
-			return
-		}
 		f, err := h.space.Pin(pid)
 		if err != nil {
-			// A page the pool cannot produce ends the scan; the pager
-			// has already surfaced the corruption to writers.
-			return
+			return fmt.Errorf("storage: scan page %d: %w", pid, err)
 		}
-		stop := false
-		switch f.Kind() {
-		case pager.KindSlotted:
-			p := page{buf: f.Data()}
-			p.liveRows(func(slot int, row []byte) bool {
-				if !fn(RowID{Page: pid, Slot: uint16(slot)}, row) {
-					stop = true
-					return false
-				}
-				return true
-			})
-		case pager.KindJumboHead:
-			if binary.LittleEndian.Uint32(f.Data()) != jumboTombstone {
-				row, err := h.fetchJumbo(jumbo, f)
-				if err != nil {
-					stop = true
-					break
-				}
-				jumbo = row
-				stop = !fn(RowID{Page: pid, Slot: 0}, row)
-			}
-		}
+		more := true
+		_, err = h.visitPage(f, 0, func(id RowID, row []byte) bool {
+			more = fn(id, row)
+			return more
+		})
 		f.Unpin()
-		if stop {
-			return
+		if err != nil || !more {
+			return err
 		}
 	}
+	return nil
+}
+
+// visitPage is the heap's one page walk, shared by the scans and the
+// table cursor: it calls fn with each live row of the pinned page f
+// from slot from on, in slot order, until fn returns false, and returns
+// the slot to resume at. A jumbo head page holds one row, at slot 0,
+// assembled before fn sees it; a tombstoned head and an overflow page
+// hold none. The caller holds the heap's read lock.
+func (h *Heap) visitPage(f *pager.Frame, from int, fn func(id RowID, row []byte) bool) (next int, err error) {
+	switch f.Kind() {
+	case pager.KindSlotted:
+		p := page{buf: f.Data()}
+		return p.liveRows(from, func(slot int, row []byte) bool {
+			return fn(RowID{Page: f.ID(), Slot: uint16(slot)}, row)
+		}), nil
+	case pager.KindJumboHead:
+		if from > 0 || !jumboLive(f.Data()) {
+			return 1, nil
+		}
+		row, err := h.fetchJumbo(nil, f)
+		if err != nil {
+			return 0, fmt.Errorf("storage: jumbo row at page %d: %w", f.ID(), err)
+		}
+		fn(RowID{Page: f.ID(), Slot: 0}, row)
+		return 1, nil
+	}
+	return 0, nil
 }

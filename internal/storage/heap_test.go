@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"spatialtf/internal/pager"
 )
 
 func TestHeapInsertFetch(t *testing.T) {
@@ -76,12 +78,26 @@ func TestHeapDelete(t *testing.T) {
 	}
 }
 
+// Fetch is the heap tests' read of one row: a copy of its image, read
+// through view, with a deleted row reported as ErrRowDeleted.
+func (h *Heap) Fetch(id RowID) ([]byte, error) {
+	var out []byte
+	live, err := h.view(id, func(img []byte) error {
+		out = bytes.Clone(img)
+		return nil
+	})
+	if err == nil && !live {
+		err = ErrRowDeleted
+	}
+	return out, err
+}
+
 func TestHeapBadRowIDs(t *testing.T) {
 	h := NewHeap(0)
 	h.Insert([]byte("x"))
 	for _, id := range []RowID{{}, {Page: 99, Slot: 0}, {Page: 1, Slot: 99}} {
-		if _, err := h.Fetch(id); err == nil {
-			t.Errorf("Fetch(%v): want error", id)
+		if _, err := h.Fetch(id); !errors.Is(err, ErrBadRowID) {
+			t.Errorf("Fetch(%v): %v, want ErrBadRowID", id, err)
 		}
 	}
 }
@@ -202,21 +218,30 @@ func TestHeapScanEarlyStop(t *testing.T) {
 	}
 }
 
+// TestHeapScanRange checks that two range cursors partition the full
+// scan.
 func TestHeapScanRange(t *testing.T) {
-	h := NewHeap(128)
+	tab, err := OpenTable("t", []Column{{Name: "b", Type: TBytes}}, pager.NewMem(128))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 100; i++ {
-		h.Insert(bytes.Repeat([]byte{byte(i)}, 30))
+		if _, err := tab.Insert(Row{Bytes(bytes.Repeat([]byte{byte(i)}, 30))}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	total := 0
-	h.Scan(func(RowID, []byte) bool { total++; return true })
-	pages := uint32(h.PageCount())
-	// Two halves must partition the full scan.
+	tab.Scan(func(RowID, Row) bool { total++; return true })
+	pages := uint32(tab.PageCount())
 	mid := pages/2 + 1
-	c1, c2 := 0, 0
-	h.ScanRange(1, mid, func(RowID, []byte) bool { c1++; return true })
-	h.ScanRange(mid, pages+1, func(RowID, []byte) bool { c2++; return true })
+	ids1, _, err1 := Drain(NewRangeCursor(tab, 1, mid))
+	ids2, _, err2 := Drain(NewRangeCursor(tab, mid, pages+1))
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	c1, c2 := len(ids1), len(ids2)
 	if c1+c2 != total {
-		t.Errorf("range scans cover %d+%d rows, full scan %d", c1, c2, total)
+		t.Errorf("range cursors cover %d+%d rows, full scan %d", c1, c2, total)
 	}
 	if c1 == 0 || c2 == 0 {
 		t.Errorf("degenerate partition: %d, %d", c1, c2)

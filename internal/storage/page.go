@@ -103,7 +103,7 @@ func (p page) insert(row []byte) (int, error) {
 // caller must copy if it retains the bytes beyond the page pin.
 func (p page) fetch(i int) ([]byte, error) {
 	if i >= p.slotCount() {
-		return nil, fmt.Errorf("storage: slot %d out of range (page has %d)", i, p.slotCount())
+		return nil, p.badSlot(i)
 	}
 	l := p.slotLen(i)
 	if l == tombstoneLen {
@@ -117,7 +117,7 @@ func (p page) fetch(i int) ([]byte, error) {
 // of the page is dead that compact reclaims them in one pass.
 func (p page) delete(i int) error {
 	if i >= p.slotCount() {
-		return fmt.Errorf("storage: slot %d out of range (page has %d)", i, p.slotCount())
+		return p.badSlot(i)
 	}
 	if p.slotLen(i) == tombstoneLen {
 		return ErrRowDeleted
@@ -126,19 +126,27 @@ func (p page) delete(i int) error {
 	return nil
 }
 
-// liveRows calls fn for each non-deleted slot.
-func (p page) liveRows(fn func(slot int, row []byte) bool) {
+// badSlot is the error for a slot past the page's directory: the rowid
+// names no row, as an unknown page does.
+func (p page) badSlot(i int) error {
+	return fmt.Errorf("%w: slot %d out of range (page has %d)", ErrBadRowID, i, p.slotCount())
+}
+
+// liveRows calls fn for each non-deleted slot from slot from on until
+// fn returns false, and returns the slot after the last one it passed.
+func (p page) liveRows(from int, fn func(slot int, row []byte) bool) int {
 	n := p.slotCount()
-	for i := 0; i < n; i++ {
+	for i := from; i < n; i++ {
 		l := p.slotLen(i)
 		if l == tombstoneLen {
 			continue
 		}
 		off := p.slotOffset(i)
 		if !fn(i, p.buf[off:off+l]) {
-			return
+			return i + 1
 		}
 	}
+	return n
 }
 
 // liveCount returns the number of non-deleted slots.

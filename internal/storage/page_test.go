@@ -92,7 +92,7 @@ func TestPageDeleteTombstones(t *testing.T) {
 		t.Errorf("sibling damaged: %q", got)
 	}
 	live := 0
-	p.liveRows(func(slot int, row []byte) bool {
+	p.liveRows(0, func(slot int, row []byte) bool {
 		if slot == s0 {
 			t.Errorf("tombstoned slot surfaced")
 		}
@@ -110,7 +110,7 @@ func TestPageLiveRowsEarlyStop(t *testing.T) {
 		p.insert([]byte{byte(i)})
 	}
 	n := 0
-	p.liveRows(func(int, []byte) bool {
+	p.liveRows(0, func(int, []byte) bool {
 		n++
 		return n < 2
 	})

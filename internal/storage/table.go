@@ -145,56 +145,68 @@ func (t *Table) Insert(row Row) (RowID, error) {
 	return id, nil
 }
 
-// Fetch returns the row at id.
+// Fetch returns the row at id, decoded straight from the pinned page.
+// A deleted row fails with ErrRowDeleted.
 func (t *Table) Fetch(id RowID) (Row, error) {
-	img, err := t.heap.Fetch(id)
-	if err != nil {
-		return nil, fmt.Errorf("fetch from %q: %w", t.name, err)
+	var row Row
+	live, err := t.read(id, func(img []byte) (err error) {
+		row, err = DecodeRow(t.schema, img)
+		return err
+	})
+	if err == nil && !live {
+		err = t.deleted(id)
 	}
-	row, err := DecodeRow(t.schema, img)
-	if err != nil {
-		return nil, fmt.Errorf("fetch from %q at %v: %w", t.name, id, err)
-	}
-	return row, nil
+	return row, err
 }
 
 // FetchColumn returns a single column of the row at id, avoiding a full
-// row decode when the caller (the join secondary filter) only needs the
-// geometry column.
+// row decode when the caller only needs one column. A deleted row
+// fails with ErrRowDeleted.
 func (t *Table) FetchColumn(id RowID, col int) (Value, error) {
 	var v [1]Value
-	err := t.FetchColumns(id, []int{col}, v[:])
+	live, err := t.FetchColumns(id, []int{col}, v[:])
+	if err == nil && !live {
+		err = t.deleted(id)
+	}
 	return v[0], err
 }
 
-// FetchColumns decodes columns cols of the row at id into dst, one slot
-// per entry of cols, from one read of the row. The cells are decoded
-// straight from the pinned page under the heap's read lock, with no
-// copy of the row image (a jumbo row is assembled first); sibling
-// columns are skipped by length. Every value is a copy, so none aliases
-// the page.
-func (t *Table) FetchColumns(id RowID, cols []int, dst Row) error {
+// FetchColumns is the read of a row by rowid that every operator
+// fetches through: it decodes columns cols of the row at id into dst,
+// one slot per entry of cols, from one walk of the row image, straight
+// from the pinned page under the heap's read lock (a jumbo row is
+// assembled first). Every value is a copy, so none aliases the page.
+//
+// Indexes are read without a snapshot, so the row may have been
+// deleted since an index surfaced its rowid: live is then false, with
+// a nil error, and the row is simply not in the caller's result — read
+// committed per fetch (DESIGN.md §19). A rowid that names no row fails
+// with ErrBadRowID.
+func (t *Table) FetchColumns(id RowID, cols []int, dst Row) (live bool, err error) {
 	for _, col := range cols {
 		if col < 0 || col >= len(t.schema) {
-			return fmt.Errorf("fetch from %q: column %d out of range", t.name, col)
+			return false, fmt.Errorf("fetch from %q: column %d out of range", t.name, col)
 		}
 	}
-	var decodeErr error
-	err := t.heap.view(id, func(img []byte) error {
-		for k, col := range cols {
-			v, err := decodeColumn(t.schema, img, col)
-			if err != nil {
-				decodeErr = fmt.Errorf("fetch from %q at %v: %w", t.name, id, err)
-				return decodeErr
-			}
-			dst[k] = v
-		}
-		return nil
+	return t.read(id, func(img []byte) error {
+		return decodeColumns(t.schema, img, cols, dst)
 	})
-	if err != nil && decodeErr == nil {
-		return fmt.Errorf("fetch from %q: %w", t.name, err)
+}
+
+// read runs decode on the image of the row at id through Heap.view,
+// naming the table in its errors.
+func (t *Table) read(id RowID, decode func(img []byte) error) (bool, error) {
+	live, err := t.heap.view(id, decode)
+	if err != nil {
+		return false, fmt.Errorf("fetch from %q at %v: %w", t.name, id, err)
 	}
-	return err
+	return live, nil
+}
+
+// deleted is the error Fetch and FetchColumn, which have no live
+// result, return for a row that is not live.
+func (t *Table) deleted(id RowID) error {
+	return fmt.Errorf("fetch from %q at %v: %w", t.name, id, ErrRowDeleted)
 }
 
 // Update replaces the row at id. Because rowids are stable addresses,
@@ -236,7 +248,7 @@ func (t *Table) Delete(id RowID) error {
 // false. Rows are decoded copies and safe to retain.
 func (t *Table) Scan(fn func(id RowID, row Row) bool) error {
 	var decodeErr error
-	t.heap.Scan(func(id RowID, img []byte) bool {
+	err := t.heap.Scan(func(id RowID, img []byte) bool {
 		row, err := DecodeRow(t.schema, img)
 		if err != nil {
 			decodeErr = fmt.Errorf("scan of %q at %v: %w", t.name, id, err)
@@ -244,6 +256,9 @@ func (t *Table) Scan(fn func(id RowID, row Row) bool) error {
 		}
 		return fn(id, row)
 	})
+	if err != nil {
+		return fmt.Errorf("scan of %q: %w", t.name, err)
+	}
 	return decodeErr
 }
 
@@ -259,9 +274,9 @@ func (t *Table) ScanImages(begin func(live int) error, fn func(img []byte) error
 // PageRanges splits the table's page-id span into n contiguous ranges
 // of roughly equal width, the unit parallel table functions partition a
 // table scan by. Fewer than n ranges are returned for tiny tables. On a
-// shared durable store the span may include other tables' pages;
-// ScanRange skips those, so ranges stay disjoint and complete, merely
-// less balanced.
+// shared durable store the span may include other tables' pages; a
+// range cursor skips those, so ranges stay disjoint and complete,
+// merely less balanced.
 func (t *Table) PageRanges(n int) [][2]uint32 {
 	lo, hi := t.heap.PageSpan()
 	total := hi - lo
@@ -287,18 +302,4 @@ func (t *Table) PageRanges(n int) [][2]uint32 {
 		start += count
 	}
 	return out
-}
-
-// ScanRange is Scan restricted to heap pages in [fromPage, toPage).
-func (t *Table) ScanRange(fromPage, toPage uint32, fn func(id RowID, row Row) bool) error {
-	var decodeErr error
-	t.heap.ScanRange(fromPage, toPage, func(id RowID, img []byte) bool {
-		row, err := DecodeRow(t.schema, img)
-		if err != nil {
-			decodeErr = fmt.Errorf("scan of %q at %v: %w", t.name, id, err)
-			return false
-		}
-		return fn(id, row)
-	})
-	return decodeErr
 }

@@ -143,7 +143,7 @@ func TestTableFetchColumn(t *testing.T) {
 
 // TestDecodeColumnAgreesWithDecodeRow checks the partial decode against
 // the full decode on every column of every type: FetchColumn skips the
-// sibling payloads, so any framing drift between the two decoders would
+// sibling payloads by length, so a framing drift in the skip would
 // corrupt reads silently.
 func TestDecodeColumnAgreesWithDecodeRow(t *testing.T) {
 	tab, _ := NewTable("t", testSchema())
@@ -199,8 +199,8 @@ func TestFetchColumnsCopyEveryValue(t *testing.T) {
 		in := func(p unsafe.Pointer) bool { return uintptr(p) >= lo && uintptr(p) < hi }
 		cols := []int{4, 3, 1, 0, 2, 1}
 		dst := make(Row, len(cols))
-		if err := tab.FetchColumns(rid, cols, dst); err != nil {
-			t.Fatal(err)
+		if live, err := tab.FetchColumns(rid, cols, dst); err != nil || !live {
+			t.Fatal(live, err)
 		}
 		want, _ := tab.Fetch(rid)
 		for k, v := range dst {
@@ -232,8 +232,8 @@ func TestFetchColumnsCopyEveryValue(t *testing.T) {
 	if err := tab.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.FetchColumns(id, []int{0}, make(Row, 1)); !errors.Is(err, ErrRowDeleted) {
-		t.Errorf("FetchColumns of a deleted row: %v, want ErrRowDeleted", err)
+	if live, err := tab.FetchColumns(id, []int{0}, make(Row, 1)); live || err != nil {
+		t.Errorf("FetchColumns of a deleted row: live %v, %v; want not live, no error", live, err)
 	}
 }
 
@@ -414,7 +414,11 @@ func TestTablePageRanges(t *testing.T) {
 		// Row counts across ranges must sum to the table size.
 		total := 0
 		for _, r := range ranges {
-			tab.ScanRange(r[0], r[1], func(RowID, Row) bool { total++; return true })
+			ids, _, err := Drain(NewRangeCursor(tab, r[0], r[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += len(ids)
 		}
 		if total != tab.Len() {
 			t.Errorf("n=%d: ranges cover %d rows, want %d", n, total, tab.Len())

@@ -167,54 +167,17 @@ func DecodeRowInto(dst Row, schema []Column, b []byte, text string) error {
 	}
 	size := len(b)
 	for i, col := range schema {
-		switch col.Type {
-		case TInt64:
-			if len(b) < 8 {
-				return fmt.Errorf("storage: truncated int column %q", col.Name)
-			}
-			dst[i] = Int(int64(binary.LittleEndian.Uint64(b)))
-			b = b[8:]
-		case TFloat64:
-			if len(b) < 8 {
-				return fmt.Errorf("storage: truncated float column %q", col.Name)
-			}
-			dst[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(b)))
-			b = b[8:]
-		case TString:
-			s, rest, err := decodeBlob(b, col.Name)
-			if err != nil {
-				return err
-			}
-			if text != "" {
-				end := size - len(rest)
-				dst[i] = Str(text[end-len(s) : end])
-			} else {
-				dst[i] = Str(string(s))
-			}
-			b = rest
-		case TBytes:
-			s, rest, err := decodeBlob(b, col.Name)
-			if err != nil {
-				return err
-			}
-			out := make([]byte, len(s))
-			copy(out, s)
-			dst[i] = Bytes(out)
-			b = rest
-		case TGeometry:
-			s, rest, err := decodeBlob(b, col.Name)
-			if err != nil {
-				return err
-			}
-			g, err := geom.UnmarshalBinary(s)
-			if err != nil {
-				return fmt.Errorf("storage: column %q: %w", col.Name, err)
-			}
-			dst[i] = Geom(g)
-			b = rest
-		default:
-			return fmt.Errorf("storage: column %q has bad type %v", col.Name, col.Type)
+		p, rest, err := columnSpan(col, b)
+		if err != nil {
+			return err
 		}
+		if col.Type == TString && text != "" {
+			end := size - len(rest)
+			dst[i] = Str(text[end-len(p) : end])
+		} else if dst[i], err = columnValue(col, p); err != nil {
+			return err
+		}
+		b = rest
 	}
 	if len(b) != 0 {
 		return fmt.Errorf("storage: %d trailing bytes after row", len(b))
@@ -222,61 +185,73 @@ func DecodeRowInto(dst Row, schema []Column, b []byte, text string) error {
 	return nil
 }
 
-// decodeColumn parses only column col of a row image, skipping every
-// other column's payload without copying it. The hot secondary-filter
-// path fetches a single geometry per candidate; decoding the siblings
-// (string copies, vertex slices) would be pure waste there.
-func decodeColumn(schema []Column, b []byte, col int) (Value, error) {
-	for i, c := range schema {
-		want := i == col
-		switch c.Type {
-		case TInt64, TFloat64:
-			if len(b) < 8 {
-				return Value{}, fmt.Errorf("storage: truncated column %q", c.Name)
-			}
-			if want {
-				if c.Type == TInt64 {
-					return Int(int64(binary.LittleEndian.Uint64(b))), nil
-				}
-				return Float(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
-			}
-			b = b[8:]
-		case TString, TBytes, TGeometry:
-			s, rest, err := decodeBlob(b, c.Name)
-			if err != nil {
-				return Value{}, err
-			}
-			if want {
-				switch c.Type {
-				case TString:
-					return Str(string(s)), nil
-				case TBytes:
-					out := make([]byte, len(s))
-					copy(out, s)
-					return Bytes(out), nil
-				}
-				g, err := geom.UnmarshalBinary(s)
-				if err != nil {
-					return Value{}, fmt.Errorf("storage: column %q: %w", c.Name, err)
-				}
-				return Geom(g), nil
-			}
-			b = rest
-		default:
-			return Value{}, fmt.Errorf("storage: column %q has bad type %v", c.Name, c.Type)
-		}
+// decodeColumns decodes columns cols of a row image into dst, one slot
+// per entry of cols, in one walk of the image that stops after the last
+// column asked for. Sibling columns are skipped by length, not decoded.
+func decodeColumns(schema []Column, b []byte, cols []int, dst Row) error {
+	last := -1
+	for _, col := range cols {
+		last = max(last, col)
 	}
-	return Value{}, fmt.Errorf("storage: column %d out of range", col)
+	for i := 0; i <= last; i++ {
+		p, rest, err := columnSpan(schema[i], b)
+		if err != nil {
+			return err
+		}
+		for k, col := range cols {
+			if col == i {
+				if dst[k], err = columnValue(schema[i], p); err != nil {
+					return err
+				}
+			}
+		}
+		b = rest
+	}
+	return nil
 }
 
-func decodeBlob(b []byte, col string) (payload, rest []byte, err error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("storage: truncated length for column %q", col)
+// columnSpan is the first half of the one per-column decode step: it
+// splits the payload of column c off the head of a row image — the 8
+// bytes of a number, the bytes behind the length of anything else.
+func columnSpan(c Column, b []byte) (payload, rest []byte, err error) {
+	switch c.Type {
+	case TInt64, TFloat64:
+		if len(b) < 8 {
+			return nil, nil, fmt.Errorf("storage: truncated column %q", c.Name)
+		}
+		return b[:8], b[8:], nil
+	case TString, TBytes, TGeometry:
+		l, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, nil, fmt.Errorf("storage: truncated length for column %q", c.Name)
+		}
+		b = b[n:]
+		if uint64(len(b)) < l {
+			return nil, nil, fmt.Errorf("storage: truncated payload for column %q: need %d, have %d", c.Name, l, len(b))
+		}
+		return b[:l], b[l:], nil
 	}
-	b = b[n:]
-	if uint64(len(b)) < l {
-		return nil, nil, fmt.Errorf("storage: truncated payload for column %q: need %d, have %d", col, l, len(b))
+	return nil, nil, fmt.Errorf("storage: column %q has bad type %v", c.Name, c.Type)
+}
+
+// columnValue is the second half: it decodes a payload columnSpan split
+// off into a value that owns its storage, so none aliases the image.
+func columnValue(c Column, p []byte) (Value, error) {
+	switch c.Type {
+	case TInt64:
+		return Int(int64(binary.LittleEndian.Uint64(p))), nil
+	case TFloat64:
+		return Float(math.Float64frombits(binary.LittleEndian.Uint64(p))), nil
+	case TString:
+		return Str(string(p)), nil
+	case TBytes:
+		out := make([]byte, len(p))
+		copy(out, p)
+		return Bytes(out), nil
 	}
-	return b[:l], b[l:], nil
+	g, err := geom.UnmarshalBinary(p)
+	if err != nil {
+		return Value{}, fmt.Errorf("storage: column %q: %w", c.Name, err)
+	}
+	return Geom(g), nil
 }

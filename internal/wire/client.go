@@ -327,11 +327,10 @@ func (c *Client) Metrics() ([]telemetry.Point, error) {
 //
 // The cursor follows the batch contract of storage.Batch. Fetch decodes
 // every batch into one Batch the cursor owns, so its rows are valid
-// until the next Fetch, Next or Close. FetchInto decodes into the
-// caller's Batch, and Next into a fresh one per refill, so the rows
-// they hand out stay valid as long as their batch does. Use one of the
-// three on a cursor, not several: rows buffered for one are invisible
-// to the others.
+// until the next Fetch or Close. FetchInto decodes into the caller's
+// Batch, so the rows it hands out stay valid as long as that batch
+// does. Use one of the two on a cursor, not both: rows buffered for
+// one are invisible to the other.
 type Cursor struct {
 	c      *Client
 	id     uint64
@@ -344,10 +343,6 @@ type Cursor struct {
 	// its rows not yet handed out.
 	b   storage.Batch
 	pos int
-
-	// Row-at-a-time buffer for Next.
-	buf  []storage.Row
-	next int
 }
 
 // ID returns the server-assigned cursor id.
@@ -406,7 +401,7 @@ func (cur *Cursor) ended() bool { return cur.done && cur.pos == len(cur.b.Rows) 
 // Fetch returns the next batch of up to max rows (0 = server default):
 // what is left of the batch that came with the query reply, then one
 // batch per request to the server. The rows are valid until the next
-// Fetch, Next or Close. done reports end of stream, after which the
+// Fetch or Close. done reports end of stream, after which the
 // server has already released the cursor and further calls return no
 // rows.
 func (cur *Cursor) Fetch(max int) (rows []storage.Row, done bool, err error) {
@@ -442,32 +437,11 @@ func (cur *Cursor) FetchInto(b *storage.Batch, max int) (done bool, err error) {
 	return cur.ended(), nil
 }
 
-// Next returns rows one at a time, fetching batches (server default
-// size) behind the scenes into a fresh batch per refill, so a row it
-// returned stays valid however long the caller keeps it. ok is false at
-// end of stream.
-func (cur *Cursor) Next() (storage.Row, bool, error) {
-	for cur.next >= len(cur.buf) {
-		var b storage.Batch
-		done, err := cur.FetchInto(&b, 0)
-		if err != nil {
-			return nil, false, err
-		}
-		cur.buf, cur.next = b.Rows, 0
-		if len(b.Rows) == 0 && done {
-			return nil, false, nil
-		}
-	}
-	row := cur.buf[cur.next]
-	cur.next++
-	return row, true, nil
-}
-
 // Close releases the cursor on the server and drops its batch.
 // Idempotent; a cursor whose final batch has arrived needs no round
 // trip (the server released it with that batch, or never kept it).
 func (cur *Cursor) Close() error {
-	cur.b, cur.pos, cur.buf, cur.next = storage.Batch{}, 0, nil, 0
+	cur.b, cur.pos = storage.Batch{}, 0
 	if cur.done {
 		return nil
 	}
