@@ -83,8 +83,11 @@ race:
 # circulating between them and the gather consumer (TestScatterMergeRace:
 # concurrent scatter/merge streams; TestShardLossAfterFirstBatch: a shard
 # killed after its whole answer came with its query reply, so its rows
-# are handed on from the cursor's first batch), and the parallel join —
-# so races there fail fast before the full -race sweep.
+# are handed on from the cursor's first batch), the wire client's
+# cursors, each reading its replies into frame buffers of its own, two
+# of them on one client fetched from two goroutines
+# (TestCursorsShareClient), and the parallel join — so races there fail
+# fast before the full -race sweep.
 race-hot:
 	$(GO) test -race -run 'TestConcurrent|TestSnapshot' .
 	$(GO) test -race -run 'TestWindowBesideDeleter|TestJoinCountBesideDeleter|TestKeyedJoinBesideDeleter' ./internal/sqlmini
@@ -93,7 +96,7 @@ race-hot:
 	$(GO) test -race -run 'TestCheckpointUnderLoad' ./internal/pager
 	$(GO) test -race -run 'TestGridJoinRace' ./internal/sjoin
 	$(GO) test -race -run 'TestScatterMergeRace|TestShardLossAfterFirstBatch' ./internal/cluster
-	$(GO) test -race ./internal/server ./internal/sjoin
+	$(GO) test -race ./internal/server ./internal/sjoin ./internal/wire
 
 # A few seconds of coverage-guided fuzzing per target: enough to catch
 # decoder regressions that panic or over-allocate on the seed corpus's

@@ -27,6 +27,7 @@ package sjoin
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"spatialtf/internal/geom"
 	"spatialtf/internal/rtree"
@@ -189,29 +190,25 @@ func (c Config) secondaryAccepts(a, b geom.Geometry) bool {
 }
 
 // appendPairRows appends result pairs to b as table-function output
-// rows (rid1, rid2), each rowid packed into an integer so a row lives
-// entirely in the batch's slab.
+// rows (rid1, rid2) of rowid values (storage.Rid), so a row lives
+// entirely in the batch's slab and renders as page.slot text.
 func appendPairRows(b *storage.Batch, pairs []Pair) {
 	for i, row := range b.Extend(len(pairs), 2) {
-		row[0] = storage.Int(pairs[i].A.Int64())
-		row[1] = storage.Int(pairs[i].B.Int64())
+		row[0] = storage.Rid(pairs[i].A)
+		row[1] = storage.Rid(pairs[i].B)
 	}
 }
 
 // PairFromRow decodes a spatial_join output row.
 func PairFromRow(row storage.Row) (Pair, error) {
-	if len(row) != 2 || row[0].Type != storage.TInt64 || row[1].Type != storage.TInt64 {
-		return Pair{}, fmt.Errorf("sjoin: not a (rid1, rid2) row: %d columns", len(row))
+	if len(row) != 2 || row[0].Type != storage.TRowID || row[1].Type != storage.TRowID {
+		types := make([]string, len(row))
+		for i, v := range row {
+			types[i] = v.Type.String()
+		}
+		return Pair{}, fmt.Errorf("sjoin: not a (rid1, rid2) row: (%s)", strings.Join(types, ", "))
 	}
-	a, err := storage.RowIDFromInt64(row[0].I)
-	if err != nil {
-		return Pair{}, err
-	}
-	b, err := storage.RowIDFromInt64(row[1].I)
-	if err != nil {
-		return Pair{}, err
-	}
-	return Pair{A: a, B: b}, nil
+	return Pair{A: row[0].RowID(), B: row[1].RowID()}, nil
 }
 
 // AppendPairs decodes a batch of spatial_join output rows onto dst.

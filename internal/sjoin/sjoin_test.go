@@ -408,18 +408,27 @@ func TestPairEncodingRoundTrip(t *testing.T) {
 	p := Pair{A: storage.RowID{Page: 3, Slot: 9}, B: storage.RowID{Page: 8, Slot: 1}}
 	var b storage.Batch
 	appendPairRows(&b, []Pair{p})
+	if row := b.Rows[0]; row[0].Type != storage.TRowID || row[0].String() != "3.9" || row[1].String() != "8.1" {
+		t.Fatalf("pair row %v", row)
+	}
 	got, err := PairFromRow(b.Rows[0])
 	if err != nil || got != p {
 		t.Fatalf("round trip: %v, %v", got, err)
 	}
-	if _, err := PairFromRow(storage.Row{storage.Int(1)}); err == nil {
-		t.Errorf("bad arity: want error")
-	}
-	if _, err := PairFromRow(storage.Row{storage.Bytes([]byte{1}), storage.Bytes([]byte{2})}); err == nil {
-		t.Errorf("bad column type: want error")
-	}
-	if _, err := PairFromRow(storage.Row{storage.Int(-1), storage.Int(1)}); err == nil {
-		t.Errorf("bad payload: want error")
+	for _, c := range []struct {
+		row  storage.Row
+		want string
+	}{
+		{storage.Row{storage.Rid(p.A)}, "sjoin: not a (rid1, rid2) row: (ROWID)"},
+		{storage.Row{storage.Bytes([]byte{1}), storage.Bytes([]byte{2})}, "sjoin: not a (rid1, rid2) row: (RAW, RAW)"},
+		// The packed-integer row the table function wrote before rowid
+		// values: two INT cells are no longer a pair.
+		{storage.Row{storage.Int(p.A.Int64()), storage.Int(p.B.Int64())}, "sjoin: not a (rid1, rid2) row: (INT, INT)"},
+		{storage.Row{storage.Rid(p.A), storage.Str("8.1")}, "sjoin: not a (rid1, rid2) row: (ROWID, VARCHAR)"},
+	} {
+		if _, err := PairFromRow(c.row); err == nil || err.Error() != c.want {
+			t.Errorf("PairFromRow(%v) error %v, want %q", c.row, err, c.want)
+		}
 	}
 }
 

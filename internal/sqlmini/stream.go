@@ -3,12 +3,14 @@ package sqlmini
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"spatialtf"
 	"spatialtf/internal/extidx"
 	"spatialtf/internal/geom"
 	"spatialtf/internal/storage"
+	"spatialtf/internal/telemetry"
 )
 
 // Stream is the cursor form of a statement result, the unit the query
@@ -138,11 +140,12 @@ func (e *Engine) selectStream(s Select, scope *spatialtf.ClusterScope) (*Stream,
 
 // joinSelect is selectStream over TABLE(spatial_join(...)): the source
 // is the join's pair cursor, which applies the owner filter itself
-// (JoinOptions.Scope). The rid1/rid2 rowids are projected as their
-// page.slot text form, matching the local REPL rendering; with a
-// 'keys=' hint the key1/key2 user-key columns are projected instead.
-// COUNT is counted inside the join (DB.CountSpatialJoin): no pair
-// becomes a row.
+// (JoinOptions.Scope). Its (rid1, rid2) rows of rowid values — which
+// render and encode as their page.slot text — come through in the
+// caller's batch, narrowed or reordered in place for any other rid
+// projection; with a 'keys=' hint the key1/key2 user-key columns are
+// projected instead. COUNT is counted inside the join
+// (DB.CountSpatialJoin): no pair becomes a row.
 func (e *Engine) joinSelect(s Select, scope *spatialtf.ClusterScope) (*Stream, error) {
 	call := s.From.Join
 	if s.Where != nil {
@@ -183,13 +186,23 @@ func (e *Engine) joinSelect(s Select, scope *spatialtf.ClusterScope) (*Stream, e
 		return nil, err
 	}
 	outSchema := make([]storage.Column, len(wantCols))
-	for i, c := range wantCols {
-		outSchema[i] = storage.Column{Name: c, Type: storage.TString}
+	cols := make([]int, len(wantCols))
+	reorders := false
+	for k, c := range wantCols {
+		outSchema[k] = storage.Column{Name: c, Type: storage.TString}
+		if c == "rid2" || c == "key2" {
+			cols[k] = 1
+		}
+		reorders = reorders || cols[k] < k
 	}
-	return &Stream{
-		Schema: outSchema,
-		Cursor: &joinCursorAdapter{jc: jc, cols: wantCols, keys: keys},
-	}, nil
+	var cur storage.Cursor = &joinRows{jc: jc}
+	switch {
+	case keys != nil:
+		cur = &keyedJoinCursor{jc: jc, cols: cols, keys: keys}
+	case !slices.Equal(cols, []int{0, 1}):
+		cur = &projectCursor{src: cur, cols: cols, reorders: reorders}
+	}
+	return &Stream{Schema: outSchema, Cursor: cur}, nil
 }
 
 // drainCount is COUNT(*) over a row cursor: it counts and closes it, a
@@ -226,15 +239,16 @@ type joinKeys struct {
 	colA, colB int
 }
 
-// appendKey fetches the key value of one pair side and appends its
-// display string to dst. live is false, and dst as it was, when the
-// side's row was deleted since the join met its index entry.
-func (k *joinKeys) appendKey(dst []byte, p spatialtf.Pair, col string) (out []byte, live bool, err error) {
-	tab, id, cols, v := k.tabA, p.A, [1]int{k.colA}, [1]storage.Value{}
-	if col != "key1" {
-		tab, id, cols[0] = k.tabB, p.B, k.colB
+// appendKey fetches the key value of side col (0 for key1, 1 for key2)
+// of a (rid1, rid2) pair row and appends its display string to dst.
+// live is false, and dst as it was, when the side's row was deleted
+// since the join met its index entry.
+func (k *joinKeys) appendKey(dst []byte, pair storage.Row, col int) (out []byte, live bool, err error) {
+	tab, cols, v := k.tabA, [1]int{k.colA}, [1]storage.Value{}
+	if col == 1 {
+		tab, cols[0] = k.tabB, k.colB
 	}
-	if live, err = tab.Inner().FetchColumns(id, cols[:], v[:]); !live || err != nil {
+	if live, err = tab.Inner().FetchColumns(pair[col].RowID(), cols[:], v[:]); !live || err != nil {
 		return dst, false, err
 	}
 	return v[0].AppendString(dst), true, nil
@@ -278,10 +292,11 @@ func (e *Engine) joinProjection(s Select, call *SpatialJoinCall) ([]string, *joi
 	return wantCols, keys, nil
 }
 
-// projectCursor narrows the rows of a heap scan to the projected
-// columns, a fetch batch at a time. The scan decodes every row into
-// slots of its own (see storage.Batch), so a row is narrowed where it
-// lies: no second batch, no copy of the values that stay.
+// projectCursor narrows the rows of a heap scan or a join's pair rows
+// to the projected columns, a fetch batch at a time. Either source
+// hands over rows in slots of their own (see storage.Batch), so a row
+// is narrowed where it lies: no second batch, no copy of the values
+// that stay.
 type projectCursor struct {
 	src  storage.Cursor
 	cols []int
@@ -375,65 +390,77 @@ func (c *fetchCursor) Close() error {
 	return nil
 }
 
-// joinCursorAdapter renders a spatial-join pair stream as rows of the
-// projected rid (or, with a 'keys=' hint, user-key) columns, a fetch
-// batch at a time.
-type joinCursorAdapter struct {
+// joinRows is a join's pair cursor as a row source: the table
+// function's (rid1, rid2) rows, filled straight into the caller's batch.
+type joinRows struct {
+	jc *spatialtf.JoinCursor
+	it storage.RowIter
+}
+
+func (c *joinRows) Next() (storage.RowID, storage.Row, bool, error) {
+	return c.it.Next(c)
+}
+
+func (c *joinRows) NextBatch(b *storage.Batch, max int) error { return c.jc.NextRows(b, max) }
+
+func (c *joinRows) Close() error { return c.jc.Close() }
+
+// keyedJoinCursor projects a join's pairs as the user keys of their
+// rows (a 'keys=' hint), a fetch batch at a time: cols picks the side
+// of each output column, 0 for key1 and 1 for key2.
+type keyedJoinCursor struct {
 	jc   *spatialtf.JoinCursor
-	cols []string
-	keys *joinKeys // nil when projecting rowids
+	cols []int
+	keys *joinKeys
 	it   storage.RowIter
 
-	// Per-batch scratch, reused: the pairs being rendered, the text of
+	// Per-batch scratch, reused: the join's pair rows, the text of
 	// every cell of the batch back to back, and where each cell ends.
-	pairs []spatialtf.Pair
+	pairs storage.Batch
 	text  []byte
 	ends  []int
 }
 
-func (c *joinCursorAdapter) Next() (storage.RowID, storage.Row, bool, error) {
+func (c *keyedJoinCursor) Next() (storage.RowID, storage.Row, bool, error) {
 	return c.it.Next(c)
 }
 
-// NextBatch renders one fetch batch of pairs. The cells' text is built
-// in one byte slab and becomes one string per batch that every cell is
-// cut from, so a batch costs one allocation here however many rows it
-// has (the rows themselves are carved from b). A keyed projection skips
-// a pair whose row was deleted since the join met its index entry —
-// read committed per fetch, as fetchCursor does — by cutting the pair's
-// cells back off the slab; a batch whose every pair is skipped fetches
-// the next.
-func (c *joinCursorAdapter) NextBatch(b *storage.Batch, max int) error {
-	pairs, err := c.jc.NextBatch(c.pairs[:0], max)
-	c.pairs = pairs
-	if len(pairs) == 0 {
+// NextBatch renders one fetch batch of pairs as key cells. The cells'
+// text is built in one byte slab and becomes one string per batch that
+// every cell is cut from, so a batch costs one allocation here however
+// many rows it has (the rows themselves are carved from b). A pair
+// whose row was deleted since the join met its index entry is skipped —
+// read committed per fetch, as fetchCursor does — by cutting its cells
+// back off the slab; a batch whose every pair is skipped fetches the
+// next. The key reads of a batch are one key_fetch span on the join's
+// trace.
+func (c *keyedJoinCursor) NextBatch(b *storage.Batch, max int) error {
+	c.pairs.Reset()
+	err := c.jc.NextRows(&c.pairs, max)
+	if len(c.pairs.Rows) == 0 {
 		return err
 	}
+	end := c.jc.Trace().Span(telemetry.StageKeyFetch)
 	text, ends, rows := c.text[:0], c.ends[:0], 0
 pair:
-	for _, p := range pairs {
+	for _, p := range c.pairs.Rows {
 		mark, cells := len(text), len(ends)
 		for _, col := range c.cols {
-			switch {
-			case c.keys != nil:
-				var live bool
-				var kerr error
-				if text, live, kerr = c.keys.appendKey(text, p, col); kerr != nil {
-					return kerr
-				}
-				if !live {
-					text, ends = text[:mark], ends[:cells]
-					continue pair
-				}
-			case col == "rid1":
-				text = p.A.AppendString(text)
-			default:
-				text = p.B.AppendString(text)
+			var live bool
+			var kerr error
+			if text, live, kerr = c.keys.appendKey(text, p, col); kerr != nil {
+				end()
+				return kerr
+			}
+			if !live {
+				text, ends = text[:mark], ends[:cells]
+				continue pair
 			}
 			ends = append(ends, len(text))
 		}
 		rows++
 	}
+	end()
 	c.text, c.ends = text, ends
 	if rows == 0 && err == nil {
 		return c.NextBatch(b, max)
@@ -450,4 +477,4 @@ pair:
 	return err
 }
 
-func (c *joinCursorAdapter) Close() error { return c.jc.Close() }
+func (c *keyedJoinCursor) Close() error { return c.jc.Close() }

@@ -305,7 +305,7 @@ func TestWindowSelectAllocFloor(t *testing.T) {
 		// Every row fetch pins its heap page in the buffer pool.
 		{"durable", durable, window, nil, 3, 41},
 		// Each row pair projected through the join's keyed adapter.
-		{"keyed join", mem, join, nil, 5, 77},
+		{"keyed join", mem, join, nil, 5, 75},
 		// A heap scan's projection, reordering its columns, and its owner
 		// filter under a scope.
 		{"scan", mem, scan, nil, 3, 32},

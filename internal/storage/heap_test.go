@@ -367,15 +367,46 @@ func TestRowIDStringGolden(t *testing.T) {
 		if got := string(c.id.AppendString([]byte("rid="))); got != "rid="+c.want {
 			t.Errorf("AppendString = %q", got)
 		}
-		back, err := RowIDFromInt64(c.id.Int64())
-		if err != nil || back != c.id {
-			t.Errorf("Int64 round trip of %v: %v, %v", c.id, back, err)
+		v := Rid(c.id)
+		if v.Type != TRowID || v.RowID() != c.id {
+			t.Errorf("Rid round trip of %v: %v", c.id, v.RowID())
+		}
+		if got := v.String(); got != c.want {
+			t.Errorf("Rid(%v).String() = %q, want %q", c.id, got, c.want)
+		}
+		if got := string(v.AppendString([]byte("rid="))); got != "rid="+c.want {
+			t.Errorf("Rid AppendString = %q", got)
 		}
 	}
-	if _, err := RowIDFromInt64(-1); err == nil {
-		t.Error("RowIDFromInt64(-1) accepted")
+}
+
+// TestRidEncodesAsItsText pins the rowid value's encoding: in a string
+// column it is byte for byte its page.slot text as a string, so a frame
+// carrying join rows is the one a text cell made. No schema may carry
+// the tag itself.
+func TestRidEncodesAsItsText(t *testing.T) {
+	schema := []Column{{Name: "n", Type: TInt64}, {Name: "rid", Type: TString}, {Name: "s", Type: TString}}
+	for _, id := range []RowID{{Page: 1, Slot: 0}, {Page: 17, Slot: 4}, {Page: 1<<32 - 1, Slot: 65535}} {
+		got, err := AppendRow([]byte{7}, schema, Row{Int(3), Rid(id), Str("x")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := AppendRow([]byte{7}, schema, Row{Int(3), Str(id.String()), Str("x")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: image %x, want %x", id, got, want)
+		}
+		back, err := DecodeRow(schema, got[1:])
+		if err != nil || back[1].Type != TString || back[1].S != id.String() {
+			t.Errorf("%v: decoded %v, %v", id, back, err)
+		}
 	}
-	if _, err := RowIDFromInt64(1 << 48); err == nil {
-		t.Error("RowIDFromInt64(2^48) accepted")
+	if _, err := AppendRow(nil, schema[:1], Row{Rid(RowID{Page: 1})}); err == nil || err.Error() != `storage: column "n" expects INT, got ROWID` {
+		t.Errorf("rowid value in an INT column: %v", err)
+	}
+	if _, err := NewTable("t", []Column{{Name: "rid", Type: TRowID}}); err == nil {
+		t.Error("a table with a ROWID column was created")
 	}
 }

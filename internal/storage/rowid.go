@@ -9,7 +9,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"strconv"
 )
 
@@ -75,17 +74,9 @@ func (r RowID) AppendTo(dst []byte) []byte {
 }
 
 // Int64 packs r into an integer (page in the high bits, slot in the low
-// 16) that orders like Less — the form a rowid takes as a column of a
-// synthesized row, where a Value has to be self-contained.
+// 16) that orders like Less — the form a rowid value (Rid) holds it in,
+// so a Value carrying a rowid has no pointer to keep.
 func (r RowID) Int64() int64 { return int64(r.Page)<<16 | int64(r.Slot) }
-
-// RowIDFromInt64 inverts Int64.
-func RowIDFromInt64(v int64) (RowID, error) {
-	if v < 0 || v>>16 > math.MaxUint32 {
-		return InvalidRowID, fmt.Errorf("storage: %d is not a packed rowid", v)
-	}
-	return RowID{Page: uint32(v >> 16), Slot: uint16(v)}, nil
-}
 
 // RowIDFromBytes decodes a rowid previously written by AppendTo.
 func RowIDFromBytes(b []byte) (RowID, error) {

@@ -24,6 +24,12 @@ const (
 	TBytes
 	// TGeometry is an sdo_geometry-style spatial column.
 	TGeometry
+	// TRowID tags a rowid value (Rid): the form a join result's rid1
+	// and rid2 take from the table function to the wire. It is a value
+	// tag only: no schema carries it. A rowid value stands in a TString
+	// column, where AppendRow writes its page.slot text, so the bytes
+	// it encodes to are those of that text as a string.
+	TRowID
 )
 
 // String returns the SQL-ish name of the type.
@@ -39,6 +45,8 @@ func (t ColType) String() string {
 		return "RAW"
 	case TGeometry:
 		return "GEOMETRY"
+	case TRowID:
+		return "ROWID"
 	default:
 		return fmt.Sprintf("TYPE(%d)", uint8(t))
 	}
@@ -70,10 +78,20 @@ func Bytes(v []byte) Value { return Value{Type: TBytes, B: v} }
 // Geom returns a geometry value.
 func Geom(g geom.Geometry) Value { return Value{Type: TGeometry, G: g} }
 
+// Rid returns a rowid value, the rowid packed in I as RowID.Int64 packs
+// it, so the value holds no pointer.
+func Rid(r RowID) Value { return Value{Type: TRowID, I: r.Int64()} }
+
+// RowID returns the rowid of a Rid value.
+func (v Value) RowID() RowID { return RowID{Page: uint32(v.I >> 16), Slot: uint16(v.I)} }
+
 // String renders the value for logs and the CLI tools.
 func (v Value) String() string {
-	if v.Type == TString {
+	switch v.Type {
+	case TString:
 		return v.S
+	case TRowID:
+		return v.RowID().String()
 	}
 	return string(v.AppendString(nil))
 }
@@ -91,6 +109,8 @@ func (v Value) AppendString(dst []byte) []byte {
 		return fmt.Appendf(dst, "0x%x", v.B)
 	case TGeometry:
 		return append(dst, geom.MarshalWKT(v.G)...)
+	case TRowID:
+		return v.RowID().AppendString(dst)
 	default:
 		return append(dst, "NULL"...)
 	}
@@ -123,13 +143,16 @@ func DecodeRow(schema []Column, b []byte) (Row, error) {
 //	TString:   uvarint length + bytes
 //	TBytes:    uvarint length + bytes
 //	TGeometry: uvarint length + geom binary image
+//
+// A rowid value (Rid) in a TString column is written as its page.slot
+// text, exactly as that text would be as a string.
 func AppendRow(dst []byte, schema []Column, row Row) ([]byte, error) {
 	if len(row) != len(schema) {
 		return nil, fmt.Errorf("storage: row has %d values, schema %d columns", len(row), len(schema))
 	}
 	for i, col := range schema {
 		v := &row[i]
-		if v.Type != col.Type {
+		if v.Type != col.Type && (v.Type != TRowID || col.Type != TString) {
 			return nil, fmt.Errorf("storage: column %q expects %v, got %v", col.Name, col.Type, v.Type)
 		}
 		switch col.Type {
@@ -138,6 +161,14 @@ func AppendRow(dst []byte, schema []Column, row Row) ([]byte, error) {
 		case TFloat64:
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
 		case TString:
+			if v.Type == TRowID {
+				// The text is at most 16 bytes ("4294967295.65535"), so
+				// its length is one uvarint byte, patched in behind it.
+				at := len(dst)
+				dst = v.RowID().AppendString(append(dst, 0))
+				dst[at] = byte(len(dst) - at - 1)
+				continue
+			}
 			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
 			dst = append(dst, v.S...)
 		case TBytes:

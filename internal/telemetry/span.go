@@ -56,6 +56,10 @@ const (
 	// gather loop: pulling remote batches off the scatter instances and
 	// concatenating them into the client-facing stream.
 	StageMerge
+	// StageKeyFetch is one fetch batch's user-key reads in a keyed join
+	// projection ('keys=' hint): the key columns of both rows of every
+	// pair, read by rowid.
+	StageKeyFetch
 	// NumStages sizes per-stage arrays.
 	NumStages
 )
@@ -87,6 +91,8 @@ func (s Stage) String() string {
 		return "scatter"
 	case StageMerge:
 		return "merge"
+	case StageKeyFetch:
+		return "key_fetch"
 	default:
 		return fmt.Sprintf("stage(%d)", uint8(s))
 	}

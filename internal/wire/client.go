@@ -115,12 +115,16 @@ func (e *RemoteError) Error() string { return "server: " + e.Msg }
 const unknownQueryFirst = "unknown frame type 0x07"
 
 // roundTrip sends one frame and reads the reply, handling Error frames.
-// A Describe answering a QueryFirst is followed on the wire by the
-// cursor's first Batch, which is read under the same lock and returned
-// as batch. A QueryFirst that a server predating it rejects is sent
-// once more in its inner form, and the connection sends that form from
-// then on; no other error is retried, since the server may have run the
-// statement.
+// The reply's payload is read into buf's storage (see readFrame; nil
+// reads into a fresh buffer), so a caller that passes a buffer of its
+// own owns the payload once roundTrip returns and the client's lock is
+// released: several cursors on one client never share one. A Describe
+// answering a QueryFirst is followed on the wire by the cursor's first
+// Batch, which is read under the same lock, into a fresh buffer, and
+// returned as batch. A QueryFirst that a server predating it rejects is
+// sent once more in its inner form, and the connection sends that form
+// from then on; no other error is retried, since the server may have
+// run the statement.
 //
 // The client's mutex is deliberately held across the socket write and
 // the reply read: the protocol is strict request/response on a single
@@ -129,22 +133,22 @@ const unknownQueryFirst = "unknown frame type 0x07"
 // long a reply can take.
 //
 //spatiallint:ignore lockdiscipline the mutex serialises request/response frames on one connection; holding it across the round trip is the protocol
-func (c *Client) roundTrip(t FrameType, payload []byte) (rt FrameType, rp, batch []byte, err error) {
+func (c *Client) roundTrip(t FrameType, payload, buf []byte) (rt FrameType, rp, batch []byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t == FrameQueryFirst && c.noFirst {
 		t, payload = FrameType(payload[0]), payload[1:]
 	}
-	rt, rp, err = c.exchange(t, payload)
+	rt, rp, err = c.exchange(t, payload, buf)
 	if re, ok := err.(*RemoteError); ok && t == FrameQueryFirst && re.Msg == unknownQueryFirst {
 		c.noFirst = true
 		t, payload = FrameType(payload[0]), payload[1:]
-		rt, rp, err = c.exchange(t, payload)
+		rt, rp, err = c.exchange(t, payload, buf)
 	}
 	if err != nil || t != FrameQueryFirst || rt != FrameDescribe {
 		return rt, rp, nil, err
 	}
-	bt, bp, err := c.recv()
+	bt, bp, err := c.recv(nil)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -154,8 +158,9 @@ func (c *Client) roundTrip(t FrameType, payload []byte) (rt FrameType, rp, batch
 	return rt, rp, bp, nil
 }
 
-// exchange writes one frame and reads its reply; the caller holds c.mu.
-func (c *Client) exchange(t FrameType, payload []byte) (FrameType, []byte, error) {
+// exchange writes one frame and reads its reply into buf; the caller
+// holds c.mu.
+func (c *Client) exchange(t FrameType, payload, buf []byte) (FrameType, []byte, error) {
 	if c.opt.WriteTimeout > 0 {
 		if err := c.conn.SetWriteDeadline(time.Now().Add(c.opt.WriteTimeout)); err != nil {
 			return 0, nil, err
@@ -167,18 +172,19 @@ func (c *Client) exchange(t FrameType, payload []byte) (FrameType, []byte, error
 	if err := c.bw.Flush(); err != nil {
 		return 0, nil, err
 	}
-	return c.recv()
+	return c.recv(buf)
 }
 
-// recv reads one frame under the read timeout, turning an Error frame
-// into a *RemoteError; the caller holds c.mu.
-func (c *Client) recv() (FrameType, []byte, error) {
+// recv reads one frame into buf under the read timeout, turning an
+// Error frame into a *RemoteError (whose message is copied out of the
+// payload); the caller holds c.mu.
+func (c *Client) recv(buf []byte) (FrameType, []byte, error) {
 	if c.opt.ReadTimeout > 0 {
 		if err := c.conn.SetReadDeadline(time.Now().Add(c.opt.ReadTimeout)); err != nil {
 			return 0, nil, err
 		}
 	}
-	rt, rp, err := ReadFrame(c.br)
+	rt, rp, err := readFrame(c.br, buf)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -260,7 +266,7 @@ func (c *Client) QueryScoped(sql string, sc Scope) (*QueryResult, error) {
 }
 
 func (c *Client) query(payload []byte) (*QueryResult, error) {
-	t, p, batch, err := c.roundTrip(FrameQueryFirst, payload)
+	t, p, batch, err := c.roundTrip(FrameQueryFirst, payload, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -287,6 +293,7 @@ func (c *Client) query(payload []byte) (*QueryResult, error) {
 			if err := cur.take(&cur.b, batch); err != nil {
 				return nil, err
 			}
+			cur.buf = batch // decoded: its storage is the cursor's to reuse
 		}
 		return &QueryResult{Cursor: cur}, nil
 	default:
@@ -296,7 +303,7 @@ func (c *Client) query(payload []byte) (*QueryResult, error) {
 
 // Stats fetches the server's statistics snapshot.
 func (c *Client) Stats() (Stats, error) {
-	t, p, _, err := c.roundTrip(FrameStats, nil)
+	t, p, _, err := c.roundTrip(FrameStats, nil, nil)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -310,7 +317,7 @@ func (c *Client) Stats() (Stats, error) {
 // series, histograms included). A server that predates the Metrics
 // frame answers with an "unknown frame type" RemoteError.
 func (c *Client) Metrics() ([]telemetry.Point, error) {
-	t, p, _, err := c.roundTrip(FrameMetricsReq, nil)
+	t, p, _, err := c.roundTrip(FrameMetricsReq, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -331,6 +338,12 @@ func (c *Client) Metrics() ([]telemetry.Point, error) {
 // Batch, so the rows it hands out stay valid as long as that batch
 // does. Use one of the two on a cursor, not both: rows buffered for
 // one are invisible to the other.
+//
+// Each fetch request is built in, and its reply read into, buffers the
+// cursor owns and reuses, so a steady stream allocates no frame
+// buffers: a decoded row never points into them (decodeBatch copies
+// what it keeps). A cursor is for one goroutine at a time; cursors of
+// one Client may be fetched from different goroutines.
 type Cursor struct {
 	c      *Client
 	id     uint64
@@ -343,6 +356,9 @@ type Cursor struct {
 	// its rows not yet handed out.
 	b   storage.Batch
 	pos int
+	// req and buf are the storage of the last Fetch request and of the
+	// last reply read for this cursor, reused by the next.
+	req, buf []byte
 }
 
 // ID returns the server-assigned cursor id.
@@ -369,7 +385,11 @@ func (cur *Cursor) take(b *storage.Batch, p []byte) error {
 // fetch asks the server for the next batch of up to n rows (n <= 0:
 // the server default) and decodes the reply into b.
 func (cur *Cursor) fetch(b *storage.Batch, n int) error {
-	t, p, _, err := cur.c.roundTrip(FrameFetch, AppendFetch(nil, cur.id, uint64(max(n, 0))))
+	cur.req = AppendFetch(cur.req[:0], cur.id, uint64(max(n, 0)))
+	t, p, _, err := cur.c.roundTrip(FrameFetch, cur.req, cur.buf)
+	if p != nil {
+		cur.buf = p
+	}
 	if err != nil {
 		if _, remote := err.(*RemoteError); remote {
 			// The server discarded the cursor along with the error.
@@ -441,11 +461,11 @@ func (cur *Cursor) FetchInto(b *storage.Batch, max int) (done bool, err error) {
 // Idempotent; a cursor whose final batch has arrived needs no round
 // trip (the server released it with that batch, or never kept it).
 func (cur *Cursor) Close() error {
-	cur.b, cur.pos = storage.Batch{}, 0
+	cur.b, cur.pos, cur.req, cur.buf = storage.Batch{}, 0, nil, nil
 	if cur.done {
 		return nil
 	}
 	cur.done = true
-	_, _, _, err := cur.c.roundTrip(FrameCloseCursor, AppendCloseCursor(nil, cur.id))
+	_, _, _, err := cur.c.roundTrip(FrameCloseCursor, AppendCloseCursor(nil, cur.id), nil)
 	return err
 }

@@ -16,10 +16,10 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"spatialtf/internal/storage"
 )
@@ -90,28 +90,45 @@ func WriteFrame(w *bufio.Writer, t FrameType, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame.
+// ReadFrame reads one frame into a fresh buffer.
 func ReadFrame(r *bufio.Reader) (FrameType, []byte, error) {
+	return readFrame(r, nil)
+}
+
+// readFrame reads one frame. The payload is read into buf's storage
+// (buf's contents are dropped), grown when it does not fit, and returned:
+// it is valid until that storage is reused. A nil buf reads into a
+// fresh buffer. Growth follows the bytes actually received rather than
+// the header: a forged length on a short stream must not cost a
+// MaxFrame-sized allocation before the read fails.
+func readFrame(r *bufio.Reader, buf []byte) (FrameType, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
 	}
-	// Grow the buffer from bytes actually received rather than trusting
-	// the header: a forged length on a short stream must not cost a
-	// MaxFrame-sized allocation before the read fails.
-	var buf bytes.Buffer
-	buf.Grow(int(min(n, 64<<10)))
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
+	const step = 64 << 10
+	if buf == nil {
+		buf = make([]byte, 0, min(n, step))
 	}
-	return FrameType(hdr[4]), buf.Bytes(), nil
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), step)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
+	}
+	return FrameType(hdr[4]), buf, nil
 }
 
 // WriteMagic sends the protocol magic.

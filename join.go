@@ -192,6 +192,22 @@ func (jc *JoinCursor) NextBatch(dst []Pair, max int) ([]Pair, error) {
 	return dst, err
 }
 
+// NextRows appends the next fetch batch of result rows to b — at most
+// max of them, the join's own fetch size when max <= 0 — as the table
+// function produced them: (rid1, rid2), each cell a rowid value
+// (storage.Rid) that renders as page.slot text. The rows follow b's
+// contract (storage.Batch): no pair is decoded or copied on the way.
+// Appending nothing with a nil error means end of stream. Read a cursor
+// with one of NextRows, NextBatch and Next.
+func (jc *JoinCursor) NextRows(b *storage.Batch, max int) error {
+	return jc.cur.NextBatch(b, max)
+}
+
+// Trace returns the cursor's per-query trace, nil unless DB.SetTracer
+// is active; a consumer of its rows may record spans of its own on it
+// until Close.
+func (jc *JoinCursor) Trace() *telemetry.Trace { return jc.trace }
+
 // Next returns the next result pair; ok is false at end of stream.
 func (jc *JoinCursor) Next() (p Pair, ok bool, err error) {
 	for jc.pos >= len(jc.pairs) {

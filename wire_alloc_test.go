@@ -69,11 +69,13 @@ func serveLoopback(tb testing.TB, db *spatialtf.DB) *wire.Client {
 // codec and client decode, all in this process — at half an allocation
 // per result row. A per-row allocation anywhere between the table
 // function's fetch and the client's decoded batch costs at least one.
-// It also pins the bytes allocated per result row: 198 measured, with a
+// It also pins the bytes allocated per result row: 133 measured, with a
 // 20 % margin. A client that decoded every batch into a fresh value
-// slab (two 144-byte values a row) allocated 507.
+// slab (two 144-byte values a row) allocated 507; one that read every
+// frame into a fresh buffer, behind a pipeline that rendered each pair
+// as text between the join and the server, allocated 199.
 func TestWireJoinStreamAllocBudget(t *testing.T) {
-	const bytesPerRowBudget = 240
+	const bytesPerRowBudget = 160
 	cli := servePointJoin(t, 4000)
 	rows := drainJoin(t, cli, pointJoinSQL) // warm: geometry cache, pools
 	if rows < 2000 {
