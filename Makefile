@@ -120,9 +120,10 @@ bench:
 # claim come from the repository benchmark (BENCHMARK.json, benchmark/).
 # The allocs/op lane re-runs the two headline join benchmarks (the
 # serial index join at each Table 2 size, and the real grid-partitioned
-# join's instances on 1-8 goroutines), the counties self-join at
-# distance 7 (BenchmarkSelfJoinRefine, the
-# join_refine secondary statement in miniature), the
+# join's instances on 1-8 goroutines), join_refine's two statements in
+# miniature, each on a shared warm geometry cache and on a private one
+# (BenchmarkSelfJoinRefine, the counties self-join at distance 7, and
+# BenchmarkZonesJoinRefine, block groups × zones), the
 # benchmark's join_stream and window_lookup statements in miniature (the
 # point cross-match and one window SELECT over loopback,
 # BenchmarkWirePointJoinStream and BenchmarkWireWindowLookup) and the secondary
@@ -132,7 +133,7 @@ bench:
 # shows up in CI output next to the floors lane (see DESIGN.md §16).
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
-	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|SelfJoinRefine|PointSelfJoinGrid|WirePointJoinStream|WireWindowLookup' -benchmem -benchtime 2x -count 1 .
+	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|JoinRefine|PointSelfJoinGrid|WirePointJoinStream|WireWindowLookup' -benchmem -benchtime 2x -count 1 .
 	$(GO) test -run NONE -bench 'Intersects|WithinDistance|BoxSide|Refine' -benchmem -benchtime 2x -count 1 ./internal/geom
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a module of

@@ -38,6 +38,10 @@ var (
 	pointsOnce sync.Once
 	fixPoints  sjoin.Source // 16 000 star centres
 
+	zonesOnce  sync.Once
+	fixZoneBGs sjoin.Source // 350 block groups
+	fixZones   sjoin.Source // 256 county-shaped zones
+
 	table2Once  sync.Once
 	table2Stars map[int]sjoin.Source // prefixes of one 25 000-star set
 )
@@ -61,6 +65,20 @@ func fixtures(b testing.TB) {
 		}
 		fixBlocks, err = benchSource("bench_blocks", fixBGDs, 0)
 		if err != nil {
+			panic(err)
+		}
+	})
+}
+
+// zonesFixture builds join_refine's primary operands at the sizes the
+// benchmark workload loads them.
+func zonesFixture() {
+	zonesOnce.Do(func() {
+		var err error
+		if fixZoneBGs, err = benchSource("bench_zone_bgs", datagen.BlockGroups(350, 1), 0); err != nil {
+			panic(err)
+		}
+		if fixZones, err = benchSource("bench_zones", datagen.Counties(256, 3), 0); err != nil {
 			panic(err)
 		}
 	})
@@ -155,10 +173,41 @@ func BenchmarkSelfJoinRefine(b *testing.B) {
 	fixtures(b)
 	cfg := sjoin.DefaultConfig()
 	cfg.Distance = 7
-	for i := 0; i < b.N; i++ {
-		if n, err := drainRows(sjoin.IndexJoin(fixCounties, fixCounties, cfg)); err != nil || n == 0 {
-			b.Fatal(n, err)
-		}
+	benchRefine(b, fixCounties, fixCounties, cfg)
+}
+
+// The join_refine workload's primary statement in miniature: 350 block
+// groups × 256 zones, ANYINTERACT, serial, streamed as rows. The box
+// route decides some candidates from their MBRs; the rest are fetched
+// and refined.
+func BenchmarkZonesJoinRefine(b *testing.B) {
+	zonesFixture()
+	benchRefine(b, fixZoneBGs, fixZones, sjoin.DefaultConfig())
+}
+
+// benchRefine drains the serial index join of a × c with cfg on two
+// cache legs. cache=db shares one geometry cache across iterations,
+// warmed before timing, as a DB's statements share the database's
+// cache; cache=join gives each join a private cache, so every iteration
+// fetches and decodes each geometry it refines.
+func benchRefine(b *testing.B, a, c sjoin.Source, cfg sjoin.Config) {
+	for _, leg := range []string{"db", "join"} {
+		b.Run("cache="+leg, func(b *testing.B) {
+			cfg := cfg
+			if leg == "db" {
+				cfg.GeomCache = sjoin.NewGeomCache(0)
+				if n, err := drainRows(sjoin.IndexJoin(a, c, cfg)); err != nil || n == 0 {
+					b.Fatal(n, err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if n, err := drainRows(sjoin.IndexJoin(a, c, cfg)); err != nil || n == 0 {
+					b.Fatal(n, err)
+				}
+			}
+		})
 	}
 }
 

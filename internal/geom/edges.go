@@ -12,13 +12,16 @@ import "math"
 
 // chain is one side of an edge-pair enumeration: the vertices of a
 // polyline, or of a ring when closed (its last vertex joins the first).
+// A bounded geometry's first chain carries the geometry's memo
+// (Geometry.chain), which span returns instead of walking the edges.
 type chain struct {
 	pts    []Point
 	closed bool
+	memo   *bounds
 }
 
-func path(pts []Point) chain { return chain{pts, false} }
-func ring(r []Point) chain   { return chain{r, true} }
+func path(pts []Point) chain { return chain{pts: pts} }
+func ring(r []Point) chain   { return chain{pts: r, closed: true} }
 
 // edges returns the number of edges of c.
 func (c chain) edges() int {
@@ -47,8 +50,12 @@ func (c chain) anyEdge(fn func(a, b Point) bool) bool {
 	return false
 }
 
-// span returns c's bounding box and the L∞ length of its shortest edge.
+// span returns c's bounding box and the L∞ length of its shortest edge,
+// from c's memo when it has one.
 func (c chain) span() (MBR, float64) {
+	if c.memo != nil {
+		return c.memo.box, c.memo.short
+	}
 	m, short := EmptyMBR(), math.Inf(1)
 	for i, n := 0, c.edges(); i < n; i++ {
 		a, b := c.edge(i)
@@ -216,8 +223,8 @@ func BoxSide(r MBR, g Geometry, reach float64) int {
 	}
 	span, short := r, math.Inf(1)
 	for _, p := range polys {
-		for _, rg := range p.Rings {
-			m, s := ring(rg).span()
+		for i := range p.Rings {
+			m, s := p.chain(i).span()
 			span, short = span.Union(m), min(short, s)
 		}
 	}

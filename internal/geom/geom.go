@@ -99,13 +99,55 @@ func (p Point) Dist(q Point) float64 {
 //
 // A Geometry value is immutable by convention: callers must not mutate
 // the slices after construction, which lets indexes share geometry
-// storage without copying.
+// storage without copying. Immutability also guards the memo Bounded
+// attaches: it holds bounds computed from the vertices, and every copy
+// of the value shares it.
 type Geometry struct {
 	Kind  Kind
 	Pts   []Point
 	Rings [][]Point
 	Elems []Geometry
+	memo  *bounds // set by Bounded, nil otherwise
 }
+
+// bounds is the memo Bounded attaches to a line or polygon: what its
+// first boundary chain's span returns — the chain's box, which is also
+// the geometry's MBR, and the L∞ length of its shortest edge.
+type bounds struct {
+	box   MBR
+	short float64
+}
+
+// Bounded returns g carrying a memo of its bounds, so that MBROf and the
+// exact predicates read them instead of walking g's vertices again. It
+// is meant for a geometry many predicates will read, such as one a join
+// caches. The memo holds the floats the kernels compute without it, so
+// every answer on a bounded geometry is bit for bit the one on g. A line
+// or polygon costs one allocation; a point, a multi kind, or a geometry
+// already bounded is returned as it is. So is a line of fewer than two
+// vertices, whose path has no edge, so its span is not its MBR.
+func Bounded(g Geometry) Geometry {
+	chained := g.Kind == KindLineString && len(g.Pts) >= 2 || g.Kind == KindPolygon && len(g.Rings) > 0
+	if !chained || g.memo != nil {
+		return g
+	}
+	box, short := g.chain(0).span()
+	g.memo = &bounds{box, short}
+	return g
+}
+
+// MemoBytes returns the bytes of the memo g carries: the size of one
+// bounds if Bounded attached it, zero otherwise. Caches count it when
+// they size a geometry.
+func (g Geometry) MemoBytes() int {
+	if g.memo == nil {
+		return 0
+	}
+	return boundsBytes
+}
+
+// boundsBytes is the size of a bounds: an MBR and a float64.
+const boundsBytes = 5 * 8
 
 // Validation errors returned by the constructors and Validate.
 var (

@@ -150,23 +150,18 @@ func (m MBR) String() string {
 }
 
 // MBROf returns the minimum bounding rectangle of g, or the empty
-// rectangle for an invalid geometry.
+// rectangle for an invalid geometry. It reads the memo of a bounded
+// geometry (Bounded). Otherwise it folds the vertices with min and max,
+// as chain.span does, so the two agree bit for bit, signed zeros
+// included, and the memo can stand for either.
 func MBROf(g Geometry) MBR {
+	if g.memo != nil {
+		return g.memo.box
+	}
 	m := EmptyMBR()
 	grow := func(pts []Point) {
 		for _, p := range pts {
-			if p.X < m.MinX {
-				m.MinX = p.X
-			}
-			if p.X > m.MaxX {
-				m.MaxX = p.X
-			}
-			if p.Y < m.MinY {
-				m.MinY = p.Y
-			}
-			if p.Y > m.MaxY {
-				m.MaxY = p.Y
-			}
+			m = MBR{min(m.MinX, p.X), min(m.MinY, p.Y), max(m.MaxX, p.X), max(m.MaxY, p.Y)}
 		}
 	}
 	switch g.Kind {

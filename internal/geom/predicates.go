@@ -36,12 +36,17 @@ func (g Geometry) chains() int {
 	return len(g.Rings)
 }
 
-// chain returns g's i-th boundary chain.
+// chain returns g's i-th boundary chain. The first one carries g's memo
+// (Bounded), if g has one.
 func (g Geometry) chain(i int) chain {
-	if g.Kind == KindLineString {
-		return path(g.Pts)
+	c := path(g.Pts)
+	if g.Kind != KindLineString {
+		c = ring(g.Rings[i])
 	}
-	return ring(g.Rings[i])
+	if i == 0 {
+		c.memo = g.memo
+	}
+	return c
 }
 
 // chainPairs reports whether fn holds for some pair of a boundary chain

@@ -206,12 +206,12 @@ func (s *geomShard) evict(e *geomEntry) {
 }
 
 // geomSizeBytes estimates the in-memory footprint of a decoded geometry:
-// struct headers plus 16 bytes per vertex, recursing into collection
-// elements. An estimate is enough — the budget bounds memory order, not
-// exact bytes.
+// struct headers plus 16 bytes per vertex and the memo of its bounds
+// (geom.Bounded), recursing into collection elements. An estimate is
+// enough — the budget bounds memory order, not exact bytes.
 func geomSizeBytes(g geom.Geometry) int {
-	const header = 96 // Geometry struct + map entry + LRU entry overhead
-	n := header + 16*len(g.Pts)
+	const header = 104 // Geometry struct + map entry + LRU entry overhead
+	n := header + 16*len(g.Pts) + g.MemoBytes()
 	for _, r := range g.Rings {
 		n += 24 + 16*len(r)
 	}
@@ -237,7 +237,10 @@ func (c Config) resolveCache() *GeomCache {
 // cachedFetch fetches the geometry column col of (tab, id) through
 // cache (which may be nil). hit reports whether the base-table fetch
 // was avoided; live is false for a row deleted since its index entry
-// was read (Table.FetchColumns), which is then no candidate's side.
+// was read (Table.FetchColumns), which is then no candidate's side. A
+// geometry put into the cache carries its bounds (geom.Bounded), so the
+// candidates that read it again skip the passes over its vertices that
+// do not depend on the partner.
 func cachedFetch(cache *GeomCache, tab *storage.Table, col int, id storage.RowID) (g geom.Geometry, hit, live bool, err error) {
 	if cache != nil {
 		if g, ok := cache.Get(tab, col, id); ok {
@@ -248,8 +251,10 @@ func cachedFetch(cache *GeomCache, tab *storage.Table, col int, id storage.RowID
 	if live, err = tab.FetchColumns(id, cols[:], v[:]); !live || err != nil {
 		return geom.Geometry{}, false, false, err
 	}
+	g = v[0].G
 	if cache != nil {
-		cache.Put(tab, col, id, v[0].G)
+		g = geom.Bounded(g)
+		cache.Put(tab, col, id, g)
 	}
-	return v[0].G, false, true, nil
+	return g, false, true, nil
 }

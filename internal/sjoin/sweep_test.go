@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"spatialtf/internal/datagen"
@@ -475,5 +476,94 @@ func TestGeomCacheEviction(t *testing.T) {
 	}
 	if c.Stats().Hits != hitsBefore+1 {
 		t.Fatalf("hit counter did not advance")
+	}
+}
+
+// TestGeomCacheHoldsBounds pins where the bounds memo comes from: a
+// geometry the join puts into its cache carries it (geom.Bounded), the
+// cache's sizing counts it, and a fetch with no cache leaves the decoded
+// geometry as it is. TestGeomCacheOnOffIdentical is the differential
+// over the answers: cache off reads no memo, cache on reads one.
+func TestGeomCacheHoldsBounds(t *testing.T) {
+	src := buildSource(t, "memo_counties", datagen.Counties(50, 61))
+	col, err := src.geomColumn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []storage.RowID
+	src.Table.Scan(func(id storage.RowID, _ storage.Row) bool {
+		ids = append(ids, id)
+		return true
+	})
+	c := NewGeomCache(0)
+	want := 0
+	for _, id := range ids {
+		g, hit, live, err := cachedFetch(c, src.Table, col, id)
+		if err != nil || !live || hit {
+			t.Fatalf("fetch %v: hit %v, live %v, err %v", id, hit, live, err)
+		}
+		if g.MemoBytes() == 0 {
+			t.Fatalf("fetch %v: a cached %v carries no memo", id, g.Kind)
+		}
+		if geom.MBROf(g) != geom.MBROf(geom.Geometry{Kind: g.Kind, Rings: g.Rings}) {
+			t.Fatalf("fetch %v: the memo's box is not the MBR", id)
+		}
+		want += geomSizeBytes(g)
+		if again, hit, _, _ := cachedFetch(c, src.Table, col, id); !hit || again.MemoBytes() == 0 {
+			t.Fatalf("fetch %v again: hit %v, memo bytes %d", id, hit, again.MemoBytes())
+		}
+		if bare, _, _, _ := cachedFetch(nil, src.Table, col, id); bare.MemoBytes() != 0 {
+			t.Fatalf("fetch %v without a cache attached a memo", id)
+		}
+	}
+	if st := c.Stats(); st.Bytes != int64(want) {
+		t.Fatalf("cache holds %d bytes, the fetched geometries size to %d", st.Bytes, want)
+	}
+}
+
+// TestCachedBoundsSharedByInstances has parallel subtree and grid
+// instances of two joins read the same bounded geometries out of one
+// shared cache at once. A memo is written before its geometry is put
+// into the cache and only read after a lookup, so the race lane (`make
+// race-hot`) holds that handoff; the answers must be the serial join's
+// on a cache of its own.
+func TestCachedBoundsSharedByInstances(t *testing.T) {
+	src := buildSource(t, "shared_counties", datagen.Counties(200, 81))
+	cfg := DefaultConfig()
+	cfg.Distance = 7
+	cur, err := IndexJoin(src, src, cfg)
+	want := sortedPairs(t, cur, err)
+	shared := cfg
+	shared.GeomCache = NewGeomCache(0)
+	opens := []func() (storage.Cursor, error){
+		func() (storage.Cursor, error) { return ParallelIndexJoin(src, src, shared, 4) },
+		func() (storage.Cursor, error) { return GridParallelJoin(src, src, shared, 4) },
+	}
+	got := make([][]Pair, len(opens))
+	errs := make([]error, len(opens))
+	var wg sync.WaitGroup
+	for i, open := range opens {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cur, err := open()
+			if err == nil {
+				got[i], err = CollectPairs(cur)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i := range opens {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		SortPairs(got[i])
+		if !pairsEqual(got[i], want) {
+			t.Errorf("join %d on the shared cache: %d pairs, serial %d", i, len(got[i]), len(want))
+		}
+	}
+	if st := shared.GeomCache.Stats(); st.Hits == 0 {
+		t.Fatalf("the instances shared no cached geometry: %+v", st)
 	}
 }
