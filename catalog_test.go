@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"spatialtf/internal/allocbound"
 	"spatialtf/internal/geom"
 	"spatialtf/internal/pager"
 )
@@ -369,10 +370,16 @@ func FuzzImport(f *testing.F) {
 	for _, cut := range []int{0, 8, 9, 40, len(snap) / 2, len(snap) - 1} {
 		f.Add(snap[:cut])
 	}
+	// Forged counts: a row image of the full 16 MiB limit in a 20-byte
+	// snapshot, and a 48 MiB table name.
+	forged := appendSchema(appendString([]byte(snapshotMagic+"\x01"), "t"), []Column{{Name: "k", Type: TInt64}})
+	f.Add(binary.AppendUvarint(append(forged, 1), maxSnapshotRowImage))
+	f.Add(binary.AppendUvarint([]byte(snapshotMagic+"\x01"), 48<<20))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic; every allocation is capped by the codec's
-		// limits or by bytes actually present in data.
-		Open().Import(bytes.NewReader(data), 0)
+		// limits and by bytes actually present in data.
+		db := Open()
+		allocbound.Check(t, len(data), func() { db.Import(bytes.NewReader(data), 0) })
 	})
 }
 
@@ -384,6 +391,8 @@ func FuzzCatalog(f *testing.F) {
 	body := cat[len(catalogMagic) : len(cat)-4]
 	f.Add(body)
 	f.Add(body[:len(body)/2])
+	// A forged count: one table whose name is 48 MiB long.
+	f.Add(binary.AppendUvarint([]byte{1}, 48<<20))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// The fuzzer mutates the body; the frame around it is recomputed
 		// so mutations reach the decoder instead of dying at the CRC.
@@ -391,9 +400,11 @@ func FuzzCatalog(f *testing.F) {
 		if err := pager.AtomicWriteFile(fs, "data/catalog.bin", sealCatalog(body)); err != nil {
 			t.Fatal(err)
 		}
-		if db, err := OpenDir("data", DirOptions{fs: fs}); err == nil {
-			db.Close()
-		}
+		allocbound.Check(t, len(body), func() {
+			if db, err := OpenDir("data", DirOptions{fs: fs}); err == nil {
+				db.Close()
+			}
+		})
 	})
 }
 

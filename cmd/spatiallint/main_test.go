@@ -82,7 +82,7 @@ func TestDumpCFGUnknownFunc(t *testing.T) {
 // is a usage error, not a silent no-op, so a stale -disable in a script
 // surfaces at once.
 func TestUnknownRuleFailsLoudly(t *testing.T) {
-	for _, name := range []string{"lockorder", "atomicmix", "metricname", "pinpair", "nosuchrule"} {
+	for _, name := range []string{"lockorder", "atomicmix", "metricname", "pinpair", "goleak", "taintsize", "nosuchrule"} {
 		var stderr bytes.Buffer
 		if status := run([]string{"-disable", name}, &stderr); status != 2 {
 			t.Errorf("-disable %s: exit status %d, want 2", name, status)

@@ -2,8 +2,8 @@
 // analyzer suite for this repository. The Go compiler cannot check the
 // contracts the table-function machinery is built on — the paper's
 // start–fetch–close cursor discipline (§3), R-trees staying pinned for
-// the lifetime of a streaming join cursor, and bounded streaming over
-// the wire — so this package checks them mechanically:
+// the lifetime of a streaming join cursor, and locks that never wait on
+// a peer — so this package checks four of them mechanically:
 //
 //	release        acquire ⇒ release on every path: an rtree.Tree.Pin()
 //	               (defer/all-paths Unpin, or an escaping release func
@@ -23,27 +23,24 @@
 //	               and bufio flush calls
 //	floateq        no ==/!= on floating-point values outside the
 //	               approved predicate helpers in internal/geom
-//	taintsize      a length/count decoded from wire, snapshot, or geom
-//	               bytes must pass a bound check before it reaches a
-//	               make/Grow preallocation
-//	goleak         a goroutine launched in the server/join machinery
-//	               must be joined (WaitGroup, channel) or tied to a
-//	               shutdown path
 //
 // Some contracts are held elsewhere, not linted: allocations by
 // testing.AllocsPerRun floor tests beside the hot paths (DESIGN.md
 // §16); metric names by the registry, which panics on a malformed or
 // duplicate name, and a test that registers every metric set in the
 // module onto one registry; atomic fields by the typed sync/atomic API,
-// which admits no plain access (DESIGN.md §15).
+// which admits no plain access (DESIGN.md §15); goroutines by
+// internal/leakcheck, which fails a package's tests when a goroutine
+// they started outlives them; and decoded sizes by internal/allocbound,
+// which bounds the bytes each decoder fuzz target allocates by its
+// input's length.
 //
-// release, lockdiscipline and taintsize run on the control-flow-graph
-// engine in the cfg subpackage:
-// per-function basic blocks plus a worklist dataflow solver, one graph
-// per function scope shared through the Module, with per-function
-// summaries carrying facts across calls — which functions return
-// release funcs, which results carry unbounded decoded counts, which
-// callees account for the goroutines they spawn.
+// release and lockdiscipline run on the control-flow-graph engine in
+// the cfg subpackage: per-function basic blocks plus a worklist
+// dataflow solver, one graph per function scope shared through the
+// Module, with per-function summaries carrying facts across calls —
+// which functions return release funcs, which locks a callee takes or
+// leaves held, which calls can block.
 //
 // Everything here is stdlib-only: packages load through `go list
 // -deps -export` plus go/parser and go/types with an export-data
@@ -115,8 +112,6 @@ func Analyzers() []*Analyzer {
 		LockDiscipline,
 		WireErr,
 		FloatEq,
-		TaintSize,
-		GoLeak,
 	}
 }
 
@@ -281,17 +276,6 @@ func funcScopes(f *ast.File) []*ast.BlockStmt {
 		return true
 	})
 	return out
-}
-
-// methodObj resolves the called method of a selector call like
-// recv.Name(...), returning the receiver expression and the *types.Func
-// (nil if the call is not a resolvable method/package-function call).
-func methodObj(info *types.Info, call *ast.CallExpr) (recv ast.Expr, fn *types.Func) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, nil
-	}
-	return selectorObj(info, sel)
 }
 
 // selectorObj resolves recv.Name (called or not) to its *types.Func.

@@ -6,8 +6,7 @@ import "go/ast"
 // the entry fact, the lattice operations (Join/Equal/Clone), the
 // per-node transfer function, and an optional per-edge refinement that
 // sees the branch condition an edge follows (how the release rule
-// excuses the open's own error path, and how taintsize treats a bound
-// check as a sanitizer).
+// excuses the open's own error path).
 //
 // Facts must be monotone under Transfer/Edge and the lattice of
 // reachable facts finite (the rules use small maps keyed by objects or

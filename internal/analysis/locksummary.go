@@ -1,7 +1,7 @@
 package analysis
 
 // Per-function lock summaries, folded to a module-wide fixpoint by
-// BuildModule alongside the taint/release/accounting facts. These are
+// BuildModule alongside the release facts. These are
 // what make lockdiscipline interprocedural: a caller
 // holding a mutex sees through its callees to the locks they acquire,
 // the operations they block on, and the locks they leave held (the

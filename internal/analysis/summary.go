@@ -12,8 +12,8 @@ import (
 // Function summaries: the facts the interprocedural rules carry across
 // calls, FlowDroid-style. Each module function gets one FuncSummary;
 // BuildModule iterates the whole set to a fixpoint so transitive facts
-// (a function that forwards another function's decoded count, a
-// release func built from another release func) converge.
+// (a release func built from another release func, a lock taken by a
+// callee's callee) converge.
 //
 // Summaries are keyed by package path + receiver + name rather than by
 // *types.Func identity: each package is type-checked against export
@@ -26,26 +26,10 @@ type FuncSummary struct {
 	Decl *ast.FuncDecl
 	Pkg  *Pkg
 
-	// TaintedResults[i] reports that result i carries a count decoded
-	// from raw bytes (wire frame, snapshot stream, geometry image)
-	// that no bound check constrained inside the function.
-	TaintedResults []bool
-
-	// UnguardedSizeParams[i] reports that if param i arrives as an
-	// unbounded decoded count, it reaches a make/Grow allocation in
-	// this function (or a callee) without passing a bound check.
-	UnguardedSizeParams []bool
-
 	// ReleaseResults[i] reports that result i is a release/cancel
 	// func: every return site yields nil, a closure or method value
 	// that performs a release, or another function's release result.
 	ReleaseResults []bool
-
-	// Accounted reports that the function body contains goroutine-
-	// accounting evidence — sync.WaitGroup bookkeeping, a channel
-	// operation, or a select — directly or via a module callee. goleak
-	// accepts `go f()` when f is accounted.
-	Accounted bool
 
 	// The lock summary (see locksummary.go): which globally-named
 	// locks this function acquires, directly or through callees
@@ -126,14 +110,11 @@ func BuildModule(pkgs []*Pkg) *Module {
 				if !ok {
 					continue
 				}
-				sig := fn.Signature()
 				m.fns[FuncKey(fn)] = &FuncSummary{
-					Fn:                  fn,
-					Decl:                fd,
-					Pkg:                 pkg,
-					TaintedResults:      make([]bool, sig.Results().Len()),
-					UnguardedSizeParams: make([]bool, sig.Params().Len()),
-					ReleaseResults:      make([]bool, sig.Results().Len()),
+					Fn:             fn,
+					Decl:           fd,
+					Pkg:            pkg,
+					ReleaseResults: make([]bool, fn.Signature().Results().Len()),
 				}
 			}
 		}
@@ -143,13 +124,7 @@ func BuildModule(pkgs []*Pkg) *Module {
 		changed := false
 		for _, key := range keys {
 			s := m.fns[key]
-			if updateAccounted(s, m) {
-				changed = true
-			}
 			if updateReleaseResults(s, m) {
-				changed = true
-			}
-			if updateTaintSummary(s, m) {
 				changed = true
 			}
 			if updateLockFacts(s, m) {
@@ -161,88 +136,6 @@ func BuildModule(pkgs []*Pkg) *Module {
 		}
 	}
 	return m
-}
-
-// --- goroutine accounting ---
-
-// updateAccounted recomputes s.Accounted; reports a change.
-func updateAccounted(s *FuncSummary, m *Module) bool {
-	if s.Accounted {
-		return false
-	}
-	if bodyAccounted(s.Pkg, s.Decl.Body, m) {
-		s.Accounted = true
-		return true
-	}
-	return false
-}
-
-// bodyAccounted scans n for goroutine-accounting evidence: WaitGroup
-// Add/Done/Wait, any channel operation (send, receive, close, range
-// over a channel), a select statement, or a call to an accounted
-// module function.
-func bodyAccounted(pkg *Pkg, n ast.Node, m *Module) bool {
-	found := false
-	ast.Inspect(n, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		switch x := x.(type) {
-		case *ast.SendStmt, *ast.SelectStmt:
-			found = true
-		case *ast.UnaryExpr:
-			if x.Op.String() == "<-" {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if tv, ok := pkg.Info.Types[x.X]; ok && tv.Type != nil {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					found = true
-				}
-			}
-		case *ast.CallExpr:
-			switch fun := x.Fun.(type) {
-			case *ast.Ident:
-				if b, ok := pkg.Info.Uses[fun].(*types.Builtin); ok && b.Name() == "close" {
-					found = true
-				} else if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-					if sum := m.SummaryOf(fn); sum != nil && sum.Accounted {
-						found = true
-					}
-				}
-			case *ast.SelectorExpr:
-				_, fn := selectorObj(pkg.Info, fun)
-				if fn == nil {
-					break
-				}
-				if pkgPathOf(fn) == "sync" && isWaitGroupMethod(fn) {
-					found = true
-				} else if sum := m.SummaryOf(fn); sum != nil && sum.Accounted {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-func isWaitGroupMethod(fn *types.Func) bool {
-	switch fn.Name() {
-	case "Add", "Done", "Wait", "Go":
-	default:
-		return false
-	}
-	sig := fn.Signature()
-	if sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "WaitGroup"
 }
 
 // --- release-func results ---

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"spatialtf"
+	"spatialtf/internal/allocbound"
 	"spatialtf/internal/geom"
 )
 
@@ -145,16 +148,23 @@ func TestShardsForMBRNonFinite(t *testing.T) {
 }
 
 // FuzzManifest feeds arbitrary images to the manifest decoder: it must
-// never panic, and an image it accepts validates and re-encodes to the
-// same bytes.
+// never panic or allocate past allocbound's bound, and an image it
+// accepts validates and re-encodes to the same bytes.
 func FuzzManifest(f *testing.F) {
 	f.Add(testMap(3).encode())
 	m := testMap(2)
 	m.Shards = []string{"10.0.0.1:7878", ""}
 	f.Add(m.encode())
 	f.Add([]byte(manifestMagic))
+	// A forged count: 2 Mi shards (32 MiB of addresses) with none behind
+	// the count.
+	forged := append([]byte(manifestMagic), make([]byte, 5*8+2*4)...)
+	forged = binary.LittleEndian.AppendUint32(forged, 2<<20)
+	f.Add(binary.LittleEndian.AppendUint32(forged, crc32.Checksum(forged, manifestCRC)))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, err := decodeShardMap(raw)
+		var m *ShardMap
+		var err error
+		allocbound.Check(t, len(raw), func() { m, err = decodeShardMap(raw) })
 		if err != nil {
 			return
 		}

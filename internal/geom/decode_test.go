@@ -1,8 +1,11 @@
 package geom
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
+
+	"spatialtf/internal/allocbound"
 )
 
 // TestUnmarshalBinaryRejectsInvalid feeds the decoder well-formed
@@ -78,8 +81,13 @@ func FuzzGeomBinary(f *testing.F) {
 	}
 	f.Add(MarshalBinary(Geometry{Kind: KindPolygon}))
 	f.Add(MarshalBinary(Geometry{Kind: KindMultiPolygon, Elems: []Geometry{NewPoint(1, 1)}}))
+	// A forged count: a line string of 2 Mi points (32 MiB) with none
+	// behind it.
+	f.Add(binary.AppendUvarint([]byte{byte(KindLineString), 1}, 2<<20))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		g, err := UnmarshalBinary(b)
+		var g Geometry
+		var err error
+		allocbound.Check(t, len(b), func() { g, err = UnmarshalBinary(b) })
 		if err != nil {
 			return
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"spatialtf"
+	"spatialtf/internal/leakcheck"
 	"spatialtf/internal/sqlmini"
 	"spatialtf/internal/storage"
 	"spatialtf/internal/wire"
@@ -276,6 +278,41 @@ func TestServerConnectionLimit(t *testing.T) {
 			t.Fatalf("slot never freed: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestShutdownJoinsRejections: a connection turned away at the limit
+// gets its reject handshake on a goroutine of its own. A client that
+// reads the server's magic and never answers must not keep that
+// goroutine alive past Shutdown.
+func TestShutdownJoinsRejections(t *testing.T) {
+	before := leakcheck.Take()
+	db := newTestDB(t, 8)
+	srv, addr := startTestServer(t, db, Config{MaxConns: 1})
+	first, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	if _, err := first.Query("SELECT count(*) FROM counties"); err != nil {
+		t.Fatal(err)
+	}
+	second, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	magic := make([]byte, len(wire.Magic))
+	if _, err := io.ReadFull(second, magic); err != nil || string(magic) != wire.Magic {
+		t.Fatalf("rejected connection read %q (%v), want the server's magic", magic, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := before.Leaked(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"spatialtf/internal/allocbound"
 	"spatialtf/internal/geom"
 	"spatialtf/internal/storage"
 	"spatialtf/internal/telemetry"
@@ -24,9 +25,9 @@ var fuzzSchema = []storage.Column{
 
 // FuzzWireDecode throws bytes at every decode path a peer can reach: the
 // frame reader, then each payload parser on the raw payload. All of them
-// must return an error rather than panic, hang, or over-allocate on
-// hostile input, and what the batch and query parsers accept must
-// survive re-encoding. A batch that decodes must decode to the same rows
+// must return an error rather than panic, hang, or allocate past
+// allocbound's bound on hostile input, and what the batch and query
+// parsers accept must survive re-encoding. A batch that decodes must decode to the same rows
 // into a batch that already held another payload's.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -63,6 +64,10 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add(prefill)
 	f.Add(binary.AppendUvarint([]byte{8, 0}, 1<<62))
+	// Forged counts: a frame header claiming the whole MaxFrame with no
+	// payload behind it, and a result of 256 Ki zero-column rows.
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, MaxFrame), byte(FrameBatch)))
+	f.Add(binary.AppendUvarint([]byte{0, 0, 0, 0}, 1<<18))
 	var frame bytes.Buffer
 	bw := bufio.NewWriter(&frame)
 	if err := WriteFrame(bw, FrameQuery, AppendQuery(nil, "SELECT * FROM rivers")); err == nil && bw.Flush() == nil {
@@ -74,65 +79,70 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(AppendQueryFirst(nil, &sc, "SELECT count(*) FROM cities"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		for {
-			if _, _, err := ReadFrame(br); err != nil {
-				break
-			}
-		}
-		ParseQuery(data)
-		// The query frames must re-encode to what they decoded from.
-		if sc, sql, err := ParseScopedQuery(data); err == nil {
-			if sc2, sql2, err := ParseScopedQuery(AppendScopedQuery(nil, sc, sql)); err != nil || sc2 != sc || sql2 != sql {
-				t.Fatalf("scoped query %+v %q re-decoded as %+v %q (%v)", sc, sql, sc2, sql2, err)
-			}
-		}
-		if sc, sql, err := ParseQueryFirst(data); err == nil {
-			sc2, sql2, err := ParseQueryFirst(AppendQueryFirst(nil, sc, sql))
-			if err != nil || sql2 != sql || (sc == nil) != (sc2 == nil) || (sc != nil && *sc != *sc2) {
-				t.Fatalf("QueryFirst %v %q re-decoded as %v %q (%v)", sc, sql, sc2, sql2, err)
-			}
-		}
-		ParseFetch(data)
-		ParseCloseCursor(data)
-		ParseDescribe(data)
-		if id, done, rows, err := ParseBatch(data, fuzzSchema); err == nil {
-			// What decoded must encode, and decode again to as many rows.
-			img, err := AppendBatch(nil, id, done, fuzzSchema, rows)
-			if err != nil {
-				t.Fatalf("re-encoding a decoded batch: %v", err)
-			}
-			if _, _, again, err := ParseBatch(img, fuzzSchema); err != nil || len(again) != len(rows) {
-				t.Fatalf("decoded %d rows, re-decoded %d (%v)", len(rows), len(again), err)
-			}
-			// Decoded into a batch that held another payload's rows, it
-			// gives the same rows: after a Reset, and behind the rows
-			// held, which stay as they were.
-			var b storage.Batch
-			if _, _, err := decodeBatch(&b, prefill, fuzzSchema); err != nil {
-				t.Fatal(err)
-			}
-			held := len(b.Rows)
-			if _, _, err := decodeBatch(&b, data, fuzzSchema); err != nil {
-				t.Fatalf("decoding behind held rows: %v", err)
-			}
-			if again, _ := AppendBatch(nil, 8, false, fuzzSchema, b.Rows[:held]); !bytes.Equal(again, prefill) {
-				t.Fatal("decoding behind held rows changed them")
-			}
-			if again, _ := AppendBatch(nil, id, done, fuzzSchema, b.Rows[held:]); !bytes.Equal(again, img) {
-				t.Fatal("rows decoded behind held rows differ from a fresh decode")
-			}
-			b.Reset()
-			if _, _, err := decodeBatch(&b, data, fuzzSchema); err != nil {
-				t.Fatalf("decoding into a reset batch: %v", err)
-			}
-			if again, _ := AppendBatch(nil, id, done, fuzzSchema, b.Rows); !bytes.Equal(again, img) {
-				t.Fatal("rows decoded into a reset batch differ from a fresh decode")
-			}
-		}
-		ParseResult(data)
-		ParseError(data)
-		ParseStats(data)
-		ParseMetrics(data)
+		allocbound.Check(t, len(data), func() { decodeAll(t, data, prefill) })
 	})
+}
+
+// decodeAll runs every decoder of FuzzWireDecode over data.
+func decodeAll(t *testing.T, data, prefill []byte) {
+	br := bufio.NewReader(bytes.NewReader(data))
+	for {
+		if _, _, err := ReadFrame(br); err != nil {
+			break
+		}
+	}
+	ParseQuery(data)
+	// The query frames must re-encode to what they decoded from.
+	if sc, sql, err := ParseScopedQuery(data); err == nil {
+		if sc2, sql2, err := ParseScopedQuery(AppendScopedQuery(nil, sc, sql)); err != nil || sc2 != sc || sql2 != sql {
+			t.Fatalf("scoped query %+v %q re-decoded as %+v %q (%v)", sc, sql, sc2, sql2, err)
+		}
+	}
+	if sc, sql, err := ParseQueryFirst(data); err == nil {
+		sc2, sql2, err := ParseQueryFirst(AppendQueryFirst(nil, sc, sql))
+		if err != nil || sql2 != sql || (sc == nil) != (sc2 == nil) || (sc != nil && *sc != *sc2) {
+			t.Fatalf("QueryFirst %v %q re-decoded as %v %q (%v)", sc, sql, sc2, sql2, err)
+		}
+	}
+	ParseFetch(data)
+	ParseCloseCursor(data)
+	ParseDescribe(data)
+	if id, done, rows, err := ParseBatch(data, fuzzSchema); err == nil {
+		// What decoded must encode, and decode again to as many rows.
+		img, err := AppendBatch(nil, id, done, fuzzSchema, rows)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded batch: %v", err)
+		}
+		if _, _, again, err := ParseBatch(img, fuzzSchema); err != nil || len(again) != len(rows) {
+			t.Fatalf("decoded %d rows, re-decoded %d (%v)", len(rows), len(again), err)
+		}
+		// Decoded into a batch that held another payload's rows, it
+		// gives the same rows: after a Reset, and behind the rows
+		// held, which stay as they were.
+		var b storage.Batch
+		if _, _, err := decodeBatch(&b, prefill, fuzzSchema); err != nil {
+			t.Fatal(err)
+		}
+		held := len(b.Rows)
+		if _, _, err := decodeBatch(&b, data, fuzzSchema); err != nil {
+			t.Fatalf("decoding behind held rows: %v", err)
+		}
+		if again, _ := AppendBatch(nil, 8, false, fuzzSchema, b.Rows[:held]); !bytes.Equal(again, prefill) {
+			t.Fatal("decoding behind held rows changed them")
+		}
+		if again, _ := AppendBatch(nil, id, done, fuzzSchema, b.Rows[held:]); !bytes.Equal(again, img) {
+			t.Fatal("rows decoded behind held rows differ from a fresh decode")
+		}
+		b.Reset()
+		if _, _, err := decodeBatch(&b, data, fuzzSchema); err != nil {
+			t.Fatalf("decoding into a reset batch: %v", err)
+		}
+		if again, _ := AppendBatch(nil, id, done, fuzzSchema, b.Rows); !bytes.Equal(again, img) {
+			t.Fatal("rows decoded into a reset batch differ from a fresh decode")
+		}
+	}
+	ParseResult(data)
+	ParseError(data)
+	ParseStats(data)
+	ParseMetrics(data)
 }

@@ -2,6 +2,7 @@ package spatialtf
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -118,6 +119,11 @@ func (db *DB) Import(r io.Reader, parallel int) error {
 	if err != nil {
 		return fmt.Errorf("spatialtf: snapshot: %w", err)
 	}
+	// Every row image is read into img, which grows with the bytes
+	// received rather than with the length a row claims: a forged
+	// length on a short stream fails at EOF without reserving it.
+	// DecodeRow copies what it keeps.
+	var img bytes.Buffer
 	for ti := uint64(0); ti < tableCount; ti++ {
 		name, err := readString(br, "name")
 		if err != nil {
@@ -140,11 +146,11 @@ func (db *DB) Import(r io.Reader, parallel int) error {
 			if err != nil {
 				return fmt.Errorf("spatialtf: snapshot table %q row %d: %w", name, ri, err)
 			}
-			img := make([]byte, l)
-			if _, err := io.ReadFull(br, img); err != nil {
+			img.Reset()
+			if _, err := io.CopyN(&img, br, int64(l)); err != nil {
 				return fmt.Errorf("spatialtf: snapshot table %q row %d: %w", name, ri, err)
 			}
-			row, err := storage.DecodeRow(schema, img)
+			row, err := storage.DecodeRow(schema, img.Bytes())
 			if err != nil {
 				return fmt.Errorf("spatialtf: snapshot table %q row %d: %w", name, ri, err)
 			}
