@@ -2,6 +2,7 @@ package spatialtf
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -76,16 +77,18 @@ func readCount(r *bufio.Reader, what string, limit uint64) (uint64, error) {
 	return n, nil
 }
 
+// readString reads a name into a buffer that grows with the bytes
+// present, so a forged length costs no more than the input holds.
 func readString(r *bufio.Reader, what string) (string, error) {
 	l, err := readCount(r, what+" length", maxCatalogString)
 	if err != nil {
 		return "", err
 	}
-	b := make([]byte, l)
-	if _, err := io.ReadFull(r, b); err != nil {
+	var b bytes.Buffer
+	if _, err := io.CopyN(&b, r, int64(l)); err != nil {
 		return "", fmt.Errorf("%s: %w", what, err)
 	}
-	return string(b), nil
+	return b.String(), nil
 }
 
 func readSchema(r *bufio.Reader) ([]Column, error) {

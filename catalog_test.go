@@ -1,6 +1,7 @@
 package spatialtf
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -8,8 +9,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -381,6 +384,33 @@ func FuzzImport(f *testing.F) {
 		db := Open()
 		allocbound.Check(t, len(data), func() { db.Import(bytes.NewReader(data), 0) })
 	})
+}
+
+// TestCatalogNameAllocatesWhatIsPresent decodes a 5-byte catalogue
+// body, one table whose name claims 1 MiB and carries one byte: the
+// name's buffer grows with the bytes read, so the decode allocates far
+// less than the claim (it used to reserve the whole MiB up front).
+func TestCatalogNameAllocatesWhatIsPresent(t *testing.T) {
+	body := append(binary.AppendUvarint([]byte{1}, maxCatalogString), 'x')
+	if len(body) != 5 {
+		t.Fatalf("body is %d bytes", len(body))
+	}
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		br := bufio.NewReader(bytes.NewReader(body))
+		_, cerr := readCount(br, "table count", maxCatalogEntries)
+		_, err := readString(br, "name")
+		runtime.ReadMemStats(&after)
+		if cerr != nil || (!errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF)) {
+			t.Fatalf("count error %v, name error %v; want the short name to end the input", cerr, err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Fatalf("decoding a 5-byte body allocated %d B", least)
+	}
 }
 
 func FuzzCatalog(f *testing.F) {

@@ -305,7 +305,7 @@ func runRemoteStatement(cli *wire.Client, sql string, batch int) {
 		return
 	}
 	if res.Cursor == nil {
-		fmt.Print(res.Format())
+		fmt.Print((&sqlmini.Result{Message: res.Message, Columns: res.Columns, Rows: res.Rows}).Format())
 		fmt.Printf("elapsed: %s\n", time.Since(t0).Round(time.Microsecond))
 		return
 	}

@@ -88,12 +88,6 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	return nil, ErrNotFound
 }
 
-// Has reports whether key is present.
-func (t *Tree) Has(key []byte) bool {
-	_, err := t.Get(key)
-	return err == nil
-}
-
 // Insert stores value under key, overwriting any existing entry. The
 // key and value slices are retained; callers must not mutate them.
 func (t *Tree) Insert(key, value []byte) {

@@ -19,7 +19,6 @@
 package idxbuild
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -45,64 +44,62 @@ type Stats struct {
 // --- Quadtree creation (Figure 2) ---
 
 // tessellateFn is the tessellation table function: it consumes geometry
-// rows from its input partition cursor and produces index rows
-// (tile code, rowid). One instance runs per partition.
+// rows from its input partition cursor, a batch at a time, and produces
+// index rows (tile code, rowid). One instance runs per partition; its
+// input rows end in their rowid (tablefunc.PartitionTable).
 type tessellateFn struct {
 	input   storage.Cursor
 	geomCol int
 	grid    quadtree.Grid
 
-	// pending holds tile rows produced by the current geometry but not
-	// yet fetched — the pipelining state between fetch calls.
-	pending []storage.Row
+	// in is the input batch being read; pending holds the tiles of the
+	// rows read but not yet fetched — the pipelining state between
+	// fetch calls.
+	in      storage.Batch
+	pending []tileRef
+	done    int
+}
+
+// tileRef is one index-table row before it is written: a tile code and
+// the rowid of the geometry it covers.
+type tileRef struct {
+	tile quadtree.Tile
+	id   storage.Value
 }
 
 func (f *tessellateFn) Start() error { return nil }
 
 func (f *tessellateFn) Fetch(b *storage.Batch, max int) error {
 	for n := 0; n < max; {
-		if k := min(len(f.pending), max-n); k > 0 {
-			b.Rows = append(b.Rows, f.pending[:k]...)
-			f.pending = f.pending[k:]
+		if k := min(len(f.pending)-f.done, max-n); k > 0 {
+			for i, row := range b.Extend(k, 2) {
+				t := f.pending[f.done+i]
+				row[0], row[1] = storage.Int(int64(t.tile)), t.id
+			}
+			f.done += k
 			n += k
 			continue
 		}
-		id, row, ok, err := f.input.Next()
-		if err != nil {
+		f.pending, f.done = f.pending[:0], 0
+		f.in.Reset()
+		if err := f.input.NextBatch(&f.in, 0); err != nil || len(f.in.Rows) == 0 {
 			return err
 		}
-		if !ok {
-			break
-		}
-		tiles, err := quadtree.Tessellate(f.grid, row[f.geomCol].G)
-		if err != nil {
-			return fmt.Errorf("idxbuild: tessellate row %v: %w", id, err)
-		}
-		for _, t := range tiles {
-			f.pending = append(f.pending, tileRow(t, id))
+		for _, row := range f.in.Rows {
+			id := row[len(row)-1]
+			tiles, err := quadtree.Tessellate(f.grid, row[f.geomCol].G)
+			if err != nil {
+				return fmt.Errorf("idxbuild: tessellate row %v: %w", id, err)
+			}
+			for _, t := range tiles {
+				f.pending = append(f.pending, tileRef{tile: t, id: id})
+			}
 		}
 	}
 	return nil
 }
 
 func (f *tessellateFn) Close() error { return f.input.Close() }
-
-// tileRow encodes one quadtree index-table row: the tile code and the
-// base-table rowid.
-func tileRow(t quadtree.Tile, id storage.RowID) storage.Row {
-	return storage.Row{storage.Int(int64(t)), storage.Bytes(id.AppendTo(nil))}
-}
-
-// tileRowKey turns an index-table row back into a B-tree key.
-func tileRowKey(row storage.Row) ([]byte, error) {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(row[0].I))
-	rid := row[1].B
-	if len(rid) != 6 {
-		return nil, fmt.Errorf("idxbuild: bad rowid payload length %d", len(rid))
-	}
-	return append(buf[:], rid...), nil
-}
 
 // CreateQuadtree builds a linear quadtree index on tab's geometry column
 // with the given degree of parallelism, returning the index and build
@@ -122,11 +119,7 @@ func CreateQuadtree(tab *storage.Table, column string, grid quadtree.Grid, worke
 	var entries []btree.Entry
 	load, err := runPhase(tablefunc.PartitionTable(tab, workers), factory, func(rows []storage.Row) error {
 		for _, row := range rows {
-			key, err := tileRowKey(row)
-			if err != nil {
-				return err
-			}
-			entries = append(entries, btree.Entry{Key: key})
+			entries = append(entries, btree.Entry{Key: quadtree.Key(quadtree.Tile(row[0].I), row[1].RowID())})
 		}
 		return nil
 	})
@@ -177,53 +170,42 @@ func buildStats(tab *storage.Table, entries, workers int, load, build time.Durat
 // --- R-tree creation ---
 
 // mbrLoadFn is the MBR-computation table function: it consumes geometry
-// rows and emits (mbr, rowid) rows.
+// rows, a batch at a time, and emits (mbr, rowid) rows. Its input rows
+// end in their rowid (tablefunc.PartitionTable).
 type mbrLoadFn struct {
 	input   storage.Cursor
 	geomCol int
+	in      storage.Batch
 }
 
 func (f *mbrLoadFn) Start() error { return nil }
 
 func (f *mbrLoadFn) Fetch(b *storage.Batch, max int) error {
-	for n := 0; n < max; n++ {
-		id, row, ok, err := f.input.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	f.in.Reset()
+	if err := f.input.NextBatch(&f.in, max); err != nil {
+		return err
+	}
+	for _, row := range f.in.Rows {
+		id := row[len(row)-1]
 		m := geom.MBROf(row[f.geomCol].G)
 		if !m.Valid() {
 			return fmt.Errorf("idxbuild: row %v has invalid MBR", id)
 		}
-		b.Rows = append(b.Rows, mbrRow(m, id))
+		out := b.Extend(1, 5)[0]
+		out[0], out[1], out[2], out[3] = storage.Float(m.MinX), storage.Float(m.MinY), storage.Float(m.MaxX), storage.Float(m.MaxY)
+		out[4] = id
 	}
 	return nil
 }
 
 func (f *mbrLoadFn) Close() error { return f.input.Close() }
 
-// mbrRow encodes one (mbr, rowid) row.
-func mbrRow(m geom.MBR, id storage.RowID) storage.Row {
-	return storage.Row{
-		storage.Float(m.MinX), storage.Float(m.MinY),
-		storage.Float(m.MaxX), storage.Float(m.MaxY),
-		storage.Bytes(id.AppendTo(nil)),
-	}
-}
-
 // mbrRowItem decodes an (mbr, rowid) row into an R-tree item.
-func mbrRowItem(row storage.Row) (rtree.Item, error) {
-	id, err := storage.RowIDFromBytes(row[4].B)
-	if err != nil {
-		return rtree.Item{}, err
-	}
+func mbrRowItem(row storage.Row) rtree.Item {
 	return rtree.Item{
 		MBR: geom.MBR{MinX: row[0].F, MinY: row[1].F, MaxX: row[2].F, MaxY: row[3].F},
-		ID:  id,
-	}, nil
+		ID:  row[4].RowID(),
+	}
 }
 
 // CreateRtree builds an R-tree index on tab's geometry column with the
@@ -242,11 +224,7 @@ func CreateRtree(tab *storage.Table, column string, fanout, workers int) (*rtree
 	var items []rtree.Item
 	load, err := runPhase(tablefunc.PartitionTable(tab, workers), factory, func(rows []storage.Row) error {
 		for _, row := range rows {
-			it, err := mbrRowItem(row)
-			if err != nil {
-				return err
-			}
-			items = append(items, it)
+			items = append(items, mbrRowItem(row))
 		}
 		return nil
 	})

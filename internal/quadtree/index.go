@@ -21,13 +21,11 @@ type Index struct {
 	entryCount int
 }
 
-// keyOf builds the B-tree key for (tile, rowid): 8-byte big-endian tile
+// Key builds the B-tree key for (tile, rowid): 8-byte big-endian tile
 // code followed by the 6-byte rowid, so keys group by tile and range
 // scans by tile prefix find all rows touching the tile.
-func keyOf(t Tile, id storage.RowID) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(t))
-	return id.AppendTo(buf[:])
+func Key(t Tile, id storage.RowID) []byte {
+	return id.AppendTo(binary.BigEndian.AppendUint64(make([]byte, 0, 14), uint64(t)))
 }
 
 // splitKey parses a key back into (tile, rowid).
@@ -72,9 +70,6 @@ func (idx *Index) Grid() Grid { return idx.grid }
 // size of the quadtree index table.
 func (idx *Index) EntryCount() int { return idx.bt.Len() }
 
-// BTreeStats exposes the backing B-tree shape.
-func (idx *Index) BTreeStats() btree.Stats { return idx.bt.Stats() }
-
 // EntriesFor tessellates g under the index grid and returns the B-tree
 // entries that link each covering tile to id. It is the per-row work the
 // parallel tessellation table function performs.
@@ -85,7 +80,7 @@ func EntriesFor(grid Grid, g geom.Geometry, id storage.RowID) ([]btree.Entry, er
 	}
 	entries := make([]btree.Entry, len(tiles))
 	for i, t := range tiles {
-		entries[i] = btree.Entry{Key: keyOf(t, id)}
+		entries[i] = btree.Entry{Key: Key(t, id)}
 	}
 	return entries, nil
 }
@@ -98,7 +93,7 @@ func (idx *Index) InsertGeometry(id storage.RowID, g geom.Geometry) error {
 		return err
 	}
 	for _, t := range tiles {
-		idx.bt.Insert(keyOf(t, id), nil)
+		idx.bt.Insert(Key(t, id), nil)
 	}
 	return nil
 }
@@ -110,7 +105,7 @@ func (idx *Index) DeleteGeometry(id storage.RowID, g geom.Geometry) error {
 		return err
 	}
 	for _, t := range tiles {
-		if err := idx.bt.Delete(keyOf(t, id)); err != nil {
+		if err := idx.bt.Delete(Key(t, id)); err != nil {
 			return fmt.Errorf("quadtree: delete tile %d of %v: %w", t, id, err)
 		}
 	}

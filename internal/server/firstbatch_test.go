@@ -76,7 +76,7 @@ func answer(cli *wire.Client, sql string, sc *wire.Scope) (string, error) {
 		return "", err
 	}
 	if res.Cursor == nil {
-		return res.Format(), nil
+		return (&sqlmini.Result{Message: res.Message, Columns: res.Columns, Rows: res.Rows}).Format(), nil
 	}
 	var lines []string
 	for {

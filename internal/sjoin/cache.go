@@ -13,26 +13,46 @@ import (
 // array ("determined by existing memory resources" per the paper).
 const DefaultGeomCacheBytes = 8 << 20
 
-// geomCacheShards spreads the cache over independently locked shards so
-// parallel join instances do not serialise on one mutex.
-const geomCacheShards = 16
-
-// GeomCache is a bounded, sharded LRU of decoded geometries keyed by
-// (table, column, rowid). The join's secondary filter fetches exact
-// geometries through it, so the sorted candidate drain stops re-decoding
-// the same base-table cell: a cell whose geometry was decoded for one
-// candidate batch (or by the other join operand of a self-join) is
-// served from memory. The column is part of the key because a table may
-// carry several GEOMETRY columns, each independently indexable. Rowids
-// are never reused by the heap (deletes tombstone), so a cached entry
-// can never go stale.
+// GeomCache is a byte-bounded concurrent map of decoded geometries
+// keyed by (table, column, rowid). The join's secondary filter fetches
+// exact geometries through it, so the sorted candidate drain stops
+// re-decoding the same base-table cell: a cell whose geometry was
+// decoded for one candidate batch (or by the other join operand of a
+// self-join) is served from memory. The column is part of the key
+// because a table may carry several GEOMETRY columns, each
+// independently indexable. Rowids are never reused by the heap
+// (deletes tombstone), so a cached entry can never go stale.
+//
+// A lookup takes no lock and writes no shared word: it reads the
+// current table through one atomic pointer and its slots through
+// atomic loads. Puts serialise on one mutex, which also guards the one
+// byte count of the budget. A Put that takes the count over the budget
+// drops resident entries in the order a clock hand meets them in the
+// table until it is back under, so the cache keeps no recency order.
+// Lookups are counted by the joins (JoinStats.CacheHits, CacheMisses),
+// not here.
 //
 // All methods are safe for concurrent use; a cache may be shared across
 // joins, their parallel instances and the nested-loop reference.
 type GeomCache struct {
-	shards [geomCacheShards]geomShard
-	hits   atomic.Int64
-	misses atomic.Int64
+	table atomic.Pointer[geomTable]
+
+	mu       sync.Mutex // serialises Put and guards what follows
+	maxBytes int
+	bytes    int
+	hand     int // the next slot an over-budget Put looks at
+}
+
+// geomTable is an open-addressed, linearly probed table of immutable
+// entries, at most half of its slots used, so every probe meets an
+// empty slot. A slot only changes from empty to an entry and from an
+// entry to another (a re-put, or dropped), so readers need no lock; a
+// table that outgrows half its slots is rebuilt into a new one and
+// published, and readers still on the old one see a frozen table.
+type geomTable struct {
+	slots []atomic.Pointer[geomEntry]
+	used  int // slots not empty, dropped ones included (under mu)
+	live  int // slots holding an entry (under mu)
 }
 
 // geomKey identifies one cached geometry: a geometry-typed cell.
@@ -42,167 +62,117 @@ type geomKey struct {
 	id  storage.RowID
 }
 
-// geomEntry is one cached geometry on an intrusive LRU list.
+// geomEntry is one cached geometry with the size it was charged.
 type geomEntry struct {
-	key        geomKey
-	g          geom.Geometry
-	size       int
-	prev, next *geomEntry
+	key  geomKey
+	g    geom.Geometry
+	size int
 }
 
-// geomShard is one lock domain: an LRU list (head = most recent) plus
-// its lookup map and byte accounting.
-type geomShard struct {
-	mu       sync.Mutex
-	maxBytes int
-	curBytes int
-	entries  map[geomKey]*geomEntry
-	head     *geomEntry
-	tail     *geomEntry
-}
+// dropped marks the slot of an entry an over-budget Put dropped. Its
+// zero key matches no lookup, so probes walk past it.
+var dropped = &geomEntry{}
 
 // NewGeomCache returns a cache bounded to maxBytes of decoded geometry
-// (0 selects DefaultGeomCacheBytes). The budget is split evenly across
-// the shards.
+// (0 selects DefaultGeomCacheBytes).
 func NewGeomCache(maxBytes int) *GeomCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultGeomCacheBytes
 	}
-	c := &GeomCache{}
-	per := maxBytes / geomCacheShards
-	if per < 1 {
-		per = 1
-	}
-	for i := range c.shards {
-		c.shards[i].maxBytes = per
-		c.shards[i].entries = make(map[geomKey]*geomEntry)
-	}
+	c := &GeomCache{maxBytes: maxBytes}
+	c.table.Store(newGeomTable(0))
 	return c
 }
 
-// shardFor picks the shard of a key. Rowids are (page, slot); pages are
-// sequential, so a multiplicative hash spreads neighbouring pages.
-func (c *GeomCache) shardFor(k geomKey) *geomShard {
-	h := ((uint64(k.id.Page)+uint64(k.col)<<24)*0x9E3779B97F4A7C15 + uint64(k.id.Slot)) >> 32
-	return &c.shards[h%geomCacheShards]
+// newGeomTable returns an empty table with room for live entries at a
+// quarter of its slots.
+func newGeomTable(live int) *geomTable {
+	n := 64
+	for n < 4*live {
+		n *= 2
+	}
+	return &geomTable{slots: make([]atomic.Pointer[geomEntry], n)}
+}
+
+// find returns the slot that holds k with its entry, or the empty slot
+// its probe ends at with nil. Rowids are (page, slot); pages are
+// sequential, so a multiplicative hash spreads neighbouring rows.
+func (t *geomTable) find(k geomKey) (int, *geomEntry) {
+	mask := uint64(len(t.slots) - 1)
+	h := (uint64(k.id.Page)<<16 | uint64(k.id.Slot) | uint64(k.col)<<48) * 0x9E3779B97F4A7C15
+	for i := h >> 32 & mask; ; i = (i + 1) & mask {
+		if e := t.slots[i].Load(); e == nil || e.key == k {
+			return int(i), e
+		}
+	}
 }
 
 // Get returns the cached geometry of column col of (tab, id), if present.
 func (c *GeomCache) Get(tab *storage.Table, col int, id storage.RowID) (geom.Geometry, bool) {
-	k := geomKey{tab: tab, col: col, id: id}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	e, ok := s.entries[k]
-	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		return geom.Geometry{}, false
+	if _, e := c.table.Load().find(geomKey{tab: tab, col: col, id: id}); e != nil {
+		return e.g, true
 	}
-	s.moveToFront(e)
-	g := e.g
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return g, true
+	return geom.Geometry{}, false
 }
 
-// Put stores the decoded geometry of column col of (tab, id), evicting
-// least-recently used entries if the shard overflows its byte budget.
-// Geometries larger than the whole shard budget are not cached. A re-put
-// of a resident key replaces the stored geometry rather than assuming the
-// caller passed identical data.
+// Put stores the decoded geometry of column col of (tab, id), then drops
+// resident entries until the cache is back within its budget. A geometry
+// larger than the whole budget is not cached. A re-put of a resident key
+// replaces the stored geometry rather than assuming the caller passed
+// identical data.
 func (c *GeomCache) Put(tab *storage.Table, col int, id storage.RowID, g geom.Geometry) {
-	k := geomKey{tab: tab, col: col, id: id}
-	size := geomSizeBytes(g)
-	s := c.shardFor(k)
-	if size > s.maxBytes {
+	e := &geomEntry{key: geomKey{tab: tab, col: col, id: id}, g: g, size: geomSizeBytes(g)}
+	if e.size > c.maxBytes {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
-		s.curBytes += size - e.size
-		e.g, e.size = g, size
-		s.moveToFront(e)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := c.table.Load()
+	if 2*(t.used+1) > len(t.slots) {
+		t = c.rebuild(t)
+	}
+	i, old := t.find(e.key)
+	if old != nil {
+		c.bytes -= old.size
 	} else {
-		e := &geomEntry{key: k, g: g, size: size}
-		s.entries[k] = e
-		s.pushFront(e)
-		s.curBytes += size
+		t.used++
+		t.live++
 	}
-	for s.curBytes > s.maxBytes && s.tail != nil {
-		s.evict(s.tail)
-	}
-}
-
-// CacheStats is a point-in-time summary of cache effectiveness.
-type CacheStats struct {
-	Hits    int64
-	Misses  int64
-	Bytes   int64
-	Entries int64
-}
-
-// Hits returns the lifetime hit count — a cheap read for scrape-time
-// counter views (Stats locks every shard).
-func (c *GeomCache) Hits() int64 { return c.hits.Load() }
-
-// Misses returns the lifetime miss count.
-func (c *GeomCache) Misses() int64 { return c.misses.Load() }
-
-// Stats returns the cache counters. Hits/Misses count Get outcomes over
-// the cache lifetime; Bytes/Entries are the current residency.
-func (c *GeomCache) Stats() CacheStats {
-	st := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Bytes += int64(s.curBytes)
-		st.Entries += int64(len(s.entries))
-		s.mu.Unlock()
-	}
-	return st
-}
-
-// --- shard list plumbing (callers hold s.mu) ---
-
-func (s *geomShard) pushFront(e *geomEntry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	t.slots[i].Store(e)
+	c.bytes += e.size
+	for c.bytes > c.maxBytes {
+		c.hand = (c.hand + 1) % len(t.slots)
+		if old := t.slots[c.hand].Load(); old != nil && old != dropped {
+			t.slots[c.hand].Store(dropped)
+			t.live--
+			c.bytes -= old.size
+		}
 	}
 }
 
-func (s *geomShard) unlink(e *geomEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
+// rebuild copies t's entries into a fresh table and publishes it; the
+// caller holds c.mu.
+func (c *GeomCache) rebuild(t *geomTable) *geomTable {
+	nt := newGeomTable(t.live + 1)
+	for i := range t.slots {
+		if e := t.slots[i].Load(); e != nil && e != dropped {
+			j, _ := nt.find(e.key)
+			nt.slots[j].Store(e)
+			nt.used++
+			nt.live++
+		}
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+	c.table.Store(nt)
+	c.hand = 0
+	return nt
 }
 
-func (s *geomShard) moveToFront(e *geomEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-func (s *geomShard) evict(e *geomEntry) {
-	s.unlink(e)
-	delete(s.entries, e.key)
-	s.curBytes -= e.size
+// Resident returns the decoded-geometry bytes and the number of
+// geometries the cache holds.
+func (c *GeomCache) Resident() (bytes, entries int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return int64(c.bytes), int64(c.table.Load().live)
 }
 
 // geomSizeBytes estimates the in-memory footprint of a decoded geometry:
@@ -210,7 +180,7 @@ func (s *geomShard) evict(e *geomEntry) {
 // (geom.Bounded), recursing into collection elements. An estimate is
 // enough — the budget bounds memory order, not exact bytes.
 func geomSizeBytes(g geom.Geometry) int {
-	const header = 104 // Geometry struct + map entry + LRU entry overhead
+	const header = 104 // Geometry struct + table slot + entry overhead
 	n := header + 16*len(g.Pts) + g.MemoBytes()
 	for _, r := range g.Rings {
 		n += 24 + 16*len(r)

@@ -34,6 +34,10 @@ type Instruments struct {
 	BoxMisses    *telemetry.Counter
 	Mirrored     *telemetry.Counter
 	Refined      *telemetry.Counter
+	// CacheHits / CacheMisses count the secondary filter's
+	// decoded-geometry cache lookups; the cache itself counts nothing.
+	CacheHits   *telemetry.Counter
+	CacheMisses *telemetry.Counter
 	// TilesSwept counts grid tiles swept by the grid-partitioned path.
 	TilesSwept *telemetry.Counter
 	// Stage latencies, observed per batch-granular section: one
@@ -63,6 +67,8 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 		BoxMisses:    reg.NewCounter("join_box_misses_total", "candidates whose leaf MBR lies beyond the predicate's reach of the other side's geometry (true misses)"),
 		Mirrored:     reg.NewCounter("join_mirrored_total", "self-join results returned as the mirror image of an accepted pair, neither emitted nor refined"),
 		Refined:      reg.NewCounter("join_refined_total", "candidates the secondary filter fetched and ran the exact predicate on, kept or dropped"),
+		CacheHits:    reg.NewCounter("geom_cache_hits_total", "decoded-geometry cache hits"),
+		CacheMisses:  reg.NewCounter("geom_cache_misses_total", "decoded-geometry cache misses"),
 		TilesSwept:   reg.NewCounter("join_tiles_swept_total", "grid tiles swept by the grid-partitioned join"),
 		PrimarySeconds: reg.NewHistogram("join_primary_filter_seconds",
 			"latency of one primary-filter candidate refill", nil),
@@ -139,6 +145,8 @@ func (j *JoinFunction) flushStats() {
 	in.BoxMisses.Add(int64(cr[routeBox].dropped - pr[routeBox].dropped))
 	in.Mirrored.Add(int64(cr[routeMirror].kept - pr[routeMirror].kept))
 	in.Refined.Add(int64(cr[routeRefine].kept + cr[routeRefine].dropped - pr[routeRefine].kept - pr[routeRefine].dropped))
+	in.CacheHits.Add(int64(cur.CacheHits - prev.CacheHits))
+	in.CacheMisses.Add(int64(cur.CacheMisses - prev.CacheMisses))
 	in.TilesSwept.Add(int64(cur.TilesSwept - prev.TilesSwept))
 	j.flushed = cur
 }

@@ -55,6 +55,8 @@ func TestInstrumentsMatchJoinStats(t *testing.T) {
 		{"join_box_misses_total", stats.routes[routeBox].dropped},
 		{"join_mirrored_total", stats.routes[routeMirror].kept},
 		{"join_refined_total", stats.routes[routeRefine].kept + stats.routes[routeRefine].dropped},
+		{"geom_cache_hits_total", stats.CacheHits},
+		{"geom_cache_misses_total", stats.CacheMisses},
 	} {
 		if got := lookupValue(t, reg, c.name); got != int64(c.want) {
 			t.Errorf("%s = %d, want %d (JoinStats)", c.name, got, c.want)
@@ -66,6 +68,9 @@ func TestInstrumentsMatchJoinStats(t *testing.T) {
 	kept := 0
 	for _, c := range stats.routes {
 		kept += c.kept
+	}
+	if stats.CacheHits == 0 || stats.CacheMisses == 0 {
+		t.Errorf("the join looked up %d hits and %d misses; the fixture must do both", stats.CacheHits, stats.CacheMisses)
 	}
 	if kept != stats.Results {
 		t.Errorf("the routes kept %d pairs, Results = %d", kept, stats.Results)

@@ -13,6 +13,7 @@ import (
 	"spatialtf/internal/idxbuild"
 	"spatialtf/internal/rtree"
 	"spatialtf/internal/storage"
+	"spatialtf/internal/telemetry"
 )
 
 // collect runs the pipelined index join under cfg and returns the
@@ -423,9 +424,11 @@ func TestGeomCacheMultiColumn(t *testing.T) {
 	}
 }
 
-// TestGeomCacheEviction exercises the LRU bound directly: a tiny cache
-// must stay within budget, keep recently used entries, and evict stale
-// ones.
+// TestGeomCacheEviction exercises the byte bound directly: a tiny cache
+// must stay within budget, hold only part of what was put, charge
+// exactly what it holds, and refuse a geometry larger than its whole
+// budget. Four goroutines getting and putting at once (the race lane
+// runs this) must leave it within budget and its count exact too.
 func TestGeomCacheEviction(t *testing.T) {
 	src := buildSource(t, "ev_counties", datagen.Counties(200, 51))
 	col, err := src.geomColumn()
@@ -439,43 +442,117 @@ func TestGeomCacheEviction(t *testing.T) {
 		geoms = append(geoms, row[col].G)
 		return true
 	})
-
-	perEntry := geomSizeBytes(geoms[0])
-	// Budget for roughly 3 entries per shard.
-	c := NewGeomCache(perEntry * 3 * geomCacheShards)
-	for i, id := range ids {
-		c.Put(src.Table, col, id, geoms[i])
-	}
-	st := c.Stats()
-	if st.Entries == 0 || st.Entries >= int64(len(ids)) {
-		t.Fatalf("expected partial residency, have %d of %d entries", st.Entries, len(ids))
-	}
-	if st.Bytes > int64(perEntry*4*geomCacheShards) {
-		t.Fatalf("cache overflows budget: %d bytes resident", st.Bytes)
-	}
-
-	// The most recently inserted id must be resident; re-putting and
-	// touching it keeps it resident while others churn.
-	last := ids[len(ids)-1]
-	if _, ok := c.Get(src.Table, col, last); !ok {
-		t.Fatalf("most recent entry evicted")
-	}
-	for i := 0; i < len(ids)-1; i++ {
-		c.Put(src.Table, col, ids[i], geoms[i])
-		if _, ok := c.Get(src.Table, col, last); !ok {
-			// last shares a shard with churning entries only if hashes
-			// collide; touching it via Get above refreshes recency, so
-			// it must survive a churn of <= 2 entries per round.
-			t.Fatalf("recently touched entry evicted during churn (round %d)", i)
+	budget := geomSizeBytes(geoms[0]) * 40
+	// within checks the residency against the budget and against the
+	// sizes of the geometries the cache still returns.
+	within := func(c *GeomCache, when string) {
+		t.Helper()
+		bytes, entries := c.Resident()
+		if entries == 0 || entries >= int64(len(ids)) {
+			t.Fatalf("%s: expected partial residency, have %d of %d entries", when, entries, len(ids))
+		}
+		if bytes > int64(budget) {
+			t.Fatalf("%s: cache overflows its %d-byte budget: %d bytes resident", when, budget, bytes)
+		}
+		held, n := 0, int64(0)
+		for _, id := range ids {
+			if g, ok := c.Get(src.Table, col, id); ok {
+				held += geomSizeBytes(g)
+				n++
+			}
+		}
+		if int64(held) != bytes || n != entries {
+			t.Fatalf("%s: cache counts %d bytes in %d entries, holds %d bytes in %d", when, bytes, entries, held, n)
 		}
 	}
 
-	hitsBefore := c.Stats().Hits
-	if _, ok := c.Get(src.Table, col, last); !ok {
-		t.Fatalf("expected hit on resident entry")
+	c := NewGeomCache(budget)
+	for i, id := range ids {
+		c.Put(src.Table, col, id, geoms[i])
 	}
-	if c.Stats().Hits != hitsBefore+1 {
-		t.Fatalf("hit counter did not advance")
+	within(c, "serial puts")
+
+	roomy := NewGeomCache(0)
+	roomy.Put(src.Table, col, ids[1], geoms[1])
+	roomy.Put(src.Table, col, ids[1], geoms[0]) // a re-put replaces
+	g, ok := roomy.Get(src.Table, col, ids[1])
+	if bytes, entries := roomy.Resident(); !ok || !g.Equal(geoms[0]) || entries != 1 || bytes != int64(geomSizeBytes(geoms[0])) {
+		t.Fatalf("a re-put left %d bytes in %d entries, replaced %v", bytes, entries, ok && g.Equal(geoms[0]))
+	}
+
+	tiny := NewGeomCache(geomSizeBytes(geoms[0]) - 1)
+	tiny.Put(src.Table, col, ids[0], geoms[0])
+	if _, ok := tiny.Get(src.Table, col, ids[0]); ok {
+		t.Fatalf("a geometry larger than the whole budget was cached")
+	}
+	if bytes, entries := tiny.Resident(); bytes != 0 || entries != 0 {
+		t.Fatalf("an empty cache holds %d bytes in %d entries", bytes, entries)
+	}
+
+	shared := NewGeomCache(budget)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := w; i < len(ids); i += 2 {
+					if g, ok := shared.Get(src.Table, col, ids[i]); ok && !g.Equal(geoms[i]) {
+						t.Errorf("entry %d: the cache returned another row's geometry", i)
+						return
+					}
+					shared.Put(src.Table, col, ids[i], geoms[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	within(shared, "concurrent gets and puts")
+}
+
+// TestGeomCacheJoinRefineTrafficEvictsNothing pins the traffic the
+// cache serves: join_refine's two statements (350 block groups × 256
+// zones, ANYINTERACT, and the self-join of 1 000 counties at distance
+// 7), each run twice through one default-sized cache, put every
+// geometry they fetch once and drop none, so entries equal misses. The
+// cache drops entries in whatever order its map yields them; if a
+// budget or size-estimate change puts that order on this traffic, this
+// goes red.
+func TestGeomCacheJoinRefineTrafficEvictsNothing(t *testing.T) {
+	bg := buildSource(t, "tr_bg", datagen.BlockGroups(350, 1))
+	zones := buildSource(t, "tr_zones", datagen.Counties(256, 3))
+	counties := buildSource(t, "tr_counties", datagen.Counties(1000, 2))
+	cfg := DefaultConfig()
+	cfg.GeomCache = NewGeomCache(0)
+	near := cfg
+	near.Distance = 7
+	misses, hits := 0, 0
+	for run := 0; run < 2; run++ {
+		for _, j := range []struct {
+			a, b Source
+			cfg  Config
+		}{{bg, zones, cfg}, {counties, counties, near}} {
+			fn, err := NewJoinFunction(j.a, j.b, j.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, stats, err := RunJoinFunction(fn, 256)
+			if err != nil || n == 0 {
+				t.Fatalf("run %d: %d results, %v", run, n, err)
+			}
+			if run == 1 && stats.CacheMisses != 0 {
+				t.Errorf("run 2 missed %d geometries the first run cached", stats.CacheMisses)
+			}
+			misses += stats.CacheMisses
+			hits += stats.CacheHits
+		}
+	}
+	bytes, entries := cfg.GeomCache.Resident()
+	if entries != int64(misses) {
+		t.Fatalf("the cache holds %d entries after %d misses: the traffic evicted", entries, misses)
+	}
+	if hits == 0 || bytes > DefaultGeomCacheBytes {
+		t.Fatalf("%d hits, %d bytes resident of a %d-byte budget", hits, bytes, DefaultGeomCacheBytes)
 	}
 }
 
@@ -516,8 +593,8 @@ func TestGeomCacheHoldsBounds(t *testing.T) {
 			t.Fatalf("fetch %v without a cache attached a memo", id)
 		}
 	}
-	if st := c.Stats(); st.Bytes != int64(want) {
-		t.Fatalf("cache holds %d bytes, the fetched geometries size to %d", st.Bytes, want)
+	if bytes, _ := c.Resident(); bytes != int64(want) {
+		t.Fatalf("cache holds %d bytes, the fetched geometries size to %d", bytes, want)
 	}
 }
 
@@ -535,6 +612,8 @@ func TestCachedBoundsSharedByInstances(t *testing.T) {
 	want := sortedPairs(t, cur, err)
 	shared := cfg
 	shared.GeomCache = NewGeomCache(0)
+	reg := telemetry.New()
+	shared.Instr = NewInstruments(reg)
 	opens := []func() (storage.Cursor, error){
 		func() (storage.Cursor, error) { return ParallelIndexJoin(src, src, shared, 4) },
 		func() (storage.Cursor, error) { return GridParallelJoin(src, src, shared, 4) },
@@ -563,7 +642,7 @@ func TestCachedBoundsSharedByInstances(t *testing.T) {
 			t.Errorf("join %d on the shared cache: %d pairs, serial %d", i, len(got[i]), len(want))
 		}
 	}
-	if st := shared.GeomCache.Stats(); st.Hits == 0 {
-		t.Fatalf("the instances shared no cached geometry: %+v", st)
+	if hits := lookupValue(t, reg, "geom_cache_hits_total"); hits == 0 {
+		t.Fatalf("the instances shared no cached geometry: %d hits", hits)
 	}
 }

@@ -45,6 +45,8 @@ type tableCursor struct {
 	fromPage uint32
 	toPage   uint32 // exclusive; 0 means "end of table at each step"
 	closed   bool
+	// rowid appends each row's rowid (Rid) after its columns.
+	rowid bool
 
 	// rows are the rows of the last page read and ents their rowids
 	// (and their images while the page is pinned), pos the first not
@@ -69,9 +71,11 @@ func NewCursor(t *Table) Cursor {
 }
 
 // NewRangeCursor returns a cursor over the rows stored in heap pages
-// [fromPage, toPage).
+// [fromPage, toPage), each ending in one more value, the row's rowid
+// (Rid): the rows of "select t.*, rowid from t", which a parallel table
+// function reads in batches without losing its rows' rowids.
 func NewRangeCursor(t *Table, fromPage, toPage uint32) Cursor {
-	return &tableCursor{t: t, fromPage: fromPage, toPage: toPage}
+	return &tableCursor{t: t, fromPage: fromPage, toPage: toPage, rowid: true}
 }
 
 // Next returns the next live row with its rowid.
@@ -154,11 +158,18 @@ func (c *tableCursor) readPage() (more bool, err error) {
 		return false, fmt.Errorf("cursor on %q: %w", c.t.name, err)
 	}
 	w := len(c.t.schema)
-	vals := make([]Value, len(c.ents)*w)
+	rw := w
+	if c.rowid {
+		rw++
+	}
+	vals := make([]Value, len(c.ents)*rw)
 	for i, e := range c.ents {
-		row := Row(vals[i*w : (i+1)*w : (i+1)*w])
-		if err := DecodeRowInto(row, c.t.schema, e.img, ""); err != nil {
+		row := Row(vals[i*rw : (i+1)*rw : (i+1)*rw])
+		if err := DecodeRowInto(row[:w], c.t.schema, e.img, ""); err != nil {
 			return false, fmt.Errorf("cursor on %q at %v: %w", c.t.name, e.id, err)
+		}
+		if c.rowid {
+			row[w] = Rid(e.id)
 		}
 		c.rows = append(c.rows, row)
 	}

@@ -208,6 +208,17 @@ func TestReadPathsAgree(t *testing.T) {
 			}
 			return NewRangeCursor(tab, r[0], r[1])
 		}
+		// A range cursor ends each row in its rowid value.
+		split := func(rows []Row) (ids []RowID, vals []Row) {
+			if n == 0 {
+				return nil, rows
+			}
+			for _, row := range rows {
+				w := len(row) - 1
+				ids, vals = append(ids, row[w].RowID()), append(vals, row[:w])
+			}
+			return ids, vals
+		}
 		ids, rows = nil, nil
 		for _, r := range ranges {
 			i, rs, err := Drain(open(r))
@@ -216,7 +227,11 @@ func TestReadPathsAgree(t *testing.T) {
 			}
 			ids, rows = append(ids, i...), append(rows, rs...)
 		}
-		check("Next over "+rangeName(n), ids, rows)
+		rids, got := split(rows)
+		if n > 0 && !slices.Equal(rids, ids) {
+			t.Errorf("Next over %s: rowid values %v, rowids %v", rangeName(n), rids, ids)
+		}
+		check("Next over "+rangeName(n), ids, got)
 		for _, max := range []int{0, 1, 7} {
 			var b Batch
 			for _, r := range ranges {
@@ -236,7 +251,8 @@ func TestReadPathsAgree(t *testing.T) {
 				}
 				c.Close()
 			}
-			check("NextBatch over "+rangeName(n), nil, b.Rows)
+			bids, brows := split(b.Rows)
+			check("NextBatch over "+rangeName(n), bids, brows)
 		}
 	}
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -210,44 +209,6 @@ type QueryResult struct {
 	// Cursor is non-nil for streaming results; the caller must drain or
 	// Close it.
 	Cursor *Cursor
-}
-
-// Format renders an immediate result (or a cursor announcement) as an
-// aligned text table, mirroring the local REPL rendering.
-func (r *QueryResult) Format() string {
-	if r.Cursor != nil {
-		return fmt.Sprintf("(cursor %d open)\n", r.Cursor.ID())
-	}
-	if r.Message != "" {
-		return r.Message + "\n"
-	}
-	var b strings.Builder
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range r.Rows {
-		for i, v := range row {
-			if i < len(widths) && len(v) > widths[i] && len(v) <= 48 {
-				widths[i] = len(v)
-			}
-		}
-	}
-	writeRow := func(cells []string) {
-		for i, v := range cells {
-			if len(v) > 48 {
-				v = v[:45] + "..."
-			}
-			fmt.Fprintf(&b, "%-*s  ", widths[i], v)
-		}
-		b.WriteString("\n")
-	}
-	writeRow(r.Columns)
-	for _, row := range r.Rows {
-		writeRow(row)
-	}
-	fmt.Fprintf(&b, "(%d rows)\n", len(r.Rows))
-	return b.String()
 }
 
 // Query executes one SQL statement on the server. Streaming SELECTs

@@ -55,8 +55,14 @@ type JoinOptions struct {
 }
 
 // CacheStats summarises the decoded-geometry cache (see
-// DB.GeomCacheStats).
-type CacheStats = sjoin.CacheStats
+// DB.GeomCacheStats): the joins' lookups, hits and misses, and what the
+// cache holds, its bytes and entries.
+type CacheStats struct {
+	Hits    int64
+	Misses  int64
+	Bytes   int64
+	Entries int64
+}
 
 func (o JoinOptions) config() (sjoin.Config, error) {
 	cfg := sjoin.DefaultConfig()
@@ -93,10 +99,20 @@ func (db *DB) joinConfig(opt JoinOptions) (sjoin.Config, error) {
 	return cfg, nil
 }
 
-// GeomCacheStats reports the hit/miss counters and residency of the
-// database-wide decoded-geometry cache.
+// GeomCacheStats reports the residency of the database-wide
+// decoded-geometry cache and the hits and misses of the joins' cache
+// lookups. Like every other join counter, hits and misses are read from
+// the database's instruments, so they stay zero while telemetry is off.
 func (db *DB) GeomCacheStats() CacheStats {
-	return db.geomCache.Stats()
+	var st CacheStats
+	st.Bytes, st.Entries = db.geomCache.Resident()
+	db.mu.RLock()
+	in := db.instr
+	db.mu.RUnlock()
+	if in != nil {
+		st.Hits, st.Misses = in.CacheHits.Value(), in.CacheMisses.Value()
+	}
+	return st
 }
 
 // joinSource resolves (table, index) into an R-tree join operand: the

@@ -19,11 +19,12 @@ type (
 func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.New() }
 
 // EnableTelemetry registers the database's metric set on reg: the
-// shared spatial-join instruments (work counters and stage-latency
-// histograms) plus scrape-time views over the decoded-geometry cache
-// and the R-tree pin accounting. The views read the pre-existing
-// atomics, so enabling telemetry adds no writes to those paths; the
-// join instruments are fed by per-fetch delta flushes.
+// shared spatial-join instruments (work counters, the decoded-geometry
+// cache's hits and misses among them, and stage-latency histograms)
+// plus scrape-time views over the cache's residency and the R-tree pin
+// accounting. The views read the pre-existing state, so enabling
+// telemetry adds no writes to those paths; the join instruments are
+// fed by per-fetch delta flushes.
 //
 // An embedded database defaults to no telemetry (telemetry.Nop
 // semantics — zero cost). Enable at most once per database; a second
@@ -41,16 +42,12 @@ func (db *DB) EnableTelemetry(reg *TelemetryRegistry) {
 	db.telReg = reg
 	db.instr = sjoin.NewInstruments(reg)
 	cache := db.geomCache
-	reg.CounterFunc("geom_cache_hits_total",
-		"decoded-geometry cache hits", cache.Hits)
-	reg.CounterFunc("geom_cache_misses_total",
-		"decoded-geometry cache misses", cache.Misses)
 	reg.GaugeFunc("geom_cache_bytes",
 		"decoded geometry bytes resident in the cache",
-		func() int64 { return cache.Stats().Bytes })
+		func() int64 { b, _ := cache.Resident(); return b })
 	reg.GaugeFunc("geom_cache_entries",
 		"geometries resident in the cache",
-		func() int64 { return cache.Stats().Entries })
+		func() int64 { _, n := cache.Resident(); return n })
 	reg.CounterFunc("rtree_pins_total",
 		"R-tree cursor pins ever taken (process-wide)",
 		func() int64 { t, _ := rtree.PinStats(); return t })

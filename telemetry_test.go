@@ -53,7 +53,7 @@ func TestMetricSetsShareOneRegistry(t *testing.T) {
 	// One name from each registration file, so a set that stops
 	// registering (and so can no longer collide) is noticed too.
 	for _, name := range []string{
-		"geom_cache_hits_total", // telemetry.go
+		"geom_cache_bytes",      // telemetry.go
 		"join_candidates_total", // internal/sjoin/instruments.go
 		"pool_hits_total",       // internal/pager/store.go
 		"server_queries_total",  // internal/server/stats.go
