@@ -131,7 +131,8 @@ bench:
 # benchmark's join_stream and window_lookup statements in miniature (the
 # point cross-match and one window SELECT over loopback,
 # BenchmarkWirePointJoinStream and BenchmarkWireWindowLookup) and the secondary
-# filter's kernels (one sub-benchmark per join pair shape) with
+# filter's kernels (one sub-benchmark per join pair shape), and the
+# county generator behind three workloads' set-up (BenchmarkCounties) with
 # -benchmem: allocation counts, unlike one-iteration timings,
 # repeat exactly, so a regression on the fetch/sweep/refine hot paths
 # shows up in CI output next to the floors lane (see DESIGN.md §16).
@@ -139,6 +140,7 @@ bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
 	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin|JoinRefine|PointSelfJoinGrid|WirePointJoinStream|WireWindowLookup' -benchmem -benchtime 2x -count 1 .
 	$(GO) test -run NONE -bench 'Intersects|WithinDistance|BoxSide|Refine' -benchmem -benchtime 2x -count 1 ./internal/geom
+	$(GO) test -run NONE -bench 'Counties' -benchmem -benchtime 2x -count 1 ./internal/datagen
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a module of
 # its own, so the root `./...` patterns above neither vet nor test it:

@@ -116,43 +116,48 @@ func Counties(n int, seed int64) Dataset {
 		}
 	}
 
-	// edgePoints returns the interior vertices of the shared edge from
-	// corner a to corner b. The jitter RNG is seeded from the canonical
-	// (low, high) corner index pair so both adjacent counties generate
-	// identical boundary vertices; the points are returned in a→b order.
-	edgePoints := func(ai, bi int) []geom.Point {
-		lo, hi := ai, bi
-		reversedDir := false
-		if lo > hi {
-			lo, hi = hi, lo
-			reversedDir = true
+	// Each edge's interior vertices are generated once, on first use, and
+	// shared by the two counties either side of it. The edge between
+	// canonical corners lo < hi lives at index 2·lo when horizontal
+	// (hi = lo+1) and 2·lo+1 when vertical (hi = lo+side+1), its points
+	// in lo→hi order; nil marks an edge not generated yet. All edges draw
+	// from one source, reseeded per edge from the (lo, hi) pair:
+	// (*Rand).Seed yields the stream a fresh NewSource would, without
+	// building a 4.9 KB source per edge.
+	slab := make([]geom.Point, 2*len(corners)*sub)
+	edges := make([][]geom.Point, 2*len(corners))
+	erng := rand.New(rand.NewSource(seed))
+	edgePoints := func(lo, hi int) []geom.Point {
+		e := 2*lo + 1
+		if hi == lo+1 {
+			e = 2 * lo
 		}
-		erng := rand.New(rand.NewSource(seed ^ (int64(lo)<<20 + int64(hi))))
+		if edges[e] != nil {
+			return edges[e]
+		}
+		pts := slab[e*sub : (e+1)*sub : (e+1)*sub]
 		a, b := corners[lo], corners[hi]
 		dx, dy := b.X-a.X, b.Y-a.Y
 		length := math.Hypot(dx, dy)
 		if length == 0 {
-			return nil
+			edges[e] = pts[:0]
+			return edges[e]
 		}
+		erng.Seed(seed ^ (int64(lo)<<20 + int64(hi)))
 		// Perpendicular unit vector for lateral jitter.
 		px, py := -dy/length, dx/length
-		pts := make([]geom.Point, sub)
-		for k := 0; k < sub; k++ {
+		for k := range pts {
 			t := float64(k+1) / float64(sub+1)
 			lat := (erng.Float64()*2 - 1) * maxJit * 0.5
 			x := a.X + dx*t + px*lat
 			y := a.Y + dy*t + py*lat
-			// Clamp into the world; both neighbours compute the same
+			// Clamp into the world; both neighbours use the same
 			// clamped point, so contiguity is preserved.
 			x = math.Max(World.MinX, math.Min(World.MaxX, x))
 			y = math.Max(World.MinY, math.Min(World.MaxY, y))
 			pts[k] = geom.Point{X: x, Y: y}
 		}
-		if reversedDir {
-			for l, r := 0, len(pts)-1; l < r; l, r = l+1, r-1 {
-				pts[l], pts[r] = pts[r], pts[l]
-			}
-		}
+		edges[e] = pts
 		return pts
 	}
 
@@ -164,9 +169,19 @@ func Counties(n int, seed int64) Dataset {
 			c11 := cidx(i+1, j+1)
 			c01 := cidx(i, j+1)
 			ring := make([]geom.Point, 0, 4+4*sub)
+			// walk appends corner a and the edge's interior vertices
+			// in a→b order: the stored lo→hi slice, or a reversed
+			// copy of it when a is the high corner.
 			walk := func(a, b int) {
 				ring = append(ring, corners[a])
-				ring = append(ring, edgePoints(a, b)...)
+				if a < b {
+					ring = append(ring, edgePoints(a, b)...)
+					return
+				}
+				pts := edgePoints(b, a)
+				for k := len(pts) - 1; k >= 0; k-- {
+					ring = append(ring, pts[k])
+				}
 			}
 			walk(c00, c10)
 			walk(c10, c11)

@@ -32,11 +32,14 @@ func orient(a, b, c Point) int {
 	}
 }
 
-// onSegment reports whether point p lies on segment ab, assuming the
-// three points are already known to be collinear.
+// onSegment reports whether p lies in segment ab's box grown by eps;
+// for three points already known to be collinear, that is whether p
+// lies on ab. The builtin min and max compile inline where math.Min and
+// math.Max are calls, and agree with them on finite operands, which
+// every stored vertex is.
 func onSegment(a, b, p Point) bool {
-	return math.Min(a.X, b.X)-eps <= p.X && p.X <= math.Max(a.X, b.X)+eps &&
-		math.Min(a.Y, b.Y)-eps <= p.Y && p.Y <= math.Max(a.Y, b.Y)+eps
+	return min(a.X, b.X)-eps <= p.X && p.X <= max(a.X, b.X)+eps &&
+		min(a.Y, b.Y)-eps <= p.Y && p.Y <= max(a.Y, b.Y)+eps
 }
 
 // segIntersects reports whether segments ab and cd share at least one
@@ -110,13 +113,18 @@ func segSegDist(a, b, c, d Point) float64 {
 // pointInRing classifies p against the implicitly closed ring r:
 // +1 strictly inside, 0 on the boundary, -1 strictly outside.
 // It uses the standard crossing-number ray cast with boundary detection.
+// The boundary test checks the edge's box (±eps) before the costlier
+// orientation; both are pure and the crossing parity does not depend on
+// the order edges are visited in, so walking from the closing edge on
+// answers exactly as walking from r[0] would.
 func pointInRing(p Point, r []Point) int {
-	n := len(r)
+	if len(r) == 0 {
+		return -1
+	}
 	inside := false
-	for i := 0; i < n; i++ {
-		a, b := r[i], r[(i+1)%n]
-		// Boundary check first.
-		if orient(a, b, p) == 0 && onSegment(a, b, p) {
+	a := r[len(r)-1]
+	for _, b := range r {
+		if onSegment(a, b, p) && orient(a, b, p) == 0 {
 			return 0
 		}
 		// Crossing-number step: does the edge straddle the horizontal
@@ -127,6 +135,7 @@ func pointInRing(p Point, r []Point) int {
 				inside = !inside
 			}
 		}
+		a = b
 	}
 	if inside {
 		return 1

@@ -70,21 +70,6 @@ func (idx *Index) Grid() Grid { return idx.grid }
 // size of the quadtree index table.
 func (idx *Index) EntryCount() int { return idx.bt.Len() }
 
-// EntriesFor tessellates g under the index grid and returns the B-tree
-// entries that link each covering tile to id. It is the per-row work the
-// parallel tessellation table function performs.
-func EntriesFor(grid Grid, g geom.Geometry, id storage.RowID) ([]btree.Entry, error) {
-	tiles, err := Tessellate(grid, g)
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]btree.Entry, len(tiles))
-	for i, t := range tiles {
-		entries[i] = btree.Entry{Key: Key(t, id)}
-	}
-	return entries, nil
-}
-
 // InsertGeometry indexes one row — the index-maintenance path run by
 // DML on an indexed table.
 func (idx *Index) InsertGeometry(id storage.RowID, g geom.Geometry) error {

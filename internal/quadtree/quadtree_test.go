@@ -306,11 +306,15 @@ func TestNewIndexFromEntriesMatchesIncremental(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		g := randomRectGeom(t, rng)
 		inc.InsertGeometry(rid(i), g)
-		es, err := EntriesFor(grid, g, rid(i))
+		// Key each covering tile to the row, as the parallel index
+		// builder's tessellation table function does.
+		tiles, err := Tessellate(grid, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bulkEntries = append(bulkEntries, es...)
+		for _, tile := range tiles {
+			bulkEntries = append(bulkEntries, btree.Entry{Key: Key(tile, rid(i))})
+		}
 	}
 	for _, workers := range []int{1, 2, 4} {
 		bulk := NewIndexFromEntries(grid, append([]btree.Entry(nil), bulkEntries...), workers)

@@ -1,10 +1,6 @@
 package rtree
 
-import (
-	"container/heap"
-
-	"spatialtf/internal/geom"
-)
+import "spatialtf/internal/geom"
 
 // Incremental nearest-neighbour traversal (Hjaltason & Samet, "Ranking
 // in spatial databases", cited as [9] by the paper): a best-first walk
@@ -21,17 +17,45 @@ type nnEntry struct {
 	item Item
 }
 
+// nnQueue is a binary min-heap on dist. push and pop make exactly the
+// comparisons and swaps container/heap's Push and Pop make, so entries
+// at equal distance surface in the same order, but on the concrete
+// type: no entry is boxed into an interface on its way in.
 type nnQueue []nnEntry
 
-func (q nnQueue) Len() int           { return len(q) }
-func (q nnQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q nnQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x any)        { *q = append(*q, x.(nnEntry)) }
-func (q *nnQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
+func (q *nnQueue) push(e nnEntry) {
+	*q = append(*q, e)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *nnQueue) pop() nnEntry {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	e := h[n]
+	*q = h[:n]
 	return e
 }
 
@@ -46,9 +70,11 @@ func (t *Tree) NearestFunc(q geom.MBR, fn func(it Item, lowerBound float64) bool
 	if t.size == 0 {
 		return
 	}
-	pq := &nnQueue{{dist: t.root.mbr().Dist(q), node: t.root}}
-	for pq.Len() > 0 {
-		e := heap.Pop(pq).(nnEntry)
+	// Room for a few expanded nodes up front; deeper walks grow it.
+	pq := make(nnQueue, 1, 4*t.maxEntries)
+	pq[0] = nnEntry{dist: t.root.mbr().Dist(q), node: t.root}
+	for len(pq) > 0 {
+		e := pq.pop()
 		if e.node == nil {
 			if !fn(e.item, e.dist) {
 				return
@@ -60,9 +86,9 @@ func (t *Tree) NearestFunc(q geom.MBR, fn func(it Item, lowerBound float64) bool
 			m := n.rect(i)
 			d := m.Dist(q)
 			if n.leaf {
-				heap.Push(pq, nnEntry{dist: d, item: Item{MBR: m, ID: n.ids[i]}})
+				pq.push(nnEntry{dist: d, item: Item{MBR: m, ID: n.ids[i]}})
 			} else {
-				heap.Push(pq, nnEntry{dist: d, node: n.children[i]})
+				pq.push(nnEntry{dist: d, node: n.children[i]})
 			}
 		}
 	}
