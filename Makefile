@@ -163,8 +163,10 @@ crash-smoke:
 
 # End-to-end cluster check: three shards behind spatialrouterd must
 # answer counts, a cross-shard join, and a window query exactly like a
-# single node; SIGKILL one shard and require typed degradation (partial
-# result on streams, hard failure on counts); clean SIGTERM drain.
+# single node; the router's /metrics must count the scatters and its
+# pprof answer; SIGKILL one shard and require typed degradation
+# (partial result on streams, hard failure on counts); clean SIGTERM
+# drain.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 

@@ -26,16 +26,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var ds datagen.Dataset
-	switch *name {
-	case "counties":
-		ds = datagen.Counties(*n, *seed)
-	case "stars":
-		ds = datagen.Stars(*n, *seed)
-	case "blockgroups":
-		ds = datagen.BlockGroups(*n, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "datagen: unknown dataset %q\n", *name)
+	ds, err := datagen.ByName(*name, *n, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(2)
 	}
 

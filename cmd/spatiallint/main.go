@@ -3,9 +3,8 @@
 // contracts the compiler cannot check — acquire ⇒ release on every
 // path for tree pins, cursors, buffer-pool frames and returned release
 // funcs; lock-vs-blocking hygiene and lock-order cycles
-// (interprocedural); unchecked wire errors; float equality on
-// coordinates; unbounded decoded allocation sizes; and unjoined
-// goroutines. See DESIGN.md §10–§11 and §15.
+// (interprocedural); unchecked wire errors; and float equality on
+// coordinates. See DESIGN.md §10–§11 and §15.
 //
 // Usage:
 //
@@ -15,8 +14,6 @@
 //	-disable a,b  disable the named analyzers
 //	-json         emit findings as a JSON array instead of text
 //	-rules        print the registered rules with descriptions and exit
-//	-cfg-debug f  print the control-flow graph of function f (Graphviz
-//	              dot; f is "Name" or "Type.Method") and exit
 //
 // Packages default to ./... . Exit status: 0 clean, 1 findings,
 // 2 load or usage failure.
@@ -26,32 +23,29 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"spatialtf/internal/analysis"
-	"spatialtf/internal/analysis/cfg"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-// run parses args, runs the suite (or the requested dump) and returns
-// the exit status. Findings and dumps go to stdout, usage and load
-// errors to stderr.
+// run parses args, runs the suite and returns the exit status.
+// Findings and the -rules inventory go to stdout, usage and load errors
+// to stderr.
 func run(args []string, stderr io.Writer) int {
 	flags := flag.NewFlagSet("spatiallint", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	var (
-		chdir    = flags.String("C", "", "run as if started in `dir`")
-		disable  = flags.String("disable", "", "comma-separated `rules` to disable")
-		jsonOut  = flags.Bool("json", false, "emit findings as JSON")
-		rules    = flags.Bool("rules", false, "print the registered rules with descriptions and exit")
-		cfgDebug = flags.String("cfg-debug", "", "print the CFG of `func` (\"Name\" or \"Type.Method\") as Graphviz dot and exit")
+		chdir   = flags.String("C", "", "run as if started in `dir`")
+		disable = flags.String("disable", "", "comma-separated `rules` to disable")
+		jsonOut = flags.Bool("json", false, "emit findings as JSON")
+		rules   = flags.Bool("rules", false, "print the registered rules with descriptions and exit")
 	)
 	if err := flags.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -62,10 +56,6 @@ func run(args []string, stderr io.Writer) int {
 	if *rules {
 		listRules(os.Stdout)
 		return 0
-	}
-
-	if *cfgDebug != "" {
-		return dumpCFG(*chdir, *cfgDebug, flags.Args())
 	}
 
 	disabled := make(map[string]bool)
@@ -128,55 +118,10 @@ func run(args []string, stderr io.Writer) int {
 	return 0
 }
 
-// dumpCFG builds and prints the control-flow graph of the named
-// function — "Name" for package functions, "Type.Method" for methods —
-// searching every loaded package. Returns the process exit status.
-func dumpCFG(chdir, name string, patterns []string) int {
-	pkgs, _, err := analysis.Load(chdir, patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spatiallint:", err)
-		return 2
-	}
-	found := false
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || declName(fd) != name {
-					continue
-				}
-				found = true
-				g := cfg.Build(fd.Body)
-				fmt.Print(cfg.Dot(g, pkg.Fset, pkg.Path+"."+name))
-			}
-		}
-	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "spatiallint: no function %q in the loaded packages\n", name)
-		return 2
-	}
-	return 0
-}
-
 // listRules prints every registered rule with its one-line description
 // (the -rules inventory).
 func listRules(w io.Writer) {
 	for _, a := range analysis.Analyzers() {
 		fmt.Fprintf(w, "%-16s %s\n", a.Name, a.Doc)
 	}
-}
-
-// declName renders a FuncDecl's name as the -cfg-debug flag spells it.
-func declName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return fd.Name.Name
 }

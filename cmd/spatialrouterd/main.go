@@ -18,21 +18,18 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"spatialtf"
+	"spatialtf/cmd/internal/daemon"
 	"spatialtf/internal/cluster"
 	"spatialtf/internal/geom"
 	"spatialtf/internal/server"
@@ -51,7 +48,7 @@ func (b clusterBackend) MetricsSnapshot() []telemetry.Point { return b.co.Metric
 
 func main() {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:7900", "listen address")
+		serve        = daemon.RegisterFlags("127.0.0.1:7900")
 		manifest     = flag.String("manifest", "", "shard-map manifest path (required)")
 		shards       = flag.String("shards", "", "comma-separated shard addresses; creates the manifest when it does not exist")
 		bounds       = flag.String("bounds", "0,0,1000,1000", "world bounds minx,miny,maxx,maxy for a new manifest")
@@ -64,15 +61,6 @@ func main() {
 		retryBackoff = flag.Duration("retry-backoff", 50*time.Millisecond, "sleep before the first retry, doubling per attempt")
 		onShardLoss  = flag.String("on-shard-loss", cluster.LossFail, "lost-shard policy for streaming reads (fail|partial)")
 		fetchBatch   = flag.Int("shard-batch", 0, "rows per remote fetch from each shard (0 = shard default)")
-		maxConns     = flag.Int("max-conns", 64, "concurrent client connection limit")
-		maxCursors   = flag.Int("max-cursors", 8, "open cursor limit per connection")
-		batch        = flag.Int("batch", 256, "default client fetch batch size (rows)")
-		maxBatch     = flag.Int("max-batch", 4096, "largest fetch batch a client may request")
-		maxRows      = flag.Int64("max-rows", 0, "per-query row limit (0 = unlimited)")
-		queryTimeout = flag.Duration("query-timeout", 0, "per-query time limit (0 = none)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain limit")
-		metricsAddr  = flag.String("metrics-addr", "", "HTTP address for /metrics and /debug/pprof/ (empty = disabled)")
-		slowQuery    = flag.Duration("slow-query", 0, "log a scatter/merge span trace for queries at least this slow (0 = off)")
 	)
 	flag.Parse()
 	log.SetPrefix("spatialrouterd: ")
@@ -99,72 +87,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := server.NewWith(clusterBackend{co: co}, server.Config{
-		MaxConns:          *maxConns,
-		MaxCursorsPerConn: *maxCursors,
-		DefaultBatch:      *batch,
-		MaxBatch:          *maxBatch,
-		MaxRowsPerQuery:   *maxRows,
-		QueryTimeout:      *queryTimeout,
-		Telemetry:         reg,
-		SlowQuery:         *slowQuery,
-	})
+	serve.Server.Telemetry = reg
+	srv := server.NewWith(clusterBackend{co: co}, serve.Server)
 	// Scatter/merge spans land on the serving layer's tracer so the
 	// router's slow log shows where a cluster query spent its time.
 	co.SetTracer(srv.Tracer())
 
-	var httpSrv *http.Server
-	var httpWG sync.WaitGroup
-	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		httpSrv = &http.Server{Addr: *metricsAddr, Handler: mux}
-		httpWG.Add(1)
-		go func() {
-			defer httpWG.Done()
-			log.Printf("metrics on http://%s/metrics (pprof on /debug/pprof/)", *metricsAddr)
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("metrics server: %v", err)
-			}
-		}()
-	}
-
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := <-sigs
-		log.Printf("received %s; draining connections (limit %s)", sig, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("forced shutdown: %v", err)
-		}
-		if httpSrv != nil {
-			if err := httpSrv.Shutdown(ctx); err != nil {
-				log.Printf("metrics server shutdown: %v", err)
-			}
-		}
+	log.Printf("routing for %d shards on %s", m.NShards(), serve.Addr)
+	err = daemon.Run(srv, serve, sigs, "routed", func() {
 		if err := co.Close(); err != nil {
 			log.Printf("shard connections close: %v", err)
 		}
-	}()
-
-	log.Printf("routing for %d shards on %s", m.NShards(), *addr)
-	if err := srv.ListenAndServe(*addr); err != nil && err != server.ErrServerClosed {
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	<-done
-	httpWG.Wait()
-	s := srv.Stats().Snapshot()
-	log.Printf("routed %d queries, %d rows streamed over %d fetches, %d connections",
-		s.Queries, s.RowsStreamed, s.Fetches, s.ConnsAccepted)
 }
 
 // loadOrCreateMap loads the manifest, or creates it from the -shards/

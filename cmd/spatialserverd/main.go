@@ -27,21 +27,19 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"spatialtf"
+	"spatialtf/cmd/internal/daemon"
+	"spatialtf/internal/datagen"
 	"spatialtf/internal/pager"
 	"spatialtf/internal/server"
 )
@@ -53,7 +51,7 @@ func (l *loadList) Set(v string) error { *l = append(*l, v); return nil }
 
 func main() {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:7878", "listen address")
+		serve        = daemon.RegisterFlags("127.0.0.1:7878")
 		dataDir      = flag.String("data-dir", "", "durable data directory (page file + WAL); empty = in-memory")
 		walSync      = flag.String("wal-sync", "always", "WAL fsync policy with -data-dir (always|batch|off)")
 		poolPages    = flag.Int("pool-pages", 0, "buffer pool size in pages with -data-dir (0 = default)")
@@ -61,15 +59,6 @@ func main() {
 		snapshot     = flag.String("snapshot", "", "snapshot file: imported at start if the database comes up with no tables; saved on shutdown in in-memory mode")
 		index        = flag.String("index", "rtree", "index kind built on -load tables (rtree|quadtree|none)")
 		parallel     = flag.Int("parallel", 0, "parallel workers for restore/index builds")
-		maxConns     = flag.Int("max-conns", 64, "concurrent connection limit")
-		maxCursors   = flag.Int("max-cursors", 8, "open cursor limit per connection")
-		batch        = flag.Int("batch", 256, "default fetch batch size (rows)")
-		maxBatch     = flag.Int("max-batch", 4096, "largest fetch batch a client may request")
-		maxRows      = flag.Int64("max-rows", 0, "per-query row limit (0 = unlimited)")
-		queryTimeout = flag.Duration("query-timeout", 0, "per-query time limit (0 = none)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain limit")
-		metricsAddr  = flag.String("metrics-addr", "", "HTTP address for /metrics and /debug/pprof/ (empty = disabled)")
-		slowQuery    = flag.Duration("slow-query", 0, "log a span trace for queries at least this slow (0 = off)")
 		loads        loadList
 	)
 	flag.Var(&loads, "load", "dataset to load at start, as name:n[:seed] (repeatable; counties, stars or blockgroups)")
@@ -92,57 +81,13 @@ func main() {
 		}
 	}
 	db.EnableTelemetry(reg)
-	srv := server.New(db, server.Config{
-		MaxConns:          *maxConns,
-		MaxCursorsPerConn: *maxCursors,
-		DefaultBatch:      *batch,
-		MaxBatch:          *maxBatch,
-		MaxRowsPerQuery:   *maxRows,
-		QueryTimeout:      *queryTimeout,
-		Telemetry:         reg,
-		SlowQuery:         *slowQuery,
-	})
-
-	// The observability endpoint runs on its own mux (never the default
-	// one) so nothing else in the process can accidentally widen it.
-	var httpSrv *http.Server
-	var httpWG sync.WaitGroup
-	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		httpSrv = &http.Server{Addr: *metricsAddr, Handler: mux}
-		httpWG.Add(1)
-		go func() {
-			defer httpWG.Done()
-			log.Printf("metrics on http://%s/metrics (pprof on /debug/pprof/)", *metricsAddr)
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("metrics server: %v", err)
-			}
-		}()
-	}
+	serve.Server.Telemetry = reg
+	srv := server.New(db, serve.Server)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := <-sigs
-		log.Printf("received %s; draining connections (limit %s)", sig, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("forced shutdown: %v", err)
-		}
-		if httpSrv != nil {
-			if err := httpSrv.Shutdown(ctx); err != nil {
-				log.Printf("metrics server shutdown: %v", err)
-			}
-		}
+	log.Printf("serving on %s", serve.Addr)
+	err = daemon.Run(srv, serve, sigs, "served", func() {
 		if db.Durable() {
 			// Checkpoint + release the data directory; the WAL already
 			// holds every committed mutation.
@@ -158,17 +103,10 @@ func main() {
 				log.Printf("database saved to %s", *snapshot)
 			}
 		}
-	}()
-
-	log.Printf("serving on %s", *addr)
-	if err := srv.ListenAndServe(*addr); err != nil && err != server.ErrServerClosed {
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	<-done
-	httpWG.Wait()
-	s := srv.Stats().Snapshot()
-	log.Printf("served %d queries, %d rows streamed over %d fetches, %d connections",
-		s.Queries, s.RowsStreamed, s.Fetches, s.ConnsAccepted)
 }
 
 // openDB opens the database — a durable data directory when -data-dir
@@ -252,16 +190,9 @@ func loadDataset(db *spatialtf.DB, spec, kind string, parallel int) error {
 			return fmt.Errorf("bad -load seed %q", parts[2])
 		}
 	}
-	var ds spatialtf.Dataset
-	switch parts[0] {
-	case "counties":
-		ds = spatialtf.Counties(n, seed)
-	case "stars":
-		ds = spatialtf.Stars(n, seed)
-	case "blockgroups":
-		ds = spatialtf.BlockGroups(n, seed)
-	default:
-		return fmt.Errorf("unknown dataset %q", parts[0])
+	ds, err := datagen.ByName(parts[0], n, seed)
+	if err != nil {
+		return err
 	}
 	t0 := time.Now()
 	if _, err := db.LoadDataset(parts[0], ds); err != nil {

@@ -27,12 +27,14 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"spatialtf"
+	"spatialtf/internal/datagen"
 	"spatialtf/internal/pager"
 	"spatialtf/internal/sqlmini"
 	"spatialtf/internal/telemetry"
@@ -73,12 +75,25 @@ func main() {
 	}
 	eng := sqlmini.NewEngine()
 	st := attachTelemetry(eng.DB())
-	in := bufio.NewScanner(os.Stdin)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
 	interactive := isatty()
 	if interactive {
 		fmt.Println("spatialtf SQL shell — \\q to quit, \\load <dataset> <n> to load data, \\metrics, \\trace on|off")
 	}
+	repl(os.Stdin, interactive,
+		func(sql string) { runStatement(eng, sql) },
+		func(cmd string) bool { return meta(eng, &st, cmd) })
+}
+
+// repl reads the shell's input line by line until EOF or a meta command
+// that quits. A line starting with a backslash between statements is a
+// meta command, handed to meta, which returns false to quit. Any other
+// line joins the current statement, which may span lines and is handed
+// to run without its semicolon once a line ends in one; a statement
+// left open at EOF runs as it is. With interactive set, a prompt goes
+// to stdout before each line.
+func repl(in io.Reader, interactive bool, run func(sql string), meta func(cmd string) bool) {
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
 	prompt := func() {
 		if !interactive {
@@ -91,11 +106,11 @@ func main() {
 		}
 	}
 	prompt()
-	for in.Scan() {
-		line := in.Text()
+	for sc.Scan() {
+		line := sc.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			if !meta(eng, &st, trimmed) {
+			if !meta(trimmed) {
 				return
 			}
 			prompt()
@@ -107,13 +122,13 @@ func main() {
 			stmtText := strings.TrimSuffix(strings.TrimSpace(buf.String()), ";")
 			buf.Reset()
 			if stmtText != "" {
-				runStatement(eng, stmtText)
+				run(stmtText)
 			}
 		}
 		prompt()
 	}
 	if rest := strings.TrimSpace(buf.String()); rest != "" {
-		runStatement(eng, rest)
+		run(rest)
 	}
 }
 
@@ -218,16 +233,9 @@ func meta(eng *sqlmini.Engine, st **shellTelemetry, cmd string) bool {
 			}
 			seed = s
 		}
-		var ds spatialtf.Dataset
-		switch fields[1] {
-		case "counties":
-			ds = spatialtf.Counties(n, seed)
-		case "stars":
-			ds = spatialtf.Stars(n, seed)
-		case "blockgroups":
-			ds = spatialtf.BlockGroups(n, seed)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown dataset %q\n", fields[1])
+		ds, err := datagen.ByName(fields[1], n, seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			return true
 		}
 		t0 := time.Now()
@@ -254,44 +262,9 @@ func remoteShell(addr string) error {
 		fmt.Printf("spatialtf SQL shell — connected to %s; \\q to quit, \\stats for server stats, \\metrics for the full snapshot\n", addr)
 	}
 	batch := 0 // 0 = server default
-	in := bufio.NewScanner(os.Stdin)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
-	prompt := func() {
-		if !interactive {
-			return
-		}
-		if buf.Len() == 0 {
-			fmt.Print("sql> ")
-		} else {
-			fmt.Print("...> ")
-		}
-	}
-	prompt()
-	for in.Scan() {
-		line := in.Text()
-		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			if !remoteMeta(cli, trimmed, &batch) {
-				return nil
-			}
-			prompt()
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteString("\n")
-		if strings.HasSuffix(trimmed, ";") {
-			stmtText := strings.TrimSuffix(strings.TrimSpace(buf.String()), ";")
-			buf.Reset()
-			if stmtText != "" {
-				runRemoteStatement(cli, stmtText, batch)
-			}
-		}
-		prompt()
-	}
-	if rest := strings.TrimSpace(buf.String()); rest != "" {
-		runRemoteStatement(cli, rest, batch)
-	}
+	repl(os.Stdin, interactive,
+		func(sql string) { runRemoteStatement(cli, sql, batch) },
+		func(cmd string) bool { return remoteMeta(cli, cmd, &batch) })
 	return nil
 }
 

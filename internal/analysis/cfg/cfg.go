@@ -53,10 +53,8 @@ type Edge struct {
 // range operands), so transfer functions observe every evaluation.
 type Block struct {
 	Index int
-	// What phrases the block: "entry", "if.then", "for.head", ...
-	Comment string
-	Nodes   []ast.Node
-	Succs   []Edge
+	Nodes []ast.Node
+	Succs []Edge
 	// Live marks blocks reachable from entry; dead blocks (code after
 	// an unconditional return) keep their shape but are skipped by the
 	// solver.
@@ -78,8 +76,8 @@ type Graph struct {
 // graph (entry → exit).
 func Build(body *ast.BlockStmt) *Graph {
 	b := &builder{g: &Graph{}, labels: map[string]*labelTarget{}}
-	b.g.Entry = b.newBlock("entry")
-	b.g.Exit = b.newBlock("exit")
+	b.g.Entry = b.newBlock()
+	b.g.Exit = b.newBlock()
 	b.cur = b.g.Entry
 	if body != nil {
 		b.stmtList(body.List)
@@ -120,8 +118,8 @@ type builder struct {
 	pendingLabel string
 }
 
-func (b *builder) newBlock(comment string) *Block {
-	blk := &Block{Index: len(b.g.Blocks), Comment: comment}
+func (b *builder) newBlock() *Block {
+	blk := &Block{Index: len(b.g.Blocks)}
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
 }
@@ -146,7 +144,7 @@ func (b *builder) branchTo(to *Block, cond ast.Expr, branch bool) {
 // into a fresh (dead) block so trailing statements still get a home.
 func (b *builder) add(n ast.Node) {
 	if b.cur == nil {
-		b.cur = b.newBlock("unreachable")
+		b.cur = b.newBlock()
 	}
 	b.cur.Nodes = append(b.cur.Nodes, n)
 }
@@ -177,7 +175,7 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.labels[s.Label.Name] = lt
 		// A goto to the label lands where the statement begins; start a
 		// fresh block so the target is well defined.
-		start := b.newBlock("label." + s.Label.Name)
+		start := b.newBlock()
 		b.edgeTo(start, EdgeFlow)
 		b.cur = start
 		lt.start = start
@@ -193,14 +191,14 @@ func (b *builder) stmt(s ast.Stmt) {
 		}
 		b.add(s.Cond)
 		condBlock := b.cur
-		after := b.newBlock("if.after")
-		then := b.newBlock("if.then")
+		after := b.newBlock()
+		then := b.newBlock()
 		b.branchTo(then, s.Cond, true)
 		b.cur = then
 		b.stmtList(s.Body.List)
 		b.edgeTo(after, EdgeFlow)
 		if s.Else != nil {
-			els := b.newBlock("if.else")
+			els := b.newBlock()
 			condBlock.Succs = append(condBlock.Succs, Edge{To: els, Cond: s.Cond, Branch: false})
 			b.cur = els
 			b.stmt(s.Else)
@@ -215,18 +213,18 @@ func (b *builder) stmt(s ast.Stmt) {
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
-		head := b.newBlock("for.head")
-		after := b.newBlock("for.after")
+		head := b.newBlock()
+		after := b.newBlock()
 		post := head
 		if s.Post != nil {
-			post = b.newBlock("for.post")
+			post = b.newBlock()
 		}
 		if lt != nil {
 			lt.brk, lt.cont = after, post
 		}
 		b.edgeTo(head, EdgeFlow)
 		b.cur = head
-		body := b.newBlock("for.body")
+		body := b.newBlock()
 		if s.Cond != nil {
 			b.add(s.Cond)
 			b.branchTo(body, s.Cond, true)
@@ -252,8 +250,8 @@ func (b *builder) stmt(s ast.Stmt) {
 	case *ast.RangeStmt:
 		lt := b.takeLabel()
 		b.add(s.X)
-		head := b.newBlock("range.head")
-		after := b.newBlock("range.after")
+		head := b.newBlock()
+		after := b.newBlock()
 		if lt != nil {
 			lt.brk, lt.cont = after, head
 		}
@@ -262,7 +260,7 @@ func (b *builder) stmt(s ast.Stmt) {
 		// The RangeStmt node itself marks the per-iteration key/value
 		// binding; it lives in the head so every iteration sees it.
 		b.add(s)
-		body := b.newBlock("range.body")
+		body := b.newBlock()
 		b.edgeTo(body, EdgeFlow)
 		b.edgeTo(after, EdgeFlow)
 		b.breakStack = append(b.breakStack, after)
@@ -296,10 +294,10 @@ func (b *builder) stmt(s ast.Stmt) {
 		lt := b.takeLabel()
 		head := b.cur
 		if head == nil {
-			head = b.newBlock("unreachable")
+			head = b.newBlock()
 			b.cur = head
 		}
-		after := b.newBlock("select.after")
+		after := b.newBlock()
 		if lt != nil {
 			lt.brk = after
 		}
@@ -308,7 +306,7 @@ func (b *builder) stmt(s ast.Stmt) {
 		for _, c := range s.Body.List {
 			cc := c.(*ast.CommClause)
 			hasClause = true
-			blk := b.newBlock("select.case")
+			blk := b.newBlock()
 			head.Succs = append(head.Succs, Edge{To: blk, Kind: EdgeFlow})
 			b.cur = blk
 			if cc.Comm != nil {
@@ -354,10 +352,10 @@ func (b *builder) stmt(s ast.Stmt) {
 func (b *builder) buildCases(clauses []ast.Stmt, lt *labelTarget, _ *Block) {
 	head := b.cur
 	if head == nil {
-		head = b.newBlock("unreachable")
+		head = b.newBlock()
 		b.cur = head
 	}
-	after := b.newBlock("switch.after")
+	after := b.newBlock()
 	if lt != nil {
 		lt.brk = after
 	}
@@ -365,7 +363,7 @@ func (b *builder) buildCases(clauses []ast.Stmt, lt *labelTarget, _ *Block) {
 	hasDefault := false
 	blocks := make([]*Block, len(clauses))
 	for i := range clauses {
-		blocks[i] = b.newBlock("switch.case")
+		blocks[i] = b.newBlock()
 	}
 	for i, c := range clauses {
 		cc := c.(*ast.CaseClause)

@@ -271,6 +271,20 @@ func BlockGroups(n int, seed int64) Dataset {
 	return Dataset{Name: "blockgroups", Geoms: geoms, Bounds: World}
 }
 
+// ByName generates the dataset the commands name on their command
+// lines: "counties", "stars" or "blockgroups", of n geometries.
+func ByName(name string, n int, seed int64) (Dataset, error) {
+	switch name {
+	case "counties":
+		return Counties(n, seed), nil
+	case "stars":
+		return Stars(n, seed), nil
+	case "blockgroups":
+		return BlockGroups(n, seed), nil
+	}
+	return Dataset{}, fmt.Errorf("unknown dataset %q (want counties, stars or blockgroups)", name)
+}
+
 // starPolygon builds a simple radial polygon with `verts` vertices
 // around (cx, cy): radius modulated by low-frequency sinusoids plus
 // noise, clamped inside World.

@@ -7,6 +7,7 @@ import (
 	"hash"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -34,33 +35,67 @@ func hashDataset(h hash.Hash, ds Dataset) {
 	}
 }
 
+// goldenCases are the generators' pinned digests: over every size and
+// seed, hashDataset of the output.
+var goldenCases = []struct {
+	name  string
+	sizes []int
+	gen   func(int, int64) Dataset
+	want  string
+}{
+	{"counties", []int{1, 7, 36, 225, 256, 625, 1000, 3230}, Counties,
+		"16b0406d5344d8b568f16cbfa6becba83823ac665e494bf96515f40f0fbecc0a"},
+	{"stars", []int{1, 250, 2000}, Stars,
+		"8fb8bde68a8ba88306222d226f711fc37766a0f1e53f7e222c50740c88cfd0ed"},
+	{"blockgroups", []int{1, 300}, BlockGroups,
+		"189b5a8565692c85793d62447b3484964039aa8bee63d43171206a516c1410bf"},
+}
+
+// goldenDigest hashes gen's output over sizes at three seeds.
+func goldenDigest(sizes []int, gen func(int, int64) Dataset) string {
+	h := sha256.New()
+	for _, n := range sizes {
+		for _, seed := range []int64{1, 19, -7} {
+			hashDataset(h, gen(n, seed))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestGeneratorsGolden pins the generators' output bit for bit: every
 // workload's data, result sizes and answer digests derive from it, so a
 // speed-up of a generator must leave these digests where they are.
 func TestGeneratorsGolden(t *testing.T) {
-	seeds := []int64{1, 19, -7}
-	cases := []struct {
-		name  string
-		sizes []int
-		gen   func(int, int64) Dataset
-		want  string
-	}{
-		{"counties", []int{1, 7, 36, 225, 256, 625, 1000, 3230}, Counties,
-			"16b0406d5344d8b568f16cbfa6becba83823ac665e494bf96515f40f0fbecc0a"},
-		{"stars", []int{1, 250, 2000}, Stars,
-			"8fb8bde68a8ba88306222d226f711fc37766a0f1e53f7e222c50740c88cfd0ed"},
-		{"blockgroups", []int{1, 300}, BlockGroups,
-			"189b5a8565692c85793d62447b3484964039aa8bee63d43171206a516c1410bf"},
-	}
-	for _, c := range cases {
-		h := sha256.New()
-		for _, n := range c.sizes {
-			for _, seed := range seeds {
-				hashDataset(h, c.gen(n, seed))
-			}
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+	for _, c := range goldenCases {
+		if got := goldenDigest(c.sizes, c.gen); got != c.want {
 			t.Errorf("%s digest = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestByName: each name the commands accept generates what its
+// generator does, vertex for vertex, and any other name is an error
+// that lists the three.
+func TestByName(t *testing.T) {
+	for _, c := range goldenCases {
+		got := goldenDigest(c.sizes, func(n int, seed int64) Dataset {
+			ds, err := ByName(c.name, n, seed)
+			if err != nil {
+				t.Fatalf("ByName(%q): %v", c.name, err)
+			}
+			return ds
+		})
+		if got != c.want {
+			t.Errorf("ByName(%q) digest = %s, want %s", c.name, got, c.want)
+		}
+	}
+	_, err := ByName("parcels", 10, 1)
+	if err == nil {
+		t.Fatal("ByName(parcels): no error")
+	}
+	for _, name := range []string{"parcels", "counties", "stars", "blockgroups"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("ByName(parcels) error %q does not name %s", err, name)
 		}
 	}
 }

@@ -75,20 +75,20 @@ func (m MBR) Union(o MBR) MBR {
 		return m
 	}
 	return MBR{
-		MinX: math.Min(m.MinX, o.MinX),
-		MinY: math.Min(m.MinY, o.MinY),
-		MaxX: math.Max(m.MaxX, o.MaxX),
-		MaxY: math.Max(m.MaxY, o.MaxY),
+		MinX: min(m.MinX, o.MinX),
+		MinY: min(m.MinY, o.MinY),
+		MaxX: max(m.MaxX, o.MaxX),
+		MaxY: max(m.MaxY, o.MaxY),
 	}
 }
 
 // Intersect returns the overlap of m and o, which may be empty.
 func (m MBR) Intersect(o MBR) MBR {
 	return MBR{
-		MinX: math.Max(m.MinX, o.MinX),
-		MinY: math.Max(m.MinY, o.MinY),
-		MaxX: math.Min(m.MaxX, o.MaxX),
-		MaxY: math.Min(m.MaxY, o.MaxY),
+		MinX: max(m.MinX, o.MinX),
+		MinY: max(m.MinY, o.MinY),
+		MaxX: min(m.MaxX, o.MaxX),
+		MaxY: min(m.MaxY, o.MaxY),
 	}
 }
 
@@ -139,8 +139,8 @@ func (m MBR) Dist(o MBR) float64 {
 	if m.IsEmpty() || o.IsEmpty() {
 		return math.Inf(1)
 	}
-	dx := math.Max(0, math.Max(o.MinX-m.MaxX, m.MinX-o.MaxX))
-	dy := math.Max(0, math.Max(o.MinY-m.MaxY, m.MinY-o.MaxY))
+	dx := max(0, o.MinX-m.MaxX, m.MinX-o.MaxX)
+	dy := max(0, o.MinY-m.MaxY, m.MinY-o.MaxY)
 	return math.Hypot(dx, dy)
 }
 

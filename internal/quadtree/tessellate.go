@@ -10,11 +10,13 @@ import (
 // tile whose cell rectangle interacts with the geometry. It descends the
 // implicit quadtree from the root, pruning quadrants whose rectangle
 // does not intersect the geometry — the standard tessellation used at
-// quadtree index-creation time, and deliberately the expensive step: the
-// exact rectangle/geometry test runs at every visited quadrant, so cost
-// grows with geometry size and boundary complexity, reproducing the
-// paper's observation that "the Quadtree creation time is high compared
-// to R-trees" for large complex polygons.
+// quadtree index-creation time. The exact rectangle/geometry test runs
+// at every visited quadrant, so cost grows with geometry size and
+// boundary complexity: tessellation is most of a quadtree build, which
+// is why "the Quadtree creation time is high compared to R-trees" for
+// large complex polygons (EXPERIMENTS.md, Table 3). g is bounded once
+// (geom.Bounded) so that those tests read its box instead of walking
+// its vertices for it at every quadrant.
 //
 // The returned tiles are in ascending Morton order (a property of the
 // depth-first quadrant order), which lets the index builder feed them to
@@ -28,6 +30,7 @@ func Tessellate(grid Grid, g geom.Geometry) ([]Tile, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("quadtree: tessellate: %w", err)
 	}
+	g = geom.Bounded(g)
 	mbr := geom.MBROf(g)
 	if !grid.Bounds.Contains(mbr) {
 		return nil, fmt.Errorf("quadtree: geometry %v outside grid bounds %v", mbr, grid.Bounds)

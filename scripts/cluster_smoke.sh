@@ -5,7 +5,9 @@
 # cross-shard spatial join, a window query), then SIGKILL one shard and
 # require typed degradation — a partial-result error on streams, a hard
 # error on counts, never a hang or a silently short answer — and a
-# clean SIGTERM drain of everything left. Dependency-free: POSIX sh.
+# clean SIGTERM drain of everything left. The router's /metrics must
+# count the scatters and its pprof must answer. Dependency-free: POSIX
+# sh + curl.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,6 +29,7 @@ go build -o "$tmp/spatialsql" ./cmd/spatialsql
 loads="-load counties:240:1 -load stars:400:2"
 shard_addrs="127.0.0.1:7951,127.0.0.1:7952,127.0.0.1:7953"
 router="127.0.0.1:7950"
+router_metrics="127.0.0.1:7958"
 single="127.0.0.1:7959"
 
 for port in 7951 7952 7953 7959; do
@@ -40,6 +43,7 @@ done
 "$tmp/spatialrouterd" -addr "$router" -manifest "$tmp/cluster.stf" \
 	-shards "$shard_addrs" -bounds 0,0,1000,1000 -grid 8x8 -margin 6 \
 	-retries 1 -retry-backoff 20ms -on-shard-loss partial \
+	-metrics-addr "$router_metrics" \
 	>"$tmp/router.log" 2>&1 &
 router_pid=$!
 pids="$pids $router_pid"
@@ -89,6 +93,24 @@ for sql in \
 	fi
 done
 
+# The router's observability endpoint: the queries above scattered, so
+# its scatter counter has moved, and pprof answers on the same mux.
+scrape="$tmp/router-metrics.txt"
+curl -fsS "http://$router_metrics/metrics" >"$scrape" || {
+	echo "cluster-smoke: router /metrics not serving" >&2
+	cat "$tmp/router.log" >&2
+	exit 1
+}
+grep -q '^cluster_scatter_total [1-9]' "$scrape" || {
+	echo "cluster-smoke: router /metrics has no cluster_scatter_total >= 1:" >&2
+	cat "$scrape" >&2
+	exit 1
+}
+curl -fsS "http://$router_metrics/debug/pprof/" >/dev/null || {
+	echo "cluster-smoke: router pprof endpoint not serving" >&2
+	exit 1
+}
+
 # Crash one shard. Streams must now end in a typed partial-result
 # error (the surviving shards' rows still flow), and counts must fail
 # hard — a partial count would just be a wrong number.
@@ -134,4 +156,4 @@ for port in 7951 7953 7959; do
 done
 pids=""
 
-echo "cluster-smoke: ok (3-shard scatter matches single node, typed degradation on shard loss, clean drain)"
+echo "cluster-smoke: ok (3-shard scatter matches single node, router metrics and pprof, typed degradation on shard loss, clean drain)"
